@@ -74,7 +74,7 @@ from ..errors import CongestModelViolation, InputError
 from ..telemetry import events as _tele
 from ..telemetry import flight as _flight
 from ..wordsize import words_of
-from .memory import MemoryMeter
+from .memory import MemoryBank, MemoryMeter
 from .message import Message
 from .metrics import RunMetrics
 
@@ -105,7 +105,12 @@ class Network:
         self.strict = strict
         self.rng = random.Random(seed)
         self.metrics = RunMetrics()
-        self._meters: Dict[NodeId, MemoryMeter] = {v: MemoryMeter() for v in graph}
+        #: The one memory record of the network; every meter is bound to it,
+        #: so bulk memory operations never visit the vertices one by one.
+        self._bank = MemoryBank()
+        self._meters: Dict[NodeId, MemoryMeter] = {
+            v: MemoryMeter(self._bank) for v in graph
+        }
         self._outbox: List[Message] = []
         #: Words queued in ``_outbox``, accumulated at send time so closing
         #: a round never re-walks the outbox to sum message widths.
@@ -232,11 +237,11 @@ class Network:
 
     def memory_high_water(self) -> Dict[NodeId, int]:
         """Per-vertex memory high-water marks, in words."""
-        return {v: meter.high_water for v, meter in self._meters.items()}
+        return dict(zip(self._meters, self._bank.high_waters()))
 
     def max_memory(self) -> int:
         """Worst per-vertex memory high-water over the run, in words."""
-        return max(meter.high_water for meter in self._meters.values())
+        return max(self._bank.high_waters())
 
     def free_all(self, prefix: str) -> None:
         """Free the given key prefix at every vertex (stage teardown).
@@ -249,15 +254,16 @@ class Network:
             meter.free_prefix(prefix)
 
     def free_key(self, key: str) -> None:
-        """Free one exact key at every vertex (O(n), no key scans)."""
-        for meter in self._meters.values():
-            meter.free(key)
+        """Free one exact key at every vertex: O(1) for a key stored by
+        :meth:`store_all`, O(vertices holding it) otherwise."""
+        self._bank.free_key(key)
 
     def store_all(self, key: str, words: int) -> None:
         """Store ``words`` under ``key`` at every vertex (stage setup; the
-        inverse of :meth:`free_key` for uniform per-vertex buffers)."""
-        for meter in self._meters.values():
-            meter.store(key, words)
+        inverse of :meth:`free_key` for uniform per-vertex buffers).  One
+        uniform entry of the network's memory bank, O(1) unless some
+        vertices already hold ``key`` on their own."""
+        self._bank.store_all(key, words)
 
     # -- observation -----------------------------------------------------------
 

@@ -110,12 +110,13 @@ def build_distributed_tree_scheme(
             tables=tables,
             labels=labels,
         )
-    if _tele._collectors:  # max_memory() is O(n); skip entirely when untraced
-        _tele.gauge("memory.high_water_words", net.max_memory())
+    # O(n), so read once per tree build: the report needs it traced or not.
+    max_memory_words = net.max_memory()
+    _tele.gauge("memory.high_water_words", max_memory_words)
     return DistributedTreeBuild(
         scheme=scheme,
         partition=part,
         rounds=net.metrics.total_rounds - rounds_before,
         messages=net.metrics.messages - messages_before,
-        max_memory_words=net.max_memory(),
+        max_memory_words=max_memory_words,
     )

@@ -181,6 +181,24 @@ class EdgeCountObserver:
         self.charges.append((rounds, messages, words))
 
 
+def meter_state(net: Any) -> Dict[str, Tuple[Any, ...]]:
+    """Everything a vertex's meter exposes, per vertex: current, high-water,
+    the grouped and the exact breakdown, and the ``last_prefix_scan`` pin.
+    Compares with ``==``; engines must agree on it after any schedule."""
+    state = {}
+    for v in net.nodes():
+        meter = net.mem(v)
+        state[repr(v)] = (
+            meter.current,
+            meter.high_water,
+            meter.snapshot(),
+            dict(meter.items()),
+            meter.high_water_excluding("relay/"),
+            meter.last_prefix_scan,
+        )
+    return state
+
+
 def run_fingerprint(
     engine_cls: Callable[..., Any],
     graph: nx.Graph,

@@ -7,8 +7,11 @@ same :class:`~repro.errors.CongestModelViolation` at the same operation, in
 the same round, with the byte-identical message.  After a violation each
 engine must also be left in the same state (the schedule keeps going), so
 post-exception divergence cannot hide.  Besides outcomes and metrics, the
-post-run check covers per-vertex memory high-waters *and* the
-``last_prefix_scan`` pins, so bulk-free bookkeeping cannot drift either.
+post-run check covers the whole per-vertex meter state (current,
+high-water, both breakdowns, the ``last_prefix_scan`` pin), so neither the
+bulk bookkeeping nor a lazily settled high-water can drift.  The meters
+are read once, after the schedule: reading a high-water settles it, so a
+mid-run read would hide exactly the laziness under test.
 
 Schedules are generated once per seed and applied to each engine
 independently; everything is derived from ``random.Random(seed)``, so a
@@ -25,7 +28,9 @@ import pytest
 from repro.congest import ENGINES, ReferenceNetwork
 from repro.errors import CongestModelViolation
 
-from .harness import QUICK, TOPOLOGIES, build_topology, run_fingerprint
+from .harness import QUICK, TOPOLOGIES, build_topology, meter_state, run_fingerprint
+
+_KEYS = ["fz/a", "fz/b", "relay/fz", "plain"]
 
 #: The engines certified against the reference oracle.
 CANDIDATES = ("fastpath", "vectorized")
@@ -44,6 +49,9 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
       ("close", "tick" | "deliver")            -- end the round either way
       ("idle", k) / ("charge", r, m, w)        -- accounting paths
       ("mem", v, key, words) / ("free", prefix) / ("free_key", key)
+      ("store_all", key, words)                -- uniform network-wide store
+      ("mem_add", v, key, words) / ("mem_free", v, key)
+      ("mem_free_prefix", v, prefix)           -- one vertex deviates
 
     Capacity violations arise naturally: several sends may pick the same
     directed edge within one round, and a ``flood_all`` after any send on a
@@ -82,17 +90,31 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                     [None, rng.randrange(50), list(range(rng.randrange(5, 9)))]
                 )
                 schedule.append(("flood_all", payload))
-            elif roll < 0.90:
+            elif roll < 0.88:
                 schedule.append(
-                    ("mem", src, rng.choice(["fz/a", "fz/b", "plain"]),
-                     rng.randrange(1, 5))
+                    ("mem", src, rng.choice(_KEYS), rng.randrange(1, 5))
+                )
+            elif roll < 0.91:
+                schedule.append(
+                    ("store_all", rng.choice(_KEYS), rng.randrange(0, 5))
+                )
+            elif roll < 0.925:
+                schedule.append(
+                    ("mem_add", src, rng.choice(_KEYS), rng.randrange(1, 4))
                 )
             elif roll < 0.94:
-                schedule.append(("free", rng.choice(["fz/", "fz/a", "plain"])))
-            elif roll < 0.97:
+                schedule.append(("mem_free", src, rng.choice(_KEYS + ["ghost"])))
+            elif roll < 0.95:
                 schedule.append(
-                    ("free_key", rng.choice(["fz/a", "fz/b", "plain", "ghost"]))
+                    ("mem_free_prefix", src,
+                     rng.choice(["fz/", "fz/a", "relay/", "plain"]))
                 )
+            elif roll < 0.965:
+                schedule.append(
+                    ("free", rng.choice(["fz/", "fz/a", "relay/", "plain"]))
+                )
+            elif roll < 0.985:
+                schedule.append(("free_key", rng.choice(_KEYS + ["ghost"])))
             else:
                 schedule.append(
                     ("charge", rng.randrange(0, 3), rng.randrange(0, 4),
@@ -143,6 +165,18 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
             elif tag == "mem":
                 net.mem(op[1]).store(op[2], op[3])
                 outcomes.append(("ok",))
+            elif tag == "store_all":
+                net.store_all(op[1], op[2])
+                outcomes.append(("ok",))
+            elif tag == "mem_add":
+                net.mem(op[1]).add(op[2], op[3])
+                outcomes.append(("ok",))
+            elif tag == "mem_free":
+                net.mem(op[1]).free(op[2])
+                outcomes.append(("ok",))
+            elif tag == "mem_free_prefix":
+                net.mem(op[1]).free_prefix(op[2])
+                outcomes.append(("ok",))
             elif tag == "free":
                 net.free_all(op[1])
                 outcomes.append(("ok",))
@@ -161,7 +195,7 @@ def _run_fuzz(topo: str, seed: int, *, strict: bool) -> None:
     ref = ReferenceNetwork(graph, strict=strict)
     ref_outcomes = apply_schedule(ref, schedule)
     ref_waters = {repr(v): hw for v, hw in ref.memory_high_water().items()}
-    ref_pins = {repr(v): ref.mem(v).last_prefix_scan for v in ref.nodes()}
+    ref_meters = meter_state(ref)
 
     for name in CANDIDATES:
         net = ENGINES[name](build_topology(topo, seed), strict=strict)
@@ -174,10 +208,7 @@ def _run_fuzz(topo: str, seed: int, *, strict: bool) -> None:
             {repr(v): hw for v, hw in net.memory_high_water().items()}
             == ref_waters
         ), name
-        assert (
-            {repr(v): net.mem(v).last_prefix_scan for v in net.nodes()}
-            == ref_pins
-        ), name
+        assert meter_state(net) == ref_meters, name
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import pytest
 from repro.congest.memory import MemoryMeter
 from repro.errors import MemoryAccountingError
 
+from .differential.harness import meter_state
+
 
 class TestStore:
     def test_store_sets_current(self):
@@ -265,3 +267,92 @@ class TestNetworkBulkFrees:
         net.free_key("relay/buf")
         assert net.max_memory() == 4
         assert all(net.mem(v).current == 0 for v in net.nodes())
+
+
+class TestNetworkLevelAccounting:
+    """Engine-parametrized: the cases a network-level record with lazily
+    settled high-waters can get wrong, with the values the eager
+    per-vertex loops of the reference engine produce."""
+
+    def test_peak_between_two_touches_of_a_vertex(self, engine):
+        net = engine(nx.path_graph(3))
+        net.mem(0).store("tree/a", 5)
+        for words in (3, 9, 2):  # three peaks come and go; 0 is not touched
+            net.store_all("relay/broadcast", words)
+            net.free_key("relay/broadcast")
+        net.mem(0).store("tree/b", 1)
+        assert [net.mem(v).current for v in net.nodes()] == [6, 0, 0]
+        assert net.memory_high_water() == {0: 14, 1: 9, 2: 9}
+        assert net.max_memory() == 14
+
+    def test_peak_before_a_vertex_grew_is_not_charged_to_it(self, engine):
+        net = engine(nx.path_graph(2))
+        net.store_all("relay/broadcast", 9)
+        net.free_key("relay/broadcast")
+        net.mem(0).store("tree/a", 5)  # after the peak: never 5 + 9
+        net.store_all("relay/broadcast", 2)
+        assert net.memory_high_water() == {0: 9, 1: 9}
+        assert [net.mem(v).current for v in net.nodes()] == [7, 2]
+
+    def test_store_all_over_per_vertex_sizes(self, engine):
+        net = engine(nx.path_graph(4))
+        net.mem(0).store("t/k", 10)
+        net.mem(1).store("t/k", 2)
+        net.store_all("t/k", 4)
+        for v in net.nodes():
+            assert net.mem(v).current == 4
+            assert dict(net.mem(v).items()) == {"t/k": 4}
+        # 0 shrank 10 -> 4 and 1 grew 2 -> 4 in place: never 10 + 4.
+        assert net.memory_high_water() == {0: 10, 1: 4, 2: 4, 3: 4}
+        net.free_key("t/k")
+        assert all(net.mem(v).current == 0 for v in net.nodes())
+        assert all(not dict(net.mem(v).items()) for v in net.nodes())
+
+    def test_vertex_deviating_from_a_uniform_key(self, engine):
+        net = engine(nx.path_graph(5))
+        net.store_all("t/k", 4)
+        net.store_all("t/other", 1)
+        net.mem(0).store("t/k", 9)
+        net.mem(1).add("t/k", 2)
+        net.mem(2).free("t/k")
+        net.mem(3).free_prefix("t/k")
+        assert net.mem(3).last_prefix_scan == 2  # t/k and t/other
+        assert [net.mem(v).current for v in net.nodes()] == [10, 7, 1, 1, 5]
+        assert net.memory_high_water() == {0: 10, 1: 7, 2: 5, 3: 5, 4: 5}
+        assert net.mem(4).snapshot() == {"t/": 5}
+        assert net.mem(4).snapshot("t/") == {"t/k": 4, "t/other": 1}
+        net.free_key("t/k")
+        assert [net.mem(v).current for v in net.nodes()] == [1] * 5
+
+    def test_restore_all_of_a_live_key_with_a_smaller_size(self, engine):
+        net = engine(nx.path_graph(2))
+        net.store_all("relay/buf", 8)
+        net.store_all("relay/buf", 3)
+        net.mem(0).store("tree/a", 2)
+        assert [net.mem(v).current for v in net.nodes()] == [5, 3]
+        assert net.memory_high_water() == {0: 8, 1: 8}
+        assert net.mem(0).high_water_excluding("relay/") == 2
+
+    def test_negative_store_all_changes_nothing(self, engine):
+        net = engine(nx.path_graph(3))
+        net.store_all("relay/buf", 2)
+        net.mem(0).store("t/k", 1)
+        before = meter_state(net)
+        with pytest.raises(MemoryAccountingError) as failure:
+            net.store_all("t/k", -1)
+        with pytest.raises(MemoryAccountingError) as expected:
+            MemoryMeter().store("t/k", -1)
+        assert str(failure.value) == str(expected.value)
+        assert meter_state(net) == before
+        net.free_key("t/k")  # the holder index still lists vertex 0
+        assert net.mem(0).current == 2
+
+    def test_items_is_a_live_view_when_no_uniform_key_is_live(self, engine):
+        net = engine(nx.path_graph(2))
+        net.store_all("relay/buf", 2)
+        net.free_key("relay/buf")
+        meter = net.mem(0)
+        meter.store("tree/a", 1)
+        view = meter.items()
+        meter.store("tree/b", 2)  # a copy would not see this
+        assert dict(view) == {"tree/a": 1, "tree/b": 2}

@@ -14,8 +14,9 @@ replays pinned by the differential matrix:
   drain to zero and the word meters agree.
 * **Meter-snapshot parity** — any interleaving of network-level bulk
   memory ops (``store_all`` / ``free_key`` / ``free_all``) and per-vertex
-  meter ops leaves identical meter state (items, high-water, prefix-scan
-  pin) on every engine.
+  meter ops (``store`` / ``add`` / ``free`` / ``free_prefix``) leaves
+  identical meter state (current, high-water, both breakdowns,
+  prefix-scan pin) on every engine.
 
 Examples are kept modest (the differential fuzzer already hammers volume);
 these exist to let hypothesis *shrink* any structural counterexample.
@@ -28,6 +29,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.congest import ENGINES, ReferenceNetwork, VectorizedNetwork
 from repro.wordsize import words_of
+
+from .differential.harness import meter_state
 
 _REPR = repr
 
@@ -153,52 +156,49 @@ def test_word_accounting_conserved_across_backends(case, wide_words):
             == nets["reference"].metrics.to_dict())
 
 
+_MEM_KEYS = st.sampled_from(["t/a", "t/b", "relay/buf", "plain", "ghost"])
+_MEM_PREFIXES = st.sampled_from(["t/", "t/a", "relay/", "plain", "nope/"])
+_MEM_WORDS = st.integers(min_value=0, max_value=9)
+#: Per-vertex ops name their vertex by an index taken modulo ``n``.
+_MEM_VERTEX = st.integers(min_value=0, max_value=15)
+
 _MEM_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("store_all"),
-                  st.sampled_from(["t/a", "t/b", "relay/buf", "plain"]),
-                  st.integers(min_value=0, max_value=9)),
-        st.tuples(st.just("free_key"),
-                  st.sampled_from(["t/a", "t/b", "relay/buf", "ghost"])),
-        st.tuples(st.just("free_all"),
-                  st.sampled_from(["t/", "relay/", "plain", "nope/"])),
+        st.tuples(st.just("store_all"), _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("free_key"), _MEM_KEYS),
+        st.tuples(st.just("free_all"), _MEM_PREFIXES),
+        st.tuples(st.just("store"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("add"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("free"), _MEM_VERTEX, _MEM_KEYS),
+        st.tuples(st.just("free_prefix"), _MEM_VERTEX, _MEM_PREFIXES),
     ),
     min_size=1,
-    max_size=12,
+    max_size=24,
 )
 
 
 @given(small_graphs(max_size=8), _MEM_OPS)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_meter_snapshots_agree_across_engines(graph, ops):
-    """Bulk memory ops leave byte-identical meter state on every engine:
-    live items, high-water marks, and the ``last_prefix_scan`` pin."""
+    """Bulk and per-vertex memory ops, interleaved, leave byte-identical
+    meter state on every engine.  The meters are read once, at the end:
+    reading a high-water settles it, and the lazily settled path (a peak
+    reached and released between two touches of a vertex) is the one
+    under test."""
     nets = {name: cls(graph) for name, cls in ENGINES.items()}
     for net in nets.values():
+        nodes = list(net.nodes())
         for op in ops:
             if op[0] == "store_all":
                 net.store_all(op[1], op[2])
             elif op[0] == "free_key":
                 net.free_key(op[1])
-            else:
+            elif op[0] == "free_all":
                 net.free_all(op[1])
-    ref = nets["reference"]
-    expect = {
-        _REPR(v): (
-            dict(ref.mem(v).items()),
-            ref.mem(v).high_water,
-            ref.mem(v).last_prefix_scan,
-        )
-        for v in ref.nodes()
-    }
+            else:
+                meter = net.mem(nodes[op[1] % len(nodes)])
+                getattr(meter, op[0])(*op[2:])
+    expect = meter_state(nets["reference"])
     for name in ("fastpath", "vectorized"):
-        net = nets[name]
-        got = {
-            _REPR(v): (
-                dict(net.mem(v).items()),
-                net.mem(v).high_water,
-                net.mem(v).last_prefix_scan,
-            )
-            for v in net.nodes()
-        }
-        assert got == expect, name
+        assert meter_state(nets[name]) == expect, name
+        assert nets[name].max_memory() == nets["reference"].max_memory(), name

@@ -198,3 +198,49 @@ class TestReporting:
         _chat(net, rounds=3)
         assert len(trace.samples) == 3
         assert rec.rounds_seen == 3
+
+
+class TestEngineParity:
+    def test_table2_flight_identical_on_network_and_reference(self, monkeypatch):
+        """What ``repro trace --flight`` records on a Table 2 run does not
+        depend on how the engine keeps its memory books: per-round
+        ``mem_current_max``, ``prefixes`` and ``vertex_delta`` (every
+        field of every sample) agree between the network-level record of
+        ``Network`` and the eager per-vertex loops of the reference."""
+        from repro.analysis import tables
+        from repro.congest import ReferenceNetwork
+
+        flights = []
+        for engine in (Network, ReferenceNetwork):
+            monkeypatch.setattr(tables, "Network", engine)
+            with flight.auto(stride=3) as session:
+                tables.run_table2(n=90, seed=5)
+            flights.append(session)
+        fast, ref = flights
+        assert len(fast.recorders) == len(ref.recorders) == 2
+        for a, b in zip(fast.recorders, ref.recorders):
+            assert len(a.samples) > 10
+            assert list(a.samples) == list(b.samples)
+        assert fast.to_dicts() == ref.to_dicts()
+        assert any(s.prefixes for s in fast.recorders[0].samples)
+
+    def test_sample_taken_while_a_uniform_key_is_live(self):
+        from repro.congest import ENGINES
+
+        runs = {}
+        for name, engine in ENGINES.items():
+            net = engine(random_connected_graph(6, seed=2))
+            rec = attach_flight_recorder(net, stride=1)
+            first = sorted(net.nodes())[0]
+            net.mem(first).store("tree/a", 2)
+            net.store_all("relay/buf", 3)
+            net.tick()
+            net.free_key("relay/buf")
+            net.tick()
+            runs[name] = list(rec.samples)
+        live, freed = runs["reference"]
+        assert (live.mem_current_max, live.mem_high_water_max) == (5, 5)
+        assert live.prefixes == {"tree/": 2, "relay/": 18}
+        assert (freed.mem_current_max, freed.mem_high_water_max) == (2, 5)
+        assert freed.prefixes == {"tree/": 2}
+        assert runs["fastpath"] == runs["vectorized"] == runs["reference"]
