@@ -1,32 +1,24 @@
-"""Engine microbenchmark: fast-path and vectorized vs reference wall-clock.
+"""Engine microbenchmark: fast path vs reference wall-clock.
 
-Times identical communication kernels on the three round engines —
-:class:`repro.congest.ReferenceNetwork` (the frozen seed oracle),
-:class:`repro.congest.Network` (the eager fast path), and
-:class:`repro.congest.VectorizedNetwork` (the deferred whole-round
-kernel) — over the F7 graph family
-(``random_connected_graph(800, avg_degree=6.0, seed=3)`` — the largest
-size of ``bench_fig_graph_rounds``) plus one 10k-vertex scale row:
+Times identical communication kernels on the two round engines —
+:class:`repro.congest.ReferenceNetwork` (the frozen seed oracle) and
+:class:`repro.congest.Network` (the production fast path) — over the F7
+graph family (``random_connected_graph(800, avg_degree=6.0, seed=3)`` —
+the largest size of ``bench_fig_graph_rounds``):
 
 * ``fig7_flood``    — full-neighborhood exchanges (``send_many`` over the
   cached port tables + ``deliver_batch``): the pure engine round-trip.
-  Pinned to two gates: fast path >= 3x and vectorized >= 10x over the
-  reference;
+  Gated: the fast path must be >= 3x faster than the reference;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
 * ``fig7_floodmax`` — event-driven leader election via ``run_protocol``
-  (per-message ``send_message`` path, dict-shaped ``tick`` delivery);
-* ``vec_flood``     — the whole-round ``flood_all`` kernel on the F7
-  graph: the vectorized engine's O(1)-per-round fast lane;
-* ``vec_flood_10k`` — the same kernel at n=10,000 (4 rounds).  The graph
-  is built once outside the timed region (generation dominates engine
-  time by an order of magnitude and would drown the comparison).
+  (per-message ``send_message`` path, dict-shaped ``tick`` delivery).
 
-Every workload first replays on all three engines and asserts the
+Every workload first replays on both engines and asserts the
 deterministic outputs are identical (``RunMetrics.fingerprint()`` and the
 memory high-water) — a benchmark that compared engines computing different
 things would be meaningless.  Deterministic columns (rounds, messages,
 words, memory) are hard-gated by the perf-trajectory regression checker;
-the ``*_wall_s`` / ``speedup_*`` columns are soft (report-only) like every
+the ``*_wall_s`` / ``speedup_wall`` columns are soft (report-only) like every
 wall-clock metric (see ``repro.telemetry.regress``).
 
 Runs standalone (``python benchmarks/sim_micro.py``) or through the
@@ -47,7 +39,7 @@ if __package__ in (None, ""):  # standalone: make src/ + benchmarks/ importable
         if p not in sys.path:
             sys.path.insert(0, p)
 
-from repro.congest import Network, ReferenceNetwork, VectorizedNetwork
+from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.protocol import FloodMax, run_protocol
 from repro.graphs import random_connected_graph
@@ -56,16 +48,9 @@ from repro.graphs import random_connected_graph
 FIG7_N = 800
 FIG7_SEED = 3
 
-#: The scale row: the vectorized kernel at 10k vertices.
-VEC10K_N = 10_000
-VEC10K_ROUNDS = 4
-
-#: The acceptance gates, both pinned to ``fig7_flood``: the eager fast
-#: path must beat the reference by >= 3x (measured ~3.5x on the
-#: development machine) and the vectorized engine by >= 10x (measured
-#: ~25-30x).
+#: The acceptance gate, pinned to ``fig7_flood``: the fast path must beat
+#: the reference by >= 3x (measured ~3.5x on the development machine).
 FIG7_MIN_SPEEDUP = 3.0
-FIG7_VEC_MIN_SPEEDUP = 10.0
 
 #: Timing repetitions per engine (best-of, to shed scheduler noise).
 BEST_OF = 3
@@ -73,10 +58,6 @@ BEST_OF = 3
 
 def _fig7_graph():
     return random_connected_graph(FIG7_N, avg_degree=6.0, seed=FIG7_SEED)
-
-
-def _vec10k_graph():
-    return random_connected_graph(VEC10K_N, avg_degree=6.0, seed=FIG7_SEED)
 
 
 def _flood(net: Any) -> None:
@@ -97,28 +78,13 @@ def _floodmax(net: Any) -> None:
     run_protocol(net, lambda v: FloodMax(bound + 1), max_rounds=10_000)
 
 
-def _flood_kernel(net: Any) -> None:
-    for _ in range(25):
-        net.flood_all("flood")
-        net.deliver_batch()
-
-
-def _flood_kernel_10k(net: Any) -> None:
-    for _ in range(VEC10K_ROUNDS):
-        net.flood_all("flood")
-        net.deliver_batch()
-
-
 #: name -> (graph factory, workload, vertex count).  The graph is built
 #: once per workload and shared by every engine/repetition: the engines
-#: are certified (tests/differential) not to mutate it, and rebuilding a
-#: 10k-vertex graph per repetition would dominate the timings.
+#: are certified (tests/differential) not to mutate it.
 WORKLOADS: Dict[str, Tuple[Callable[[], Any], Callable[[Any], None], int]] = {
     "fig7_flood": (_fig7_graph, _flood, FIG7_N),
     "fig7_bfs": (_fig7_graph, _bfs, FIG7_N),
     "fig7_floodmax": (_fig7_graph, _floodmax, FIG7_N),
-    "vec_flood": (_fig7_graph, _flood_kernel, FIG7_N),
-    "vec_flood_10k": (_vec10k_graph, _flood_kernel_10k, VEC10K_N),
 }
 
 
@@ -137,7 +103,7 @@ def _time_engine(
 
 
 def run_sim_micro() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Measure every workload on all three engines; return (records, meta).
+    """Measure every workload on both engines; return (records, meta).
 
     Raises ``AssertionError`` if the engines' deterministic outputs ever
     diverge — equality is a precondition of the comparison, enforced here
@@ -148,27 +114,23 @@ def run_sim_micro() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
         graph = graph_of()
         ref_s, ref_net = _time_engine(ReferenceNetwork, graph, workload)
         fast_s, fast_net = _time_engine(Network, graph, workload)
-        vec_s, vec_net = _time_engine(VectorizedNetwork, graph, workload)
-        for label, net in (("fast", fast_net), ("vectorized", vec_net)):
-            assert net.metrics.fingerprint() == ref_net.metrics.fingerprint(), (
-                f"{name}: {label} engine metrics diverged"
-            )
-            assert net.max_memory() == ref_net.max_memory(), (
-                f"{name}: {label} engine memory accounting diverged"
-            )
-        m = vec_net.metrics
+        assert fast_net.metrics.fingerprint() == ref_net.metrics.fingerprint(), (
+            f"{name}: fast engine metrics diverged"
+        )
+        assert fast_net.max_memory() == ref_net.max_memory(), (
+            f"{name}: fast engine memory accounting diverged"
+        )
+        m = fast_net.metrics
         records.append({
             "workload": name,
             "n": n,
             "rounds": m.rounds,
             "messages": m.messages,
             "message_words": m.message_words,
-            "max_memory": vec_net.max_memory(),
+            "max_memory": fast_net.max_memory(),
             "ref_wall_s": round(ref_s, 4),
             "fast_wall_s": round(fast_s, 4),
-            "vec_wall_s": round(vec_s, 4),
             "speedup_wall": round(ref_s / fast_s, 2),
-            "speedup_vec": round(ref_s / vec_s, 2),
         })
     by_name = {r["workload"]: r for r in records}
     meta = {
@@ -176,10 +138,7 @@ def run_sim_micro() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
         "best_of": BEST_OF,
         "engines_equal": True,
         "fig7_flood_speedup_wall": by_name["fig7_flood"]["speedup_wall"],
-        "fig7_flood_speedup_vec": by_name["fig7_flood"]["speedup_vec"],
-        "vec_flood_10k_wall_s": by_name["vec_flood_10k"]["vec_wall_s"],
         "min_speedup_gate": FIG7_MIN_SPEEDUP,
-        "vec_min_speedup_gate": FIG7_VEC_MIN_SPEEDUP,
     }
     return records, meta
 
@@ -187,16 +146,15 @@ def run_sim_micro() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
 def render(records: List[Dict[str, Any]]) -> str:
     header = (
         f"{'workload':<16}{'n':>7}{'rounds':>8}{'messages':>10}{'words':>10}"
-        f"{'ref s':>9}{'fast s':>9}{'vec s':>9}{'fast x':>9}{'vec x':>10}"
+        f"{'ref s':>9}{'fast s':>9}{'fast x':>9}"
     )
-    lines = ["engine microbenchmark: fast/vectorized vs reference (fig7 family)",
+    lines = ["engine microbenchmark: fast path vs reference (fig7 family)",
              header, "-" * len(header)]
     for r in records:
         lines.append(
             f"{r['workload']:<16}{r['n']:>7}{r['rounds']:>8}{r['messages']:>10}"
             f"{r['message_words']:>10}{r['ref_wall_s']:>9.3f}"
-            f"{r['fast_wall_s']:>9.3f}{r['vec_wall_s']:>9.3f}"
-            f"{r['speedup_wall']:>8.2f}x{r['speedup_vec']:>9.2f}x"
+            f"{r['fast_wall_s']:>9.3f}{r['speedup_wall']:>8.2f}x"
         )
     return "\n".join(lines)
 
@@ -210,10 +168,4 @@ if __name__ == "__main__":
     if flood < FIG7_MIN_SPEEDUP:
         raise SystemExit(
             f"fig7_flood speedup {flood}x below the {FIG7_MIN_SPEEDUP}x gate"
-        )
-    vec = meta["fig7_flood_speedup_vec"]
-    if vec < FIG7_VEC_MIN_SPEEDUP:
-        raise SystemExit(
-            f"fig7_flood vectorized speedup {vec}x below the "
-            f"{FIG7_VEC_MIN_SPEEDUP}x gate"
         )

@@ -409,23 +409,6 @@ class Network:
         self._outbox_words += words * count
         return count
 
-    def flood_all(self, kind: str, payload: Any = None) -> int:
-        """Every vertex fans ``payload`` out to all of its ports, in node
-        order (one whole-round flood).  Loop engines execute it as ``n``
-        full fanouts; the vectorized engine overrides it with an O(1) lane.
-        Returns the number of messages queued.
-        """
-        count = 0
-        ports_tab = self._ports_table
-        for i, v in enumerate(self._node_of):
-            count += self.send_many(v, ports_tab[i], kind, payload)
-        return count
-
-    def queued_arc_loads(self) -> List[int]:
-        """Per-arc queued load of the open round, indexed by arc id
-        (audit/introspection; engines agree on this vector exactly)."""
-        return list(self._edge_load)
-
     def _end_round(self, delivered: List[Message], words: int) -> None:
         """Shared round-close path of :meth:`tick` / :meth:`deliver_batch`."""
         self.metrics.on_round(len(delivered), words)

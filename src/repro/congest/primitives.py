@@ -134,8 +134,8 @@ def flood_down(
                 for c in kids:
                     net.send(v, c, kind, out[c])
             else:
-                # Shared payload: one batched call sizes it once and lets
-                # the vectorized engine queue the whole sibling fanout.
+                # Shared payload: one batched call sizes it once for the
+                # whole sibling fanout.
                 net.send_many(v, kids, kind, out)
             any_sent = True
         if not any_sent:

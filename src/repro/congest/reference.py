@@ -196,26 +196,6 @@ class ReferenceNetwork:
         :meth:`send`, exactly what the seed's protocol driver did)."""
         self.send(msg.src, msg.dst, msg.kind, msg.payload)
 
-    def flood_all(self, kind: str, payload: Any = None) -> int:
-        """Every vertex fans ``payload`` out to all of its ports, in node
-        order (API compatibility shim: a loop over :meth:`send_many`, so
-        the batching engines' whole-round lane provably changes nothing
-        but speed).  Returns the number of messages queued."""
-        count = 0
-        for v in self.graph.nodes:
-            count += self.send_many(v, self.ports(v), kind, payload)
-        return count
-
-    def queued_arc_loads(self) -> List[int]:
-        """Per-arc queued load of the open round, indexed by arc id (arcs
-        enumerate each vertex's ports in node order, matching the fast
-        path's arc ids)."""
-        loads: List[int] = []
-        for v in self.graph.nodes:
-            for w in self.ports(v):
-                loads.append(self._edge_load.get((v, w), 0))
-        return loads
-
     def tick(self) -> Dict[NodeId, List[Message]]:
         """Deliver queued messages, advance one round, return inboxes."""
         inboxes: Dict[NodeId, List[Message]] = defaultdict(list)

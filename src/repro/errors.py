@@ -44,7 +44,8 @@ class InputError(ReproError):
 
 
 class ShardError(ReproError):
-    """A shard worker failed or the pool protocol broke down.
+    """A shard worker failed, the pool protocol broke down, or a table
+    image could not be attached (missing or truncated segment).
 
     Carries the worker-side traceback (when one was reported) so pool
     users see the real failure, not just a dead pipe.

@@ -126,19 +126,18 @@ def _proto_floodmax(net: Any, seed: int) -> None:
 def _proto_flood_kernel(net: Any, seed: int) -> None:
     """Raw engine kernel: full-neighborhood exchanges, alternating the
     dict-shaped (``tick``) and flat (``deliver_batch``) delivery paths and
-    the per-vertex (``send_many``) and whole-round (``flood_all``) fanout
-    entry points, with occasional wide payloads (charged extra rounds),
-    partial fanouts, and idle gaps."""
+    two vertex orders, with occasional wide payloads (charged extra
+    rounds), partial fanouts, and idle gaps.  Every fanout hands back
+    ``net.ports(v)`` itself: the full-fanout lane of ``Network.send_many``."""
     rng = random.Random(seed)
     nodes = sorted(net.nodes(), key=repr)
     wide = list(range(net.message_word_limit + 2))
     for r in range(6):
         payload = wide if r % 3 == 2 else r
-        if r % 2:
-            net.flood_all("flood", payload)
-        else:
-            for v in nodes:
-                net.send_many(v, net.ports(v), "flood", payload)
+        # Odd rounds in node order (what a whole-network flood issues),
+        # even rounds in repr order.
+        for v in (net.nodes() if r % 2 else nodes):
+            net.send_many(v, net.ports(v), "flood", payload)
         if r % 2:
             net.tick()
         else:

@@ -1,21 +1,20 @@
-"""Randomized replay: fast-path and vectorized engines vs the reference.
+"""Randomized replay: the fast-path engine vs the reference.
 
-Every case builds one graph, runs one workload on *all three* engines, and
+Every case builds one graph, runs one workload on *both* engines, and
 asserts the full observable fingerprint matches the reference oracle —
 metrics (with phases), per-directed-edge message totals, charge events,
 per-vertex memory high-waters, and the round-trace timeline.
 
 The full matrix is |TOPOLOGIES| x |PROTOCOLS| x |SEEDS| = 7 x 4 x 9 = 252
-replays (>= the 200 the acceptance bar asks for), each certifying two
-candidate engines; ``REPRO_DIFF_QUICK=1`` shrinks the seed axis for CI
-smoke runs.
+replays (>= the 200 the acceptance bar asks for); ``REPRO_DIFF_QUICK=1``
+shrinks the seed axis for CI smoke runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.congest import ENGINES, ReferenceNetwork
+from repro.congest import Network, ReferenceNetwork
 
 from .harness import (
     PROTOCOLS,
@@ -26,9 +25,6 @@ from .harness import (
 )
 
 SEEDS = range(2) if QUICK else range(9)
-
-#: The engines certified against the reference oracle.
-CANDIDATES = ("fastpath", "vectorized")
 
 CASES = [
     pytest.param(topo, proto, seed, id=f"{topo}-{proto}-s{seed}")
@@ -45,25 +41,22 @@ def test_engines_agree(topo, proto, seed):
     ref = run_fingerprint(
         ReferenceNetwork, graph, workload, seed, edge_capacity=1, seed=seed
     )
-    for name in CANDIDATES:
-        # Fresh graph objects per engine: engines must not depend on (or
-        # mutate) shared graph state.
-        candidate = run_fingerprint(
-            ENGINES[name], build_topology(topo, seed), workload, seed,
-            edge_capacity=1, seed=seed,
+    # Fresh graph objects per engine: engines must not depend on (or
+    # mutate) shared graph state.
+    candidate = run_fingerprint(
+        Network, build_topology(topo, seed), workload, seed,
+        edge_capacity=1, seed=seed,
+    )
+    for key in ref:
+        assert candidate[key] == ref[key], (
+            f"fastpath disagrees with reference on {key!r}"
         )
-        for key in ref:
-            assert candidate[key] == ref[key], (
-                f"{name} disagrees with reference on {key!r}"
-            )
 
 
 def test_case_matrix_is_large_enough():
-    """The acceptance bar: >= 200 replays, >= 5 topologies, >= 3 protocols,
-    certifying both candidate engines three-way."""
+    """The acceptance bar: >= 200 replays, >= 5 topologies, >= 3 protocols."""
     if QUICK:
         pytest.skip("quick mode runs a reduced matrix")
     assert len(TOPOLOGIES) >= 5
     assert len(PROTOCOLS) >= 3
     assert len(CASES) >= 200
-    assert len(CANDIDATES) == 2

@@ -1,4 +1,4 @@
-"""Seeded protocol fuzzer: random message schedules on all three engines.
+"""Seeded protocol fuzzer: random message schedules on both engines.
 
 Unlike the replay tests (which drive real algorithm code), the fuzzer
 generates adversarial *raw* schedules — including deliberate capacity
@@ -25,15 +25,12 @@ from typing import Any, List, Tuple
 
 import pytest
 
-from repro.congest import ENGINES, ReferenceNetwork
+from repro.congest import Network, ReferenceNetwork
 from repro.errors import CongestModelViolation
 
 from .harness import QUICK, TOPOLOGIES, build_topology, meter_state, run_fingerprint
 
 _KEYS = ["fz/a", "fz/b", "relay/fz", "plain"]
-
-#: The engines certified against the reference oracle.
-CANDIDATES = ("fastpath", "vectorized")
 
 FUZZ_SEEDS = range(4) if QUICK else range(30)
 TOPO_NAMES = sorted(TOPOLOGIES)
@@ -45,7 +42,7 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     Ops:
       ("send", src, dst, kind, payload)        -- dst may be a NON-neighbor
       ("send_many", src, dsts, kind, payload)  -- dsts may contain a non-edge
-      ("flood_all", payload)                   -- whole-round fanout kernel
+      ("flood", payload)                       -- every vertex, all its ports
       ("close", "tick" | "deliver")            -- end the round either way
       ("idle", k) / ("charge", r, m, w)        -- accounting paths
       ("mem", v, key, words) / ("free", prefix) / ("free_key", key)
@@ -54,9 +51,9 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
       ("mem_free_prefix", v, prefix)           -- one vertex deviates
 
     Capacity violations arise naturally: several sends may pick the same
-    directed edge within one round, and a ``flood_all`` after any send on a
-    strict network overloads every already-loaded arc — exercising the
-    vectorized engine's fallback-and-replay path mid-schedule.  Wide
+    directed edge within one round, and a ``flood`` after any send on a
+    strict network overloads the first already-loaded arc it reaches —
+    mid-batch, inside the full-fanout lane of ``send_many``.  Wide
     payloads (> word limit) exercise the multi-slot charging path, which
     must never raise.
     """
@@ -89,7 +86,7 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                 payload = rng.choice(
                     [None, rng.randrange(50), list(range(rng.randrange(5, 9)))]
                 )
-                schedule.append(("flood_all", payload))
+                schedule.append(("flood", payload))
             elif roll < 0.88:
                 schedule.append(
                     ("mem", src, rng.choice(_KEYS), rng.randrange(1, 5))
@@ -137,8 +134,13 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
                 outcomes.append(("ok",))
             elif tag == "send_many":
                 outcomes.append(("ok", net.send_many(op[1], op[2], op[3], op[4])))
-            elif tag == "flood_all":
-                outcomes.append(("ok", net.flood_all("flood", op[1])))
+            elif tag == "flood":
+                # Handing back ``net.ports(v)`` itself takes the fast path's
+                # full-fanout lane; a violation aborts the remaining vertices.
+                outcomes.append(("ok", sum(
+                    net.send_many(v, net.ports(v), "flood", op[1])
+                    for v in net.nodes()
+                )))
             elif tag == "close":
                 if op[1] == "tick":
                     inboxes = net.tick()
@@ -197,18 +199,17 @@ def _run_fuzz(topo: str, seed: int, *, strict: bool) -> None:
     ref_waters = {repr(v): hw for v, hw in ref.memory_high_water().items()}
     ref_meters = meter_state(ref)
 
-    for name in CANDIDATES:
-        net = ENGINES[name](build_topology(topo, seed), strict=strict)
-        outcomes = apply_schedule(net, schedule)
-        for i, (op, a, b) in enumerate(zip(schedule, ref_outcomes, outcomes)):
-            assert a == b, f"op {i} {op[0]!r}: reference {a!r} != {name} {b!r}"
-        assert net.metrics.fingerprint() == ref.metrics.fingerprint(), name
-        assert net.metrics.to_dict() == ref.metrics.to_dict(), name
-        assert (
-            {repr(v): hw for v, hw in net.memory_high_water().items()}
-            == ref_waters
-        ), name
-        assert meter_state(net) == ref_meters, name
+    net = Network(build_topology(topo, seed), strict=strict)
+    outcomes = apply_schedule(net, schedule)
+    for i, (op, a, b) in enumerate(zip(schedule, ref_outcomes, outcomes)):
+        assert a == b, f"op {i} {op[0]!r}: reference {a!r} != fastpath {b!r}"
+    assert net.metrics.fingerprint() == ref.metrics.fingerprint()
+    assert net.metrics.to_dict() == ref.metrics.to_dict()
+    assert (
+        {repr(v): hw for v, hw in net.memory_high_water().items()}
+        == ref_waters
+    )
+    assert meter_state(net) == ref_meters
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Unit tests for BFS-tree construction and Lemma-1 broadcast primitives.
 
 The ``net`` fixture builds on the engine-parametrized ``engine`` fixture,
-so every test here runs against reference, fastpath, and vectorized.
+so every test here runs against both the reference and the fast path.
 """
 
 import networkx as nx

@@ -1,4 +1,4 @@
-"""Property-based tests (hypothesis) for the vectorized round engine.
+"""Property-based tests (hypothesis): ``Network`` vs ``ReferenceNetwork``.
 
 Three invariants that must hold for *any* fanout schedule, not just the
 replays pinned by the differential matrix:
@@ -7,16 +7,14 @@ replays pinned by the differential matrix:
   round are a function of *what* was sent, not of the order in which the
   sending vertices issued their ``send_many`` calls; and they agree with
   the reference engine.
-* **Word-accounting conservation** — the queued per-arc load vector sums
-  to the total slot count of everything queued, agrees between the
-  vectorized engine's numpy kernel and its pure-python twin, and matches
-  the fast path's eager bookkeeping arc-for-arc; after delivery the loads
-  drain to zero and the word meters agree.
+* **Word-accounting conservation** — after delivery the word meters equal
+  the total width of everything queued (floods, partial fanouts, wide
+  multi-slot payloads) on both engines.
 * **Meter-snapshot parity** — any interleaving of network-level bulk
   memory ops (``store_all`` / ``free_key`` / ``free_all``) and per-vertex
   meter ops (``store`` / ``add`` / ``free`` / ``free_prefix``) leaves
   identical meter state (current, high-water, both breakdowns,
-  prefix-scan pin) on every engine.
+  prefix-scan pin) on both engines.
 
 Examples are kept modest (the differential fuzzer already hammers volume);
 these exist to let hypothesis *shrink* any structural counterexample.
@@ -27,7 +25,7 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.congest import ENGINES, ReferenceNetwork, VectorizedNetwork
+from repro.congest import ENGINES, Network, ReferenceNetwork
 from repro.wordsize import words_of
 
 from .differential.harness import meter_state
@@ -93,30 +91,30 @@ def _inbox_sets(net, batches, order, *, use_ports_identity):
 def test_inboxes_invariant_under_issue_order(case):
     """Round delivery content is a set-function of the queued batches:
     permuting which vertex calls ``send_many`` first changes nothing, and
-    the vectorized engine agrees with the reference oracle."""
+    the fast path agrees with the reference oracle."""
     graph, batches, perm = case
     identity = list(range(len(batches)))
     ref = _inbox_sets(ReferenceNetwork(graph), batches, identity,
                       use_ports_identity=False)
-    vec_same = _inbox_sets(VectorizedNetwork(graph), batches, identity,
-                           use_ports_identity=True)
-    vec_perm = _inbox_sets(VectorizedNetwork(graph), batches, perm,
-                           use_ports_identity=True)
-    assert vec_same == ref
-    assert vec_perm == ref
+    fast_same = _inbox_sets(Network(graph), batches, identity,
+                            use_ports_identity=True)
+    fast_perm = _inbox_sets(Network(graph), batches, perm,
+                            use_ports_identity=True)
+    assert fast_same == ref
+    assert fast_perm == ref
 
 
 @given(fanout_schedules(),
        st.lists(st.integers(min_value=0, max_value=11), max_size=4))
 @settings(max_examples=25, deadline=None)
-def test_word_accounting_conserved_across_backends(case, wide_words):
-    """sum(queued_arc_loads) == total queued slots, on every engine, with
-    the numpy kernel and its pure-python twin agreeing arc-for-arc; after
-    delivery the loads drain and the metrics agree."""
+def test_word_accounting_conserved_across_engines(case, wide_words):
+    """Delivered words == total queued width on both engines, and the
+    metrics (including the extra rounds charged for wide payloads) agree."""
     graph, batches, _ = case
     nets = {name: ENGINES[name](graph, strict=False) for name in ENGINES}
     for net in nets.values():
-        net.flood_all("flood", None)
+        for v in net.nodes():
+            net.send_many(v, net.ports(v), "flood", None)
         for v, dsts in batches:
             net.send_many(v, dsts, "wave", 3)
         for i, n_items in enumerate(wide_words):
@@ -125,34 +123,19 @@ def test_word_accounting_conserved_across_backends(case, wide_words):
                 net.send(src, dst, "wide", list(range(n_items)))
 
     ref = nets["reference"]
-    limit = ref.message_word_limit
-    expected_slots = 0
     expected_words = 0
     for v in ref.nodes():
-        expected_slots += ref.degree(v)  # the flood, one slot per arc
-        expected_words += ref.degree(v) * words_of(None)
+        expected_words += ref.degree(v) * words_of(None)  # the flood
     for v, dsts in batches:
-        expected_slots += len(dsts)
         expected_words += len(dsts) * words_of(3)
     for i, n_items in enumerate(wide_words):
         src = sorted(graph.nodes, key=_REPR)[i % ref.n]
-        w = words_of(list(range(n_items)))
-        slots = 1 if w <= limit else -(-w // limit)
-        expected_slots += slots * ref.degree(src)
-        expected_words += w * ref.degree(src)
-
-    vec = nets["vectorized"]
-    loads = vec.queued_arc_loads()
-    assert loads == vec._queued_arc_loads_py()
-    assert loads == nets["fastpath"].queued_arc_loads()
-    assert sum(loads) == expected_slots
-    assert sum(ref.queued_arc_loads()) == expected_slots
+        expected_words += words_of(list(range(n_items))) * ref.degree(src)
 
     for name, net in nets.items():
         net.deliver_batch()
-        assert sum(net.queued_arc_loads()) == 0, name
         assert net.metrics.message_words == expected_words, name
-    assert (nets["vectorized"].metrics.to_dict()
+    assert (nets["fastpath"].metrics.to_dict()
             == nets["reference"].metrics.to_dict())
 
 
@@ -181,7 +164,7 @@ _MEM_OPS = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_meter_snapshots_agree_across_engines(graph, ops):
     """Bulk and per-vertex memory ops, interleaved, leave byte-identical
-    meter state on every engine.  The meters are read once, at the end:
+    meter state on both engines.  The meters are read once, at the end:
     reading a high-water settles it, and the lazily settled path (a peak
     reached and released between two touches of a vertex) is the one
     under test."""
@@ -198,7 +181,5 @@ def test_meter_snapshots_agree_across_engines(graph, ops):
             else:
                 meter = net.mem(nodes[op[1] % len(nodes)])
                 getattr(meter, op[0])(*op[2:])
-    expect = meter_state(nets["reference"])
-    for name in ("fastpath", "vectorized"):
-        assert meter_state(nets[name]) == expect, name
-        assert nets[name].max_memory() == nets["reference"].max_memory(), name
+    assert meter_state(nets["fastpath"]) == meter_state(nets["reference"])
+    assert nets["fastpath"].max_memory() == nets["reference"].max_memory()

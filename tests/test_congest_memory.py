@@ -211,9 +211,9 @@ class TestPrefixIndexTeardownCost:
 class TestExactFreeResetsPin:
     """Regression: an exact-key :meth:`MemoryMeter.free` resolves through
     the item index without scanning any keys, so it resets
-    ``last_prefix_scan`` to 0.  Bulk exact-key teardowns (``free_key``
-    issued from a vectorized round close) used to leave the pin stale at
-    whatever an *earlier* ``free_prefix`` had scanned."""
+    ``last_prefix_scan`` to 0.  Bulk exact-key teardowns (``free_key``)
+    used to leave the pin stale at whatever an *earlier* ``free_prefix``
+    had scanned."""
 
     def test_free_resets_stale_pin(self):
         meter = MemoryMeter()
@@ -246,7 +246,7 @@ class TestExactFreeResetsPin:
 
 class TestNetworkBulkFrees:
     """Engine-parametrized: meter state after network-level bulk frees is
-    identical across reference, fastpath, and vectorized."""
+    identical across reference and fastpath."""
 
     def test_free_key_resets_prefix_pin_at_every_vertex(self, engine):
         net = engine(nx.path_graph(4))
@@ -262,7 +262,8 @@ class TestNetworkBulkFrees:
     def test_high_water_after_round_teardown(self, engine):
         net = engine(nx.path_graph(3))
         net.store_all("relay/buf", 4)
-        net.flood_all("flood")
+        for v in net.nodes():
+            net.send_many(v, net.ports(v), "flood")
         net.deliver_batch()
         net.free_key("relay/buf")
         assert net.max_memory() == 4

@@ -1,8 +1,8 @@
 """Unit tests for the CONGEST network simulator and model enforcement.
 
-Every behavioral test takes the ``engine`` fixture and therefore runs three
-times — reference, fastpath, vectorized — so the engines cannot drift on
-even the smallest contract detail.
+Every behavioral test takes the ``engine`` fixture and therefore runs twice
+— reference, fastpath — so the engines cannot drift on even the smallest
+contract detail.
 """
 
 import networkx as nx
@@ -147,32 +147,6 @@ class TestBatchedMessaging:
         assert [(m.src, m.dst) for m in net.deliver_batch()] == [
             ("b", "c"), ("b", "a")
         ]
-
-    def test_flood_all_counts_every_arc(self, engine):
-        net = engine(tiny_graph())
-        assert net.flood_all("flood") == 4  # 2 edges -> 4 arcs
-        inboxes = net.tick()
-        assert sorted((v, len(msgs)) for v, msgs in inboxes.items()) == [
-            ("a", 1), ("b", 2), ("c", 1)
-        ]
-
-    def test_flood_all_over_loaded_arcs_raises(self, engine):
-        net = engine(tiny_graph())
-        net.send("a", "b", "x")
-        with pytest.raises(CongestModelViolation, match="over capacity"):
-            net.flood_all("flood")
-        # a->b queued by the scalar send stays; the flood got nothing in.
-        assert [(m.src, m.dst) for m in net.deliver_batch()] == [("a", "b")]
-
-    def test_queued_arc_loads_vector(self, engine):
-        net = engine(tiny_graph())
-        # Arc order: a->b, b->a, b->c, c->b (vertices in insertion order,
-        # ports in repr order).
-        net.send("a", "b", "x")
-        net.send_many("b", net.ports("b"), "wave")
-        assert net.queued_arc_loads() == [1, 1, 1, 0]
-        net.tick()
-        assert net.queued_arc_loads() == [0, 0, 0, 0]
 
     def test_deliver_batch_messages_compare_equal_across_rounds(self, engine):
         net = engine(tiny_graph())

@@ -1,7 +1,7 @@
 """Unit tests for the forest communication primitives.
 
 The ``setup`` fixture builds on the engine-parametrized ``engine`` fixture,
-so every test here runs against reference, fastpath, and vectorized.
+so every test here runs against both the reference and the fast path.
 """
 
 import pytest

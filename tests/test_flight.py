@@ -243,4 +243,4 @@ class TestEngineParity:
         assert live.prefixes == {"tree/": 2, "relay/": 18}
         assert (freed.mem_current_max, freed.mem_high_water_max) == (2, 5)
         assert freed.prefixes == {"tree/": 2}
-        assert runs["fastpath"] == runs["vectorized"] == runs["reference"]
+        assert runs["fastpath"] == runs["reference"]

@@ -1,14 +1,13 @@
-"""Tests for repro.shard.tables: seal/attach round-trips, byte parity,
-shared-memory lifecycle, and the REPRO_NO_NUMPY buffer twin."""
+"""Tests for repro.shard.tables: seal/attach round-trips, the golden image
+layout, shared-memory lifecycle, and truncated or missing images."""
 
 import glob
-import os
-import subprocess
-import sys
+import hashlib
+from multiprocessing import shared_memory
 
 import pytest
 
-from repro.errors import InputError
+from repro.errors import InputError, ShardError
 from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.serve import (
     ServeEngine,
@@ -18,7 +17,6 @@ from repro.serve import (
 )
 from repro.serve.workloads import make_workload
 from repro.shard.tables import (
-    HAVE_NUMPY,
     NO_ID,
     TABLE_FORMAT,
     AttachedTables,
@@ -181,36 +179,103 @@ class TestSharedMemory:
             from_buffers(manifest)
 
 
-class TestBackendParity:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_payload_bytes_identical(self, built):
-        _, compiled = built
-        a = lower_compiled(compiled, backend="numpy")
-        b = lower_compiled(compiled, backend="python")
-        assert a.manifest["arrays"] == b.manifest["arrays"]
-        assert bytes(a.payload) == bytes(b.payload)
+#: The seed-21 n=60 image, recorded at the commit where the numpy and the
+#: stdlib ``array`` writer still both existed and agreed byte for byte.
+GOLDEN_PAYLOAD_SHA256 = (
+    "e21dc2b548a53c363592e4b53bf3b15ead243748dafcd12b095461da671df176")
+GOLDEN_ARRAYS = {
+    "tree_sizes": [0, 60, "q"],
+    "tree_ids_u": [480, 60, "q"],
+    "table_ids_u": [960, 60, "q"],
+    "t_ids_u": [1440, 607, "q"],
+    "t_enter": [6296, 607, "q"],
+    "t_exit": [11152, 607, "q"],
+    "t_parent": [16008, 607, "q"],
+    "t_parent_u": [20864, 607, "q"],
+    "t_heavy": [25720, 607, "q"],
+    "t_heavy_u": [30576, 607, "q"],
+    "t_parent_w": [35432, 607, "d"],
+    "t_heavy_w": [40288, 607, "d"],
+    "t_rootdist": [45144, 607, "d"],
+    "label_targets_u": [50000, 60, "q"],
+    "entry_offsets": [50480, 61, "q"],
+    "entry_level": [50968, 180, "q"],
+    "entry_tree": [52408, 180, "q"],
+    "entry_enter": [53848, 180, "q"],
+    "entry_words": [55288, 180, "q"],
+    "entry_dist": [56728, 180, "d"],
+    "light_offsets": [58168, 181, "q"],
+    "light_li": [59616, 110, "q"],
+    "light_next_li": [60496, 110, "q"],
+    "light_next_u": [61376, 110, "q"],
+    "light_w": [62256, 110, "d"],
+}
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_no_numpy_twin_subprocess(self, built, tmp_path):
-        """REPRO_NO_NUMPY=1 writes the byte-identical image (arc parity)."""
-        graph, compiled = built
-        ref = lower_compiled(compiled)
-        blob = tmp_path / "python-backend.bin"
-        script = (
-            "from repro.graphs import random_connected_graph\n"
-            "from repro.tz import build_centralized_scheme\n"
-            "from repro.serve import compile_scheme\n"
-            "from repro.shard.tables import lower_compiled, HAVE_NUMPY\n"
-            "assert not HAVE_NUMPY\n"
-            "g = random_connected_graph(60, seed=21)\n"
-            "c = compile_scheme(build_centralized_scheme(g, 3, seed=21), g)\n"
-            "lo = lower_compiled(c)\n"
-            f"open({str(blob)!r}, 'wb').write(bytes(lo.payload))\n"
-        )
-        env = dict(os.environ, REPRO_NO_NUMPY="1",
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        subprocess.run([sys.executable, "-c", script], check=True, env=env)
-        assert blob.read_bytes() == bytes(ref.payload)
+
+class TestTruncatedImage:
+    """A buffer or segment shorter than its manifest is refused with a
+    typed error before any view of it exists."""
+
+    def test_short_payload_raises(self, built):
+        """Unchecked, half an image attaches with short columns and one
+        word less fails deep in the rebuild with an IndexError."""
+        _, compiled = built
+        lowered = lower_compiled(compiled)
+        for keep in (len(lowered.payload) // 2, len(lowered.payload) - 8):
+            with pytest.raises(ShardError, match="truncated"):
+                from_buffers(lowered.manifest, lowered.payload[:keep])
+
+    def test_array_past_the_end_is_named(self, built):
+        """One word short with a manifest that under-reports ``nbytes``:
+        the per-array check names the column that does not fit."""
+        _, compiled = built
+        lowered = lower_compiled(compiled)
+        manifest = dict(lowered.manifest, nbytes=lowered.manifest["nbytes"] - 8)
+        with pytest.raises(ShardError, match="'light_w'"):
+            AttachedTables(manifest, lowered.payload[:-8])
+
+    def test_missing_segment_raises(self, built):
+        _, compiled = built
+        sealed = seal_to_buffers(compiled)
+        manifest = dict(sealed.manifest)
+        sealed.close()
+        sealed.unlink()
+        with pytest.raises(ShardError, match=manifest["shm"].lstrip("/")):
+            from_buffers(manifest)
+
+    def test_short_segment_raises_and_unmaps(self, built, monkeypatch):
+        _, compiled = built
+        lowered = lower_compiled(compiled)
+        closed = []
+        real_close = shared_memory.SharedMemory.close
+
+        def spy_close(self):
+            closed.append(self.name)
+            real_close(self)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "close", spy_close)
+        segment = shared_memory.SharedMemory(
+            create=True, size=len(lowered.payload) // 2)
+        try:
+            manifest = dict(lowered.manifest, shm=segment.name)
+            with pytest.raises(ShardError, match="truncated") as excinfo:
+                from_buffers(manifest)
+            # The traceback in ``excinfo`` keeps the attacher's mapping
+            # object alive, so this close is the explicit one, not __del__.
+            assert closed == [segment.name]
+        finally:
+            segment.close()
+            segment.unlink()
+
+
+class TestImageLayout:
+    def test_golden_payload_and_arrays(self, built):
+        """The one writer left produces the image both writers produced."""
+        _, compiled = built
+        lowered = lower_compiled(compiled)
+        assert lowered.manifest["arrays"] == GOLDEN_ARRAYS
+        assert (hashlib.sha256(lowered.payload).hexdigest()
+                == GOLDEN_PAYLOAD_SHA256)
 
     def test_weird_node_ids_roundtrip(self):
         """String/tuple/bool/float ids survive interning distinctly."""
