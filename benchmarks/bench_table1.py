@@ -15,7 +15,8 @@ import math
 
 from _util import emit, once
 
-from repro.analysis import run_table1_recorded
+from repro.analysis import run_table1
+from repro.telemetry import record_run
 
 N = 600
 K = 3
@@ -24,7 +25,7 @@ SEED = 7
 
 def bench_table1(benchmark):
     result, record = once(
-        benchmark, lambda: run_table1_recorded(N, K, seed=SEED, pairs=150)
+        benchmark, lambda: record_run(run_table1, N, K, seed=SEED, pairs=150)
     )
     emit("table1", result.render(), data=result.rows,
          meta={"workload": record.workload,

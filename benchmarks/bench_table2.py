@@ -16,7 +16,8 @@ import math
 
 from _util import emit, once
 
-from repro.analysis import run_table2_recorded
+from repro.analysis import run_table2
+from repro.telemetry import record_run
 
 N = 1500
 SEED = 7
@@ -24,7 +25,8 @@ SEED = 7
 
 def bench_table2(benchmark):
     result, record = once(
-        benchmark, lambda: run_table2_recorded(N, seed=SEED, tree_style="dfs")
+        benchmark,
+        lambda: record_run(run_table2, N, seed=SEED, tree_style="dfs"),
     )
     emit("table2", result.render(), data=result.rows,
          meta={"workload": record.workload,

@@ -20,7 +20,7 @@ Telemetry surfaces (docs/observability.md):
 
 Every subcommand takes ``--quiet`` (suppress stdout) and ``--out <path>``
 (write the output to a file) so telemetry can be redirected without shell
-plumbing.
+plumbing.  Every run is recorded (:func:`repro.telemetry.record_run`).
 
 This is a convenience shell over :mod:`repro.analysis`; the benchmark suite
 (``pytest benchmarks/ --benchmark-only``) remains the canonical,
@@ -32,9 +32,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis import (
     ReportSpec,
@@ -51,16 +53,16 @@ from .analysis import (
     generate_report,
     generate_report_json,
     run_table1,
-    run_table1_recorded,
     run_table2,
-    run_table2_recorded,
 )
 from .serve.workloads import WORKLOADS
 from .telemetry import (
+    RunRecord,
     build_dashboard,
-    collect,
     make_run_record,
+    record_run,
     render_profile,
+    verdict_from_dict,
     write_chrome_trace,
 )
 from .telemetry import flight as _flight
@@ -80,299 +82,214 @@ FIGURES = {
 #: Benchmark-file names accepted as figure aliases (``fig1_tree_rounds``
 #: is the name the BENCH_*.json trajectory uses for ``tree-rounds``).
 FIGURE_ALIASES = {
-    "fig1_tree_rounds": "tree-rounds",
-    "fig2_tree_memory": "tree-memory",
-    "fig3_tree_sizes": "tree-sizes",
-    "fig4_stretch": "stretch",
-    "fig5_sizes_vs_k": "sizes-vs-k",
-    "fig6_hopset": "hopset",
-    "fig7_graph_rounds": "graph-rounds",
-    "fig8_multitree": "multitree",
-    "fig9_tree_styles": "tree-styles",
+    f"fig{i}_{name.replace('-', '_')}": name
+    for i, name in enumerate(FIGURES, start=1)
 }
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
+# -- arguments ---------------------------------------------------------------
+# A flag that more than one command takes is declared once, in a parent
+# parser; ``add_arguments(new, shared)`` creates the command's subparser
+# with ``new(parents=[...], help=...)`` and adds the command's own flags.
+
+def _shared_parsers() -> SimpleNamespace:
+    def parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    output = parent()
+    output.add_argument("--quiet", action="store_true", help="suppress stdout (useful with --out)")
+    output.add_argument("--out", metavar="PATH", help="also write the output to PATH")
+    profiled = parent(output)
+    profiled.add_argument(
+        "--profile", action="store_true",
+        help="append the telemetry span tree (wall-clock + round breakdown); on stderr when "
+             "the output is JSON")
+    as_json = parent()
+    as_json.add_argument(
+        "--json", action="store_true",
+        help="emit JSON: the run's RunRecord manifest (fig: the sweep records; report: both "
+             "tables' RunRecords + figure records)")
+    verdicts = parent(as_json)
+    verdicts.add_argument(
+        "--strict", action="store_true",
+        help="exit 1 if a verdict of the run fails (paper bound, stretch SLO, SLO budget, "
+             "attribution exactness, lint finding)")
+
+    workload = parent()  # the scheme and the stream `serve` and `monitor` share
+    add = workload.add_argument
+    add("--workload", choices=list(WORKLOADS), default="uniform",
+        help="traffic model (default: uniform)")
+    add("--queries", type=int, default=1000)
+    add("--n", type=int, default=200, help="graph size (random connected family)")
+    add("--k", type=int, default=3, help="hierarchy parameter of the built scheme")
+    add("--seed", type=int, default=0)
+    add("--builder", choices=("centralized", "distributed"), default="centralized",
+        help="scheme construction (default: centralized)")
+    add("--mode", choices=("first", "best"), default="first",
+        help="source rule (default: first, the 4k-3 analysis)")
+    add("--cache", type=int, default=4096, metavar="SIZE",
+        help="LRU decision-cache entries (0 disables)")
+    add("--zipf-alpha", type=float, default=1.1)
+    add("--metrics-out", metavar="PATH",
+        help="write a Prometheus text-format snapshot of the live metrics registry (S18, "
+             "docs/observability.md)")
+    return SimpleNamespace(output=output, profiled=profiled, as_json=as_json,
+                           verdicts=verdicts, workload=workload)
+
+
+def _args_table1(new, shared) -> None:
+    add = new(parents=[shared.profiled, shared.verdicts],
+              help="compact routing comparison (Table 1)").add_argument
+    add("--n", type=int, default=200)
+    add("--k", type=int, default=3)
+    add("--seed", type=int, default=0)
+    add("--pairs", type=int, default=100)
+
+
+def _args_table2(new, shared) -> None:
+    add = new(parents=[shared.profiled, shared.verdicts],
+              help="tree routing comparison (Table 2)").add_argument
+    add("--n", type=int, default=1000)
+    add("--seed", type=int, default=0)
+
+
+_FIG_NAMES = sorted(FIGURES) + sorted(FIGURE_ALIASES)
+
+
+def _args_fig(new, shared) -> None:
+    fig = new(parents=[shared.profiled, shared.as_json], help="run one figure sweep")
+    fig.add_argument("name", choices=_FIG_NAMES)
+
+
+def _args_trace(new, shared) -> None:
+    trace = new(parents=[shared.profiled],
+                help="run one figure sweep under telemetry, emit structured records")
+    # No --json flag: trace output is always JSON, which `_finish` must know.
+    trace.set_defaults(json=True)
+    add = trace.add_argument
+    add("name", choices=_FIG_NAMES)
+    add("--jsonl", action="store_true",
+        help="one JSON object per line: RunRecord manifest first, then each sweep row")
+    add("--chrome", metavar="PATH",
+        help="also write a Chrome trace_event JSON (open in Perfetto / chrome://tracing)")
+    add("--flight", action="store_true",
+        help="attach a flight recorder to every network built (round-resolved "
+             "memory/congestion)")
+    add("--stride", type=int, default=16,
+        help="flight-recorder sampling stride in rounds (with --flight; default 16)")
+
+
+def _args_serve(new, shared) -> None:
+    add = new(parents=[shared.profiled, shared.verdicts, shared.workload],
+              help="serve a seeded query workload against a built scheme (S16)").add_argument
+    add("--workers", type=int, default=1, metavar="N",
+        help="shard the stream over N worker processes (S20, docs/sharding.md); per-shard "
+             "reports merge exactly into one")
+    add("--shm", action="store_true", default=True,
+        help="share packed tables with workers via a sealed shared-memory image (default)")
+    add("--no-shm", dest="shm", action="store_false",
+        help="fork-inherit the compiled tables instead of sealing a shared-memory image")
+    add("--cache-file", metavar="PATH",
+        help="warm-cache persistence: preload the decision cache from PATH when it exists "
+             "and save the (merged) cache back after the run")
+    add("--slo-target", type=float, default=0.99,
+        help="required fraction of queries within the stretch bound (default 0.99)")
+    add("--trace-out", metavar="PATH",
+        help="serve under the sampled query tracer and write the traces as JSONL (S19; "
+             "replay with repro explain)")
+    add("--trace-chrome", metavar="PATH",
+        help="also write sampled traces as a Chrome trace_event JSON (open in Perfetto)")
+    add("--trace-rate", type=float, default=0.01,
+        help="head-sampling rate for query tracing (default 0.01; tail worst-stretch traces "
+             "are always kept)")
+    add("--trace-tail", type=int, default=16,
+        help="tail buffer size: worst-stretch/failed queries always traced (default 16)")
+
+
+def _args_monitor(new, shared) -> None:
+    add = new(parents=[shared.profiled, shared.verdicts, shared.workload],
+              help="replay a workload under live metrics and SLO burn-rate alerting "
+                   "(S18)").add_argument
+    add("--target-qps", type=float, default=1000.0,
+        help="virtual replay rate driving the SLO windows (default 1000)")
+    add("--objective", type=float, default=0.99,
+        help="stretch-SLO objective: required good fraction (default 0.99)")
+    add("--no-live", action="store_true", help="suppress the refreshing status line")
+
+
+def _args_explain(new, shared) -> None:
+    add = new(parents=[shared.output, shared.verdicts],
+              help="replay sampled query traces into a per-level stretch attribution table "
+                   "(S19)").add_argument
+    add("--traces", default="traces.jsonl", metavar="PATH",
+        help="JSONL trace file written by repro serve --trace-out (default: traces.jsonl)")
+    add("--trace-id", help="explain one trace by id (as printed in exemplars / SLO alerts)")
+    add("--worst", type=int, metavar="N",
+        help="drill into the N worst traces (failures first, then stretch excess)")
+
+
+def _args_lint(new, shared) -> None:
+    add = new(parents=[shared.output, shared.verdicts],
+              help="run the CONGEST-invariant static analyzer (S17)").add_argument
+    add("paths", nargs="*", metavar="PATH",
+        help="files/directories to lint (default: src/repro)")
+    add("--rules", metavar="IDS",
+        help="comma-separated rule ids (default: the syntactic tier REP001-REP008 + REP012; "
+             "--flow adds REP009-REP011)")
+    add("--flow", action="store_true",
+        help="also run the flow tier: project-wide call graph + interprocedural taint "
+             "analyses (REP009-REP011)")
+    add("--trace", action="store_true",
+        help="print the source->sink taint path under each flow finding")
+    add("--callgraph", choices=("dot", "json"),
+        help="export the project call graph in the given format to stdout and exit (no "
+             "linting)")
+    add("--baseline", metavar="PATH",
+        help="baseline file of grandfathered findings (default: lint-baseline.json at the "
+             "repo root, when present)")
+    add("--no-baseline", action="store_true", help="ignore any baseline file")
+    add("--write-baseline", action="store_true",
+        help="grandfather the current findings into the baseline file (reasons of kept "
+             "entries are preserved; new ones need justifying)")
+    add("--prune-baseline", action="store_true",
+        help="drop stale grandfathered entries from the baseline file in place")
+    add("--explain", action="store_true", help="print the rule catalogue and exit")
+
+
+def _args_demo(new, shared) -> None:
+    new(parents=[shared.profiled], help="tiny end-to-end demonstration")
+
+
+def _args_dashboard(new, shared) -> None:
+    add = new(help="render the static HTML perf dashboard from BENCH_*.json").add_argument
+    add("--out", default="dashboard.html", metavar="PATH", help="output HTML file")
+    add("--root",
+        help="directory holding the BENCH_*.json trajectories (default: the repo root)")
+    add("--record", action="append", default=[], metavar="PATH",
+        help="RunRecord JSON file to include (repeatable)")
+    add("--title", default="repro perf dashboard")
+    add("--quiet", action="store_true", help="suppress stdout")
+
+
+def _args_report(new, shared) -> None:
+    rep = new(parents=[shared.profiled, shared.verdicts],
+              help="full markdown reproduction report")
+    rep.add_argument("--fast", action="store_true", help="sub-minute workload sizes")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress stdout (useful with --out)")
-    common.add_argument("--out", type=str, default=None, metavar="PATH",
-                        help="also write the output to PATH")
-    common.add_argument("--profile", action="store_true",
-                        help="append the telemetry span tree "
-                             "(wall-clock + round breakdown)")
-
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce tables/figures of Elkin-Neiman PODC 2018.",
-    )
+        prog="repro", description="Reproduce tables/figures of Elkin-Neiman PODC 2018.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t1 = sub.add_parser("table1", parents=[common],
-                        help="compact routing comparison (Table 1)")
-    t1.add_argument("--n", type=int, default=200)
-    t1.add_argument("--k", type=int, default=3)
-    t1.add_argument("--seed", type=int, default=0)
-    t1.add_argument("--pairs", type=int, default=100)
-    t1.add_argument("--json", action="store_true",
-                    help="emit the RunRecord manifest as JSON")
-    t1.add_argument("--strict", action="store_true",
-                    help="exit 1 if any paper-bound verdict fails")
-
-    t2 = sub.add_parser("table2", parents=[common],
-                        help="tree routing comparison (Table 2)")
-    t2.add_argument("--n", type=int, default=1000)
-    t2.add_argument("--seed", type=int, default=0)
-    t2.add_argument("--json", action="store_true",
-                    help="emit the RunRecord manifest as JSON")
-    t2.add_argument("--strict", action="store_true",
-                    help="exit 1 if any paper-bound verdict fails")
-
-    fig_names = sorted(FIGURES) + sorted(FIGURE_ALIASES)
-
-    fig = sub.add_parser("fig", parents=[common], help="run one figure sweep")
-    fig.add_argument("name", choices=fig_names)
-    fig.add_argument("--json", action="store_true",
-                     help="emit the sweep records as JSON")
-
-    trace = sub.add_parser(
-        "trace", parents=[common],
-        help="run one figure sweep under telemetry, emit structured records",
-    )
-    trace.add_argument("name", choices=fig_names)
-    trace.add_argument("--jsonl", action="store_true",
-                       help="one JSON object per line: RunRecord manifest "
-                            "first, then each sweep row")
-    trace.add_argument("--chrome", type=str, default=None, metavar="PATH",
-                       help="also write a Chrome trace_event JSON "
-                            "(open in Perfetto / chrome://tracing)")
-    trace.add_argument("--flight", action="store_true",
-                       help="attach a flight recorder to every network "
-                            "built (round-resolved memory/congestion)")
-    trace.add_argument("--stride", type=int, default=16,
-                       help="flight-recorder sampling stride in rounds "
-                            "(with --flight; default 16)")
-
-    serve = sub.add_parser(
-        "serve", parents=[common],
-        help="serve a seeded query workload against a built scheme (S16)",
-    )
-    serve.add_argument("--workload", choices=list(WORKLOADS),
-                       default="uniform",
-                       help="traffic model (default: uniform)")
-    serve.add_argument("--queries", type=int, default=1000)
-    serve.add_argument("--n", type=int, default=200,
-                       help="graph size (random connected family)")
-    serve.add_argument("--k", type=int, default=3,
-                       help="hierarchy parameter of the built scheme")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--builder", choices=("centralized", "distributed"),
-                       default="centralized",
-                       help="scheme construction (default: centralized)")
-    serve.add_argument("--mode", choices=("first", "best"), default="first",
-                       help="source rule (default: first, the 4k-3 analysis)")
-    serve.add_argument("--cache", type=int, default=4096, metavar="SIZE",
-                       help="LRU decision-cache entries (0 disables)")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="shard the stream over N worker processes "
-                            "(S20, docs/sharding.md); per-shard reports "
-                            "merge exactly into one")
-    serve.add_argument("--shm", dest="shm", action="store_true",
-                       default=True,
-                       help="share packed tables with workers via a "
-                            "sealed shared-memory image (default)")
-    serve.add_argument("--no-shm", dest="shm", action="store_false",
-                       help="fork-inherit the compiled tables instead "
-                            "of sealing a shared-memory image")
-    serve.add_argument("--cache-file", type=str, default=None,
-                       metavar="PATH",
-                       help="warm-cache persistence: preload the "
-                            "decision cache from PATH when it exists "
-                            "and save the (merged) cache back after "
-                            "the run")
-    serve.add_argument("--zipf-alpha", type=float, default=1.1)
-    serve.add_argument("--slo-target", type=float, default=0.99,
-                       help="required fraction of queries within the "
-                            "stretch bound (default 0.99)")
-    serve.add_argument("--json", action="store_true",
-                       help="emit the serving RunRecord as JSON")
-    serve.add_argument("--strict", action="store_true",
-                       help="exit 1 if the stretch-SLO verdict fails")
-    serve.add_argument("--metrics-out", type=str, default=None,
-                       metavar="PATH",
-                       help="serve under the live metrics registry and "
-                            "write a Prometheus text-format snapshot "
-                            "(S18, docs/observability.md)")
-    serve.add_argument("--trace-out", type=str, default=None, metavar="PATH",
-                       help="serve under the sampled query tracer and "
-                            "write the traces as JSONL (S19; replay with "
-                            "repro explain)")
-    serve.add_argument("--trace-chrome", type=str, default=None,
-                       metavar="PATH",
-                       help="also write sampled traces as a Chrome "
-                            "trace_event JSON (open in Perfetto)")
-    serve.add_argument("--trace-rate", type=float, default=0.01,
-                       help="head-sampling rate for query tracing "
-                            "(default 0.01; tail worst-stretch traces are "
-                            "always kept)")
-    serve.add_argument("--trace-tail", type=int, default=16,
-                       help="tail buffer size: worst-stretch/failed "
-                            "queries always traced (default 16)")
-
-    mon = sub.add_parser(
-        "monitor", parents=[common],
-        help="replay a workload under live metrics and SLO burn-rate "
-             "alerting (S18)",
-    )
-    mon.add_argument("--workload", choices=list(WORKLOADS),
-                     default="uniform",
-                     help="traffic model (default: uniform)")
-    mon.add_argument("--queries", type=int, default=1000)
-    mon.add_argument("--n", type=int, default=200,
-                     help="graph size (random connected family)")
-    mon.add_argument("--k", type=int, default=3,
-                     help="hierarchy parameter of the built scheme")
-    mon.add_argument("--seed", type=int, default=0)
-    mon.add_argument("--builder", choices=("centralized", "distributed"),
-                     default="centralized",
-                     help="scheme construction (default: centralized)")
-    mon.add_argument("--mode", choices=("first", "best"), default="first")
-    mon.add_argument("--cache", type=int, default=4096, metavar="SIZE",
-                     help="LRU decision-cache entries (0 disables)")
-    mon.add_argument("--zipf-alpha", type=float, default=1.1)
-    mon.add_argument("--target-qps", type=float, default=1000.0,
-                     help="virtual replay rate driving the SLO windows "
-                          "(default 1000)")
-    mon.add_argument("--objective", type=float, default=0.99,
-                     help="stretch-SLO objective: required good fraction "
-                          "(default 0.99)")
-    mon.add_argument("--no-live", action="store_true",
-                     help="suppress the refreshing status line")
-    mon.add_argument("--metrics-out", type=str, default=None, metavar="PATH",
-                     help="write a Prometheus text-format snapshot")
-    mon.add_argument("--json", action="store_true",
-                     help="emit the monitor RunRecord as JSON")
-    mon.add_argument("--strict", action="store_true",
-                     help="exit 1 if the replay ends degraded (alert "
-                          "firing or error budget exhausted)")
-
-    explain = sub.add_parser(
-        "explain", parents=[common],
-        help="replay sampled query traces into a per-level stretch "
-             "attribution table (S19)",
-    )
-    explain.add_argument("--traces", type=str, default="traces.jsonl",
-                         metavar="PATH",
-                         help="JSONL trace file written by "
-                              "repro serve --trace-out "
-                              "(default: traces.jsonl)")
-    explain.add_argument("--trace-id", type=str, default=None,
-                         help="explain one trace by id (as printed in "
-                              "exemplars / SLO alerts)")
-    explain.add_argument("--worst", type=int, default=None, metavar="N",
-                         help="drill into the N worst traces "
-                              "(failures first, then stretch excess)")
-    explain.add_argument("--json", action="store_true",
-                         help="emit the explain RunRecord as JSON")
-    explain.add_argument("--strict", action="store_true",
-                         help="exit 1 if the attribution-exactness "
-                              "verdict fails")
-
-    lint = sub.add_parser(
-        "lint", parents=[common],
-        help="run the CONGEST-invariant static analyzer (S17)",
-    )
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files/directories to lint "
-                           "(default: src/repro)")
-    lint.add_argument("--rules", type=str, default=None, metavar="IDS",
-                      help="comma-separated rule ids (default: the "
-                           "syntactic tier REP001-REP008 + REP012; "
-                           "--flow adds REP009-REP011)")
-    lint.add_argument("--flow", action="store_true",
-                      help="also run the flow tier: project-wide call "
-                           "graph + interprocedural taint analyses "
-                           "(REP009-REP011)")
-    lint.add_argument("--trace", action="store_true",
-                      help="print the source->sink taint path under "
-                           "each flow finding")
-    lint.add_argument("--callgraph", choices=("dot", "json"), default=None,
-                      help="export the project call graph in the given "
-                           "format to stdout and exit (no linting)")
-    lint.add_argument("--baseline", type=str, default=None, metavar="PATH",
-                      help="baseline file of grandfathered findings "
-                           "(default: lint-baseline.json at the repo "
-                           "root, when present)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="grandfather the current findings into the "
-                           "baseline file (reasons of kept entries are "
-                           "preserved; new ones need justifying)")
-    lint.add_argument("--prune-baseline", action="store_true",
-                      help="drop stale grandfathered entries from the "
-                           "baseline file in place")
-    lint.add_argument("--explain", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the lint RunRecord as JSON")
-    lint.add_argument("--strict", action="store_true",
-                      help="exit 1 on any non-baselined error finding "
-                           "(warnings never gate)")
-
-    sub.add_parser("demo", parents=[common],
-                   help="tiny end-to-end demonstration")
-
-    dash = sub.add_parser(
-        "dashboard",
-        help="render the static HTML perf dashboard from BENCH_*.json",
-    )
-    dash.add_argument("--out", type=str, default="dashboard.html",
-                      metavar="PATH", help="output HTML file")
-    dash.add_argument("--root", type=str, default=None,
-                      help="directory holding the BENCH_*.json trajectories "
-                           "(default: the repo root)")
-    dash.add_argument("--record", action="append", default=[],
-                      metavar="PATH",
-                      help="RunRecord JSON file to include (repeatable)")
-    dash.add_argument("--title", default="repro perf dashboard")
-    dash.add_argument("--quiet", action="store_true",
-                      help="suppress stdout")
-
-    rep = sub.add_parser("report", parents=[common],
-                         help="full markdown reproduction report")
-    rep.add_argument("--fast", action="store_true",
-                     help="sub-minute workload sizes")
-    rep.add_argument("--json", action="store_true",
-                     help="machine-readable report: table RunRecords + "
-                          "figure records in one JSON document")
-    rep.add_argument("--strict", action="store_true",
-                     help="with --json: exit 1 if any bound verdict fails")
+    shared = _shared_parsers()
+    for name, (add_arguments, _) in COMMANDS.items():
+        add_arguments(partial(sub.add_parser, name), shared)
     return parser
 
 
-def _demo() -> str:
-    from .congest import Network
-    from .graphs import random_connected_graph, spanning_tree_of
-    from .routing import route_in_tree
-    from .treerouting import build_distributed_tree_scheme
-
-    graph = random_connected_graph(200, seed=1)
-    tree = spanning_tree_of(graph, style="dfs")
-    net = Network(graph)
-    build = build_distributed_tree_scheme(net, tree, seed=1)
-    nodes = sorted(tree)
-    result = route_in_tree(
-        build.scheme, nodes[0], nodes[-1],
-        weight_of=lambda u, v: graph[u][v]["weight"],
-    )
-    return (f"n=200 tree routing: {build.rounds} rounds, "
-            f"{build.max_memory_words} words/vertex peak, "
-            f"route {nodes[0]}->{nodes[-1]}: {result.hops} hops, "
-            f"length {result.length:.2f} (exact)")
-
+# -- output: the one place --json/--profile/--out/--quiet/--strict act ---------
 
 def _deliver(text: str, args: argparse.Namespace) -> None:
     """Route output according to the common --quiet/--out flags."""
@@ -384,102 +301,110 @@ def _deliver(text: str, args: argparse.Namespace) -> None:
         print(text)
 
 
-def _run_table(args: argparse.Namespace) -> int:
-    """Shared driver for the table1/table2 subcommands."""
-    recorded = args.json or args.strict or args.profile
-    if args.command == "table1":
-        if recorded:
-            result, record = run_table1_recorded(
-                args.n, args.k, seed=args.seed, pairs=args.pairs
-            )
-        else:
-            result = run_table1(
-                args.n, args.k, seed=args.seed, pairs=args.pairs
-            )
-            record = None
-    else:
-        if recorded:
-            result, record = run_table2_recorded(args.n, seed=args.seed)
-        else:
-            result = run_table2(args.n, seed=args.seed)
-            record = None
+def _finish(args: argparse.Namespace, text: str, record: RunRecord,
+            failure: Optional[str] = None, document: Optional[str] = None) -> int:
+    """Deliver one recorded run and return the exit code.
 
-    parts = []
-    if args.json:
-        parts.append(record.to_json())
-    else:
-        parts.append(result.render())
-    if args.profile and record is not None:
-        parts.append(render_profile(record.spans, record.counters,
-                                    record.gauges))
-    _deliver("\n\n".join(parts), args)
-    if args.strict and record is not None and not record.passed:
-        failed = ", ".join(v.name for v in record.failed_verdicts())
-        print(f"bound-checker violations: {failed}", file=sys.stderr)
+    ``text`` is the plain rendering, ``failure`` what ``--strict`` prints
+    when a verdict of ``record`` failed, ``document`` the JSON a command
+    prints in place of its RunRecord (fig: the sweep rows; trace --jsonl;
+    report: the combined document).
+    """
+    as_json = getattr(args, "json", False)
+    if as_json:
+        text = document if document is not None else record.to_json()
+    if getattr(args, "profile", False):
+        profile = render_profile(record.spans, record.counters, record.gauges)
+        if as_json:
+            # stdout and --out stay one JSON document (the span tree is
+            # already in its "spans"); the ASCII view goes to stderr.
+            print(profile, file=sys.stderr)
+        else:
+            text += "\n\n" + profile
+    _deliver(text, args)
+    if getattr(args, "strict", False) and not record.passed:
+        print(failure, file=sys.stderr)
         return 1
     return 0
 
 
-def _run_fig(args: argparse.Namespace) -> int:
-    fn, title = FIGURES[FIGURE_ALIASES.get(args.name, args.name)]
-    if args.profile:
-        with collect() as tele:
-            records = fn()
-        body = (json.dumps(records, indent=2, default=repr)
-                if args.json else format_records(records, title=title))
-        _deliver(body + "\n\n" + tele.profile(), args)
-    else:
-        records = fn()
-        body = (json.dumps(records, indent=2, default=repr)
-                if args.json else format_records(records, title=title))
-        _deliver(body, args)
-    return 0
+def _failed(what: str, record: RunRecord) -> str:
+    return f"{what}: " + ", ".join(v.name for v in record.failed_verdicts())
 
 
-def _run_trace(args: argparse.Namespace) -> int:
+@dataclass
+class _Plain:
+    """A run with no result class of its own (figure sweeps, the demo, the
+    report): says what its RunRecord holds so ``record_run`` can wrap it."""
+
+    kind: str
+    body: Any = None  #: what the command prints: text or a JSON-able document
+    workload: Dict[str, Any] = field(default_factory=dict)
+    rows: List[Dict[str, Any]] = field(default_factory=list)
+    flight: List[Dict[str, Any]] = field(default_factory=list)
+
+    def to_run_record(self) -> RunRecord:
+        return make_run_record(self.kind, workload=self.workload,
+                               columns=self.rows, flight=self.flight)
+
+
+# -- handlers ------------------------------------------------------------------
+# A handler runs its command under ``record_run`` and returns
+# ``(text, record, strict_failure_message[, document])`` for `_finish`, or an
+# exit code when it has already reported (usage errors, no-record modes).
+
+def _cmd_table1(args):
+    result, record = record_run(run_table1, args.n, args.k, seed=args.seed, pairs=args.pairs)
+    return result.render(), record, _failed("bound-checker violations", record)
+
+
+def _cmd_table2(args):
+    result, record = record_run(run_table2, args.n, seed=args.seed)
+    return result.render(), record, _failed("bound-checker violations", record)
+
+
+def _sweep(args) -> Tuple[_Plain, RunRecord]:
+    """One figure sweep as a ``fig/<name>`` record (``fig`` and ``trace``)."""
     name = FIGURE_ALIASES.get(args.name, args.name)
     fn, title = FIGURES[name]
-    started = time.perf_counter()
-    flight_dicts = []
-    if args.flight:
-        with _flight.auto(stride=args.stride), collect() as tele:
-            session = _flight._SESSIONS[-1]
-            records = fn()
-        flight_dicts = session.to_dicts()
-    else:
-        with collect() as tele:
-            records = fn()
-    record = make_run_record(
-        f"fig/{name}",
-        workload={"figure": name, "title": title},
-        columns=records,
-        collector=tele,
-        flight=flight_dicts,
-        wall_s=time.perf_counter() - started,
-    )
+
+    def run() -> _Plain:
+        sweep = _Plain(f"fig/{name}", workload={"figure": name, "title": title})
+        if getattr(args, "flight", False):
+            with _flight.auto(stride=args.stride) as session:
+                sweep.rows = fn()
+            sweep.flight = session.to_dicts()
+        else:
+            sweep.rows = fn()
+        return sweep
+
+    return record_run(run)
+
+
+def _cmd_fig(args):
+    sweep, record = _sweep(args)
+    return (format_records(sweep.rows, title=sweep.workload["title"]), record, None,
+            json.dumps(sweep.rows, indent=2, default=repr))
+
+
+def _cmd_trace(args):
+    sweep, record = _sweep(args)
     if args.chrome:
         write_chrome_trace(
-            args.chrome, record.spans,
-            flight=record.flight or None,
-            meta={"kind": record.kind, "title": title},
+            args.chrome, record.spans, flight=record.flight or None,
+            meta={"kind": record.kind, "title": sweep.workload["title"]},
         )
+        print(f"chrome trace written to {args.chrome}", file=sys.stderr)
+    jsonl = None
     if args.jsonl:
-        lines = [record.to_json(indent=None)]
-        lines += [json.dumps(r, default=repr) for r in records]
-        body = "\n".join(lines)
-    else:
-        body = record.to_json()
-    parts = [body]
-    if args.profile:
-        parts.append(tele.profile())
-    if args.chrome:
-        parts.append(f"chrome trace written to {args.chrome}")
-    _deliver("\n\n".join(parts), args)
-    return 0
+        jsonl = "\n".join([record.to_json(indent=None)]
+                          + [json.dumps(r, default=repr) for r in sweep.rows])
+    return "", record, None, jsonl
 
 
-def _built_scheme(args: argparse.Namespace):
-    """The (graph, scheme) pair the serve/monitor subcommands run against."""
+def _built_scheme(args):
+    """What the shared workload arguments of serve/monitor describe: the
+    graph, the scheme built on it and the stream keywords of the runners."""
     from .graphs import random_connected_graph
 
     graph = random_connected_graph(args.n, seed=args.seed)
@@ -488,181 +413,106 @@ def _built_scheme(args: argparse.Namespace):
         scheme = build_centralized_scheme(graph, args.k, seed=args.seed)
     else:
         from .core import build_distributed_scheme
-        scheme = build_distributed_scheme(graph, args.k,
-                                          seed=args.seed).scheme
-    return graph, scheme
+        scheme = build_distributed_scheme(graph, args.k, seed=args.seed).scheme
+    stream = dict(workload=args.workload, queries=args.queries, seed=args.seed,
+                  mode=args.mode, cache_size=args.cache, zipf_alpha=args.zipf_alpha)
+    return graph, scheme, stream
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    from .serve import run_serving, run_serving_recorded, slo_verdict
-
+def _cmd_serve(args):
     if args.workers < 1:
-        print(f"serve: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
+        print(f"serve: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    graph, scheme = _built_scheme(args)
-    if args.workers > 1:
-        if args.metrics_out or args.trace_out or args.trace_chrome:
-            print("serve: --workers > 1 is incompatible with "
-                  "--metrics-out/--trace-out/--trace-chrome (per-worker "
-                  "registries and tracers do not merge into one live "
-                  "snapshot; run those single-process)", file=sys.stderr)
-            return 2
-        return _run_serve_sharded(args, graph, scheme)
+    if args.workers > 1 and (args.metrics_out or args.trace_out or args.trace_chrome):
+        print("serve: --workers > 1 is incompatible with "
+              "--metrics-out/--trace-out/--trace-chrome (per-worker "
+              "registries and tracers do not merge into one live "
+              "snapshot; run those single-process)", file=sys.stderr)
+        return 2
+    serve = _serve_sharded if args.workers > 1 else _serve_single
+    report, record, notes = serve(args, *_built_scheme(args))
+    failure = "; ".join(
+        f"stretch-SLO violation: {v.name} measured={v.measured} < target={v.limit}"
+        for v in record.failed_verdicts())
+    return "\n\n".join([report.render(), *notes]), record, failure
 
-    metrics = None
+
+def _serve_single(args, graph, scheme, stream):
+    from .metrics import ServeMetrics, write_prometheus
+    from .serve import DecisionCache, ServeEngine, compile_scheme, run_serving
+    from .tracing import Tracer, write_traces_jsonl
+
+    metrics = tracer = engine = None
     if args.metrics_out:
-        from .metrics import ServeMetrics
         metrics = ServeMetrics(slo_objective=args.slo_target)
-    tracer = None
     if args.trace_out or args.trace_chrome:
-        from .tracing import Tracer
-        tracer = Tracer(rate=args.trace_rate, seed=args.seed,
-                        tail_limit=args.trace_tail,
+        tracer = Tracer(rate=args.trace_rate, seed=args.seed, tail_limit=args.trace_tail,
                         prefix=f"{args.workload}-{args.seed}")
-    kwargs = dict(
-        workload=args.workload, queries=args.queries, seed=args.seed,
-        mode=args.mode, cache_size=args.cache, zipf_alpha=args.zipf_alpha,
-        slo_target=args.slo_target, metrics=metrics, tracer=tracer,
-    )
-    engine = None
     if args.cache_file:
         # Warm-cache persistence: serve with a preloaded engine, save
         # the (possibly warmer) cache back after the run.
-        from .serve import DecisionCache, ServeEngine, compile_scheme
         cache = (DecisionCache.load(args.cache_file, maxsize=args.cache)
-                 if Path(args.cache_file).exists()
-                 else DecisionCache(args.cache))
-        engine = ServeEngine(compile_scheme(scheme, graph),
-                             mode=args.mode, cache=cache)
-        kwargs["engine"] = engine
-    recorded = args.json or args.strict or args.profile
-    if recorded:
-        report, record = run_serving_recorded(scheme, graph, **kwargs)
-    else:
-        report, _ = run_serving(scheme, graph, **kwargs)
-        record = None
+                 if Path(args.cache_file).exists() else DecisionCache(args.cache))
+        engine = ServeEngine(compile_scheme(scheme, graph), mode=args.mode, cache=cache)
+    report, record = record_run(lambda: run_serving(
+        scheme, graph, slo_target=args.slo_target, engine=engine, metrics=metrics,
+        tracer=tracer, **stream)[0])
     if engine is not None:
         engine.cache.save(args.cache_file)
 
-    parts = []
-    if args.json:
-        parts.append(record.to_json())
-    else:
-        parts.append(report.render())
-    if args.profile and record is not None:
-        parts.append(render_profile(record.spans, record.counters,
-                                    record.gauges))
+    notes = []
     if metrics is not None:
-        from .metrics import write_prometheus
-        write_prometheus(metrics.registry, args.metrics_out,
-                         now=report.serve_s)
-        if not args.json:
-            parts.append(f"metrics snapshot written to {args.metrics_out}")
-    if tracer is not None:
-        trace_dicts = [t.to_dict() for t in report.traces]
-        if args.trace_out:
-            from .tracing import write_traces_jsonl
-            write_traces_jsonl(args.trace_out, trace_dicts)
-            if not args.json:
-                parts.append(f"{len(trace_dicts)} traces written to "
-                             f"{args.trace_out}")
-        if args.trace_chrome:
-            write_chrome_trace(
-                args.trace_chrome,
-                record.spans if record is not None else [],
-                queries=trace_dicts,
-                meta={"kind": "serve", "workload": args.workload},
-            )
-            if not args.json:
-                parts.append(f"chrome trace written to {args.trace_chrome}")
-    _deliver("\n\n".join(parts), args)
-    if args.strict:
-        verdict = slo_verdict(report)
-        if verdict is not None and not verdict.passed:
-            print(f"stretch-SLO violation: {verdict.name} "
-                  f"measured={verdict.measured} < target={verdict.limit}",
-                  file=sys.stderr)
-            return 1
-    return 0
+        write_prometheus(metrics.registry, args.metrics_out, now=report.serve_s)
+        notes.append(f"metrics snapshot written to {args.metrics_out}")
+    if args.trace_out:
+        write_traces_jsonl(args.trace_out, record.traces)
+        notes.append(f"{len(record.traces)} traces written to {args.trace_out}")
+    if args.trace_chrome:
+        write_chrome_trace(args.trace_chrome, record.spans, queries=record.traces,
+                           meta={"kind": "serve", "workload": args.workload})
+        notes.append(f"chrome trace written to {args.trace_chrome}")
+    return report, record, notes
 
 
-def _run_serve_sharded(args: argparse.Namespace, graph, scheme) -> int:
+def _serve_sharded(args, graph, scheme, stream):
     """The ``repro serve --workers N`` path (S20, docs/sharding.md)."""
-    from .serve import DecisionCache, slo_verdict
-    from .shard import run_sharded, run_sharded_recorded
+    from .serve import DecisionCache
+    from .shard import run_sharded
 
     cache_entries = None
     if args.cache_file and Path(args.cache_file).exists():
-        cache_entries = DecisionCache.load(
-            args.cache_file, maxsize=args.cache).entries()
-    cache_out: list = []
-    kwargs = dict(
-        workers=args.workers, workload=args.workload,
-        queries=args.queries, seed=args.seed, mode=args.mode,
-        cache_size=args.cache, zipf_alpha=args.zipf_alpha,
-        slo_target=args.slo_target, shm=args.shm,
-        cache_entries=cache_entries,
-        cache_out=cache_out if args.cache_file else None,
-    )
-    recorded = args.json or args.strict or args.profile
-    if recorded:
-        report, record = run_sharded_recorded(scheme, graph, **kwargs)
-    else:
-        report, _ = run_sharded(scheme, graph, **kwargs)
-        record = None
-    if args.cache_file:
+        cache_entries = DecisionCache.load(args.cache_file, maxsize=args.cache).entries()
+    cache_out: Optional[list] = [] if args.cache_file else None
+    report, record = record_run(lambda: run_sharded(
+        scheme, graph, workers=args.workers, shm=args.shm, slo_target=args.slo_target,
+        cache_entries=cache_entries, cache_out=cache_out, **stream)[0])
+    if cache_out is not None:
         merged_cache = DecisionCache(args.cache)
         merged_cache.preload(cache_out)
         merged_cache.save(args.cache_file)
-
-    parts = [record.to_json() if args.json else report.render()]
-    if args.profile and record is not None:
-        parts.append(render_profile(record.spans, record.counters,
-                                    record.gauges))
-    _deliver("\n\n".join(parts), args)
-    if args.strict:
-        verdict = slo_verdict(report)
-        if verdict is not None and not verdict.passed:
-            print(f"stretch-SLO violation: {verdict.name} "
-                  f"measured={verdict.measured} < target={verdict.limit}",
-                  file=sys.stderr)
-            return 1
-    return 0
+    return report, record, []
 
 
-def _run_monitor(args: argparse.Namespace) -> int:
+def _cmd_monitor(args):
     from .metrics import ServeMetrics, run_monitor, write_prometheus
 
-    graph, scheme = _built_scheme(args)
+    graph, scheme, stream = _built_scheme(args)
     metrics = ServeMetrics(slo_objective=args.objective)
-    live = (not args.quiet and not args.json and not args.no_live
-            and sys.stderr.isatty())
-    report, record = run_monitor(
-        scheme, graph,
-        workload=args.workload, queries=args.queries, seed=args.seed,
-        mode=args.mode, cache_size=args.cache, zipf_alpha=args.zipf_alpha,
-        target_qps=args.target_qps, objective=args.objective,
-        metrics=metrics,
-        status_stream=sys.stderr if live else None,
-    )
-    parts = [record.to_json() if args.json else report.render()]
+    live = not args.quiet and not args.json and not args.no_live and sys.stderr.isatty()
+    report, record = record_run(
+        run_monitor, scheme, graph, target_qps=args.target_qps, objective=args.objective,
+        metrics=metrics, status_stream=sys.stderr if live else None, **stream)
+    text = report.render()
     if args.metrics_out:
         write_prometheus(metrics.registry, args.metrics_out,
                          now=report.queries / args.target_qps)
-        if not args.json:
-            parts.append(f"metrics snapshot written to {args.metrics_out}")
-    _deliver("\n\n".join(parts), args)
-    if args.strict and not report.healthy:
-        alerts = ",".join(report.active_alerts) or "budget exhausted"
-        print(f"SLO degraded: {alerts} "
-              f"(budget remaining {report.budget_remaining:.1%})",
-              file=sys.stderr)
-        return 1
-    return 0
+        text += f"\n\nmetrics snapshot written to {args.metrics_out}"
+    alerts = ",".join(report.active_alerts) or "budget exhausted"
+    return text, record, (f"SLO degraded: {alerts} (budget remaining "
+                          f"{report.budget_remaining:.1%})")
 
 
-def _run_explain(args: argparse.Namespace) -> int:
+def _cmd_explain(args):
     from .errors import InputError
     from .tracing import read_traces_jsonl, run_explain
 
@@ -672,17 +522,12 @@ def _run_explain(args: argparse.Namespace) -> int:
         print(f"explain: cannot read {args.traces}: {exc}", file=sys.stderr)
         return 2
     try:
-        text, record = run_explain(traces, trace_id=args.trace_id,
-                                   worst=args.worst, source=args.traces)
+        text, record = run_explain(traces, trace_id=args.trace_id, worst=args.worst,
+                                   source=args.traces)
     except InputError as exc:
         print(f"explain: {exc}", file=sys.stderr)
         return 2
-    _deliver(record.to_json() if args.json else text, args)
-    if args.strict and not record.passed:
-        failed = ", ".join(v.name for v in record.failed_verdicts())
-        print(f"attribution violations: {failed}", file=sys.stderr)
-        return 1
-    return 0
+    return text, record, _failed("attribution violations", record)
 
 
 def _lint_root(paths: Optional[List[str]]) -> Optional[Path]:
@@ -701,9 +546,7 @@ def _lint_root(paths: Optional[List[str]]) -> Optional[Path]:
     return Path.cwd()
 
 
-def _run_lint(args: argparse.Namespace) -> int:
-    import json as _json
-
+def _cmd_lint(args):
     from .lint import (
         Baseline,
         build_callgraph,
@@ -714,115 +557,119 @@ def _run_lint(args: argparse.Namespace) -> int:
     )
     from .lint.runner import DEFAULT_BASELINE
 
+    def utility(text: str) -> int:
+        """The no-record modes (catalogue, call graph, baseline upkeep)."""
+        _deliver(text, args)
+        return 0
+
     if args.explain:
         lines = []
         for rule in resolve_rules(args.rules, flow=True):
             lines.append(f"{rule.id}  {rule.title}")
             lines.append(f"    protects: {rule.invariant}")
-        _deliver("\n".join(lines), args)
-        return 0
+        return utility("\n".join(lines))
 
     if args.callgraph:
-        graph = build_callgraph(args.paths or None,
-                                root=_lint_root(args.paths))
-        body = (graph.to_dot() if args.callgraph == "dot"
-                else _json.dumps(graph.to_dict(), indent=2))
-        _deliver(body, args)
-        return 0
+        graph = build_callgraph(args.paths or None, root=_lint_root(args.paths))
+        return utility(graph.to_dot() if args.callgraph == "dot"
+                       else json.dumps(graph.to_dict(), indent=2))
 
-    baseline_path = Path(args.baseline) if args.baseline else \
-        _REPO_ROOT / DEFAULT_BASELINE
-    baseline = None
-    if args.no_baseline:
-        baseline = Baseline()
-    elif args.baseline:
-        # A not-yet-written --baseline path acts as empty so that
-        # --write-baseline can target a fresh file.
-        baseline = (Baseline.load(baseline_path)
-                    if baseline_path.exists() else Baseline())
+    baseline_path = Path(args.baseline) if args.baseline else _REPO_ROOT / DEFAULT_BASELINE
+
+    def stored() -> Baseline:
+        # A not-yet-written baseline file acts as empty, so that
+        # --write-baseline can target a fresh one.
+        return Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
+
+    baseline = Baseline() if args.no_baseline else stored() if args.baseline else None
 
     # Explicit paths lint the caller's tree (resolve against the cwd);
     # the no-argument default self-lints the repo the package ships in.
-    report = run_lint(args.paths or None, rules=args.rules,
-                      baseline=baseline,
-                      root=_lint_root(args.paths),
-                      flow=args.flow)
+    report = run_lint(args.paths or None, rules=args.rules, baseline=baseline,
+                      root=_lint_root(args.paths), flow=args.flow)
 
     if args.write_baseline:
-        previous = (Baseline.load(baseline_path)
-                    if baseline_path.exists() else None)
-        base = write_baseline(report, baseline_path, previous)
-        _deliver(f"baseline written to {baseline_path} "
-                 f"({len(base)} entries)", args)
-        return 0
+        base = write_baseline(report, baseline_path, stored())
+        return utility(f"baseline written to {baseline_path} ({len(base)} entries)")
 
     if args.prune_baseline:
-        base = (Baseline.load(baseline_path)
-                if baseline_path.exists() else Baseline())
+        base = stored()
         base.path = baseline_path
         removed = prune_baseline(report, base)
-        _deliver(f"pruned {len(removed)} stale entr"
-                 f"{'y' if len(removed) == 1 else 'ies'} from "
-                 f"{baseline_path} ({len(base)} left)", args)
-        return 0
+        return utility(f"pruned {len(removed)} stale entr"
+                       f"{'y' if len(removed) == 1 else 'ies'} from "
+                       f"{baseline_path} ({len(base)} left)")
 
-    record = report.to_run_record()
-    body = record.to_json() if args.json else \
-        report.render(with_trace=args.trace)
-    _deliver(body, args)
-    if args.strict and not report.clean:
-        print(f"lint: {len(report.errors)} non-baselined finding(s)",
-              file=sys.stderr)
-        return 1
+    return (report.render(with_trace=args.trace), report.to_run_record(),
+            f"lint: {len(report.errors)} non-baselined finding(s)")
+
+
+def _demo() -> str:
+    from .congest import Network
+    from .graphs import random_connected_graph, spanning_tree_of
+    from .routing import route_in_tree
+    from .treerouting import build_distributed_tree_scheme
+
+    graph = random_connected_graph(200, seed=1)
+    tree = spanning_tree_of(graph, style="dfs")
+    net = Network(graph)
+    build = build_distributed_tree_scheme(net, tree, seed=1)
+    nodes = sorted(tree)
+    result = route_in_tree(build.scheme, nodes[0], nodes[-1],
+                           weight_of=lambda u, v: graph[u][v]["weight"])
+    return (f"n=200 tree routing: {build.rounds} rounds, "
+            f"{build.max_memory_words} words/vertex peak, "
+            f"route {nodes[0]}->{nodes[-1]}: {result.hops} hops, "
+            f"length {result.length:.2f} (exact)")
+
+
+def _cmd_demo(args):
+    demo, record = record_run(lambda: _Plain("demo", _demo()))
+    return demo.body, record
+
+
+def _cmd_dashboard(args):
+    root = Path(args.root) if args.root else _REPO_ROOT
+    out = build_dashboard(root, args.out, record_paths=[Path(p) for p in args.record],
+                          title=args.title)
+    if not args.quiet:
+        print(f"dashboard written to {out}")
     return 0
+
+
+def _cmd_report(args):
+    spec = ReportSpec.fast() if args.fast else ReportSpec()
+    generate = generate_report_json if args.json else generate_report
+    report, record = record_run(lambda: _Plain("report", generate(spec)))
+    if not args.json:
+        return report.body, record
+    # The report's verdicts are those of its two table records.
+    record.verdicts = [verdict_from_dict(v) for table in ("table2", "table1")
+                       for v in report.body[table]["verdicts"]]
+    return ("", record, "bound-checker violations in report",
+            json.dumps(report.body, indent=2, default=repr))
+
+
+#: command -> (add_arguments, handler)
+COMMANDS: Dict[str, Tuple[Callable[..., None], Callable[[argparse.Namespace], Any]]] = {
+    "table1": (_args_table1, _cmd_table1),
+    "table2": (_args_table2, _cmd_table2),
+    "fig": (_args_fig, _cmd_fig),
+    "trace": (_args_trace, _cmd_trace),
+    "serve": (_args_serve, _cmd_serve),
+    "monitor": (_args_monitor, _cmd_monitor),
+    "explain": (_args_explain, _cmd_explain),
+    "lint": (_args_lint, _cmd_lint),
+    "demo": (_args_demo, _cmd_demo),
+    "dashboard": (_args_dashboard, _cmd_dashboard),
+    "report": (_args_report, _cmd_report),
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("table1", "table2"):
-        return _run_table(args)
-    if args.command == "fig":
-        return _run_fig(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "monitor":
-        return _run_monitor(args)
-    if args.command == "explain":
-        return _run_explain(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    if args.command == "dashboard":
-        root = Path(args.root) if args.root else _REPO_ROOT
-        out = build_dashboard(
-            root, args.out,
-            record_paths=[Path(p) for p in args.record],
-            title=args.title,
-        )
-        if not args.quiet:
-            print(f"dashboard written to {out}")
-        return 0
-    if args.command == "demo":
-        if args.profile:
-            with collect() as tele:
-                text = _demo()
-            _deliver(text + "\n\n" + tele.profile(), args)
-        else:
-            _deliver(_demo(), args)
-        return 0
-    if args.command == "report":
-        spec = ReportSpec.fast() if args.fast else ReportSpec()
-        if args.json:
-            doc = generate_report_json(spec)
-            _deliver(json.dumps(doc, indent=2, default=repr), args)
-            if args.strict and not doc["passed"]:
-                print("bound-checker violations in report", file=sys.stderr)
-                return 1
-        else:
-            _deliver(generate_report(spec), args)
-        return 0
-    return 0
+    outcome = COMMANDS[args.command][1](args)
+    return outcome if isinstance(outcome, int) else _finish(args, *outcome)
 
 
 if __name__ == "__main__":

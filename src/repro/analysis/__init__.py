@@ -17,9 +17,7 @@ from .tables import (
     Table1Result,
     Table2Result,
     run_table1,
-    run_table1_recorded,
     run_table2,
-    run_table2_recorded,
     table1_verdicts,
     table2_verdicts,
 )
@@ -42,9 +40,7 @@ __all__ = [
     "generate_report_json",
     "format_table",
     "run_table1",
-    "run_table1_recorded",
     "run_table2",
-    "run_table2_recorded",
     "table1_verdicts",
     "table2_verdicts",
 ]

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..telemetry import RunRecord, record_run
 from .figures import (
     fig_stretch,
     fig_tree_memory,
@@ -22,12 +23,7 @@ from .figures import (
     fig_tree_styles,
 )
 from .reporting import format_records
-from .tables import (
-    run_table1,
-    run_table1_recorded,
-    run_table2,
-    run_table2_recorded,
-)
+from .tables import Table1Result, Table2Result, run_table1, run_table2
 
 
 @dataclass
@@ -55,10 +51,41 @@ class ReportSpec:
         )
 
 
+#: The report's four sweeps: JSON key -> markdown section title.
+_FIGURE_TITLES = {
+    "tree_rounds": "F1 — tree-routing rounds vs n",
+    "tree_memory": "F2 — construction memory vs n",
+    "stretch": "F4 — stretch vs k",
+    "tree_styles": "F9 — tree-shape insensitivity",
+}
+
+
+def _measure(spec: ReportSpec) -> Tuple[
+    Table2Result, RunRecord, Table1Result, RunRecord,
+    Dict[str, List[Dict[str, object]]],
+]:
+    """Run both tables (recorded) and the four sweeps, for either rendering."""
+    t2, t2_record = record_run(run_table2, spec.table2_n, seed=spec.seed)
+    t1, t1_record = record_run(
+        run_table1, spec.table1_n, spec.table1_k, seed=spec.seed,
+        pairs=spec.pairs,
+    )
+    figures = {
+        "tree_rounds": fig_tree_rounds(sizes=spec.tree_sizes, seed=spec.seed),
+        "tree_memory": fig_tree_memory(sizes=spec.tree_sizes, seed=spec.seed),
+        "stretch": fig_stretch(
+            n=spec.stretch_n, ks=(2, 3), seed=spec.seed, pairs=spec.pairs
+        ),
+        "tree_styles": fig_tree_styles(n=max(spec.tree_sizes), seed=spec.seed),
+    }
+    return t2, t2_record, t1, t1_record, figures
+
+
 def generate_report(spec: Optional[ReportSpec] = None) -> str:
     """Run the harnesses and render a markdown report."""
     spec = spec or ReportSpec()
     started = time.time()
+    t2, _, t1, _, figures = _measure(spec)
     sections: List[str] = [
         "# Reproduction report",
         "",
@@ -68,7 +95,6 @@ def generate_report(spec: Optional[ReportSpec] = None) -> str:
         "",
     ]
 
-    t2 = run_table2(spec.table2_n, seed=spec.seed)
     sections += ["## Table 2 — exact tree routing", "```", t2.render(), "```", ""]
     ours, base = t2.row("this-paper"), t2.row("EN16b-baseline")
     sections.append(
@@ -78,9 +104,6 @@ def generate_report(spec: Optional[ReportSpec] = None) -> str:
     )
     sections.append("")
 
-    t1 = run_table1(
-        spec.table1_n, spec.table1_k, seed=spec.seed, pairs=spec.pairs
-    )
     sections += ["## Table 1 — compact routing", "```", t1.render(), "```", ""]
     mine = t1.row("this-paper")
     sections.append(
@@ -89,18 +112,9 @@ def generate_report(spec: Optional[ReportSpec] = None) -> str:
     )
     sections.append("")
 
-    for title, records in [
-        ("F1 — tree-routing rounds vs n",
-         fig_tree_rounds(sizes=spec.tree_sizes, seed=spec.seed)),
-        ("F2 — construction memory vs n",
-         fig_tree_memory(sizes=spec.tree_sizes, seed=spec.seed)),
-        ("F4 — stretch vs k",
-         fig_stretch(n=spec.stretch_n, ks=(2, 3), seed=spec.seed,
-                     pairs=spec.pairs)),
-        ("F9 — tree-shape insensitivity",
-         fig_tree_styles(n=max(spec.tree_sizes), seed=spec.seed)),
-    ]:
-        sections += [f"## {title}", "```", format_records(records), "```", ""]
+    for key, records in figures.items():
+        sections += [f"## {_FIGURE_TITLES[key]}", "```",
+                     format_records(records), "```", ""]
 
     sections.append(
         f"_Generated in {time.time() - started:.1f}s; the assertion-checked "
@@ -111,31 +125,16 @@ def generate_report(spec: Optional[ReportSpec] = None) -> str:
 
 
 def generate_report_json(spec: Optional[ReportSpec] = None) -> Dict[str, object]:
-    """Machine-readable twin of :func:`generate_report`.
+    """Machine-readable rendering of the same measurement.
 
-    Runs the same harnesses but returns a single JSON-serializable dict:
-    the table runs become full :class:`~repro.telemetry.RunRecord`
-    manifests (workload, spans, counters, paper-bound verdicts), the
-    figure sweeps stay raw records, and ``passed`` aggregates every
-    verdict so CI can gate on one field.
+    Returns a single JSON-serializable dict: the table runs as full
+    :class:`~repro.telemetry.RunRecord` manifests (workload, spans,
+    counters, paper-bound verdicts), the figure sweeps as raw records,
+    and ``passed`` aggregating every verdict so CI can gate on one field.
     """
     spec = spec or ReportSpec()
     started = time.time()
-
-    _, t2_record = run_table2_recorded(spec.table2_n, seed=spec.seed)
-    _, t1_record = run_table1_recorded(
-        spec.table1_n, spec.table1_k, seed=spec.seed, pairs=spec.pairs
-    )
-
-    figures: Dict[str, List[Dict[str, object]]] = {
-        "tree_rounds": fig_tree_rounds(sizes=spec.tree_sizes, seed=spec.seed),
-        "tree_memory": fig_tree_memory(sizes=spec.tree_sizes, seed=spec.seed),
-        "stretch": fig_stretch(
-            n=spec.stretch_n, ks=(2, 3), seed=spec.seed, pairs=spec.pairs
-        ),
-        "tree_styles": fig_tree_styles(n=max(spec.tree_sizes), seed=spec.seed),
-    }
-
+    _, t2_record, _, t1_record, figures = _measure(spec)
     return {
         "kind": "report",
         "seed": spec.seed,

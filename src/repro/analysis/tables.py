@@ -9,9 +9,8 @@ outputs and the shape assertions).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from ..baselines.en16_tree import build_en16_tree_scheme
 from ..baselines.landmark import build_landmark_scheme
@@ -27,7 +26,6 @@ from ..telemetry import (
     check_table1_relations,
     check_table2_relations,
     check_tree_columns,
-    collect,
     make_run_record,
 )
 from ..treerouting.scheme import build_distributed_tree_scheme
@@ -45,6 +43,9 @@ class Table2Result:
     n: int
     hop_diameter_bound: int
     rows: List[Dict[str, Any]] = field(default_factory=list)
+    seed: int = 0
+    tree_style: str = "dfs"
+    avg_degree: float = 6.0
 
     def render(self) -> str:
         return format_records(
@@ -53,6 +54,23 @@ class Table2Result:
                 f"Table 2 (measured): exact tree routing, n={self.n}, "
                 f"D<={self.hop_diameter_bound}"
             ),
+        )
+
+    def to_run_record(self) -> RunRecord:
+        """The bound-checked ``table2`` manifest of this run."""
+        return make_run_record(
+            "table2",
+            workload={
+                "generator": "random_connected_graph",
+                "n": self.n,
+                "avg_degree": self.avg_degree,
+                "tree_style": self.tree_style,
+                "seed": self.seed,
+                "scheme": "tree-routing",
+                "hop_diameter_bound": self.hop_diameter_bound,
+            },
+            columns=self.rows,
+            verdicts=table2_verdicts(self),
         )
 
     def row(self, scheme: str) -> Dict[str, Any]:
@@ -72,7 +90,8 @@ def run_table2(
     """Build all three Table-2 schemes on one (network, tree) pair."""
     graph = random_connected_graph(n, seed=seed, avg_degree=avg_degree)
     tree = spanning_tree_of(graph, style=tree_style, seed=seed)
-    result = Table2Result(n=n, hop_diameter_bound=0)
+    result = Table2Result(n=n, hop_diameter_bound=0, seed=seed,
+                          tree_style=tree_style, avg_degree=avg_degree)
 
     # This paper (Section 3): O(1) tables, O(log n) labels, O(log n) memory.
     net = Network(graph)
@@ -121,11 +140,33 @@ class Table1Result:
     rows: List[Dict[str, Any]] = field(default_factory=list)
     epsilon: float = 0.05
     hop_diameter_bound: int = 0
+    seed: int = 0
+    pairs: int = 150
+    avg_degree: float = 6.0
 
     def render(self) -> str:
         return format_records(
             self.rows,
             title=f"Table 1 (measured): compact routing, n={self.n}, k={self.k}",
+        )
+
+    def to_run_record(self) -> RunRecord:
+        """The bound-checked ``table1`` manifest of this run."""
+        return make_run_record(
+            "table1",
+            workload={
+                "generator": "random_connected_graph",
+                "n": self.n,
+                "k": self.k,
+                "avg_degree": self.avg_degree,
+                "pairs": self.pairs,
+                "epsilon": self.epsilon,
+                "seed": self.seed,
+                "scheme": "compact-routing",
+                "hop_diameter_bound": self.hop_diameter_bound,
+            },
+            columns=self.rows,
+            verdicts=table1_verdicts(self),
         )
 
     def row(self, scheme: str) -> Dict[str, Any]:
@@ -147,7 +188,8 @@ def run_table1(
     """Build the Table-1 schemes on one network and measure every column."""
     graph = random_connected_graph(n, seed=seed, avg_degree=avg_degree)
     pair_sample = sample_pairs(list(graph.nodes), pairs, seed=seed + 1)
-    result = Table1Result(n=n, k=k, epsilon=epsilon)
+    result = Table1Result(n=n, k=k, epsilon=epsilon, seed=seed,
+                          pairs=pairs, avg_degree=avg_degree)
 
     # This paper (Appendix B, distributed).
     report = build_distributed_scheme(graph, k, epsilon=epsilon, seed=seed)
@@ -223,7 +265,7 @@ def run_table1(
     return result
 
 
-# -- telemetry: bound verdicts + RunRecord manifests -------------------------
+# -- telemetry: bound verdicts ------------------------------------------------
 
 def table2_verdicts(result: Table2Result) -> List[BoundVerdict]:
     """Theorem-2 verdicts for every measured Table-2 column."""
@@ -258,74 +300,3 @@ def table1_verdicts(result: Table1Result) -> List[BoundVerdict]:
     )
     verdicts += check_table1_relations(ours, n=result.n)
     return verdicts
-
-
-def run_table2_recorded(
-    n: int = 1000,
-    *,
-    seed: int = 0,
-    tree_style: str = "dfs",
-    avg_degree: float = 6.0,
-) -> Tuple[Table2Result, RunRecord]:
-    """:func:`run_table2` under a telemetry collector; returns the result
-    plus a bound-checked :class:`RunRecord` manifest."""
-    started = time.perf_counter()
-    with collect() as tele:
-        result = run_table2(
-            n, seed=seed, tree_style=tree_style, avg_degree=avg_degree
-        )
-    record = make_run_record(
-        "table2",
-        workload={
-            "generator": "random_connected_graph",
-            "n": n,
-            "avg_degree": avg_degree,
-            "tree_style": tree_style,
-            "seed": seed,
-            "scheme": "tree-routing",
-            "hop_diameter_bound": result.hop_diameter_bound,
-        },
-        columns=result.rows,
-        verdicts=table2_verdicts(result),
-        collector=tele,
-        wall_s=time.perf_counter() - started,
-    )
-    return result, record
-
-
-def run_table1_recorded(
-    n: int = 300,
-    k: int = 3,
-    *,
-    seed: int = 0,
-    pairs: int = 150,
-    epsilon: float = 0.05,
-    avg_degree: float = 6.0,
-) -> Tuple[Table1Result, RunRecord]:
-    """:func:`run_table1` under a telemetry collector; returns the result
-    plus a bound-checked :class:`RunRecord` manifest."""
-    started = time.perf_counter()
-    with collect() as tele:
-        result = run_table1(
-            n, k, seed=seed, pairs=pairs, epsilon=epsilon,
-            avg_degree=avg_degree,
-        )
-    record = make_run_record(
-        "table1",
-        workload={
-            "generator": "random_connected_graph",
-            "n": n,
-            "k": k,
-            "avg_degree": avg_degree,
-            "pairs": pairs,
-            "epsilon": epsilon,
-            "seed": seed,
-            "scheme": "compact-routing",
-            "hop_diameter_bound": result.hop_diameter_bound,
-        },
-        columns=result.rows,
-        verdicts=table1_verdicts(result),
-        collector=tele,
-        wall_s=time.perf_counter() - started,
-    )
-    return result, record

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..telemetry import events as _tele
+
 
 @dataclass
 class PhaseRecord:
@@ -75,6 +77,10 @@ class RunMetrics:
     def end_phase(self) -> None:
         self._open = None
 
+    # ``on_round`` / ``on_charge`` are the one emission site of the
+    # ``congest.*`` telemetry counters: every engine accounts through
+    # them, so collector totals equal these fields by construction.
+
     def on_round(self, messages: int, words: int) -> None:
         self.rounds += 1
         self.messages += messages
@@ -83,11 +89,27 @@ class RunMetrics:
             self._open.rounds += 1
             self._open.messages += messages
             self._open.message_words += words
+        if _tele._collectors:
+            _tele.emit("congest.rounds", 1)
+            if messages:
+                _tele.emit("congest.messages", messages)
+                _tele.emit("congest.message_words", words)
 
-    def on_charge(self, rounds: int) -> None:
+    def on_charge(self, rounds: int, messages: int = 0, words: int = 0) -> None:
+        """Account for analytically charged rounds and the traffic charged
+        with them (traffic goes to the run totals only; a phase record
+        counts the messages of its simulated rounds)."""
         self.charged_rounds += rounds
+        self.messages += messages
+        self.message_words += words
         if self._open is not None:
             self._open.charged_rounds += rounds
+        if _tele._collectors:
+            _tele.emit("congest.charged_rounds", rounds)
+            if messages:
+                _tele.emit("congest.messages", messages)
+            if words:
+                _tele.emit("congest.message_words", words)
 
     # -- reporting -----------------------------------------------------------
 

@@ -71,7 +71,6 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tupl
 import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
-from ..telemetry import events as _tele
 from ..telemetry import flight as _flight
 from ..wordsize import words_of
 from .memory import MemoryBank, MemoryMeter
@@ -312,7 +311,6 @@ class Network:
         self._outbox_words += words
         if slots > 1:
             self.metrics.on_charge(slots - 1)
-            _tele.emit("congest.charged_rounds", slots - 1)
 
     def send_message(self, msg: Message) -> None:
         """Queue an already-built :class:`Message` (the zero-copy send path).
@@ -345,7 +343,6 @@ class Network:
         # Wide payloads occupy several rounds of the edge; charge the extra.
         if slots > 1:
             self.metrics.on_charge(slots - 1)
-            _tele.emit("congest.charged_rounds", slots - 1)
 
     def send_many(
         self, src: NodeId, dsts: Iterable[NodeId], kind: str, payload: Any = None
@@ -405,18 +402,12 @@ class Network:
             count += 1
             if slots > 1:
                 self.metrics.on_charge(slots - 1)
-                _tele.emit("congest.charged_rounds", slots - 1)
         self._outbox_words += words * count
         return count
 
     def _end_round(self, delivered: List[Message], words: int) -> None:
         """Shared round-close path of :meth:`tick` / :meth:`deliver_batch`."""
         self.metrics.on_round(len(delivered), words)
-        if _tele._collectors:
-            _tele.emit("congest.rounds", 1)
-            if delivered:
-                _tele.emit("congest.messages", len(delivered))
-                _tele.emit("congest.message_words", words)
         if self._round_observers:
             for obs in self._round_observers:
                 obs.on_round(self, delivered, words)
@@ -465,18 +456,11 @@ class Network:
         """
         if rounds < 0:
             raise InputError("cannot charge a negative number of rounds")
-        self.metrics.on_charge(int(math.ceil(rounds)))
-        self.metrics.messages += messages
-        self.metrics.message_words += words
-        if _tele._collectors:
-            _tele.emit("congest.charged_rounds", int(math.ceil(rounds)))
-            if messages:
-                _tele.emit("congest.messages", messages)
-            if words:
-                _tele.emit("congest.message_words", words)
+        charged = int(math.ceil(rounds))
+        self.metrics.on_charge(charged, messages, words)
         if self._round_observers:
             for obs in self._round_observers:
-                obs.on_charge(self, int(math.ceil(rounds)), messages, words)
+                obs.on_charge(self, charged, messages, words)
 
     # -- phases ------------------------------------------------------------------
 

@@ -33,7 +33,6 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tupl
 import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
-from ..telemetry import events as _tele
 from ..telemetry import flight as _flight
 from ..wordsize import words_of
 from .memory import MemoryMeter
@@ -171,7 +170,6 @@ class ReferenceNetwork:
         # Wide payloads occupy several rounds of the edge; charge the extra.
         if slots > 1:
             self.metrics.on_charge(slots - 1)
-            _tele.emit("congest.charged_rounds", slots - 1)
 
     def send_many(
         self, src: NodeId, dsts: Iterable[NodeId], kind: str, payload: Any = None
@@ -204,11 +202,6 @@ class ReferenceNetwork:
             inboxes[msg.dst].append(msg)
             words += msg.words
         self.metrics.on_round(len(self._outbox), words)
-        if _tele._collectors:
-            _tele.emit("congest.rounds", 1)
-            if self._outbox:
-                _tele.emit("congest.messages", len(self._outbox))
-                _tele.emit("congest.message_words", words)
         if self._round_observers:
             for obs in self._round_observers:
                 obs.on_round(self, self._outbox, words)
@@ -227,11 +220,6 @@ class ReferenceNetwork:
         for msg in delivered:
             words += msg.words
         self.metrics.on_round(len(delivered), words)
-        if _tele._collectors:
-            _tele.emit("congest.rounds", 1)
-            if delivered:
-                _tele.emit("congest.messages", len(delivered))
-                _tele.emit("congest.message_words", words)
         if self._round_observers:
             for obs in self._round_observers:
                 obs.on_round(self, delivered, words)
@@ -248,18 +236,11 @@ class ReferenceNetwork:
         """Account for ``rounds`` rounds computed analytically."""
         if rounds < 0:
             raise InputError("cannot charge a negative number of rounds")
-        self.metrics.on_charge(int(math.ceil(rounds)))
-        self.metrics.messages += messages
-        self.metrics.message_words += words
-        if _tele._collectors:
-            _tele.emit("congest.charged_rounds", int(math.ceil(rounds)))
-            if messages:
-                _tele.emit("congest.messages", messages)
-            if words:
-                _tele.emit("congest.message_words", words)
+        charged = int(math.ceil(rounds))
+        self.metrics.on_charge(charged, messages, words)
         if self._round_observers:
             for obs in self._round_observers:
-                obs.on_charge(self, int(math.ceil(rounds)), messages, words)
+                obs.on_charge(self, charged, messages, words)
 
     # -- phases ------------------------------------------------------------------
 

@@ -15,15 +15,16 @@ structure with a **virtual clock**: query ``i`` happens at
 1000 virtual QPS therefore spans two virtual seconds of traffic, and an
 injected failure burst trips the fast burn-rate arm at the same virtual
 timestamp on every host.  The resulting :class:`MonitorReport` and its
-RunRecord (kind ``"monitor"``) carry the full metrics snapshot, the SLO
-budget state, and the alert transition log.
+RunRecord (kind ``"monitor"``, :meth:`MonitorReport.to_run_record`)
+carry the full metrics snapshot, the SLO budget state, and the alert
+transition log.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, TextIO, Tuple
+from typing import Any, Dict, Hashable, List, Optional, TextIO
 
 import networkx as nx
 
@@ -60,11 +61,40 @@ class MonitorReport:
     active_alerts: List[str] = field(default_factory=list)
     alert_transitions: int = 0
     snapshot: Dict[str, Any] = field(default_factory=dict)
+    mode: str = "first"
+    cache_size: int = 4096
 
     @property
     def healthy(self) -> bool:
         """No burn-rate alert firing and error budget not exhausted."""
         return not self.active_alerts and self.budget_remaining > 0.0
+
+    def to_run_record(self) -> RunRecord:
+        """The ``monitor`` manifest: the report row, the registry
+        snapshot as ``metrics`` and the SLO-budget verdict."""
+        verdict = BoundVerdict(
+            name=f"monitor/{self.workload}/slo-budget",
+            column="budget_remaining",
+            formula="budget_remaining > 0 and no burn-rate alert firing",
+            measured=round(self.budget_remaining, 6),
+            limit=0.0,
+            passed=self.healthy,
+        )
+        return make_run_record(
+            "monitor",
+            workload={
+                "workload": self.workload,
+                "queries": self.queries,
+                "seed": self.seed,
+                "mode": self.mode,
+                "cache_size": self.cache_size,
+                "target_qps": self.target_qps,
+                "objective": self.objective,
+            },
+            columns=[self.to_row()],
+            verdicts=[verdict],
+            metrics=self.snapshot,
+        )
 
     def to_row(self) -> Dict[str, Any]:
         row: Dict[str, Any] = {
@@ -153,13 +183,13 @@ def run_monitor(
     metrics: Optional[ServeMetrics] = None,
     status_stream: Optional[TextIO] = None,
     refresh_every: int = 200,
-) -> Tuple[MonitorReport, RunRecord]:
+) -> MonitorReport:
     """Replay ``queries`` seeded queries, scoring each against the SLO.
 
     Pass ``status_stream`` (e.g. ``sys.stderr``) to get the live
     refreshing status line; ``None`` (the default) renders nothing.
-    Returns the report plus a RunRecord of kind ``"monitor"`` whose
-    ``metrics`` section holds the full registry snapshot and SLO state.
+    The report's ``snapshot`` holds the full registry snapshot and SLO
+    state; ``record_run(run_monitor, ...)`` gives its RunRecord.
     """
     from ..serve.compile import CompiledGraphScheme, compile_scheme
     from ..serve.engine import ServeEngine
@@ -168,7 +198,6 @@ def run_monitor(
 
     if target_qps <= 0:
         raise ValueError("target_qps must be positive")
-    started = time.perf_counter()
     compiled = compile_scheme(scheme, graph)
     if metrics is None:
         metrics = ServeMetrics(slo_objective=objective)
@@ -235,7 +264,7 @@ def run_monitor(
     lat = metrics.latency_us.sketch
     hops = metrics.hops.sketch
     stretch_sk = metrics.stretch.sketch
-    report = MonitorReport(
+    return MonitorReport(
         workload=workload,
         queries=len(pairs),
         seed=seed,
@@ -256,29 +285,6 @@ def run_monitor(
         active_alerts=metrics.slo.active_alerts(),
         alert_transitions=len(metrics.slo.alerts),
         snapshot=snapshot,
+        mode=mode,
+        cache_size=cache_size,
     )
-    verdict = BoundVerdict(
-        name=f"monitor/{workload}/slo-budget",
-        column="budget_remaining",
-        formula="budget_remaining > 0 and no burn-rate alert firing",
-        measured=round(report.budget_remaining, 6),
-        limit=0.0,
-        passed=report.healthy,
-    )
-    record = make_run_record(
-        "monitor",
-        workload={
-            "workload": workload,
-            "queries": report.queries,
-            "seed": seed,
-            "mode": mode,
-            "cache_size": cache_size,
-            "target_qps": target_qps,
-            "objective": objective,
-        },
-        columns=[report.to_row()],
-        verdicts=[verdict],
-        metrics=snapshot,
-        wall_s=time.perf_counter() - started,
-    )
-    return report, record

@@ -31,7 +31,6 @@ from .harness import (
     ServeReport,
     percentile,
     run_serving,
-    run_serving_recorded,
     serve_pairs,
     slo_verdict,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "make_workload",
     "percentile",
     "run_serving",
-    "run_serving_recorded",
     "seal_to_buffers",
     "serve_pairs",
     "slo_verdict",

@@ -9,8 +9,9 @@ rate, the count-and-continue failure tally, and a **stretch-SLO verdict**
 :class:`~repro.telemetry.bounds.BoundVerdict` so ``--strict`` runs and the
 dashboard treat it like every other paper bound.
 
-``run_serving_recorded`` wraps the run in a telemetry collector and emits
-the :class:`~repro.telemetry.RunRecord` behind ``repro serve --json``.
+``ServeReport.to_run_record`` says what the run's
+:class:`~repro.telemetry.RunRecord` holds; ``repro serve`` runs under
+:func:`~repro.telemetry.record_run`, which adds spans and counters.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ class ServeReport:
     #: arrival-dependent at the reservoir boundary).
     exemplars: List[Dict[str, Any]] = field(
         default_factory=list, repr=False, compare=False)
+    #: per-worker rows of a sharded run (the RunRecord ``shards``
+    #: section, :func:`repro.shard.report.shards_section`); empty for
+    #: single-process runs.
+    shard_rows: List[Dict[str, Any]] = field(
+        default_factory=list, repr=False, compare=False)
 
     @property
     def slo_ok(self) -> Optional[bool]:
@@ -181,6 +187,26 @@ class ServeReport:
             row["shards"] = self.shards
         row.update(self.packed)
         return row
+
+    def to_run_record(self) -> RunRecord:
+        """The ``serve`` manifest of this run (with its ``shards``
+        section when the report was merged from a sharded run)."""
+        verdict = slo_verdict(self)
+        return make_run_record(
+            "serve",
+            workload={
+                "workload": self.workload,
+                "queries": self.queries,
+                "seed": self.seed,
+                "mode": self.mode,
+                "cache_size": self.cache_size,
+            },
+            columns=[self.to_row()],
+            verdicts=[verdict] if verdict is not None else [],
+            metrics=self.metrics,
+            traces=[t.to_dict() for t in self.traces],
+            shards=self.shard_rows,
+        )
 
     def render(self) -> str:
         lines = [
@@ -543,37 +569,6 @@ def serve_pairs(
     if slo_fraction is not None:
         _tele.gauge("serve.slo_fraction", slo_fraction)
     return report, results
-
-
-def run_serving_recorded(
-    scheme: Scheme,
-    graph: nx.Graph,
-    **kwargs: Any,
-) -> Tuple[ServeReport, RunRecord]:
-    """``run_serving`` under a collector, returning the RunRecord."""
-    from ..telemetry import collect
-
-    started = time.perf_counter()
-    with collect() as tele:
-        report, _ = run_serving(scheme, graph, **kwargs)
-    verdict = slo_verdict(report)
-    record = make_run_record(
-        "serve",
-        workload={
-            "workload": report.workload,
-            "queries": report.queries,
-            "seed": report.seed,
-            "mode": report.mode,
-            "cache_size": report.cache_size,
-        },
-        columns=[report.to_row()],
-        verdicts=[verdict] if verdict is not None else [],
-        collector=tele,
-        metrics=report.metrics,
-        traces=[t.to_dict() for t in report.traces],
-        wall_s=time.perf_counter() - started,
-    )
-    return report, record
 
 
 # ---------------------------------------------------------------------------

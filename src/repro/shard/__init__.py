@@ -15,14 +15,13 @@ on the same stream.
   and per-shard seed splitting;
 * :mod:`~repro.shard.worker` -- the worker loop: attach, serve, report;
 * :mod:`~repro.shard.pool` -- :class:`ShardPool` lifecycle plus the
-  ``run_sharded`` / ``run_sharded_recorded`` entry points behind
-  ``repro serve --workers N``;
+  ``run_sharded`` entry point behind ``repro serve --workers N``;
 * :mod:`~repro.shard.report` -- report transport across the worker pipe
   and the RunRecord ``shards`` section.
 """
 
 from .plan import partition_pairs, shard_of, split_seed
-from .pool import ShardPool, run_sharded, run_sharded_recorded
+from .pool import ShardPool, run_sharded
 from .report import payload_report, report_payload, shards_section
 from .tables import (
     NO_ID,
@@ -50,7 +49,6 @@ __all__ = [
     "payload_report",
     "report_payload",
     "run_sharded",
-    "run_sharded_recorded",
     "seal_to_buffers",
     "shard_of",
     "shards_section",

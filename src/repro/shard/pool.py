@@ -39,10 +39,9 @@ import networkx as nx
 from ..errors import InputError, ShardError
 from ..serve.compile import CompiledGraphScheme, CompiledScheme, Scheme, compile_scheme
 from ..serve.engine import ServeResult
-from ..serve.harness import ServeReport, slo_verdict
+from ..serve.harness import ServeReport
 from ..serve.workloads import make_workload
 from ..telemetry import events as _tele
-from ..telemetry.runrecord import RunRecord, make_run_record
 from .plan import partition_pairs, shard_of, split_seed
 from .report import payload_report, shards_section
 from .tables import SealedTables, seal_to_buffers
@@ -351,7 +350,7 @@ class ShardPool:
 
 
 # ---------------------------------------------------------------------------
-# One-shot entry points (the CLI path)
+# One-shot entry point (the CLI path)
 # ---------------------------------------------------------------------------
 
 def run_sharded(
@@ -372,7 +371,6 @@ def run_sharded(
     cache_entries: Optional[Sequence[Tuple[Any, Any]]] = None,
     cache_out: Optional[List[Tuple[Any, Any]]] = None,
     collect_results: bool = False,
-    pool_out: Optional[List[ShardPool]] = None,
 ) -> Tuple[ServeReport, Optional[List[ServeResult]]]:
     """Sharded twin of :func:`repro.serve.run_serving`: compile once, seal,
     fan the seeded workload over ``workers`` engines, merge exactly.
@@ -380,9 +378,10 @@ def run_sharded(
     The workload is generated in the parent from the same
     ``(workload, seed)`` stream as a single-process run, so the merged
     report is field-identical to :func:`run_serving`'s on the same
-    arguments (wall-clock columns aside).  ``pool_out``, when given, has
-    the (closed) pool appended for post-run inspection — per-shard
-    reports, seeds, manifest — which the RunRecord path uses.
+    arguments (wall-clock columns aside).  The merged report carries
+    its ``shard_rows`` — one row per worker (partition size, per-shard
+    throughput, cache counters, split seed) plus the table-image
+    provenance — which become the RunRecord ``shards`` section.
     """
     with _tele.span("shard/run", workers=workers, workload=workload,
                     queries=queries):
@@ -411,50 +410,8 @@ def run_sharded(
             merged.compile_s = compile_s
             merged.throughput_qps = (merged.queries / merged.serve_s
                                      if merged.serve_s > 0 else 0.0)
-            if pool_out is not None:
-                pool_out.append(pool)
+            merged.shard_rows = shards_section(
+                pool.shard_reports, seeds=pool.seeds, shm=pool.shm,
+                manifest=pool.manifest,
+            )
         return merged, results
-
-
-def run_sharded_recorded(
-    scheme: Scheme,
-    graph: nx.Graph,
-    **kwargs: Any,
-) -> Tuple[ServeReport, RunRecord]:
-    """``run_sharded`` under a collector, returning the RunRecord.
-
-    The record is the ordinary ``serve`` kind with an extra ``shards``
-    section: one row per worker (partition size, per-shard throughput,
-    cache counters, split seed) plus the table-image provenance.
-    """
-    from ..telemetry import collect
-
-    started = time.perf_counter()
-    pools: List[ShardPool] = []
-    with collect() as tele:
-        report, _ = run_sharded(scheme, graph, pool_out=pools, **kwargs)
-    pool = pools[0]
-    verdict = slo_verdict(report)
-    record = make_run_record(
-        "serve",
-        workload={
-            "workload": report.workload,
-            "queries": report.queries,
-            "seed": report.seed,
-            "mode": report.mode,
-            "cache_size": report.cache_size,
-        },
-        columns=[report.to_row()],
-        verdicts=[verdict] if verdict is not None else [],
-        collector=tele,
-        metrics=report.metrics,
-        traces=[t.to_dict() for t in report.traces],
-        shards=shards_section(
-            pool.shard_reports,
-            seeds=pool.seeds,
-            shm=pool.shm,
-            manifest=pool.manifest,
-        ),
-        wall_s=time.perf_counter() - started,
-    )
-    return report, record

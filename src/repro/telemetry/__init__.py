@@ -8,7 +8,8 @@ The observability layer every execution funnels through:
   :class:`TelemetryCollector` building a span tree with per-span round
   attribution and a ``profile()`` renderer;
 * :mod:`~repro.telemetry.runrecord` -- the :class:`RunRecord` manifest
-  (provenance + measurements + verdicts, JSON/JSONL round-trip);
+  (provenance + measurements + verdicts, JSON/JSONL round-trip) and
+  :func:`record_run`, the one recorded-run wrapper;
 * :mod:`~repro.telemetry.bounds` -- the paper-bound checker evaluating
   Theorems 2/3 closed forms against measured columns;
 * :mod:`~repro.telemetry.flight` -- the opt-in flight recorder sampling
@@ -46,7 +47,7 @@ from .dashboard import build_dashboard, render_dashboard
 from .events import attach, collect, detach, emit, enabled, gauge, span
 from .flight import FlightConfig, FlightRecorder, attach_flight_recorder
 from .regress import RegressionReport, Tolerances, compare_payload
-from .runrecord import RunRecord, make_run_record, peak_rss_kb
+from .runrecord import RunRecord, make_run_record, peak_rss_kb, record_run
 from .trajectory import append_entry, baseline_entry, load_trajectory, make_entry
 
 __all__ = [
@@ -83,6 +84,7 @@ __all__ = [
     "gauge",
     "make_run_record",
     "peak_rss_kb",
+    "record_run",
     "render_profile",
     "span",
     "verdict_from_dict",

@@ -15,10 +15,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .bounds import BoundVerdict
-from .collector import TelemetryCollector
+from .events import collect
 
 SCHEMA_VERSION = 1
 
@@ -155,14 +155,13 @@ def make_run_record(
     workload: Dict[str, Any],
     columns: List[Dict[str, Any]],
     verdicts: Optional[List[BoundVerdict]] = None,
-    collector: Optional[TelemetryCollector] = None,
     flight: Optional[List[Dict[str, Any]]] = None,
     metrics: Optional[Dict[str, Any]] = None,
     traces: Optional[List[Dict[str, Any]]] = None,
     shards: Optional[List[Dict[str, Any]]] = None,
-    wall_s: float = 0.0,
 ) -> RunRecord:
-    """Assemble a RunRecord from measurements plus an optional collector.
+    """Assemble a RunRecord from measurements (what a result object's
+    ``to_run_record()`` returns; :func:`record_run` adds the telemetry).
 
     ``flight`` takes flight-recorder ``to_dict()`` payloads (one per
     recorded network, e.g. ``session.to_dicts()`` from
@@ -173,7 +172,7 @@ def make_run_record(
     ``shards`` per-worker rows from a sharded serve
     (:func:`repro.shard.report.shards_section` payloads), likewise.
     """
-    record = RunRecord(
+    return RunRecord(
         kind=kind,
         workload=workload,
         columns=columns,
@@ -182,13 +181,36 @@ def make_run_record(
         metrics=dict(metrics or {}),
         traces=list(traces or []),
         shards=list(shards or []),
-        wall_s=wall_s,
     )
-    if collector is not None:
-        record.spans = collector.span_dicts()
-        record.counters = dict(collector.counters)
-        record.gauges = dict(collector.gauges)
-    return record
+
+
+def record_run(
+    run: Callable[..., Any], *args: Any, **kwargs: Any
+) -> Tuple[Any, RunRecord]:
+    """``run(*args, **kwargs)`` under a fresh collector: ``(result, record)``.
+
+    The one place a run is wrapped in a collector.  The result says what
+    its record holds -- ``result.to_run_record()`` gives kind, workload,
+    columns and verdicts (:class:`~repro.analysis.Table2Result`,
+    :class:`~repro.serve.ServeReport`, ...) -- and this helper adds what
+    only the wrapper sees: the spans, counters and gauges emitted during
+    the call and its wall-clock.  A runner that returns more than its
+    report is recorded through a lambda::
+
+        report, record = record_run(lambda: run_serving(scheme, graph)[0])
+
+    Library code stays collector-free (zero overhead when detached);
+    callers that want a RunRecord come here.
+    """
+    started = time.perf_counter()
+    with collect() as tele:
+        result = run(*args, **kwargs)
+    record = result.to_run_record()
+    record.spans = tele.span_dicts()
+    record.counters = dict(tele.counters)
+    record.gauges = dict(tele.gauges)
+    record.wall_s = time.perf_counter() - started
+    return result, record
 
 
 def _jsonable(value: Any) -> Any:

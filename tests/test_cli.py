@@ -189,3 +189,141 @@ class TestTelemetrySurfaces:
             "tree_rounds", "tree_memory", "stretch", "tree_styles"
         }
         assert doc["figures"]["tree_rounds"][0]["n"] == 150
+
+
+@pytest.fixture(scope="module")
+def traces_file(tmp_path_factory):
+    """A trace file for ``explain``, written by ``serve --trace-out``."""
+    path = tmp_path_factory.mktemp("traces") / "traces.jsonl"
+    assert main(["serve", "--n", "60", "--k", "2", "--queries", "300",
+                 "--workload", "zipf", "--quiet", "--trace-out", str(path),
+                 "--trace-rate", "0.1"]) == 0
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def lint_target(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lintme") / "clean.py"
+    path.write_text("x = 1\n")
+    return str(path)
+
+
+_SERVE = ["serve", "--n", "60", "--k", "2", "--queries", "200"]
+
+#: Every recordable command: (id, argv, RunRecord kind, --strict exit code).
+RECORDABLE = [
+    ("table1", ["table1", "--n", "80", "--k", "2", "--pairs", "20"],
+     "table1", 0),
+    ("table2", ["table2", "--n", "120"], "table2", 0),
+    ("serve", _SERVE, "serve", 0),
+    ("serve-slo-miss", _SERVE + ["--slo-target", "1.01"], "serve", 1),
+    ("serve-workers-2", _SERVE + ["--workers", "2"], "serve", 0),
+    ("monitor", ["monitor", "--n", "60", "--k", "2", "--queries", "200"],
+     "monitor", 0),
+    ("explain", ["explain", "--worst", "2", "--traces", "<traces>"],
+     "explain", 0),
+    ("trace", ["trace", "tree-styles"], "fig/tree-styles", 0),
+    ("lint", ["lint", "<lint-target>", "--no-baseline"], "lint", 0),
+]
+
+
+class TestCommandTable:
+    def test_every_table_row_is_a_parsable_command(self, capsys):
+        from repro.__main__ import COMMANDS
+
+        assert {row[1][0] for row in RECORDABLE} <= set(COMMANDS)
+        for name in COMMANDS:
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args([name, "--help"])
+            assert exit_.value.code == 0
+            assert f"repro {name}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,kind,strict_rc",
+        [pytest.param(*row[1:], id=row[0]) for row in RECORDABLE])
+    def test_json_out_and_strict(self, argv, kind, strict_rc, tmp_path,
+                                 capsys, traces_file, lint_target):
+        from repro.telemetry import RunRecord
+
+        argv = [{"<traces>": traces_file,
+                 "<lint-target>": lint_target}.get(a, a) for a in argv]
+        flags = [] if argv[0] == "trace" else ["--json", "--strict"]
+        out = tmp_path / "rec.json"
+        rc = main(argv + flags + ["--out", str(out)])
+        captured = capsys.readouterr()
+        # stdout is one JSON document, --out holds the same text ...
+        assert out.read_text() == captured.out
+        record = RunRecord.from_json(captured.out)
+        assert record.kind == kind
+        assert record.schema_version == 1
+        # ... and --strict fails exactly when a verdict of the record did.
+        assert rc == strict_rc == (0 if record.passed else 1)
+        assert bool(captured.err) == (rc == 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--n", "120", "--json"],
+        ["table1", "--n", "80", "--k", "2", "--pairs", "20", "--json"],
+        _SERVE + ["--json"],
+        ["monitor", "--n", "60", "--k", "2", "--queries", "200", "--json"],
+        ["fig", "tree-styles", "--json"],
+        ["trace", "tree-styles"],
+    ], ids=lambda argv: argv[0])
+    def test_json_with_profile_stays_one_document(self, argv, tmp_path,
+                                                  capsys):
+        """``--json --profile`` used to append the ASCII span tree after
+        the JSON document; it belongs on stderr."""
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--profile", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        json.loads(out.read_text())
+        assert "wall_s" in captured.err and "totals:" in captured.err
+
+    def test_trace_chrome_notice_keeps_stdout_json(self, tmp_path, capsys):
+        chrome = tmp_path / "c.json"
+        assert main(["trace", "tree-styles", "--jsonl",
+                     "--chrome", str(chrome)]) == 0
+        captured = capsys.readouterr()
+        for line in captured.out.strip().splitlines():
+            json.loads(line)
+        assert str(chrome) in captured.err
+
+    def test_serve_trace_chrome_has_span_track_without_other_flags(
+            self, tmp_path, capsys):
+        """Always-recorded: the Chrome trace holds the run's spans even
+        when none of --json/--strict/--profile asked for a record."""
+        chrome = tmp_path / "q.json"
+        assert main(_SERVE + ["--quiet", "--trace-chrome", str(chrome)]) == 0
+        names = {e.get("name")
+                 for e in json.loads(chrome.read_text())["traceEvents"]}
+        assert "serve/run" in names and "serve/queries" in names
+
+    def test_profile_honoured_by_monitor(self, capsys):
+        assert main(["monitor", "--n", "60", "--k", "2", "--queries", "200",
+                     "--no-live", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "HEALTHY" in out and "serve/compile" in out
+
+    def test_profile_honoured_by_report(self, capsys):
+        assert main(["report", "--fast", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "# Reproduction report" in out
+        assert "tree/stage1" in out and "build/hopset" in out
+
+    @pytest.mark.parametrize("command", ["explain", "lint"])
+    def test_profile_not_declared_where_nothing_emits_spans(self, command,
+                                                            capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--profile"])
+        assert "--profile" in capsys.readouterr().err
+
+    def test_shared_flags_declared_once(self):
+        import inspect
+
+        import repro.__main__ as cli
+
+        source = inspect.getsource(cli)
+        for flag in ("--json", "--strict", "--profile", "--workload",
+                     "--queries", "--builder", "--mode", "--cache",
+                     "--zipf-alpha", "--metrics-out"):
+            assert source.count(f'"{flag}"') == 1, flag

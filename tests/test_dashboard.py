@@ -113,7 +113,8 @@ class TestMetricsPanel:
 
         graph = random_connected_graph(50, seed=5)
         scheme = build_centralized_scheme(graph, 2, seed=5)
-        _, record = run_monitor(scheme, graph, queries=150, seed=5)
+        record = run_monitor(scheme, graph, queries=150,
+                             seed=5).to_run_record()
         rec = tmp_path / "monitor.json"
         rec.write_text(record.to_json())
         html = render_dashboard([], record_paths=[rec])
@@ -129,8 +130,9 @@ class TestMetricsPanel:
 
         graph = random_connected_graph(50, seed=6)
         scheme = build_centralized_scheme(graph, 2, seed=6)
-        _, record = run_monitor(scheme, graph, queries=400, seed=6,
-                                slo_bound=0.5, target_qps=100.0)
+        record = run_monitor(scheme, graph, queries=400, seed=6,
+                             slo_bound=0.5,
+                             target_qps=100.0).to_run_record()
         rec = tmp_path / "degraded.json"
         rec.write_text(record.to_json())
         html = render_dashboard([], record_paths=[rec])

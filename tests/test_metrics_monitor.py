@@ -19,7 +19,7 @@ from repro.metrics import (
     parse_prometheus,
     run_monitor,
 )
-from repro.telemetry.runrecord import RunRecord
+from repro.telemetry.runrecord import RunRecord, record_run
 from repro.tz import build_centralized_scheme
 
 SEED = 89
@@ -35,8 +35,8 @@ def built():
 class TestRunMonitor:
     def test_healthy_replay(self, built):
         graph, scheme = built
-        report, record = run_monitor(scheme, graph, workload="zipf",
-                                     queries=400, seed=3)
+        report = run_monitor(scheme, graph, workload="zipf",
+                             queries=400, seed=3)
         assert report.queries == 400
         assert report.failures == 0
         assert report.healthy
@@ -48,7 +48,8 @@ class TestRunMonitor:
 
     def test_run_record_carries_metrics_and_verdict(self, built):
         graph, scheme = built
-        report, record = run_monitor(scheme, graph, queries=200, seed=1)
+        report, record = record_run(run_monitor, scheme, graph,
+                                    queries=200, seed=1)
         assert record.kind == "monitor"
         assert record.metrics, "RunRecord.metrics must hold the snapshot"
         assert record.metrics["slo"]["alerts"] == []
@@ -64,8 +65,9 @@ class TestRunMonitor:
     def test_degraded_bound_fires_alerts(self, built):
         """slo_bound below 1.0 marks every query bad: alerts must fire."""
         graph, scheme = built
-        report, record = run_monitor(scheme, graph, queries=600, seed=2,
-                                     slo_bound=0.5, target_qps=100.0)
+        report, record = record_run(run_monitor, scheme, graph,
+                                    queries=600, seed=2,
+                                    slo_bound=0.5, target_qps=100.0)
         assert not report.healthy
         assert report.active_alerts
         assert report.alert_transitions >= 1
@@ -76,8 +78,9 @@ class TestRunMonitor:
         """S19: a firing alert's structured event names the tail-traced
         queries that burned the budget, linking to ``repro explain``."""
         graph, scheme = built
-        report, record = run_monitor(scheme, graph, queries=600, seed=2,
-                                     slo_bound=0.5, target_qps=100.0)
+        report, record = record_run(run_monitor, scheme, graph,
+                                    queries=600, seed=2,
+                                    slo_bound=0.5, target_qps=100.0)
         alerts = record.metrics["slo"]["alerts"]
         firing = [a for a in alerts if a["state"] == "firing"]
         assert firing
@@ -101,8 +104,8 @@ class TestRunMonitor:
 
     def test_virtual_clock_spans_queries(self, built):
         graph, scheme = built
-        report, _ = run_monitor(scheme, graph, queries=500, seed=5,
-                                target_qps=250.0)
+        report = run_monitor(scheme, graph, queries=500, seed=5,
+                             target_qps=250.0)
         # 500 queries at 250 virtual qps = 2 virtual seconds; the QPS
         # meter saw the whole stream inside its 10s window.
         meter = report.snapshot["repro_serve_qps"]["series"][0]
@@ -115,8 +118,8 @@ class TestRunMonitor:
 
     def test_worst_stretch_exemplars_recorded(self, built):
         graph, scheme = built
-        report, _ = run_monitor(scheme, graph, workload="zipf",
-                                queries=400, seed=6)
+        report = run_monitor(scheme, graph, workload="zipf",
+                             queries=400, seed=6)
         series = report.snapshot["repro_serve_stretch"]["series"][0]
         exemplars = series.get("exemplars", [])
         assert exemplars, "worst-stretch exemplars must be captured"
@@ -132,7 +135,7 @@ class TestRunMonitor:
 
     def test_report_render(self, built):
         graph, scheme = built
-        report, _ = run_monitor(scheme, graph, queries=150, seed=7)
+        report = run_monitor(scheme, graph, queries=150, seed=7)
         text = report.render()
         assert "SLO budget" in text and "HEALTHY" in text
 

@@ -12,9 +12,9 @@ from repro.serve import (
     compile_scheme,
     percentile,
     run_serving,
-    run_serving_recorded,
     slo_verdict,
 )
+from repro.telemetry import record_run
 from repro.tz import build_centralized_scheme, build_tree_scheme
 
 
@@ -103,9 +103,8 @@ class TestRunServing:
 
     def test_recorded_run_record(self, built):
         graph, scheme = built
-        report, record = run_serving_recorded(scheme, graph,
-                                              workload="zipf", queries=150,
-                                              seed=9)
+        report, record = record_run(lambda: run_serving(
+            scheme, graph, workload="zipf", queries=150, seed=9)[0])
         assert record.kind == "serve"
         assert record.workload["workload"] == "zipf"
         assert record.columns[0]["throughput_qps"] > 0

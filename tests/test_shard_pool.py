@@ -19,10 +19,10 @@ from repro.serve.workloads import make_workload
 from repro.shard import (
     ShardPool,
     run_sharded,
-    run_sharded_recorded,
     shard_of,
     split_seed,
 )
+from repro.telemetry import record_run
 from repro.tz import build_centralized_scheme
 
 
@@ -92,9 +92,9 @@ class TestMergedEqualsSingle:
 
     def test_recorded_shards_section(self, built):
         graph, scheme, _ = built
-        report, record = run_sharded_recorded(
+        report, record = record_run(lambda: run_sharded(
             scheme, graph, workers=2, workload="zipf", queries=300,
-            seed=5, start="thread")
+            seed=5, start="thread")[0])
         assert record.kind == "serve"
         rows = record.to_dict()["shards"]
         assert len(rows) == 2

@@ -3,7 +3,7 @@ paper-bound checking)."""
 
 import json
 
-from repro.analysis import run_table2_recorded, table2_verdicts
+from repro.analysis import run_table2, table2_verdicts
 from repro.congest import Network
 from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.telemetry import (
@@ -17,6 +17,7 @@ from repro.telemetry import (
     failures,
     make_run_record,
     peak_rss_kb,
+    record_run,
     render_profile,
     verdict_from_dict,
 )
@@ -160,7 +161,7 @@ class TestBoundChecker:
 
 class TestRunRecord:
     def test_table2_record_has_verdicts_for_every_column(self):
-        result, record = run_table2_recorded(150, seed=2)
+        result, record = record_run(run_table2, 150, seed=2)
         measured_cols = {"rounds", "table_words", "label_words",
                          "memory_words"}
         assert measured_cols <= {v.column for v in record.verdicts}
@@ -170,7 +171,7 @@ class TestRunRecord:
         assert record.wall_s > 0
 
     def test_json_round_trip(self):
-        _, record = run_table2_recorded(120, seed=5)
+        _, record = record_run(run_table2, 120, seed=5)
         blob = record.to_json()
         again = RunRecord.from_json(blob)
         assert again.kind == "table2"
@@ -204,7 +205,7 @@ class TestRunRecord:
         assert peak_rss_kb() > 0
 
     def test_table2_verdicts_standalone(self):
-        result, _ = run_table2_recorded(120, seed=5)
+        result, _ = record_run(run_table2, 120, seed=5)
         verdicts = table2_verdicts(result)
         assert all_passed(verdicts)
 
@@ -228,7 +229,7 @@ class TestProfileRenderer:
         assert art.count("repeat") == 1
 
     def test_render_profile_from_serialized_record(self):
-        _, record = run_table2_recorded(120, seed=5)
+        _, record = record_run(run_table2, 120, seed=5)
         art = render_profile(record.spans, record.counters, record.gauges)
         assert "tree/stage3" in art
 
