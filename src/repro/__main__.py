@@ -236,25 +236,7 @@ def _args_lint(new, shared) -> None:
     add("paths", nargs="*", metavar="PATH",
         help="files/directories to lint (default: src/repro)")
     add("--rules", metavar="IDS",
-        help="comma-separated rule ids (default: the syntactic tier REP001-REP008 + REP012; "
-             "--flow adds REP009-REP011)")
-    add("--flow", action="store_true",
-        help="also run the flow tier: project-wide call graph + interprocedural taint "
-             "analyses (REP009-REP011)")
-    add("--trace", action="store_true",
-        help="print the source->sink taint path under each flow finding")
-    add("--callgraph", choices=("dot", "json"),
-        help="export the project call graph in the given format to stdout and exit (no "
-             "linting)")
-    add("--baseline", metavar="PATH",
-        help="baseline file of grandfathered findings (default: lint-baseline.json at the "
-             "repo root, when present)")
-    add("--no-baseline", action="store_true", help="ignore any baseline file")
-    add("--write-baseline", action="store_true",
-        help="grandfather the current findings into the baseline file (reasons of kept "
-             "entries are preserved; new ones need justifying)")
-    add("--prune-baseline", action="store_true",
-        help="drop stale grandfathered entries from the baseline file in place")
+        help="comma-separated rule ids (default: all of REP001-REP005 + REP012)")
     add("--explain", action="store_true", help="print the rule catalogue and exit")
 
 
@@ -530,78 +512,23 @@ def _cmd_explain(args):
     return text, record, _failed("attribution violations", record)
 
 
-def _lint_root(paths: Optional[List[str]]) -> Optional[Path]:
-    """Repo root for explicit lint paths (None = self-lint the package).
-
-    Module qualnames strip a leading ``src/`` relative to the root, so when
-    the caller points at (something under) a ``src`` tree, anchor the root
-    at that tree's parent; otherwise resolve against the cwd.
-    """
-    if not paths:
-        return None
-    first = Path(paths[0]).resolve()
-    for parent in (first, *first.parents):
-        if parent.name == "src":
-            return parent.parent
-    return Path.cwd()
-
-
 def _cmd_lint(args):
-    from .lint import (
-        Baseline,
-        build_callgraph,
-        prune_baseline,
-        resolve_rules,
-        run_lint,
-        write_baseline,
-    )
-    from .lint.runner import DEFAULT_BASELINE
+    from .lint import resolve_rules, run_lint
 
-    def utility(text: str) -> int:
-        """The no-record modes (catalogue, call graph, baseline upkeep)."""
-        _deliver(text, args)
-        return 0
-
-    if args.explain:
+    if args.explain:  # the catalogue: no run, no record
         lines = []
-        for rule in resolve_rules(args.rules, flow=True):
+        for rule in resolve_rules(args.rules):
             lines.append(f"{rule.id}  {rule.title}")
             lines.append(f"    protects: {rule.invariant}")
-        return utility("\n".join(lines))
-
-    if args.callgraph:
-        graph = build_callgraph(args.paths or None, root=_lint_root(args.paths))
-        return utility(graph.to_dot() if args.callgraph == "dot"
-                       else json.dumps(graph.to_dict(), indent=2))
-
-    baseline_path = Path(args.baseline) if args.baseline else _REPO_ROOT / DEFAULT_BASELINE
-
-    def stored() -> Baseline:
-        # A not-yet-written baseline file acts as empty, so that
-        # --write-baseline can target a fresh one.
-        return Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
-
-    baseline = Baseline() if args.no_baseline else stored() if args.baseline else None
+        _deliver("\n".join(lines), args)
+        return 0
 
     # Explicit paths lint the caller's tree (resolve against the cwd);
     # the no-argument default self-lints the repo the package ships in.
-    report = run_lint(args.paths or None, rules=args.rules, baseline=baseline,
-                      root=_lint_root(args.paths), flow=args.flow)
-
-    if args.write_baseline:
-        base = write_baseline(report, baseline_path, stored())
-        return utility(f"baseline written to {baseline_path} ({len(base)} entries)")
-
-    if args.prune_baseline:
-        base = stored()
-        base.path = baseline_path
-        removed = prune_baseline(report, base)
-        return utility(f"pruned {len(removed)} stale entr"
-                       f"{'y' if len(removed) == 1 else 'ies'} from "
-                       f"{baseline_path} ({len(base)} left)")
-
-    return (report.render(with_trace=args.trace), report.to_run_record(),
-            f"lint: {len(report.errors)} non-baselined finding(s)")
+    report = run_lint(args.paths or None, rules=args.rules,
+                      root=Path.cwd() if args.paths else None)
+    return (report.render(), report.to_run_record(),
+            f"lint: {len(report.errors)} finding(s)")
 
 
 def _demo() -> str:

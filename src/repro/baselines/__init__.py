@@ -7,7 +7,6 @@ from .en16_tree import (
     En16Build,
     En16TreeScheme,
     build_en16_tree_scheme,
-    expected_memory_words,
     route_en16,
 )
 from .landmark import build_landmark_scheme, choose_landmarks
@@ -30,6 +29,5 @@ __all__ = [
     "scale_count",
     "TreeCoverScheme",
     "choose_landmarks",
-    "expected_memory_words",
     "route_en16",
 ]

@@ -287,8 +287,3 @@ def route_en16(
         else:
             step(nxt)
     raise RoutingFailure(f"exceeded hop budget {budget}", path)
-
-
-def expected_memory_words(n: int, q: float) -> float:
-    """Θ(q n) = Θ(sqrt n) words at virtual vertices (the broadcast T')."""
-    return max(1.0, 2 * q * n)

@@ -15,7 +15,6 @@ from .paths import (
     bounded_bellman_ford,
     dijkstra,
     distances_to_set,
-    eccentricity_hops,
     hop_counts,
     hop_diameter,
     nearest_in_set,
@@ -70,7 +69,6 @@ __all__ = [
     "dfs_intervals",
     "dijkstra",
     "distances_to_set",
-    "eccentricity_hops",
     "grid_graph",
     "heavy_children",
     "hop_counts",

@@ -187,12 +187,6 @@ def shortest_path_diameter(graph: nx.Graph) -> int:
     return worst
 
 
-def eccentricity_hops(graph: nx.Graph, source: NodeId) -> int:
-    """Unweighted eccentricity of ``source`` (for hop-diameter estimates)."""
-    lengths = nx.single_source_shortest_path_length(graph, source)
-    return max(lengths.values())
-
-
 def hop_diameter(graph: nx.Graph) -> int:
     """Exact hop-diameter ``D`` of the underlying unweighted graph."""
     return nx.diameter(graph)

@@ -9,20 +9,19 @@ REP002   unseeded randomness: every draw comes from an injected rng
 REP003   unaccounted sends: message widths derive from ``words_of``
 REP004   memory-meter bypass: vertex state growth is metered
 REP005   hot-path hygiene: loop-instantiated classes carry __slots__
-REP006   hot-path metric labels: intern once, no per-query dicts
-REP007   sampler-guarded trace capture: sample first, allocate after
-REP008   packed tables cross processes via the shm manifest, not pickle
-REP009   rng provenance (flow): unseeded randomness never feeds samplers
-REP010   determinism (flow): compared report fields take no wall-clock
-REP011   shm escape (flow): views/packed tables stay in their process
-REP012   pragma hygiene: every suppression carries its ``-- reason``
+REP012   pragma hygiene: every suppression is justified and live
 =======  ==========================================================
 
-REP001-REP008 and REP012 are per-module syntactic checks; REP009-REP011
-are the *flow tier* (``repro lint --flow``): a project-wide call graph
-(:mod:`repro.lint.graph`) plus a bounded interprocedural taint engine
-(:mod:`repro.lint.dataflow` / :mod:`repro.lint.taint`) whose findings
-carry the full source -> call-chain -> sink trace.
+One tier: every rule is a per-module syntactic check (REP005 joins class
+definitions and loop call sites across the modules of one package).  The
+six are the rules an audit over this repository's whole history supports
+(the table in ``docs/static-analysis.md``).  Invariants outside their
+reach are enforced dynamically instead: serve-path instrumentation cost
+by the perf ledger's ``metrics.overhead_share`` /
+``tracing.overhead_share``, packed tables staying out of pickles by
+``ShardPool``'s spawn-without-shm ``InputError``, and wall-clock staying
+out of compared reports by the merged-report-equals-single-process
+certificate.
 
 Entry points: ``repro lint`` on the command line (findings land in the
 telemetry layer as a RunRecord of kind ``lint``), :func:`run_lint` from
@@ -30,83 +29,45 @@ Python, and the rule catalogue in ``docs/static-analysis.md``.
 """
 
 from .core import ModuleInfo, PragmaRecord, Rule, ScopedVisitor, parse_module
-from .findings import Baseline, BaselineEntry, Finding, UNJUSTIFIED
-from .graph import CallGraph, ProjectModel, build_project, module_name
+from .findings import Finding
 from .rules import (
     ALL_RULES,
     RULES_BY_ID,
     CongestLocality,
-    HotLabelAllocation,
     HotPathHygiene,
     MemoryMeterBypass,
-    PackedTablePickle,
     PragmaHygiene,
     UnaccountedSends,
-    UnguardedTraceCapture,
     UnseededRandomness,
 )
 from .runner import (
-    DEFAULT_BASELINE,
     DEFAULT_PATHS,
     REPO_ROOT,
     LintReport,
-    build_callgraph,
     iter_python_files,
-    prune_baseline,
     resolve_rules,
     run_lint,
-    write_baseline,
-)
-from .taint import (
-    FLOW_RULES,
-    FLOW_RULES_BY_ID,
-    DeterminismFlow,
-    FlowRule,
-    RngProvenance,
-    ShmEscape,
-    TaintEngine,
 )
 
 __all__ = [
     "ALL_RULES",
-    "FLOW_RULES",
-    "FLOW_RULES_BY_ID",
     "RULES_BY_ID",
-    "Baseline",
-    "BaselineEntry",
-    "CallGraph",
     "CongestLocality",
-    "DEFAULT_BASELINE",
     "DEFAULT_PATHS",
-    "DeterminismFlow",
     "Finding",
-    "FlowRule",
-    "HotLabelAllocation",
     "HotPathHygiene",
     "LintReport",
     "MemoryMeterBypass",
     "ModuleInfo",
-    "PackedTablePickle",
     "PragmaHygiene",
     "PragmaRecord",
-    "ProjectModel",
     "REPO_ROOT",
-    "RngProvenance",
     "Rule",
     "ScopedVisitor",
-    "ShmEscape",
-    "TaintEngine",
-    "UNJUSTIFIED",
     "UnaccountedSends",
-    "UnguardedTraceCapture",
     "UnseededRandomness",
-    "build_callgraph",
-    "build_project",
     "iter_python_files",
-    "module_name",
     "parse_module",
-    "prune_baseline",
     "resolve_rules",
     "run_lint",
-    "write_baseline",
 ]

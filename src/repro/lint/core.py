@@ -15,9 +15,9 @@ comment-on-its-own-line style) carries the pragma::
     # lint: ignore[REP004] -- scratch list, freed within the round
 
 ``# lint: ignore`` with no rule list suppresses every rule on that line.
-The ``-- reason`` tail is the justifying comment the baseline workflow
-requires; prefer the pragma for violations that are *by design* and the
-baseline file (:mod:`repro.lint.findings`) for grandfathered debt.
+The ``-- reason`` tail is the justifying comment; REP012 audits every
+pragma for it, for rule ids outside the catalogue, and for suppressions
+that suppress nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ PRAGMA_RE = re.compile(
 )
 
 
+#: Rules a bare ``# lint: ignore`` does not suppress (must be listed).
+EXPLICIT_ONLY: FrozenSet[str] = frozenset({"REP012"})
+
+
 @dataclass(frozen=True)
 class PragmaRecord:
     """One inline ``# lint: ignore`` pragma as written in the source."""
@@ -46,6 +50,17 @@ class PragmaRecord:
     line: int  # 1-based line carrying the comment
     rules: Optional[FrozenSet[str]]  # None = all rules
     reason: str  # the ``-- reason`` tail ("" when missing)
+
+    def covers(self, rule: str) -> bool:
+        """True when this pragma suppresses findings of ``rule``.
+
+        Rules in :data:`EXPLICIT_ONLY` (the pragma-hygiene audit) are
+        covered only when named in the rule list -- a bare
+        ``# lint: ignore`` must not silence the audit of itself.
+        """
+        if self.rules is None:
+            return rule not in EXPLICIT_ONLY
+        return rule in self.rules
 
 
 @dataclass
@@ -56,38 +71,19 @@ class ModuleInfo:
     relpath: str  # repo-relative posix (what findings report)
     tree: ast.Module
     lines: List[str]
-    #: line number -> suppressed rule ids (``None`` = all rules)
-    suppressions: Dict[int, Optional[FrozenSet[str]]] = field(
-        default_factory=dict
-    )
-    #: every pragma as written (REP012 audits these for missing reasons)
+    #: line number -> the pragmas that cover findings anchored there
+    suppressions: Dict[int, List[PragmaRecord]] = field(default_factory=dict)
+    #: every pragma as written (what REP012 audits)
     pragmas: List[PragmaRecord] = field(default_factory=list)
 
-    def suppressed(self, rule: str, line: int) -> bool:
-        """True when ``rule`` is pragma-suppressed at ``line`` (the line
-        itself or a comment line directly above).
-
-        Rules in :data:`EXPLICIT_ONLY` (the pragma-hygiene audit) are
-        suppressed only when named in the pragma's rule list -- a bare
-        ``# lint: ignore`` must not silence the audit of itself.
-        """
+    def suppressed(self, rule: str, line: int) -> Optional[PragmaRecord]:
+        """The pragma that suppresses ``rule`` at ``line`` (on the line
+        itself or a comment line directly above), or ``None``."""
         for at in (line, line - 1):
-            rules = self.suppressions.get(at, _MISSING)
-            if rules is _MISSING:
-                continue
-            if rules is None:
-                if rule not in EXPLICIT_ONLY:
-                    return True
-            elif rule in rules:
-                return True
-        return False
-
-
-#: Sentinel distinguishing "no pragma" from "pragma with no rule list".
-_MISSING: FrozenSet[str] = frozenset({"\0missing"})
-
-#: Rules a bare ``# lint: ignore`` does not suppress (must be listed).
-EXPLICIT_ONLY: FrozenSet[str] = frozenset({"REP012"})
+            for pragma in self.suppressions.get(at, ()):
+                if pragma.covers(rule):
+                    return pragma
+        return None
 
 
 def parse_module(path: Path, root: Path) -> ModuleInfo:
@@ -95,7 +91,7 @@ def parse_module(path: Path, root: Path) -> ModuleInfo:
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     lines = source.splitlines()
-    suppressions: Dict[int, Optional[FrozenSet[str]]] = {}
+    suppressions: Dict[int, List[PragmaRecord]] = {}
     pragmas: List[PragmaRecord] = []
     for lineno, text in _comment_tokens(source):
         match = PRAGMA_RE.search(text)
@@ -110,11 +106,10 @@ def parse_module(path: Path, root: Path) -> ModuleInfo:
                 part.strip().upper()
                 for part in listed.split(",") if part.strip()
             )
-        suppressions[lineno] = rules
-        pragmas.append(PragmaRecord(
-            line=lineno, rules=rules,
-            reason=(match.group(2) or "").strip(),
-        ))
+        pragma = PragmaRecord(line=lineno, rules=rules,
+                              reason=(match.group(2) or "").strip())
+        suppressions.setdefault(lineno, []).append(pragma)
+        pragmas.append(pragma)
     _extend_to_decorated_defs(tree, suppressions)
     try:
         relpath = path.resolve().relative_to(root.resolve()).as_posix()
@@ -144,7 +139,7 @@ def _comment_tokens(source: str) -> List[tuple]:
 
 def _extend_to_decorated_defs(
     tree: ast.Module,
-    suppressions: Dict[int, Optional[FrozenSet[str]]],
+    suppressions: Dict[int, List[PragmaRecord]],
 ) -> None:
     """Let a pragma above a decorator cover the decorated ``def``/``class``.
 
@@ -160,18 +155,10 @@ def _extend_to_decorated_defs(
             continue
         first = min(d.lineno for d in node.decorator_list)
         for at in (first, first - 1):
-            if at not in suppressions:
-                continue
-            rules = suppressions[at]
-            existing = suppressions.get(node.lineno)
-            if node.lineno in suppressions:
-                if rules is None or existing is None:
-                    suppressions[node.lineno] = None
-                else:
-                    suppressions[node.lineno] = existing | rules
-            else:
-                suppressions[node.lineno] = rules
-            break
+            if at in suppressions:
+                suppressions.setdefault(node.lineno, []).extend(
+                    suppressions[at])
+                break
 
 
 class Rule:

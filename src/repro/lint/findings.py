@@ -1,43 +1,21 @@
-"""Finding records and the grandfathering baseline.
+"""Finding records.
 
-A :class:`Finding` is one rule violation at one source location.  Findings
-carry a *stable key* -- ``(rule, path, context, message)`` without the line
-number -- so a baseline entry keeps matching when unrelated edits shift the
-file, and goes stale exactly when the offending code itself changes (at
-which point the violation must be re-justified or fixed).
-
-The :class:`Baseline` is the grandfathering mechanism: findings listed in
-``lint-baseline.json`` (with a mandatory human-written ``reason``) are
-reported separately and do not fail ``repro lint --strict``.  Entries that
-no longer match any finding are *stale* and reported so the baseline only
-ever shrinks.  New suppressions inline in code use the pragma comment
-``# lint: ignore[REP00X] -- reason`` instead (see :mod:`repro.lint.core`).
+A :class:`Finding` is one rule violation at one source location.  A
+violation that is *by design* is excused inline with the pragma comment
+``# lint: ignore[REP00X] -- reason`` (see :mod:`repro.lint.core`); there is
+no grandfathering file -- a finding is either fixed or justified where it
+stands.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-FindingKey = Tuple[str, str, str, str]
-
-#: Finding severities.  ``error`` findings fail ``--strict``; ``warning``
-#: findings (pragma hygiene, advisory notes) are reported but never gate.
-SEVERITIES = ("error", "warning")
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation: rule id, location, and a one-line message.
-
-    Flow-tier findings additionally carry a ``trace``: the human-readable
-    source -> call-chain -> sink path the taint engine followed, one
-    ``path:line: description`` step per element.  The trace is *not* part
-    of the baseline key -- it explains the finding, it does not identify
-    it.
-    """
+    """One rule violation: rule id, location, and a one-line message."""
 
     rule: str  # "REP001" ... "REP012" (or "REP000" for parse failures)
     path: str  # repo-relative posix path
@@ -45,15 +23,12 @@ class Finding:
     col: int  # 0-based, matching ast
     context: str  # enclosing qualname, e.g. "FloodMax.on_round"
     message: str
-    severity: str = "error"  # "error" | "warning"
-    trace: Tuple[str, ...] = ()  # source -> sink steps (flow tier)
-
-    def key(self) -> FindingKey:
-        """Line-free identity used for baseline matching."""
-        return (self.rule, self.path, self.context, self.message)
+    #: ``error`` findings fail ``--strict``; ``warning`` findings (pragma
+    #: hygiene) are reported but never gate.
+    severity: str = "error"
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
@@ -62,147 +37,10 @@ class Finding:
             "message": self.message,
             "severity": self.severity,
         }
-        if self.trace:
-            out["trace"] = list(self.trace)
-        return out
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=d["rule"],
-            path=d["path"],
-            line=int(d.get("line", 0)),
-            col=int(d.get("col", 0)),
-            context=d.get("context", "<module>"),
-            message=d["message"],
-            severity=d.get("severity", "error"),
-            trace=tuple(d.get("trace", ())),
-        )
-
-    def render(self, *, with_trace: bool = False) -> str:
+    def render(self) -> str:
         head = (f"{self.path}:{self.line}:{self.col + 1}: "
                 f"{self.rule} [{self.context}] {self.message}")
         if self.severity != "error":
             head = f"{head} ({self.severity})"
-        if not (with_trace and self.trace):
-            return head
-        steps = [f"    {i}. {step}" for i, step in enumerate(self.trace, 1)]
-        return "\n".join([head, "    taint path:"] + steps)
-
-
-@dataclass(frozen=True)
-class BaselineEntry:
-    """One grandfathered finding plus the justification for keeping it."""
-
-    rule: str
-    path: str
-    context: str
-    message: str
-    reason: str
-
-    def key(self) -> FindingKey:
-        return (self.rule, self.path, self.context, self.message)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "context": self.context,
-            "message": self.message,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "BaselineEntry":
-        return cls(
-            rule=d["rule"],
-            path=d["path"],
-            context=d.get("context", "<module>"),
-            message=d["message"],
-            reason=d.get("reason", ""),
-        )
-
-    @classmethod
-    def from_finding(cls, finding: Finding, reason: str) -> "BaselineEntry":
-        return cls(
-            rule=finding.rule,
-            path=finding.path,
-            context=finding.context,
-            message=finding.message,
-            reason=reason,
-        )
-
-
-BASELINE_SCHEMA_VERSION = 1
-
-#: Reason stamped on entries written by ``repro lint --write-baseline``;
-#: the workflow (docs/static-analysis.md) is to replace it with a real
-#: justification before committing.
-UNJUSTIFIED = "TODO: justify or fix"
-
-
-class Baseline:
-    """The set of grandfathered findings, round-tripping via JSON."""
-
-    def __init__(self, entries: Optional[Sequence[BaselineEntry]] = None,
-                 path: Optional[Path] = None) -> None:
-        self.entries: List[BaselineEntry] = list(entries or [])
-        self.path = path
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def keys(self) -> Dict[FindingKey, BaselineEntry]:
-        return {e.key(): e for e in self.entries}
-
-    # -- matching -----------------------------------------------------------
-
-    def split(self, findings: Sequence[Finding]) -> Tuple[
-            List[Finding], List[Finding], List[BaselineEntry]]:
-        """Partition findings into (live, baselined); also report stale
-        entries that matched nothing (the code they excused is gone)."""
-        by_key = self.keys()
-        live: List[Finding] = []
-        baselined: List[Finding] = []
-        matched = set()
-        for f in findings:
-            entry = by_key.get(f.key())
-            if entry is None:
-                live.append(f)
-            else:
-                baselined.append(f)
-                matched.add(f.key())
-        stale = [e for e in self.entries if e.key() not in matched]
-        return live, baselined, stale
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": BASELINE_SCHEMA_VERSION,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any],
-                  path: Optional[Path] = None) -> "Baseline":
-        return cls(
-            entries=[BaselineEntry.from_dict(e) for e in d.get("entries", [])],
-            path=path,
-        )
-
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        entries = sorted(self.entries, key=lambda e: e.key())
-        doc = {
-            "schema_version": BASELINE_SCHEMA_VERSION,
-            "entries": [e.to_dict() for e in entries],
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-        self.path = path
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Baseline":
-        path = Path(path)
-        return cls.from_dict(json.loads(path.read_text()), path=path)
+        return head

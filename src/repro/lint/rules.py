@@ -1,10 +1,10 @@
-"""The domain-specific checkers REP001-REP008.
+"""The domain-specific checkers REP001-REP005 and the pragma audit REP012.
 
 Each rule guards one invariant the paper's measured guarantees rest on; the
 rule catalogue (docs/static-analysis.md) states the invariant, what the
-checker flags, and the escape hatches (pragma / baseline).  The checkers
-are deliberately *scoped* rather than maximal: each flags the pattern it
-can judge without flow analysis, and documents what it does not see, so a
+checker flags, and the escape hatch (the pragma).  The checkers are
+deliberately *scoped* rather than maximal: each flags the pattern it can
+judge without flow analysis, and documents what it does not see, so a
 clean run is a meaningful certificate and not noise-hiding.
 """
 
@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from .core import (
     ModuleInfo,
+    PragmaRecord,
     Rule,
     ScopedVisitor,
     attr_root,
@@ -512,378 +513,11 @@ class _HotPathVisitor(ScopedVisitor):
 
 
 # ---------------------------------------------------------------------------
-# REP006 — hot-path metric labels
-# ---------------------------------------------------------------------------
-
-#: Packages whose query loops are gated by ``serve_metrics_overhead``.
-_LABEL_SEGMENTS = ("serve", "metrics")
-#: The registry's instrument-lookup methods: registration-time API, never
-#: to be called per query.
-_INSTRUMENT_LOOKUPS = {"counter", "gauge", "histogram", "meter"}
-
-
-class HotLabelAllocation(Rule):
-    """Metric labels on the serve path must be pre-interned, not built
-    per query.
-
-    Scope: the ``repro.serve`` and ``repro.metrics`` packages, inside
-    lexical loops and comprehensions (the per-query territory).  Flags:
-
-    * a ``labels=`` argument whose value is a dict literal or dict
-      comprehension -- one freshly allocated labels dict per iteration is
-      exactly the hidden cost the <= 5 % ``serve_metrics_overhead`` bench
-      gate exists to keep out (intern once, hold the tuple);
-    * calls to the registry's instrument-lookup methods
-      (``.counter(...)``, ``.gauge(...)``, ``.histogram(...)``,
-      ``.meter(...)``) -- lookup is registration-time API; hot code holds
-      the instrument object and mutates it directly.
-
-    Registration-time dicts (module level, ``__init__``, outside loops)
-    are fine -- ``intern_labels`` accepts a Mapping there on purpose.
-    """
-
-    id = "REP006"
-    title = "hot-path metric labels: intern once, no per-query dicts"
-    invariant = ("The <= 5% serve_metrics_overhead gate (BENCH_serve) "
-                 "assumes instrumentation adds attribute arithmetic per "
-                 "query, not a dict allocation plus a registry lookup.")
-
-    def check_module(self, mod: ModuleInfo) -> List[Finding]:
-        if _label_segment(mod.relpath) is None:
-            return []
-        visitor = _LabelVisitor(self, mod)
-        visitor.visit(mod.tree)
-        return visitor.findings
-
-
-def _label_segment(relpath: str) -> Optional[str]:
-    parts = relpath.split("/")
-    for seg in _LABEL_SEGMENTS:
-        if seg in parts:
-            return seg
-    return None
-
-
-class _LabelVisitor(ScopedVisitor):
-    def __init__(self, rule: Rule, mod: ModuleInfo) -> None:
-        super().__init__(rule, mod)
-        self._loop_depth = 0
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        try:
-            self.generic_visit(node)
-        finally:
-            self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
-    visit_ListComp = _visit_loop
-    visit_SetComp = _visit_loop
-    visit_DictComp = _visit_loop
-    visit_GeneratorExp = _visit_loop
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._loop_depth > 0:
-            for kw in node.keywords:
-                if kw.arg == "labels" and isinstance(
-                        kw.value, (ast.Dict, ast.DictComp)):
-                    self.emit(kw.value,
-                              "labels dict allocated inside a loop: "
-                              "intern the label tuple once "
-                              "(intern_labels) and hold the instrument")
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in _INSTRUMENT_LOOKUPS
-                    and _is_registry_receiver(func.value)):
-                self.emit(node,
-                          f".{func.attr}(...) instrument lookup inside a "
-                          "loop: resolve instruments at registration "
-                          "time, mutate the held object per query")
-        self.generic_visit(node)
-
-
-def _is_registry_receiver(node: ast.AST) -> bool:
-    """Heuristic: the receiver chain names a registry (``reg``,
-    ``registry``, ``self.registry``, ...)."""
-    for sub in ast.walk(node):
-        label = None
-        if isinstance(sub, ast.Attribute):
-            label = sub.attr
-        elif isinstance(sub, ast.Name):
-            label = sub.id
-        if label is not None and ("registry" in label or label == "reg"):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# REP007 — sampler-guarded trace capture
-# ---------------------------------------------------------------------------
-
-#: Packages whose query loops are gated by ``trace_overhead``.
-_TRACE_SEGMENTS = ("serve",)
-#: Trace-object constructors that must never run unconditionally per query.
-_TRACE_CLASSES = {"QueryTrace", "HopSpan"}
-#: Tracer capture entry points (``tracer.capture_pair(...)`` and friends).
-_TRACE_CAPTURES = {"capture", "capture_pair", "capture_trace",
-                   "replay_query", "trace_query"}
-
-
-class UnguardedTraceCapture(Rule):
-    """Trace capture in serve loops must sit behind a sampling guard.
-
-    Scope: the ``repro.serve`` package, inside lexical loops and
-    comprehensions (the per-query territory).  Flags, when not enclosed
-    in an ``if`` whose test mentions a sampler or tracer (a name or
-    attribute containing ``sampl`` or ``trace``, e.g. ``if sampled:`` or
-    ``if t is not None and t.sample_head():``):
-
-    * construction of trace objects (``QueryTrace(...)``,
-      ``HopSpan(...)``) -- one trace allocation per query is exactly the
-      overhead the two-tier sampler exists to avoid;
-    * tracer capture calls (``.capture_pair(...)``, ``.replay_query(...)``,
-      ...) -- each one replays the route and allocates a full hop list.
-
-    The ``repro.tracing`` package itself is out of scope on purpose: the
-    recorder *is* the replay machinery and only runs for already-sampled
-    queries.
-    """
-
-    id = "REP007"
-    title = "unguarded trace capture: sample first, allocate after"
-    invariant = ("The zero-overhead-when-off contract and the <= 5% "
-                 "trace_overhead gate (BENCH_serve) assume the serve loop "
-                 "pays one sampler call per query; an unconditional "
-                 "capture re-routes and allocates on every query.")
-
-    def check_module(self, mod: ModuleInfo) -> List[Finding]:
-        if _trace_segment(mod.relpath) is None:
-            return []
-        visitor = _TraceVisitor(self, mod)
-        visitor.visit(mod.tree)
-        return visitor.findings
-
-
-def _trace_segment(relpath: str) -> Optional[str]:
-    parts = relpath.split("/")
-    for seg in _TRACE_SEGMENTS:
-        if seg in parts:
-            return seg
-    return None
-
-
-def _mentions_sampling(test: ast.AST) -> bool:
-    """Does a guard expression reference a sampler/tracer?"""
-    for sub in ast.walk(test):
-        label = None
-        if isinstance(sub, ast.Attribute):
-            label = sub.attr
-        elif isinstance(sub, ast.Name):
-            label = sub.id
-        if label is not None:
-            lowered = label.lower()
-            if "sampl" in lowered or "trace" in lowered:
-                return True
-    return False
-
-
-class _TraceVisitor(ScopedVisitor):
-    def __init__(self, rule: Rule, mod: ModuleInfo) -> None:
-        super().__init__(rule, mod)
-        self._loop_depth = 0
-        self._guard_depth = 0
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        try:
-            self.generic_visit(node)
-        finally:
-            self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
-    visit_ListComp = _visit_loop
-    visit_SetComp = _visit_loop
-    visit_DictComp = _visit_loop
-    visit_GeneratorExp = _visit_loop
-
-    def visit_If(self, node: ast.If) -> None:
-        # Only the body of a sampler-test `if` is guarded; the test
-        # itself and the else branch are not.
-        guarded = _mentions_sampling(node.test)
-        self.visit(node.test)
-        if guarded:
-            self._guard_depth += 1
-        try:
-            for stmt in node.body:
-                self.visit(stmt)
-        finally:
-            if guarded:
-                self._guard_depth -= 1
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    def visit_IfExp(self, node: ast.IfExp) -> None:
-        guarded = _mentions_sampling(node.test)
-        self.visit(node.test)
-        if guarded:
-            self._guard_depth += 1
-        try:
-            self.visit(node.body)
-        finally:
-            if guarded:
-                self._guard_depth -= 1
-        self.visit(node.orelse)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._loop_depth > 0 and self._guard_depth == 0:
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _TRACE_CLASSES:
-                self.emit(node, f"{func.id}(...) constructed "
-                                "unconditionally in a serve loop: gate "
-                                "trace allocation behind the sampler "
-                                "(if sampled: ...)")
-            elif (isinstance(func, ast.Attribute)
-                    and func.attr in _TRACE_CAPTURES):
-                self.emit(node, f".{func.attr}(...) trace capture "
-                                "unconditionally in a serve loop: call "
-                                "the sampler first and capture only "
-                                "sampled queries")
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
-# REP008 — packed tables never pickle across processes
-# ---------------------------------------------------------------------------
-
-#: Path segments in scope for REP008 (the serving + sharding tiers).
-_SHARD_SEGMENTS = ("serve", "shard")
-
-#: Identifier fragments that mark a value as a packed routing table.
-_PACKED_FRAGMENTS = ("compiled", "packed", "sealed")
-
-#: Exact class names of the packed-table types (any casing aside).
-_PACKED_CLASSES = {
-    "CompiledScheme", "CompiledGraphScheme", "CompiledTreeScheme",
-    "PackedTree", "PackedLabel", "PackedEntry",
-    "SealedTables", "AttachedTables", "LoweredTables",
-}
-
-#: Pickle-flavoured serializer modules (json is fine: manifests are JSON).
-_PICKLE_MODULES = {"pickle", "cPickle", "dill", "cloudpickle", "marshal"}
-
-#: Cross-process transport methods (pipe / queue sends).
-_SEND_METHODS = {"send", "put", "put_nowait", "send_bytes"}
-
-
-def _mentions_packed(node: ast.AST) -> bool:
-    """Does an expression reference a packed-table value by name?"""
-    for sub in ast.walk(node):
-        label = None
-        if isinstance(sub, ast.Attribute):
-            label = sub.attr
-        elif isinstance(sub, ast.Name):
-            label = sub.id
-        if label is None:
-            continue
-        if label in _PACKED_CLASSES:
-            return True
-        lowered = label.lower()
-        if any(frag in lowered for frag in _PACKED_FRAGMENTS):
-            return True
-    return False
-
-
-def _call_payload(node: ast.Call) -> List[ast.AST]:
-    return [*node.args, *(kw.value for kw in node.keywords)]
-
-
-class PackedTablePickle(Rule):
-    """Packed routing tables must never pickle across a process boundary.
-
-    Scope: the ``repro.serve`` and ``repro.shard`` packages.  Workers
-    attach the sealed shared-memory image via its JSON manifest
-    (:func:`repro.shard.tables.from_buffers`); a pickled
-    ``CompiledGraphScheme`` on a pipe re-materializes the whole table set
-    per worker — exactly the copy cost and memory blow-up the shm image
-    exists to avoid.  Flags, when the expression mentions a packed-table
-    value (a ``Compiled*``/``Packed*``/``*Tables`` class name or an
-    identifier containing ``compiled``/``packed``/``sealed``):
-
-    * pickle-module serialization (``pickle.dumps(compiled)``,
-      ``dill.dump(packed, fh)``, ...);
-    * cross-process transports: ``conn.send(...)`` / ``queue.put(...)``
-      payloads and ``Process(...)`` constructor arguments (spawn
-      contexts pickle both).
-
-    ``json.dumps(manifest)`` and sending measurement payloads
-    (reports, result tuples) are out of scope on purpose — manifests
-    and measurements are *meant* to cross.  Fork-inherited arguments
-    are flagged too (the AST cannot see the start method): justify the
-    intentional case with a pragma.
-    """
-
-    id = "REP008"
-    title = "packed tables must cross processes via the shm manifest"
-    invariant = ("The sharded serving tier's near-zero fork cost and "
-                 "single-copy memory budget assume workers attach one "
-                 "shared table image by name; a pickled packed table on "
-                 "the pipe duplicates the entire routing state per "
-                 "worker.")
-
-    def check_module(self, mod: ModuleInfo) -> List[Finding]:
-        if not any(seg in mod.relpath.split("/")
-                   for seg in _SHARD_SEGMENTS):
-            return []
-        visitor = _PickleVisitor(self, mod)
-        visitor.visit(mod.tree)
-        return visitor.findings
-
-
-class _PickleVisitor(ScopedVisitor):
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in ("dumps", "dump"):
-                root = attr_root(func)
-                if (isinstance(root, ast.Name)
-                        and root.id in _PICKLE_MODULES
-                        and any(_mentions_packed(a)
-                                for a in _call_payload(node))):
-                    self.emit(node, f"{root.id}.{func.attr}(...) of a "
-                                    "packed table: serialize the shm "
-                                    "manifest (JSON) instead and attach "
-                                    "with from_buffers()")
-            elif (func.attr in _SEND_METHODS
-                    and any(_mentions_packed(a)
-                            for a in _call_payload(node))):
-                self.emit(node, f".{func.attr}(...) with a packed table "
-                                "in the payload: pipes and queues "
-                                "pickle their messages — send the shm "
-                                "manifest and attach worker-side")
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if (name == "Process"
-                and any(_mentions_packed(a) for a in _call_payload(node))):
-            self.emit(node, "Process(...) argument mentions a packed "
-                            "table: spawn contexts pickle process "
-                            "arguments — pass the shm manifest, or "
-                            "pragma a fork-only inheritance")
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
 # REP012 — pragma hygiene
 # ---------------------------------------------------------------------------
 
 class PragmaHygiene(Rule):
-    """Every ``# lint: ignore`` pragma must carry a ``-- reason``.
+    """Every ``# lint: ignore`` pragma must be justified, valid and live.
 
     The pragma is the inline escape hatch for by-design violations; its
     ``-- reason`` tail is what makes a suppressed finding auditable
@@ -892,18 +526,27 @@ class PragmaHygiene(Rule):
 
     * a pragma with an empty or missing reason;
     * a bare ``# lint: ignore`` with no rule list (it suppresses every
-      rule on the line, which is never the documented intent).
+      rule on the line, which is never the documented intent);
+    * a pragma naming a rule id that is not in the catalogue (a typo, or a
+      rule that was since deleted);
+    * a pragma that suppressed no finding in the run that evaluated it
+      (:meth:`unused`, which the runner calls once suppression is settled;
+      only pragmas naming at least one rule of that run are judged, and a
+      run over part of the tree can miss the other half of a cross-module
+      REP005 finding).
 
     REP012 findings can only be suppressed by naming the rule explicitly
     (``# lint: ignore[REP012] -- ...``); a bare pragma does not
-    self-suppress its own hygiene warning.
+    self-suppress its own hygiene warning.  The "suppressed nothing"
+    warning cannot be suppressed at all: deleting the pragma is the fix.
     """
 
     id = "REP012"
-    title = "pragma hygiene: every suppression carries its reason"
+    title = "pragma hygiene: every suppression is justified and live"
     invariant = ("A clean lint run is a certificate only if every "
-                 "suppression is self-documenting; a bare pragma is an "
-                 "invisible hole in the certificate.")
+                 "suppression is self-documenting and still excuses "
+                 "something; a bare or dead pragma is an invisible hole "
+                 "in the certificate.")
 
     def check_module(self, mod: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
@@ -916,15 +559,39 @@ class PragmaHygiene(Rule):
                                 "on the line)")
             elif not pragma.rules:
                 problems.append("has an empty rule list")
-            if not problems:
-                continue
-            findings.append(Finding(
-                rule=self.id, path=mod.relpath, line=pragma.line, col=0,
-                context="<module>", severity="warning",
-                message=("# lint: ignore pragma " + " and ".join(problems)
-                         + "; write '# lint: ignore[REP00X] -- why'"),
-            ))
+            else:
+                unknown = sorted(pragma.rules - RULES_BY_ID.keys())
+                if unknown:
+                    problems.append("names " + ", ".join(unknown)
+                                    + ", not in the rule catalogue")
+            if problems:
+                findings.append(self._warn(
+                    mod, pragma,
+                    " and ".join(problems)
+                    + "; write '# lint: ignore[REP00X] -- why'"))
         return findings
+
+    def unused(self, modules: Sequence[ModuleInfo],
+               used: Set[Tuple[str, int]],
+               active: Set[str]) -> List[Finding]:
+        """Warn about every pragma outside ``used`` -- the ``(relpath,
+        line)`` of the pragmas that suppressed a finding -- that covers a
+        rule of this run (``active``) and so could have."""
+        return [
+            self._warn(mod, pragma,
+                       "suppressed no finding in this run; remove it")
+            for mod in modules for pragma in mod.pragmas
+            if (mod.relpath, pragma.line) not in used
+            and any(pragma.covers(rule) for rule in active)
+        ]
+
+    def _warn(self, mod: ModuleInfo, pragma: PragmaRecord,
+              problem: str) -> Finding:
+        return Finding(
+            rule=self.id, path=mod.relpath, line=pragma.line, col=0,
+            context="<module>", severity="warning",
+            message=f"# lint: ignore pragma {problem}",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -937,9 +604,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     UnaccountedSends,
     MemoryMeterBypass,
     HotPathHygiene,
-    HotLabelAllocation,
-    UnguardedTraceCapture,
-    PackedTablePickle,
     PragmaHygiene,
 )
 

@@ -1,8 +1,8 @@
 """Walking the tree, running the rules, and reporting.
 
 :func:`run_lint` is the whole pipeline: collect ``*.py`` files, parse each
-once, run every requested rule, apply inline pragmas and the baseline, and
-return a :class:`LintReport`.  The report renders as text (the CLI
+once, run every requested rule, apply inline pragmas, and return a
+:class:`LintReport`.  The report renders as text (the CLI
 default), serializes to a dict, and converts to a telemetry
 :class:`~repro.telemetry.runrecord.RunRecord` of kind ``lint`` whose single
 :class:`~repro.telemetry.bounds.BoundVerdict` (``lint/clean``) gates
@@ -16,25 +16,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..errors import InputError
 from ..telemetry.bounds import BoundVerdict
 from ..telemetry.runrecord import RunRecord
 from .core import ModuleInfo, Rule, parse_module
-from .findings import UNJUSTIFIED, Baseline, BaselineEntry, Finding
-from .graph import CallGraph, build_project
-from .rules import ALL_RULES, RULES_BY_ID
-from .taint import FLOW_RULES, FLOW_RULES_BY_ID, FlowRule
+from .findings import Finding
+from .rules import ALL_RULES, RULES_BY_ID, PragmaHygiene
 
 #: Repo root: src/repro/lint/runner.py -> three levels above ``src``.
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: What ``repro lint`` analyzes when no paths are given.
 DEFAULT_PATHS = ("src/repro",)
-
-#: Where the grandfathering baseline lives.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 _SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache"}
 
@@ -59,10 +56,8 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
 class LintReport:
     """Everything one lint run produced."""
 
-    findings: List[Finding]  # live: not suppressed, not baselined
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding]  # live: not pragma-suppressed
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files: int = 0
     rules: List[str] = field(default_factory=list)
     paths: List[str] = field(default_factory=list)
@@ -94,29 +89,18 @@ class LintReport:
             "rules": list(self.rules),
             "paths": list(self.paths),
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "stale_baseline": [e.to_dict() for e in self.stale_baseline],
             "wall_s": round(self.wall_s, 4),
         }
 
-    def render(self, *, with_trace: bool = False) -> str:
-        lines: List[str] = []
-        for f in self.findings:
-            lines.append(f.render(with_trace=with_trace))
-        if self.stale_baseline:
-            lines.append("")
-            lines.append("stale baseline entries (fixed or gone -- remove "
-                         "them with --prune-baseline):")
-            for e in self.stale_baseline:
-                lines.append(f"  {e.rule} {e.path} [{e.context}] {e.message}")
+    def render(self) -> str:
+        lines = [f.render() for f in self.findings]
         lines.append("")
         warnings = self.warnings
         warn = f", {len(warnings)} warning(s)" if warnings else ""
         lines.append(
             f"{len(self.errors)} finding(s){warn} in {self.files} file(s) "
-            f"({len(self.baselined)} baselined, "
-            f"{len(self.suppressed)} pragma-suppressed; "
+            f"({len(self.suppressed)} pragma-suppressed; "
             f"rules: {', '.join(self.rules)})"
         )
         return "\n".join(lines).lstrip("\n")
@@ -126,7 +110,7 @@ class LintReport:
         verdict = BoundVerdict(
             name="lint/clean",
             column="findings",
-            formula="non-baselined error findings == 0",
+            formula="error findings == 0",
             measured=float(len(self.errors)),
             limit=0.0,
             passed=self.clean,
@@ -137,9 +121,7 @@ class LintReport:
                 "paths": list(self.paths),
                 "rules": list(self.rules),
                 "files": self.files,
-                "baselined": len(self.baselined),
                 "suppressed": len(self.suppressed),
-                "stale_baseline": len(self.stale_baseline),
             },
             columns=[f.to_dict() for f in self.findings],
             verdicts=[verdict],
@@ -147,27 +129,23 @@ class LintReport:
         )
 
 
-def resolve_rules(spec: Optional[Union[str, Sequence[str]]],
-                  *, flow: bool = False) -> List[Rule]:
+def resolve_rules(spec: Optional[Union[str, Sequence[str]]]) -> List[Rule]:
     """Instantiate the requested rules (all of them by default).
 
     ``spec`` is a comma-separated string or a sequence of rule ids;
-    unknown ids raise :class:`~repro.errors.InputError`.  ``flow=True``
-    adds the flow-tier rules (REP009-REP011) to the default set; naming
-    a flow rule explicitly in ``spec`` always works, ``--flow`` or not.
+    unknown ids raise :class:`~repro.errors.InputError`.
     """
     if spec is None:
-        classes = list(ALL_RULES) + (list(FLOW_RULES) if flow else [])
-        return [cls() for cls in classes]
+        return [cls() for cls in ALL_RULES]
     ids = ([s.strip().upper() for s in spec.split(",")]
            if isinstance(spec, str) else [s.upper() for s in spec])
     rules: List[Rule] = []
     for rule_id in ids:
         if not rule_id:
             continue
-        cls = RULES_BY_ID.get(rule_id) or FLOW_RULES_BY_ID.get(rule_id)
+        cls = RULES_BY_ID.get(rule_id)
         if cls is None:
-            known = ", ".join(sorted({**RULES_BY_ID, **FLOW_RULES_BY_ID}))
+            known = ", ".join(sorted(RULES_BY_ID))
             raise InputError(f"unknown lint rule {rule_id!r} (known: {known})")
         rules.append(cls())
     if not rules:
@@ -175,36 +153,26 @@ def resolve_rules(spec: Optional[Union[str, Sequence[str]]],
     return rules
 
 
+def _location(f: Finding) -> Tuple[str, int, str]:
+    return (f.path, f.line, f.rule)
+
+
 def run_lint(
     paths: Optional[Sequence[Union[str, Path]]] = None,
     *,
     rules: Optional[Union[str, Sequence[str]]] = None,
-    baseline: Optional[Union[Baseline, str, Path]] = None,
     root: Optional[Path] = None,
-    flow: bool = False,
 ) -> LintReport:
     """Lint ``paths`` (default: ``src/repro``) and return the report.
 
-    ``baseline`` is a :class:`Baseline`, a path to one, or ``None`` to
-    auto-load ``lint-baseline.json`` from the repo root when present.
     Relative paths resolve against ``root`` (default: the repo root).
-    ``flow=True`` adds the project-wide taint analyses (REP009-REP011)
-    on top of the syntactic tier.
     """
     started = time.perf_counter()
     root = Path(root) if root is not None else REPO_ROOT
     raw_paths = [Path(p) for p in (paths or DEFAULT_PATHS)]
     resolved = [p if p.is_absolute() else root / p for p in raw_paths]
     files = iter_python_files(resolved)
-    rule_objs = resolve_rules(rules, flow=flow)
-
-    if baseline is None:
-        default = root / DEFAULT_BASELINE
-        base = Baseline.load(default) if default.exists() else Baseline()
-    elif isinstance(baseline, Baseline):
-        base = baseline
-    else:
-        base = Baseline.load(baseline)
+    rule_objs = resolve_rules(rules)
 
     modules: List[ModuleInfo] = []
     findings: List[Finding] = []
@@ -224,89 +192,30 @@ def run_lint(
     for rule in rule_objs:
         findings.extend(rule.finish(modules))
 
-    flow_rules = [r for r in rule_objs if isinstance(r, FlowRule)]
-    if flow_rules:
-        project = build_project(modules)
-        for rule in flow_rules:
-            findings.extend(rule.check_project(project, modules))
-
     by_relpath = {mod.relpath: mod for mod in modules}
     kept: List[Finding] = []
     suppressed: List[Finding] = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.rule)):
+    used: Set[Tuple[str, int]] = set()  # pragmas that suppressed something
+    for f in sorted(findings, key=_location):
         mod = by_relpath.get(f.path)
-        if mod is not None and mod.suppressed(f.rule, f.line):
-            suppressed.append(f)
-        else:
+        pragma = mod.suppressed(f.rule, f.line) if mod is not None else None
+        if pragma is None:
             kept.append(f)
-    live, baselined, stale = base.split(kept)
+        else:
+            suppressed.append(f)
+            used.add((f.path, pragma.line))
+    # The pragma audit's second half needs the outcome of suppression.
+    active = {rule.id for rule in rule_objs}
+    for rule in rule_objs:
+        if isinstance(rule, PragmaHygiene):
+            kept.extend(rule.unused(modules, used, active))
+            kept.sort(key=_location)
 
     return LintReport(
-        findings=live,
-        baselined=baselined,
+        findings=kept,
         suppressed=suppressed,
-        stale_baseline=stale,
         files=len(files),
         rules=[r.id for r in rule_objs],
         paths=[p.as_posix() for p in raw_paths],
         wall_s=time.perf_counter() - started,
     )
-
-
-def write_baseline(report: LintReport,
-                   path: Union[str, Path],
-                   previous: Optional[Baseline] = None) -> Baseline:
-    """Grandfather the report's live findings into a baseline file.
-
-    Reasons of still-matching entries from ``previous`` are preserved;
-    new entries get the :data:`~repro.lint.findings.UNJUSTIFIED` stamp
-    that the review workflow requires replacing with a justification.
-    """
-    old = (previous.keys() if previous is not None else {})
-    entries = []
-    for f in report.findings + report.baselined:
-        kept = old.get(f.key())
-        reason = kept.reason if kept is not None else UNJUSTIFIED
-        entries.append(BaselineEntry.from_finding(f, reason))
-    base = Baseline(entries)
-    base.save(path)
-    return base
-
-
-def prune_baseline(report: LintReport,
-                   baseline: Baseline) -> List[BaselineEntry]:
-    """Drop the report's stale entries from ``baseline`` in place.
-
-    Stale entries excuse findings the code no longer produces; pruning
-    keeps the grandfather file monotonically shrinking.  The file is
-    rewritten at ``baseline.path`` when it has one.  Returns the removed
-    entries.
-    """
-    stale_keys = {e.key() for e in report.stale_baseline}
-    removed = [e for e in baseline.entries if e.key() in stale_keys]
-    if removed:
-        baseline.entries = [e for e in baseline.entries
-                            if e.key() not in stale_keys]
-        if baseline.path is not None:
-            baseline.save(baseline.path)
-    return removed
-
-
-def build_callgraph(
-    paths: Optional[Sequence[Union[str, Path]]] = None,
-    *,
-    root: Optional[Path] = None,
-) -> CallGraph:
-    """Parse ``paths`` (default: ``src/repro``) into the project call
-    graph -- the artifact ``repro lint --callgraph {dot,json}`` exports
-    and CI caches between jobs."""
-    root = Path(root) if root is not None else REPO_ROOT
-    raw_paths = [Path(p) for p in (paths or DEFAULT_PATHS)]
-    resolved = [p if p.is_absolute() else root / p for p in raw_paths]
-    modules: List[ModuleInfo] = []
-    for path in iter_python_files(resolved):
-        try:
-            modules.append(parse_module(path, root))
-        except SyntaxError:
-            continue
-    return CallGraph(build_project(modules))

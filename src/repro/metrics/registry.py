@@ -8,7 +8,8 @@ snapshot** -- instruments are registered once, mutated on the hot path,
 and scraped at any moment (``snapshot()`` for JSON, ``expose()`` for
 Prometheus text format via :mod:`repro.metrics.exposition`).
 
-Hot-path contract (enforced by lint rule REP006): instrument lookup
+Hot-path contract (its cost is the perf ledger's
+``metrics.overhead_share``): instrument lookup
 (``registry.counter(...)`` etc.) happens at *registration* time, never per
 query, and labels are **pre-interned tuples** of ``(key, value)`` pairs --
 a dict of labels per observation is exactly the hidden allocation the

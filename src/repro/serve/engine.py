@@ -205,17 +205,32 @@ class DecisionCache:
         from ..routing.serialization import decode_id
 
         with open(path) as fp:
-            blob = json.load(fp)
+            try:
+                blob = json.load(fp)
+            except ValueError as exc:  # JSONDecodeError: truncated, not JSON
+                raise InputError(
+                    f"decision-cache file {path} is not valid JSON: {exc}"
+                ) from exc
+        if not isinstance(blob, dict):
+            raise InputError(
+                f"decision-cache file {path} holds a JSON "
+                f"{type(blob).__name__}, not an object")
         if blob.get("format") != CACHE_FORMAT:
             raise InputError(
-                f"decision-cache format {blob.get('format')!r} != "
-                f"{CACHE_FORMAT} (re-save with this version)")
-        cache = cls(maxsize if maxsize is not None else blob["maxsize"])
-        cache.preload(
-            ((decode_id(src), decode_id(tgt)),
-             (tuple(decode_id(v) for v in path), length))
-            for src, tgt, path, length in blob["entries"]
-        )
+                f"decision-cache file {path}: format "
+                f"{blob.get('format')!r} != {CACHE_FORMAT} "
+                "(re-save with this version)")
+        try:
+            cache = cls(maxsize if maxsize is not None else blob["maxsize"])
+            cache.preload(
+                ((decode_id(src), decode_id(tgt)),
+                 (tuple(decode_id(v) for v in path_), length))
+                for src, tgt, path_, length in blob["entries"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"decision-cache file {path} is malformed: {exc!r}"
+            ) from exc
         return cache
 
 
@@ -236,8 +251,8 @@ class ServeEngine:
     :class:`~repro.tracing.QueryTrace` objects happens at
     ``Tracer.finalize``, off the serving loop (single ``route_recorded``
     queries replay immediately; their cost is per-query anyway).  Trace
-    construction never happens unguarded inside the serving loops (lint
-    rule REP007).
+    construction never happens unguarded inside the serving loops (the
+    perf ledger's ``tracing.overhead_share`` measures the cost).
     """
 
     def __init__(

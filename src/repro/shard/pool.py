@@ -5,7 +5,7 @@ construction it **seals** the compiled scheme into a shared-memory table
 image (:func:`~repro.shard.tables.seal_to_buffers`) and starts ``workers``
 workers, each of which attaches the image by manifest name — zero-copy,
 near-zero fork cost, and never a pickled packed table on the pipe
-(lint rule REP008).  ``serve`` then:
+(spawn without shm is an ``InputError``).  ``serve`` then:
 
 1. partitions the pair stream deterministically
    (:func:`~repro.shard.plan.partition_pairs` — same pair, same shard,
@@ -122,7 +122,7 @@ class ShardPool:
             raise InputError(
                 "spawn workers require the shared-memory image: without "
                 "shm the compiled scheme would have to be pickled across "
-                "the process boundary (forbidden, REP008)")
+                "the process boundary (forbidden)")
         self.compiled = compiled
         self.graph = graph
         self.workers = workers
@@ -187,7 +187,7 @@ class ShardPool:
                     parent, child = ctx.Pipe(duplex=True)
                     # Under fork, args are inherited memory, not pickles;
                     # `inherited` is None in every shm/spawn configuration.
-                    proc = ctx.Process(  # lint: ignore[REP008] -- fork-inherited, never pickled
+                    proc = ctx.Process(
                         target=worker_main,
                         args=(child, spec, graph, inherited),
                         daemon=True,

@@ -6,8 +6,8 @@ without losing anything the merge algebra needs: sketches round-trip
 through :meth:`QuantileSketch.to_dict` (bucket-exact by construction),
 exemplar payloads are already plain dicts, and the raw counters ride
 next to their derived rates.  Query results travel as bare tuples — the
-packed tables themselves never cross the boundary (REP008), only
-measurements do.
+packed tables themselves never cross the boundary (``ShardPool`` rejects
+the one configuration that would pickle them), only measurements do.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ the in-process engine.
 
 Lifecycle.  :func:`seal_to_buffers` creates the segment (the caller owns
 ``unlink``); :func:`from_buffers` attaches by manifest alone — workers
-never receive the packed objects themselves (lint rule REP008) — and
+never receive the packed objects themselves (``ShardPool`` rejects spawn
+without shm, the one configuration that would pickle them) — and
 unregisters the attach-side resource-tracker entry so only the owner
 cleans up.  ``AttachedTables.close`` releases every exported view before
 closing the mapping; the compiled scheme it produced must not be used
@@ -411,7 +412,7 @@ def from_buffers(
 
     With ``buffer=None`` the shared-memory segment named in the manifest is
     attached — the worker-side entry point: the manifest dict is the *only*
-    thing that crosses the process boundary (REP008).  Pass an explicit
+    thing that crosses the process boundary.  Pass an explicit
     buffer (e.g. ``LoweredTables.payload``) to rebuild without shared
     memory, which is how the differential tests run in-process.
 

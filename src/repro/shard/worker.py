@@ -2,7 +2,7 @@
 
 A worker is deliberately thin: it **attaches** the shared table image
 from the manifest in its :class:`WorkerSpec` (never receives the packed
-objects — lint rule REP008), builds an ordinary
+objects: ``ShardPool`` rejects spawn without shm), builds an ordinary
 :class:`~repro.serve.ServeEngine` with its own LRU cache and optional
 :class:`~repro.metrics.ServeMetrics` bundle, and then answers a tiny
 message protocol over its pipe:

@@ -56,8 +56,8 @@ class RunRecord:
     shards: List[Dict[str, Any]] = field(default_factory=list)
     # Machine-moment provenance: excluded from equality on purpose, so
     # record comparison (differential / merge certificates) is about the
-    # measurement, never about when or where it ran.  REP010 keys its
-    # compared-field sinks off exactly these compare=False declarations.
+    # measurement, never about when or where it ran; the shard merge
+    # certificate (merged report == single-process report) relies on it.
     wall_s: float = field(default=0.0, compare=False)
     peak_rss_kb: Optional[int] = field(default=None, compare=False)
     package_version: str = ""

@@ -21,7 +21,8 @@ The hot-path contract mirrors ``ServeMetrics``: with no tracer attached
 the engine pays one hoisted ``is not None`` check; with a tracer attached,
 trace objects are only ever built for sampled queries, via a *replay* of
 the already-answered query (:mod:`repro.tracing.recorder`) — never inline
-in the serving loop (lint rule REP007 enforces this shape).
+in the serving loop (the perf ledger's ``tracing.overhead_share`` measures
+what this shape costs).
 """
 
 from __future__ import annotations

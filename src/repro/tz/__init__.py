@@ -20,7 +20,6 @@ from .hierarchy import (
 from .oracle import (
     DistanceOracle,
     build_distance_oracle,
-    expected_bunch_size,
     theoretical_stretch,
 )
 from .tree_scheme import build_tree_scheme
@@ -38,7 +37,6 @@ __all__ = [
     "claim6_bound",
     "compute_pivots",
     "exact_cluster_tree",
-    "expected_bunch_size",
     "expected_level_size",
     "max_cluster_membership",
     "sample_hierarchy",

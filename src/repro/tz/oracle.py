@@ -14,7 +14,6 @@ most ``(2k-1) d(u, v)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
@@ -104,8 +103,3 @@ def build_distance_oracle(
 def theoretical_stretch(k: int) -> int:
     """The oracle's stretch guarantee."""
     return 2 * k - 1
-
-
-def expected_bunch_size(n: int, k: int) -> float:
-    """``E[|B(v)|] = O(k n^{1/k})`` -- reported next to measurements."""
-    return k * n ** (1.0 / k) + math.log(max(2, n))

@@ -223,7 +223,7 @@ RECORDABLE = [
     ("explain", ["explain", "--worst", "2", "--traces", "<traces>"],
      "explain", 0),
     ("trace", ["trace", "tree-styles"], "fig/tree-styles", 0),
-    ("lint", ["lint", "<lint-target>", "--no-baseline"], "lint", 0),
+    ("lint", ["lint", "<lint-target>"], "lint", 0),
 ]
 
 

@@ -2,9 +2,8 @@
 
 Each rule gets crafted positive *and* negative snippets (the positive must
 fire, the negative must stay silent), the shipped reference programs must
-lint clean, the baseline file must round-trip, and the whole repository
-must be clean under the committed baseline — that last test is the
-acceptance criterion of the PR itself.
+lint clean, and the whole repository (package, benchmarks, examples) must
+be clean with no warnings.
 """
 
 import json
@@ -16,18 +15,11 @@ from repro.__main__ import build_parser, main
 from repro.errors import InputError
 from repro.lint import (
     ALL_RULES,
-    UNJUSTIFIED,
-    Baseline,
-    BaselineEntry,
-    Finding,
     iter_python_files,
     parse_module,
-    prune_baseline,
     resolve_rules,
     run_lint,
-    write_baseline,
 )
-from repro.lint.runner import DEFAULT_BASELINE, REPO_ROOT
 
 
 def lint_snippet(tmp_path, source, *, rules=None,
@@ -38,8 +30,7 @@ def lint_snippet(tmp_path, source, *, rules=None,
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(text))
-    return run_lint(["src"], rules=rules, baseline=Baseline(),
-                    root=tmp_path)
+    return run_lint(["src"], rules=rules, root=tmp_path)
 
 
 def rule_ids(report):
@@ -142,8 +133,16 @@ class TestUnseededRandomness:
             import random
 
             rng = random.Random()
+
+            class RouteStore:
+                # the shared default of SNIPPETS.md snippet 2: one OS-seeded
+                # stream, built at def time, behind every instance
+                def __init__(self, node_id, rnd: random.Random = random.Random()):
+                    self.rnd = rnd
         """, rules="REP002")
-        assert any("seeds from the OS" in f.message for f in report.findings)
+        assert [(f.context, "seeds from the OS" in f.message)
+                for f in report.findings] \
+            == [("<module>", True), ("RouteStore.__init__", True)]
 
     def test_from_import_draw_fires(self, tmp_path):
         report = lint_snippet(tmp_path, """
@@ -366,228 +365,7 @@ class TestHotPathHygiene:
 
 
 # ---------------------------------------------------------------------------
-# REP006 — hot-path metric labels
-# ---------------------------------------------------------------------------
-
-class TestHotLabelAllocation:
-    def test_labels_dict_in_loop_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def serve_all(registry, queries):
-                for q in queries:
-                    registry.counter("served_total",
-                                     labels={"workload": q.kind}).inc()
-        """, rules="REP006", relpath="src/repro/serve/snippet.py")
-        assert rule_ids(report) == ["REP006"]
-        messages = [f.message for f in report.findings]
-        assert any("labels dict" in m for m in messages)
-        assert any("instrument lookup" in m for m in messages)
-
-    def test_labels_dict_comprehension_in_loop_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def mark(meter, batches):
-                while batches:
-                    b = batches.pop()
-                    record(b, labels={k: v for k, v in b.tags})
-        """, rules="REP006", relpath="src/repro/metrics/snippet.py")
-        assert rule_ids(report) == ["REP006"]
-
-    def test_lookup_inside_comprehension_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def gauges(reg, names):
-                return [reg.gauge(n) for n in names]
-        """, rules="REP006", relpath="src/repro/metrics/snippet.py")
-        assert rule_ids(report) == ["REP006"]
-
-    def test_registration_time_dict_is_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            class Bundle:
-                def __init__(self, registry, workload):
-                    self.served = registry.counter(
-                        "served_total", labels={"workload": workload})
-
-                def on_batch(self, n):
-                    for _ in range(n):
-                        self.served.inc()
-        """, rules="REP006", relpath="src/repro/serve/snippet.py")
-        assert report.clean
-
-    def test_held_instrument_mutation_in_loop_is_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def drain(counter, events):
-                for e in events:
-                    counter.inc(e.weight)
-        """, rules="REP006", relpath="src/repro/serve/snippet.py")
-        assert report.clean
-
-    def test_other_packages_are_out_of_scope(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def tally(registry, rounds):
-                for r in rounds:
-                    registry.counter("rounds", labels={"phase": r.phase})
-        """, rules="REP006", relpath="src/repro/congest/snippet.py")
-        assert report.clean
-
-
-# ---------------------------------------------------------------------------
-# REP007 — sampler-guarded trace capture
-# ---------------------------------------------------------------------------
-
-class TestUnguardedTraceCapture:
-    def test_unconditional_trace_construction_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def route_many(engine, pairs):
-                for u, v in pairs:
-                    trace = QueryTrace(f"q-{u}", u, v)
-                    engine.route(u, v)
-        """, rules="REP007", relpath="src/repro/serve/snippet.py")
-        assert rule_ids(report) == ["REP007"]
-        assert any("QueryTrace" in f.message for f in report.findings)
-
-    def test_unconditional_capture_call_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def route_many(engine, recorder, pairs):
-                for u, v in pairs:
-                    engine.route(u, v)
-                    recorder.capture_pair(engine, u, v)
-        """, rules="REP007", relpath="src/repro/serve/snippet.py")
-        assert rule_ids(report) == ["REP007"]
-        assert any("capture_pair" in f.message for f in report.findings)
-
-    def test_sampler_guarded_capture_is_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def route_many(engine, tracer, pairs):
-                sample = tracer.sample_head if tracer is not None else None
-                for u, v in pairs:
-                    engine.route(u, v)
-                    sampled = sample is not None and sample()
-                    if sampled:
-                        tracer.capture_pair(engine, u, v)
-        """, rules="REP007", relpath="src/repro/serve/snippet.py")
-        assert report.clean
-
-    def test_tracer_none_check_guard_is_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def route_recorded(self, pairs):
-                for u, v in pairs:
-                    t = self.tracer
-                    if t is not None and t.sample_head():
-                        t.capture_pair(self, u, v)
-        """, rules="REP007", relpath="src/repro/serve/snippet.py")
-        assert report.clean
-
-    def test_else_branch_of_guard_still_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def route_many(engine, tracer, pairs):
-                for u, v in pairs:
-                    if tracer.sample_head():
-                        pass
-                    else:
-                        tracer.capture_pair(engine, u, v)
-        """, rules="REP007", relpath="src/repro/serve/snippet.py")
-        assert rule_ids(report) == ["REP007"]
-
-    def test_outside_loops_is_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def replay_one(engine, recorder, u, v):
-                return recorder.capture_pair(engine, u, v)
-        """, rules="REP007", relpath="src/repro/serve/snippet.py")
-        assert report.clean
-
-    def test_tracing_package_is_out_of_scope(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def finalize(engine, results):
-                return [replay(engine, r) for r in results
-                        if QueryTrace(r.id, r.u, r.v)]
-        """, rules="REP007", relpath="src/repro/tracing/snippet.py")
-        assert report.clean
-
-
-# ---------------------------------------------------------------------------
-# REP008 — packed tables never pickle across processes
-# ---------------------------------------------------------------------------
-
-class TestPackedTablePickle:
-    def test_pickled_compiled_scheme_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import pickle
-
-            def ship(compiled, conn):
-                conn.send_bytes(pickle.dumps(compiled))
-        """, rules="REP008", relpath="src/repro/shard/snippet.py")
-        assert rule_ids(report) == ["REP008"]
-
-    def test_packed_table_on_pipe_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def dispatch(conn, packed_tables, pairs):
-                conn.send(("serve", packed_tables, pairs))
-        """, rules="REP008", relpath="src/repro/shard/snippet.py")
-        assert rule_ids(report) == ["REP008"]
-        assert any("manifest" in f.message for f in report.findings)
-
-    def test_process_args_with_compiled_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import multiprocessing as mp
-
-            def start(worker_main, compiled, graph):
-                proc = mp.Process(target=worker_main,
-                                  args=(compiled, graph))
-                proc.start()
-                return proc
-        """, rules="REP008", relpath="src/repro/serve/snippet.py")
-        assert rule_ids(report) == ["REP008"]
-
-    def test_queue_put_sealed_fires(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            def enqueue(q, sealed):
-                q.put(sealed)
-        """, rules="REP008", relpath="src/repro/shard/snippet.py")
-        assert rule_ids(report) == ["REP008"]
-
-    def test_manifest_and_measurements_are_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import json
-
-            def dispatch(conn, manifest, pairs, params):
-                conn.send(("manifest", json.dumps(manifest)))
-                conn.send(("serve", pairs, params))
-
-            def reply(conn, report_rows):
-                conn.send(("report", report_rows))
-        """, rules="REP008", relpath="src/repro/shard/snippet.py")
-        assert report.clean
-
-    def test_pickle_of_non_packed_value_is_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import pickle
-
-            def stash(results):
-                return pickle.dumps(results)
-        """, rules="REP008", relpath="src/repro/shard/snippet.py")
-        assert report.clean
-
-    def test_out_of_scope_package_is_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import pickle
-
-            def ship(compiled, conn):
-                conn.send(pickle.dumps(compiled))
-        """, rules="REP008", relpath="src/repro/congest/snippet.py")
-        assert report.clean
-
-    def test_pragma_justifies_fork_inheritance(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import multiprocessing as mp
-
-            def start(worker_main, compiled, graph):
-                return mp.Process(  # lint: ignore[REP008] -- fork-only
-                    target=worker_main, args=(compiled, graph))
-        """, rules="REP008", relpath="src/repro/shard/snippet.py")
-        assert report.clean
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# Pragmas, baseline, runner
+# Pragmas, runner
 # ---------------------------------------------------------------------------
 
 class TestPragmas:
@@ -729,123 +507,31 @@ class TestPragmaHygiene:
         assert [f.rule for f in report.warnings] == ["REP012"]
         assert "(warning)" in report.findings[0].render()
 
+    def test_unknown_rule_id_fires(self, tmp_path):
+        # REP008 left the catalogue; a pragma still naming it excuses
+        # nothing and says so.
+        report = lint_snippet(tmp_path, """
+            x = 1  # lint: ignore[REP008] -- fork-inherited, never pickled
+        """)
+        assert [(f.rule, f.severity) for f in report.findings] \
+            == [("REP012", "warning")]
+        assert "REP008, not in the rule catalogue" \
+            in report.findings[0].message
 
-class TestBaseline:
-    def _dirty_report(self, tmp_path):
-        return lint_snippet(tmp_path, """
+    def test_pragma_that_suppressed_nothing_fires(self, tmp_path):
+        # Line 4's pragma excuses a real REP002 finding; line 5's names a
+        # rule of this run and suppresses nothing.
+        report = lint_snippet(tmp_path, """
             import random
 
-            def pick(xs):
-                return random.sample(xs, 2)
-        """, rules="REP002")
-
-    def test_round_trip(self, tmp_path):
-        report = self._dirty_report(tmp_path)
-        path = tmp_path / "lint-baseline.json"
-        base = write_baseline(report, path)
-        assert path.exists() and len(base) == 1
-        assert base.entries[0].reason == UNJUSTIFIED
-        reloaded = Baseline.load(path)
-        assert reloaded.keys() == base.keys()
-        assert [e.to_dict() for e in reloaded.entries] \
-            == [e.to_dict() for e in base.entries]
-
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        report = self._dirty_report(tmp_path)
-        base = Baseline([BaselineEntry.from_finding(report.findings[0],
-                                                    "grandfathered: demo")])
-        again = run_lint(["src"], rules="REP002", baseline=base,
-                         root=tmp_path)
-        assert again.clean and len(again.baselined) == 1
-
-    def test_reasons_survive_rewrites(self, tmp_path):
-        report = self._dirty_report(tmp_path)
-        path = tmp_path / "lint-baseline.json"
-        first = write_baseline(report, path)
-        first.entries[0] = BaselineEntry.from_finding(
-            report.findings[0], "reviewed 2026-08: legacy demo")
-        first.save(path)
-        rewritten = write_baseline(report, path, previous=Baseline.load(path))
-        assert rewritten.entries[0].reason == "reviewed 2026-08: legacy demo"
-
-    def test_stale_entries_are_reported(self, tmp_path):
-        stale = BaselineEntry(rule="REP002", path="src/repro/gone.py",
-                              context="pick", message="long gone",
-                              reason="was fixed")
-        report = lint_snippet(tmp_path, "x = 1\n", rules="REP002")
-        live, baselined, stale_out = Baseline([stale]).split(report.findings)
-        assert live == [] and baselined == []
-        assert stale_out == [stale]
-
-    def test_key_ignores_line_numbers(self):
-        a = Finding("REP002", "p.py", 3, 0, "f", "m")
-        b = Finding("REP002", "p.py", 99, 4, "f", "m")
-        assert a.key() == b.key()
-
-    def test_committed_baseline_loads(self):
-        base = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
-        for entry in base.entries:
-            assert entry.reason and entry.reason != UNJUSTIFIED
-
-
-class TestPruneBaseline:
-    DIRTY = """
-        import random
-
-        def pick(xs):
-            return random.sample(xs, 2)
-    """
-
-    def test_prune_drops_stale_keeps_live(self, tmp_path):
-        report = lint_snippet(tmp_path, self.DIRTY, rules="REP002")
-        path = tmp_path / "lint-baseline.json"
-        base = write_baseline(report, path)
-        stale = BaselineEntry(rule="REP002", path="src/repro/gone.py",
-                              context="old", message="long gone",
-                              reason="fixed last release")
-        base.entries.append(stale)
-        base.save(path)
-
-        # Re-lint against the now two-entry baseline: one entry still
-        # matches a finding, the other is stale and gets pruned.
-        loaded = Baseline.load(path)
-        loaded.path = path
-        report = run_lint(["src"], rules="REP002", baseline=loaded,
-                          root=tmp_path)
-        assert [e.key() for e in report.stale_baseline] == [stale.key()]
-        removed = prune_baseline(report, loaded)
-        assert [e.key() for e in removed] == [stale.key()]
-        assert len(loaded) == 1  # the live entry survived
-
-        # The prune rewrote the file in place: round-trip shows one entry.
-        assert len(Baseline.load(path)) == 1
-        again = run_lint(["src"], rules="REP002",
-                         baseline=Baseline.load(path), root=tmp_path)
-        assert again.clean and again.stale_baseline == []
-
-    def test_prune_on_current_baseline_is_noop(self, tmp_path):
-        report = lint_snippet(tmp_path, self.DIRTY, rules="REP002")
-        path = tmp_path / "lint-baseline.json"
-        base = write_baseline(report, path)
-        base.path = path
-        assert prune_baseline(report, base) == []
-        assert len(Baseline.load(path)) == 1
-
-    def test_cli_prune_reports_count(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\nx = random.random()\n")
-        path = tmp_path / "base.json"
-        assert main(["lint", str(dirty), "--baseline", str(path),
-                     "--write-baseline"]) == 0
-        # Fix the violation, then prune: the grandfathered entry is stale.
-        dirty.write_text("x = 1\n")
-        capsys.readouterr()
-        assert main(["lint", str(dirty), "--baseline", str(path),
-                     "--prune-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 stale entry" in out
-        assert "(0 left)" in out
-        assert len(Baseline.load(path)) == 0
+            x = random.random()  # lint: ignore[REP002] -- demo stream
+            y = 1  # lint: ignore[REP002] -- left behind by a refactor
+        """)
+        assert len(report.suppressed) == 1
+        (f,) = report.findings
+        assert (f.rule, f.severity, f.line) == ("REP012", "warning", 5)
+        assert "suppressed no finding" in f.message
+        assert report.clean  # a warning: never gates --strict
 
 
 class TestRunner:
@@ -898,14 +584,13 @@ class TestRunner:
 
 class TestSelfClean:
     def test_reference_programs_lint_clean(self):
-        report = run_lint(["src/repro/congest/protocol.py"],
-                          baseline=Baseline())
+        report = run_lint(["src/repro/congest/protocol.py"])
         assert report.findings == []
 
-    def test_whole_repository_is_clean_under_committed_baseline(self):
-        report = run_lint()
-        assert report.clean, "\n" + report.render()
-        assert report.stale_baseline == []
+    def test_whole_repository_is_clean(self):
+        # Package, benchmarks and examples: no errors and no warnings.
+        report = run_lint(["src/repro", "benchmarks", "examples"])
+        assert report.findings == [], "\n" + report.render()
 
 
 # ---------------------------------------------------------------------------
@@ -930,30 +615,27 @@ class TestCli:
     def test_strict_fails_on_violation(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("import random\nx = random.random()\n")
-        assert main(["lint", str(dirty), "--no-baseline", "--strict"]) == 1
+        assert main(["lint", str(dirty), "--strict"]) == 1
         assert "REP002" in capsys.readouterr().out
         # Without --strict the findings are reported but do not fail.
-        assert main(["lint", str(dirty), "--no-baseline"]) == 0
+        assert main(["lint", str(dirty)]) == 0
 
     def test_json_emits_lint_run_record(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        assert main(["lint", str(clean), "--no-baseline", "--json"]) == 0
+        assert main(["lint", str(clean), "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["kind"] == "lint"
         assert record["verdicts"][0]["name"] == "lint/clean"
         assert record["verdicts"][0]["passed"] is True
 
-    def test_write_baseline_then_strict_passes(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\nx = random.random()\n")
-        baseline = tmp_path / "base.json"
-        assert main(["lint", str(dirty), "--baseline", str(baseline),
-                     "--write-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(["lint", str(dirty), "--baseline", str(baseline),
-                     "--strict"]) == 0
+    @pytest.mark.parametrize("flag", ["--flow", "--callgraph=json",
+                                      "--write-baseline"])
+    def test_flow_and_baseline_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["lint", flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_repository_strict_passes(self, capsys):
         assert main(["lint", "--strict", "--quiet"]) == 0

@@ -305,6 +305,21 @@ class TestCachePersistence:
         with pytest.raises(InputError):
             DecisionCache.load(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"format": 1, "maxsize": 4, "entr',  # truncated mid-write
+        '{"format": 1}',  # no maxsize / entries
+        '{"format": 1, "maxsize": 4, "entries": [[{"i": 0}, {"i": 1}]]}',
+        '[1, 2, 3]',  # not an object
+    ], ids=["truncated", "missing-fields", "two-field-entry", "list"])
+    def test_malformed_file_raises_input_error(self, tmp_path, text):
+        from repro.errors import InputError
+        from repro.serve import DecisionCache
+
+        path = tmp_path / "cache.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match="cache.json"):
+            DecisionCache.load(path)
+
     def test_cli_cache_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "serve-cache.json"
         rc = main(["serve", "--n", "40", "--k", "2", "--queries", "80",
