@@ -193,7 +193,8 @@ def _args_serve(new, shared) -> None:
         help="fork-inherit the compiled tables instead of sealing a shared-memory image")
     add("--cache-file", metavar="PATH",
         help="warm-cache persistence: preload the decision cache from PATH when it exists "
-             "and save the (merged) cache back after the run")
+             "and save the (merged) cache back after the run; a file written against other "
+             "tables (another graph, k, seed or --mode) is an error, not a warm start")
     add("--slo-target", type=float, default=0.99,
         help="required fraction of queries within the stretch bound (default 0.99)")
     add("--trace-out", metavar="PATH",
@@ -424,7 +425,7 @@ def _serve_single(args, graph, scheme, stream):
     from .serve import DecisionCache, ServeEngine, compile_scheme, run_serving
     from .tracing import Tracer, write_traces_jsonl
 
-    metrics = tracer = engine = None
+    metrics = tracer = engine = computed_on = None
     if args.metrics_out:
         metrics = ServeMetrics(slo_objective=args.slo_target)
     if args.trace_out or args.trace_chrome:
@@ -433,14 +434,17 @@ def _serve_single(args, graph, scheme, stream):
     if args.cache_file:
         # Warm-cache persistence: serve with a preloaded engine, save
         # the (possibly warmer) cache back after the run.
-        cache = (DecisionCache.load(args.cache_file, maxsize=args.cache)
+        compiled = compile_scheme(scheme, graph)
+        computed_on = _cache_fingerprint(compiled, args.mode)
+        cache = (DecisionCache.load(args.cache_file, maxsize=args.cache,
+                                    fingerprint=computed_on)
                  if Path(args.cache_file).exists() else DecisionCache(args.cache))
-        engine = ServeEngine(compile_scheme(scheme, graph), mode=args.mode, cache=cache)
+        engine = ServeEngine(compiled, mode=args.mode, cache=cache)
     report, record = record_run(lambda: run_serving(
         scheme, graph, slo_target=args.slo_target, engine=engine, metrics=metrics,
         tracer=tracer, **stream)[0])
     if engine is not None:
-        engine.cache.save(args.cache_file)
+        engine.cache.save(args.cache_file, fingerprint=computed_on)
 
     notes = []
     if metrics is not None:
@@ -456,14 +460,25 @@ def _serve_single(args, graph, scheme, stream):
     return report, record, notes
 
 
+def _cache_fingerprint(compiled, mode: str) -> str:
+    """What a ``--cache-file``'s entries are answers about: these tables
+    under this source rule (computed only when a cache file is in play)."""
+    from .shard import lower_compiled
+
+    return f"{lower_compiled(compiled).fingerprint()}/{mode}"
+
+
 def _serve_sharded(args, graph, scheme, stream):
     """The ``repro serve --workers N`` path (S20, docs/sharding.md)."""
-    from .serve import DecisionCache
+    from .serve import DecisionCache, compile_scheme
     from .shard import run_sharded
 
-    cache_entries = None
-    if args.cache_file and Path(args.cache_file).exists():
-        cache_entries = DecisionCache.load(args.cache_file, maxsize=args.cache).entries()
+    cache_entries = computed_on = None
+    if args.cache_file:
+        computed_on = _cache_fingerprint(compile_scheme(scheme, graph), args.mode)
+        if Path(args.cache_file).exists():
+            cache_entries = DecisionCache.load(
+                args.cache_file, maxsize=args.cache, fingerprint=computed_on).entries()
     cache_out: Optional[list] = [] if args.cache_file else None
     report, record = record_run(lambda: run_sharded(
         scheme, graph, workers=args.workers, shm=args.shm, slo_target=args.slo_target,
@@ -471,7 +486,7 @@ def _serve_sharded(args, graph, scheme, stream):
     if cache_out is not None:
         merged_cache = DecisionCache(args.cache)
         merged_cache.preload(cache_out)
-        merged_cache.save(args.cache_file)
+        merged_cache.save(args.cache_file, fingerprint=computed_on)
     return report, record, []
 
 

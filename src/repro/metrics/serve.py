@@ -26,7 +26,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .registry import MetricsRegistry
 from .slo import DEFAULT_RULES, BurnRule, SloMonitor
 
-__all__ = ["ServeMetrics", "exemplar_payload"]
+__all__ = ["ServeMetrics", "exemplar_payload", "path_length_counts"]
+
+_ok_of = attrgetter("ok")
+_path_of = attrgetter("path")
+
+
+def path_length_counts(results: Sequence[Any]) -> "Counter[int]":
+    """Path lengths (``hops + 1``) of the delivered results, counted in
+    one C-level sweep -- no Python-level work per query."""
+    return Counter(map(len, map(_path_of, filter(_ok_of, results))))
 
 
 def exemplar_payload(
@@ -161,15 +170,17 @@ class ServeMetrics:
         pending, self._pending = self._pending, []
         for results, failed in pending:
             if failed:
-                self.record_path_lengths(
-                    Counter(len(r.path) for r in results if r.ok))
+                self.record_path_lengths(path_length_counts(results))
             else:
                 self.record_path_lengths(
-                    Counter(map(len, map(attrgetter("path"), results))))
+                    Counter(map(len, map(_path_of, results))))
 
-    def record_result(self, ok: bool, hops: int, cached: bool) -> None:
-        """Single-query engine path (``route_recorded``)."""
+    def record_result(self, ok: bool, hops: int, cached: bool,
+                      misses: int = 0) -> None:
+        """Single-query engine path (``route_recorded``); ``misses`` is
+        what the query added to the decision cache's miss counter."""
         self.queries.value += 1
+        self.cache_misses.value += misses
         if ok:
             if hops < _HOP_SCRATCH:
                 self.hop_counts[hops] += 1

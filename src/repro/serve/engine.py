@@ -37,14 +37,18 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
+from time import perf_counter
 from typing import TYPE_CHECKING, Hashable, Iterable, List, Optional, Tuple
 
 from ..errors import RoutingFailure
 
-#: On-disk format version of :meth:`DecisionCache.save`.
-CACHE_FORMAT = 1
+#: On-disk format version of :meth:`DecisionCache.save` (2: the file
+#: names what its entries were computed on).
+CACHE_FORMAT = 2
 
 if TYPE_CHECKING:  # pragma: no cover
+    from array import array
+
     from ..metrics.serve import ServeMetrics
     from ..tracing.sampler import Tracer
 from .compile import (
@@ -169,7 +173,7 @@ class DecisionCache:
         for key, (path, length) in entries:
             self.put(tuple(key), (tuple(path), length))
 
-    def save(self, path: str) -> None:
+    def save(self, path: str, *, fingerprint: Optional[str] = None) -> None:
         """Persist the cache as versioned JSON (id-codec encoded).
 
         Node ids round-trip through the serialization codec
@@ -177,11 +181,16 @@ class DecisionCache:
         tuple ids all survive; entries are written oldest-first so
         ``load`` rebuilds the identical LRU eviction order.  Hit/miss
         counters are run-scoped and deliberately not persisted.
+        ``fingerprint`` names what the entries were computed on (``repro
+        serve`` passes the table image's digest and the source-rule
+        mode): a cached entry is a finished answer, so it is only true
+        of those tables.
         """
         from ..routing.serialization import encode_id
 
         blob = {
             "format": CACHE_FORMAT,
+            "fingerprint": fingerprint,
             "maxsize": self.maxsize,
             "entries": [
                 [encode_id(key[0]), encode_id(key[1]),
@@ -193,13 +202,16 @@ class DecisionCache:
             json.dump(blob, fp)
 
     @classmethod
-    def load(cls, path: str,
-             maxsize: Optional[int] = None) -> "DecisionCache":
+    def load(cls, path: str, maxsize: Optional[int] = None, *,
+             fingerprint: Optional[str] = None) -> "DecisionCache":
         """Rebuild a saved cache (``maxsize`` overrides the saved bound).
 
         A restarted server that serves through the loaded cache starts at
         the original run's warm hit rate instead of paying the cold-start
-        window again (tested in ``tests/test_serve_harness.py``).
+        window again (tested in ``tests/test_serve_harness.py``).  Given
+        a ``fingerprint``, a file saved under any other one (or none) is
+        an :class:`~repro.errors.InputError`: its paths would be served
+        as answers about tables they were never computed on.
         """
         from ..errors import InputError
         from ..routing.serialization import decode_id
@@ -220,6 +232,12 @@ class DecisionCache:
                 f"decision-cache file {path}: format "
                 f"{blob.get('format')!r} != {CACHE_FORMAT} "
                 "(re-save with this version)")
+        if fingerprint is not None and blob.get("fingerprint") != fingerprint:
+            raise InputError(
+                f"decision-cache file {path} was computed on "
+                f"{blob.get('fingerprint')!r}, not on the tables being "
+                f"served ({fingerprint!r}); its entries are answers about "
+                "another graph (delete it or name another file)")
         try:
             cache = cls(maxsize if maxsize is not None else blob["maxsize"])
             cache.preload(
@@ -292,6 +310,7 @@ class ServeEngine:
 
     def route_recorded(self, source: NodeId, target: NodeId) -> ServeResult:
         """Answer one query, converting failures into a recorded result."""
+        misses = self.cache.misses
         try:
             result = self.route(source, target)
         except RoutingFailure as exc:
@@ -303,7 +322,8 @@ class ServeEngine:
             )
         m = self.metrics
         if m is not None:
-            m.record_result(result.ok, len(result.path) - 1, result.cached)
+            m.record_result(result.ok, len(result.path) - 1, result.cached,
+                            self.cache.misses - misses)
         t = self.tracer
         if t is not None and t.sample_head():
             t.capture_pair(self, source, target)
@@ -312,7 +332,9 @@ class ServeEngine:
     # -- batch ---------------------------------------------------------------
 
     def route_many(
-        self, queries: Iterable[Tuple[NodeId, NodeId]]
+        self,
+        queries: Iterable[Tuple[NodeId, NodeId]],
+        boundaries: Optional["array[float]"] = None,
     ) -> List[ServeResult]:
         """Answer a batch under the count-and-continue failure policy.
 
@@ -321,13 +343,39 @@ class ServeEngine:
         path is a specialized loop with the per-query dispatch, cache
         bookkeeping, and exception plumbing hoisted out -- this is the
         serving tier's hot entry point.
+
+        ``boundaries`` (an ``array('d')``) makes the loop its own
+        stopwatch: one ``perf_counter`` reading is appended before each
+        query and one after the last, so query ``i`` was served between
+        readings ``i`` and ``i + 1`` (:func:`~repro.serve.harness.
+        serve_pairs` turns the gaps into the latency sketch).  Without
+        it the loop pays one local-boolean test per query.
         """
         if self._is_tree:
-            return [self.route_recorded(u, v) for u, v in queries]
-        return self._route_many_graph(queries)
+            return self._route_many_tree(queries, boundaries)
+        return self._route_many_graph(queries, boundaries)
+
+    def _route_many_tree(
+        self,
+        queries: Iterable[Tuple[NodeId, NodeId]],
+        boundaries: Optional["array[float]"],
+    ) -> List[ServeResult]:
+        # Exact tree routing has no cache or decision scan to hoist: its
+        # batch is the single-query path in a loop.
+        timed = boundaries is not None
+        results: List[ServeResult] = []
+        for u, v in queries:
+            if timed:
+                boundaries.append(perf_counter())
+            results.append(self.route_recorded(u, v))
+        if timed:
+            boundaries.append(perf_counter())
+        return results
 
     def _route_many_graph(
-        self, queries: Iterable[Tuple[NodeId, NodeId]]
+        self,
+        queries: Iterable[Tuple[NodeId, NodeId]],
+        boundaries: Optional["array[float]"],
     ) -> List[ServeResult]:
         compiled: CompiledGraphScheme = self.compiled
         cache = self.cache
@@ -362,6 +410,8 @@ class ServeEngine:
             base = 0
             defer = None
             next_sample_at = -1
+        timed = boundaries is not None
+        stamp = boundaries.append if timed else None
         results: List[ServeResult] = []
         append = results.append
         served = 0
@@ -369,6 +419,8 @@ class ServeEngine:
         hits = 0
         misses = 0
         for key in queries:
+            if timed:
+                stamp(perf_counter())
             source, target = key
             served += 1
             if source == target:
@@ -424,6 +476,8 @@ class ServeEngine:
             if served == next_sample_at:
                 next_sample_at = defer(base + served - 1, source,
                                        target) - base + 1
+        if timed:
+            stamp(perf_counter())
         if tracer is not None:
             tracer.seq = base + served
         self.queries += served

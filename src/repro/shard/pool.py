@@ -147,8 +147,8 @@ class ShardPool:
         self.manifest = self.sealed.manifest if self.sealed else None
 
         # Warm-cache entries preload on the worker that will serve the
-        # pair (same crc plan as serving), so a restored pool hits at
-        # least as often as the run that saved the cache.
+        # pair (the plan serving partitions by), so a restored pool hits
+        # at least as often as the run that saved the cache.
         preload: List[List[Tuple[Any, Any]]] = [[] for _ in range(workers)]
         for key, value in cache_entries or ():
             preload[shard_of(key[0], key[1], workers)].append((key, value))
@@ -244,7 +244,7 @@ class ShardPool:
                         queries=len(pairs)):
             for conn, part in zip(self._conns, slices):
                 self._send(conn, ("serve", part, params))
-            payloads = [self._recv(conn, "report") for conn in self._conns]
+            payloads = self._gather("report")
 
         reports: List[ServeReport] = []
         results: Optional[List[Optional[ServeResult]]] = (
@@ -272,10 +272,7 @@ class ShardPool:
             raise ShardError("cache collection on a closed/broken pool")
         for conn in self._conns:
             self._send(conn, ("cache",))
-        entries: List[Tuple[Any, Any]] = []
-        for conn in self._conns:
-            entries.extend(self._recv(conn, "cache"))
-        return entries
+        return [entry for body in self._gather("cache") for entry in body]
 
     @property
     def shard_reports(self) -> List[ServeReport]:
@@ -291,22 +288,36 @@ class ShardPool:
             self._broken = True
             raise ShardError(f"worker pipe closed unexpectedly: {exc}")
 
-    def _recv(self, conn: Any, want: str) -> Any:
-        try:
-            tag, body = conn.recv()
-        except (EOFError, ConnectionResetError, OSError):
-            self._broken = True
-            raise ShardError(
-                "worker died before replying (EOF on pipe); the pool's "
-                "close() still unlinks the shared segment")
-        if tag == "error":
-            self._broken = True
-            raise ShardError(f"worker failed:\n{body}")
-        if tag != want:
-            self._broken = True
-            raise ShardError(f"protocol error: expected {want!r}, "
-                             f"got {tag!r}")
-        return body
+    def _gather(self, want: str) -> List[Any]:
+        """One ``want`` reply per worker, in shard order.
+
+        A worker that *reports* a failure (``("error", traceback)``) is
+        alive and in protocol, so the other workers' replies to the same
+        request are read before it is raised: no pipe is left holding a
+        stale reply, and the pool stays usable.  Only a dead pipe or an
+        out-of-protocol reply breaks the pool.
+        """
+        bodies: List[Any] = []
+        failures: List[str] = []
+        for conn in self._conns:
+            try:
+                tag, body = conn.recv()
+            except (EOFError, ConnectionResetError, OSError):
+                self._broken = True
+                raise ShardError(
+                    "worker died before replying (EOF on pipe); the pool's "
+                    "close() still unlinks the shared segment")
+            if tag == "error":
+                failures.append(body)
+            elif tag != want:
+                self._broken = True
+                raise ShardError(f"protocol error: expected {want!r}, "
+                                 f"got {tag!r}")
+            else:
+                bodies.append(body)
+        if failures:
+            raise ShardError("worker failed:\n" + "\n".join(failures))
+        return bodies
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -36,6 +36,7 @@ afterwards.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from array import array
 from multiprocessing import shared_memory
@@ -132,6 +133,16 @@ class LoweredTables:
     def __init__(self, manifest: Dict[str, Any], payload: bytes) -> None:
         self.manifest = manifest
         self.payload = payload
+
+    def fingerprint(self) -> str:
+        """sha256 of the image and of the manifest that gives its bytes
+        meaning (id universe, scalars, column layout): the identity of
+        the tables, e.g. for a warm-cache file to name what its entries
+        are answers about."""
+        digest = hashlib.sha256(
+            json.dumps(self.manifest, sort_keys=True).encode("utf-8"))
+        digest.update(self.payload)
+        return digest.hexdigest()
 
 
 def lower_compiled(compiled: CompiledScheme) -> LoweredTables:

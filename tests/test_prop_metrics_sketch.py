@@ -12,7 +12,9 @@ Two contracts, checked on adversarial streams:
 
 import math
 import random
+from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics import QuantileSketch
@@ -107,3 +109,38 @@ def test_workload_family_streams_within_bound():
             exact = exact_quantile(values, q)
             err = abs(sk.quantile(q) - exact)
             assert err <= alpha * exact + 1e-9, (name, q, err)
+
+
+# Bulk ingestion (`add_many`) against the per-value path it must equal:
+# zeros, negatives (clamped into the zero bucket) and sub-trackable
+# magnitudes included, through every container `serve_pairs` and the
+# tests hand it, and on top of a sketch that already holds samples.
+signed = st.one_of(
+    magnitudes,
+    st.just(-0.0),
+    st.floats(min_value=-1e6, max_value=1e-11,
+              allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(signed, max_size=200), st.lists(signed, max_size=20),
+       accuracies, st.sampled_from([list, tuple, iter,
+                                    lambda xs: array("d", xs)]))
+@settings(max_examples=200, deadline=None)
+def test_bulk_ingestion_equals_per_value_add(values, already, alpha, box):
+    bulk = QuantileSketch(relative_accuracy=alpha)
+    single = QuantileSketch(relative_accuracy=alpha)
+    for sk in (bulk, single):
+        for v in already:
+            sk.add(v)
+    bulk.add_many(box(values))
+    for v in values:
+        single.add(v)
+    assert bulk == single  # alpha, count, zero bucket, every log bucket
+    assert bulk.bucket_bounds() == single.bucket_bounds()
+    assert bulk.min_value == single.min_value
+    assert bulk.max_value == single.max_value
+    # One running sum against sum() of the batch: same terms, another
+    # association.
+    scale = sum(abs(v) for v in values + already)
+    assert bulk.total == pytest.approx(single.total, abs=1e-9 * scale + 1e-12)

@@ -1,20 +1,27 @@
 """Tests for the serving harness, SLO verdicts, and the serve CLI."""
 
+import copy
 import json
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.errors import InputError
 from repro.graphs import random_connected_graph, spanning_tree_of
+from repro.metrics import QuantileSketch, ServeMetrics
 from repro.serve import (
     SKETCH_ACCURACY,
     ServeEngine,
     compile_scheme,
+    make_workload,
     percentile,
     run_serving,
+    serve_pairs,
     slo_verdict,
 )
+from repro.serve.harness import _per_query_stretch
 from repro.telemetry import record_run
+from repro.tracing import Tracer
 from repro.tz import build_centralized_scheme, build_tree_scheme
 
 
@@ -122,6 +129,139 @@ class TestRunServing:
         assert verdict.column == "slo_fraction"
         assert verdict.limit == report.slo_target
         assert "frac(stretch" in verdict.formula
+
+
+def _broken(scheme):
+    """Twenty vertices lose their tables: routes through them fail."""
+    broken = copy.deepcopy(scheme)
+    for v in list(broken.tables)[:20]:
+        broken.tables[v].trees.clear()
+    return broken
+
+
+_COUNTERS = ("repro_serve_queries_total", "repro_serve_failures_total",
+             "repro_serve_cache_hits_total", "repro_serve_cache_misses_total",
+             "repro_serve_hops")
+
+
+class TestMeasurementLoop:
+    """``serve_pairs`` drives the batched loop; the single-query
+    ``route_recorded`` loop it replaced stays the reference it must
+    reproduce, instrument for instrument."""
+
+    @pytest.fixture(scope="class", params=["zipf", "uniform", "adversarial",
+                                           "failures"])
+    def stream(self, request, built):
+        graph, scheme = built
+        workload, fails = request.param, request.param == "failures"
+        if fails:
+            scheme, workload = _broken(scheme), "uniform"
+        compiled = compile_scheme(scheme, graph)
+        probe = ServeEngine(compiled, cache_size=0)
+
+        def route_length(u, v):
+            result = probe.route_recorded(u, v)
+            return result.length if result.ok else None
+
+        pairs = make_workload(workload, graph, compiled.nodes, 600, 17,
+                              route_length=route_length)
+        return graph, compiled, pairs, fails
+
+    @pytest.mark.parametrize("instrumented", [False, True],
+                             ids=["plain", "metrics+tracer"])
+    def test_equals_route_recorded_loop(self, stream, instrumented):
+        graph, compiled, pairs, fails = stream
+
+        def attached():
+            if not instrumented:
+                return {}
+            return {"metrics": ServeMetrics(),
+                    "tracer": Tracer(rate=0.05, seed=3)}
+
+        # A cache smaller than the stream's distinct pairs: evictions too.
+        new = ServeEngine(compiled, cache_size=64, **attached())
+        report, results = serve_pairs(new, graph, pairs, seed=17)
+
+        old = ServeEngine(compiled, cache_size=64, **attached())
+        expected = [old.route_recorded(u, v) for u, v in pairs]
+
+        assert results == expected
+        assert [r.cached for r in results] == [r.cached for r in expected]
+        assert new.stats() == old.stats()
+        assert report.failures == old.failures < len(pairs)
+        assert (report.failures > 0) == fails
+
+        hops = QuantileSketch(SKETCH_ACCURACY)
+        for r in expected:
+            if r.ok:
+                hops.add(r.hops)
+        assert report.sketches["hops"] == hops
+        assert report.sketches["hops"].to_dict() == hops.to_dict()
+        stretches = _per_query_stretch(graph, expected)
+        stretch = QuantileSketch(SKETCH_ACCURACY)
+        stretch.add_many([x for x in stretches if x is not None])
+        assert report.sketches["stretch"] == stretch
+
+        if instrumented:
+            got = new.metrics.snapshot(now=1.0)
+            want = old.metrics.snapshot(now=1.0)
+            for name in _COUNTERS:
+                assert got[name]["series"] == want[name]["series"], name
+            assert new.metrics.hops.sketch == old.metrics.hops.sketch
+            assert new.metrics.latency_us.count == len(pairs)
+            ref_traces = old.tracer.finalize(old, expected, stretches,
+                                             graph=graph)
+            assert ([(t.trace_id, t.via) for t in report.traces]
+                    == [(t.trace_id, t.via) for t in ref_traces])
+            assert len(new.tracer.head) == len(old.tracer.head) > 0
+
+    def test_latency_is_boundary_to_boundary(self, stream):
+        graph, compiled, pairs, _ = stream
+        report, _ = serve_pairs(ServeEngine(compiled), graph, pairs, slo=False)
+        latency = report.sketches["latency_us"]
+        assert latency.count == report.queries == len(pairs)
+        assert latency.min_value > 0.0 and latency.zero_count == 0
+        # The gaps tile the loop, and the loop sits inside serve_s.
+        assert latency.total <= report.serve_s * 1e6
+        assert report.latency_us_p50 <= report.latency_us_p99 \
+               <= latency.max_value
+
+    def test_empty_stream(self, built):
+        graph, scheme = built
+        engine = ServeEngine(compile_scheme(scheme, graph),
+                             metrics=ServeMetrics())
+        report, results = serve_pairs(engine, graph, [])
+        assert results == [] and report.queries == 0
+        assert report.sketches["latency_us"].count == 0
+        assert report.latency_us_p99 == 0.0 and report.hops_max == 0.0
+        assert report.slo_fraction == 1.0
+
+    def test_tree_engine(self):
+        graph = random_connected_graph(50, seed=90)
+        scheme = build_tree_scheme(
+            spanning_tree_of(graph, style="dfs", seed=90))
+        compiled = compile_scheme(scheme, graph)
+        pairs = make_workload("uniform", graph, compiled.nodes, 80, 5)
+        report, results = serve_pairs(ServeEngine(compiled), graph, pairs)
+        reference = ServeEngine(compiled)
+        assert results == [reference.route_recorded(u, v) for u, v in pairs]
+        assert report.sketches["latency_us"].count == len(pairs)
+        assert report.sketches["latency_us"].min_value > 0.0
+
+    def test_route_many_without_buffer_reads_no_clock(self, built,
+                                                      monkeypatch):
+        """The stopwatch is the caller's choice, not a standing cost."""
+        from repro.serve import engine as engine_module
+
+        graph, scheme = built
+        compiled = compile_scheme(scheme, graph)
+        pairs = make_workload("uniform", graph, compiled.nodes, 50, 2)
+
+        def no_clock():
+            raise AssertionError("route_many read the clock unasked")
+
+        monkeypatch.setattr(engine_module, "perf_counter", no_clock)
+        assert len(ServeEngine(compiled).route_many(pairs)) == len(pairs)
 
 
 class TestServeEngineUnits:
@@ -319,6 +459,62 @@ class TestCachePersistence:
         path.write_text(text)
         with pytest.raises(InputError, match="cache.json"):
             DecisionCache.load(path)
+
+    def test_fingerprint_guards_load(self, tmp_path):
+        from repro.serve import DecisionCache
+
+        cache = DecisionCache(8)
+        cache.put((0, 1), ((0, 1), 1.0))
+        path = tmp_path / "cache.json"
+        cache.save(path, fingerprint="tables-a")
+        assert DecisionCache.load(path, fingerprint="tables-a").entries() \
+            == cache.entries()
+        assert DecisionCache.load(path).entries() == cache.entries()
+        with pytest.raises(InputError, match="tables-a.*tables-b"):
+            DecisionCache.load(path, fingerprint="tables-b")
+        # A file that does not say what it was computed on proves nothing.
+        cache.save(path)
+        with pytest.raises(InputError, match="None.*tables-a"):
+            DecisionCache.load(path, fingerprint="tables-a")
+
+    def test_format_1_file_rejected(self, tmp_path):
+        """Format 1 carried no fingerprint: it is refused, not trusted."""
+        from repro.serve import DecisionCache
+
+        path = tmp_path / "cache.json"
+        path.write_text('{"format": 1, "maxsize": 4, "entries": []}')
+        with pytest.raises(InputError, match="format 1 != 2"):
+            DecisionCache.load(path)
+
+    @pytest.mark.parametrize("writer,reader", [
+        ([], []), (["--workers", "2"], ["--workers", "2"]),
+        ([], ["--workers", "2"]), (["--workers", "2"], []),
+    ], ids=["single", "pooled", "single-then-pooled", "pooled-then-single"])
+    def test_cli_rejects_cache_of_other_tables(self, tmp_path, capsys,
+                                               writer, reader):
+        """A cached entry is a finished answer: served against another
+        graph (here: another seed) it was a silently wrong path with the
+        SLO reading PASS."""
+        path = tmp_path / "serve-cache.json"
+
+        def serve(*extra):
+            return main(["serve", "--n", "60", "--k", "2", "--queries", "300",
+                         "--workload", "zipf", "--cache-file", str(path),
+                         *extra])
+
+        assert serve("--seed", "1", *writer) == 0
+        saved = path.read_text()
+        with pytest.raises(InputError) as err:
+            serve("--seed", "2", *reader)
+        written_on = json.loads(saved)["fingerprint"]
+        assert written_on in str(err.value)
+        assert str(err.value).count("/first") == 2  # both are named
+        with pytest.raises(InputError, match="/best"):
+            serve("--seed", "1", "--mode", "best", *reader)
+        assert path.read_text() == saved  # a refused run rewrites nothing
+        capsys.readouterr()
+        assert serve("--seed", "1", *reader) == 0
+        assert "hit_rate=100.0%" in capsys.readouterr().out
 
     def test_cli_cache_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "serve-cache.json"
