@@ -199,7 +199,8 @@ class DecisionCache:
             ],
         }
         with open(path, "w") as fp:
-            json.dump(blob, fp)
+            # not json.dump: that streams through the pure-Python encoder
+            fp.write(json.dumps(blob))
 
     @classmethod
     def load(cls, path: str, maxsize: Optional[int] = None, *,

@@ -12,11 +12,12 @@ budget.
 Layout.  Every column is an 8-byte array (``q`` = int64, ``d`` = float64)
 at an 8-aligned offset; a JSON-able *manifest* records
 ``{name: (offset, count, code)}`` plus the interned **id universe** (every
-vertex / tree id, encoded with the serialization codec so tuples, strs and
-ints round-trip exactly).  Optional ids are lowered as ``-1`` and optional
-weights as NaN; :func:`from_buffers` rehydrates both back to ``None`` so
-the engine's reference-parity checks (``w is None`` → "not an edge")
-behave byte-identically.
+vertex / tree id, encoded once by the serialization codec's
+:class:`~repro.routing.serialization.IdTable` -- the interner scheme JSON
+uses -- so tuples, strs and ints round-trip exactly).  Optional ids are
+lowered as ``-1`` and optional weights as NaN; :func:`from_buffers`
+rehydrates both back to ``None`` so the engine's reference-parity checks
+(``w is None`` → "not an edge") behave byte-identically.
 
 Packing.  The writer packs every column through the stdlib :mod:`array`
 module (a golden test pins the resulting bytes).  The reader hands the
@@ -43,7 +44,7 @@ from multiprocessing import shared_memory
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import InputError, ReproError, ShardError
-from ..routing.serialization import decode_id, encode_id
+from ..routing.serialization import IdTable, decode_id, id_key
 from ..serve.compile import (
     CompiledGraphScheme,
     CompiledScheme,
@@ -70,39 +71,6 @@ _NAN = float("nan")
 #: :mod:`array` type codes of the two column kinds (int64, float64).
 _INT_CODE = "q"
 _FLOAT_CODE = "d"
-
-
-# ---------------------------------------------------------------------------
-# Id universe
-# ---------------------------------------------------------------------------
-
-class _Universe:
-    """Dense interning of ids keyed by their *encoded* form.
-
-    Keying by the codec output (not the raw object) keeps ``1``, ``1.0``
-    and ``True`` distinct — as dict keys they would collide.
-    """
-
-    def __init__(self) -> None:
-        self.encoded: List[Any] = []
-        self._index: Dict[str, int] = {}
-
-    def index(self, value: NodeId) -> int:
-        blob = encode_id(value)
-        key = json.dumps(blob, sort_keys=True)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = self._index[key] = len(self.encoded)
-            self.encoded.append(blob)
-        return idx
-
-    def opt_index(self, value: Optional[NodeId]) -> int:
-        return NO_ID if value is None else self.index(value)
-
-
-def _sort_key(value: NodeId) -> str:
-    """Deterministic order for unordered id sets (frozensets)."""
-    return json.dumps(encode_id(value), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +115,8 @@ class LoweredTables:
 
 def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
     """Lower a compiled scheme into (manifest, payload bytes)."""
-    uni = _Universe()
+    uni = IdTable()
+    index = uni.index
     writer = _Writer()
 
     if isinstance(compiled, CompiledTreeScheme):
@@ -158,8 +127,9 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
         scalars: Dict[str, Any] = {
             "vertex_count": compiled.vertex_count,
             "default_budget": compiled.default_budget,
-            "tree_id_u": uni.index(compiled.tree_id),
-            "root_u": uni.opt_index(compiled.root),
+            "tree_id_u": index(compiled.tree_id),
+            "root_u": (NO_ID if compiled.root is None
+                       else index(compiled.root)),
         }
     elif isinstance(compiled, CompiledGraphScheme):
         kind = "graph"
@@ -184,13 +154,15 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
     t_fcols: Dict[str, List[float]] = {name: [] for name in (
         "t_parent_w", "t_heavy_w", "t_rootdist")}
     for tree in trees:
-        t_cols["t_ids_u"].extend(uni.index(v) for v in tree.ids)
+        t_cols["t_ids_u"].extend(index(v) for v in tree.ids)
         t_cols["t_enter"].extend(tree.enter)
         t_cols["t_exit"].extend(tree.exit_)
         t_cols["t_parent"].extend(tree.parent)
-        t_cols["t_parent_u"].extend(uni.opt_index(v) for v in tree.parent_id)
+        t_cols["t_parent_u"].extend(
+            NO_ID if v is None else index(v) for v in tree.parent_id)
         t_cols["t_heavy"].extend(tree.heavy)
-        t_cols["t_heavy_u"].extend(uni.opt_index(v) for v in tree.heavy_id)
+        t_cols["t_heavy_u"].extend(
+            NO_ID if v is None else index(v) for v in tree.heavy_id)
         t_fcols["t_parent_w"].extend(
             _NAN if w is None else float(w) for w in tree.parent_w)
         t_fcols["t_heavy_w"].extend(
@@ -211,7 +183,7 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
     light_next_u: List[int] = []
     light_w: List[float] = []
     for v, entries in per_target:
-        label_targets_u.append(uni.index(v))
+        label_targets_u.append(index(v))
         for level, tree_index, dist, label in entries:
             entry_level.append(level)
             entry_tree.append(tree_index)
@@ -221,7 +193,7 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
             for li, (nli, nid, w) in label.light.items():
                 light_li.append(li)
                 light_next_li.append(nli)
-                light_next_u.append(uni.index(nid))
+                light_next_u.append(index(nid))
                 light_w.append(_NAN if w is None else float(w))
             light_offsets.append(len(light_li))
         entry_offsets.append(len(entry_level))
@@ -229,10 +201,9 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
     writer.add("tree_sizes", _INT_CODE, [t.size for t in trees])
     if kind == "graph":
         writer.add("tree_ids_u", _INT_CODE,
-                   [uni.index(t.tree_id) for t in trees])
+                   [index(t.tree_id) for t in trees])
         writer.add("table_ids_u", _INT_CODE,
-                   [uni.index(v)
-                    for v in sorted(compiled.table_ids, key=_sort_key)])
+                   [index(v) for v in sorted(compiled.table_ids, key=id_key)])
     for name, values in t_cols.items():
         writer.add(name, _INT_CODE, values)
     for name, values in t_fcols.items():

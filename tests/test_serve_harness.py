@@ -435,6 +435,22 @@ class TestCachePersistence:
         assert loaded.entries() == cache.entries()
         assert loaded.maxsize == 8
 
+    def test_file_is_the_text_json_dump_writes(self, tmp_path):
+        """``save`` encodes with ``json.dumps`` (the C encoder); the file
+        is byte for byte what the streaming ``json.dump`` wrote."""
+        import io
+
+        from repro.serve import DecisionCache
+
+        cache = DecisionCache(8)
+        cache.put(("a", (1, 2)), (("a", 3, (1, 2)), 2.5))
+        cache.put((0, 1.5), ((0, 1.5), 1.0))
+        path = tmp_path / "cache.json"
+        cache.save(path, fingerprint="tables-a")
+        streamed = io.StringIO()
+        json.dump(json.loads(path.read_text()), streamed)
+        assert path.read_text() == streamed.getvalue()
+
     def test_format_mismatch_raises(self, tmp_path):
         from repro.errors import InputError
         from repro.serve import DecisionCache

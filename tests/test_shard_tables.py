@@ -295,5 +295,62 @@ class TestImageLayout:
                      _routes(attached.compiled, graph, pairs))
         attached.close()
 
+    def test_golden_fingerprints(self, built, built_tree):
+        """Image *and* manifest (universe order, scalars) are what the
+        per-occurrence ``_Universe`` interner produced before
+        ``IdTable`` replaced it."""
+        assert lower_compiled(built[1]).fingerprint() == (
+            "c2d457a3eebe91760862bfbf00bf11f6"
+            "b826cb96ca3578d580a6199bcad9212a")
+        assert lower_compiled(built_tree[1]).fingerprint() == (
+            "240b7d3008536cc4c7c906ef5fcb1431"
+            "4bc1ac53eed8d7bef1a0d5f3a4b136c8")
+
+    def test_mixed_type_ids_through_the_deploy_path(self):
+        """Ids that look alike (``1`` / ``"1"`` / ``(1,)`` / ``("1",)``)
+        or are neither int nor str take one universe slot each, the
+        JSON round trip lowers to the direct compile's image, and the
+        image is the one the previous interner produced."""
+        import io
+
+        import networkx as nx
+
+        from repro.routing.serialization import (
+            encode_id,
+            load_scheme,
+            save_scheme,
+        )
+
+        nodes = [1, "1", (1,), 2.0, ("1",), False, "a", (1, (2.0, "x"))]
+        graph = nx.Graph()
+        for i in range(len(nodes) - 1):
+            graph.add_edge(nodes[i], nodes[i + 1], weight=1.0 + i)
+        graph.add_edge(nodes[0], nodes[4], weight=2.5)
+        scheme = build_centralized_scheme(graph, 2, seed=3)
+        compiled = compile_scheme(scheme, graph)
+        direct = lower_compiled(compiled)
+
+        universe = direct.manifest["universe"]
+        assert len(universe) == len(nodes)
+        assert all(universe.count(encode_id(v)) == 1 for v in nodes)
+        assert direct.fingerprint() == (
+            "20f3f720e93be6f5329fa7458a7c6a3d"
+            "6d88b92af239617883c0914c48e45d1b")
+
+        saved = io.StringIO()
+        save_scheme(scheme, saved)
+        saved.seek(0)
+        shipped = lower_compiled(compile_scheme(load_scheme(saved), graph))
+        assert shipped.manifest == direct.manifest
+        assert shipped.payload == direct.payload
+
+        with from_buffers(shipped.manifest, shipped.payload) as attached:
+            assert attached.compiled.nodes == compiled.nodes
+            assert ([type(v) for v in attached.compiled.nodes]
+                    == [type(v) for v in compiled.nodes])
+            pairs = [(u, v) for u in nodes for v in nodes]
+            _same_routes(_routes(compiled, graph, pairs),
+                         _routes(attached.compiled, graph, pairs))
+
     def test_no_id_sentinel_is_negative(self):
         assert NO_ID < 0
