@@ -237,15 +237,16 @@ def run_table1(
 
     # [ABNLP90]-style hierarchical tree cover (aspect-ratio-dependent).
     cover = build_tree_cover_scheme(graph, seed=seed)
-    from ..graphs.paths import dijkstra as _dijkstra
+    from ..graphs.paths import Adjacency, dijkstra as _dijkstra
 
     worst = mean = 0.0
     by_source = {}
     for u, v in pair_sample:
         by_source.setdefault(u, []).append(v)
     count = 0
+    adj = Adjacency.of(graph)
     for u, targets in by_source.items():
-        dist, _ = _dijkstra(graph, [u])
+        dist, _ = _dijkstra(adj, [u])
         for v in targets:
             _, length = route_cover(cover, graph, u, v)
             stretch = length / dist[v] if dist[v] > 0 else 1.0

@@ -20,7 +20,7 @@ from typing import Dict, Hashable, List, Optional
 import networkx as nx
 
 from ..errors import InputError
-from ..graphs.paths import dijkstra, nearest_in_set
+from ..graphs.paths import Adjacency, dijkstra, nearest_in_set
 from ..graphs.validation import require_weighted_connected
 from ..routing.artifacts import (
     GraphLabel,
@@ -65,8 +65,9 @@ def build_landmark_scheme(
 
     tree_schemes: Dict[Hashable, TreeRoutingScheme] = {}
     dist_by_landmark: Dict[NodeId, Dict[NodeId, float]] = {}
+    adj = Adjacency.of(graph)
     for ell in chosen:
-        dist, parent = dijkstra(graph, [ell])
+        dist, parent = dijkstra(adj, [ell])
         dist_by_landmark[ell] = dist
         tree_schemes[ell] = build_tree_scheme(
             parent, tree_id=ell, root_distance=lambda v, d=dist: d[v]
@@ -77,7 +78,7 @@ def build_landmark_scheme(
         for v, table in scheme.tables.items():
             tables[v].trees[ell] = table
 
-    _, owner = nearest_in_set(graph, chosen)
+    _, owner = nearest_in_set(adj, chosen)
     labels: Dict[NodeId, GraphLabel] = {}
     for v in graph.nodes:
         ell = owner[v]

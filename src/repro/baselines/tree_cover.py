@@ -32,7 +32,7 @@ from typing import Dict, Hashable, List, Tuple
 import networkx as nx
 
 from ..errors import InputError, RoutingFailure
-from ..graphs.paths import dijkstra
+from ..graphs.paths import Adjacency, dijkstra
 from ..graphs.validation import require_weighted_connected
 from ..routing.artifacts import TreeRoutingScheme
 from ..routing.tree_router import tree_forward
@@ -101,7 +101,8 @@ def build_tree_cover_scheme(
     w_min = min(weights)
     # Upper bound on the weighted diameter via two BFS-like sweeps.
     some = sorted(graph.nodes, key=repr)[0]
-    far_d, _ = dijkstra(graph, [some])
+    adj = Adjacency.of(graph)
+    far_d, _ = dijkstra(adj, [some])
     diameter_bound = 2 * max(far_d.values())
 
     scales: List[CoverScale] = []
@@ -113,7 +114,7 @@ def build_tree_cover_scheme(
         while uncovered:
             c = min(uncovered, key=repr)
             centers.append(c)
-            ball, _ = dijkstra(graph, [c], predicate=lambda v, d: d <= radius)
+            ball, _ = dijkstra(adj, [c], predicate=lambda v, d: d <= radius)
             for v, d in ball.items():
                 if d <= radius and v in uncovered:
                     uncovered.discard(v)
@@ -121,7 +122,7 @@ def build_tree_cover_scheme(
         trees: Dict[NodeId, TreeRoutingScheme] = {}
         for c in centers:
             dist, parent = dijkstra(
-                graph, [c], predicate=lambda v, d: d <= 2 * radius
+                adj, [c], predicate=lambda v, d: d <= 2 * radius
             )
             members = {v for v, d in dist.items() if d <= 2 * radius}
             tree_parent = {v: parent[v] for v in members}

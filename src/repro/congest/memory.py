@@ -315,9 +315,25 @@ class MemoryBank:
         self._peak_totals = [0]
 
     def high_waters(self) -> List[int]:
-        """Every meter's high-water mark, in meter order."""
+        """Every meter's high-water mark, in meter order.
+
+        :meth:`MemoryMeter._settle` for all meters in one loop, with one
+        ``peak_since`` per distinct stale epoch: the meters untouched since
+        the previous read all carry that read's epoch.
+        """
+        epoch = self.epoch
+        peaks: Dict[int, int] = {}
         for meter in self.meters:
-            meter._settle(self)
+            stale = meter._epoch
+            if stale != epoch:
+                try:
+                    peak = peaks[stale]
+                except KeyError:
+                    peak = peaks[stale] = self.peak_since(stale)
+                peak += meter._current
+                if peak > meter._high_water:
+                    meter._high_water = peak
+                meter._epoch = epoch
         return [meter._high_water for meter in self.meters]
 
     def peak_since(self, epoch: int) -> int:

@@ -20,6 +20,7 @@ import math
 from typing import Dict, Hashable, List
 
 from ..congest.network import Network
+from ..graphs.paths import Adjacency
 from ..tz.clusters import ClusterTree, PivotInfo, exact_cluster_tree
 from ..tz.hierarchy import Hierarchy
 
@@ -48,11 +49,12 @@ def build_exact_low_level_clusters(
     k = hierarchy.k
     congestion = math.ceil(4.0 * n ** (1.0 / k) * max(1.0, math.log(n)))
     trees: Dict[NodeId, ClusterTree] = {}
+    adj = Adjacency.of(net.graph)
     for i in range(top_exclusive):
         net.begin_phase(f"low-levels/{i}")
         roots: List[NodeId] = hierarchy.vertices_at_level(i)
         for root in roots:
-            tree = exact_cluster_tree(net.graph, root, i, pivots)
+            tree = exact_cluster_tree(adj, root, i, pivots)
             trees[root] = tree
             for v in tree.dist:
                 net.mem(v).add("clusters/membership", 2)

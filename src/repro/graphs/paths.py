@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -28,9 +29,55 @@ from ..errors import InputError
 NodeId = Hashable
 INF = math.inf
 
+#: One neighbour of a row: ``(v, weight, repr(v))``.
+Arc = Tuple[NodeId, float, str]
+
+
+class Adjacency:
+    """An immutable snapshot of a graph's weighted adjacency, the form every
+    kernel below runs on.
+
+    ``rows[u]`` is a tuple of ``(v, weight, repr(v))`` in
+    ``graph.neighbors(u)`` order (so every tie resolves as it would reading
+    the graph), with ``weight`` already ``float(data.get("weight", 1.0))``
+    and ``repr(v)`` the heap tie-break; ``rows`` itself iterates in
+    ``graph.nodes`` order.  Built in O(n + m).
+
+    The snapshot is a *value*: whoever runs a kernel per source builds it
+    once and passes it down (every kernel takes a graph or an
+    ``Adjacency``).  It is never cached on or keyed by the graph -- a
+    ``networkx`` graph carries no version stamp a cache could be
+    invalidated by -- so it reflects the graph as it was when built.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, graph: nx.Graph) -> None:
+        reprs = {v: repr(v) for v in graph}
+        self.rows: Mapping[NodeId, Tuple[Arc, ...]] = MappingProxyType({
+            u: tuple(
+                [(v, float(data.get("weight", 1.0)), reprs[v])
+                 for v, data in nbrs.items()]
+            )
+            for u, nbrs in graph.adjacency()
+        })
+
+    @classmethod
+    def of(cls, graph: "GraphLike") -> "Adjacency":
+        """``graph`` itself when it already is a snapshot, else a new one."""
+        return graph if isinstance(graph, cls) else cls(graph)
+
+
+GraphLike = Union[nx.Graph, Adjacency]
+
+
+def _require_vertex(rows: Mapping[NodeId, Tuple[Arc, ...]], v: NodeId) -> None:
+    if v not in rows:
+        raise InputError(f"source {v!r} is not a vertex of the graph")
+
 
 def dijkstra(
-    graph: nx.Graph,
+    graph: GraphLike,
     sources: Iterable[NodeId],
     *,
     predicate: Optional[Callable[[NodeId, float], bool]] = None,
@@ -43,70 +90,78 @@ def dijkstra(
     relax their neighbours).  Returns ``(dist, parent)``; unreached vertices
     are absent.
     """
+    rows = Adjacency.of(graph).rows
     dist: Dict[NodeId, float] = {}
     parent: Dict[NodeId, Optional[NodeId]] = {}
     heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
     for s in sources:
+        _require_vertex(rows, s)
         dist[s] = 0.0
         parent[s] = None
-        heapq.heappush(heap, (0.0, repr(s), s))
+        push(heap, (0.0, repr(s), s))
+    known = dist.get
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
+        d, _, u = pop(heap)
+        if d > dist[u]:
             continue
         if predicate is not None and not predicate(u, d):
             continue
-        for v in graph.neighbors(u):
-            nd = d + float(graph[u][v].get("weight", 1.0))
-            if nd < dist.get(v, INF):
+        for v, weight, tie in rows[u]:
+            nd = d + weight
+            if nd < known(v, INF):
                 dist[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd, repr(v), v))
+                push(heap, (nd, tie, v))
     return dist, parent
 
 
-def distances_to_set(graph: nx.Graph, targets: Iterable[NodeId]) -> Dict[NodeId, float]:
+def distances_to_set(graph: GraphLike, targets: Iterable[NodeId]) -> Dict[NodeId, float]:
     """``d_G(v, S)`` for every vertex ``v`` (used for pivot distances)."""
+    adj = Adjacency.of(graph)
     targets = list(targets)
     if not targets:
-        return {v: INF for v in graph.nodes}
-    dist, _ = dijkstra(graph, targets)
-    return {v: dist.get(v, INF) for v in graph.nodes}
+        return {v: INF for v in adj.rows}
+    dist, _ = dijkstra(adj, targets)
+    return {v: dist.get(v, INF) for v in adj.rows}
 
 
 def nearest_in_set(
-    graph: nx.Graph, targets: Iterable[NodeId]
+    graph: GraphLike, targets: Iterable[NodeId]
 ) -> Tuple[Dict[NodeId, float], Dict[NodeId, Optional[NodeId]]]:
     """For every vertex: distance to the nearest target and *which* target.
 
     Implemented as multi-source Dijkstra that propagates the source identity
     along shortest-path trees (the classical "Voronoi" construction).
     """
-    targets = list(targets)
+    rows = Adjacency.of(graph).rows
     dist: Dict[NodeId, float] = {}
     owner: Dict[NodeId, Optional[NodeId]] = {}
     heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
     for s in targets:
+        _require_vertex(rows, s)
         dist[s] = 0.0
         owner[s] = s
-        heapq.heappush(heap, (0.0, repr(s), s, s))
+        push(heap, (0.0, repr(s), s, s))
+    known = dist.get
     while heap:
-        d, _, u, src = heapq.heappop(heap)
-        if d > dist.get(u, INF) or owner.get(u) != src:
+        d, _, u, src = pop(heap)
+        if d > dist[u] or owner[u] != src:
             continue
-        for v in graph.neighbors(u):
-            nd = d + float(graph[u][v].get("weight", 1.0))
-            if nd < dist.get(v, INF):
+        for v, weight, tie in rows[u]:
+            nd = d + weight
+            if nd < known(v, INF):
                 dist[v] = nd
                 owner[v] = src
-                heapq.heappush(heap, (nd, repr(v), v, src))
-    full_dist = {v: dist.get(v, INF) for v in graph.nodes}
-    full_owner = {v: owner.get(v) for v in graph.nodes}
+                push(heap, (nd, tie, v, src))
+    full_dist = {v: dist.get(v, INF) for v in rows}
+    full_owner = {v: owner.get(v) for v in rows}
     return full_dist, full_owner
 
 
 def bounded_bellman_ford(
-    graph: nx.Graph,
+    graph: GraphLike,
     sources: Mapping[NodeId, float],
     hops: int,
     *,
@@ -121,6 +176,10 @@ def bounded_bellman_ford(
     (applied uniformly, sources included; in the paper's uses the exploration
     root trivially satisfies the rule).
 
+    The frontier is scanned in the order vertices were improved (first the
+    sources, in ``sources`` order), and on equal candidates the first one
+    scanned wins, so ``parent`` does not depend on ``PYTHONHASHSEED``.
+
     Returns ``(dist, parent, iterations_used)``; iterations stop early once a
     full pass changes nothing (then ``d^{(t)} = d^{(hops)}`` for all larger
     ``t``), which the caller may *not* use to reduce charged rounds -- the
@@ -128,61 +187,73 @@ def bounded_bellman_ford(
     """
     if hops < 0:
         raise InputError("hops must be non-negative")
+    rows = Adjacency.of(graph).rows
     dist: Dict[NodeId, float] = dict(sources)
-    parent: Dict[NodeId, Optional[NodeId]] = {s: None for s in sources}
-    frontier = set(sources)
+    parent: Dict[NodeId, Optional[NodeId]] = {}
+    for s in dist:
+        _require_vertex(rows, s)
+        parent[s] = None
+    frontier = list(dist)
+    known = dist.get
     iterations = 0
     for _ in range(hops):
         if not frontier:
             break
         iterations += 1
-        updates: Dict[NodeId, Tuple[float, NodeId]] = {}
+        # This pass's best candidate per improved vertex and who offered it;
+        # ``dist`` stays fixed during the scan, so every candidate is kept
+        # against the same estimates.
+        best: Dict[NodeId, float] = {}
+        via: Dict[NodeId, NodeId] = {}
+        offered = best.get
         for u in frontier:
             du = dist[u]
             if forward_if is not None and not forward_if(u, du):
                 continue
-            for v in graph.neighbors(u):
-                nd = du + float(graph[u][v].get("weight", 1.0))
-                if nd < dist.get(v, INF) and nd < updates.get(v, (INF, None))[0]:
-                    updates[v] = (nd, u)
-        frontier = set()
-        for v, (nd, via) in updates.items():
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                parent[v] = via
-                frontier.add(v)
+            for v, weight, _tie in rows[u]:
+                nd = du + weight
+                if nd < known(v, INF) and nd < offered(v, INF):
+                    best[v] = nd
+                    via[v] = u
+        dist.update(best)
+        parent.update(via)
+        frontier = list(best)
     return dist, parent, iterations
 
 
-def hop_counts(graph: nx.Graph, source: NodeId) -> Dict[NodeId, int]:
+def hop_counts(graph: GraphLike, source: NodeId) -> Dict[NodeId, int]:
     """Minimum number of hops of a *weighted shortest* path from ``source``.
 
     Computed by Dijkstra on the lexicographic key (distance, hops), so ties
     in distance resolve to the fewest-hops path -- this is the quantity
     ``h(u, v)`` bounded by Claim 8.
     """
+    rows = Adjacency.of(graph).rows
+    _require_vertex(rows, source)
     dist: Dict[NodeId, Tuple[float, int]] = {source: (0.0, 0)}
     heap = [(0.0, 0, repr(source), source)]
+    unknown = (INF, 0)
     while heap:
         d, h, _, u = heapq.heappop(heap)
-        if (d, h) > dist.get(u, (INF, 0)):
+        if (d, h) > dist[u]:
             continue
-        for v in graph.neighbors(u):
-            cand = (d + float(graph[u][v].get("weight", 1.0)), h + 1)
-            if cand < dist.get(v, (INF, 0)):
+        for v, weight, tie in rows[u]:
+            cand = (d + weight, h + 1)
+            if cand < dist.get(v, unknown):
                 dist[v] = cand
-                heapq.heappush(heap, (cand[0], cand[1], repr(v), v))
+                heapq.heappush(heap, (cand[0], cand[1], tie, v))
     return {v: dh[1] for v, dh in dist.items()}
 
 
-def shortest_path_diameter(graph: nx.Graph) -> int:
+def shortest_path_diameter(graph: GraphLike) -> int:
     """``S``: the maximum, over all pairs, of the hops of a shortest path.
 
     Exact and O(n * m log n); only call on small graphs (tests, reporting).
     """
+    adj = Adjacency.of(graph)
     worst = 0
-    for source in graph.nodes:
-        hops = hop_counts(graph, source)
+    for source in adj.rows:
+        hops = hop_counts(adj, source)
         worst = max(worst, max(hops.values()))
     return worst
 

@@ -15,12 +15,14 @@ Trees are represented as parent maps (``root -> None``), matching
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..errors import InputError
 
 NodeId = Hashable
 ParentMap = Mapping[NodeId, Optional[NodeId]]
+LightEdges = Tuple[Tuple[NodeId, NodeId], ...]
 
 
 def tree_root(parent: ParentMap) -> NodeId:
@@ -37,49 +39,108 @@ def children_map(parent: ParentMap) -> Dict[NodeId, List[NodeId]]:
             if p not in children:
                 raise InputError(f"parent {p!r} of {v!r} missing from tree")
             children[p].append(v)
-    for v in children:
-        children[v].sort(key=repr)
+    for kids in children.values():
+        if len(kids) > 1:
+            kids.sort(key=repr)
     return children
 
 
-def depths(parent: ParentMap) -> Dict[NodeId, int]:
+@dataclass(frozen=True)
+class TreeProfile:
+    """Everything the TZ tree scheme reads off one rooted tree, from one
+    traversal (:func:`tree_profile`)."""
+
+    root: NodeId
+    #: children in the port order used everywhere in this library (by repr)
+    children: Dict[NodeId, List[NodeId]]
+    #: a pre-order (every vertex after its parent) visiting the *last* child
+    #: first; reversed, it is the post-order that visits children in port
+    #: order
+    preorder: List[NodeId]
+    sizes: Dict[NodeId, int]
+    #: the child with the largest subtree (ties: largest repr), None at leaves
+    heavy: Dict[NodeId, Optional[NodeId]]
+    #: ``[enter, exit]`` with ``exit - enter + 1 == sizes[v]``, nested
+    intervals: Dict[NodeId, Tuple[int, int]]
+    #: the light edges on the root-to-``v`` path, top down
+    light_edges: Dict[NodeId, LightEdges]
+
+
+def tree_profile(parent: ParentMap) -> TreeProfile:
+    """Root, children, sizes, heavy children, DFS intervals and light-edge
+    lists of one tree in a single pass.
+
+    Raises :class:`InputError` unless ``parent`` is one rooted tree: exactly
+    one root, no parent missing from the map, no cycle.
+    """
     root = tree_root(parent)
     children = children_map(parent)
-    out = {root: 0}
+    preorder: List[NodeId] = []
     stack = [root]
     while stack:
         v = stack.pop()
-        for c in children[v]:
-            out[c] = out[v] + 1
-            stack.append(c)
-    if len(out) != len(parent):
+        preorder.append(v)
+        stack.extend(children[v])
+    if len(preorder) != len(parent):
         raise InputError("parent map contains a cycle")
+
+    sizes: Dict[NodeId, int] = {}
+    heavy: Dict[NodeId, Optional[NodeId]] = dict.fromkeys(parent)
+    for v in reversed(preorder):
+        total = 1
+        largest = 0
+        for c in children[v]:
+            size = sizes[c]
+            total += size
+            if size >= largest:  # port order: on equal sizes the last repr wins
+                largest = size
+                heavy[v] = c
+        sizes[v] = total
+
+    intervals: Dict[NodeId, Tuple[int, int]] = {root: (1, sizes[root])}
+    light_edges: Dict[NodeId, LightEdges] = {root: ()}
+    for u in preorder:
+        kids = children[u]
+        if not kids:
+            continue
+        offset = intervals[u][0] + 1
+        inherited = light_edges[u]
+        heavy_child = heavy[u]
+        for v in kids:
+            size = sizes[v]
+            intervals[v] = (offset, offset + size - 1)
+            offset += size
+            light_edges[v] = (
+                inherited if v == heavy_child else inherited + ((u, v),)
+            )
+    return TreeProfile(
+        root=root,
+        children=children,
+        preorder=preorder,
+        sizes=sizes,
+        heavy=heavy,
+        intervals=intervals,
+        light_edges=light_edges,
+    )
+
+
+def depths(parent: ParentMap) -> Dict[NodeId, int]:
+    profile = tree_profile(parent)
+    out = {profile.root: 0}
+    for u in profile.preorder:
+        below = out[u] + 1
+        for c in profile.children[u]:
+            out[c] = below
     return out
 
 
 def postorder(parent: ParentMap) -> List[NodeId]:
     """Vertices in post-order (children before parents)."""
-    root = tree_root(parent)
-    children = children_map(parent)
-    order: List[NodeId] = []
-    stack: List[Tuple[NodeId, bool]] = [(root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            order.append(v)
-        else:
-            stack.append((v, True))
-            for c in reversed(children[v]):
-                stack.append((c, False))
-    return order
+    return tree_profile(parent).preorder[::-1]
 
 
 def subtree_sizes(parent: ParentMap) -> Dict[NodeId, int]:
-    children = children_map(parent)
-    sizes: Dict[NodeId, int] = {}
-    for v in postorder(parent):
-        sizes[v] = 1 + sum(sizes[c] for c in children[v])
-    return sizes
+    return tree_profile(parent).sizes
 
 
 def heavy_children(parent: ParentMap) -> Dict[NodeId, Optional[NodeId]]:
@@ -88,12 +149,7 @@ def heavy_children(parent: ParentMap) -> Dict[NodeId, Optional[NodeId]]:
     Ties break deterministically by vertex repr, matching the distributed
     implementation so the two can be compared field by field.
     """
-    children = children_map(parent)
-    sizes = subtree_sizes(parent)
-    heavy: Dict[NodeId, Optional[NodeId]] = {}
-    for v, kids in children.items():
-        heavy[v] = max(kids, key=lambda c: (sizes[c], repr(c))) if kids else None
-    return heavy
+    return tree_profile(parent).heavy
 
 
 def light_edge_lists(parent: ParentMap) -> Dict[NodeId, List[Tuple[NodeId, NodeId]]]:
@@ -103,18 +159,7 @@ def light_edge_lists(parent: ParentMap) -> Dict[NodeId, List[Tuple[NodeId, NodeI
     heavy child of ``u``.  Any root path has at most ``log2 n`` light edges,
     because crossing a light edge at least halves the subtree size.
     """
-    root = tree_root(parent)
-    children = children_map(parent)
-    heavy = heavy_children(parent)
-    lists: Dict[NodeId, List[Tuple[NodeId, NodeId]]] = {root: []}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in children[u]:
-            inherited = lists[u]
-            lists[v] = inherited if v == heavy[u] else inherited + [(u, v)]
-            stack.append(v)
-    return lists
+    return {v: list(edges) for v, edges in tree_profile(parent).light_edges.items()}
 
 
 def dfs_intervals(parent: ParentMap) -> Dict[NodeId, Tuple[int, int]]:
@@ -126,40 +171,37 @@ def dfs_intervals(parent: ParentMap) -> Dict[NodeId, Tuple[int, int]]:
     in this library (sorted by repr), matching Algorithm 4's distributed
     assignment so the two can be compared exactly.
     """
-    root = tree_root(parent)
-    children = children_map(parent)
-    sizes = subtree_sizes(parent)
-    intervals: Dict[NodeId, Tuple[int, int]] = {root: (1, sizes[root])}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        enter, _ = intervals[u]
-        offset = enter + 1
-        for v in children[u]:
-            intervals[v] = (offset, offset + sizes[v] - 1)
-            offset += sizes[v]
-            stack.append(v)
-    return intervals
+    return tree_profile(parent).intervals
+
+
+def _root_path(parent: ParentMap, v: NodeId) -> List[NodeId]:
+    """``v``, its parent, ..., the root.  A ``v`` outside the tree is a
+    ``KeyError``; a malformed map is an :class:`InputError`."""
+    path = [v]
+    p = parent[v]
+    while p is not None:
+        if p not in parent:
+            raise InputError(f"parent {p!r} of {path[-1]!r} missing from tree")
+        if len(path) == len(parent):
+            raise InputError("parent map contains a cycle")
+        path.append(p)
+        p = parent[p]
+    return path
 
 
 def tree_path(parent: ParentMap, u: NodeId, v: NodeId) -> List[NodeId]:
-    """The unique u-v path in the tree (via lowest common ancestor)."""
-    depth = depths(parent)
-    a, b = u, v
-    left: List[NodeId] = [a]
-    right: List[NodeId] = [b]
-    while depth[a] > depth[b]:
-        a = parent[a]
-        left.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        right.append(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        left.append(a)
-        right.append(b)
-    return left + right[-2::-1]
+    """The unique u-v path in the tree (via lowest common ancestor), found
+    by walking to the root from both ends: O(depth) per query."""
+    left = _root_path(parent, u)
+    right = _root_path(parent, v)
+    if left[-1] != right[-1]:
+        raise InputError(f"{u!r} and {v!r} hang under different roots")
+    # Both end at the root; the paths agree from the LCA up.
+    i, j = len(left) - 1, len(right) - 1
+    while i > 0 and j > 0 and left[i - 1] == right[j - 1]:
+        i -= 1
+        j -= 1
+    return left[: i + 1] + right[:j][::-1]
 
 
 def tree_distance(

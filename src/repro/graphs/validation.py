@@ -7,7 +7,7 @@ from typing import Dict, Hashable, Mapping, Optional
 import networkx as nx
 
 from ..errors import InputError, InvariantViolation
-from .paths import hop_counts
+from .paths import Adjacency, hop_counts
 from .trees import children_map, tree_root
 
 NodeId = Hashable
@@ -53,8 +53,9 @@ def verify_claim7(
     all-pairs).  Returns True when no violation was found."""
     virtual = set(virtual_vertices)
     sources = sorted(graph.nodes, key=repr)[:sample_sources]
+    adj = Adjacency.of(graph)
     for s in sources:
-        hops = hop_counts(graph, s)
+        hops = hop_counts(adj, s)
         import networkx as _nx
 
         paths = _nx.single_source_dijkstra_path(graph, s, weight="weight")

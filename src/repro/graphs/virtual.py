@@ -29,7 +29,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, 
 import networkx as nx
 
 from ..errors import InputError
-from .paths import bounded_bellman_ford
+from .paths import Adjacency, bounded_bellman_ford
 
 NodeId = Hashable
 
@@ -56,6 +56,9 @@ class VirtualGraphOracle:
         hop_bound: int,
     ) -> None:
         self.graph = graph
+        #: The snapshot every exploration runs on, taken here: edges added
+        #: to ``graph`` afterwards are not seen by this oracle.
+        self.adjacency = Adjacency.of(graph)
         self.virtual_vertices: List[NodeId] = sorted(set(virtual_vertices), key=repr)
         self._virtual_set: Set[NodeId] = set(self.virtual_vertices)
         if hop_bound < 1:
@@ -90,10 +93,7 @@ class VirtualGraphOracle:
         proof of Lemma 2.
         """
         dist, parent, _ = bounded_bellman_ford(
-            self.graph,
-            dict(estimates),
-            self.hop_bound,
-            forward_if=forward_if,
+            self.adjacency, estimates, self.hop_bound, forward_if=forward_if
         )
         return dist, parent
 
@@ -110,7 +110,7 @@ class VirtualGraphOracle:
             raise InputError(f"{v!r} is not a virtual vertex")
         if v in self._row_cache:
             return self._row_cache[v]
-        dist, _, _ = bounded_bellman_ford(self.graph, {v: 0.0}, self.hop_bound)
+        dist, _, _ = bounded_bellman_ford(self.adjacency, {v: 0.0}, self.hop_bound)
         row = {
             u: d
             for u, d in dist.items()

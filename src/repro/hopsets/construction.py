@@ -40,7 +40,7 @@ from typing import Dict, Hashable, List, Optional
 
 from ..congest.network import Network
 from ..errors import InputError, InvariantViolation
-from ..graphs.paths import dijkstra
+from ..graphs.paths import Adjacency, dijkstra
 from ..graphs.virtual import VirtualGraphOracle
 from ..tz.hierarchy import Hierarchy, sample_hierarchy
 from .hopset import Hopset
@@ -88,7 +88,7 @@ def build_hopset(
     m = oracle.m
     if m < 1:
         raise InputError("virtual graph has no vertices")
-    graph = net.graph
+    adj = Adjacency.of(net.graph)
     hopset = Hopset(virtual_vertices=list(oracle.virtual_vertices))
     hierarchy = sample_hierarchy(oracle.virtual_vertices, kappa, seed=seed)
     charged = 0
@@ -99,7 +99,7 @@ def build_hopset(
     level_dist: List[Dict[NodeId, float]] = []
     for i in range(kappa):
         sources = sorted(hierarchy.set_at(i), key=repr)
-        dist, parent = dijkstra(graph, sources)
+        dist, parent = dijkstra(adj, sources)
         level_dist.append({v: dist.get(v, INF) for v in oracle.virtual_vertices})
         if 0 < i:
             for u in oracle.virtual_vertices:
@@ -129,7 +129,7 @@ def build_hopset(
                     return True
                 return d < next_level_dist(i, v)
 
-            dist, parent = dijkstra(graph, [w], predicate=in_cluster)
+            dist, parent = dijkstra(adj, [w], predicate=in_cluster)
             for u in oracle.virtual_vertices:
                 if u == w:
                     continue

@@ -33,7 +33,7 @@ from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 import networkx as nx
 
 from ..errors import InputError, InvariantViolation
-from ..graphs.paths import bounded_bellman_ford, dijkstra
+from ..graphs.paths import Adjacency, bounded_bellman_ford, dijkstra
 
 NodeId = Hashable
 Edge = Tuple[NodeId, NodeId]
@@ -146,11 +146,12 @@ def measure_hopbound(
 ) -> int:
     """The smallest β with ``d^{(β)}_{G'∪H} <= (1+ε) d_{G'}`` over sampled
     sources (exact over their full rows).  Tests-only: materializes G'."""
-    union = union_graph(virtual_graph, hopset)
-    sources = sorted(virtual_graph.nodes, key=repr)[:sample_sources]
+    union = Adjacency.of(union_graph(virtual_graph, hopset))
+    exact_graph = Adjacency.of(virtual_graph)
+    sources = sorted(exact_graph.rows, key=repr)[:sample_sources]
     worst_beta = 1
     for s in sources:
-        exact, _ = dijkstra(virtual_graph, [s])
+        exact, _ = dijkstra(exact_graph, [s])
         lo, hi = 1, max_beta
         # The β needed for this source: binary search over bounded BF depth.
         def ok(beta: int) -> bool:

@@ -28,7 +28,7 @@ from typing import Any, Dict, Hashable, List, Optional, TextIO
 
 import networkx as nx
 
-from ..graphs.paths import dijkstra
+from ..graphs.paths import Adjacency, dijkstra
 from ..telemetry.bounds import BoundVerdict
 from ..telemetry.runrecord import RunRecord, make_run_record
 from .serve import ServeMetrics, exemplar_payload
@@ -217,6 +217,7 @@ def run_monitor(
     perf_counter = time.perf_counter
     route_recorded = engine.route_recorded
     observe = metrics.observe_query
+    adj = Adjacency.of(graph)
     dists: Dict[NodeId, Dict[NodeId, float]] = {}
     tick = 1.0 / target_qps
     serve_started = perf_counter()
@@ -229,7 +230,7 @@ def run_monitor(
         if slo_bound is not None and result.ok:
             dist = dists.get(u)
             if dist is None:
-                dist, _ = dijkstra(graph, [u])
+                dist, _ = dijkstra(adj, [u])
                 dists[u] = dist
             exact = dist.get(v, 0.0)
             stretch = result.length / exact if exact > 0 else 1.0

@@ -28,7 +28,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 import networkx as nx
 
 from ..errors import RoutingFailure
-from ..graphs.paths import dijkstra
+from ..graphs.paths import Adjacency, dijkstra
 from .artifacts import GraphRoutingScheme, Header, TreeRoutingScheme
 from .tree_router import tree_forward
 
@@ -208,8 +208,9 @@ def measure_stretch(
     worst_pair: Optional[Tuple[NodeId, NodeId]] = None
     total = 0.0
     count = 0
+    adj = Adjacency.of(graph)
     for u, targets in by_source.items():
-        dist, _ = dijkstra(graph, [u])
+        dist, _ = dijkstra(adj, [u])
         for v in targets:
             result = route_in_graph(scheme, graph, u, v, mode=mode)
             exact = dist[v]

@@ -172,17 +172,18 @@ def verify_graph_scheme(
             raise InvariantViolation(f"label of {v!r} has no usable entry")
 
     if sample_pairs > 0:
-        from ..graphs.paths import dijkstra
+        from ..graphs.paths import Adjacency, dijkstra
 
         rng = rng if rng is not None else random.Random(seed)
         nodes = sorted(scheme.labels, key=repr)
+        adj = Adjacency.of(graph)
         for _ in range(sample_pairs):
             u, v = rng.sample(nodes, 2)
             result = route_in_graph(scheme, graph, u, v)
             if result.path[-1] != v:
                 raise InvariantViolation(f"route {u!r}->{v!r} ended elsewhere")
             if stretch_bound is not None:
-                exact = dijkstra(graph, [u])[0][v]
+                exact = dijkstra(adj, [u])[0][v]
                 if result.length > stretch_bound * exact + 1e-9:
                     raise InvariantViolation(
                         f"stretch of {u!r}->{v!r} exceeds {stretch_bound}"

@@ -35,7 +35,7 @@ from typing import (
 
 import networkx as nx
 
-from ..graphs.paths import dijkstra
+from ..graphs.paths import Adjacency, dijkstra
 from ..metrics.serve import ServeMetrics, exemplar_payload, path_length_counts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -605,8 +605,9 @@ def _per_query_stretch(
     for i, r in enumerate(results):
         by_source.setdefault(r.source, []).append(i)
     out: List[Optional[float]] = [None] * len(results)
+    adj = Adjacency.of(graph)
     for source, indices in by_source.items():
-        dist, _ = dijkstra(graph, [source])
+        dist, _ = dijkstra(adj, [source])
         for i in indices:
             r = results[i]
             if not r.ok:

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..errors import InputError
-from ..graphs.paths import dijkstra
+from ..graphs.paths import Adjacency, dijkstra
 
 NodeId = Hashable
 Pair = Tuple[NodeId, NodeId]
@@ -136,8 +136,9 @@ def adversarial_pairs(
     for u, v in pool:
         by_source.setdefault(u, []).append(v)
     scored: List[Tuple[float, Pair]] = []
+    adj = Adjacency.of(graph)
     for u, targets in by_source.items():
-        dist, _ = dijkstra(graph, [u])
+        dist, _ = dijkstra(adj, [u])
         for v in targets:
             routed = route_length(u, v)
             if routed is None:

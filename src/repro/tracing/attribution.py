@@ -29,7 +29,7 @@ from typing import Dict, Hashable, Iterable, Optional
 
 import networkx as nx
 
-from ..graphs.paths import dijkstra
+from ..graphs.paths import Adjacency, GraphLike, dijkstra
 from .model import QueryTrace
 
 NodeId = Hashable
@@ -39,12 +39,13 @@ def attribute_traces(graph: nx.Graph, traces: Iterable[QueryTrace]) -> None:
     """Attribute every successful trace in place, caching one Dijkstra
     per distinct target."""
     cache: Dict[NodeId, Dict[NodeId, float]] = {}
+    adj = Adjacency.of(graph)
     for trace in traces:
-        attribute(graph, trace, cache)
+        attribute(adj, trace, cache)
 
 
 def attribute(
-    graph: nx.Graph,
+    graph: GraphLike,
     trace: QueryTrace,
     dist_cache: Optional[Dict[NodeId, Dict[NodeId, float]]] = None,
 ) -> None:

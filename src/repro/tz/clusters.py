@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import InvariantViolation
-from ..graphs.paths import dijkstra, nearest_in_set
+from ..graphs.paths import Adjacency, GraphLike, dijkstra, nearest_in_set
 from .hierarchy import Hierarchy
 
 NodeId = Hashable
@@ -48,13 +46,14 @@ class PivotInfo:
         return self.dist[i + 1][v]
 
 
-def compute_pivots(graph: nx.Graph, hierarchy: Hierarchy) -> PivotInfo:
+def compute_pivots(graph: GraphLike, hierarchy: Hierarchy) -> PivotInfo:
     """Exact pivots for every level: k multi-source Dijkstra runs."""
+    adj = Adjacency.of(graph)
     dist: List[Dict[NodeId, float]] = []
     pivot: List[Dict[NodeId, Optional[NodeId]]] = []
     for i in range(hierarchy.k):
         level = hierarchy.set_at(i)
-        d, owner = nearest_in_set(graph, level)
+        d, owner = nearest_in_set(adj, level)
         dist.append(d)
         pivot.append(owner)
     return PivotInfo(dist=dist, pivot=pivot)
@@ -82,7 +81,7 @@ class ClusterTree:
 
 
 def exact_cluster_tree(
-    graph: nx.Graph,
+    graph: GraphLike,
     root: NodeId,
     level: int,
     pivots: PivotInfo,
@@ -90,14 +89,20 @@ def exact_cluster_tree(
     """Compute ``C(root)`` by limited Dijkstra (Eq. 1).
 
     A vertex continues the exploration iff it is a member, i.e. its distance
-    from ``root`` is strictly below its distance to ``A_{level+1}``.
+    from ``root`` is strictly below its distance to ``A_{level+1}``.  A
+    caller looping over roots passes an :class:`Adjacency`.
     """
+    adj = Adjacency.of(graph)
+    if level + 1 < len(pivots.dist):
+        next_dist = pivots.dist[level + 1]
+    else:  # d(v, A_k) = ∞
+        next_dist = dict.fromkeys(adj.rows, INF)
 
     def in_cluster(v: NodeId, d: float) -> bool:
-        return d < pivots.next_level_distance(level, v)
+        return d < next_dist[v]
 
-    dist, parent = dijkstra(graph, [root], predicate=in_cluster)
-    members = {v: d for v, d in dist.items() if in_cluster(v, d)}
+    dist, parent = dijkstra(adj, [root], predicate=in_cluster)
+    members = {v: d for v, d in dist.items() if d < next_dist[v]}
     if root not in members:
         raise InvariantViolation(f"cluster root {root!r} excluded itself")
     tree_parent = {v: parent[v] for v in members}
@@ -110,15 +115,16 @@ def exact_cluster_tree(
 
 
 def all_cluster_trees(
-    graph: nx.Graph, hierarchy: Hierarchy, pivots: Optional[PivotInfo] = None
+    graph: GraphLike, hierarchy: Hierarchy, pivots: Optional[PivotInfo] = None
 ) -> Dict[NodeId, ClusterTree]:
     """Every vertex's cluster tree, keyed by the cluster root."""
+    adj = Adjacency.of(graph)
     if pivots is None:
-        pivots = compute_pivots(graph, hierarchy)
+        pivots = compute_pivots(adj, hierarchy)
     trees: Dict[NodeId, ClusterTree] = {}
-    for root in sorted(graph.nodes, key=repr):
+    for root in sorted(adj.rows, key=repr):
         level = hierarchy.level_of[root]
-        trees[root] = exact_cluster_tree(graph, root, level, pivots)
+        trees[root] = exact_cluster_tree(adj, root, level, pivots)
     return trees
 
 

@@ -18,6 +18,7 @@ from typing import Dict, Hashable, Optional
 import networkx as nx
 
 from ..errors import InputError
+from ..graphs.paths import Adjacency
 from ..graphs.validation import require_weighted_connected
 from ..routing.artifacts import (
     GraphLabel,
@@ -50,8 +51,9 @@ def build_centralized_scheme(
         raise InputError("k must be >= 1")
     if hierarchy is None:
         hierarchy = sample_hierarchy(list(graph.nodes), k, seed=seed)
-    pivots = compute_pivots(graph, hierarchy)
-    cluster_trees = all_cluster_trees(graph, hierarchy, pivots)
+    adj = Adjacency.of(graph)  # one snapshot under the k + n explorations
+    pivots = compute_pivots(adj, hierarchy)
+    cluster_trees = all_cluster_trees(adj, hierarchy, pivots)
 
     tree_schemes: Dict[Hashable, TreeRoutingScheme] = {}
     for root, ctree in cluster_trees.items():

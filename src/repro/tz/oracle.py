@@ -20,6 +20,7 @@ from typing import Dict, Hashable, List, Optional
 import networkx as nx
 
 from ..errors import InputError, InvariantViolation
+from ..graphs.paths import Adjacency
 from .clusters import all_cluster_trees, compute_pivots
 from .hierarchy import Hierarchy, sample_hierarchy
 
@@ -86,8 +87,9 @@ def build_distance_oracle(
         raise InputError("k must be >= 1")
     if hierarchy is None:
         hierarchy = sample_hierarchy(list(graph.nodes), k, seed=seed)
-    pivots = compute_pivots(graph, hierarchy)
-    trees = all_cluster_trees(graph, hierarchy, pivots)
+    adj = Adjacency.of(graph)
+    pivots = compute_pivots(adj, hierarchy)
+    trees = all_cluster_trees(adj, hierarchy, pivots)
     bunch: Dict[NodeId, Dict[NodeId, float]] = {v: {} for v in graph.nodes}
     for root, tree in trees.items():
         for v, d in tree.dist.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Mapping, Optional
 
-from ..graphs import trees as T
+from ..graphs.trees import tree_profile
 from ..routing.artifacts import TreeLabel, TreeRoutingScheme, TreeTable
 
 NodeId = Hashable
@@ -33,10 +33,8 @@ def build_tree_scheme(
     root (stored in the table, +1 word) -- the general-graph scheme uses it
     for source-side candidate selection.
     """
-    root = T.tree_root(parent)
-    heavy = T.heavy_children(parent)
-    intervals = T.dfs_intervals(parent)
-    light_lists = T.light_edge_lists(parent)
+    profile = tree_profile(parent)
+    root, heavy, intervals = profile.root, profile.heavy, profile.intervals
 
     tables: Dict[NodeId, TreeTable] = {}
     labels: Dict[NodeId, TreeLabel] = {}
@@ -51,7 +49,7 @@ def build_tree_scheme(
         )
         labels[v] = TreeLabel(
             enter=enter,
-            light_edges=tuple(light_lists[v]),
+            light_edges=profile.light_edges[v],
         )
     return TreeRoutingScheme(
         tree_id=tree_id if tree_id is not None else root,

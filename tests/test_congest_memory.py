@@ -357,3 +357,31 @@ class TestNetworkLevelAccounting:
         view = meter.items()
         meter.store("tree/b", 2)  # a copy would not see this
         assert dict(view) == {"tree/a": 1, "tree/b": 2}
+
+
+class TestBulkHighWaterRead:
+    """``MemoryBank.high_waters`` settles every meter in one loop with one
+    ``peak_since`` per distinct stale epoch (a build reads all n marks once
+    per cluster tree, and the meters it did not touch since the last read
+    all carry that read's epoch)."""
+
+    def test_one_peak_lookup_per_distinct_stale_epoch(self, monkeypatch):
+        from repro.congest import Network
+        from repro.congest.memory import MemoryBank
+
+        lookups = []
+        real = MemoryBank.peak_since
+        monkeypatch.setattr(
+            MemoryBank, "peak_since",
+            lambda self, epoch: lookups.append(epoch) or real(self, epoch))
+        net = Network(nx.path_graph(50))
+        net.store_all("relay/a", 4)
+        net.mem(7).store("tree/x", 3)  # settles 7 at the current epoch
+        net.store_all("relay/b", 2)
+        net.free_key("relay/a")
+        del lookups[:]
+        marks = net.memory_high_water()
+        assert len(lookups) == 2  # 49 untouched meters + vertex 7
+        assert marks == {v: 9 if v == 7 else 6 for v in range(50)}
+        del lookups[:]
+        assert net.memory_high_water() == marks and lookups == []  # all fresh
