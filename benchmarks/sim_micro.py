@@ -3,27 +3,24 @@
 Times identical communication kernels on the two round engines —
 :class:`repro.congest.ReferenceNetwork` (the frozen seed oracle) and
 :class:`repro.congest.Network` (the production fast path) — over the F7
-graph family (``random_connected_graph(800, avg_degree=6.0, seed=3)`` —
-the largest size of ``bench_fig_graph_rounds``):
+graph family (``random_connected_graph(800, avg_degree=6.0, seed=3)``,
+the largest size of ``repro fig graph-rounds``):
 
 * ``fig7_flood``    — full-neighborhood exchanges (``send_many`` over the
-  cached port tables + ``deliver_batch``): the pure engine round-trip.
-  Gated: the fast path must be >= 3x faster than the reference;
+  cached port tables + ``deliver_batch``): the pure engine round-trip;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
 * ``fig7_floodmax`` — event-driven leader election via ``run_protocol``
   (per-message ``send_message`` path, dict-shaped ``tick`` delivery).
 
-Every workload first replays on both engines and asserts the
+This is the measurement that justifies keeping a fast path beside the
+oracle, and the one thing the perf ledger (``benchmarks/perf``) does not
+time.  Every workload first replays on both engines and asserts the
 deterministic outputs are identical (``RunMetrics.fingerprint()`` and the
 memory high-water) — a benchmark that compared engines computing different
-things would be meaningless.  Deterministic columns (rounds, messages,
-words, memory) are hard-gated by the perf-trajectory regression checker;
-the ``*_wall_s`` / ``speedup_wall`` columns are soft (report-only) like every
-wall-clock metric (see ``repro.telemetry.regress``).
+things would be meaningless.  ``speedup_wall`` is *reported*, not gated: the
+timed regions are tens of milliseconds, where a threshold is a coin flip.
 
-Runs standalone (``python benchmarks/sim_micro.py``) or through the
-``bench_sim_micro`` pytest/run_all entry; both emit ``BENCH_sim_micro.json``
-via the shared trajectory writer.
+Run it standalone: ``python benchmarks/sim_micro.py``.
 """
 
 from __future__ import annotations
@@ -33,24 +30,17 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Tuple
 
-if __package__ in (None, ""):  # standalone: make src/ + benchmarks/ importable
-    _HERE = pathlib.Path(__file__).resolve().parent
-    for p in (str(_HERE), str(_HERE.parent / "src")):
-        if p not in sys.path:
-            sys.path.insert(0, p)
+# standalone: make src/ importable
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.protocol import FloodMax, run_protocol
 from repro.graphs import random_connected_graph
 
-#: The F7 family parameters (largest size of ``bench_fig_graph_rounds``).
+#: The F7 family parameters (largest size of ``repro fig graph-rounds``).
 FIG7_N = 800
 FIG7_SEED = 3
-
-#: The acceptance gate, pinned to ``fig7_flood``: the fast path must beat
-#: the reference by >= 3x (measured ~3.5x on the development machine).
-FIG7_MIN_SPEEDUP = 3.0
 
 #: Timing repetitions per engine (best-of, to shed scheduler noise).
 BEST_OF = 3
@@ -102,8 +92,8 @@ def _time_engine(
     return best, net
 
 
-def run_sim_micro() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Measure every workload on both engines; return (records, meta).
+def run_sim_micro() -> List[Dict[str, Any]]:
+    """Measure every workload on both engines; return one record each.
 
     Raises ``AssertionError`` if the engines' deterministic outputs ever
     diverge — equality is a precondition of the comparison, enforced here
@@ -132,15 +122,7 @@ def run_sim_micro() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
             "fast_wall_s": round(fast_s, 4),
             "speedup_wall": round(ref_s / fast_s, 2),
         })
-    by_name = {r["workload"]: r for r in records}
-    meta = {
-        "family": f"random_connected_graph(n={FIG7_N}, seed={FIG7_SEED})",
-        "best_of": BEST_OF,
-        "engines_equal": True,
-        "fig7_flood_speedup_wall": by_name["fig7_flood"]["speedup_wall"],
-        "min_speedup_gate": FIG7_MIN_SPEEDUP,
-    }
-    return records, meta
+    return records
 
 
 def render(records: List[Dict[str, Any]]) -> str:
@@ -160,12 +142,4 @@ def render(records: List[Dict[str, Any]]) -> str:
 
 
 if __name__ == "__main__":
-    from _util import emit
-
-    recs, meta = run_sim_micro()
-    emit("sim_micro", render(recs), data=recs, meta=meta)
-    flood = meta["fig7_flood_speedup_wall"]
-    if flood < FIG7_MIN_SPEEDUP:
-        raise SystemExit(
-            f"fig7_flood speedup {flood}x below the {FIG7_MIN_SPEEDUP}x gate"
-        )
+    print(render(run_sim_micro()))

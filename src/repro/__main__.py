@@ -1,10 +1,11 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Regenerates the paper's tables and the figure sweeps without pytest::
+Regenerates the paper's tables and the figure / ablation sweeps::
 
     python -m repro table2                 # Table 2, default workload
     python -m repro table1 --n 200 --k 3   # Table 1
     python -m repro fig tree-memory        # one of the F1-F9 sweeps
+    python -m repro fig ablation-q         # one of the A1-A4 ablations
     python -m repro demo                   # tiny end-to-end demo
 
 Telemetry surfaces (docs/observability.md):
@@ -22,9 +23,9 @@ Every subcommand takes ``--quiet`` (suppress stdout) and ``--out <path>``
 (write the output to a file) so telemetry can be redirected without shell
 plumbing.  Every run is recorded (:func:`repro.telemetry.record_run`).
 
-This is a convenience shell over :mod:`repro.analysis`; the benchmark suite
-(``pytest benchmarks/ --benchmark-only``) remains the canonical,
-assertion-checked way to reproduce EXPERIMENTS.md.
+This is a shell over :mod:`repro.analysis`: ``fig <name>`` runs a sweep at
+its defaults, which are the workloads of EXPERIMENTS.md, and
+``tests/test_experiments_golden.py`` pins those rows.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis import (
     ReportSpec,
+    ablation_aspect_ratio,
+    ablation_epsilon,
+    ablation_mode,
+    ablation_q,
     fig_graph_rounds,
     fig_hopset,
     fig_multitree,
@@ -58,7 +63,6 @@ from .analysis import (
 from .serve.workloads import WORKLOADS
 from .telemetry import (
     RunRecord,
-    build_dashboard,
     make_run_record,
     record_run,
     render_profile,
@@ -79,14 +83,21 @@ FIGURES = {
     "tree-styles": (fig_tree_styles, "F9: tree-shape insensitivity"),
 }
 
-#: Benchmark-file names accepted as figure aliases (``fig1_tree_rounds``
-#: is the name the BENCH_*.json trajectory uses for ``tree-rounds``).
+#: Numbered figure names accepted as aliases (``fig1_tree_rounds`` is
+#: ``tree-rounds``).
 FIGURE_ALIASES = {
     f"fig{i}_{name.replace('-', '_')}": name
     for i, name in enumerate(FIGURES, start=1)
 }
 
-_REPO_ROOT = Path(__file__).resolve().parents[2]
+#: Everything ``fig`` / ``trace`` run: the nine figures and the four ablations.
+_SWEEPS = {
+    **FIGURES,
+    "ablation-aspect-ratio": (ablation_aspect_ratio, "A1: aspect-ratio independence (n=500)"),
+    "ablation-q": (ablation_q, "A2: sampling rate q (tree routing, n=1000)"),
+    "ablation-epsilon": (ablation_epsilon, "A3: approximation slack epsilon (n=400, k=3)"),
+    "ablation-mode": (ablation_mode, "A4: routing mode first vs best (k=3)"),
+}
 
 
 # -- arguments ---------------------------------------------------------------
@@ -155,17 +166,18 @@ def _args_table2(new, shared) -> None:
     add("--seed", type=int, default=0)
 
 
-_FIG_NAMES = sorted(FIGURES) + sorted(FIGURE_ALIASES)
+_FIG_NAMES = sorted(_SWEEPS) + sorted(FIGURE_ALIASES)
 
 
 def _args_fig(new, shared) -> None:
-    fig = new(parents=[shared.profiled, shared.as_json], help="run one figure sweep")
+    fig = new(parents=[shared.profiled, shared.as_json],
+              help="run one figure or ablation sweep at its EXPERIMENTS.md workload")
     fig.add_argument("name", choices=_FIG_NAMES)
 
 
 def _args_trace(new, shared) -> None:
     trace = new(parents=[shared.profiled],
-                help="run one figure sweep under telemetry, emit structured records")
+                help="run one sweep under telemetry, emit structured records")
     # No --json flag: trace output is always JSON, which `_finish` must know.
     trace.set_defaults(json=True)
     add = trace.add_argument
@@ -243,17 +255,6 @@ def _args_lint(new, shared) -> None:
 
 def _args_demo(new, shared) -> None:
     new(parents=[shared.profiled], help="tiny end-to-end demonstration")
-
-
-def _args_dashboard(new, shared) -> None:
-    add = new(help="render the static HTML perf dashboard from BENCH_*.json").add_argument
-    add("--out", default="dashboard.html", metavar="PATH", help="output HTML file")
-    add("--root",
-        help="directory holding the BENCH_*.json trajectories (default: the repo root)")
-    add("--record", action="append", default=[], metavar="PATH",
-        help="RunRecord JSON file to include (repeatable)")
-    add("--title", default="repro perf dashboard")
-    add("--quiet", action="store_true", help="suppress stdout")
 
 
 def _args_report(new, shared) -> None:
@@ -349,7 +350,7 @@ def _cmd_table2(args):
 def _sweep(args) -> Tuple[_Plain, RunRecord]:
     """One figure sweep as a ``fig/<name>`` record (``fig`` and ``trace``)."""
     name = FIGURE_ALIASES.get(args.name, args.name)
-    fn, title = FIGURES[name]
+    fn, title = _SWEEPS[name]
 
     def run() -> _Plain:
         sweep = _Plain(f"fig/{name}", workload={"figure": name, "title": title})
@@ -515,13 +516,12 @@ def _cmd_explain(args):
 
     try:
         traces = read_traces_jsonl(args.traces)
+        text, record = run_explain(traces, trace_id=args.trace_id, worst=args.worst,
+                                   source=args.traces)
     except OSError as exc:
         print(f"explain: cannot read {args.traces}: {exc}", file=sys.stderr)
         return 2
-    try:
-        text, record = run_explain(traces, trace_id=args.trace_id, worst=args.worst,
-                                   source=args.traces)
-    except InputError as exc:
+    except InputError as exc:  # a damaged trace file, an unknown --trace-id
         print(f"explain: {exc}", file=sys.stderr)
         return 2
     return text, record, _failed("attribution violations", record)
@@ -570,15 +570,6 @@ def _cmd_demo(args):
     return demo.body, record
 
 
-def _cmd_dashboard(args):
-    root = Path(args.root) if args.root else _REPO_ROOT
-    out = build_dashboard(root, args.out, record_paths=[Path(p) for p in args.record],
-                          title=args.title)
-    if not args.quiet:
-        print(f"dashboard written to {out}")
-    return 0
-
-
 def _cmd_report(args):
     spec = ReportSpec.fast() if args.fast else ReportSpec()
     generate = generate_report_json if args.json else generate_report
@@ -603,7 +594,6 @@ COMMANDS: Dict[str, Tuple[Callable[..., None], Callable[[argparse.Namespace], An
     "explain": (_args_explain, _cmd_explain),
     "lint": (_args_lint, _cmd_lint),
     "demo": (_args_demo, _cmd_demo),
-    "dashboard": (_args_dashboard, _cmd_dashboard),
     "report": (_args_report, _cmd_report),
 }
 

@@ -1,5 +1,11 @@
-"""Experiment harness (S10): Table 1/2 regeneration and figure sweeps."""
+"""Experiment harness (S10): Table 1/2 regeneration, figure and ablation sweeps."""
 
+from .ablations import (
+    ablation_aspect_ratio,
+    ablation_epsilon,
+    ablation_mode,
+    ablation_q,
+)
 from .figures import (
     fig_graph_rounds,
     fig_hopset,
@@ -26,6 +32,10 @@ __all__ = [
     "ReportSpec",
     "Table1Result",
     "Table2Result",
+    "ablation_aspect_ratio",
+    "ablation_epsilon",
+    "ablation_mode",
+    "ablation_q",
     "fig_graph_rounds",
     "fig_hopset",
     "fig_multitree",

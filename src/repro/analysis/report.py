@@ -5,8 +5,9 @@ the figure sweeps and renders everything into a single markdown document --
 the quickest way to sanity-check an installation or a fork
 (``python -m repro report --fast``).
 
-The benchmark suite remains the canonical, assertion-checked reproduction;
-this report is for humans skimming results.
+``tests/test_experiments_golden.py`` is the assertion-checked reproduction
+(every EXPERIMENTS.md row, exactly); this report is for humans skimming
+results at smaller sizes.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def generate_report(spec: Optional[ReportSpec] = None) -> str:
 
     sections.append(
         f"_Generated in {time.time() - started:.1f}s; the assertion-checked "
-        "version of every number lives in `pytest benchmarks/ "
-        "--benchmark-only`._"
+        "version of every EXPERIMENTS.md number is "
+        "`pytest tests/test_experiments_golden.py`._"
     )
     return "\n".join(sections)
 

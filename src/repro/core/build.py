@@ -102,7 +102,7 @@ class BuildReport:
 
 def default_beta(virtual_size: int, kappa: int) -> int:
     """A hop budget comfortably above the measured hopbound of the
-    TZ-emulator hopsets at these scales (benchmarks re-measure β)."""
+    TZ-emulator hopsets at these scales (``repro fig hopset`` re-measures β)."""
     return 2 * max(1, math.ceil(math.log2(virtual_size + 2))) + kappa
 
 

@@ -9,7 +9,7 @@ to ``log_n log Λ`` — in contrast to all previous solutions, whose running
 time is at least *linear* in log Λ.
 
 This module implements that rounding and the bit accounting, and the
-ablation bench ``benchmarks/bench_ablation_aspect_ratio.py`` demonstrates
+ablation :func:`repro.analysis.ablation_aspect_ratio` demonstrates
 the claim: quantized weights keep message bit-width flat while the aspect
 ratio Λ grows by orders of magnitude, and the routing scheme built on the
 quantized graph loses only a (1+ε) factor of stretch.

@@ -111,8 +111,8 @@ _NUMPY_FACTORIES = {"default_rng", "RandomState", "Generator", "SeedSequence"}
 class UnseededRandomness(Rule):
     """Bare ``random.*`` calls (the module-global stream) are flagged.
 
-    Determinism is what makes the differential harness and the BENCH
-    trajectories reproducible: every draw must come from an injected or
+    Determinism is what makes the differential harness and the experiments
+    golden reproducible: every draw must come from an injected or
     seed-constructed ``random.Random`` (``rng = random.Random(seed)``), as
     in the ``sample_pairs`` pattern.  Flags calls to the ``random`` module's
     functions (``random.random()``, ``random.sample()``, ``random.seed()``,
@@ -123,8 +123,8 @@ class UnseededRandomness(Rule):
 
     id = "REP002"
     title = "unseeded randomness: inject an rng or construct Random(seed)"
-    invariant = ("Reproducibility: differential tests and BENCH_*.json "
-                 "trajectories compare runs across commits, which only "
+    invariant = ("Reproducibility: differential tests and the experiments "
+                 "golden compare runs across commits, which only "
                  "works when every random draw is seed-determined.")
 
     def check_module(self, mod: ModuleInfo) -> List[Finding]:
@@ -423,10 +423,10 @@ class HotPathHygiene(Rule):
 
     id = "REP005"
     title = "hot-path hygiene: loop-instantiated class without __slots__"
-    invariant = ("The >= 3x round-engine and serve-throughput gates "
-                 "(BENCH_sim_micro/BENCH_serve) assume per-message "
-                 "objects stay dict-free; __slots__ is what keeps the "
-                 "constructor cheap.")
+    invariant = ("The round engine's and the serve loop's measured speed "
+                 "(benchmarks/sim_micro.py, benchmarks/perf) assumes "
+                 "per-message objects stay dict-free; __slots__ is what "
+                 "keeps the constructor cheap.")
 
     def __init__(self) -> None:
         #: package segment -> {class name -> (has_slots, def finding site)}

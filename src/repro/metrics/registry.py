@@ -12,8 +12,8 @@ Hot-path contract (its cost is the perf ledger's
 ``metrics.overhead_share``): instrument lookup
 (``registry.counter(...)`` etc.) happens at *registration* time, never per
 query, and labels are **pre-interned tuples** of ``(key, value)`` pairs --
-a dict of labels per observation is exactly the hidden allocation the
-``serve_metrics_overhead`` bench gate exists to keep out.  The returned
+a dict of labels per observation is exactly the hidden allocation that
+share exists to show.  The returned
 instrument objects are plain ``__slots__`` classes whose mutators are a
 few attribute operations, cheap enough to ride inside the serve loop.
 

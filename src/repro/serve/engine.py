@@ -489,8 +489,8 @@ class ServeEngine:
         # batch end from the already-accumulated locals, and hop counting
         # over the finished batch is deferred to scrape time -- per-query
         # Python ops inside the loop above, or even an inline C-level
-        # Counter sweep here, would tax the <= 5% serve_metrics_overhead
-        # bench gate.
+        # Counter sweep here, would show up in the perf ledger's
+        # metrics.overhead_share.
         m = self.metrics
         if m is not None:
             m.record_batch(served, failed, hits, misses)

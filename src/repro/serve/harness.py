@@ -6,8 +6,8 @@ throughput (queries/s), per-query hop and latency percentiles, cache hit
 rate, the count-and-continue failure tally, and a **stretch-SLO verdict**
 -- the fraction of queries delivered within the paper's stretch bound
 (``4k-3`` for Theorem 3 schemes), attached as a
-:class:`~repro.telemetry.bounds.BoundVerdict` so ``--strict`` runs and the
-dashboard treat it like every other paper bound.
+:class:`~repro.telemetry.bounds.BoundVerdict` so ``--strict`` runs treat it
+like every other paper bound.
 
 ``ServeReport.to_run_record`` says what the run's
 :class:`~repro.telemetry.RunRecord` holds; ``repro serve`` runs under
@@ -53,8 +53,8 @@ NodeId = Hashable
 
 #: Relative accuracy of the harness percentile sketches.  0.005 keeps
 #: integer hop percentiles *exact* after rounding for paths under 100
-#: hops (``alpha * h < 0.5``), so the hard-gated ``hops_p50``/``hops_p99``
-#: trajectory columns cannot drift.
+#: hops (``alpha * h < 0.5``), so the golden-pinned ``hops_p50``/``hops_p99``
+#: columns cannot drift.
 SKETCH_ACCURACY = 0.005
 
 
@@ -258,8 +258,7 @@ class ServeReport:
           ``exemplar_limit`` (default: the widest shard reservoir);
         * wall-clock fields take the slowest shard (``serve_s`` /
           ``compile_s`` = max) and throughput recomputes as total
-          queries over that span — the aggregate-QPS definition the
-          shard bench gates on.
+          queries over that span (the slowest shard bounds the tier).
 
         ``serve_s``-derived and latency fields are *report-level* merges;
         they are excluded from dataclass equality already.  Raises

@@ -15,16 +15,13 @@ The observability layer every execution funnels through:
 * :mod:`~repro.telemetry.flight` -- the opt-in flight recorder sampling
   per-vertex memory and per-edge congestion round by round;
 * :mod:`~repro.telemetry.chrometrace` -- Chrome ``trace_event`` export
-  (open runs in Perfetto / ``chrome://tracing``);
-* :mod:`~repro.telemetry.trajectory` -- the accumulating, idempotent
-  ``BENCH_*.json`` perf-trajectory store;
-* :mod:`~repro.telemetry.regress` -- the perf-regression gate comparing
-  bench results against the trajectory baseline;
-* :mod:`~repro.telemetry.dashboard` -- the self-contained HTML run
-  dashboard (``repro dashboard``).
+  (open runs in Perfetto / ``chrome://tracing``).
 
-See docs/observability.md for the span/counter naming scheme and the
-RunRecord JSON schema.
+Host time across commits is not this package's job: the perf ledger
+(``benchmarks/perf``) measures it and its ``compare.py`` diffs two run
+sets; the simulated columns are pinned by
+``tests/test_experiments_golden.py``.  See docs/observability.md for the
+span/counter naming scheme and the RunRecord JSON schema.
 """
 
 from .bounds import (
@@ -43,31 +40,19 @@ from .chrometrace import (
     write_chrome_trace,
 )
 from .collector import SpanNode, TelemetryCollector, render_profile
-from .dashboard import build_dashboard, render_dashboard
 from .events import attach, collect, detach, emit, enabled, gauge, span
 from .flight import FlightConfig, FlightRecorder, attach_flight_recorder
-from .regress import RegressionReport, Tolerances, compare_payload
 from .runrecord import RunRecord, make_run_record, peak_rss_kb, record_run
-from .trajectory import append_entry, baseline_entry, load_trajectory, make_entry
 
 __all__ = [
     "BoundVerdict",
     "FlightConfig",
     "FlightRecorder",
-    "RegressionReport",
     "RunRecord",
     "SpanNode",
     "TelemetryCollector",
-    "Tolerances",
     "all_passed",
-    "append_entry",
     "attach_flight_recorder",
-    "baseline_entry",
-    "build_dashboard",
-    "compare_payload",
-    "load_trajectory",
-    "make_entry",
-    "render_dashboard",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -6,7 +6,7 @@ paper's Tables 1-2) against *measured* values and returns
 serializes next to the measurements.
 
 Asymptotic bounds need concrete constants before they can gate a run; the
-constants here are the ones the benchmark suite has asserted since the
+constants here are the ones the experiments have asserted since the
 seed (e.g. tree memory ``<= 12 log2 n + 40``, Table-2's sub-√n relation)
 plus Õ slack of one ``log²`` factor where the paper writes Õ.  They are
 deliberately loose — a verdict failure means an order-of-growth regression

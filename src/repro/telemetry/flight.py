@@ -309,7 +309,7 @@ class FlightRecorder:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (consumed by chrometrace and the dashboard)."""
+        """JSON-ready form (consumed by chrometrace)."""
         return {
             "config": {
                 "stride": self.config.stride,

@@ -5,8 +5,7 @@ workload (generator, params, seed, scheme, k/ε), wall-clock per span,
 simulated/charged round counters, peak RSS, package version — and the
 paper-bound verdicts from :mod:`repro.telemetry.bounds`.  It serializes to
 a single JSON object (``to_json``) or appends as one line of JSONL next to
-a result file (``append_jsonl``), and round-trips via ``from_dict`` so the
-perf trajectory can be diffed across commits.
+a result file (``append_jsonl``), and round-trips via ``from_dict``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ ordinal of the *next* sampled query (one uniform per sampled query, not
 per query), so the per-query cost is an integer compare.  The sampled set
 is a pure function of ``(seed, rate)``, so it is deterministic under a
 fixed seed (property-tested).  At ``rate <= 0`` no rng is consumed at
-all: the method degrades to one integer increment.  Both shapes are what
-the ``trace_off_overhead`` / ``trace_overhead`` ~0 bench gates measure.
+all: the method degrades to one integer increment.  The attached cost is
+the perf ledger's ``tracing.overhead_share``.
 
 **Tail tier** — :class:`TailBuffer` is a bounded min-heap over offered
 queries keyed by stretch (failed queries key as ``+inf``, so they always

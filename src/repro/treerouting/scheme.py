@@ -6,7 +6,7 @@ Orchestrates Stages 0-3 over a CONGEST network and assembles the
 * routing table: O(1) words  (DFS interval, parent, heavy child);
 * label:         O(log n) words  (DFS entry time + light edges);
 * per-vertex memory during construction: O(log n) words
-  (the meters' high-water marks are checked by the benchmarks);
+  (the meters' high-water marks are checked by the experiments golden);
 * rounds: Õ(sqrt(n) + D) with the default ``q = 1/sqrt(n)``.
 
 The output is bit-identical to the centralized construction

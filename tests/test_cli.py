@@ -39,11 +39,6 @@ class TestParser:
             ["trace", "stretch", "--flight", "--stride", "4"])
         assert args.flight and args.stride == 4
 
-    def test_dashboard_defaults(self):
-        args = build_parser().parse_args(["dashboard"])
-        assert args.out == "dashboard.html"
-        assert args.record == []
-
     def test_serve_trace_flags(self):
         args = build_parser().parse_args(
             ["serve", "--trace-out", "t.jsonl", "--trace-chrome", "t.json",

@@ -15,6 +15,7 @@ The tracing layer's contract has four legs, each pinned here:
   per-hop excesses telescope to the same total.
 """
 
+import json
 import math
 
 import pytest
@@ -376,6 +377,29 @@ class TestExport:
         loaded = read_traces_jsonl(path)
         assert [QueryTrace.from_dict(d).to_dict() for d in loaded] == \
             [t.to_dict() for t in report.traces]
+
+    @pytest.mark.parametrize("damage,said", [
+        ('{"trace_id": "q-0000', "not valid JSON"),    # truncated mid-write
+        ('["q-000002", "a", "z"]', "not a query trace"),  # JSON, not an object
+        ('{"bad": 1}', "not a query trace"),           # an object, not a trace
+    ], ids=["truncated", "list", "no-trace-id"])
+    def test_damaged_jsonl_fails_typed(self, damage, said, tmp_path, capsys):
+        """A damaged line is an ``InputError`` naming the file and the
+        1-based line -- not a raw ``JSONDecodeError`` / ``AttributeError``,
+        and not an empty trace that explains as attribution-exact PASS --
+        and ``repro explain`` reports it in one line and exits 2."""
+        from repro.__main__ import main
+
+        path = tmp_path / "t.jsonl"
+        good = json.dumps(QueryTrace("q-000001", "a", "z").to_dict())
+        path.write_text(f"{good}\n\n{damage}\n")
+        with pytest.raises(InputError, match=said) as err:
+            read_traces_jsonl(path)
+        assert f"{path} line 3" in str(err.value)
+        assert main(["explain", "--traces", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"explain: {err.value}\n"
 
     def test_dict_round_trip_preserves_hops(self):
         trace = QueryTrace("q-000001", "a", "z", via="tail")
