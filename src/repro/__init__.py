@@ -47,7 +47,6 @@ from .congest import (
     broadcast_all,
     build_bfs_tree,
     convergecast_up,
-    flood_down,
 )
 from .core import BuildReport, build_distributed_scheme
 from .errors import (
@@ -59,10 +58,8 @@ from .errors import (
     RoutingFailure,
 )
 from .graphs import (
-    caterpillar_tree,
     grid_graph,
     random_connected_graph,
-    random_tree_network,
     ring_of_cliques,
     spanning_tree_of,
 )
@@ -96,7 +93,6 @@ from .treerouting import (
 from .treerouting.multi import MultiTreeBuild, build_many_tree_schemes
 from .tz import (
     build_centralized_scheme,
-    build_distance_oracle,
     build_tree_scheme,
     sample_hierarchy,
 )
@@ -134,23 +130,19 @@ __all__ = [
     "broadcast_all",
     "build_bfs_tree",
     "build_centralized_scheme",
-    "build_distance_oracle",
     "build_distributed_scheme",
     "build_distributed_tree_scheme",
     "build_hopset",
     "build_many_tree_schemes",
     "build_tree_scheme",
-    "caterpillar_tree",
     "collect",
     "convergecast_up",
-    "flood_down",
     "grid_graph",
     "hopset_bellman_ford",
     "measure_hopbound",
     "measure_stretch",
     "partition_tree",
     "random_connected_graph",
-    "random_tree_network",
     "ring_of_cliques",
     "route_in_graph",
     "route_in_tree",

@@ -60,6 +60,7 @@ from .analysis import (
     run_table1,
     run_table2,
 )
+from .errors import InputError
 from .serve.workloads import WORKLOADS
 from .telemetry import (
     RunRecord,
@@ -150,6 +151,17 @@ def _shared_parsers() -> SimpleNamespace:
                            verdicts=verdicts, workload=workload)
 
 
+def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
+    """argparse type: an ``int`` or ``float`` argument that must be > 0."""
+    def parse(text: str) -> Any:
+        value = number(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = f"positive {number.__name__}"
+    return parse
+
+
 def _args_table1(new, shared) -> None:
     add = new(parents=[shared.profiled, shared.verdicts],
               help="compact routing comparison (Table 1)").add_argument
@@ -189,14 +201,14 @@ def _args_trace(new, shared) -> None:
     add("--flight", action="store_true",
         help="attach a flight recorder to every network built (round-resolved "
              "memory/congestion)")
-    add("--stride", type=int, default=16,
+    add("--stride", type=_positive(int), default=16,
         help="flight-recorder sampling stride in rounds (with --flight; default 16)")
 
 
 def _args_serve(new, shared) -> None:
     add = new(parents=[shared.profiled, shared.verdicts, shared.workload],
               help="serve a seeded query workload against a built scheme (S16)").add_argument
-    add("--workers", type=int, default=1, metavar="N",
+    add("--workers", type=_positive(int), default=1, metavar="N",
         help="shard the stream over N worker processes (S20, docs/sharding.md); per-shard "
              "reports merge exactly into one")
     add("--shm", action="store_true", default=True,
@@ -225,7 +237,7 @@ def _args_monitor(new, shared) -> None:
     add = new(parents=[shared.profiled, shared.verdicts, shared.workload],
               help="replay a workload under live metrics and SLO burn-rate alerting "
                    "(S18)").add_argument
-    add("--target-qps", type=float, default=1000.0,
+    add("--target-qps", type=_positive(float), default=1000.0,
         help="virtual replay rate driving the SLO windows (default 1000)")
     add("--objective", type=float, default=0.99,
         help="stretch-SLO objective: required good fraction (default 0.99)")
@@ -404,9 +416,6 @@ def _built_scheme(args):
 
 
 def _cmd_serve(args):
-    if args.workers < 1:
-        print(f"serve: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
     if args.workers > 1 and (args.metrics_out or args.trace_out or args.trace_chrome):
         print("serve: --workers > 1 is incompatible with "
               "--metrics-out/--trace-out/--trace-chrome (per-worker "
@@ -511,7 +520,6 @@ def _cmd_monitor(args):
 
 
 def _cmd_explain(args):
-    from .errors import InputError
     from .tracing import read_traces_jsonl, run_explain
 
     try:
@@ -520,9 +528,6 @@ def _cmd_explain(args):
                                    source=args.traces)
     except OSError as exc:
         print(f"explain: cannot read {args.traces}: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:  # a damaged trace file, an unknown --trace-id
-        print(f"explain: {exc}", file=sys.stderr)
         return 2
     return text, record, _failed("attribution violations", record)
 
@@ -600,7 +605,11 @@ COMMANDS: Dict[str, Tuple[Callable[..., None], Callable[[argparse.Namespace], An
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    outcome = COMMANDS[args.command][1](args)
+    try:
+        outcome = COMMANDS[args.command][1](args)
+    except InputError as exc:  # bad input that reached the library: one line, no traceback
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     return outcome if isinstance(outcome, int) else _finish(args, *outcome)
 
 

@@ -7,14 +7,12 @@ from .en16_tree import (
     En16Build,
     En16TreeScheme,
     build_en16_tree_scheme,
-    route_en16,
 )
 from .landmark import build_landmark_scheme, choose_landmarks
 from .tree_cover import (
     TreeCoverScheme,
     build_tree_cover_scheme,
     route_cover,
-    scale_count,
 )
 
 __all__ = [
@@ -26,8 +24,6 @@ __all__ = [
     "build_landmark_scheme",
     "build_tree_cover_scheme",
     "route_cover",
-    "scale_count",
     "TreeCoverScheme",
     "choose_landmarks",
-    "route_en16",
 ]

@@ -17,9 +17,8 @@ local trees exactly as Section 3 does, but then
   tables to O(log n) words (every vertex keeps the crossing label of its
   local tree's *heavy* virtual child).
 
-Routing with the composite scheme is still exact; tests check that, and the
-T2/F2/F3 benchmarks measure its memory (Θ(sqrt n)), label and table sizes
-against the paper's construction.
+Only the *build* is reproduced: the T2/F2/F3 experiments measure its memory
+(Θ(sqrt n)), label and table sizes against the paper's construction.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from ..congest.bfs import BfsTree, build_bfs_tree
 from ..congest.broadcast import broadcast_all
 from ..congest.network import Network
 from ..congest.primitives import convergecast_up
-from ..errors import RoutingFailure
 from ..routing.artifacts import TreeLabel, TreeTable
-from ..routing.tree_router import tree_forward
 from ..treerouting.sampling import TreePartition, partition_tree
 from ..treerouting.stage0_partition import run_stage0
 from ..tz.tree_scheme import build_tree_scheme
@@ -60,12 +57,6 @@ class CompositeLabel:
         for _, _, crossing in self.crossing_labels:
             words += 2 + crossing.word_size()
         return words
-
-    def crossing_for(self, a: NodeId, b: NodeId) -> Optional[TreeLabel]:
-        for x, y, crossing in self.crossing_labels:
-            if x == a and y == b:
-                return crossing
-        return None
 
 
 @dataclass
@@ -217,73 +208,3 @@ def build_en16_tree_scheme(
         max_memory_words=net.max_memory(),
     )
 
-
-def route_en16(
-    scheme: En16TreeScheme,
-    source: NodeId,
-    target: NodeId,
-    *,
-    weight_of=None,
-    max_hops: Optional[int] = None,
-) -> Tuple[List[NodeId], float]:
-    """Exact routing with the composite scheme.
-
-    The virtual label steers between local trees; every virtual hop is
-    realized by local routing to the crossing point plus one T-edge.  The
-    next-virtual-hop decision is made at local roots and would travel in
-    the message header in the real protocol; we recompute it from the
-    (virtual table, virtual label) pair, which is the same information.
-    """
-    label = scheme.labels[target]
-    part = scheme.partition
-    tree_parent = part.tree_parent
-    virtual_parent = part.virtual_parent_reference()
-    budget = max_hops if max_hops is not None else 6 * len(tree_parent) + 12
-    path = [source]
-    length = 0.0
-    at = source
-
-    def step(nxt: NodeId) -> None:
-        nonlocal at, length
-        length += weight_of(at, nxt) if weight_of is not None else 1.0
-        at = nxt
-        path.append(at)
-
-    for _ in range(budget):
-        if at == target:
-            return path, length
-        table = scheme.tables[at]
-        w = table.local_root
-        if w == label.local_root:
-            nxt = tree_forward(at, table.local_table, label.local_label)
-            if nxt is None:
-                return path, length
-            step(nxt)
-            continue
-        # Header emulation: the next virtual hop out of local tree T_w.
-        v_next = tree_forward(
-            w, scheme.tables[w].virtual_table, label.virtual_label
-        )
-        if v_next == virtual_parent[w]:
-            # Upward virtual hop: climb T_w, then take w's T-edge.
-            if at == w:
-                step(tree_parent[w])
-            else:
-                step(table.local_table.parent)
-            continue
-        # Downward virtual hop to child b: cross T_w to b's T-parent.
-        b = v_next
-        crossing = label.crossing_for(w, b)
-        if crossing is None:
-            if table.heavy_virtual_child != b:
-                raise RoutingFailure(
-                    f"virtual hop ({w!r}, {b!r}) is neither light (in the "
-                    "label) nor the heavy child (in the table)", path
-                )
-            crossing = table.heavy_crossing
-        nxt = tree_forward(at, table.local_table, crossing)
-        if nxt is None:
-            step(b)  # we stand at the crossing point; one T-edge down
-        else:
-            step(nxt)
-    raise RoutingFailure(f"exceeded hop budget {budget}", path)

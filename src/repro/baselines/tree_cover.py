@@ -25,7 +25,6 @@ space to print next to the compact schemes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Tuple
 
@@ -189,11 +188,3 @@ def theoretical_stretch(base: float = 2.0) -> float:
     """First covering scale has radius < base·d, route <= 3·radius."""
     return 3.0 * base
 
-
-def scale_count(graph: nx.Graph, base: float = 2.0) -> int:
-    """O(log_base Λ') scales -- the aspect-ratio dependence on display."""
-    weights = [float(d.get("weight", 1.0)) for _, _, d in graph.edges(data=True)]
-    some = sorted(graph.nodes, key=repr)[0]
-    far_d, _ = dijkstra(graph, [some])
-    ratio = 2 * max(far_d.values()) / min(weights)
-    return int(math.ceil(math.log(max(ratio, base), base))) + 1

@@ -7,15 +7,12 @@ Public surface:
   (the fast-path engine: CSR adjacency, cached port tables, batched sends);
 * :class:`~repro.congest.reference.ReferenceNetwork` -- the frozen seed
   engine, kept as the oracle for the differential harness;
-* ``ENGINES`` -- name -> class registry of the two round engines, the
-  backbone of the engine-parametrized test fixtures;
 * :class:`~repro.congest.memory.MemoryMeter` -- per-vertex word accounting;
 * :class:`~repro.congest.message.Message`;
 * :func:`~repro.congest.bfs.build_bfs_tree` / :class:`~repro.congest.bfs.BfsTree`;
 * :func:`~repro.congest.broadcast.broadcast_all` (Lemma 1) and
   :func:`~repro.congest.broadcast.convergecast_aggregate`;
-* forest primitives :func:`~repro.congest.primitives.flood_down`,
-  :func:`~repro.congest.primitives.convergecast_up`, and
+* forest primitives :func:`~repro.congest.primitives.convergecast_up` and
   :class:`~repro.congest.primitives.Forest`;
 * :class:`~repro.congest.metrics.RunMetrics`.
 """
@@ -26,7 +23,7 @@ from .memory import MemoryMeter
 from .message import Message
 from .metrics import PhaseRecord, RunMetrics
 from .network import Network
-from .primitives import Forest, convergecast_up, flood_down
+from .primitives import Forest, convergecast_up
 from .reference import ReferenceNetwork
 from .protocol import (
     BfsProgram,
@@ -36,15 +33,6 @@ from .protocol import (
     ProtocolResult,
     run_protocol,
 )
-from .trace import ChargeSample, RoundSample, RoundTrace, attach_trace
-
-#: The spec engine and the production engine behind one duck-typed contract,
-#: by name.  Test fixtures and the differential harness parametrize over
-#: this registry; both accept the same constructor signature.
-ENGINES = {
-    "reference": ReferenceNetwork,
-    "fastpath": Network,
-}
 
 __all__ = [
     "BfsProgram",
@@ -54,11 +42,6 @@ __all__ = [
     "NodeProgram",
     "ProtocolResult",
     "run_protocol",
-    "ChargeSample",
-    "RoundSample",
-    "RoundTrace",
-    "attach_trace",
-    "ENGINES",
     "Forest",
     "MemoryMeter",
     "Message",
@@ -70,5 +53,4 @@ __all__ = [
     "build_bfs_tree",
     "convergecast_aggregate",
     "convergecast_up",
-    "flood_down",
 ]

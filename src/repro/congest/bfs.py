@@ -44,12 +44,6 @@ class BfsTree:
         """Depth of the deepest vertex (<= hop-diameter D)."""
         return max(self.depth.values())
 
-    def path_to_root(self, v: NodeId) -> List[NodeId]:
-        path = [v]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
-
 
 def build_bfs_tree(net: Network, root: Optional[NodeId] = None) -> BfsTree:
     """Flood a BFS wave from ``root`` and return the resulting tree.

@@ -114,7 +114,7 @@ class Network:
         #: Words queued in ``_outbox``, accumulated at send time so closing
         #: a round never re-walks the outbox to sum message widths.
         self._outbox_words = 0
-        #: Round observers (flight recorders, round traces).  Empty list ==
+        #: Round observers (flight recorders, test harnesses).  Empty list ==
         #: observation disabled; ``tick``/``charge_rounds`` test truthiness
         #: only, the same zero-overhead guard as the telemetry event bus.
         self._round_observers: List[Any] = []

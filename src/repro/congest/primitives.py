@@ -4,11 +4,13 @@ The tree-routing algorithms of Section 3 repeatedly run two patterns *inside
 each local tree, for all local trees in parallel*:
 
 * a **downward wave** from the roots (Stage 0 membership flood, Algorithm 2's
-  light-edge lists, Algorithm 4's DFS ranges, the final "push the global
-  value into the local tree" steps), and
-* an **upward convergecast** from the leaves (subtree sizes in Stage 1).
+  light-edge lists, Algorithm 4's DFS ranges), which has to deliver across
+  local-tree boundaries and therefore lives with the partition:
+  :func:`repro.treerouting.localcomm.local_flood`;
+* an **upward convergecast** from the leaves (subtree sizes in Stage 1):
+  :func:`convergecast_up`, here.
 
-Both are simulated literally: one message per tree edge per round, rounds
+It is simulated literally: one message per tree edge per round, rounds
 equal to the forest height, message payloads validated against the network's
 word limit.  The forest's edges must be edges of the underlying network
 (local trees are subtrees of the routing tree T, which is a subgraph of G).
@@ -72,13 +74,6 @@ class Forest:
     def vertices(self) -> Iterable[NodeId]:
         return self.parent.keys()
 
-    def by_depth(self) -> List[List[NodeId]]:
-        """Vertices grouped by forest depth, ascending."""
-        levels: Dict[int, List[NodeId]] = defaultdict(list)
-        for v, d in self.depth.items():
-            levels[d].append(v)
-        return [sorted(levels[d], key=repr) for d in range(self.height + 1)]
-
     def leaves(self) -> List[NodeId]:
         return sorted((v for v in self.parent if not self.children[v]), key=repr)
 
@@ -91,65 +86,6 @@ class Forest:
             out.append(v)
             stack.extend(self.children[v])
         return out
-
-
-# ---------------------------------------------------------------------------
-# Downward wave
-# ---------------------------------------------------------------------------
-
-def flood_down(
-    net: Network,
-    forest: Forest,
-    root_value: Callable[[NodeId], Any],
-    emit: Callable[[NodeId, Any], Any],
-    *,
-    kind: str = "flood",
-    phase: Optional[str] = None,
-) -> Dict[NodeId, Any]:
-    """Send a wave from every forest root down to the leaves.
-
-    Each vertex ends up with a *value*: a root's value is ``root_value(r)``;
-    a non-root's value is the payload it received from its parent.  A vertex
-    ``v`` holding value ``x`` sends ``emit(v, x)`` to its children --
-    either a single payload (all children get it) or a mapping
-    ``child -> payload`` for per-child values (Algorithm 4's DFS ranges,
-    Algorithm 2's per-child light-edge lists).
-
-    Returns every vertex's value.  Takes exactly ``forest.height`` simulated
-    rounds; all trees proceed in parallel.
-    """
-    if phase:
-        net.begin_phase(phase)
-    value: Dict[NodeId, Any] = {r: root_value(r) for r in forest.roots}
-    levels = forest.by_depth()
-    for level_index in range(len(levels) - 1):
-        senders = [v for v in levels[level_index] if v in value]
-        any_sent = False
-        for v in senders:
-            kids = forest.children[v]
-            if not kids:
-                continue
-            out = emit(v, value[v])
-            if isinstance(out, dict):
-                for c in kids:
-                    net.send(v, c, kind, out[c])
-            else:
-                # Shared payload: one batched call sizes it once for the
-                # whole sibling fanout.
-                net.send_many(v, kids, kind, out)
-            any_sent = True
-        if not any_sent:
-            continue
-        inboxes = net.tick()
-        for v, msgs in inboxes.items():
-            if len(msgs) != 1:
-                raise InvariantViolation(f"{v!r} received {len(msgs)} wave messages")
-            value[v] = msgs[0].payload
-    if len(value) != len(forest.parent):
-        raise InvariantViolation("downward wave did not cover the forest")
-    if phase:
-        net.end_phase()
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .high_levels import (
     build_high_level_clusters,
 )
 from .low_levels import build_exact_low_level_clusters, claim8_hop_limit
-from .parameters import SchemePreset, all_regimes, expected_virtual_size, preset
+from .parameters import SchemePreset, expected_virtual_size, preset
 
 __all__ = [
     "AssemblyStats",
@@ -32,7 +32,6 @@ __all__ = [
     "claim8_hop_limit",
     "default_beta",
     "SchemePreset",
-    "all_regimes",
     "expected_virtual_size",
     "preset",
 ]

@@ -78,7 +78,3 @@ def preset(n: int, k: int, regime: str = "balanced") -> SchemePreset:
         epsilon=_epsilon_for(k),
         beta_hint=_beta_hint(m, kappa),
     )
-
-
-def all_regimes() -> tuple:
-    return ("balanced", "subpolynomial", "polylog-memory")

@@ -99,43 +99,6 @@ def ring_of_cliques(
     return _assign_weights(graph, rng, *weight_range)
 
 
-def random_tree_network(
-    n: int,
-    *,
-    weight_range: Tuple[float, float] = (1.0, 10.0),
-    seed: int = 0,
-) -> nx.Graph:
-    """A uniformly random weighted tree (depth Theta(sqrt(n)) typically)."""
-    rng = random.Random(seed)
-    tree = nx.random_labeled_tree(n, seed=seed) if hasattr(
-        nx, "random_labeled_tree"
-    ) else nx.random_tree(n, seed=seed)
-    return _assign_weights(tree, rng, *weight_range)
-
-
-def caterpillar_tree(
-    spine: int,
-    legs_per_vertex: int = 1,
-    *,
-    weight_range: Tuple[float, float] = (1.0, 10.0),
-    seed: int = 0,
-) -> nx.Graph:
-    """A deep path with pendant leaves: the worst case for naive tree routing
-    (tree depth ~ spine >> network hop-diameter when embedded in G)."""
-    if spine < 2:
-        raise InputError("need spine >= 2")
-    rng = random.Random(seed)
-    graph = nx.Graph()
-    next_id = spine
-    for i in range(spine):
-        if i + 1 < spine:
-            graph.add_edge(i, i + 1)
-        for _ in range(legs_per_vertex):
-            graph.add_edge(i, next_id)
-            next_id += 1
-    return _assign_weights(graph, rng, *weight_range)
-
-
 def spanning_tree_of(
     graph: nx.Graph,
     *,
@@ -185,19 +148,3 @@ def spanning_tree_of(
             parent[v] = u
         return parent
     raise InputError(f"unknown spanning-tree style {style!r}")
-
-
-def subtree_parent_map(
-    graph: nx.Graph,
-    vertices,
-    root: NodeId,
-) -> Dict[NodeId, Optional[NodeId]]:
-    """BFS parent map of the subgraph induced by ``vertices``, rooted at
-    ``root`` (used to build non-spanning routing trees for tests)."""
-    sub = graph.subgraph(vertices)
-    if not nx.is_connected(sub):
-        raise InputError("requested subtree vertices are not connected")
-    parent: Dict[NodeId, Optional[NodeId]] = {root: None}
-    for u, v in nx.bfs_edges(sub, root):
-        parent[v] = u
-    return parent

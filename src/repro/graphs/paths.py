@@ -116,16 +116,6 @@ def dijkstra(
     return dist, parent
 
 
-def distances_to_set(graph: GraphLike, targets: Iterable[NodeId]) -> Dict[NodeId, float]:
-    """``d_G(v, S)`` for every vertex ``v`` (used for pivot distances)."""
-    adj = Adjacency.of(graph)
-    targets = list(targets)
-    if not targets:
-        return {v: INF for v in adj.rows}
-    dist, _ = dijkstra(adj, targets)
-    return {v: dist.get(v, INF) for v in adj.rows}
-
-
 def nearest_in_set(
     graph: GraphLike, targets: Iterable[NodeId]
 ) -> Tuple[Dict[NodeId, float], Dict[NodeId, Optional[NodeId]]]:
@@ -243,21 +233,3 @@ def hop_counts(graph: GraphLike, source: NodeId) -> Dict[NodeId, int]:
                 dist[v] = cand
                 heapq.heappush(heap, (cand[0], cand[1], tie, v))
     return {v: dh[1] for v, dh in dist.items()}
-
-
-def shortest_path_diameter(graph: GraphLike) -> int:
-    """``S``: the maximum, over all pairs, of the hops of a shortest path.
-
-    Exact and O(n * m log n); only call on small graphs (tests, reporting).
-    """
-    adj = Adjacency.of(graph)
-    worst = 0
-    for source in adj.rows:
-        hops = hop_counts(adj, source)
-        worst = max(worst, max(hops.values()))
-    return worst
-
-
-def hop_diameter(graph: nx.Graph) -> int:
-    """Exact hop-diameter ``D`` of the underlying unweighted graph."""
-    return nx.diameter(graph)

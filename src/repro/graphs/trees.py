@@ -134,46 +134,6 @@ def depths(parent: ParentMap) -> Dict[NodeId, int]:
     return out
 
 
-def postorder(parent: ParentMap) -> List[NodeId]:
-    """Vertices in post-order (children before parents)."""
-    return tree_profile(parent).preorder[::-1]
-
-
-def subtree_sizes(parent: ParentMap) -> Dict[NodeId, int]:
-    return tree_profile(parent).sizes
-
-
-def heavy_children(parent: ParentMap) -> Dict[NodeId, Optional[NodeId]]:
-    """The child with the largest subtree, per vertex (None for leaves).
-
-    Ties break deterministically by vertex repr, matching the distributed
-    implementation so the two can be compared field by field.
-    """
-    return tree_profile(parent).heavy
-
-
-def light_edge_lists(parent: ParentMap) -> Dict[NodeId, List[Tuple[NodeId, NodeId]]]:
-    """For each vertex ``y``: the light edges on the root-to-``y`` path.
-
-    An edge ``(u, v)`` (v a child of u) is *light* when ``v`` is not the
-    heavy child of ``u``.  Any root path has at most ``log2 n`` light edges,
-    because crossing a light edge at least halves the subtree size.
-    """
-    return {v: list(edges) for v, edges in tree_profile(parent).light_edges.items()}
-
-
-def dfs_intervals(parent: ParentMap) -> Dict[NodeId, Tuple[int, int]]:
-    """DFS entry/exit numbering with subtree-size-consistent ranges.
-
-    Vertex ``v`` gets ``[enter, exit]`` with
-    ``exit - enter + 1 == subtree_size(v)``; descendants' intervals nest.
-    The DFS visits children in the deterministic port order used everywhere
-    in this library (sorted by repr), matching Algorithm 4's distributed
-    assignment so the two can be compared exactly.
-    """
-    return tree_profile(parent).intervals
-
-
 def _root_path(parent: ParentMap, v: NodeId) -> List[NodeId]:
     """``v``, its parent, ..., the root.  A ``v`` outside the tree is a
     ``KeyError``; a malformed map is an :class:`InputError`."""

@@ -120,10 +120,6 @@ class VirtualGraphOracle:
         self.edges_computed += len(row)
         return row
 
-    def bounded_distance(self, u: NodeId, v: NodeId) -> float:
-        """``d^{(B)}_G(u, v)`` between two virtual vertices (oracle query)."""
-        return self.edge_row(u).get(v, math.inf)
-
     # -- reference-only helpers (tests / validation) --------------------------
 
     def materialize(self) -> nx.Graph:

@@ -83,16 +83,6 @@ def quantize_weights(graph: nx.Graph, epsilon: float) -> nx.Graph:
     return out
 
 
-def weight_exponent(weight: float, epsilon: float) -> int:
-    """The integer exponent ``e`` with ``weight = (1+ε)^e`` (quantized
-    weights only) -- this is what a standard-CONGEST message carries."""
-    base = 1.0 + epsilon
-    e = round(math.log(weight, base))
-    if not math.isclose(base ** e, weight, rel_tol=1e-9):
-        raise InputError(f"{weight} is not a power of {base}")
-    return e
-
-
 def encoded_weight_bits(graph: nx.Graph, epsilon: float) -> int:
     """Bits per quantized weight: O(log log Λ + log 1/ε).
 

@@ -7,7 +7,7 @@ from .arboricity import (
     verify_forest,
 )
 from .bounded_bf import ExplorationState, hopset_bellman_ford
-from .construction import HopsetBuildResult, build_hopset, expected_out_degree
+from .construction import HopsetBuildResult, build_hopset
 from .hopset import Hopset, measure_hopbound, union_graph
 from .path_recovery import recover_paths
 
@@ -17,7 +17,6 @@ __all__ = [
     "HopsetBuildResult",
     "build_hopset",
     "degeneracy_orientation",
-    "expected_out_degree",
     "forest_decomposition",
     "hopset_bellman_ford",
     "measure_hopbound",

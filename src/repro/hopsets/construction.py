@@ -171,8 +171,3 @@ def build_hopset(
         charged_rounds=charged,
         max_bunch_size=max_bunch,
     )
-
-
-def expected_out_degree(m: int, kappa: int) -> float:
-    """``Õ(κ m^{1/κ})`` -- the paper's Õ(n^{ρ/2}) with m = Θ(sqrt(n))."""
-    return kappa * m ** (1.0 / kappa) * max(1.0, math.log(max(2, m))) + kappa

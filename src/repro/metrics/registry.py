@@ -112,9 +112,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class RateMeter:
     """Windowed event rate over a ring of fixed-width time buckets.
@@ -185,9 +182,6 @@ class Histogram:
 
     def add(self, value: float) -> None:
         self.sketch.add(value)
-
-    def add_count(self, value: float, count: int) -> None:
-        self.sketch.add(value, count)
 
     def wants_exemplar(self, value: float) -> bool:
         if self.exemplar_limit <= 0:

@@ -20,10 +20,7 @@ from .compile import (
     CompiledTreeScheme,
     PackedLabel,
     PackedTree,
-    compile_from_json,
     compile_scheme,
-    from_buffers,
-    seal_to_buffers,
 )
 from .engine import DecisionCache, ServeEngine, ServeResult
 from .harness import (
@@ -56,14 +53,11 @@ __all__ = [
     "ServeResult",
     "WORKLOADS",
     "adversarial_pairs",
-    "compile_from_json",
     "compile_scheme",
-    "from_buffers",
     "gravity_pairs",
     "make_workload",
     "percentile",
     "run_serving",
-    "seal_to_buffers",
     "serve_pairs",
     "slo_verdict",
     "uniform_pairs",

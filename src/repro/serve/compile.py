@@ -5,7 +5,7 @@ The preprocessing phase produces dict-of-dataclass artifacts
 slow to *serve*: every forwarded hop pays two hash lookups plus attribute
 access on a frozen dataclass, and every light-edge test is a linear scan of
 the label.  This module compiles a :class:`TreeRoutingScheme` or
-:class:`GraphRoutingScheme` (in memory, or straight from its
+:class:`GraphRoutingScheme` (in memory, or loaded from its
 :mod:`repro.routing.serialization` JSON) into the packed form the query
 engine (:mod:`repro.serve.engine`) consumes, in the same spirit as the
 CSR fast path of the CONGEST engine (docs/performance.md):
@@ -28,7 +28,7 @@ The packed form is documented in docs/serving.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -39,7 +39,6 @@ from ..routing.artifacts import (
     TreeRoutingScheme,
     TreeTable,
 )
-from ..routing.serialization import load_scheme
 from ..telemetry import events as _tele
 
 NodeId = Hashable
@@ -302,44 +301,6 @@ def compile_scheme(
         if isinstance(scheme, GraphRoutingScheme):
             return CompiledGraphScheme(scheme, graph)
     raise InputError(f"cannot compile {type(scheme).__name__}")
-
-
-def compile_from_json(
-    source: Union[str, IO[str]],
-    graph: Optional[nx.Graph] = None,
-) -> CompiledScheme:
-    """Load a serialized scheme (path or open file) and compile it."""
-    if isinstance(source, str):
-        with open(source) as fp:
-            scheme = load_scheme(fp)
-    else:
-        scheme = load_scheme(source)
-    return compile_scheme(scheme, graph)
-
-
-def seal_to_buffers(compiled: CompiledScheme):
-    """Lower a compiled scheme into one shared-memory table image (S20).
-
-    Thin entry point over :func:`repro.shard.tables.seal_to_buffers`
-    (imported lazily: the shard subsystem depends on this module).  Returns
-    a :class:`~repro.shard.tables.SealedTables` whose JSON-able manifest is
-    all a :class:`~repro.shard.ShardPool` worker needs to attach the same
-    image zero-copy via :func:`from_buffers`.
-    """
-    from ..shard.tables import seal_to_buffers as _seal
-
-    return _seal(compiled)
-
-
-def from_buffers(manifest, buffer=None):
-    """Rebuild a compiled scheme from a table-image manifest (S20).
-
-    Counterpart of :func:`seal_to_buffers`; see
-    :func:`repro.shard.tables.from_buffers`.
-    """
-    from ..shard.tables import from_buffers as _from
-
-    return _from(manifest, buffer)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import atexit
 import queue
 import time
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 

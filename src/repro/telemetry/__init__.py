@@ -26,7 +26,6 @@ span/counter naming scheme and the RunRecord JSON schema.
 
 from .bounds import (
     BoundVerdict,
-    all_passed,
     check_graph_columns,
     check_table1_relations,
     check_table2_relations,
@@ -51,7 +50,6 @@ __all__ = [
     "RunRecord",
     "SpanNode",
     "TelemetryCollector",
-    "all_passed",
     "attach_flight_recorder",
     "to_chrome_trace",
     "validate_chrome_trace",

@@ -56,10 +56,6 @@ def verdict_from_dict(d: Dict[str, Any]) -> BoundVerdict:
     )
 
 
-def all_passed(verdicts: List[BoundVerdict]) -> bool:
-    return all(v.passed for v in verdicts)
-
-
 def failures(verdicts: List[BoundVerdict]) -> List[BoundVerdict]:
     return [v for v in verdicts if not v.passed]
 

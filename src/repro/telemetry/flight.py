@@ -52,11 +52,6 @@ from typing import Any, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
 _SESSIONS: List["auto"] = []
 
 
-def enabled() -> bool:
-    """True when an :class:`auto` session is active."""
-    return bool(_SESSIONS)
-
-
 @dataclass
 class FlightConfig:
     """Knobs bounding the recorder's overhead."""
@@ -144,8 +139,6 @@ class FlightRecorder:
         self.n = 0
         #: cumulative per-edge traffic over *all* rounds: (u, v) -> [msgs, words]
         self.edge_totals: Dict[Tuple[Any, Any], List[int]] = {}
-        #: the same, split by the phase open when the traffic happened
-        self.phase_edge_totals: Dict[str, Dict[Tuple[Any, Any], List[int]]] = {}
         #: vertex state as of just before the oldest retained sample
         self._base: Dict[Hashable, Tuple[int, int]] = {}
         self._last: Dict[Hashable, Tuple[int, int]] = {}
@@ -166,9 +159,6 @@ class FlightRecorder:
         count = 0
         phase = net.metrics.phase_name
         per_edge: Dict[Tuple[Any, Any], List[int]] = {}
-        phase_edges = None
-        if phase is not None:
-            phase_edges = self.phase_edge_totals.setdefault(phase, {})
         for msg in delivered:
             count += 1
             edge = (msg.src, msg.dst)
@@ -177,12 +167,6 @@ class FlightRecorder:
                 entry = self.edge_totals[edge] = [0, 0]
             entry[0] += 1
             entry[1] += msg.words
-            if phase_edges is not None:
-                p = phase_edges.get(edge)
-                if p is None:
-                    p = phase_edges[edge] = [0, 0]
-                p[0] += 1
-                p[1] += msg.words
             e = per_edge.get(edge)
             if e is None:
                 e = per_edge[edge] = [0, 0]
@@ -280,13 +264,6 @@ class FlightRecorder:
         """Top-``k`` edges by cumulative words over the whole run."""
         ranked = sorted(self.edge_totals.items(), key=lambda kv: kv[1][1],
                         reverse=True)
-        return [(u, v, m, w) for (u, v), (m, w) in ranked[:k]]
-
-    def phase_hotspots(self, phase: str, k: int = 8
-                       ) -> List[Tuple[Any, Any, int, int]]:
-        """Top-``k`` edges by words while ``phase`` was open."""
-        ranked = sorted(self.phase_edge_totals.get(phase, {}).items(),
-                        key=lambda kv: kv[1][1], reverse=True)
         return [(u, v, m, w) for (u, v), (m, w) in ranked[:k]]
 
     # -- reporting -----------------------------------------------------------

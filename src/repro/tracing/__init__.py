@@ -16,7 +16,7 @@ Layout (docs/observability.md, "Per-query tracing & stretch forensics"):
   RunRecord kind ``explain``.
 """
 
-from .attribution import attribute, attribute_traces, attribution_residual
+from .attribution import attribute, attribute_traces
 from .explain import per_level_table, run_explain, select_traces
 from .export import read_traces_jsonl, write_traces_jsonl
 from .model import HopSpan, QueryTrace
@@ -31,7 +31,6 @@ __all__ = [
     "Tracer",
     "attribute",
     "attribute_traces",
-    "attribution_residual",
     "per_level_table",
     "read_traces_jsonl",
     "replay_query",

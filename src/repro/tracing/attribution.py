@@ -83,14 +83,3 @@ def attribute(
                  if h.kind == "parent" and h.excess is not None)
     trace.phases = {"ascent": ascent, "descent": excess - ascent}
 
-
-def attribution_residual(trace: QueryTrace) -> Optional[float]:
-    """``|sum(attribution) - (actual - optimal)|`` — 0.0 when exact.
-
-    ``None`` for traces without an attribution (failures, unreachable
-    targets, un-attributed runs).
-    """
-    if not trace.attribution or trace.optimal is None:
-        return None
-    total = sum(trace.attribution.values())
-    return abs(total - (trace.length - trace.optimal))

@@ -19,9 +19,6 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 NodeId = Hashable
 
-#: Hop kinds, in the order the forwarding rule considers them.
-HOP_KINDS = ("light", "heavy", "parent")
-
 
 def _json_id(value: Any) -> Any:
     """A vertex id as JSON scalar (kept as-is when already jsonable)."""

@@ -6,7 +6,6 @@ from .pointer_jumping import PointerJumpResult, pointer_jump, required_iteration
 from .sampling import (
     TreePartition,
     default_sampling_probability,
-    expected_local_depth_bound,
     partition_tree,
 )
 from .scheme import DistributedTreeBuild, build_distributed_tree_scheme
@@ -25,7 +24,6 @@ __all__ = [
     "TreePartition",
     "build_distributed_tree_scheme",
     "default_sampling_probability",
-    "expected_local_depth_bound",
     "local_flood",
     "partition_tree",
     "pointer_jump",

@@ -52,9 +52,6 @@ class TreePartition:
     def n(self) -> int:
         return len(self.tree_parent)
 
-    def local_depth(self, v: NodeId) -> int:
-        return self.local_forest.depth[v]
-
     @property
     def max_local_depth(self) -> int:
         return self.local_forest.height
@@ -118,7 +115,3 @@ def partition_tree(
         local_forest=Forest.from_parent_map(local_parent),
     )
 
-
-def expected_local_depth_bound(n: int, q: float) -> float:
-    """The whp depth bound of local trees: ``O(log n / q)``."""
-    return max(1.0, math.log(max(2, n)) / q)

@@ -128,19 +128,6 @@ def all_cluster_trees(
     return trees
 
 
-def bunches(
-    trees: Dict[NodeId, ClusterTree]
-) -> Dict[NodeId, List[NodeId]]:
-    """``B(v) = {u : v ∈ C(u)}`` -- the inverse membership map."""
-    out: Dict[NodeId, List[NodeId]] = {}
-    for root, tree in trees.items():
-        for v in tree.dist:
-            out.setdefault(v, []).append(root)
-    for v in out:
-        out[v].sort(key=repr)
-    return out
-
-
 def claim6_bound(n: int, k: int) -> float:
     """The whp bound of Claim 6: ``4 n^{1/k} ln n`` clusters per vertex."""
     return 4.0 * n ** (1.0 / k) * max(1.0, math.log(n))

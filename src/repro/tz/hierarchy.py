@@ -110,11 +110,6 @@ def sample_hierarchy(
     return Hierarchy(k=k, levels=levels)
 
 
-def expected_level_size(n: int, k: int, i: int) -> float:
-    """``E[|A_i|] = n^{1 - i/k}`` -- used by tests as a concentration check."""
-    return n ** (1.0 - i / k) if i < k else 0.0
-
-
 def virtual_level(k: int) -> int:
     """The level whose set plays V' = A_{k/2} (Appendix B; ``ceil`` for odd
     k, which only shrinks V' and thus helps memory)."""

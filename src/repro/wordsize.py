@@ -53,9 +53,3 @@ def words_of(obj: Any) -> int:
     if isinstance(obj, dict):
         return sum(words_of(k) + words_of(v) for k, v in obj.items())
     raise InputError(f"cannot compute word size of {type(obj).__name__!r}")
-
-
-def check_budget(actual: int, budget: int, what: str) -> None:
-    """Raise :class:`InputError` when ``actual`` exceeds ``budget`` words."""
-    if actual > budget:
-        raise InputError(f"{what}: {actual} words exceeds budget of {budget}")

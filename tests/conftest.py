@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.congest import ENGINES, Network
+from repro.congest import Network
 from repro.graphs import (
     grid_graph,
     random_connected_graph,
     ring_of_cliques,
     spanning_tree_of,
 )
+
+from .differential.harness import ENGINES
 
 SEED = 1234
 

@@ -23,18 +23,21 @@ from typing import Any, Callable, Dict, Hashable, List, Tuple
 
 import networkx as nx
 
+from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_all, convergecast_aggregate
 from repro.congest.protocol import FloodMax, run_protocol
-from repro.congest.trace import attach_trace
-from repro.graphs import (
-    grid_graph,
-    random_connected_graph,
-    random_tree_network,
-    ring_of_cliques,
-)
+from repro.graphs import grid_graph, random_connected_graph, ring_of_cliques
 
 NodeId = Hashable
+
+#: The spec engine and the production engine behind one duck-typed contract,
+#: by name; both accept the same constructor signature.  The ``engine``
+#: fixture of tests/conftest.py parametrizes over this registry.
+ENGINES = {
+    "reference": ReferenceNetwork,
+    "fastpath": Network,
+}
 
 #: CI smoke mode: a reduced seed matrix (set by the bench-smoke workflow).
 QUICK = bool(os.environ.get("REPRO_DIFF_QUICK"))
@@ -66,6 +69,16 @@ def _star(seed: int) -> nx.Graph:
 
 def _grid(seed: int) -> nx.Graph:
     return grid_graph(3 + seed % 3, 4 + seed % 2, seed=seed)
+
+
+def random_tree_network(n: int, seed: int) -> nx.Graph:
+    """A uniformly random tree with ``uniform(1, 10)`` weights (depth
+    Theta(sqrt(n)) typically)."""
+    tree = nx.random_labeled_tree(n, seed=seed)
+    rng = random.Random(seed)
+    for u, v in tree.edges:
+        tree[u][v]["weight"] = rng.uniform(1.0, 10.0)
+    return tree
 
 
 def _random_tree(seed: int) -> nx.Graph:
@@ -164,20 +177,26 @@ PROTOCOLS: Dict[str, Callable[[Any, int], None]] = {
 # ---------------------------------------------------------------------------
 
 class EdgeCountObserver:
-    """Round observer accumulating per-directed-edge message totals."""
+    """Round observer accumulating per-directed-edge message totals, the
+    per-round ``(round, messages, words, phase)`` samples and the charge
+    events ``(at_round, rounds, messages, words, phase)``."""
 
-    __slots__ = ("edges", "charges")
+    __slots__ = ("edges", "rounds", "charges")
 
     def __init__(self) -> None:
         self.edges: Counter = Counter()
-        self.charges: List[Tuple[int, int, int]] = []
+        self.rounds: List[Tuple[int, int, int, Any]] = []
+        self.charges: List[Tuple[int, int, int, int, Any]] = []
 
     def on_round(self, net: Any, delivered: List[Any], words: int) -> None:
         for msg in delivered:
             self.edges[(repr(msg.src), repr(msg.dst))] += 1
+        self.rounds.append(
+            (net.metrics.rounds, len(delivered), words, net.metrics.phase_name))
 
     def on_charge(self, net: Any, rounds: int, messages: int, words: int) -> None:
-        self.charges.append((rounds, messages, words))
+        self.charges.append(
+            (net.metrics.rounds, rounds, messages, words, net.metrics.phase_name))
 
 
 def meter_state(net: Any) -> Dict[str, Tuple[Any, ...]]:
@@ -209,12 +228,12 @@ def run_fingerprint(
 
     The returned dict compares with ``==``: identical runs on the two
     engines must produce identical fingerprints, covering round counts and
-    metrics (phases included), per-directed-edge message totals, charge
-    events, per-vertex memory high-waters, and the round-trace timeline.
+    metrics (phases included), per-directed-edge message totals, phased
+    charge events, per-vertex memory high-waters, and the traffic and
+    phase of every simulated round.
     """
     net = engine_cls(graph, **net_kwargs)
     edge_obs = net.add_round_observer(EdgeCountObserver())
-    trace = attach_trace(net)
     workload(net, workload_seed)
     return {
         "metrics": net.metrics.to_dict(),
@@ -225,6 +244,5 @@ def run_fingerprint(
         "max_memory": net.max_memory(),
         "edges": dict(edge_obs.edges),
         "charges": edge_obs.charges,
-        "trace": trace.to_dict(),
-        "timeline": trace.timeline(),
+        "rounds": edge_obs.rounds,
     }

@@ -2,8 +2,8 @@
 
 Every case builds one graph, runs one workload on *both* engines, and
 asserts the full observable fingerprint matches the reference oracle —
-metrics (with phases), per-directed-edge message totals, charge events,
-per-vertex memory high-waters, and the round-trace timeline.
+metrics (with phases), per-directed-edge message totals, phased charge
+events, per-vertex memory high-waters, and every round's traffic and phase.
 
 The full matrix is |TOPOLOGIES| x |PROTOCOLS| x |SEEDS| = 7 x 4 x 9 = 252
 replays (>= the 200 the acceptance bar asks for); ``REPRO_DIFF_QUICK=1``

@@ -253,9 +253,9 @@ def test_fuzz_schedules_do_violate():
 
 
 def test_fingerprint_helper_covers_timeline():
-    """The replay fingerprint includes the trace timeline on both engines."""
+    """The replay fingerprint includes the per-round timeline (round,
+    messages, words, phase) on both engines, idle rounds included."""
     graph = build_topology("gnp", 1)
-    fp = run_fingerprint(
-        ReferenceNetwork, graph, lambda net, s: net.idle_rounds(3), 0
-    )
-    assert "rounds 1..3" in fp["timeline"]
+    for engine in (ReferenceNetwork, Network):
+        fp = run_fingerprint(engine, graph, lambda net, s: net.idle_rounds(3), 0)
+        assert fp["rounds"] == [(r, 0, 0, None) for r in (1, 2, 3)]

@@ -9,7 +9,6 @@ from repro.baselines import (
     build_en16_tree_scheme,
     build_landmark_scheme,
     choose_landmarks,
-    route_en16,
 )
 from repro.congest import Network
 from repro.errors import InputError
@@ -17,7 +16,6 @@ from repro.graphs import (
     dijkstra,
     random_connected_graph,
     spanning_tree_of,
-    tree_distance,
 )
 from repro.routing import measure_stretch, sample_pairs
 from repro.treerouting import build_distributed_tree_scheme
@@ -30,38 +28,6 @@ def en16_built():
     net = Network(graph)
     build = build_en16_tree_scheme(net, tree, seed=8)
     return graph, tree, net, build
-
-
-class TestEn16Routing:
-    def test_exact_on_random_pairs(self, en16_built):
-        graph, tree, _, build = en16_built
-        weight = lambda u, v: graph[u][v]["weight"]
-        rng = random.Random(2)
-        for _ in range(120):
-            u, v = rng.sample(list(tree), 2)
-            _, length = route_en16(build.scheme, u, v, weight_of=weight)
-            assert length == pytest.approx(tree_distance(tree, weight, u, v))
-
-    def test_route_within_one_local_tree(self, en16_built):
-        graph, tree, _, build = en16_built
-        weight = lambda u, v: graph[u][v]["weight"]
-        part = build.scheme.partition
-        roots = part.local_root_reference()
-        # find two vertices sharing a local tree
-        by_root = {}
-        for v, r in roots.items():
-            by_root.setdefault(r, []).append(v)
-        pool = next(vs for vs in by_root.values() if len(vs) >= 2)
-        _, length = route_en16(build.scheme, pool[0], pool[1], weight_of=weight)
-        assert length == pytest.approx(
-            tree_distance(tree, weight, pool[0], pool[1])
-        )
-
-    def test_route_to_self(self, en16_built):
-        _, tree, _, build = en16_built
-        v = sorted(tree)[0]
-        path, length = route_en16(build.scheme, v, v)
-        assert path == [v] and length == 0.0
 
 
 class TestEn16CostShape:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.baselines import build_tree_cover_scheme, route_cover, scale_count
+from repro.baselines import build_tree_cover_scheme, route_cover
 from repro.baselines.tree_cover import theoretical_stretch
 from repro.errors import InputError
 from repro.graphs import (
@@ -52,10 +52,6 @@ class TestCoverStructure:
         radii = [s.radius for s in scheme.scales]
         for a, b in zip(radii, radii[1:]):
             assert b == pytest.approx(2 * a)
-
-    def test_scale_count_estimate(self, built):
-        graph, scheme = built
-        assert abs(len(scheme.scales) - scale_count(graph)) <= 1
 
     def test_bad_base_rejected(self, built):
         graph, _ = built

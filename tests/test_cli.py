@@ -172,6 +172,27 @@ class TestTelemetrySurfaces:
         assert rc == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,says", [
+        (["trace", "tree-styles", "--flight", "--stride", "0"], "--stride: must be > 0"),
+        (["monitor", "--target-qps", "0"], "--target-qps: must be > 0"),
+        (["serve", "--workers", "0"], "--workers: must be > 0"),
+        (["serve", "--n", "1"], "repro serve: need n >= 2"),
+    ], ids=["stride-0", "target-qps-0", "workers-0", "n-1"])
+    def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys):
+        """Not a traceback: a flag argparse can judge is a usage error, and
+        an ``InputError`` from the library is caught once, in ``main``."""
+        try:
+            rc = main(argv)
+        except SystemExit as usage:
+            rc = usage.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert says in err.splitlines()[-1] and "Traceback" not in err
+
+    def test_zero_stays_legal_where_it_means_off_or_empty(self, capsys):
+        assert main(["serve", "--n", "40", "--k", "2", "--queries", "0", "--cache", "0",
+                     "--trace-tail", "0", "--quiet"]) == 0
+
     def test_report_json(self, capsys):
         assert main(["report", "--fast", "--json", "--strict"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -12,7 +12,7 @@ from repro.congest import (
     build_bfs_tree,
     convergecast_aggregate,
 )
-from repro.graphs import random_connected_graph
+from repro.graphs import random_connected_graph, tree_path
 
 
 @pytest.fixture()
@@ -58,7 +58,7 @@ class TestBfsTree:
     def test_path_to_root(self, net):
         bfs = build_bfs_tree(net)
         leaf = max(bfs.depth, key=lambda v: (bfs.depth[v], repr(v)))
-        path = bfs.path_to_root(leaf)
+        path = tree_path(bfs.parent, leaf, bfs.root)
         assert path[0] == leaf and path[-1] == bfs.root
         assert len(path) == bfs.depth[leaf] + 1
 

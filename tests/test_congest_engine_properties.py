@@ -25,10 +25,10 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.congest import ENGINES, Network, ReferenceNetwork
+from repro.congest import Network, ReferenceNetwork
 from repro.wordsize import words_of
 
-from .differential.harness import meter_state
+from .differential.harness import ENGINES, meter_state
 
 _REPR = repr
 

@@ -6,13 +6,13 @@ so every test here runs against both the reference and the fast path.
 
 import pytest
 
-from repro.congest import Forest, convergecast_up, flood_down
+from repro.congest import Forest, convergecast_up
 from repro.errors import InputError
 from repro.graphs import (
     depths,
     random_connected_graph,
     spanning_tree_of,
-    subtree_sizes,
+    tree_profile,
 )
 
 
@@ -47,11 +47,6 @@ class TestForest:
         root = forest.roots[0]
         assert len(forest.subtree_vertices(root)) == len(tree)
 
-    def test_by_depth_partitions(self, setup):
-        _, tree, forest = setup
-        levels = forest.by_depth()
-        assert sum(len(level) for level in levels) == len(tree)
-
     def test_dangling_parent_rejected(self):
         with pytest.raises(InputError):
             Forest.from_parent_map({1: 2})
@@ -65,42 +60,13 @@ class TestForest:
         assert sorted(forest.roots) == [1, 2]
 
 
-class TestFloodDown:
-    def test_depth_wave(self, setup):
-        net, tree, forest = setup
-        values = flood_down(net, forest, lambda r: 0, lambda v, x: x + 1)
-        assert values == depths(tree)
-
-    def test_identity_broadcast(self, setup):
-        net, _, forest = setup
-        root = forest.roots[0]
-        values = flood_down(net, forest, lambda r: r, lambda v, x: x)
-        assert all(val == root for val in values.values())
-
-    def test_per_child_payloads(self, setup):
-        net, tree, forest = setup
-
-        def emit(v, x):
-            return {c: (v, c) for c in forest.children[v]}
-
-        values = flood_down(net, forest, lambda r: ("root", r), emit)
-        for v, val in values.items():
-            if tree[v] is not None:
-                assert val == (tree[v], v)
-
-    def test_rounds_equal_height(self, setup):
-        net, _, forest = setup
-        flood_down(net, forest, lambda r: 0, lambda v, x: x)
-        assert net.metrics.rounds == forest.height
-
-
 class TestConvergecastUp:
     def test_subtree_sizes(self, setup):
         net, tree, forest = setup
         sizes = convergecast_up(
             net, forest, lambda v: 1, lambda v, vals: 1 + sum(vals)
         )
-        assert sizes == subtree_sizes(tree)
+        assert sizes == tree_profile(tree).sizes
 
     def test_max_leaf_depth(self, setup):
         net, tree, forest = setup

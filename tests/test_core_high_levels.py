@@ -13,7 +13,7 @@ from repro.core.high_levels import (
 from repro.graphs import (
     VirtualGraphOracle,
     dijkstra,
-    distances_to_set,
+    nearest_in_set,
     random_connected_graph,
 )
 from repro.hopsets import build_hopset
@@ -44,7 +44,7 @@ class TestApproximatePivots:
         est = approximate_pivot_distances(
             net, oracle, hopset, level_set, config, level_index=level
         )
-        exact = distances_to_set(graph, level_set)
+        exact, _ = nearest_in_set(graph, level_set)
         for v in graph.nodes:
             assert exact[v] - 1e-9 <= est[v]
             # Eq. 5 (whp): d̂ <= (1+eps) d; generous factor for small n.

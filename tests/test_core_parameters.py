@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.core.parameters import (
-    all_regimes,
-    expected_virtual_size,
-    preset,
-)
+from repro.core.parameters import expected_virtual_size, preset
 from repro.errors import InputError
+
+REGIMES = ("balanced", "subpolynomial", "polylog-memory")
 
 
 class TestExpectedVirtualSize:
@@ -25,7 +23,7 @@ class TestExpectedVirtualSize:
 
 
 class TestPresets:
-    @pytest.mark.parametrize("regime", all_regimes())
+    @pytest.mark.parametrize("regime", REGIMES)
     def test_all_regimes_produce_valid_kwargs(self, regime):
         p = preset(1000, 3, regime)
         kwargs = p.as_kwargs()
@@ -35,7 +33,7 @@ class TestPresets:
 
     def test_polylog_regime_has_largest_kappa(self):
         n, k = 100_000, 4
-        kappas = {r: preset(n, k, r).kappa for r in all_regimes()}
+        kappas = {r: preset(n, k, r).kappa for r in REGIMES}
         assert kappas["polylog-memory"] >= kappas["balanced"]
 
     def test_epsilon_shrinks_with_k(self):
@@ -57,7 +55,7 @@ class TestPresets:
         from repro.routing import measure_stretch, sample_pairs
 
         graph = random_connected_graph(150, seed=241)
-        for regime in all_regimes():
+        for regime in REGIMES:
             p = preset(150, 2, regime)
             report = build_distributed_scheme(graph, 2, seed=24, **p.as_kwargs())
             stretch = measure_stretch(

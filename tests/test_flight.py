@@ -31,7 +31,7 @@ def _chat(net, rounds=6):
 
 class TestGuard:
     def test_off_by_default(self, net):
-        assert not flight.enabled()
+        assert not flight._SESSIONS
         assert net._round_observers == []
         _chat(net)
 
@@ -42,10 +42,10 @@ class TestGuard:
 
     def test_auto_session_attaches_to_new_networks(self):
         with flight.auto(stride=1) as session:
-            assert flight.enabled()
+            assert flight._SESSIONS
             net = Network(random_connected_graph(10, seed=4))
             _chat(net)
-        assert not flight.enabled()
+        assert not flight._SESSIONS
         assert len(session.recorders) == 1
         assert session.recorders[0].rounds_seen == 6
 
@@ -124,7 +124,6 @@ class TestSampling:
         _chat(net, rounds=2)
         net.end_phase()
         assert {s.phase for s in rec.samples} == {"build"}
-        assert "build" in rec.phase_edge_totals
 
 
 class TestRing:
@@ -190,13 +189,13 @@ class TestReporting:
         assert doc["config"]["stride"] == 2
 
     def test_trace_observer_still_works_alongside(self, net):
-        """RoundTrace and FlightRecorder share the observer hook."""
-        from repro.congest.trace import attach_trace
+        """A second observer and the FlightRecorder share the observer hook."""
+        from .differential.harness import EdgeCountObserver
 
-        trace = attach_trace(net)
+        other = net.add_round_observer(EdgeCountObserver())
         rec = attach_flight_recorder(net)
         _chat(net, rounds=3)
-        assert len(trace.samples) == 3
+        assert len(other.rounds) == 3
         assert rec.rounds_seen == 3
 
 
@@ -225,7 +224,7 @@ class TestEngineParity:
         assert any(s.prefixes for s in fast.recorders[0].samples)
 
     def test_sample_taken_while_a_uniform_key_is_live(self):
-        from repro.congest import ENGINES
+        from .differential.harness import ENGINES
 
         runs = {}
         for name, engine in ENGINES.items():

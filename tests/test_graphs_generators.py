@@ -5,13 +5,10 @@ import pytest
 
 from repro.errors import InputError
 from repro.graphs import (
-    caterpillar_tree,
     grid_graph,
     random_connected_graph,
-    random_tree_network,
     ring_of_cliques,
     spanning_tree_of,
-    subtree_parent_map,
     tree_root,
 )
 from repro.graphs.validation import require_tree_in_graph, require_weighted_connected
@@ -62,19 +59,6 @@ class TestOtherFamilies:
         with pytest.raises(InputError):
             ring_of_cliques(2, 5)
 
-    def test_random_tree_is_tree(self):
-        g = random_tree_network(40, seed=3)
-        assert nx.is_tree(g)
-
-    def test_caterpillar_structure(self):
-        g = caterpillar_tree(10, legs_per_vertex=2, seed=1)
-        assert nx.is_tree(g)
-        assert g.number_of_nodes() == 10 + 20
-
-    def test_caterpillar_validates(self):
-        with pytest.raises(InputError):
-            caterpillar_tree(1)
-
 
 class TestSpanningTrees:
     @pytest.mark.parametrize("style", ["shortest-path", "bfs", "dfs", "random"])
@@ -102,15 +86,3 @@ class TestSpanningTrees:
         root = sorted(g.nodes)[5]
         parent = spanning_tree_of(g, style="bfs", root=root)
         assert tree_root(parent) == root
-
-    def test_subtree_parent_map(self):
-        g = grid_graph(4, 4, seed=0)
-        vertices = [0, 1, 2, 4, 5]
-        parent = subtree_parent_map(g, vertices, root=0)
-        assert set(parent) == set(vertices)
-        require_tree_in_graph(g, parent)
-
-    def test_subtree_disconnected_raises(self):
-        g = grid_graph(4, 4, seed=0)
-        with pytest.raises(InputError):
-            subtree_parent_map(g, [0, 15], root=0)

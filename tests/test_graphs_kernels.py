@@ -30,16 +30,10 @@ from repro.graphs import (
     bounded_bellman_ford,
     children_map,
     depths,
-    dfs_intervals,
     dijkstra,
-    distances_to_set,
-    heavy_children,
     hop_counts,
-    light_edge_lists,
     nearest_in_set,
-    postorder,
     random_connected_graph,
-    subtree_sizes,
     tree_distance,
     tree_path,
     tree_profile,
@@ -160,17 +154,13 @@ class TestPathKernelsEqualReference:
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_nearest_in_set_and_distances_to_set(self, data):
+    def test_nearest_in_set(self, data):
         graph = data.draw(connected_graphs())
         targets = some_nodes(data.draw, graph, max_size=4)
         want_dist, want_owner = ref.nearest_in_set(graph, targets)
-        reached = ref.dijkstra(graph, targets)[0]
         for form in both_forms(graph):
             dist, owner = nearest_in_set(form, targets)
             assert same_dicts(dist, want_dist) and same_dicts(owner, want_owner)
-            assert same_dicts(distances_to_set(form, targets),
-                              {v: reached.get(v, INF) for v in graph.nodes})
-            assert distances_to_set(form, []) == dict.fromkeys(graph.nodes, INF)
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
@@ -201,14 +191,13 @@ class TestPathKernelsEqualReference:
         graph = nx.Graph([(0, 1), (2, 3)])
         for form in both_forms(graph):
             assert dijkstra(form, [0])[0] == {0: 0.0, 1: 1.0}
-            assert nearest_in_set(form, [0])[1] == {0: 0, 1: 0, 2: None, 3: None}
-            assert distances_to_set(form, [0])[3] == INF
+            assert nearest_in_set(form, [0]) == ({0: 0.0, 1: 1.0, 2: INF, 3: INF},
+                                                 {0: 0, 1: 0, 2: None, 3: None})
 
 
 KERNEL_CALLS = {
     "dijkstra": lambda g: dijkstra(g, ["x"]),
     "nearest_in_set": lambda g: nearest_in_set(g, ["x"]),
-    "distances_to_set": lambda g: distances_to_set(g, ["x"]),
     "bounded_bellman_ford": lambda g: bounded_bellman_ford(g, {"x": 0.0}, 2),
     "hop_counts": lambda g: hop_counts(g, "x"),
 }
@@ -305,11 +294,6 @@ class TestTreeProfileEqualsReference:
     def test_public_views(self, parent):
         assert same_dicts(children_map(parent), ref.children_map(parent))
         assert same_dicts(depths(parent), ref.depths(parent))
-        assert postorder(parent) == ref.postorder(parent)
-        assert same_dicts(subtree_sizes(parent), ref.subtree_sizes(parent))
-        assert same_dicts(heavy_children(parent), ref.heavy_children(parent))
-        assert same_dicts(light_edge_lists(parent), ref.light_edge_lists(parent))
-        assert same_dicts(dfs_intervals(parent), ref.dfs_intervals(parent))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -327,9 +311,7 @@ class TestTreeProfileEqualsReference:
             parent["c1"], parent["c2"] = "c2", "c1"
         with pytest.raises(InputError) as want:
             ref.depths(parent)
-        views = (tree_profile, depths, postorder, subtree_sizes, heavy_children,
-                 light_edge_lists, dfs_intervals)
-        for view in views:
+        for view in (tree_profile, depths):
             with pytest.raises(InputError) as got:
                 view(parent)
             assert str(got.value) == str(want.value)

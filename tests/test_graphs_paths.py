@@ -9,12 +9,9 @@ from repro.errors import InputError
 from repro.graphs import (
     bounded_bellman_ford,
     dijkstra,
-    distances_to_set,
     hop_counts,
-    hop_diameter,
     nearest_in_set,
     random_connected_graph,
-    shortest_path_diameter,
 )
 
 
@@ -62,7 +59,7 @@ class TestDijkstra:
 class TestSetDistances:
     def test_distances_to_set(self, graph):
         targets = sorted(graph.nodes)[:4]
-        dist = distances_to_set(graph, targets)
+        dist, _ = nearest_in_set(graph, targets)
         per_target = [
             nx.single_source_dijkstra_path_length(graph, t, weight="weight")
             for t in targets
@@ -71,7 +68,7 @@ class TestSetDistances:
             assert dist[v] == pytest.approx(min(d[v] for d in per_target))
 
     def test_empty_set_gives_infinity(self, graph):
-        dist = distances_to_set(graph, [])
+        dist, _ = nearest_in_set(graph, [])
         assert all(math.isinf(d) for d in dist.values())
 
     def test_nearest_in_set_owner_is_nearest(self, graph):
@@ -147,8 +144,3 @@ class TestHopMeasures:
         for v, h in hops.items():
             d, _, _ = bounded_bellman_ford(graph, {src: 0.0}, h)
             assert d[v] == pytest.approx(exact[v])
-
-    def test_shortest_path_diameter_at_least_hop_diameter(self):
-        g = random_connected_graph(40, seed=3)
-        assert shortest_path_diameter(g) >= 1
-        assert shortest_path_diameter(g) >= hop_diameter(g) - 1

@@ -8,15 +8,11 @@ from repro.errors import InputError
 from repro.graphs import (
     children_map,
     depths,
-    dfs_intervals,
-    heavy_children,
-    light_edge_lists,
-    postorder,
     random_connected_graph,
     spanning_tree_of,
-    subtree_sizes,
     tree_distance,
     tree_path,
+    tree_profile,
     tree_root,
 )
 from repro.graphs.validation import assert_laminar_intervals
@@ -26,6 +22,11 @@ from repro.graphs.validation import assert_laminar_intervals
 def tree():
     g = random_connected_graph(120, seed=8)
     return spanning_tree_of(g, style="dfs", seed=8)
+
+
+@pytest.fixture(scope="module")
+def profile(tree):
+    return tree_profile(tree)
 
 
 class TestBasics:
@@ -47,8 +48,8 @@ class TestBasics:
             for c in kids:
                 assert tree[c] == v
 
-    def test_postorder_children_before_parents(self, tree):
-        order = postorder(tree)
+    def test_postorder_children_before_parents(self, tree, profile):
+        order = profile.preorder[::-1]
         position = {v: i for i, v in enumerate(order)}
         for v, p in tree.items():
             if p is not None:
@@ -59,59 +60,59 @@ class TestBasics:
 
 
 class TestSubtreeSizes:
-    def test_root_size_is_n(self, tree):
-        sizes = subtree_sizes(tree)
+    def test_root_size_is_n(self, tree, profile):
+        sizes = profile.sizes
         assert sizes[tree_root(tree)] == len(tree)
 
-    def test_leaves_have_size_one(self, tree):
+    def test_leaves_have_size_one(self, tree, profile):
         children = children_map(tree)
-        sizes = subtree_sizes(tree)
+        sizes = profile.sizes
         for v, kids in children.items():
             if not kids:
                 assert sizes[v] == 1
 
-    def test_parent_size_is_one_plus_children(self, tree):
+    def test_parent_size_is_one_plus_children(self, tree, profile):
         children = children_map(tree)
-        sizes = subtree_sizes(tree)
+        sizes = profile.sizes
         for v, kids in children.items():
             assert sizes[v] == 1 + sum(sizes[c] for c in kids)
 
 
 class TestHeavyChildren:
-    def test_heavy_child_is_a_child(self, tree):
+    def test_heavy_child_is_a_child(self, tree, profile):
         children = children_map(tree)
-        heavy = heavy_children(tree)
+        heavy = profile.heavy
         for v, h in heavy.items():
             if h is not None:
                 assert h in children[v]
 
-    def test_heavy_child_maximizes_size(self, tree):
+    def test_heavy_child_maximizes_size(self, tree, profile):
         children = children_map(tree)
-        sizes = subtree_sizes(tree)
-        heavy = heavy_children(tree)
+        sizes = profile.sizes
+        heavy = profile.heavy
         for v, h in heavy.items():
             if h is not None:
                 assert sizes[h] == max(sizes[c] for c in children[v])
 
-    def test_leaves_have_no_heavy_child(self, tree):
+    def test_leaves_have_no_heavy_child(self, tree, profile):
         children = children_map(tree)
-        heavy = heavy_children(tree)
+        heavy = profile.heavy
         for v, kids in children.items():
             if not kids:
                 assert heavy[v] is None
 
 
 class TestLightEdges:
-    def test_at_most_log_n(self, tree):
-        lists = light_edge_lists(tree)
+    def test_at_most_log_n(self, tree, profile):
+        lists = profile.light_edges
         bound = math.log2(len(tree))
         assert all(len(edges) <= bound for edges in lists.values())
 
-    def test_root_has_empty_list(self, tree):
-        assert light_edge_lists(tree)[tree_root(tree)] == []
+    def test_root_has_empty_list(self, tree, profile):
+        assert profile.light_edges[tree_root(tree)] == ()
 
-    def test_edges_lie_on_root_path(self, tree):
-        lists = light_edge_lists(tree)
+    def test_edges_lie_on_root_path(self, tree, profile):
+        lists = profile.light_edges
         root = tree_root(tree)
         for y, edges in lists.items():
             path = tree_path(tree, root, y)
@@ -119,50 +120,50 @@ class TestLightEdges:
             for e in edges:
                 assert e in path_edges
 
-    def test_light_edges_are_non_heavy(self, tree):
-        heavy = heavy_children(tree)
-        lists = light_edge_lists(tree)
+    def test_light_edges_are_non_heavy(self, profile):
+        heavy = profile.heavy
+        lists = profile.light_edges
         for edges in lists.values():
             for (u, v) in edges:
                 assert heavy[u] != v
 
-    def test_heavy_path_vertices_share_list(self, tree):
-        heavy = heavy_children(tree)
-        lists = light_edge_lists(tree)
+    def test_heavy_path_vertices_share_list(self, profile):
+        heavy = profile.heavy
+        lists = profile.light_edges
         for v, h in heavy.items():
             if h is not None:
                 assert lists[h] == lists[v]
 
 
 class TestDfsIntervals:
-    def test_interval_width_equals_subtree_size(self, tree):
-        sizes = subtree_sizes(tree)
-        intervals = dfs_intervals(tree)
+    def test_interval_width_equals_subtree_size(self, profile):
+        sizes = profile.sizes
+        intervals = profile.intervals
         for v, (enter, exit_) in intervals.items():
             assert exit_ - enter + 1 == sizes[v]
 
-    def test_root_interval_covers_everything(self, tree):
-        intervals = dfs_intervals(tree)
+    def test_root_interval_covers_everything(self, tree, profile):
+        intervals = profile.intervals
         assert intervals[tree_root(tree)] == (1, len(tree))
 
-    def test_entries_unique(self, tree):
-        intervals = dfs_intervals(tree)
+    def test_entries_unique(self, profile):
+        intervals = profile.intervals
         enters = [e for e, _ in intervals.values()]
         assert len(set(enters)) == len(enters)
 
-    def test_laminar(self, tree):
-        assert_laminar_intervals(dfs_intervals(tree))
+    def test_laminar(self, profile):
+        assert_laminar_intervals(profile.intervals)
 
-    def test_child_inside_parent(self, tree):
-        intervals = dfs_intervals(tree)
+    def test_child_inside_parent(self, tree, profile):
+        intervals = profile.intervals
         for v, p in tree.items():
             if p is not None:
                 pe, px = intervals[p]
                 ce, cx = intervals[v]
                 assert pe < ce and cx <= px
 
-    def test_descendant_test_via_interval(self, tree):
-        intervals = dfs_intervals(tree)
+    def test_descendant_test_via_interval(self, tree, profile):
+        intervals = profile.intervals
         root = tree_root(tree)
         # every vertex on a root path is an ancestor of the endpoint
         deepest = max(depths(tree), key=lambda v: (depths(tree)[v], repr(v)))

@@ -1,5 +1,6 @@
 """Unit tests for the hopset container, construction, and measurement."""
 
+import math
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.graphs import VirtualGraphOracle, default_hop_bound, dijkstra, random
 from repro.hopsets import (
     Hopset,
     build_hopset,
-    expected_out_degree,
     measure_hopbound,
     union_graph,
 )
@@ -77,8 +77,10 @@ class TestConstruction:
 
     def test_out_degree_within_expected(self, setup):
         graph, virtual, _, _, build = setup
-        bound = 3 * expected_out_degree(len(virtual), build.kappa)
-        assert build.hopset.max_out_degree() <= bound
+        # Õ(κ m^{1/κ}): the paper's Õ(n^{ρ/2}) with m = Θ(sqrt(n)).
+        m, kappa = len(virtual), build.kappa
+        expected = kappa * m ** (1.0 / kappa) * max(1.0, math.log(max(2, m))) + kappa
+        assert build.hopset.max_out_degree() <= 3 * expected
 
     def test_rounds_were_charged(self, setup):
         _, _, _, net, build = setup

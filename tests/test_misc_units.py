@@ -48,12 +48,6 @@ class TestCompositeArtifacts:
         # 1 root + virtual(1+2) + local(1) + crossing(2 + 1)
         assert label.word_size() == 1 + 3 + 1 + 3
 
-    def test_crossing_for_hit(self):
-        assert self._label().crossing_for("a", "b").enter == 9
-
-    def test_crossing_for_miss(self):
-        assert self._label().crossing_for("x", "y") is None
-
     def test_table_word_size_with_virtual_parts(self):
         table = CompositeTable(
             local_root="w",

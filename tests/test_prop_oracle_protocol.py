@@ -1,50 +1,9 @@
-"""Property-based tests for the distance oracle and the protocol runner."""
+"""Property-based test for the protocol runner."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.congest import FloodMax, Network, run_protocol
-from repro.graphs import dijkstra, random_connected_graph
-from repro.tz import build_distance_oracle, theoretical_stretch
-
-oracle_cases = st.tuples(
-    st.integers(min_value=12, max_value=60),
-    st.integers(min_value=0, max_value=10 ** 6),
-    st.integers(min_value=1, max_value=4),
-)
-
-
-@given(oracle_cases)
-@settings(max_examples=20, deadline=None)
-def test_oracle_sandwich_property(case):
-    n, seed, k = case
-    graph = random_connected_graph(n, seed=seed)
-    oracle = build_distance_oracle(graph, k, seed=seed)
-    nodes = sorted(graph.nodes, key=repr)
-    u = nodes[0]
-    exact, _ = dijkstra(graph, [u])
-    for v in nodes[1:8]:
-        est = oracle.query(u, v)
-        assert exact[v] - 1e-9 <= est <= theoretical_stretch(k) * exact[v] + 1e-9
-
-
-@given(oracle_cases)
-@settings(max_examples=20, deadline=None)
-def test_oracle_self_queries_zero(case):
-    n, seed, k = case
-    graph = random_connected_graph(n, seed=seed)
-    oracle = build_distance_oracle(graph, k, seed=seed)
-    for v in sorted(graph.nodes, key=repr)[:5]:
-        assert oracle.query(v, v) == 0.0
-
-
-@given(oracle_cases)
-@settings(max_examples=15, deadline=None)
-def test_oracle_storage_within_bunch_plus_pivots(case):
-    n, seed, k = case
-    graph = random_connected_graph(n, seed=seed)
-    oracle = build_distance_oracle(graph, k, seed=seed)
-    for v in graph.nodes:
-        assert oracle.storage_words(v) == 2 * k + 2 * len(oracle.bunch[v])
+from repro.graphs import random_connected_graph
 
 
 @given(st.tuples(

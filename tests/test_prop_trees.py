@@ -12,12 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs import (
     children_map,
     depths,
-    dfs_intervals,
-    heavy_children,
-    light_edge_lists,
-    postorder,
-    subtree_sizes,
     tree_path,
+    tree_profile,
     tree_root,
 )
 from repro.graphs.validation import assert_laminar_intervals
@@ -35,7 +31,7 @@ def parent_maps(draw, min_size=2, max_size=60):
 @given(parent_maps())
 @settings(max_examples=60, deadline=None)
 def test_subtree_sizes_sum_identity(parent):
-    sizes = subtree_sizes(parent)
+    sizes = tree_profile(parent).sizes
     children = children_map(parent)
     for v, kids in children.items():
         assert sizes[v] == 1 + sum(sizes[c] for c in kids)
@@ -44,8 +40,8 @@ def test_subtree_sizes_sum_identity(parent):
 @given(parent_maps())
 @settings(max_examples=60, deadline=None)
 def test_dfs_intervals_are_laminar_and_tight(parent):
-    intervals = dfs_intervals(parent)
-    sizes = subtree_sizes(parent)
+    profile = tree_profile(parent)
+    intervals, sizes = profile.intervals, profile.sizes
     assert_laminar_intervals(intervals)
     for v, (enter, exit_) in intervals.items():
         assert exit_ - enter + 1 == sizes[v]
@@ -56,7 +52,7 @@ def test_dfs_intervals_are_laminar_and_tight(parent):
 @given(parent_maps())
 @settings(max_examples=60, deadline=None)
 def test_interval_containment_iff_ancestry(parent):
-    intervals = dfs_intervals(parent)
+    intervals = tree_profile(parent).intervals
     depth = depths(parent)
     root = tree_root(parent)
     for v in parent:
@@ -71,7 +67,7 @@ def test_interval_containment_iff_ancestry(parent):
 @given(parent_maps())
 @settings(max_examples=60, deadline=None)
 def test_light_edges_at_most_log2_n(parent):
-    lists = light_edge_lists(parent)
+    lists = tree_profile(parent).light_edges
     bound = math.log2(len(parent))
     for edges in lists.values():
         assert len(edges) <= bound
@@ -82,8 +78,8 @@ def test_light_edges_at_most_log2_n(parent):
 def test_non_heavy_subtree_at_most_half(parent):
     # The defining property behind the log n bound: a non-heavy child's
     # subtree has at most half the vertices of its parent's subtree.
-    sizes = subtree_sizes(parent)
-    heavy = heavy_children(parent)
+    profile = tree_profile(parent)
+    sizes, heavy = profile.sizes, profile.heavy
     children = children_map(parent)
     for v, kids in children.items():
         for c in kids:
@@ -94,7 +90,7 @@ def test_non_heavy_subtree_at_most_half(parent):
 @given(parent_maps())
 @settings(max_examples=60, deadline=None)
 def test_postorder_is_a_permutation(parent):
-    order = postorder(parent)
+    order = tree_profile(parent).preorder[::-1]
     assert sorted(order) == sorted(parent)
 
 

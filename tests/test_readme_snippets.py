@@ -1,9 +1,10 @@
-"""Documentation-sync tests: every ```python block in README.md executes,
+"""Documentation-sync tests: every ```python block in README.md and
+docs/tutorial.md executes, no other markdown file fences a block as python,
 and EXPERIMENTS.md's sections are the blocks of the experiments golden.
 
-The README blocks share one namespace in order (the general-graph snippet
-reuses the quickstart's ``graph``), exactly as a reader would type them into
-one session.
+The blocks of one file share one namespace in order (the general-graph
+snippet reuses the quickstart's ``graph``), exactly as a reader would type
+them into one session.
 """
 
 import json
@@ -12,12 +13,26 @@ import re
 
 import pytest
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+#: The markdown files whose ```python blocks run below -- and therefore the
+#: only ones the export census (tests/test_export_census.py) takes as readers.
+EXECUTED_DOCS = ("README.md", "docs/tutorial.md")
 
 
-def python_blocks():
-    text = README.read_text()
-    return re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+def python_blocks(path=README):
+    return re.findall(r"```python\n(.*?)```", path.read_text(), flags=re.DOTALL)
+
+
+def execute_blocks(path):
+    namespace = {}
+    for i, block in enumerate(python_blocks(path)):
+        try:
+            exec(compile(block, f"{path.name}-block-{i}", "exec"), namespace)
+        except Exception as err:  # pragma: no cover - failure reporting
+            pytest.fail(f"{path.name} python block {i} failed: {err}\n{block}")
+    return namespace
 
 
 def test_readme_has_python_blocks():
@@ -25,16 +40,28 @@ def test_readme_has_python_blocks():
 
 
 def test_readme_blocks_execute():
-    namespace = {}
-    for i, block in enumerate(python_blocks()):
-        try:
-            exec(compile(block, f"README-block-{i}", "exec"), namespace)
-        except Exception as err:  # pragma: no cover - failure reporting
-            pytest.fail(f"README python block {i} failed: {err}\n{block}")
+    namespace = execute_blocks(README)
     # The quickstart promises exactness; hold it to that.
     result = namespace["result"]
     assert result.path[0] == namespace["src"]
     assert result.path[-1] == namespace["dst"]
+
+
+def test_tutorial_blocks_execute(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # section 5 writes scheme.json
+    namespace = execute_blocks(ROOT / "docs" / "tutorial.md")
+    # Section 1's recorder is what section 2 prints: it names the phase
+    # of the memory peak, the paper's headline column.
+    assert "memory peak" in namespace["rec"].summary()
+
+
+def test_only_executed_docs_fence_python():
+    """A snippet fenced as python is a promise that it runs: a fragment that
+    cannot (undefined names, elided bodies) is fenced as ``text``."""
+    fenced = {str(path.relative_to(ROOT))
+              for path in [*ROOT.glob("*.md"), *ROOT.glob("docs/*.md")]
+              if python_blocks(path)}
+    assert fenced == set(EXECUTED_DOCS)
 
 
 def test_readme_mentions_all_packages():
@@ -53,10 +80,9 @@ def test_experiments_sections_and_golden_keys_are_one_to_one():
     ``python -m repro`` command, that command (``fig <name>`` -> ``<name>``)
     is a block of ``tests/goldens/experiments.json``, and every block is
     named by a section."""
-    root = README.parent
     golden = json.loads(
-        (root / "tests" / "goldens" / "experiments.json").read_text(encoding="utf-8"))
-    sections = re.split(r"^## ", (root / "EXPERIMENTS.md").read_text(), flags=re.MULTILINE)
+        (ROOT / "tests" / "goldens" / "experiments.json").read_text(encoding="utf-8"))
+    sections = re.split(r"^## ", (ROOT / "EXPERIMENTS.md").read_text(), flags=re.MULTILINE)
     named = {}
     for section in sections:
         heading = re.match(r"([TFAS]\d+) — ", section)

@@ -7,8 +7,8 @@ import pytest
 from repro.errors import InputError
 from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.routing.router import sample_pairs
-from repro.routing.serialization import save_scheme
-from repro.serve import ServeEngine, compile_from_json, compile_scheme
+from repro.routing.serialization import load_scheme, save_scheme
+from repro.serve import ServeEngine, compile_scheme
 from repro.serve.compile import NO_VERTEX, _jsonable_summary
 from repro.tz import build_centralized_scheme, build_tree_scheme
 
@@ -115,17 +115,9 @@ class TestCompileEntryPoints:
         buf = io.StringIO()
         save_scheme(scheme, buf)
         buf.seek(0)
-        reloaded = compile_from_json(buf, graph)
+        reloaded = compile_scheme(load_scheme(buf), graph)
         pairs = sample_pairs(list(graph.nodes), 100, seed=79)
         a = ServeEngine(compiled).route_many(pairs)
         b = ServeEngine(reloaded).route_many(pairs)
         assert [(r.path, r.length) for r in a] == \
                [(r.path, r.length) for r in b]
-
-    def test_compile_from_json_path(self, tmp_path, built):
-        graph, scheme, _ = built
-        path = tmp_path / "scheme.json"
-        with open(path, "w") as fp:
-            save_scheme(scheme, fp)
-        compiled = compile_from_json(str(path), graph)
-        assert compiled.kind == "graph" and compiled.k == scheme.k

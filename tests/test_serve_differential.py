@@ -14,7 +14,6 @@ from repro.errors import RoutingFailure
 from repro.graphs import (
     grid_graph,
     random_connected_graph,
-    random_tree_network,
     ring_of_cliques,
     spanning_tree_of,
 )
@@ -22,6 +21,8 @@ from repro.routing import route_in_tree
 from repro.routing.router import route_in_graph, sample_pairs
 from repro.serve import ServeEngine, compile_scheme
 from repro.tz import build_centralized_scheme, build_tree_scheme
+
+from .differential.harness import random_tree_network
 
 QUERIES = 600
 

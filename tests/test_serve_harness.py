@@ -520,15 +520,15 @@ class TestCachePersistence:
 
         assert serve("--seed", "1", *writer) == 0
         saved = path.read_text()
-        with pytest.raises(InputError) as err:
-            serve("--seed", "2", *reader)
-        written_on = json.loads(saved)["fingerprint"]
-        assert written_on in str(err.value)
-        assert str(err.value).count("/first") == 2  # both are named
-        with pytest.raises(InputError, match="/best"):
-            serve("--seed", "1", "--mode", "best", *reader)
-        assert path.read_text() == saved  # a refused run rewrites nothing
         capsys.readouterr()
+        assert serve("--seed", "2", *reader) == 2
+        refusal = capsys.readouterr().err
+        assert refusal.startswith("repro serve: ") and refusal.count("\n") == 1
+        assert json.loads(saved)["fingerprint"] in refusal
+        assert refusal.count("/first") == 2  # both are named
+        assert serve("--seed", "1", "--mode", "best", *reader) == 2
+        assert "/best" in capsys.readouterr().err
+        assert path.read_text() == saved  # a refused run rewrites nothing
         assert serve("--seed", "1", *reader) == 0
         assert "hit_rate=100.0%" in capsys.readouterr().out
 
@@ -584,7 +584,10 @@ class TestShardedCli:
         assert rc == 2
 
     def test_workers_must_be_positive(self, capsys):
-        assert main(["serve", "--n", "40", "--workers", "0"]) == 2
+        with pytest.raises(SystemExit) as usage:
+            main(["serve", "--n", "40", "--workers", "0"])
+        assert usage.value.code == 2
+        assert "--workers: must be > 0" in capsys.readouterr().err
 
     def test_sharded_cache_file(self, tmp_path, capsys):
         path = tmp_path / "shard-cache.json"

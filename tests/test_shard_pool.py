@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.errors import InputError, ShardError
 from repro.graphs import random_connected_graph
 from repro.metrics.serve import ServeMetrics
-from repro.serve import ServeEngine, compile_scheme, run_serving
+from repro.serve import compile_scheme, run_serving
 from repro.serve.workloads import make_workload
 from repro.shard import (
     ShardPool,

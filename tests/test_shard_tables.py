@@ -9,18 +9,15 @@ import pytest
 
 from repro.errors import InputError, ShardError
 from repro.graphs import random_connected_graph, spanning_tree_of
-from repro.serve import (
-    ServeEngine,
-    compile_scheme,
-    from_buffers,
-    seal_to_buffers,
-)
+from repro.serve import ServeEngine, compile_scheme
 from repro.serve.workloads import make_workload
 from repro.shard.tables import (
     NO_ID,
     TABLE_FORMAT,
     AttachedTables,
+    from_buffers,
     lower_compiled,
+    seal_to_buffers,
 )
 from repro.tz import build_centralized_scheme, build_tree_scheme
 

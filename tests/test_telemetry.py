@@ -9,7 +9,6 @@ from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.telemetry import (
     RunRecord,
     TelemetryCollector,
-    all_passed,
     check_graph_columns,
     check_table2_relations,
     check_tree_columns,
@@ -123,14 +122,13 @@ class TestBoundChecker:
             memory_words=30, hop_diameter_bound=14,
         )
         assert len(verdicts) == 4
-        assert all_passed(verdicts)
+        assert not failures(verdicts)
         assert {v.column for v in verdicts} == {
             "rounds", "table_words", "label_words", "memory_words"
         }
 
     def test_tree_columns_violation_detected(self):
         verdicts = check_tree_columns(1000, table_words=999)
-        assert not all_passed(verdicts)
         [bad] = failures(verdicts)
         assert bad.column == "table_words"
         assert bad.measured == 999
@@ -207,7 +205,7 @@ class TestRunRecord:
     def test_table2_verdicts_standalone(self):
         result, _ = record_run(run_table2, 120, seed=5)
         verdicts = table2_verdicts(result)
-        assert all_passed(verdicts)
+        assert verdicts and not failures(verdicts)
 
 
 class TestProfileRenderer:

@@ -32,7 +32,6 @@ from repro.tracing import (
     TailBuffer,
     Tracer,
     attribute,
-    attribution_residual,
     per_level_table,
     read_traces_jsonl,
     replay_query,
@@ -262,7 +261,6 @@ class TestAttribution:
             # Closed form: the committed level's bucket IS the excess.
             assert sum(trace.attribution.values()) == \
                 trace.length - trace.optimal
-            assert attribution_residual(trace) == 0.0
             assert trace.phases is not None
             assert math.isclose(
                 trace.phases["ascent"] + trace.phases["descent"],
@@ -399,7 +397,7 @@ class TestExport:
         assert main(["explain", "--traces", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"explain: {err.value}\n"
+        assert captured.err == f"repro explain: {err.value}\n"
 
     def test_dict_round_trip_preserves_hops(self):
         trace = QueryTrace("q-000001", "a", "z", via="tail")

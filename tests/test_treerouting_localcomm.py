@@ -64,11 +64,10 @@ class TestLocalFlood:
             derive=lambda v, payload: payload + 1,
         )
         for v, val in value.items():
-            assert val == part.local_depth(v)
+            assert val == part.local_forest.depth[v]
         # Boundary payloads stay raw (un-derived).
         for x, val in boundary.items():
-            parent_depth = part.local_depth(part.tree_parent[x])
-            assert val == parent_depth
+            assert val == part.local_forest.depth[part.tree_parent[x]]
 
 
 class TestReportToParents:

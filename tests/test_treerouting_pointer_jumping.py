@@ -4,7 +4,7 @@ import pytest
 
 from repro.congest import Network, build_bfs_tree
 from repro.errors import InvariantViolation
-from repro.graphs import random_connected_graph, spanning_tree_of, subtree_sizes
+from repro.graphs import random_connected_graph, spanning_tree_of, tree_profile
 from repro.treerouting import partition_tree, pointer_jump, required_iterations
 
 
@@ -21,7 +21,7 @@ def setup():
 
 def virtual_subtree_sizes_reference(tree, part):
     """Ground truth: for x in U(T), the T-subtree size of x."""
-    sizes = subtree_sizes(tree)
+    sizes = tree_profile(tree).sizes
     return {x: sizes[x] for x in part.ut}
 
 

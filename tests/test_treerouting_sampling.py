@@ -1,5 +1,6 @@
 """Unit tests for U-sampling and the local-tree partition (Section 3)."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from repro.errors import InputError
 from repro.graphs import depths, random_connected_graph, spanning_tree_of, tree_root
 from repro.treerouting import (
     default_sampling_probability,
-    expected_local_depth_bound,
     partition_tree,
 )
 
@@ -60,8 +60,8 @@ class TestPartition:
         n = len(tree)
         q = default_sampling_probability(n)
         part = partition_tree(tree, q=q, seed=3)
-        bound = 6 * expected_local_depth_bound(n, q)
-        assert part.max_local_depth <= bound
+        # Local trees are O(log n / q) deep whp.
+        assert part.max_local_depth <= 6 * math.log(n) / q
 
     def test_deterministic_per_seed_and_salt(self, tree):
         a = partition_tree(tree, seed=3, salt="x")

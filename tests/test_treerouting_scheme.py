@@ -8,7 +8,6 @@ import pytest
 from repro.congest import Network
 from repro.errors import InputError
 from repro.graphs import (
-    caterpillar_tree,
     random_connected_graph,
     spanning_tree_of,
     tree_distance,
@@ -74,7 +73,6 @@ class TestRobustness:
     def test_non_spanning_subtree(self):
         graph = random_connected_graph(100, seed=102)
         # take the BFS tree of a vertex-induced connected subgraph
-        from repro.graphs import subtree_parent_map
         import networkx as nx
 
         nodes = sorted(graph.nodes)
@@ -85,7 +83,9 @@ class TestRobustness:
                 sub_nodes = candidate
                 break
         root = sorted(sub_nodes)[0]
-        tree = subtree_parent_map(graph, sub_nodes, root)
+        tree = {root: None}
+        for u, v in nx.bfs_edges(graph.subgraph(sub_nodes), root):
+            tree[v] = u
         net = Network(graph)
         build = build_distributed_tree_scheme(net, tree, seed=1)
         assert set(build.scheme.tables) == sub_nodes
@@ -103,7 +103,14 @@ class TestRobustness:
     def test_path_tree_network(self):
         # The whole network *is* a deep caterpillar: D itself is large, the
         # construction must still terminate and be exact.
-        graph = caterpillar_tree(40, legs_per_vertex=1, seed=5)
+        import networkx as nx
+
+        graph = nx.Graph()
+        weights = random.Random(5)
+        for i in range(40):
+            if i + 1 < 40:
+                graph.add_edge(i, i + 1, weight=weights.uniform(1.0, 10.0))
+            graph.add_edge(i, 40 + i, weight=weights.uniform(1.0, 10.0))
         tree = spanning_tree_of(graph, style="bfs", seed=5)
         net = Network(graph)
         build = build_distributed_tree_scheme(net, tree, seed=2)

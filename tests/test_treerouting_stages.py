@@ -7,12 +7,9 @@ import pytest
 
 from repro.congest import Network, build_bfs_tree
 from repro.graphs import (
-    dfs_intervals,
-    heavy_children,
-    light_edge_lists,
     random_connected_graph,
     spanning_tree_of,
-    subtree_sizes,
+    tree_profile,
 )
 from repro.treerouting import (
     partition_tree,
@@ -50,11 +47,11 @@ class TestStage0:
 class TestStage1:
     def test_sizes_match_centralized(self, pipeline):
         _, tree, _, _, _, sizes, _, _ = pipeline
-        assert sizes.sizes == subtree_sizes(tree)
+        assert sizes.sizes == tree_profile(tree).sizes
 
     def test_heavy_children_match_centralized(self, pipeline):
         _, tree, _, _, _, sizes, _, _ = pipeline
-        assert sizes.heavy == heavy_children(tree)
+        assert sizes.heavy == tree_profile(tree).heavy
 
     def test_trail_covers_ut(self, pipeline):
         _, _, _, part, _, sizes, _, _ = pipeline
@@ -64,9 +61,9 @@ class TestStage1:
 class TestStage2:
     def test_light_edges_match_centralized(self, pipeline):
         _, tree, _, _, _, _, light, _ = pipeline
-        reference = light_edge_lists(tree)
+        reference = tree_profile(tree).light_edges
         for v in tree:
-            assert list(light.light_edges[v]) == reference[v], v
+            assert tuple(light.light_edges[v]) == reference[v], v
 
     def test_lists_bounded_by_log_n(self, pipeline):
         _, tree, _, _, _, _, light, _ = pipeline
@@ -78,7 +75,7 @@ class TestStage2:
 class TestStage3:
     def test_intervals_match_centralized(self, pipeline):
         _, tree, _, _, _, _, _, dfs = pipeline
-        assert dfs.intervals == dfs_intervals(tree)
+        assert dfs.intervals == tree_profile(tree).intervals
 
     def test_entries_are_a_permutation(self, pipeline):
         _, tree, _, _, _, _, _, dfs = pipeline

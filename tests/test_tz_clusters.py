@@ -7,7 +7,6 @@ import pytest
 from repro.graphs import dijkstra, random_connected_graph
 from repro.tz import (
     all_cluster_trees,
-    bunches,
     claim6_bound,
     compute_pivots,
     max_cluster_membership,
@@ -106,18 +105,10 @@ class TestClusterDefinition:
 
 
 class TestBunches:
-    def test_bunches_invert_membership(self, setup):
-        _, _, _, trees = setup
-        b = bunches(trees)
-        for root, tree in trees.items():
-            for v in tree.dist:
-                assert root in b[v]
-
     def test_every_vertex_in_own_bunch(self, setup):
         graph, _, _, trees = setup
-        b = bunches(trees)
         for v in graph.nodes:
-            assert v in b[v]
+            assert v in trees[v]
 
     def test_claim6_bound_holds(self, setup):
         graph, hier, _, trees = setup

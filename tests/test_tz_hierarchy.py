@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import InputError
-from repro.tz import expected_level_size, sample_hierarchy, virtual_level
+from repro.tz import sample_hierarchy, virtual_level
 
 
 class TestSampling:
@@ -94,10 +94,6 @@ class TestLevelOf:
 
 
 class TestHelpers:
-    def test_expected_level_size(self):
-        assert expected_level_size(100, 2, 1) == pytest.approx(10.0)
-        assert expected_level_size(100, 2, 2) == 0.0
-
     def test_virtual_level_even_k(self):
         assert virtual_level(4) == 2
 

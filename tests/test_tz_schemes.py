@@ -1,5 +1,5 @@
-"""Unit tests for the centralized TZ tree scheme, compact routing scheme,
-and distance oracle (the Table 1/2 baselines)."""
+"""Unit tests for the centralized TZ tree scheme and compact routing scheme
+(the Table 1/2 baselines)."""
 
 import math
 import random
@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.graphs import (
-    dijkstra,
     random_connected_graph,
     spanning_tree_of,
     tree_distance,
@@ -20,9 +19,7 @@ from repro.routing import (
 )
 from repro.tz import (
     build_centralized_scheme,
-    build_distance_oracle,
     build_tree_scheme,
-    theoretical_stretch,
 )
 
 
@@ -117,35 +114,3 @@ class TestCompactRouting:
         result = route_in_graph(scheme, graph, nodes[0], nodes[50])
         assert result.header_words <= 2 + 2 * math.log2(len(nodes)) + 2
 
-
-class TestDistanceOracle:
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_stretch_bound(self, graph, k):
-        oracle = build_distance_oracle(graph, k, seed=6)
-        rng = random.Random(1)
-        nodes = sorted(graph.nodes)
-        for _ in range(60):
-            u, v = rng.sample(nodes, 2)
-            est = oracle.query(u, v)
-            exact = dijkstra(graph, [u])[0][v]
-            assert exact - 1e-9 <= est <= theoretical_stretch(k) * exact + 1e-9
-
-    def test_query_self_is_zero(self, graph):
-        oracle = build_distance_oracle(graph, 2, seed=6)
-        v = sorted(graph.nodes)[0]
-        assert oracle.query(v, v) == 0.0
-
-    def test_symmetric_queries_agree_in_bound(self, graph):
-        oracle = build_distance_oracle(graph, 3, seed=6)
-        nodes = sorted(graph.nodes)
-        u, v = nodes[0], nodes[70]
-        exact = dijkstra(graph, [u])[0][v]
-        assert oracle.query(u, v) >= exact - 1e-9
-        assert oracle.query(v, u) >= exact - 1e-9
-
-    def test_storage_is_compact(self, graph):
-        n = graph.number_of_nodes()
-        oracle = build_distance_oracle(graph, 2, seed=6)
-        worst = max(oracle.storage_words(v) for v in graph.nodes)
-        # Claim 6: Õ(n^{1/2}) for k=2.
-        assert worst <= 2 * (2 + 4 * math.sqrt(n) * math.log(n))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InputError
-from repro.wordsize import check_budget, words_of
+from repro.wordsize import words_of
 
 
 class TestWordsOf:
@@ -54,14 +54,3 @@ class TestWordsOf:
         with pytest.raises(InputError):
             words_of(object())
 
-
-class TestCheckBudget:
-    def test_within_budget_passes(self):
-        check_budget(3, 4, "label")
-
-    def test_equal_budget_passes(self):
-        check_budget(4, 4, "label")
-
-    def test_over_budget_raises(self):
-        with pytest.raises(InputError, match="label"):
-            check_budget(5, 4, "label")
