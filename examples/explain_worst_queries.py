@@ -8,6 +8,8 @@ traces to JSONL, then replays the worst three through the explain
 pipeline: per-level stretch attribution that splits actual - optimal
 across the hierarchy level each query committed to, exactly (the
 residual is zero by construction, and the RunRecord verdict checks it).
+On the way it reads the served results the way a consumer should: as
+the columns of the ``RouteBatch``, building one result object, not 2000.
 
 Run:  python examples/explain_worst_queries.py
 """
@@ -16,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro.graphs import random_connected_graph
-from repro.serve import run_serving
+from repro.serve import RouteBatch, run_serving
 from repro.tracing import (
     Tracer,
     read_traces_jsonl,
@@ -31,11 +33,12 @@ def main() -> None:
     scheme = build_centralized_scheme(graph, 2, seed=3)
 
     tracer = Tracer(rate=0.01, seed=3, tail_limit=8, prefix="zipf-3")
-    report, _ = run_serving(scheme, graph, workload="zipf", queries=2000,
-                            seed=3, tracer=tracer)
+    report, batch = run_serving(scheme, graph, workload="zipf", queries=2000,
+                                seed=3, tracer=tracer)
     print(f"served {report.queries} queries, "
           f"traced {len(report.traces)} "
           f"(head sample @1% + worst-stretch tail)")
+    describe_costliest(batch)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "traces.jsonl"
@@ -48,6 +51,18 @@ def main() -> None:
     verdict = record.verdicts[0]
     print(f"attribution exact: residual={verdict.measured} "
           f"(verdict {verdict.name}, passed={verdict.passed})")
+
+
+def describe_costliest(batch: RouteBatch) -> None:
+    """Scan the lengths and status columns; index the batch once."""
+    cached = sum(1 for status in batch.status if status & RouteBatch.CACHED)
+    costliest = max(range(len(batch)), key=batch.lengths.__getitem__)
+    result = batch[costliest]  # the one ServeResult this run builds
+    print(f"{len(batch.flat)} path vertices in one flat column, "
+          f"{cached} answers from the decision cache, "
+          f"{len(batch.errors)} failures")
+    print(f"costliest route: {result.source} -> {result.target}, "
+          f"{result.hops} hops, length {result.length:.3f}")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ mutators the hot path calls.  The zero-overhead contract mirrors
 default and pays exactly one ``is not None`` check per batch; when a
 bundle is attached, the per-batch cost is a handful of attribute adds on
 already-accumulated local counters plus one ``list.append`` deferring the
-batch for scrape-time hop counting (a C-level ``Counter`` sweep folded
-into the ``hop_counts`` scratch and the histogram sketch at ``flush()``).
+batch for scrape-time hop counting (a C-level ``Counter`` sweep over the
+batch's offsets column, folded into the ``hop_counts`` scratch and the
+histogram sketch at ``flush()``).
 
 Everything label-shaped is interned at construction time: no per-query
 label dicts on the hot path (the perf ledger's ``metrics.overhead_share``
@@ -20,22 +21,28 @@ measures what is left).
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import sub
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .registry import MetricsRegistry
 from .slo import DEFAULT_RULES, BurnRule, SloMonitor
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..serve.engine import RouteBatch
+
 __all__ = ["ServeMetrics", "exemplar_payload", "path_length_counts"]
 
-_ok_of = attrgetter("ok")
-_path_of = attrgetter("path")
 
-
-def path_length_counts(results: Sequence[Any]) -> "Counter[int]":
-    """Path lengths (``hops + 1``) of the delivered results, counted in
-    one C-level sweep -- no Python-level work per query."""
-    return Counter(map(len, map(_path_of, filter(_ok_of, results))))
+def path_length_counts(batch: "RouteBatch") -> "Counter[int]":
+    """Path lengths (``hops + 1``) of the delivered results: one C-level
+    sweep over the differences of the offsets column, less the (sparse)
+    failures' partial paths -- no Python-level work per query."""
+    offsets = batch.offsets
+    counts = Counter(map(sub, islice(offsets, 1, None), offsets))
+    for i in batch.errors:
+        counts[offsets[i + 1] - offsets[i]] -= 1
+    return +counts
 
 
 def exemplar_payload(
@@ -70,7 +77,7 @@ _HOP_SCRATCH = 512
 
 #: Deferred-batch cap: hop counting normally waits for the next scrape
 #: (``flush``), but after this many pending batches the backlog is
-#: drained inline so held result lists cannot grow without bound.
+#: drained inline so held batches cannot grow without bound.
 _MAX_PENDING_BATCHES = 64
 
 
@@ -124,9 +131,9 @@ class ServeMetrics:
         #: engine scratch: hop_counts[h] = queries served with h hops since
         #: the last flush().  A plain list the hot loop indexes directly.
         self.hop_counts = [0] * _HOP_SCRATCH
-        #: batches whose hop counting is deferred until the next scrape:
-        #: (results, failed) pairs, drained by :meth:`flush`.
-        self._pending: List[Tuple[Sequence[Any], int]] = []
+        #: batches whose hop counting is deferred until the next scrape,
+        #: drained by :meth:`flush`.
+        self._pending: List["RouteBatch"] = []
 
     # -- engine-side (batch) -------------------------------------------------
 
@@ -138,8 +145,7 @@ class ServeMetrics:
         self.cache_hits.value += hits
         self.cache_misses.value += misses
 
-    def defer_path_lengths(self, results: Sequence[Any],
-                           failed: int) -> None:
+    def defer_path_lengths(self, batch: "RouteBatch") -> None:
         """Queue a finished batch for scrape-time hop counting.
 
         The hot serve loop pays one ``list.append`` here; the C-level
@@ -150,7 +156,7 @@ class ServeMetrics:
         and the backlog self-drains past ``_MAX_PENDING_BATCHES``.
         """
         pending = self._pending
-        pending.append((results, failed))
+        pending.append(batch)
         if len(pending) >= _MAX_PENDING_BATCHES:
             self._drain_pending()
 
@@ -168,12 +174,8 @@ class ServeMetrics:
 
     def _drain_pending(self) -> None:
         pending, self._pending = self._pending, []
-        for results, failed in pending:
-            if failed:
-                self.record_path_lengths(path_length_counts(results))
-            else:
-                self.record_path_lengths(
-                    Counter(map(len, map(_path_of, results))))
+        for batch in pending:
+            self.record_path_lengths(path_length_counts(batch))
 
     def record_result(self, ok: bool, hops: int, cached: bool,
                       misses: int = 0) -> None:

@@ -22,7 +22,7 @@ from .compile import (
     PackedTree,
     compile_scheme,
 )
-from .engine import DecisionCache, ServeEngine, ServeResult
+from .engine import DecisionCache, RouteBatch, ServeEngine, ServeResult
 from .harness import (
     SKETCH_ACCURACY,
     ServeReport,
@@ -48,6 +48,7 @@ __all__ = [
     "DecisionCache",
     "PackedLabel",
     "PackedTree",
+    "RouteBatch",
     "ServeEngine",
     "ServeReport",
     "ServeResult",

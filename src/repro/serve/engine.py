@@ -3,12 +3,12 @@
 ``ServeEngine.route`` answers one ``source -> target`` query against a
 :mod:`compiled <repro.serve.compile>` scheme; ``route_many`` answers a
 batch with the **count-and-continue** failure policy a serving tier needs
-(a ``RoutingFailure`` becomes a recorded :class:`ServeResult`, never an
-abort).  The engine is differentially tested against the reference
-simulator (``route_in_graph`` / ``route_in_tree``): on every query it must
-return the byte-identical path *and* raise byte-identical
-``RoutingFailure``s (same message, same partial path) -- see
-``tests/test_serve_differential.py``.
+(a ``RoutingFailure`` becomes a recorded failure in the returned
+:class:`RouteBatch`, never an abort).  The engine is differentially
+tested against the reference simulator (``route_in_graph`` /
+``route_in_tree``): on every query it must return the byte-identical
+path *and* raise byte-identical ``RoutingFailure``s (same message, same
+partial path) -- see ``tests/test_serve_differential.py``.
 
 Per-query work:
 
@@ -36,9 +36,21 @@ collapsing them would silently change failure paths and budget accounting.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import OrderedDict
+from collections.abc import Sequence
+from operator import eq
 from time import perf_counter
-from typing import TYPE_CHECKING, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..errors import RoutingFailure
 
@@ -47,8 +59,6 @@ from ..errors import RoutingFailure
 CACHE_FORMAT = 2
 
 if TYPE_CHECKING:  # pragma: no cover
-    from array import array
-
     from ..metrics.serve import ServeMetrics
     from ..tracing.sampler import Tracer
 from .compile import (
@@ -66,9 +76,11 @@ NodeId = Hashable
 class ServeResult:
     """Outcome of one served query (success or recorded failure).
 
-    A ``__slots__`` class rather than a dataclass: one of these is built
-    per query, and on short routes the constructor is a measurable share
-    of the per-query budget.
+    A ``__slots__`` class rather than a dataclass: ``route`` /
+    ``route_recorded`` build one per query, and on short routes the
+    constructor is a measurable share of the per-query budget.
+    ``route_many`` builds none: its :class:`RouteBatch` makes one of
+    these when indexed.
     """
 
     __slots__ = ("source", "target", "path", "length", "ok", "error",
@@ -108,6 +120,145 @@ class ServeResult:
                 self.ok, self.error) == (
             other.source, other.target, other.path, other.length,
             other.ok, other.error)
+
+
+class RouteBatch(Sequence):
+    """The results of one :meth:`ServeEngine.route_many` pass, as columns.
+
+    A pass over ``n`` queries keeps six containers alive, not two per
+    query: a result object and a path list a query have the cyclic
+    collector re-walk the whole batch as it grows (45-48% of a hot
+    pass, docs/performance.md).
+
+    * ``keys`` -- the ``(source, target)`` pairs, in stream order;
+    * ``flat`` -- every path back to back, vertex ids as the tables hold
+      them (delivered paths, and the partial paths failures got to);
+    * ``offsets`` -- ``array('L')`` of ``n + 1`` positions: query ``i``'s
+      path is ``flat[offsets[i]:offsets[i + 1]]``;
+    * ``lengths`` -- ``array('d')`` of weighted path lengths (0.0 for a
+      failure);
+    * ``status`` -- one byte a query: :attr:`OK` | :attr:`CACHED`;
+    * ``errors`` -- ``{i: failure text}``, holding exactly the failures.
+
+    Readers that want counts read the columns.  As a read-only sequence
+    the batch also *is* the list of :class:`ServeResult` a
+    ``route_recorded`` loop builds -- ``len``, ``batch[i]``, slices (a
+    list), iteration, ``==`` with a list or a batch on either side --
+    building each result when it is asked for (a path slice and a
+    constructor, ~0.8 us at 8 vertices a path), and again when asked
+    again: index for the few exemplars, not in a loop over the stream.
+    """
+
+    __slots__ = ("keys", "offsets", "flat", "lengths", "status", "errors")
+
+    #: ``status`` bits: delivered / answered from the decision cache.
+    OK = 1
+    CACHED = 2
+
+    def __init__(
+        self,
+        keys: List[Tuple[NodeId, NodeId]],
+        offsets: Optional["array[int]"] = None,
+        flat: Optional[List[NodeId]] = None,
+        lengths: Optional["array[float]"] = None,
+        status: Optional[bytearray] = None,
+        errors: Optional[Dict[int, str]] = None,
+    ) -> None:
+        self.keys = keys
+        self.offsets = array("L", (0,)) if offsets is None else offsets
+        self.flat = [] if flat is None else flat
+        self.lengths = array("d") if lengths is None else lengths
+        self.status = bytearray() if status is None else status
+        self.errors = {} if errors is None else errors
+
+    @classmethod
+    def of(cls, results: Iterable[ServeResult]) -> "RouteBatch":
+        """``results`` itself when it is a batch, else the batch holding
+        them (what lets column readers take a reference list of
+        ``route_recorded`` results)."""
+        if isinstance(results, cls):
+            return results
+        batch = cls([])
+        for r in results:
+            batch.keys.append((r.source, r.target))
+            batch.push(r)
+        return batch
+
+    def push(self, result: ServeResult) -> None:
+        """Append the columns of ``result`` (its key is already held)."""
+        if not result.ok:
+            self.errors[len(self.status)] = result.error
+        self.flat.extend(result.path)
+        self.offsets.append(len(self.flat))
+        self.lengths.append(result.length)
+        self.status.append(self.OK * result.ok | self.CACHED * result.cached)
+
+    def columns(self) -> tuple:
+        """Everything but ``keys``, in constructor order: what crosses a
+        worker pipe (the parent holds the pairs it sent)."""
+        return (self.offsets, self.flat, self.lengths, self.status,
+                self.errors)
+
+    @classmethod
+    def interleaved(
+        cls,
+        keys: List[Tuple[NodeId, NodeId]],
+        parts: "Sequence[RouteBatch]",
+        indices: "Sequence[Sequence[int]]",
+    ) -> "RouteBatch":
+        """The stream-order batch of per-shard batches: ``parts[s]``'s
+        query ``t`` answered ``keys[indices[s][t]]``."""
+        shard_at = array("L", bytes(8 * len(keys)))
+        local_at = array("L", bytes(8 * len(keys)))
+        batch = cls(keys)
+        for s, (part, index) in enumerate(zip(parts, indices)):
+            for t, i in enumerate(index):
+                shard_at[i], local_at[i] = s, t
+            for t, text in part.errors.items():
+                batch.errors[index[t]] = text
+        offsets, flat, lengths, status, _ = batch.columns()
+        for s, t in zip(shard_at, local_at):
+            part = parts[s]
+            flat.extend(part.flat[part.offsets[t]:part.offsets[t + 1]])
+            offsets.append(len(flat))
+            lengths.append(part.lengths[t])
+            status.append(part.status[t])
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def _result(self, i: int) -> ServeResult:
+        source, target = self.keys[i]
+        status = self.status[i]
+        return ServeResult(
+            source, target, self.flat[self.offsets[i]:self.offsets[i + 1]],
+            self.lengths[i], bool(status & self.OK), self.errors.get(i),
+            bool(status & self.CACHED))
+
+    def __getitem__(self, index):
+        n = len(self.status)
+        if isinstance(index, slice):
+            return [self._result(i) for i in range(*index.indices(n))]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("RouteBatch index out of range")
+        return self._result(index)
+
+    def __iter__(self) -> Iterator[ServeResult]:
+        return map(self._result, range(len(self.status)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RouteBatch, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"RouteBatch({len(self)} queries, {len(self.errors)} failed, "
+                f"{len(self.flat)} path vertices)")
 
 
 class DecisionCache:
@@ -292,7 +443,12 @@ class ServeEngine:
         #: ``cache`` (e.g. a :meth:`DecisionCache.load`-ed warm cache)
         #: takes precedence over ``cache_size``.
         self.cache = cache if cache is not None else DecisionCache(cache_size)
-        self.max_hops = max_hops
+        if max_hops is not None and max_hops < 0:
+            raise ValueError(f"max_hops must be >= 0, got {max_hops}")
+        #: Hops one query may take, by the reference routers' rule: an
+        #: explicit ``max_hops`` (0 included) or the scheme's default.
+        self.budget = (max_hops if max_hops is not None
+                       else compiled.default_budget)
         self.metrics = metrics
         self.tracer = tracer
         self.failures = 0
@@ -336,14 +492,16 @@ class ServeEngine:
         self,
         queries: Iterable[Tuple[NodeId, NodeId]],
         boundaries: Optional["array[float]"] = None,
-    ) -> List[ServeResult]:
+    ) -> RouteBatch:
         """Answer a batch under the count-and-continue failure policy.
 
         Semantically identical to ``[route_recorded(u, v) for u, v in
-        queries]`` (the differential suite certifies this), but the graph
-        path is a specialized loop with the per-query dispatch, cache
-        bookkeeping, and exception plumbing hoisted out -- this is the
-        serving tier's hot entry point.
+        queries]`` (the differential suite certifies this, and the
+        returned :class:`RouteBatch` compares equal to that list), but
+        the results are written as columns -- no object per query outlives
+        its iteration -- and the graph path is a specialized loop with
+        the per-query dispatch, cache bookkeeping, and exception plumbing
+        hoisted out: this is the serving tier's hot entry point.
 
         ``boundaries`` (an ``array('d')``) makes the loop its own
         stopwatch: one ``perf_counter`` reading is appended before each
@@ -352,32 +510,33 @@ class ServeEngine:
         serve_pairs` turns the gaps into the latency sketch).  Without
         it the loop pays one local-boolean test per query.
         """
+        batch = RouteBatch(list(queries))
         if self._is_tree:
-            return self._route_many_tree(queries, boundaries)
-        return self._route_many_graph(queries, boundaries)
+            self._route_many_tree(batch, boundaries)
+        else:
+            self._route_many_graph(batch, boundaries)
+        return batch
 
     def _route_many_tree(
         self,
-        queries: Iterable[Tuple[NodeId, NodeId]],
+        batch: RouteBatch,
         boundaries: Optional["array[float]"],
-    ) -> List[ServeResult]:
+    ) -> None:
         # Exact tree routing has no cache or decision scan to hoist: its
         # batch is the single-query path in a loop.
         timed = boundaries is not None
-        results: List[ServeResult] = []
-        for u, v in queries:
+        for u, v in batch.keys:
             if timed:
                 boundaries.append(perf_counter())
-            results.append(self.route_recorded(u, v))
+            batch.push(self.route_recorded(u, v))
         if timed:
             boundaries.append(perf_counter())
-        return results
 
     def _route_many_graph(
         self,
-        queries: Iterable[Tuple[NodeId, NodeId]],
+        batch: RouteBatch,
         boundaries: Optional["array[float]"],
-    ) -> List[ServeResult]:
+    ) -> None:
         compiled: CompiledGraphScheme = self.compiled
         cache = self.cache
         cache_on = cache.maxsize > 0
@@ -389,7 +548,7 @@ class ServeEngine:
         forward = self._forward_graph
         decisions = compiled.decisions
         first = self.mode == "first"
-        budget = self.max_hops or compiled.default_budget
+        budget = self.budget
         # Tracing hook (S19, zero-overhead when absent): the head pick
         # schedule folds into the `served` counter the loop keeps anyway
         # -- `next_sample_at` is the value of `served` at the sampler's
@@ -413,19 +572,29 @@ class ServeEngine:
             next_sample_at = -1
         timed = boundaries is not None
         stamp = boundaries.append if timed else None
-        results: List[ServeResult] = []
-        append = results.append
+        # One result is four column appends (RouteBatch): every path goes
+        # into the one flat list, a cache hit's straight from its tuple.
+        flat = batch.flat
+        extend = flat.extend
+        mark = batch.offsets.append
+        measure = batch.lengths.append
+        flag = batch.status.append
+        errors = batch.errors
+        delivered = RouteBatch.OK
+        from_cache = RouteBatch.OK | RouteBatch.CACHED
         served = 0
-        failed = 0
         hits = 0
         misses = 0
-        for key in queries:
+        for key in batch.keys:
             if timed:
                 stamp(perf_counter())
             source, target = key
             served += 1
             if source == target:
-                append(ServeResult(source, target, [source], 0.0, True))
+                flat.append(source)
+                mark(len(flat))
+                measure(0.0)
+                flag(delivered)
                 if served == next_sample_at:
                     next_sample_at = defer(base + served - 1, source,
                                            target) - base + 1
@@ -435,8 +604,10 @@ class ServeEngine:
                 if entry is not None:
                     move_to_end(key)
                     hits += 1
-                    append(ServeResult(source, target, list(entry[0]),
-                                       entry[1], True, None, True))
+                    extend(entry[0])
+                    mark(len(flat))
+                    measure(entry[1])
+                    flag(from_cache)
                     if served == next_sample_at:
                         next_sample_at = defer(base + served - 1, source,
                                                target) - base + 1
@@ -459,12 +630,11 @@ class ServeEngine:
                 path, length = forward(compiled, decision[0], decision[1],
                                        source, target, budget=budget)
             except RoutingFailure as exc:
-                failed += 1
-                append(ServeResult(
-                    source, target,
-                    list(exc.path) if exc.path else [source],
-                    0.0, False, str(exc),
-                ))
+                errors[served - 1] = str(exc)
+                extend(exc.path or (source,))
+                mark(len(flat))
+                measure(0.0)
+                flag(0)
                 if served == next_sample_at:
                     next_sample_at = defer(base + served - 1, source,
                                            target) - base + 1
@@ -473,7 +643,10 @@ class ServeEngine:
                 if len(data) >= maxsize:
                     popitem(last=False)
                 data[key] = (tuple(path), length)
-            append(ServeResult(source, target, path, length, True))
+            extend(path)
+            mark(len(flat))
+            measure(length)
+            flag(delivered)
             if served == next_sample_at:
                 next_sample_at = defer(base + served - 1, source,
                                        target) - base + 1
@@ -481,6 +654,7 @@ class ServeEngine:
             stamp(perf_counter())
         if tracer is not None:
             tracer.seq = base + served
+        failed = len(errors)
         self.queries += served
         self.failures += failed
         cache.hits += hits
@@ -494,8 +668,7 @@ class ServeEngine:
         m = self.metrics
         if m is not None:
             m.record_batch(served, failed, hits, misses)
-            m.defer_path_lengths(results, failed)
-        return results
+            m.defer_path_lengths(batch)
 
     # -- graph scheme --------------------------------------------------------
 
@@ -516,7 +689,7 @@ class ServeEngine:
         tree, label = self._decide(compiled, source, target)
         path, length = self._forward_graph(
             compiled, tree, label, source, target,
-            budget=self.max_hops or compiled.default_budget,
+            budget=self.budget,
         )
         if cache_on:
             self.cache.put((source, target), (tuple(path), length))
@@ -635,7 +808,7 @@ class ServeEngine:
         label = compiled.labels[target]  # parity: scheme.labels[target]
         path, length = self._forward_tree(
             compiled.tree, label, source,
-            budget=self.max_hops or compiled.default_budget,
+            budget=self.budget,
         )
         return ServeResult(source=source, target=target, path=path,
                            length=length, ok=True)

@@ -46,7 +46,7 @@ from ..telemetry import events as _tele
 from ..telemetry.bounds import BoundVerdict
 from ..telemetry.runrecord import RunRecord, make_run_record
 from .compile import CompiledGraphScheme, Scheme, _jsonable_summary, compile_scheme
-from .engine import ServeEngine, ServeResult
+from .engine import RouteBatch, ServeEngine, ServeResult
 from .workloads import make_workload
 
 NodeId = Hashable
@@ -395,7 +395,7 @@ def run_serving(
     engine: Optional[ServeEngine] = None,
     metrics: Optional[ServeMetrics] = None,
     tracer: Optional["Tracer"] = None,
-) -> Tuple[ServeReport, List[ServeResult]]:
+) -> Tuple[ServeReport, RouteBatch]:
     """Serve ``queries`` seeded queries of ``workload`` against ``scheme``.
 
     ``slo_bound`` defaults to the paper's ``4k-3`` for graph schemes (the
@@ -449,7 +449,7 @@ def serve_pairs(
     slo_target: float = 0.99,
     metrics: Optional[ServeMetrics] = None,
     tracer: Optional["Tracer"] = None,
-) -> Tuple[ServeReport, List[ServeResult]]:
+) -> Tuple[ServeReport, RouteBatch]:
     """Serve an explicit pair stream through ``engine`` and report.
 
     The measurement core of :func:`run_serving`, split out so shard
@@ -459,7 +459,9 @@ def serve_pairs(
     report equal to the 1-process one.  ``slo=False`` skips stretch
     scoring entirely (the scaling bench measures raw throughput);
     otherwise ``slo_bound`` defaults to the paper's ``4k-3`` for graph
-    schemes exactly like :func:`run_serving`.
+    schemes exactly like :func:`run_serving`.  The second element is the
+    engine's :class:`~repro.serve.engine.RouteBatch`; everything here
+    reads its columns, and builds a result only for an exemplar.
     """
     compiled = engine.compiled
     mode = engine.mode
@@ -600,25 +602,26 @@ def _per_query_stretch(
 ) -> List[Optional[float]]:
     """Stretch per query (None for failures, which count as violations),
     one Dijkstra per distinct source like ``measure_stretch``."""
+    batch = RouteBatch.of(results)
+    keys, lengths, status = batch.keys, batch.lengths, batch.status
     by_source: Dict[NodeId, List[int]] = {}
-    for i, r in enumerate(results):
-        by_source.setdefault(r.source, []).append(i)
-    out: List[Optional[float]] = [None] * len(results)
+    for i, key in enumerate(keys):
+        by_source.setdefault(key[0], []).append(i)
+    out: List[Optional[float]] = [None] * len(keys)
     adj = Adjacency.of(graph)
     for source, indices in by_source.items():
         dist, _ = dijkstra(adj, [source])
         for i in indices:
-            r = results[i]
-            if not r.ok:
+            if not status[i] & RouteBatch.OK:
                 continue
-            exact = dist.get(r.target, 0.0)
-            out[i] = r.length / exact if exact > 0 else 1.0
+            exact = dist.get(keys[i][1], 0.0)
+            out[i] = lengths[i] / exact if exact > 0 else 1.0
     return out
 
 
 def _feed_stretch_metrics(
     metrics: ServeMetrics,
-    results: Sequence[ServeResult],
+    batch: RouteBatch,
     stretches: Sequence[Optional[float]],
     slo_bound: float,
     serve_s: float,
@@ -633,12 +636,13 @@ def _feed_stretch_metrics(
     the virtual time it was (approximately) served, spreading the batch
     uniformly over ``serve_s``.  With a tracer active, exemplar payloads
     carry the query's trace id (S19), so a Prometheus exemplar and
-    ``repro explain`` point at the same query.
+    ``repro explain`` point at the same query.  Only the handful of
+    queries the exemplar reservoir wants are built as results.
     """
-    tick = serve_s / len(results) if results else 0.0
+    tick = serve_s / len(batch) if batch else 0.0
     hist = metrics.stretch
     slo = metrics.slo
-    for i, (r, stretch) in enumerate(zip(results, stretches)):
+    for i, stretch in enumerate(stretches):
         now = (i + 1) * tick
         if stretch is not None:
             hist.sketch.add(stretch)
@@ -646,7 +650,7 @@ def _feed_stretch_metrics(
                 trace_id = (tracer.trace_id(base + i)
                             if tracer is not None else None)
                 hist.offer_exemplar(
-                    stretch, exemplar_payload(r, trace_id=trace_id))
+                    stretch, exemplar_payload(batch[i], trace_id=trace_id))
         bad = stretch is None or stretch > slo_bound + 1e-9
         slo.record(0.0 if bad else 1.0, 1.0 if bad else 0.0, now)
     metrics.budget_gauge.value = slo.budget_remaining

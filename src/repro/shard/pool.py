@@ -38,7 +38,7 @@ import networkx as nx
 
 from ..errors import InputError, ShardError
 from ..serve.compile import CompiledGraphScheme, CompiledScheme, Scheme, compile_scheme
-from ..serve.engine import ServeResult
+from ..serve.engine import RouteBatch
 from ..serve.harness import ServeReport
 from ..serve.workloads import make_workload
 from ..telemetry import events as _tele
@@ -213,7 +213,7 @@ class ShardPool:
         slo: bool = True,
         slo_bound: Optional[float] = None,
         slo_target: float = 0.99,
-    ) -> Tuple[ServeReport, Optional[List[ServeResult]]]:
+    ) -> Tuple[ServeReport, Optional[RouteBatch]]:
         """Serve a pair stream across the workers; merged report back.
 
         The parent resolves the SLO default (paper ``4k-3``) before
@@ -246,21 +246,15 @@ class ShardPool:
                 self._send(conn, ("serve", part, params))
             payloads = self._gather("report")
 
-        reports: List[ServeReport] = []
-        results: Optional[List[Optional[ServeResult]]] = (
-            [None] * len(pairs) if self.collect_results else None)
-        for s, payload in enumerate(payloads):
-            report, shard_results = payload_report(payload)
-            reports.append(report)
-            if results is not None and shard_results is not None:
-                for j, r in zip(indices[s], shard_results):
-                    results[j] = r
+        reports, batches = zip(*map(payload_report, payloads, slices))
         merged = ServeReport.merge(
             reports,
             exemplar_limit=self.exemplar_limit if self.metrics else None,
         )
-        self._last_reports = reports
-        return merged, results  # type: ignore[return-value]
+        self._last_reports = list(reports)
+        results = (RouteBatch.interleaved(list(pairs), batches, indices)
+                   if self.collect_results else None)
+        return merged, results
 
     def collect_cache_entries(self) -> List[Tuple[Any, Any]]:
         """Every worker's LRU decisions, oldest-first per shard.
@@ -382,7 +376,7 @@ def run_sharded(
     cache_entries: Optional[Sequence[Tuple[Any, Any]]] = None,
     cache_out: Optional[List[Tuple[Any, Any]]] = None,
     collect_results: bool = False,
-) -> Tuple[ServeReport, Optional[List[ServeResult]]]:
+) -> Tuple[ServeReport, Optional[RouteBatch]]:
     """Sharded twin of :func:`repro.serve.run_serving`: compile once, seal,
     fan the seeded workload over ``workers`` engines, merge exactly.
 

@@ -5,7 +5,9 @@ module flattens one to a plain JSON-able payload for the pipe and back
 without losing anything the merge algebra needs: sketches round-trip
 through :meth:`QuantileSketch.to_dict` (bucket-exact by construction),
 exemplar payloads are already plain dicts, and the raw counters ride
-next to their derived rates.  Query results travel as bare tuples — the
+next to their derived rates.  Query results travel as the five columns
+of the worker's :class:`~repro.serve.RouteBatch` (a few flat buffers, not
+a tuple per query; the pairs stay with the parent that sent them) — the
 packed tables themselves never cross the boundary (``ShardPool`` rejects
 the one configuration that would pickle them), only measurements do.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..metrics.sketch import QuantileSketch
-from ..serve.engine import ServeResult
+from ..serve.engine import RouteBatch
 from ..serve.harness import ServeReport
 
 NodeId = Hashable
@@ -34,7 +36,7 @@ _SCALAR_FIELDS = (
 
 def report_payload(
     report: ServeReport,
-    results: Optional[Sequence[ServeResult]] = None,
+    results: Optional[RouteBatch] = None,
 ) -> Dict[str, Any]:
     """Flatten a report (and optionally its per-query results) for the pipe."""
     payload: Dict[str, Any] = {
@@ -47,17 +49,16 @@ def report_payload(
     payload["exemplars"] = [dict(x) for x in report.exemplars]
     payload["metrics"] = dict(report.metrics)
     if results is not None:
-        payload["results"] = [
-            (r.source, r.target, r.path, r.length, r.ok, r.error, r.cached)
-            for r in results
-        ]
+        payload["results"] = results.columns()
     return payload
 
 
 def payload_report(
     payload: Dict[str, Any],
-) -> Tuple[ServeReport, Optional[List[ServeResult]]]:
-    """Rebuild ``(report, results-or-None)`` from a pipe payload."""
+    pairs: List[Tuple[NodeId, NodeId]],
+) -> Tuple[ServeReport, Optional[RouteBatch]]:
+    """Rebuild ``(report, results-or-None)`` from a pipe payload;
+    ``pairs`` is the slice the worker was sent (its batch's keys)."""
     kwargs = {name: payload[name] for name in _SCALAR_FIELDS}
     report = ServeReport(
         **kwargs,
@@ -69,14 +70,10 @@ def payload_report(
         exemplars=[dict(x) for x in payload["exemplars"]],
         metrics=dict(payload["metrics"]),
     )
-    raw = payload.get("results")
-    if raw is None:
+    columns = payload.get("results")
+    if columns is None:
         return report, None
-    results = [
-        ServeResult(source, target, list(path), length, ok, error, cached)
-        for source, target, path, length, ok, error, cached in raw
-    ]
-    return report, results
+    return report, RouteBatch(pairs, *columns)
 
 
 def shards_section(

@@ -14,7 +14,7 @@ op        reply
           :func:`~repro.serve.harness.serve_pairs` (the exact
           single-process measurement path) with the per-call stream
           parameters (workload/seed/SLO) carried in the message, and
-          ships the report (plus per-query results when
+          ships the report (plus the result batch's columns when
           ``collect_results``)
 "cache"   ``("cache", entries)`` — the LRU's decisions oldest-first,
           for merged warm-cache persistence (``--cache-file``)
@@ -108,11 +108,11 @@ def worker_main(
         if spec.start != "thread":
             # A process worker owns its collector, and everything alive
             # here (the attached tables, the preloaded cache, whatever
-            # heap a fork inherited) lives as long as it does.  A pass
-            # allocates two containers per query, so every full
-            # collection would otherwise re-walk all of it: ~40% of a
-            # pass on the n=2000 tables.  Thread workers share their
-            # caller's process and leave its collector alone.
+            # heap a fork inherited) lives as long as it does: frozen,
+            # no collection walks it or writes to an inherited page
+            # (a pass keeps its results in a few columns, but every
+            # serve message unpickles a tuple per pair).  Thread workers
+            # share their caller's process and leave its collector alone.
             gc.collect()
             gc.freeze()
 

@@ -84,8 +84,7 @@ def _replay_graph(
     trace.tree_id = prov.tree_id
     trace.root = prov.root
     trace.dist_to_root = prov.dist_to_root
-    budget = engine.max_hops or compiled.default_budget
-    _walk_graph(trace, compiled, tree, label, source, target, budget)
+    _walk_graph(trace, compiled, tree, label, source, target, engine.budget)
     return trace
 
 
@@ -212,8 +211,7 @@ def _replay_tree(
     trace.candidate_index = 0
     trace.bunch_levels = (0,)
     label = compiled.labels[target]  # parity: scheme.labels[target]
-    budget = engine.max_hops or compiled.default_budget
-    _walk_tree(trace, compiled.tree, label, source, budget)
+    _walk_tree(trace, compiled.tree, label, source, engine.budget)
     return trace
 
 

@@ -32,6 +32,7 @@ import math
 import random
 from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Sequence
 
+from ..serve.engine import RouteBatch
 from .model import QueryTrace
 from .recorder import replay_query
 
@@ -284,10 +285,11 @@ class Tracer:
             pending, self.pending = self.pending, []
             for ordinal, source, target in pending:
                 self.capture_pair(engine, source, target, ordinal=ordinal)
-        for i, result in enumerate(results):
+        batch = RouteBatch.of(results)
+        for i, (key, status) in enumerate(zip(batch.keys, batch.status)):
             stretch = stretches[i] if stretches is not None else None
-            self.tail.offer(base + i, result.source, result.target, stretch,
-                            failed=not result.ok)
+            self.tail.offer(base + i, key[0], key[1], stretch,
+                            failed=not status & RouteBatch.OK)
         traces = list(self.head)
         have = {t.trace_id for t in traces}
         for entry in self.tail.worst():

@@ -26,6 +26,7 @@ from repro.metrics import (
     write_prometheus,
 )
 from repro.metrics.slo import SloAlert
+from repro.serve import RouteBatch, ServeResult
 
 
 def exact_quantile(values, q):
@@ -362,19 +363,19 @@ class TestSloMonitor:
 # ServeMetrics bundle
 # ---------------------------------------------------------------------------
 
-class _FakeResult:
-    def __init__(self, path, ok=True):
-        self.path = path
-        self.ok = ok
+def _batch(*paths, failed=()):
+    """The RouteBatch of queries with these paths (``failed``: indices)."""
+    return RouteBatch.of(
+        ServeResult(0, 0, path, 0.0, i not in failed,
+                    "failed" if i in failed else None)
+        for i, path in enumerate(paths))
 
 
 class TestServeMetricsBundle:
     def test_batch_and_deferred_hops(self):
         m = ServeMetrics()
-        results = [_FakeResult([1, 2, 3]), _FakeResult([1]),
-                   _FakeResult([1, 2])]
         m.record_batch(3, 0, 1, 2)
-        m.defer_path_lengths(results, 0)
+        m.defer_path_lengths(_batch([1, 2, 3], [1], [1, 2]))
         assert m.hops.count == 0, "hop counting defers until scrape"
         m.flush()
         assert m.hops.count == 3
@@ -383,8 +384,7 @@ class TestServeMetricsBundle:
 
     def test_deferred_skips_failures(self):
         m = ServeMetrics()
-        results = [_FakeResult([1, 2, 3]), _FakeResult([], ok=False)]
-        m.defer_path_lengths(results, 1)
+        m.defer_path_lengths(_batch([1, 2, 3], [], failed={1}))
         m.flush()
         assert m.hops.count == 1
 

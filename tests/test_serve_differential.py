@@ -20,6 +20,7 @@ from repro.graphs import (
 from repro.routing import route_in_tree
 from repro.routing.router import route_in_graph, sample_pairs
 from repro.serve import ServeEngine, compile_scheme
+from repro.tracing import replay_query
 from repro.tz import build_centralized_scheme, build_tree_scheme
 
 from .differential.harness import random_tree_network
@@ -265,3 +266,57 @@ class TestTreeDifferential:
             assert not result.ok
             assert result.error == str(exc) == "exceeded hop budget 1"
             assert result.path == list(exc.path)
+
+    @pytest.mark.parametrize("max_hops", [0, 1, 3])
+    def test_explicit_budget_is_the_references_budget(self, tree_setup,
+                                                      max_hops):
+        """``max_hops=0`` is a budget of zero hops, as in ``route_in_tree``
+        (it used to fall through to the scheme's default): same message,
+        same partial path, from every entry point and in the replayed
+        trace."""
+        graph, scheme = tree_setup
+        compiled = compile_scheme(scheme)
+        engine = ServeEngine(compiled, max_hops=max_hops)
+        assert engine.budget == max_hops
+        pairs = sample_pairs(list(graph.nodes), 100, seed=71)
+        pairs.append((pairs[0][0], pairs[0][0]))
+        batch = ServeEngine(compiled, max_hops=max_hops).route_many(pairs)
+        failures = 0
+        for (u, v), batched in zip(pairs, batch):
+            result = engine.route_recorded(u, v)
+            trace = replay_query(engine, u, v)
+            assert batched == result
+            try:
+                ref = route_in_tree(scheme, u, v, max_hops=max_hops)
+            except RoutingFailure as exc:
+                failures += 1
+                assert not result.ok and not trace.ok
+                assert result.error == trace.error == str(exc) \
+                    == f"exceeded hop budget {max_hops}"
+                assert result.path == list(exc.path)
+                assert len(trace.hops) == max_hops
+                with pytest.raises(RoutingFailure, match=str(exc)):
+                    engine.route(u, v)
+            else:
+                assert result.ok and trace.ok and result.path == ref.path
+                assert result.length == pytest.approx(ref.length)
+        assert failures > 0
+
+    def test_default_budget_and_bad_budgets(self, tree_setup):
+        graph, scheme = tree_setup
+        compiled = compile_scheme(scheme)
+        assert ServeEngine(compiled).budget == compiled.default_budget \
+            == 2 * len(scheme.tables) + 2
+        with pytest.raises(ValueError, match="max_hops"):
+            ServeEngine(compiled, max_hops=-1)
+
+
+def test_graph_engine_takes_max_hops_zero_literally(graph_setup):
+    graph, scheme, compiled = graph_setup
+    u, v = sample_pairs(list(graph.nodes), 1, seed=73)[0]
+    engine = ServeEngine(compiled, max_hops=0)
+    for result in (engine.route_recorded(u, v), engine.route_many([(u, v)])[0]):
+        assert not result.ok and result.path == [u]
+        assert result.error == "exceeded hop budget 0"
+    assert replay_query(engine, u, v).error == "exceeded hop budget 0"
+    assert engine.route_many([(u, u)])[0].ok

@@ -9,8 +9,10 @@ child processes).  The integration tests fork real workers.
 import gc
 import glob
 import json
+import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -385,3 +387,34 @@ class TestForkIntegration:
         finally:
             pool.close()
         assert not glob.glob(f"/dev/shm/*{name}*")
+
+    def test_worker_killed_between_send_and_reply(self, built):
+        """A worker that dies holding an unanswered ``serve`` message: the
+        call raises, the pool stays broken, and ``close`` leaves neither
+        the segment nor a child behind."""
+        graph, _, compiled = built
+        pairs = make_workload("uniform", graph, compiled.nodes, 50, 0)
+        pool = ShardPool(compiled, graph, workers=2, start="fork")
+        name = pool.sealed.name.lstrip("/")
+        victim = pool._procs[0]
+        try:
+            # Stopped, the worker cannot read the message `serve` sends
+            # it (50 pairs fit the pipe buffer), so the kill lands after
+            # the send and before any reply.
+            os.kill(victim.pid, signal.SIGSTOP)
+            killer = threading.Timer(
+                0.3, os.kill, (victim.pid, signal.SIGKILL))
+            killer.start()
+            try:
+                with pytest.raises(ShardError, match="died before replying"):
+                    pool.serve(pairs, workload="uniform", seed=0)
+            finally:
+                killer.join(timeout=5.0)
+            with pytest.raises(ShardError, match="broken"):
+                pool.serve(pairs, workload="uniform", seed=0)
+        finally:
+            pool.close()
+        assert not glob.glob(f"/dev/shm/*{name}*")
+        assert not any(proc.is_alive() for proc in pool._procs)
+        assert victim.exitcode == -signal.SIGKILL
+        assert not set(pool._procs) & set(multiprocessing.active_children())
