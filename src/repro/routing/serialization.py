@@ -13,20 +13,36 @@ as a one-element tag object (``{"i": 5}``, ``{"s": "v"}``, ``{"t": [...]}``;
 id of a scheme into the top-level ``"ids"`` list and everything else
 refers to it by position.
 
-Format 2 (``FORMAT_VERSION``).  Maps are row lists, rows are positional,
-``v`` / ``tree`` / ``parent`` / ``heavy`` / light-edge endpoints are
-indices into ``"ids"`` (``null`` for "no parent" / "no heavy child")::
+Format 3 (``FORMAT_VERSION``).  ``v`` / ``tree`` / ``parent`` / ``heavy`` /
+light-edge endpoints are indices into ``"ids"`` (``null`` for "no parent" /
+"no heavy child").  A tree scheme's maps are parallel **columns**, one
+position per vertex, and a graph scheme carries every tree table and tree
+label **once**, under ``"tree_schemes"``: a vertex's table lists the trees
+it holds a table for, a label entry its ``[tree, dist]``, and the decoder
+rebinds both to the tree scheme's own objects -- the sharing the builders
+create.  An entry that is *not* its tree scheme's (a different value, or a
+tree / vertex the tree schemes lack) is written in full, and told apart
+by shape::
 
-    tree table row    [v, enter, exit, parent, heavy, root_distance]
-    tree label row    [v, enter, [u0, v0, u1, v1, ...]]   # light edges, flat
-    tree scheme       {"format": 2, "kind": "tree", "ids": [...],
+    tree tables       [[v, ...], [enter, ...], [exit, ...], [parent, ...],
+                       [heavy, ...], [root_distance, ...]]
+    tree labels       [[v, ...], [enter, ...], [light-edge count, ...],
+                       [u0, v0, u1, v1, ...]]   # all light edges, back to back
+    tree scheme       {"format": 3, "kind": "tree", "ids": [...],
                        "tree_id": i, "root": i,
-                       "tables": [row, ...], "labels": [row, ...]}
-    graph scheme      {"format": 2, "kind": "graph", "k": k, "ids": [...],
-                       "tables": [[v, [tree table row keyed by tree, ...]], ...],
-                       "labels": [[v, [null | [tree, dist, enter, light], ...]], ...],
+                       "tables": tree tables, "labels": tree labels}
+    table entry       tree
+                      | [tree, enter, exit, parent, heavy, root_distance]
+    label entry       null | [tree, dist]
+                      | [tree, dist, enter, [u0, v0, ...]]
+    graph scheme      {"format": 3, "kind": "graph", "k": k, "ids": [...],
                        "tree_schemes": [[tree, {"tree_id", "root",
-                                                "tables", "labels"}], ...]}
+                                                "tables", "labels"}], ...],
+                       "tables": [[v, [table entry, ...]], ...],
+                       "labels": [[v, [label entry, ...]], ...]}
+
+There is one format and one reader: a file of an earlier format is an
+:class:`~repro.errors.InputError` that says to re-save it.
 
 Round-trip identity (``load(save(s)) == s``) is property-tested in
 ``tests/test_routing_serialization.py``, which also pins the format with
@@ -37,6 +53,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import islice
 from typing import (
     IO,
     Any,
@@ -60,8 +77,9 @@ from .artifacts import (
 )
 
 NodeId = Hashable
+TreeId = Hashable
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +101,25 @@ def encode_id(value: Any) -> Any:
     raise InputError(f"cannot serialize id of type {type(value).__name__}")
 
 
+#: tag -> the exact types its value may have (``bool`` is an ``int``
+#: subclass, so the test is on ``type``, not ``isinstance``)
+_ID_VALUE_TYPES = {
+    "b": (bool, type(None)), "i": (int,), "f": (float,), "s": (str,),
+    "t": (list,),
+}
+
+
 def decode_id(blob: Any) -> Any:
     if not isinstance(blob, dict) or len(blob) != 1:
         raise InputError(f"malformed id blob: {blob!r}")
-    tag, value = next(iter(blob.items()))
-    if tag in ("b", "i", "f", "s"):
-        return value
-    if tag == "t":
-        return tuple(decode_id(x) for x in value)
-    raise InputError(f"unknown id tag {tag!r}")
+    (tag, value), = blob.items()
+    allowed = _ID_VALUE_TYPES.get(tag)
+    if allowed is None:
+        raise InputError(f"unknown id tag {tag!r}")
+    if type(value) not in allowed:
+        raise InputError(
+            f"id tag {tag!r} cannot carry a {type(value).__name__}: {blob!r}")
+    return tuple(map(decode_id, value)) if tag == "t" else value
 
 
 def id_key(value: Any) -> str:
@@ -145,27 +173,27 @@ def _tree_table_row(ids: IdTable, key: NodeId, table: TreeTable) -> List[Any]:
     ]
 
 
-def _light(ids: IdTable, label: TreeLabel) -> List[int]:
-    index = ids.index
-    return [index(x) for edge in label.light_edges for x in edge]
-
-
-def _graph_label_entry_row(
-    ids: IdTable, entry: Optional[Tuple[NodeId, float, TreeLabel]],
-) -> Optional[List[Any]]:
-    if entry is None:
-        return None
-    tree, dist, label = entry
-    return [ids.index(tree), dist, label.enter, _light(ids, label)]
-
-
 def _tree_body(ids: IdTable, scheme: TreeRoutingScheme) -> Dict[str, Any]:
+    index = ids.index
+    tables = scheme.tables.values()
+    labels = scheme.labels.values()
     return {
-        "tree_id": ids.index(scheme.tree_id),
-        "root": ids.index(scheme.root),
-        "tables": [_tree_table_row(ids, v, t) for v, t in scheme.tables.items()],
-        "labels": [[ids.index(v), l.enter, _light(ids, l)]
-                   for v, l in scheme.labels.items()],
+        "tree_id": index(scheme.tree_id),
+        "root": index(scheme.root),
+        "tables": [
+            [index(v) for v in scheme.tables],
+            [t.enter for t in tables],
+            [t.exit_ for t in tables],
+            [None if t.parent is None else index(t.parent) for t in tables],
+            [None if t.heavy is None else index(t.heavy) for t in tables],
+            [t.root_distance for t in tables],
+        ],
+        "labels": [
+            [index(v) for v in scheme.labels],
+            [l.enter for l in labels],
+            [len(l.light_edges) for l in labels],
+            [index(x) for l in labels for edge in l.light_edges for x in edge],
+        ],
     }
 
 
@@ -177,25 +205,46 @@ def tree_scheme_to_dict(scheme: TreeRoutingScheme) -> Dict[str, Any]:
 
 def graph_scheme_to_dict(scheme: GraphRoutingScheme) -> Dict[str, Any]:
     ids = IdTable()
+    index = ids.index
+    shared = scheme.tree_schemes
+    tree_schemes = [[index(t), _tree_body(ids, s)] for t, s in shared.items()]
+
+    # An entry is written by reference exactly when the decoder's rebinding
+    # gives it back: it is (or equals) what its tree scheme holds for v.
+    def table_entry(v: NodeId, tree: TreeId, table: TreeTable) -> Any:
+        held = shared[tree].tables.get(v) if tree in shared else None
+        if held is table or held == table:
+            return index(tree)
+        return _tree_table_row(ids, tree, table)
+
+    def label_entry(
+        v: NodeId, entry: Optional[Tuple[TreeId, float, TreeLabel]],
+    ) -> Optional[List[Any]]:
+        if entry is None:
+            return None
+        tree, dist, label = entry
+        held = shared[tree].labels.get(v) if tree in shared else None
+        if held is label or held == label:
+            return [index(tree), dist]
+        return [index(tree), dist, label.enter,
+                [index(x) for edge in label.light_edges for x in edge]]
+
     tables = [
-        [ids.index(v),
-         [_tree_table_row(ids, t, tt) for t, tt in table.trees.items()]]
+        [index(v), [table_entry(v, t, tt) for t, tt in table.trees.items()]]
         for v, table in scheme.tables.items()
     ]
     labels = [
-        [ids.index(v), [_graph_label_entry_row(ids, e) for e in label.entries]]
+        [index(v), [label_entry(v, e) for e in label.entries]]
         for v, label in scheme.labels.items()
     ]
-    tree_schemes = [[ids.index(t), _tree_body(ids, s)]
-                    for t, s in scheme.tree_schemes.items()]
     return {
         "format": FORMAT_VERSION,
         "kind": "graph",
         "k": scheme.k,
         "ids": ids.encoded,
+        "tree_schemes": tree_schemes,
         "tables": tables,
         "labels": labels,
-        "tree_schemes": tree_schemes,
     }
 
 
@@ -205,9 +254,9 @@ def graph_scheme_to_dict(scheme: GraphRoutingScheme) -> Dict[str, Any]:
 
 @contextmanager
 def _section(name: str) -> Iterator[None]:
-    """Whatever unpacking the named section raises -- a missing key, a row
-    of the wrong arity or type, an id index outside the universe -- is an
-    :class:`InputError` that names it."""
+    """Whatever unpacking the named section raises -- a missing key, a
+    column or row of the wrong arity or type, an id index outside the
+    universe -- is an :class:`InputError` that names it."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
@@ -227,9 +276,22 @@ class _Ids:
 
     def __init__(self, blob: Dict[str, Any]) -> None:
         with _section("ids"):
+            encoded = list(blob["ids"])
+        try:
             self.at: Dict[Any, NodeId] = dict(
-                enumerate(decode_id(x) for x in blob["ids"]))
+                enumerate(map(decode_id, encoded)))
+        except InputError as exc:
+            raise InputError(f"malformed scheme section 'ids': {exc}") from exc
         self.opt: Dict[Any, Optional[NodeId]] = {None: None, **self.at}
+
+
+def _aligned(*columns: Any) -> None:
+    """Parallel columns are lists of one length."""
+    if any(type(column) is not list for column in columns):
+        raise TypeError("a column is not a list")
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
 
 
 def _tree_table(ids: _Ids, row: List[Any]) -> Tuple[NodeId, TreeTable]:
@@ -246,25 +308,31 @@ def _tree_label(ids: _Ids, enter: int, light: List[int]) -> TreeLabel:
     return TreeLabel(enter=enter, light_edges=tuple(zip(ends, ends)))
 
 
-def _graph_label_entry(
-    ids: _Ids, entry: Optional[List[Any]],
-) -> Optional[Tuple[NodeId, float, TreeLabel]]:
-    if entry is None:
-        return None
-    tree, dist, enter, light = entry
-    return ids.at[tree], dist, _tree_label(ids, enter, light)
-
-
 def _tree_scheme(ids: _Ids, body: Dict[str, Any], where: str = "") -> TreeRoutingScheme:
+    at, opt = ids.at.__getitem__, ids.opt.__getitem__
     with _section(where + "tree_id"):
-        tree_id = ids.at[body["tree_id"]]
+        tree_id = at(body["tree_id"])
     with _section(where + "root"):
-        root = ids.at[body["root"]]
+        root = at(body["root"])
     with _section(where + "tables"):
-        tables = dict(_tree_table(ids, row) for row in body["tables"])
+        vs, enters, exits, parents, heavies, dists = body["tables"]
+        _aligned(vs, enters, exits, parents, heavies, dists)
+        tables = dict(zip(map(at, vs), map(
+            TreeTable, enters, exits, map(opt, parents), map(opt, heavies),
+            dists)))
     with _section(where + "labels"):
-        labels = {ids.at[v]: _tree_label(ids, enter, light)
-                  for v, enter, light in body["labels"]}
+        vs, enters, counts, light = body["labels"]
+        _aligned(vs, enters, counts)
+        if len(light) != 2 * sum(counts):
+            raise ValueError(
+                f"{len(light)} light-edge endpoints for {sum(counts)} edges")
+        ends = map(at, light)
+        edges = zip(ends, ends)
+        # islice refuses a negative count, so the edges come out exactly
+        labels = {
+            at(v): TreeLabel(enter, tuple(islice(edges, count)))
+            for v, enter, count in zip(vs, enters, counts)
+        }
     return TreeRoutingScheme(tree_id=tree_id, root=root, tables=tables,
                              labels=labels)
 
@@ -277,25 +345,44 @@ def tree_scheme_from_dict(blob: Dict[str, Any]) -> TreeRoutingScheme:
 def graph_scheme_from_dict(blob: Dict[str, Any]) -> GraphRoutingScheme:
     _check_header(blob, "graph")
     ids = _Ids(blob)
+    at = ids.at
     with _section("k"):
         k = blob["k"]
+    with _section("tree_schemes"):
+        tree_schemes = {
+            at[t]: _tree_scheme(ids, body, "tree_schemes/")
+            for t, body in blob["tree_schemes"]
+        }
+
+    def table_entry(v: NodeId, entry: Any) -> Tuple[TreeId, TreeTable]:
+        if isinstance(entry, list):
+            return _tree_table(ids, entry)
+        tree = at[entry]
+        return tree, tree_schemes[tree].tables[v]
+
+    def label_entry(
+        v: NodeId, entry: Optional[List[Any]],
+    ) -> Optional[Tuple[TreeId, float, TreeLabel]]:
+        if entry is None:
+            return None
+        if len(entry) == 2:
+            tree, dist = at[entry[0]], entry[1]
+            return tree, dist, tree_schemes[tree].labels[v]
+        tree, dist, enter, light = entry
+        return at[tree], dist, _tree_label(ids, enter, light)
+
     tables: Dict[NodeId, GraphTable] = {}
     with _section("tables"):
-        for v_index, rows in blob["tables"]:
-            v = ids.at[v_index]
+        for v_index, entries in blob["tables"]:
+            v = at[v_index]
             tables[v] = GraphTable(
-                vertex=v, trees=dict(_tree_table(ids, row) for row in rows))
+                vertex=v, trees=dict(table_entry(v, e) for e in entries))
     labels: Dict[NodeId, GraphLabel] = {}
     with _section("labels"):
         for v_index, entries in blob["labels"]:
-            v = ids.at[v_index]
-            labels[v] = GraphLabel(vertex=v, entries=tuple(
-                _graph_label_entry(ids, entry) for entry in entries))
-    with _section("tree_schemes"):
-        tree_schemes = {
-            ids.at[t]: _tree_scheme(ids, body, "tree_schemes/")
-            for t, body in blob["tree_schemes"]
-        }
+            v = at[v_index]
+            labels[v] = GraphLabel(
+                vertex=v, entries=tuple(label_entry(v, e) for e in entries))
     return GraphRoutingScheme(
         k=k, tables=tables, labels=labels, tree_schemes=tree_schemes)
 

@@ -378,10 +378,13 @@ def sha256_of(document) -> str:
 
 #: sha256 of json.dumps(graph_scheme_to_dict(build_centralized_scheme(
 #: random_connected_graph(300, seed=s), 3, seed=s))), from PR 18's kernels.
+#: Re-taken for scheme format 3 (PR 24) from scheme objects that the
+#: format-2 encoder still hashed to the values pinned until then
+#: (7622523..., fe642c7..., ca814ea...; CHANGES.md has the procedure).
 CENTRALIZED_GOLDENS = {
-    1: "762252306aede25881a393225c7c55eff9da03c177eecdaaf13af72d7aec0bd4",
-    2: "fe642c78874aa052fd5c36bb551d220f0260c316e499a5ef5ea57994f18a6d7d",
-    3: "ca814ea0d379e9d45b772f784cad966282ea2293230be9ad7c8591af16b549c6",
+    1: "846a4c25d96401135972add8292cb8e5d3d5400cd96234fdbda6888a25018a4b",
+    2: "ef979129aedea57ab5789715618fac4ddcf94dc51a9e546af5746cd7a6ffd465",
+    3: "b0a2f4860f81605f7c58246c4f34b0fbdef5e4b2861b309a22b4abe9e5920cf4",
 }
 #: sha256 of json.dumps(BuildReport.to_dict()) for random_connected_graph(
 #: 150, seed=7), k=3, seed=7 on Network, from PR 18's kernels.
