@@ -151,15 +151,21 @@ def _shared_parsers() -> SimpleNamespace:
                            verdicts=verdicts, workload=workload)
 
 
-def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
-    """argparse type: an ``int`` or ``float`` argument that must be > 0."""
+def _checked(number: Callable[[str], Any], ok: Callable[[Any], bool],
+             want: str, kind: str) -> Callable[[str], Any]:
+    """argparse type: an ``int`` or ``float`` argument ``ok`` accepts."""
     def parse(text: str) -> Any:
         value = number(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
         return value
-    parse.__name__ = f"positive {number.__name__}"
+    parse.__name__ = f"{kind} {number.__name__}"
     return parse
+
+
+def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
+    """argparse type: an ``int`` or ``float`` argument that must be > 0."""
+    return _checked(number, lambda v: v > 0, "> 0", "positive")
 
 
 def _args_table1(new, shared) -> None:
@@ -226,10 +232,12 @@ def _args_serve(new, shared) -> None:
              "replay with repro explain)")
     add("--trace-chrome", metavar="PATH",
         help="also write sampled traces as a Chrome trace_event JSON (open in Perfetto)")
-    add("--trace-rate", type=float, default=0.01,
+    add("--trace-rate", default=0.01,
+        type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]", "fraction"),
         help="head-sampling rate for query tracing (default 0.01; tail worst-stretch traces "
              "are always kept)")
-    add("--trace-tail", type=int, default=16,
+    add("--trace-tail", default=16,
+        type=_checked(int, lambda v: v >= 0, ">= 0", "non-negative"),
         help="tail buffer size: worst-stretch/failed queries always traced (default 16)")
 
 

@@ -414,15 +414,13 @@ class ServeEngine:
     (``route_many``) or per recorded query.
 
     ``tracer`` optionally attaches a :class:`~repro.tracing.Tracer`
-    (S19).  Same discipline: with no tracer the query path allocates
-    nothing for tracing; with one attached, the batched loop pays one
-    integer compare per query against the sampler's precomputed next
-    pick and only *records* picked ordinals -- the replay into
-    :class:`~repro.tracing.QueryTrace` objects happens at
-    ``Tracer.finalize``, off the serving loop (single ``route_recorded``
-    queries replay immediately; their cost is per-query anyway).  Trace
-    construction never happens unguarded inside the serving loops (the
-    perf ledger's ``tracing.overhead_share`` measures the cost).
+    (S19).  The serving loops never consult it: once a call has served
+    its queries it hands their keys to ``Tracer.record_picks`` (once per
+    ``route_many`` batch, once per ``route_recorded`` query), which picks
+    by ordinal alone.  Picked queries are replayed into
+    :class:`~repro.tracing.QueryTrace` objects at ``Tracer.finalize``,
+    through this engine's own decision and walks (the perf ledger's
+    ``tracing.overhead_share`` measures what attaching one costs).
     """
 
     def __init__(
@@ -481,9 +479,8 @@ class ServeEngine:
         if m is not None:
             m.record_result(result.ok, len(result.path) - 1, result.cached,
                             self.cache.misses - misses)
-        t = self.tracer
-        if t is not None and t.sample_head():
-            t.capture_pair(self, source, target)
+        if self.tracer is not None:
+            self.tracer.record_picks(((source, target),))
         return result
 
     # -- batch ---------------------------------------------------------------
@@ -545,31 +542,10 @@ class ServeEngine:
         popitem = data.popitem
         maxsize = cache.maxsize
         decide = self._decide
-        forward = self._forward_graph
+        forward = _forward_graph
         decisions = compiled.decisions
         first = self.mode == "first"
         budget = self.budget
-        # Tracing hook (S19, zero-overhead when absent): the head pick
-        # schedule folds into the `served` counter the loop keeps anyway
-        # -- `next_sample_at` is the value of `served` at the sampler's
-        # precomputed next pick (never reached when detached), so the
-        # per-query cost is one integer compare.  Picks are only
-        # *recorded*; the replay into a trace is deferred to
-        # Tracer.finalize, off the serving loop (same discipline as the
-        # metrics batch-end fold below).  Ordinal of query i in this
-        # batch is `base + i`, counting every query, so trace ids align
-        # with the batch's result order.
-        tracer = self.tracer
-        if tracer is not None:
-            base = tracer.seq
-            defer = tracer.defer
-            next_sample_at = tracer._next_pick - base + 1
-            if next_sample_at <= 0:  # rate 0: pick ordinal is -1 (never)
-                next_sample_at = -1
-        else:
-            base = 0
-            defer = None
-            next_sample_at = -1
         timed = boundaries is not None
         stamp = boundaries.append if timed else None
         # One result is four column appends (RouteBatch): every path goes
@@ -595,9 +571,6 @@ class ServeEngine:
                 mark(len(flat))
                 measure(0.0)
                 flag(delivered)
-                if served == next_sample_at:
-                    next_sample_at = defer(base + served - 1, source,
-                                           target) - base + 1
                 continue
             if cache_on:
                 entry = data.get(key)
@@ -608,9 +581,6 @@ class ServeEngine:
                     mark(len(flat))
                     measure(entry[1])
                     flag(from_cache)
-                    if served == next_sample_at:
-                        next_sample_at = defer(base + served - 1, source,
-                                               target) - base + 1
                     continue
                 misses += 1
             try:
@@ -626,7 +596,7 @@ class ServeEngine:
                                 decision = cand[1]
                                 break
                 if decision is None:
-                    decision = decide(compiled, source, target)
+                    decision = decide(compiled, source, target)[1]
                 path, length = forward(compiled, decision[0], decision[1],
                                        source, target, budget=budget)
             except RoutingFailure as exc:
@@ -635,9 +605,6 @@ class ServeEngine:
                 mark(len(flat))
                 measure(0.0)
                 flag(0)
-                if served == next_sample_at:
-                    next_sample_at = defer(base + served - 1, source,
-                                           target) - base + 1
                 continue
             if cache_on:
                 if len(data) >= maxsize:
@@ -647,13 +614,13 @@ class ServeEngine:
             mark(len(flat))
             measure(length)
             flag(delivered)
-            if served == next_sample_at:
-                next_sample_at = defer(base + served - 1, source,
-                                       target) - base + 1
         if timed:
             stamp(perf_counter())
-        if tracer is not None:
-            tracer.seq = base + served
+        # Which queries the tracer picks depends on their ordinals only,
+        # so it learns of them once, after the loop (and not at all when
+        # a KeyError aborted the batch, exactly like the counters below).
+        if self.tracer is not None:
+            self.tracer.record_picks(batch.keys)
         failed = len(errors)
         self.queries += served
         self.failures += failed
@@ -686,8 +653,8 @@ class ServeEngine:
                                    path=list(entry[0]), length=entry[1],
                                    ok=True, cached=True)
 
-        tree, label = self._decide(compiled, source, target)
-        path, length = self._forward_graph(
+        _, (tree, label) = self._decide(compiled, source, target)
+        path, length = _forward_graph(
             compiled, tree, label, source, target,
             budget=self.budget,
         )
@@ -701,14 +668,17 @@ class ServeEngine:
         compiled: CompiledGraphScheme,
         source: NodeId,
         target: NodeId,
-    ) -> Tuple[PackedTree, PackedLabel]:
+    ) -> Tuple[int, Tuple[PackedTree, PackedLabel]]:
         """The source rule: pick the committed tree for this query.
 
         Mirrors ``route_in_graph``: scan usable label entries in level
         order, keep those whose tree contains the source, score by the
         advertised source-root-target upper bound; ``"first"`` commits to
         the first candidate, ``"best"`` minimizes ``(bound, level)``.
-        Runs over the compiler's flat ``decisions`` table.
+        Runs over the compiler's flat ``decisions`` table and returns the
+        committed candidate's index in ``decisions[target]`` (what the
+        tracer reads its provenance by: two levels may name one tree)
+        with its ``(tree, label)`` pair.
         """
         cands = compiled.decisions.get(target)
         if cands is None:
@@ -716,165 +686,37 @@ class ServeEngine:
         if source not in compiled.table_ids:
             raise KeyError(source)  # parity: scheme.tables[source]
         if self.mode == "first":
-            for cand in cands:
+            for i, cand in enumerate(cands):
                 if source in cand[0]:
-                    return cand[1]
+                    return i, cand[1]
         else:
-            best: Optional[Tuple[float, int, tuple]] = None
-            for local, pair, root_distance, level, dist_to_root in cands:
+            best: Optional[Tuple[float, int, int, tuple]] = None
+            for i, (local, pair, root_distance, level, dist_to_root) \
+                    in enumerate(cands):
                 li = local.get(source)
                 if li is None:
                     continue
                 bound = root_distance[li] + dist_to_root
                 if best is None or (bound, level) < (best[0], best[1]):
-                    best = (bound, level, pair)
+                    best = (bound, level, i, pair)
             if best is not None:
-                return best[2]
+                return best[2], best[3]
         raise RoutingFailure(
             f"no common cluster tree between {source!r} and {target!r} "
             "(top-level cluster should always be shared)"
         )
-
-    def _forward_graph(
-        self,
-        compiled: CompiledGraphScheme,
-        tree: PackedTree,
-        label: PackedLabel,
-        source: NodeId,
-        target: NodeId,
-        *,
-        budget: int,
-    ) -> Tuple[List[NodeId], float]:
-        """The ``route_in_graph`` hop loop over packed arrays."""
-        (enter, exit_, parent, parent_id, parent_w,
-         heavy, heavy_id, heavy_w, local, tree_id) = tree.hot
-        light = label.light
-        dest_enter = label.enter
-
-        path = [source]
-        length = 0.0
-        at_id = source
-        li = local.get(source, NO_VERTEX)
-        for _ in range(budget):
-            if li == NO_VERTEX:
-                if at_id not in compiled.table_ids:
-                    raise KeyError(at_id)  # parity: scheme.tables[at]
-                raise RoutingFailure(
-                    f"vertex {at_id!r} has no table for tree "
-                    f"{tree_id!r}", path
-                )
-            e = enter[li]
-            if e == dest_enter:
-                if at_id != target:
-                    raise RoutingFailure(
-                        f"tree routing terminated at {at_id!r}, "
-                        f"not {target!r}", path
-                    )
-                return path, length
-            if e <= dest_enter <= exit_[li]:
-                hop = light.get(li)
-                if hop is None:
-                    nid = heavy_id[li]
-                    if nid is None:
-                        raise RoutingFailure(
-                            f"vertex {at_id!r} is a leaf yet the target "
-                            f"(enter={dest_enter}) is strictly inside its "
-                            "interval"
-                        )
-                    nli, w = heavy[li], heavy_w[li]
-                else:
-                    nli, nid, w = hop
-            else:
-                nid = parent_id[li]
-                if nid is None:
-                    raise RoutingFailure(
-                        f"vertex {at_id!r} is the root yet the target "
-                        f"(enter={dest_enter}) is outside its interval"
-                    )
-                nli, w = parent[li], parent_w[li]
-            if w is None:
-                raise RoutingFailure(
-                    f"({at_id!r}, {nid!r}) is not an edge", path
-                )
-            length += w
-            li, at_id = nli, nid
-            path.append(at_id)
-        raise RoutingFailure(f"exceeded hop budget {budget}", path)
 
     # -- tree scheme ---------------------------------------------------------
 
     def _route_tree(self, source: NodeId, target: NodeId) -> ServeResult:
         compiled: CompiledTreeScheme = self.compiled
         label = compiled.labels[target]  # parity: scheme.labels[target]
-        path, length = self._forward_tree(
+        path, length = _forward_tree(
             compiled.tree, label, source,
             budget=self.budget,
         )
         return ServeResult(source=source, target=target, path=path,
                            length=length, ok=True)
-
-    def _forward_tree(
-        self,
-        tree: PackedTree,
-        label: PackedLabel,
-        source: NodeId,
-        *,
-        budget: int,
-    ) -> Tuple[List[NodeId], float]:
-        """The ``route_in_tree`` hop loop over packed arrays.
-
-        Unlike the graph loop, the next hop's table membership is checked
-        before the hop is appended (same iteration, same budget charge),
-        and arrival is wherever the forwarding rule stops -- the reference
-        never compares against ``target`` here.  Weighted serving of a hop
-        that is not a graph edge charges 1.0 (the reference would surface
-        whatever its user-supplied ``weight_of`` raises; valid schemes
-        never take that path).
-        """
-        (enter, exit_, parent, parent_id, parent_w,
-         heavy, heavy_id, heavy_w, local, _tree_id) = tree.hot
-        light = label.light
-        dest_enter = label.enter
-
-        li = local.get(source)
-        if li is None:
-            raise KeyError(source)  # parity: scheme.tables[source]
-        path = [source]
-        length = 0.0
-        at_id = source
-        for _ in range(budget):
-            e = enter[li]
-            if e == dest_enter:
-                return path, length
-            if e <= dest_enter <= exit_[li]:
-                hop = light.get(li)
-                if hop is None:
-                    nid = heavy_id[li]
-                    if nid is None:
-                        raise RoutingFailure(
-                            f"vertex {at_id!r} is a leaf yet the target "
-                            f"(enter={dest_enter}) is strictly inside its "
-                            "interval"
-                        )
-                    nli, w = heavy[li], heavy_w[li]
-                else:
-                    nli, nid, w = hop
-            else:
-                nid = parent_id[li]
-                if nid is None:
-                    raise RoutingFailure(
-                        f"vertex {at_id!r} is the root yet the target "
-                        f"(enter={dest_enter}) is outside its interval"
-                    )
-                nli, w = parent[li], parent_w[li]
-            if nli == NO_VERTEX:
-                raise RoutingFailure(
-                    f"forwarded to {nid!r}, which has no table", path
-                )
-            length += w if w is not None else 1.0
-            li, at_id = nli, nid
-            path.append(at_id)
-        raise RoutingFailure(f"exceeded hop budget {budget}", path)
 
     # -- introspection -------------------------------------------------------
 
@@ -887,3 +729,137 @@ class ServeEngine:
             "cache_misses": self.cache.misses,
             "cache_hit_rate": round(self.cache.hit_rate, 4),
         }
+
+
+# ---------------------------------------------------------------------------
+# The hop loops (module level: they read no engine state, and the trace
+# replay in repro.tracing.recorder walks through them too)
+# ---------------------------------------------------------------------------
+
+def _forward_graph(
+    compiled: CompiledGraphScheme,
+    tree: PackedTree,
+    label: PackedLabel,
+    source: NodeId,
+    target: NodeId,
+    *,
+    budget: int,
+) -> Tuple[List[NodeId], float]:
+    """The ``route_in_graph`` hop loop over packed arrays."""
+    (enter, exit_, parent, parent_id, parent_w,
+     heavy, heavy_id, heavy_w, local, tree_id) = tree.hot
+    light = label.light
+    dest_enter = label.enter
+
+    path = [source]
+    length = 0.0
+    at_id = source
+    li = local.get(source, NO_VERTEX)
+    for _ in range(budget):
+        if li == NO_VERTEX:
+            if at_id not in compiled.table_ids:
+                raise KeyError(at_id)  # parity: scheme.tables[at]
+            raise RoutingFailure(
+                f"vertex {at_id!r} has no table for tree "
+                f"{tree_id!r}", path
+            )
+        e = enter[li]
+        if e == dest_enter:
+            if at_id != target:
+                raise RoutingFailure(
+                    f"tree routing terminated at {at_id!r}, "
+                    f"not {target!r}", path
+                )
+            return path, length
+        if e <= dest_enter <= exit_[li]:
+            hop = light.get(li)
+            if hop is None:
+                nid = heavy_id[li]
+                if nid is None:
+                    raise RoutingFailure(
+                        f"vertex {at_id!r} is a leaf yet the target "
+                        f"(enter={dest_enter}) is strictly inside its "
+                        "interval"
+                    )
+                nli, w = heavy[li], heavy_w[li]
+            else:
+                nli, nid, w = hop
+        else:
+            nid = parent_id[li]
+            if nid is None:
+                raise RoutingFailure(
+                    f"vertex {at_id!r} is the root yet the target "
+                    f"(enter={dest_enter}) is outside its interval"
+                )
+            nli, w = parent[li], parent_w[li]
+        if w is None:
+            raise RoutingFailure(
+                f"({at_id!r}, {nid!r}) is not an edge", path
+            )
+        length += w
+        li, at_id = nli, nid
+        path.append(at_id)
+    raise RoutingFailure(f"exceeded hop budget {budget}", path)
+
+
+def _forward_tree(
+    tree: PackedTree,
+    label: PackedLabel,
+    source: NodeId,
+    *,
+    budget: int,
+) -> Tuple[List[NodeId], float]:
+    """The ``route_in_tree`` hop loop over packed arrays.
+
+    Unlike the graph loop, the next hop's table membership is checked
+    before the hop is appended (same iteration, same budget charge),
+    and arrival is wherever the forwarding rule stops -- the reference
+    never compares against ``target`` here.  Weighted serving of a hop
+    that is not a graph edge charges 1.0 (the reference would surface
+    whatever its user-supplied ``weight_of`` raises; valid schemes
+    never take that path).
+    """
+    (enter, exit_, parent, parent_id, parent_w,
+     heavy, heavy_id, heavy_w, local, _tree_id) = tree.hot
+    light = label.light
+    dest_enter = label.enter
+
+    li = local.get(source)
+    if li is None:
+        raise KeyError(source)  # parity: scheme.tables[source]
+    path = [source]
+    length = 0.0
+    at_id = source
+    for _ in range(budget):
+        e = enter[li]
+        if e == dest_enter:
+            return path, length
+        if e <= dest_enter <= exit_[li]:
+            hop = light.get(li)
+            if hop is None:
+                nid = heavy_id[li]
+                if nid is None:
+                    raise RoutingFailure(
+                        f"vertex {at_id!r} is a leaf yet the target "
+                        f"(enter={dest_enter}) is strictly inside its "
+                        "interval"
+                    )
+                nli, w = heavy[li], heavy_w[li]
+            else:
+                nli, nid, w = hop
+        else:
+            nid = parent_id[li]
+            if nid is None:
+                raise RoutingFailure(
+                    f"vertex {at_id!r} is the root yet the target "
+                    f"(enter={dest_enter}) is outside its interval"
+                )
+            nli, w = parent[li], parent_w[li]
+        if nli == NO_VERTEX:
+            raise RoutingFailure(
+                f"forwarded to {nid!r}, which has no table", path
+            )
+        length += w if w is not None else 1.0
+        li, at_id = nli, nid
+        path.append(at_id)
+    raise RoutingFailure(f"exceeded hop budget {budget}", path)

@@ -526,7 +526,8 @@ def serve_pairs(
 
     traces: List["QueryTrace"] = []
     if tracer is not None:
-        with _tele.span("serve/traces", head=len(tracer.head)):
+        with _tele.span("serve/traces",
+                        head=len(tracer.head) + len(tracer.pending)):
             traces = tracer.finalize(engine, results, stretches,
                                      graph=graph, base=trace_base)
         _tele.emit("serve.traces", len(traces))

@@ -1,32 +1,23 @@
 """S19 trace recorder: replay one served query into a :class:`QueryTrace`.
 
-Routing is deterministic per engine, so a sampled query is *replayed*
-here — after the serving loop has already answered it — rather than
-instrumented inline.  The replay mirrors ``ServeEngine._decide`` /
-``_forward_graph`` / ``_forward_tree`` step for step (same candidate
-order, same failure messages, same budget accounting; the differential
-suite certifies the trace agrees with the served result on every query),
-but additionally records the committed candidate's
-:class:`~repro.serve.compile.DecisionProvenance` and one
-:class:`~repro.tracing.model.HopSpan` per forwarded hop.
-
-Keeping the recorder out of :mod:`repro.serve.engine` is what lets the
-hot loops stay allocation-free when tracing is off: the engine's only
-tracing code is a sampler guard around :meth:`Tracer.capture_pair`.
+Routing is deterministic per engine, so a sampled query is *replayed* at
+``Tracer.finalize``, after the serving loop answered it, through the
+engine's own source rule (``ServeEngine._decide``, which names the
+committed candidate's index) and hop loop (``_forward_graph`` /
+``_forward_tree``): the trace takes the served path and failure text by
+construction.  One pass over the walked path then labels each
+:class:`~repro.tracing.model.HopSpan` (kind and weight, from the arrays the
+walk stepped through), and the candidate's
+:class:`~repro.serve.compile.DecisionProvenance` names level, tree and root.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Hashable, List, Sequence, Tuple
 
 from ..errors import RoutingFailure
-from ..serve.compile import (
-    NO_VERTEX,
-    CompiledGraphScheme,
-    CompiledTreeScheme,
-    PackedLabel,
-    PackedTree,
-)
+from ..serve.compile import CompiledTreeScheme, PackedLabel, PackedTree
+from ..serve.engine import _forward_graph, _forward_tree
 from .model import HopSpan, QueryTrace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,231 +36,74 @@ def replay_query(
 ) -> QueryTrace:
     """Replay ``source -> target`` on ``engine`` into a trace.
 
-    ``RoutingFailure`` becomes a failed trace carrying the reference
-    router's exact message; ``KeyError`` (unknown source/target) propagates
-    exactly like ``ServeEngine.route`` so the tracer can never observe a
-    query the engine itself could not.
+    A ``RoutingFailure`` becomes a failed trace with the engine's message,
+    its partial path as hops and their weight as a forensic ``length`` (the
+    served result says 0.0); ``KeyError`` propagates as from
+    ``ServeEngine.route``, so no trace exists of a query the engine refused.
     """
     compiled = engine.compiled
-    if isinstance(compiled, CompiledTreeScheme):
-        return _replay_tree(engine, compiled, source, target, trace_id, via)
-    return _replay_graph(engine, compiled, source, target, trace_id, via)
-
-
-# ---------------------------------------------------------------------------
-# Graph schemes
-# ---------------------------------------------------------------------------
-
-def _replay_graph(
-    engine: "ServeEngine",
-    compiled: CompiledGraphScheme,
-    source: NodeId,
-    target: NodeId,
-    trace_id: str,
-    via: str,
-) -> QueryTrace:
     trace = QueryTrace(trace_id, source, target, via=via, mode=engine.mode)
-    if source == target:
-        trace.ok = True
-        return trace
-    trace.bunch_levels = compiled.bunch_levels.get(target, ())
-    try:
-        idx, tree, label = _decide_indexed(engine, compiled, source, target)
-    except RoutingFailure as exc:
-        trace.error = str(exc)
-        return trace
-    prov = compiled.provenance[target][idx]
-    trace.candidate_index = idx
-    trace.level = prov.level
-    trace.tree_id = prov.tree_id
-    trace.root = prov.root
-    trace.dist_to_root = prov.dist_to_root
-    _walk_graph(trace, compiled, tree, label, source, target, engine.budget)
-    return trace
-
-
-def _decide_indexed(
-    engine: "ServeEngine",
-    compiled: CompiledGraphScheme,
-    source: NodeId,
-    target: NodeId,
-) -> Tuple[int, PackedTree, PackedLabel]:
-    """``ServeEngine._decide`` with the committed candidate index kept."""
-    cands = compiled.decisions.get(target)
-    if cands is None:
-        raise KeyError(target)  # parity: scheme.labels[target]
-    if source not in compiled.table_ids:
-        raise KeyError(source)  # parity: scheme.tables[source]
-    if engine.mode == "first":
-        for idx, cand in enumerate(cands):
-            if source in cand[0]:
-                return idx, cand[1][0], cand[1][1]
+    is_tree = isinstance(compiled, CompiledTreeScheme)
+    if is_tree:
+        tree = compiled.tree
+        label = compiled.labels[target]  # parity: scheme.labels[target]
+        index, prov = 0, compiled.provenance
+        trace.bunch_levels = (0,)
     else:
-        best: Optional[Tuple[float, int, int, tuple]] = None
-        for idx, (local, pair, root_distance, level, dist_to_root) \
-                in enumerate(cands):
-            li = local.get(source)
-            if li is None:
-                continue
-            bound = root_distance[li] + dist_to_root
-            if best is None or (bound, level) < (best[0], best[1]):
-                best = (bound, level, idx, pair)
-        if best is not None:
-            return best[2], best[3][0], best[3][1]
-    raise RoutingFailure(
-        f"no common cluster tree between {source!r} and {target!r} "
-        "(top-level cluster should always be shared)"
-    )
-
-
-def _walk_graph(
-    trace: QueryTrace,
-    compiled: CompiledGraphScheme,
-    tree: PackedTree,
-    label: PackedLabel,
-    source: NodeId,
-    target: NodeId,
-    budget: int,
-) -> None:
-    """The ``_forward_graph`` hop loop, recording one span per hop.
-
-    On failure the trace keeps the partial hop list and the accumulated
-    length walked so far (the served ``ServeResult`` reports length 0.0
-    for failures; the trace keeps the forensic value instead).
-    """
-    (enter, exit_, parent, parent_id, parent_w,
-     heavy, heavy_id, heavy_w, local, tree_id) = tree.hot
-    light = label.light
-    dest_enter = label.enter
-    hops = trace.hops
-    length = 0.0
-    at_id = source
-    li = local.get(source, NO_VERTEX)
-    for _ in range(budget):
-        if li == NO_VERTEX:
-            if at_id not in compiled.table_ids:
-                raise KeyError(at_id)  # parity: scheme.tables[at]
-            return _fail(trace, length,
-                         f"vertex {at_id!r} has no table for tree "
-                         f"{tree_id!r}")
-        e = enter[li]
-        if e == dest_enter:
-            if at_id != target:
-                return _fail(trace, length,
-                             f"tree routing terminated at {at_id!r}, "
-                             f"not {target!r}")
+        if source == target:
             trace.ok = True
-            trace.length = length
-            return
-        if e <= dest_enter <= exit_[li]:
-            hop = light.get(li)
-            if hop is None:
-                nid = heavy_id[li]
-                if nid is None:
-                    return _fail(trace, length,
-                                 f"vertex {at_id!r} is a leaf yet the "
-                                 f"target (enter={dest_enter}) is strictly "
-                                 "inside its interval")
-                nli, w, kind = heavy[li], heavy_w[li], "heavy"
-            else:
-                nli, nid, w = hop
-                kind = "light"
+            return trace
+        trace.bunch_levels = compiled.bunch_levels.get(target, ())
+        try:
+            index, (tree, label) = engine._decide(compiled, source, target)
+        except RoutingFailure as exc:
+            trace.error = str(exc)
+            return trace
+        prov = compiled.provenance[target][index]
+    trace.candidate_index, trace.level, trace.tree_id = \
+        index, prov.level, prov.tree_id
+    trace.root, trace.dist_to_root = prov.root, prov.dist_to_root
+    try:
+        if is_tree:
+            path, _ = _forward_tree(tree, label, source, budget=engine.budget)
         else:
-            nid = parent_id[li]
-            if nid is None:
-                return _fail(trace, length,
-                             f"vertex {at_id!r} is the root yet the target "
-                             f"(enter={dest_enter}) is outside its interval")
-            nli, w, kind = parent[li], parent_w[li], "parent"
-        if w is None:
-            return _fail(trace, length,
-                         f"({at_id!r}, {nid!r}) is not an edge")
-        hops.append(HopSpan(len(hops), at_id, nid, kind, w))
-        length += w
-        li, at_id = nli, nid
-    _fail(trace, length, f"exceeded hop budget {budget}")
-
-
-# ---------------------------------------------------------------------------
-# Tree schemes
-# ---------------------------------------------------------------------------
-
-def _replay_tree(
-    engine: "ServeEngine",
-    compiled: CompiledTreeScheme,
-    source: NodeId,
-    target: NodeId,
-    trace_id: str,
-    via: str,
-) -> QueryTrace:
-    trace = QueryTrace(trace_id, source, target, via=via, mode=engine.mode)
-    prov = compiled.provenance
-    trace.level = prov.level
-    trace.tree_id = prov.tree_id
-    trace.root = prov.root
-    trace.dist_to_root = prov.dist_to_root
-    trace.candidate_index = 0
-    trace.bunch_levels = (0,)
-    label = compiled.labels[target]  # parity: scheme.labels[target]
-    _walk_tree(trace, compiled.tree, label, source, engine.budget)
+            path, _ = _forward_graph(compiled, tree, label, source, target,
+                                     budget=engine.budget)
+        trace.ok = True
+    except RoutingFailure as exc:
+        # A leaf / root failure carries no partial path (as in the
+        # reference router); its trace then has no hops.
+        path = exc.path or [source]
+        trace.error = str(exc)
+    trace.hops, trace.length = _spans(tree, label, path)
     return trace
 
 
-def _walk_tree(
-    trace: QueryTrace,
+def _spans(
     tree: PackedTree,
     label: PackedLabel,
-    source: NodeId,
-    budget: int,
-) -> None:
-    """The ``_forward_tree`` hop loop, recording one span per hop."""
-    (enter, exit_, parent, parent_id, parent_w,
-     heavy, heavy_id, heavy_w, local, _tree_id) = tree.hot
-    light = label.light
-    dest_enter = label.enter
-    li = local.get(source)
-    if li is None:
-        raise KeyError(source)  # parity: scheme.tables[source]
-    hops = trace.hops
+    path: Sequence[NodeId],
+) -> Tuple[List[HopSpan], float]:
+    """One span per hop of a walked ``path``, and their running length
+    (a weightless tree hop, not a graph edge, costs 1.0 as it does in
+    ``_forward_tree``)."""
+    (enter, exit_, parent, _parent_id, parent_w,
+     heavy, _heavy_id, heavy_w, local, _tree_id) = tree.hot
+    light, dest_enter = label.light, label.enter
+    hops: List[HopSpan] = []
     length = 0.0
-    at_id = source
-    for _ in range(budget):
-        e = enter[li]
-        if e == dest_enter:
-            trace.ok = True
-            trace.length = length
-            return
-        if e <= dest_enter <= exit_[li]:
+    li = local.get(path[0])
+    for at_id, nid in zip(path, path[1:]):
+        if enter[li] <= dest_enter <= exit_[li]:
             hop = light.get(li)
             if hop is None:
-                nid = heavy_id[li]
-                if nid is None:
-                    return _fail(trace, length,
-                                 f"vertex {at_id!r} is a leaf yet the "
-                                 f"target (enter={dest_enter}) is strictly "
-                                 "inside its interval")
-                nli, w, kind = heavy[li], heavy_w[li], "heavy"
+                kind, nli, w = "heavy", heavy[li], heavy_w[li]
             else:
-                nli, nid, w = hop
-                kind = "light"
+                kind, (nli, _, w) = "light", hop
         else:
-            nid = parent_id[li]
-            if nid is None:
-                return _fail(trace, length,
-                             f"vertex {at_id!r} is the root yet the target "
-                             f"(enter={dest_enter}) is outside its interval")
-            nli, w, kind = parent[li], parent_w[li], "parent"
-        if nli == NO_VERTEX:
-            return _fail(trace, length,
-                         f"forwarded to {nid!r}, which has no table")
-        w = w if w is not None else 1.0
+            kind, nli, w = "parent", parent[li], parent_w[li]
+        w = 1.0 if w is None else w
         hops.append(HopSpan(len(hops), at_id, nid, kind, w))
         length += w
-        li, at_id = nli, nid
-    _fail(trace, length, f"exceeded hop budget {budget}")
-
-
-def _fail(trace: QueryTrace, length: float, message: str) -> None:
-    trace.ok = False
-    trace.error = message
-    trace.length = length
+        li = nli
+    return hops, length

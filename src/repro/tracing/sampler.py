@@ -1,13 +1,16 @@
 """S19 two-tier trace sampling: seeded head rate + worst-stretch tail.
 
-**Head tier** — :meth:`Tracer.sample_head` retains each query with
-probability ``rate`` via geometric gap-skipping: the seeded rng draws the
-ordinal of the *next* sampled query (one uniform per sampled query, not
-per query), so the per-query cost is an integer compare.  The sampled set
-is a pure function of ``(seed, rate)``, so it is deterministic under a
-fixed seed (property-tested).  At ``rate <= 0`` no rng is consumed at
-all: the method degrades to one integer increment.  The attached cost is
-the perf ledger's ``tracing.overhead_share``.
+**Head tier** — each query is retained with probability ``rate`` via
+geometric gap-skipping: the seeded rng draws the ordinal of the *next*
+sampled query (one uniform per sampled query, not per query).  The
+sampled set is a pure function of ``(seed, rate)`` over query ordinals,
+so it is deterministic under a fixed seed (property-tested) and does not
+depend on how the stream was split into calls.  That is why the engine
+never consults the sampler while serving: after each call it hands
+:meth:`Tracer.record_picks` the keys it served, which advances the
+ordinal counter and sets the picks aside for :meth:`Tracer.finalize`.
+At ``rate == 0`` no rng is consumed at all.  The attached cost is the
+perf ledger's ``tracing.overhead_share``.
 
 **Tail tier** — :class:`TailBuffer` is a bounded min-heap over offered
 queries keyed by stretch (failed queries key as ``+inf``, so they always
@@ -17,12 +20,10 @@ stream regardless of the head rate.  Eviction tie-breaks go through an
 retained set is a pure function of the seed and the offer sequence, never
 of heap internals (the reproducibility regression test pins it).
 
-The hot-path contract mirrors ``ServeMetrics``: with no tracer attached
-the engine pays one hoisted ``is not None`` check; with a tracer attached,
-trace objects are only ever built for sampled queries, via a *replay* of
-the already-answered query (:mod:`repro.tracing.recorder`) — never inline
-in the serving loop (the perf ledger's ``tracing.overhead_share`` measures
-what this shape costs).
+The hot-path contract mirrors ``ServeMetrics``: the engine pays one
+``is not None`` check per call; trace objects are only ever built for
+sampled queries, at ``finalize``, by a *replay* of the already-answered
+query through the engine's own walk (:mod:`repro.tracing.recorder`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Sequence, Tuple
 
 from ..serve.engine import RouteBatch
 from .model import QueryTrace
@@ -146,7 +147,8 @@ class Tracer:
     ``run_serving(..., tracer=...)``.  ``seq`` counts every query the
     engine answers (the query *ordinal*); ``trace_id(ordinal)`` is the
     stable id ``{prefix}-{ordinal:06d}`` shared with Prometheus exemplars
-    and ``repro explain``.
+    and ``repro explain``.  ``rate`` must lie in ``[0, 1]`` and both
+    limits must be ``>= 0`` (``ValueError`` otherwise).
     """
 
     def __init__(
@@ -160,6 +162,12 @@ class Tracer:
         tail_seed: Optional[int] = None,
     ) -> None:
         self.rate = float(rate)
+        if not 0.0 <= self.rate <= 1.0:  # NaN fails this too
+            raise ValueError(f"rate must be in [0, 1], got {rate}")
+        for name, limit in (("tail_limit", tail_limit),
+                            ("head_limit", head_limit)):
+            if limit < 0:
+                raise ValueError(f"{name} must be >= 0, got {limit}")
         self.seed = int(seed)
         self.prefix = prefix
         self.head_limit = int(head_limit)
@@ -173,15 +181,13 @@ class Tracer:
         self.seq = 0
         self.head: List[QueryTrace] = []
         self.head_dropped = 0
-        # Head picks from batched serving awaiting replay: the engine's
-        # batch loop only records (ordinal, source, target) here (one
-        # list append per *sampled* query); the trace itself materializes
-        # in :meth:`finalize`, mirroring how ServeMetrics defers hop
-        # counting to scrape time.
+        # Head picks awaiting replay, as (ordinal, source, target): the
+        # trace itself materializes in :meth:`finalize`, mirroring how
+        # ServeMetrics defers hop counting to scrape time.
         self.pending: List[tuple] = []
         # Ordinal of the next head-sampled query (-1: never).  Drawing the
         # gap to the next pick instead of one Bernoulli coin per query
-        # keeps the per-query hot-path cost at a single integer compare.
+        # costs one uniform per *sampled* query.
         self._next_pick = self._draw_next(-1) if self.rate > 0.0 else -1
 
     def _draw_next(self, current: int) -> int:
@@ -197,36 +203,29 @@ class Tracer:
         # Subnormal rates overflow the gap to +inf: effectively "never".
         return current + 1 + int(gap) if math.isfinite(gap) else -1
 
-    # -- hot-path side -------------------------------------------------------
+    # -- serving side --------------------------------------------------------
 
-    def sample_head(self) -> bool:
-        """Count one query; True iff the head tier samples it.
+    def record_picks(self, keys: Sequence[Tuple[NodeId, NodeId]]) -> None:
+        """Count the queries one engine call served and keep its head picks.
 
-        Called once per query by the engine.  ``rate <= 0`` consumes no
-        randomness (pure ordinal counting for tail/exemplar trace ids);
-        ``rate > 0`` consumes one draw per *sampled* query."""
-        ordinal = self.seq
-        self.seq = ordinal + 1
-        if ordinal != self._next_pick:
-            return False
-        self._next_pick = self._draw_next(ordinal)
-        return True
-
-    def defer(self, ordinal: int, source: NodeId, target: NodeId) -> int:
-        """Record a head pick for replay at :meth:`finalize`.
-
-        The batched engine tracks the ordinal and next-pick locally (so
-        its loop pays an integer compare per query, not a method call)
-        and calls this only on picks; the return value is the ordinal of
-        the next head-sampled query.  ``head_limit`` bounds the pending
-        list too, so a high rate cannot grow memory past the limit.
+        ``keys[i]`` is the query with ordinal ``seq + i``; ``seq`` advances
+        past all of them, and every picked one joins :attr:`pending` for
+        replay at :meth:`finalize`.  Picks depend on ordinals alone, so a
+        stream gets the same picks however it is split into calls.
+        ``head_limit`` bounds the pending list too, so a high rate cannot
+        grow memory past the limit.
         """
-        if len(self.head) + len(self.pending) >= self.head_limit:
-            self.head_dropped += 1
-        else:
-            self.pending.append((ordinal, source, target))
-        self._next_pick = self._draw_next(ordinal)
-        return self._next_pick
+        base = self.seq
+        self.seq = end = base + len(keys)
+        pick = self._next_pick
+        while 0 <= pick < end:
+            if len(self.head) + len(self.pending) >= self.head_limit:
+                self.head_dropped += 1
+            else:
+                source, target = keys[pick - base]
+                self.pending.append((pick, source, target))
+            pick = self._draw_next(pick)
+        self._next_pick = pick
 
     def trace_id(self, ordinal: int) -> str:
         return f"{self.prefix}-{ordinal:06d}"
@@ -238,17 +237,10 @@ class Tracer:
         target: NodeId,
         *,
         via: str = "head",
-        ordinal: Optional[int] = None,
+        ordinal: int,
     ) -> Optional[QueryTrace]:
-        """Replay one sampled query into a stored :class:`QueryTrace`.
-
-        Routing is deterministic per engine, so the replay reproduces the
-        served decision and hop sequence exactly (including failures)
-        without the serving loop ever building trace objects for
-        unsampled queries.
-        """
-        if ordinal is None:
-            ordinal = self.seq - 1
+        """Replay query ``ordinal`` into a :class:`QueryTrace` (stored in
+        :attr:`head` when ``via`` is ``"head"``)."""
         if via == "head" and len(self.head) >= self.head_limit:
             self.head_dropped += 1
             return None
@@ -276,10 +268,10 @@ class Tracer:
         """Offer the run to the tail tier and assemble the final traces.
 
         ``base`` is the tracer's ``seq`` before the run started, aligning
-        ``results[i]`` with ordinal ``base + i``.  Pending head picks from
-        batched serving are replayed first, then tail-retained queries
-        not already head-sampled; when ``graph`` is given, every trace
-        gets its exact stretch attribution.
+        ``results[i]`` with ordinal ``base + i``.  Pending head picks are
+        replayed first, then tail-retained queries not already
+        head-sampled; when ``graph`` is given, every trace gets its exact
+        stretch attribution.
         """
         if self.pending:
             pending, self.pending = self.pending, []

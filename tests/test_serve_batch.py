@@ -105,8 +105,10 @@ class TestEqualsTheRecordedLoop:
         if instrumented:
             assert new.metrics.snapshot(now=1.0) == \
                 old.metrics.snapshot(now=1.0)
-            assert ([t.trace_id for t in new.tracer.finalize(new, batch)]
-                    == [t.trace_id for t in old.tracer.finalize(old, expected)])
+            # Batch picks and single-query picks: the same traces, in full.
+            assert ([t.to_dict() for t in new.tracer.finalize(new, batch)]
+                    == [t.to_dict()
+                        for t in old.tracer.finalize(old, expected)])
 
     @pytest.fixture(scope="class")
     def batch(self):

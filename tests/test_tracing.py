@@ -133,8 +133,10 @@ class TestNonInterference:
         engine = ServeEngine(compiled, tracer=Tracer(rate=1.0, seed=0))
         nodes = list(compiled.nodes)
         r = engine.route_recorded(nodes[0], nodes[-1])
-        assert len(engine.tracer.head) == 1
-        trace = engine.tracer.head[0]
+        # Single-query picks materialize at finalize, like batched ones.
+        assert engine.tracer.head == [] and len(engine.tracer.pending) == 1
+        [trace] = engine.tracer.finalize(engine, [r])
+        assert engine.tracer.head == [trace] and trace.via == "head"
         assert trace.source == r.source and trace.target == r.target
         assert trace.ok == r.ok and trace.length == r.length
         assert [h.dest for h in trace.hops] == r.path[1:]
@@ -144,25 +146,48 @@ class TestNonInterference:
 # Head sampling determinism
 # ---------------------------------------------------------------------------
 
+#: Stand-in query keys: ``record_picks`` reads only their count and order.
+KEYS = [(i, -i) for i in range(1000)]
+
+#: Ordinals ``Tracer(rate=0.05, seed=3)`` head-samples among the first
+#: 1,000 queries (taken from the per-query sampler this one replaced).
+PIN_0_05_SEED_3 = [
+    5, 21, 31, 50, 70, 72, 73, 109, 115, 121, 227, 240, 276, 289, 309, 313,
+    333, 373, 388, 415, 437, 439, 467, 485, 492, 493, 533, 546, 571, 613,
+    638, 688, 698, 730, 742, 796, 838, 840, 843, 848, 914, 926, 946, 953,
+    967, 977, 986,
+]
+
+
+def picked(tracer, keys, cuts=()):
+    """Ordinals ``tracer`` picks over ``keys`` handed over in calls split
+    at ``cuts``; each pick must name its own key."""
+    bounds = [0, *cuts, len(keys)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        tracer.record_picks(keys[lo:hi])
+    assert all((s, t) == keys[o] for o, s, t in tracer.pending)
+    return [ordinal for ordinal, _, _ in tracer.pending]
+
+
 class TestHeadSampling:
     @given(rate=st.floats(min_value=0.0, max_value=1.0),
-           seed=st.integers(min_value=0, max_value=2**31))
+           seed=st.integers(min_value=0, max_value=2**31),
+           cut=st.integers(min_value=0, max_value=200))
     @settings(max_examples=40, deadline=None)
-    def test_deterministic_under_fixed_seed(self, rate, seed):
+    def test_deterministic_under_fixed_seed(self, rate, seed, cut):
         a = Tracer(rate=rate, seed=seed)
         b = Tracer(rate=rate, seed=seed)
-        assert [a.sample_head() for _ in range(200)] == \
-            [b.sample_head() for _ in range(200)]
+        assert picked(a, KEYS[:200]) == picked(b, KEYS[:200], (cut,))
         assert a.seq == b.seq == 200
 
     def test_rate_zero_never_samples_and_counts(self):
         tracer = Tracer(rate=0.0, seed=3)
-        assert not any(tracer.sample_head() for _ in range(100))
+        assert picked(tracer, KEYS[:100], (1, 40)) == []
         assert tracer.seq == 100
 
     def test_rate_one_always_samples(self):
         tracer = Tracer(rate=1.0, seed=3)
-        assert all(tracer.sample_head() for _ in range(50))
+        assert picked(tracer, KEYS[:50], (1, 2, 30)) == list(range(50))
 
     def test_trace_ids_are_ordinal(self):
         tracer = Tracer(rate=0.5, seed=0, prefix="zipf-7")
@@ -173,11 +198,56 @@ class TestHeadSampling:
         engine = ServeEngine(compiled)
         tracer = Tracer(rate=1.0, seed=0, head_limit=3)
         nodes = list(compiled.nodes)
-        for v in nodes[1:9]:
-            tracer.sample_head()
-            tracer.capture_pair(engine, nodes[0], v)
-        assert len(tracer.head) == 3
-        assert tracer.head_dropped == 5
+        tracer.record_picks([(nodes[0], v) for v in nodes[1:4]])
+        tracer.record_picks([(nodes[0], v) for v in nodes[4:9]])
+        assert [o for o, _, _ in tracer.pending] == [0, 1, 2]
+        assert tracer.head_dropped == 5 and tracer.seq == 8
+        assert [t.target for t in tracer.finalize(engine, [])] == nodes[1:4]
+        assert len(tracer.head) == 3 and tracer.pending == []
+
+    def test_picks_pinned_however_the_stream_is_served(self, compiled):
+        nodes = list(compiled.nodes)
+        pairs = [(nodes[i % len(nodes)], nodes[(7 * i + 1) % len(nodes)])
+                 for i in range(1000)]
+
+        def pinned(serve):
+            engine = ServeEngine(compiled, tracer=Tracer(rate=0.05, seed=3))
+            serve(engine)
+            assert engine.tracer.seq == 1000
+            return [o for o, _, _ in engine.tracer.pending]
+
+        assert picked(Tracer(rate=0.05, seed=3), KEYS) == PIN_0_05_SEED_3
+        assert pinned(lambda e: e.route_many(pairs)) == PIN_0_05_SEED_3
+        assert pinned(lambda e: [e.route_many(pairs[lo:hi]) for lo, hi in
+                                 ((0, 1), (1, 400), (400, 1000))]) \
+            == PIN_0_05_SEED_3
+        assert pinned(lambda e: [e.route_recorded(u, v) for u, v in pairs]) \
+            == PIN_0_05_SEED_3
+
+    @pytest.mark.parametrize("setting,value,flag", [
+        ("rate", 2.0, ["--trace-rate", "2"]),
+        ("rate", -1.0, ["--trace-rate", "-1"]),
+        ("rate", float("nan"), ["--trace-rate", "nan"]),
+        ("tail_limit", -1, ["--trace-tail", "-1"]),
+        ("head_limit", -1, None),  # no flag sets it
+    ], ids=["rate-2", "rate-negative", "rate-nan", "tail-negative",
+            "head-negative"])
+    def test_out_of_range_settings_rejected(self, setting, value, flag,
+                                            tmp_path, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(ValueError, match=setting):
+            Tracer(**{setting: value})
+        if flag is None:
+            return
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as usage:
+            main(["serve", "--n", "60", "--k", "2", "--queries", "200",
+                  "--trace-out", str(out), *flag])
+        assert usage.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag[0]}: must be" in err.splitlines()[-1]
+        assert "Traceback" not in err and not out.exists()
 
 
 # ---------------------------------------------------------------------------
