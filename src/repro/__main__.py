@@ -127,7 +127,7 @@ def _shared_parsers() -> SimpleNamespace:
     verdicts.add_argument(
         "--strict", action="store_true",
         help="exit 1 if a verdict of the run fails (paper bound, stretch SLO, SLO budget, "
-             "attribution exactness, lint finding)")
+             "attribution exactness)")
 
     workload = parent()  # the scheme and the stream `serve` and `monitor` share
     add = workload.add_argument
@@ -261,16 +261,6 @@ def _args_explain(new, shared) -> None:
     add("--trace-id", help="explain one trace by id (as printed in exemplars / SLO alerts)")
     add("--worst", type=int, metavar="N",
         help="drill into the N worst traces (failures first, then stretch excess)")
-
-
-def _args_lint(new, shared) -> None:
-    add = new(parents=[shared.output, shared.verdicts],
-              help="run the CONGEST-invariant static analyzer (S17)").add_argument
-    add("paths", nargs="*", metavar="PATH",
-        help="files/directories to lint (default: src/repro)")
-    add("--rules", metavar="IDS",
-        help="comma-separated rule ids (default: all of REP001-REP005 + REP012)")
-    add("--explain", action="store_true", help="print the rule catalogue and exit")
 
 
 def _args_demo(new, shared) -> None:
@@ -540,25 +530,6 @@ def _cmd_explain(args):
     return text, record, _failed("attribution violations", record)
 
 
-def _cmd_lint(args):
-    from .lint import resolve_rules, run_lint
-
-    if args.explain:  # the catalogue: no run, no record
-        lines = []
-        for rule in resolve_rules(args.rules):
-            lines.append(f"{rule.id}  {rule.title}")
-            lines.append(f"    protects: {rule.invariant}")
-        _deliver("\n".join(lines), args)
-        return 0
-
-    # Explicit paths lint the caller's tree (resolve against the cwd);
-    # the no-argument default self-lints the repo the package ships in.
-    report = run_lint(args.paths or None, rules=args.rules,
-                      root=Path.cwd() if args.paths else None)
-    return (report.render(), report.to_run_record(),
-            f"lint: {len(report.errors)} finding(s)")
-
-
 def _demo() -> str:
     from .congest import Network
     from .graphs import random_connected_graph, spanning_tree_of
@@ -605,7 +576,6 @@ COMMANDS: Dict[str, Tuple[Callable[..., None], Callable[[argparse.Namespace], An
     "serve": (_args_serve, _cmd_serve),
     "monitor": (_args_monitor, _cmd_monitor),
     "explain": (_args_explain, _cmd_explain),
-    "lint": (_args_lint, _cmd_lint),
     "demo": (_args_demo, _cmd_demo),
     "report": (_args_report, _cmd_report),
 }

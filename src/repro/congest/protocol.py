@@ -91,8 +91,10 @@ class NodeProgram:
 
 
 @dataclass
-class ProtocolResult:  # lint: ignore[REP005] -- built once as the run's return value, not per round
+class ProtocolResult:
     """Outcome of a protocol run."""
+
+    __slots__ = ("rounds", "programs", "halted")
 
     rounds: int
     programs: Dict[NodeId, NodeProgram]

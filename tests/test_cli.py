@@ -177,7 +177,8 @@ class TestTelemetrySurfaces:
         (["monitor", "--target-qps", "0"], "--target-qps: must be > 0"),
         (["serve", "--workers", "0"], "--workers: must be > 0"),
         (["serve", "--n", "1"], "repro serve: need n >= 2"),
-    ], ids=["stride-0", "target-qps-0", "workers-0", "n-1"])
+        (["lint"], "argument command: invalid choice: 'lint'"),
+    ], ids=["stride-0", "target-qps-0", "workers-0", "n-1", "lint-is-gone"])
     def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys):
         """Not a traceback: a flag argparse can judge is a usage error, and
         an ``InputError`` from the library is caught once, in ``main``."""
@@ -217,13 +218,6 @@ def traces_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def lint_target(tmp_path_factory):
-    path = tmp_path_factory.mktemp("lintme") / "clean.py"
-    path.write_text("x = 1\n")
-    return str(path)
-
-
 _SERVE = ["serve", "--n", "60", "--k", "2", "--queries", "200"]
 
 #: Every recordable command: (id, argv, RunRecord kind, --strict exit code).
@@ -239,7 +233,6 @@ RECORDABLE = [
     ("explain", ["explain", "--worst", "2", "--traces", "<traces>"],
      "explain", 0),
     ("trace", ["trace", "tree-styles"], "fig/tree-styles", 0),
-    ("lint", ["lint", "<lint-target>"], "lint", 0),
 ]
 
 
@@ -258,11 +251,10 @@ class TestCommandTable:
         "argv,kind,strict_rc",
         [pytest.param(*row[1:], id=row[0]) for row in RECORDABLE])
     def test_json_out_and_strict(self, argv, kind, strict_rc, tmp_path,
-                                 capsys, traces_file, lint_target):
+                                 capsys, traces_file):
         from repro.telemetry import RunRecord
 
-        argv = [{"<traces>": traces_file,
-                 "<lint-target>": lint_target}.get(a, a) for a in argv]
+        argv = [{"<traces>": traces_file}.get(a, a) for a in argv]
         flags = [] if argv[0] == "trace" else ["--json", "--strict"]
         out = tmp_path / "rec.json"
         rc = main(argv + flags + ["--out", str(out)])
@@ -326,7 +318,7 @@ class TestCommandTable:
         assert "# Reproduction report" in out
         assert "tree/stage1" in out and "build/hopset" in out
 
-    @pytest.mark.parametrize("command", ["explain", "lint"])
+    @pytest.mark.parametrize("command", ["explain"])
     def test_profile_not_declared_where_nothing_emits_spans(self, command,
                                                             capsys):
         with pytest.raises(SystemExit):
