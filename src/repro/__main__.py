@@ -126,29 +126,10 @@ def _shared_parsers() -> SimpleNamespace:
     verdicts = parent(as_json)
     verdicts.add_argument(
         "--strict", action="store_true",
-        help="exit 1 if a verdict of the run fails (paper bound, stretch SLO, SLO budget, "
+        help="exit 1 if a verdict of the run fails (paper bound, stretch SLO, "
              "attribution exactness)")
-
-    workload = parent()  # the scheme and the stream `serve` and `monitor` share
-    add = workload.add_argument
-    add("--workload", choices=list(WORKLOADS), default="uniform",
-        help="traffic model (default: uniform)")
-    add("--queries", type=int, default=1000)
-    add("--n", type=int, default=200, help="graph size (random connected family)")
-    add("--k", type=int, default=3, help="hierarchy parameter of the built scheme")
-    add("--seed", type=int, default=0)
-    add("--builder", choices=("centralized", "distributed"), default="centralized",
-        help="scheme construction (default: centralized)")
-    add("--mode", choices=("first", "best"), default="first",
-        help="source rule (default: first, the 4k-3 analysis)")
-    add("--cache", type=int, default=4096, metavar="SIZE",
-        help="LRU decision-cache entries (0 disables)")
-    add("--zipf-alpha", type=float, default=1.1)
-    add("--metrics-out", metavar="PATH",
-        help="write a Prometheus text-format snapshot of the live metrics registry (S18, "
-             "docs/observability.md)")
     return SimpleNamespace(output=output, profiled=profiled, as_json=as_json,
-                           verdicts=verdicts, workload=workload)
+                           verdicts=verdicts)
 
 
 def _checked(number: Callable[[str], Any], ok: Callable[[Any], bool],
@@ -212,8 +193,24 @@ def _args_trace(new, shared) -> None:
 
 
 def _args_serve(new, shared) -> None:
-    add = new(parents=[shared.profiled, shared.verdicts, shared.workload],
+    add = new(parents=[shared.profiled, shared.verdicts],
               help="serve a seeded query workload against a built scheme (S16)").add_argument
+    add("--workload", choices=list(WORKLOADS), default="uniform",
+        help="traffic model (default: uniform)")
+    add("--queries", type=int, default=1000)
+    add("--n", type=int, default=200, help="graph size (random connected family)")
+    add("--k", type=int, default=3, help="hierarchy parameter of the built scheme")
+    add("--seed", type=int, default=0)
+    add("--builder", choices=("centralized", "distributed"), default="centralized",
+        help="scheme construction (default: centralized)")
+    add("--mode", choices=("first", "best"), default="first",
+        help="source rule (default: first, the 4k-3 analysis)")
+    add("--cache", type=int, default=4096, metavar="SIZE",
+        help="LRU decision-cache entries (0 disables)")
+    add("--zipf-alpha", type=float, default=1.1)
+    add("--metrics-out", metavar="PATH",
+        help="write a Prometheus text-format snapshot of the live metrics registry (S18, "
+             "docs/observability.md)")
     add("--workers", type=_positive(int), default=1, metavar="N",
         help="shard the stream over N worker processes (S20, docs/sharding.md); per-shard "
              "reports merge exactly into one")
@@ -241,24 +238,13 @@ def _args_serve(new, shared) -> None:
         help="tail buffer size: worst-stretch/failed queries always traced (default 16)")
 
 
-def _args_monitor(new, shared) -> None:
-    add = new(parents=[shared.profiled, shared.verdicts, shared.workload],
-              help="replay a workload under live metrics and SLO burn-rate alerting "
-                   "(S18)").add_argument
-    add("--target-qps", type=_positive(float), default=1000.0,
-        help="virtual replay rate driving the SLO windows (default 1000)")
-    add("--objective", type=float, default=0.99,
-        help="stretch-SLO objective: required good fraction (default 0.99)")
-    add("--no-live", action="store_true", help="suppress the refreshing status line")
-
-
 def _args_explain(new, shared) -> None:
     add = new(parents=[shared.output, shared.verdicts],
               help="replay sampled query traces into a per-level stretch attribution table "
                    "(S19)").add_argument
     add("--traces", default="traces.jsonl", metavar="PATH",
         help="JSONL trace file written by repro serve --trace-out (default: traces.jsonl)")
-    add("--trace-id", help="explain one trace by id (as printed in exemplars / SLO alerts)")
+    add("--trace-id", help="explain one trace by id (as printed in exemplars)")
     add("--worst", type=int, metavar="N",
         help="drill into the N worst traces (failures first, then stretch excess)")
 
@@ -397,8 +383,8 @@ def _cmd_trace(args):
 
 
 def _built_scheme(args):
-    """What the shared workload arguments of serve/monitor describe: the
-    graph, the scheme built on it and the stream keywords of the runners."""
+    """What the workload arguments of ``serve`` describe: the graph, the
+    scheme built on it and the stream keywords of the runners."""
     from .graphs import random_connected_graph
 
     graph = random_connected_graph(args.n, seed=args.seed)
@@ -435,7 +421,7 @@ def _serve_single(args, graph, scheme, stream):
 
     metrics = tracer = engine = computed_on = None
     if args.metrics_out:
-        metrics = ServeMetrics(slo_objective=args.slo_target)
+        metrics = ServeMetrics()
     if args.trace_out or args.trace_chrome:
         tracer = Tracer(rate=args.trace_rate, seed=args.seed, tail_limit=args.trace_tail,
                         prefix=f"{args.workload}-{args.seed}")
@@ -498,25 +484,6 @@ def _serve_sharded(args, graph, scheme, stream):
     return report, record, []
 
 
-def _cmd_monitor(args):
-    from .metrics import ServeMetrics, run_monitor, write_prometheus
-
-    graph, scheme, stream = _built_scheme(args)
-    metrics = ServeMetrics(slo_objective=args.objective)
-    live = not args.quiet and not args.json and not args.no_live and sys.stderr.isatty()
-    report, record = record_run(
-        run_monitor, scheme, graph, target_qps=args.target_qps, objective=args.objective,
-        metrics=metrics, status_stream=sys.stderr if live else None, **stream)
-    text = report.render()
-    if args.metrics_out:
-        write_prometheus(metrics.registry, args.metrics_out,
-                         now=report.queries / args.target_qps)
-        text += f"\n\nmetrics snapshot written to {args.metrics_out}"
-    alerts = ",".join(report.active_alerts) or "budget exhausted"
-    return text, record, (f"SLO degraded: {alerts} (budget remaining "
-                          f"{report.budget_remaining:.1%})")
-
-
 def _cmd_explain(args):
     from .tracing import read_traces_jsonl, run_explain
 
@@ -574,7 +541,6 @@ COMMANDS: Dict[str, Tuple[Callable[..., None], Callable[[argparse.Namespace], An
     "fig": (_args_fig, _cmd_fig),
     "trace": (_args_trace, _cmd_trace),
     "serve": (_args_serve, _cmd_serve),
-    "monitor": (_args_monitor, _cmd_monitor),
     "explain": (_args_explain, _cmd_explain),
     "demo": (_args_demo, _cmd_demo),
     "report": (_args_report, _cmd_report),

@@ -1,13 +1,12 @@
-"""S18 live serving observability: metrics registry, sketches, SLO alerts.
+"""S18 live serving observability: metrics registry, sketches, exemplars.
 
 The live counterpart of :mod:`repro.telemetry` (which records bounded
-runs after the fact): a :class:`MetricsRegistry` of counters, gauges,
-windowed rate meters, and :class:`QuantileSketch`-backed histograms with
-worst-stretch exemplars; an :class:`SloMonitor` burning an error budget
-with multi-window burn-rate alerts; Prometheus text exposition
-(:func:`render_prometheus` / ``repro serve --metrics-out``); and the
-``repro monitor`` live replay (:func:`run_monitor`).  See
-docs/observability.md ("Live metrics & SLO alerts").
+runs after the fact): a :class:`MetricsRegistry` of counters, windowed
+rate meters, and :class:`QuantileSketch`-backed histograms with
+worst-stretch exemplars, and Prometheus text exposition
+(:func:`render_prometheus` / ``repro serve --metrics-out``).  The
+stretch-SLO verdict itself is ``repro serve``'s (``slo_verdict``).  See
+docs/observability.md ("Live metrics").
 """
 
 from .exposition import (
@@ -18,36 +17,25 @@ from .exposition import (
 )
 from .registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     RateMeter,
     intern_labels,
 )
-from .monitor import MonitorReport, run_monitor
 from .serve import ServeMetrics, exemplar_payload
 from .sketch import QuantileSketch
-from .slo import DEFAULT_RULES, BurnRule, SloAlert, SloMonitor, WindowedRatio
 
 __all__ = [
-    "BurnRule",
     "Counter",
-    "DEFAULT_RULES",
     "ExpositionError",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MonitorReport",
     "QuantileSketch",
     "RateMeter",
     "ServeMetrics",
-    "SloAlert",
-    "SloMonitor",
-    "WindowedRatio",
     "exemplar_payload",
     "intern_labels",
     "parse_prometheus",
     "render_prometheus",
-    "run_monitor",
     "write_prometheus",
 ]

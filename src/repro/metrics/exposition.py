@@ -106,7 +106,6 @@ def render_prometheus(registry: "MetricsRegistry", *,
         name = family.name
         if family.help:
             lines.append(f"# HELP {name} {_escape_help(family.help)}")
-        ftype = {"meter": "gauge"}.get(family.type, family.type)
         if family.type == "meter":
             lines.append(f"# TYPE {name}_total counter")
             for key, inst in family.series.items():
@@ -117,7 +116,7 @@ def render_prometheus(registry: "MetricsRegistry", *,
                 lines.append(f"{name}_per_s{_labels_text(key)} "
                              f"{_fmt_value(inst.rate(now))}")
             continue
-        lines.append(f"# TYPE {name} {ftype}")
+        lines.append(f"# TYPE {name} {family.type}")
         for key, inst in family.series.items():
             if family.type == "histogram":
                 remaining = inst.exemplars()

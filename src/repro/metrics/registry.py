@@ -1,4 +1,4 @@
-"""The live metrics registry: counters, gauges, rate meters, histograms.
+"""The live metrics registry: counters, rate meters, histograms.
 
 :class:`MetricsRegistry` is the process-local home of every live serving
 metric.  It is deliberately *not* the telemetry event bus
@@ -20,7 +20,6 @@ few attribute operations, cheap enough to ride inside the serve loop.
 Instrument types:
 
 * :class:`Counter` -- monotone total (``inc``);
-* :class:`Gauge` -- last-write level (``set``);
 * :class:`RateMeter` -- windowed event rate over a ring of time buckets
   (``mark`` / ``rate``), for live QPS without unbounded history;
 * :class:`Histogram` -- a :class:`~repro.metrics.sketch.QuantileSketch`
@@ -40,7 +39,6 @@ from .sketch import QuantileSketch
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "LabelTuple",
     "MetricsRegistry",
@@ -92,24 +90,7 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        self.value += amount
-
-
-class Gauge:
-    """A level: set to the latest measurement."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelTuple) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
+            raise ValueError("counters only go up")
         self.value += amount
 
 
@@ -227,7 +208,6 @@ class Histogram:
 #: type name -> instrument class (the registry's dispatch table).
 _INSTRUMENTS = {
     "counter": Counter,
-    "gauge": Gauge,
     "meter": RateMeter,
     "histogram": Histogram,
 }
@@ -286,11 +266,6 @@ class MetricsRegistry:
                 labels: Union[LabelTuple, Mapping[str, Any], None] = None,
                 ) -> Counter:
         return self._register("counter", name, help, labels)
-
-    def gauge(self, name: str, help: str = "",
-              labels: Union[LabelTuple, Mapping[str, Any], None] = None,
-              ) -> Gauge:
-        return self._register("gauge", name, help, labels)
 
     def meter(self, name: str, help: str = "",
               labels: Union[LabelTuple, Mapping[str, Any], None] = None,

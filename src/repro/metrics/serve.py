@@ -2,8 +2,7 @@
 
 :class:`ServeMetrics` pre-registers every instrument the serving tier
 emits -- query/failure/cache counters, a QPS meter, hop/latency/stretch
-histograms with worst-stretch exemplars, and a stretch-SLO
-:class:`~repro.metrics.slo.SloMonitor` -- and exposes the few cheap
+histograms with worst-stretch exemplars -- and exposes the few cheap
 mutators the hot path calls.  The zero-overhead contract mirrors
 :mod:`repro.telemetry.events`: the engine holds ``metrics=None`` by
 default and pays exactly one ``is not None`` check per batch; when a
@@ -23,10 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import islice
 from operator import sub
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .registry import MetricsRegistry
-from .slo import DEFAULT_RULES, BurnRule, SloMonitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..serve.engine import RouteBatch
@@ -52,8 +50,8 @@ def exemplar_payload(
 ) -> Dict[str, Any]:
     """The standard worst-stretch exemplar payload for one served query.
 
-    Shared by the serve harness and ``repro monitor`` so every exemplar
-    carries the same keys; ``trace_id`` (S19) links the exemplar to the
+    Every exemplar the serve harness offers carries these keys;
+    ``trace_id`` (S19) links the exemplar to the
     sampled :class:`~repro.tracing.QueryTrace` with the same id, making
     Prometheus exemplars and ``repro explain`` reference the same query.
     All values render as exposition-safe label strings — the payload
@@ -93,9 +91,6 @@ class ServeMetrics:
         self,
         registry: Optional[MetricsRegistry] = None,
         *,
-        slo_name: str = "stretch",
-        slo_objective: float = 0.99,
-        slo_rules: Sequence[BurnRule] = DEFAULT_RULES,
         relative_accuracy: float = 0.005,
         exemplar_limit: int = 8,
         rate_window_s: float = 10.0,
@@ -123,11 +118,6 @@ class ServeMetrics:
             "stretch", "Per-query multiplicative stretch vs exact distance.",
             relative_accuracy=relative_accuracy,
             exemplar_limit=exemplar_limit)
-        self.budget_gauge = reg.gauge(
-            "slo_budget_remaining",
-            "Fraction of the stretch-SLO error budget left.")
-        self.slo = SloMonitor(name=slo_name, objective=slo_objective,
-                              rules=slo_rules)
         #: engine scratch: hop_counts[h] = queries served with h hops since
         #: the last flush().  A plain list the hot loop indexes directly.
         self.hop_counts = [0] * _HOP_SCRATCH
@@ -135,7 +125,9 @@ class ServeMetrics:
         #: drained by :meth:`flush`.
         self._pending: List["RouteBatch"] = []
 
-    # -- engine-side (batch) -------------------------------------------------
+    # -- engine-side ---------------------------------------------------------
+    # ``route_many`` and ``route_recorded`` (a batch of one) both report
+    # through these mutators.
 
     def record_batch(self, served: int, failed: int, hits: int,
                      misses: int) -> None:
@@ -161,7 +153,7 @@ class ServeMetrics:
             self._drain_pending()
 
     def record_path_lengths(self, path_lengths: Dict[int, int]) -> None:
-        """Fold a Counter of batch *path lengths* (``hops + 1``; every
+        """Fold a Counter of delivered *path lengths* (``hops + 1``; every
         result path includes its source) into the hop scratch."""
         counts = self.hop_counts
         add = self.hops.sketch.add
@@ -177,22 +169,6 @@ class ServeMetrics:
         for batch in pending:
             self.record_path_lengths(path_length_counts(batch))
 
-    def record_result(self, ok: bool, hops: int, cached: bool,
-                      misses: int = 0) -> None:
-        """Single-query engine path (``route_recorded``); ``misses`` is
-        what the query added to the decision cache's miss counter."""
-        self.queries.value += 1
-        self.cache_misses.value += misses
-        if ok:
-            if hops < _HOP_SCRATCH:
-                self.hop_counts[hops] += 1
-            else:
-                self.hops.sketch.add(hops)
-            if cached:
-                self.cache_hits.value += 1
-        else:
-            self.failures.value += 1
-
     def flush(self) -> None:
         """Drain deferred batches, then fold the hop scratch into the
         hops histogram sketch."""
@@ -205,46 +181,19 @@ class ServeMetrics:
                 add(h, c)
                 counts[h] = 0
 
-    # -- harness/monitor-side (per query, with clock) ------------------------
+    # -- harness-side (per query, with clock) --------------------------------
 
-    def observe_query(
-        self,
-        latency_us: float,
-        now: float,
-        *,
-        ok: bool = True,
-        stretch: Optional[float] = None,
-        slo_bound: Optional[float] = None,
-        exemplar: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Record one query's latency/stretch/SLO outcome at time ``now``.
-
-        ``stretch`` feeds the stretch histogram (and, when ``exemplar``
-        is given and the value ranks among the worst, the exemplar
-        reservoir).  When ``slo_bound`` is set the query is scored
-        good/bad against the SLO monitor: bad = failed or over-bound.
-        """
+    def observe_query(self, latency_us: float, now: float) -> None:
+        """Record one query's latency, served at time ``now``."""
         self.latency_us.sketch.add(latency_us)
         self.qps.mark(1.0, now)
-        if stretch is not None:
-            hist = self.stretch
-            hist.sketch.add(stretch)
-            if exemplar is not None and hist.wants_exemplar(stretch):
-                hist.offer_exemplar(stretch, exemplar)
-        if slo_bound is not None:
-            bad = (not ok) or (stretch is not None
-                               and stretch > slo_bound + 1e-9)
-            self.slo.record(0.0 if bad else 1.0, 1.0 if bad else 0.0, now)
-            self.budget_gauge.value = self.slo.budget_remaining
 
     # -- scraping ------------------------------------------------------------
 
     def snapshot(self, *, now: Optional[float] = None) -> Dict[str, Any]:
-        """Registry snapshot plus the SLO budget/alert state."""
+        """JSON-ready registry snapshot."""
         self.flush()
-        snap = self.registry.snapshot(now=now)
-        snap["slo"] = self.slo.to_dict()
-        return snap
+        return self.registry.snapshot(now=now)
 
     def expose(self, *, now: Optional[float] = None) -> str:
         """Prometheus text exposition of the registry."""

@@ -477,8 +477,11 @@ class ServeEngine:
             )
         m = self.metrics
         if m is not None:
-            m.record_result(result.ok, len(result.path) - 1, result.cached,
-                            self.cache.misses - misses)
+            # A batch of one: a failure counts no cache hit and no hops.
+            m.record_batch(1, 0 if result.ok else 1, int(result.cached),
+                           self.cache.misses - misses)
+            if result.ok:
+                m.record_path_lengths({len(result.path): 1})
         if self.tracer is not None:
             self.tracer.record_picks(((source, target),))
         return result

@@ -404,7 +404,7 @@ def run_serving(
     compiles fresh and starts cold.  Pass a
     :class:`~repro.metrics.ServeMetrics` bundle to emit into the live
     registry (counters, QPS meter, hop/latency/stretch histograms with
-    worst-stretch exemplars, SLO budget); the report then carries the
+    worst-stretch exemplars); the report then carries the
     registry snapshot in its ``metrics`` section.  Pass a
     :class:`~repro.tracing.Tracer` to sample per-query traces (S19): the
     head tier fires during serving, the tail tier is fed post-hoc from
@@ -521,7 +521,6 @@ def serve_pairs(
                 stretch_sketch.add(s)
         if metrics is not None:
             _feed_stretch_metrics(metrics, results, stretches,
-                                  slo_bound, serve_s,
                                   tracer=tracer, base=trace_base)
 
     traces: List["QueryTrace"] = []
@@ -624,27 +623,21 @@ def _feed_stretch_metrics(
     metrics: ServeMetrics,
     batch: RouteBatch,
     stretches: Sequence[Optional[float]],
-    slo_bound: float,
-    serve_s: float,
     *,
     tracer: Optional["Tracer"] = None,
     base: int = 0,
 ) -> None:
-    """Replay per-query stretch into the live bundle after the fact.
+    """Feed per-query stretch into the live bundle after the fact.
 
     The serve loop measures latency online but stretch needs the exact
-    distances, so the SLO feed happens post-hoc: each query is scored at
-    the virtual time it was (approximately) served, spreading the batch
-    uniformly over ``serve_s``.  With a tracer active, exemplar payloads
-    carry the query's trace id (S19), so a Prometheus exemplar and
-    ``repro explain`` point at the same query.  Only the handful of
-    queries the exemplar reservoir wants are built as results.
+    distances, so the stretch histogram is fed post-hoc.  With a tracer
+    active, exemplar payloads carry the query's trace id (S19), so a
+    Prometheus exemplar and ``repro explain`` point at the same query.
+    Only the handful of queries the exemplar reservoir wants are built
+    as results.
     """
-    tick = serve_s / len(batch) if batch else 0.0
     hist = metrics.stretch
-    slo = metrics.slo
     for i, stretch in enumerate(stretches):
-        now = (i + 1) * tick
         if stretch is not None:
             hist.sketch.add(stretch)
             if hist.wants_exemplar(stretch):
@@ -652,6 +645,3 @@ def _feed_stretch_metrics(
                             if tracer is not None else None)
                 hist.offer_exemplar(
                     stretch, exemplar_payload(batch[i], trace_id=trace_id))
-        bad = stretch is None or stretch > slo_bound + 1e-9
-        slo.record(0.0 if bad else 1.0, 1.0 if bad else 0.0, now)
-    metrics.budget_gauge.value = slo.budget_remaining

@@ -252,10 +252,6 @@ class Tracer:
 
     # -- post-run side -------------------------------------------------------
 
-    def tail_trace_ids(self, limit: Optional[int] = None) -> List[str]:
-        """Trace ids currently retained by the tail, worst first."""
-        return [self.trace_id(e.ordinal) for e in self.tail.worst(limit)]
-
     def finalize(
         self,
         engine: "ServeEngine",

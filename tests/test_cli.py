@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import FIGURE_ALIASES, FIGURES, build_parser, main
+from repro.metrics import parse_prometheus
 
 
 class TestParser:
@@ -174,11 +175,11 @@ class TestTelemetrySurfaces:
 
     @pytest.mark.parametrize("argv,says", [
         (["trace", "tree-styles", "--flight", "--stride", "0"], "--stride: must be > 0"),
-        (["monitor", "--target-qps", "0"], "--target-qps: must be > 0"),
         (["serve", "--workers", "0"], "--workers: must be > 0"),
         (["serve", "--n", "1"], "repro serve: need n >= 2"),
         (["lint"], "argument command: invalid choice: 'lint'"),
-    ], ids=["stride-0", "target-qps-0", "workers-0", "n-1", "lint-is-gone"])
+        (["monitor"], "argument command: invalid choice: 'monitor'"),
+    ], ids=["stride-0", "workers-0", "n-1", "lint-is-gone", "monitor-is-gone"])
     def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys):
         """Not a traceback: a flag argparse can judge is a usage error, and
         an ``InputError`` from the library is caught once, in ``main``."""
@@ -189,6 +190,28 @@ class TestTelemetrySurfaces:
         err = capsys.readouterr().err
         assert rc == 2
         assert says in err.splitlines()[-1] and "Traceback" not in err
+
+    def test_metrics_out_with_slo_target_one(self, tmp_path, capsys):
+        """A target of 1.0 (every query within the bound) is a legal
+        stretch-SLO target, with or without a metrics registry attached."""
+        prom = tmp_path / "m.prom"
+        assert main(_SERVE + ["--metrics-out", str(prom), "--slo-target", "1.0",
+                              "--quiet"]) == 0
+        families = parse_prometheus(prom.read_text())
+        assert families["repro_serve_queries_total"]["samples"][0][2] == 200.0
+
+    def test_metrics_out_strict_slo_miss_is_the_verdict(self, tmp_path, capsys):
+        prom = tmp_path / "m.prom"
+        rc = main(_SERVE + ["--metrics-out", str(prom), "--slo-target", "1.01",
+                            "--strict", "--json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        assert "stretch-SLO violation: serve/uniform/stretch-slo" in captured.err
+        record = json.loads(captured.out)
+        assert [v["passed"] for v in record["verdicts"]] == [False]
+        assert "slo" not in record["metrics"]
+        parse_prometheus(prom.read_text())
 
     def test_zero_stays_legal_where_it_means_off_or_empty(self, capsys):
         assert main(["serve", "--n", "40", "--k", "2", "--queries", "0", "--cache", "0",
@@ -228,8 +251,6 @@ RECORDABLE = [
     ("serve", _SERVE, "serve", 0),
     ("serve-slo-miss", _SERVE + ["--slo-target", "1.01"], "serve", 1),
     ("serve-workers-2", _SERVE + ["--workers", "2"], "serve", 0),
-    ("monitor", ["monitor", "--n", "60", "--k", "2", "--queries", "200"],
-     "monitor", 0),
     ("explain", ["explain", "--worst", "2", "--traces", "<traces>"],
      "explain", 0),
     ("trace", ["trace", "tree-styles"], "fig/tree-styles", 0),
@@ -272,7 +293,6 @@ class TestCommandTable:
         ["table2", "--n", "120", "--json"],
         ["table1", "--n", "80", "--k", "2", "--pairs", "20", "--json"],
         _SERVE + ["--json"],
-        ["monitor", "--n", "60", "--k", "2", "--queries", "200", "--json"],
         ["fig", "tree-styles", "--json"],
         ["trace", "tree-styles"],
     ], ids=lambda argv: argv[0])
@@ -306,11 +326,10 @@ class TestCommandTable:
                  for e in json.loads(chrome.read_text())["traceEvents"]}
         assert "serve/run" in names and "serve/queries" in names
 
-    def test_profile_honoured_by_monitor(self, capsys):
-        assert main(["monitor", "--n", "60", "--k", "2", "--queries", "200",
-                     "--no-live", "--profile"]) == 0
+    def test_profile_honoured_by_serve(self, capsys):
+        assert main(_SERVE + ["--profile"]) == 0
         out = capsys.readouterr().out
-        assert "HEALTHY" in out and "serve/compile" in out
+        assert "stretch SLO" in out and "serve/queries" in out
 
     def test_profile_honoured_by_report(self, capsys):
         assert main(["report", "--fast", "--profile"]) == 0

@@ -1,9 +1,8 @@
 """Tests for ``repro.metrics`` — the live serving observability layer (S18).
 
 Covers the quantile sketch's error contract, the registry/instrument
-semantics, Prometheus exposition (render *and* the strict parser), the
-multi-window burn-rate SLO monitor, and the ``ServeMetrics`` bundle the
-engine/harness hot paths feed.
+semantics, Prometheus exposition (render *and* the strict parser), and
+the ``ServeMetrics`` bundle the engine/harness hot paths feed.
 """
 
 import math
@@ -11,22 +10,19 @@ import random
 
 import pytest
 
+from repro.graphs import random_connected_graph
 from repro.metrics import (
-    BurnRule,
-    DEFAULT_RULES,
     ExpositionError,
     MetricsRegistry,
     QuantileSketch,
     ServeMetrics,
-    SloMonitor,
-    WindowedRatio,
     intern_labels,
     parse_prometheus,
     render_prometheus,
     write_prometheus,
 )
-from repro.metrics.slo import SloAlert
-from repro.serve import RouteBatch, ServeResult
+from repro.serve import RouteBatch, ServeEngine, ServeResult, compile_scheme
+from repro.tz import build_centralized_scheme
 
 
 def exact_quantile(values, q):
@@ -136,7 +132,9 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("x_total")
         with pytest.raises(ValueError):
-            reg.gauge("x_total")
+            reg.histogram("x_total")
+        with pytest.raises(ValueError):
+            reg.meter("x_total")
 
     def test_invalid_name_raises(self):
         with pytest.raises(ValueError):
@@ -198,7 +196,6 @@ class TestExposition:
     def _registry(self):
         reg = MetricsRegistry()
         reg.counter("queries_total", "Total queries.").inc(7)
-        reg.gauge("budget", "Budget left.").set(0.5)
         m = reg.meter("qps", "Rate.")
         m.mark(5, now=1.0)
         h = reg.histogram("latency_us", "Latency.")
@@ -222,7 +219,9 @@ class TestExposition:
     def test_meter_exposes_total_and_rate(self):
         text = render_prometheus(self._registry(), now=2.0)
         assert "repro_serve_qps_total 5" in text
-        assert "repro_serve_qps_per_s" in text
+        assert "# TYPE repro_serve_qps_per_s gauge" in text
+        families = parse_prometheus(text)
+        assert families["repro_serve_qps_per_s"]["type"] == "gauge"
 
     def test_write_prometheus(self, tmp_path):
         out = tmp_path / "metrics.prom"
@@ -290,76 +289,6 @@ class TestExposition:
 
 
 # ---------------------------------------------------------------------------
-# SLO monitor: windows, burn rules, alerts
-# ---------------------------------------------------------------------------
-
-class TestWindowedRatio:
-    def test_totals_and_expiry(self):
-        w = WindowedRatio(window_s=10.0, buckets=10)
-        w.record(8.0, 2.0, now=0.5)
-        assert w.totals(0.5) == (8.0, 2.0)
-        assert w.error_rate(0.5) == pytest.approx(0.2)
-        # Past the window the old bucket has rolled off.
-        assert w.totals(100.0) == (0.0, 0.0)
-
-
-class TestBurnRules:
-    def test_default_rules_shape(self):
-        names = [r.name for r in DEFAULT_RULES]
-        assert names == ["fast", "slow"]
-
-    def test_invalid_rule_rejected(self):
-        with pytest.raises(ValueError):
-            BurnRule("bad", long_window_s=1.0, short_window_s=5.0,
-                     burn_rate=2.0)
-
-
-class TestSloMonitor:
-    def test_healthy_stream_no_alerts(self):
-        mon = SloMonitor(objective=0.99)
-        for i in range(500):
-            mon.record(1.0, 0.0, now=i * 0.1)
-        assert mon.check(50.0) == []
-        assert mon.active_alerts() == []
-        assert mon.budget_remaining == 1.0
-
-    def test_burst_fires_fast_arm_then_resolves(self):
-        mon = SloMonitor(objective=0.99)
-        transitions = []
-        # Heavy error burst: 50% failures, far over the 14.4x burn line.
-        t = 0.0
-        for i in range(200):
-            t = i * 0.1
-            transitions += mon.record(0.5, 0.5, now=t)
-        fired = [a for a in transitions if a.state == "firing"]
-        assert any(a.rule == "fast" for a in fired)
-        assert mon.active_alerts()
-        assert mon.budget_remaining < 1.0
-        # Clean traffic long enough for both windows to drain.
-        for i in range(4000):
-            t += 0.1
-            transitions += mon.record(1.0, 0.0, now=t)
-        resolved = [a for a in transitions if a.state == "resolved"]
-        assert {a.rule for a in fired} == {a.rule for a in resolved}
-        assert mon.active_alerts() == []
-
-    def test_alert_event_shape(self):
-        mon = SloMonitor(objective=0.9)
-        out = []
-        for i in range(100):
-            out += mon.record(0.0, 1.0, now=i * 0.5)
-        assert out, "an all-failure stream must alert"
-        evt = out[0]
-        assert isinstance(evt, SloAlert)
-        d = evt.to_dict()
-        assert d["state"] == "firing"
-        assert d["burn_rate"] > 0 and 0 <= d["budget_remaining"] <= 1
-        dump = mon.to_dict()
-        assert dump["objective"] == 0.9
-        assert dump["alerts"] and dump["rules"]
-
-
-# ---------------------------------------------------------------------------
 # ServeMetrics bundle
 # ---------------------------------------------------------------------------
 
@@ -369,6 +298,18 @@ def _batch(*paths, failed=()):
         ServeResult(0, 0, path, 0.0, i not in failed,
                     "failed" if i in failed else None)
         for i, path in enumerate(paths))
+
+
+@pytest.fixture(scope="module")
+def served():
+    """Compiled tables and a stream with repeats (cache hits) and routes
+    longer than five hops (failures under ``max_hops=5``)."""
+    graph = random_connected_graph(80, seed=5)
+    compiled = compile_scheme(build_centralized_scheme(graph, 2, seed=5), graph)
+    rng = random.Random(5)
+    nodes = sorted(compiled.nodes)
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(150)]
+    return compiled, pairs + pairs[:50]
 
 
 class TestServeMetricsBundle:
@@ -388,46 +329,50 @@ class TestServeMetricsBundle:
         m.flush()
         assert m.hops.count == 1
 
-    def test_record_result_single_path(self):
-        m = ServeMetrics()
-        m.record_result(True, 4, cached=True)
-        m.record_result(False, 0, cached=False)
-        m.flush()
-        assert m.queries.value == 2
-        assert m.failures.value == 1
-        assert m.cache_hits.value == 1
-        assert m.hops.count == 1 and m.hops.sum == 4.0
+    def test_route_recorded_single_path(self, served):
+        """``route_recorded`` is a batch of one: query by query, it leaves
+        the counters and hop histogram ``route_many`` leaves for the same
+        stream, and a failure counts no cache hit and no hops."""
+        compiled, pairs = served
+        one, many = ServeMetrics(), ServeMetrics()
+        engine = ServeEngine(compiled, max_hops=5, metrics=one)
+        results = [engine.route_recorded(u, v) for u, v in pairs]
+        ServeEngine(compiled, max_hops=5, metrics=many).route_many(pairs)
+        one.flush()
+        many.flush()
+        delivered = [r for r in results if r.ok]
+        assert 0 < len(delivered) < len(results), "need hits, misses, failures"
+        assert one.queries.value == len(results)
+        assert one.failures.value == len(results) - len(delivered)
+        assert one.cache_hits.value == sum(r.cached for r in delivered) > 0
+        assert one.cache_misses.value == engine.cache.misses
+        assert one.hops.count == len(delivered)
+        assert one.hops.sum == sum(len(r.path) - 1 for r in delivered)
+        for name in ("queries", "failures", "cache_hits", "cache_misses"):
+            assert getattr(one, name).value == getattr(many, name).value, name
+        assert one.hops.sketch == many.hops.sketch
 
     def test_long_path_overflows_scratch_exactly(self):
         m = ServeMetrics()
-        m.record_result(True, 600, cached=False)
+        m.record_path_lengths({601: 1})
         m.flush()
         assert m.hops.count == 1
         assert m.hops.sketch.max_value == 600.0
 
-    def test_observe_query_feeds_slo_and_exemplars(self):
-        m = ServeMetrics(slo_objective=0.9)
-        for i in range(50):
-            stretch = 5.0 if i % 2 else 1.0  # half the queries violate
-            m.observe_query(10.0, now=i * 0.1, stretch=stretch,
-                            slo_bound=3.0,
-                            exemplar={"q": i})
-        assert m.slo.total == 50.0
-        assert m.budget_gauge.value < 1.0
-        worst = m.stretch.exemplars()
-        assert worst and all(e["value"] == 5.0 for e in worst)
-
-    def test_snapshot_includes_slo_state(self):
+    def test_snapshot_has_no_slo_key(self):
         m = ServeMetrics()
         m.record_batch(5, 0, 0, 5)
         snap = m.snapshot(now=1.0)
-        assert snap["slo"]["objective"] == 0.99
+        assert "slo" not in snap
         assert snap["repro_serve_queries_total"]["series"][0]["value"] == 5.0
 
     def test_expose_parses(self):
         m = ServeMetrics()
-        m.record_result(True, 3, cached=False)
-        m.observe_query(12.5, now=0.1, stretch=1.2, slo_bound=9.0)
+        m.record_batch(1, 0, 0, 1)
+        m.record_path_lengths({4: 1})
+        m.observe_query(12.5, now=0.1)
+        m.stretch.add(1.2)
         families = parse_prometheus(m.expose(now=1.0))
         assert "repro_serve_hops" in families
         assert "repro_serve_latency_us" in families
+        assert "repro_serve_stretch" in families

@@ -8,7 +8,7 @@ import pytest
 from repro.__main__ import build_parser, main
 from repro.errors import InputError
 from repro.graphs import random_connected_graph, spanning_tree_of
-from repro.metrics import QuantileSketch, ServeMetrics
+from repro.metrics import QuantileSketch, ServeMetrics, parse_prometheus
 from repro.serve import (
     SKETCH_ACCURACY,
     ServeEngine,
@@ -346,6 +346,57 @@ class TestServeCli:
         rc = main(["serve", "--n", "40", "--k", "2", "--queries", "40",
                    "--builder", "distributed", "--quiet"])
         assert rc == 0
+
+
+class TestServeMetricsOutCli:
+    def test_serve_metrics_out(self, tmp_path, capsys):
+        """Acceptance: repro serve --metrics-out writes valid Prometheus
+        text that the strict parser accepts."""
+        out = tmp_path / "serve.prom"
+        rc = main(["serve", "--n", "50", "--k", "2", "--queries", "200",
+                   "--workload", "zipf", "--quiet",
+                   "--metrics-out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        assert "# HELP" in text and "# TYPE" in text
+        families = parse_prometheus(text)
+        for name in ("repro_serve_queries_total", "repro_serve_hops",
+                     "repro_serve_latency_us", "repro_serve_stretch"):
+            assert name in families, name
+
+    def test_serve_metrics_report_section(self, built):
+        """run_serving with a bundle attaches the snapshot to the report."""
+        graph, scheme = built
+        metrics = ServeMetrics()
+        report, _ = run_serving(scheme, graph, queries=150, seed=2,
+                                metrics=metrics)
+        assert report.metrics, "report.metrics must hold the snapshot"
+        queries = report.metrics["repro_serve_queries_total"]["series"][0]
+        assert queries["value"] == 150.0
+
+    def test_stretch_histogram_and_exemplars(self, built):
+        """The bundle's stretch histogram holds every delivered query's
+        measured stretch, and its exemplars are the worst of them, each
+        naming its query (and, under a tracer, its trace id)."""
+        graph, scheme = built
+        metrics = ServeMetrics(exemplar_limit=4)
+        tracer = Tracer(rate=0.0, seed=6, prefix="zipf-6")
+        report, results = run_serving(scheme, graph, workload="zipf",
+                                      queries=400, seed=6, metrics=metrics,
+                                      tracer=tracer)
+        stretches = [s for s in _per_query_stretch(graph, results)
+                     if s is not None]
+        assert len(stretches) == report.queries - report.failures
+        assert metrics.stretch.sketch == report.sketches["stretch"]
+        exemplars = metrics.stretch.exemplars()
+        assert report.exemplars == exemplars
+        values = [e["value"] for e in exemplars]
+        assert values == sorted(stretches, reverse=True)[:4]
+        for entry in exemplars:
+            result = results[int(entry["trace_id"].rsplit("-", 1)[1])]
+            assert entry["trace_id"].startswith("zipf-6-")
+            assert (entry["source"], entry["target"], entry["hops"]) == (
+                repr(result.source), repr(result.target), result.hops)
 
 
 class TestReportQuantiles:

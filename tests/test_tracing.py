@@ -401,7 +401,8 @@ class TestFinalize:
         ids = [t.trace_id for t in report.traces]
         assert len(ids) == len(set(ids)), "head∩tail must not duplicate"
         # Every tail-retained ordinal appears, marked as tail-reachable.
-        tail_ids = set(tracer.tail_trace_ids())
+        tail_ids = {tracer.trace_id(e.ordinal) for e in tracer.tail.worst()}
+        assert tail_ids, "the tail keeps the worst queries of the run"
         by_id = {t.trace_id: t for t in report.traces}
         assert tail_ids <= set(ids)
         for tid in tail_ids:
