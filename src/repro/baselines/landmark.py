@@ -25,8 +25,8 @@ from ..graphs.validation import require_weighted_connected
 from ..routing.artifacts import (
     GraphLabel,
     GraphRoutingScheme,
-    GraphTable,
     TreeRoutingScheme,
+    graph_tables,
 )
 from ..tz.tree_scheme import build_tree_scheme
 
@@ -73,11 +73,7 @@ def build_landmark_scheme(
             parent, tree_id=ell, root_distance=lambda v, d=dist: d[v]
         )
 
-    tables: Dict[NodeId, GraphTable] = {v: GraphTable(vertex=v) for v in graph.nodes}
-    for ell, scheme in tree_schemes.items():
-        for v, table in scheme.tables.items():
-            tables[v].trees[ell] = table
-
+    tables = graph_tables(graph.nodes, tree_schemes)
     _, owner = nearest_in_set(adj, chosen)
     labels: Dict[NodeId, GraphLabel] = {}
     for v in graph.nodes:

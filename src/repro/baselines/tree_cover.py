@@ -71,8 +71,8 @@ class TreeCoverScheme:
         words = 0
         for i, scale in enumerate(self.scales):
             for center, tree in scale.trees.items():
-                if v in tree.tables:
-                    words += 2 + tree.tables[v].word_size()
+                if v in tree.index:
+                    words += 2 + tree.table_words(v)
         return words
 
     def max_label_words(self) -> int:
@@ -81,7 +81,7 @@ class TreeCoverScheme:
             words = 0
             for i, scale in enumerate(self.scales):
                 c = scale.home_center[v]
-                words += 2 + scale.trees[c].labels[v].word_size()
+                words += 2 + scale.trees[c].label_words(v)
             worst = max(worst, words)
         return worst
 

@@ -31,6 +31,7 @@ from ..routing.artifacts import (
     GraphLabel,
     GraphTable,
     TreeRoutingScheme,
+    graph_tables,
 )
 from ..treerouting.scheme import build_distributed_tree_scheme
 from ..tz.clusters import ClusterTree
@@ -93,10 +94,7 @@ def assemble_tables(
     schemes: Mapping[NodeId, TreeRoutingScheme],
 ) -> Dict[NodeId, GraphTable]:
     """Every vertex's table: its tree tables, keyed by cluster root."""
-    tables: Dict[NodeId, GraphTable] = {v: GraphTable(vertex=v) for v in net.nodes()}
-    for root, scheme in schemes.items():
-        for v, table in scheme.tables.items():
-            tables[v].trees[root] = table
+    tables = graph_tables(net.nodes(), schemes)
     for v, table in tables.items():
         net.mem(v).store("scheme/table", table.word_size())
     return tables

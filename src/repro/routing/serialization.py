@@ -16,13 +16,16 @@ refers to it by position.
 Format 3 (``FORMAT_VERSION``).  ``v`` / ``tree`` / ``parent`` / ``heavy`` /
 light-edge endpoints are indices into ``"ids"`` (``null`` for "no parent" /
 "no heavy child").  A tree scheme's maps are parallel **columns**, one
-position per vertex, and a graph scheme carries every tree table and tree
-label **once**, under ``"tree_schemes"``: a vertex's table lists the trees
-it holds a table for, a label entry its ``[tree, dist]``, and the decoder
-rebinds both to the tree scheme's own objects -- the sharing the builders
-create.  An entry that is *not* its tree scheme's (a different value, or a
-tree / vertex the tree schemes lack) is written in full, and told apart
-by shape::
+position per vertex -- the columns a
+:class:`~repro.routing.artifacts.TreeRoutingScheme` holds -- and a graph
+scheme carries every tree table and tree label **once**, under
+``"tree_schemes"``: a vertex's table lists the trees it holds a table for,
+a label entry its ``[tree, dist]``, and the decoder makes the table entries
+references to the tree scheme's rows -- the sharing the builders create --
+and reads the label entries off its label columns.  An entry that is *not*
+its tree scheme's (a different value, or a tree / vertex the tree schemes
+lack) is written in full, and told apart by shape.  Indices, ``enter`` /
+``exit`` and light-edge counts are JSON integers, distances numbers::
 
     tree tables       [[v, ...], [enter, ...], [exit, ...], [parent, ...],
                        [heavy, ...], [root_distance, ...]]
@@ -53,12 +56,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from itertools import islice
+from itertools import accumulate, chain
 from typing import (
     IO,
     Any,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -74,6 +78,7 @@ from .artifacts import (
     TreeLabel,
     TreeRoutingScheme,
     TreeTable,
+    TreeTables,
 )
 
 NodeId = Hashable
@@ -175,24 +180,25 @@ def _tree_table_row(ids: IdTable, key: NodeId, table: TreeTable) -> List[Any]:
 
 def _tree_body(ids: IdTable, scheme: TreeRoutingScheme) -> Dict[str, Any]:
     index = ids.index
-    tables = scheme.tables.values()
-    labels = scheme.labels.values()
+    vertices = list(scheme.index)
+    enter, exit_, parent, heavy, root_distance = scheme.columns_of(vertices)
+    rows = list(scheme.label_index.values())
+    offsets, light = scheme.light_offsets, scheme.light
     return {
         "tree_id": index(scheme.tree_id),
         "root": index(scheme.root),
         "tables": [
-            [index(v) for v in scheme.tables],
-            [t.enter for t in tables],
-            [t.exit_ for t in tables],
-            [None if t.parent is None else index(t.parent) for t in tables],
-            [None if t.heavy is None else index(t.heavy) for t in tables],
-            [t.root_distance for t in tables],
+            list(map(index, vertices)), enter, exit_,
+            [None if v is None else index(v) for v in parent],
+            [None if v is None else index(v) for v in heavy],
+            root_distance,
         ],
         "labels": [
-            [index(v) for v in scheme.labels],
-            [l.enter for l in labels],
-            [len(l.light_edges) for l in labels],
-            [index(x) for l in labels for edge in l.light_edges for x in edge],
+            list(map(index, scheme.label_index)),
+            [scheme.label_enter[p] for p in rows],
+            [offsets[p + 1] - offsets[p] for p in rows],
+            [index(x) for p in rows
+             for x in light[2 * offsets[p]:2 * offsets[p + 1]]],
         ],
     }
 
@@ -210,12 +216,14 @@ def graph_scheme_to_dict(scheme: GraphRoutingScheme) -> Dict[str, Any]:
     tree_schemes = [[index(t), _tree_body(ids, s)] for t, s in shared.items()]
 
     # An entry is written by reference exactly when the decoder's rebinding
-    # gives it back: it is (or equals) what its tree scheme holds for v.
-    def table_entry(v: NodeId, tree: TreeId, table: TreeTable) -> Any:
-        held = shared[tree].tables.get(v) if tree in shared else None
-        if held is table or held == table:
+    # gives it back: it refers to, or equals, what its tree scheme holds
+    # for v.
+    def table_entry(v: NodeId, tree: TreeId, trees: TreeTables) -> Any:
+        held = shared.get(tree)
+        if held is not None and v in held.index and (
+                trees.entries[tree] is held or trees[tree] == held.tables[v]):
             return index(tree)
-        return _tree_table_row(ids, tree, table)
+        return _tree_table_row(ids, tree, trees[tree])
 
     def label_entry(
         v: NodeId, entry: Optional[Tuple[TreeId, float, TreeLabel]],
@@ -224,13 +232,13 @@ def graph_scheme_to_dict(scheme: GraphRoutingScheme) -> Dict[str, Any]:
             return None
         tree, dist, label = entry
         held = shared[tree].labels.get(v) if tree in shared else None
-        if held is label or held == label:
+        if held == label:
             return [index(tree), dist]
         return [index(tree), dist, label.enter,
                 [index(x) for edge in label.light_edges for x in edge]]
 
     tables = [
-        [index(v), [table_entry(v, t, tt) for t, tt in table.trees.items()]]
+        [index(v), [table_entry(v, t, table.trees) for t in table.trees]]
         for v, table in scheme.tables.items()
     ]
     labels = [
@@ -271,7 +279,8 @@ class _Ids:
     index into a list silently aliases an id from the other end, here it
     is a ``KeyError`` like any other index outside the universe (or a
     ``null`` where an id is required).  ``opt`` also maps ``None`` to
-    ``None`` (parent / heavy).
+    ``None`` (parent / heavy).  A ``bool`` would find index 0 or 1 in
+    either, so indices are type-checked before any lookup.
     """
 
     def __init__(self, blob: Dict[str, Any]) -> None:
@@ -284,6 +293,11 @@ class _Ids:
             raise InputError(f"malformed scheme section 'ids': {exc}") from exc
         self.opt: Dict[Any, Optional[NodeId]] = {None: None, **self.at}
 
+    def id(self, index: Any) -> NodeId:
+        if type(index) is not int:
+            raise TypeError(f"id index {index!r} is not an int")
+        return self.at[index]
+
 
 def _aligned(*columns: Any) -> None:
     """Parallel columns are lists of one length."""
@@ -294,47 +308,63 @@ def _aligned(*columns: Any) -> None:
         raise ValueError(f"columns of unequal lengths {lengths}")
 
 
-def _tree_table(ids: _Ids, row: List[Any]) -> Tuple[NodeId, TreeTable]:
-    key, enter, exit_, parent, heavy, root_distance = row
-    return ids.at[key], TreeTable(
-        enter=enter, exit_=exit_, parent=ids.opt[parent],
-        heavy=ids.opt[heavy], root_distance=root_distance)
+_INT = frozenset({int})
+_OPT_INT = _INT | {type(None)}
+_NUMBER = frozenset({int, float})
+_OPT_NUMBER = _NUMBER | {type(None)}
+#: a table entry written in full: tree, enter, exit, parent, heavy,
+#: root distance
+_TABLE_ROW = (_INT, _INT, _INT, _OPT_INT, _OPT_INT, _OPT_NUMBER)
 
 
-def _tree_label(ids: _Ids, enter: int, light: List[int]) -> TreeLabel:
-    if len(light) % 2:
-        raise ValueError(f"light list of odd length {len(light)}")
-    ends = map(ids.at.__getitem__, light)
-    return TreeLabel(enter=enter, light_edges=tuple(zip(ends, ends)))
+def _typed(values: Iterable[Any], *allowed: frozenset) -> None:
+    """Every element of ``values`` has one of the exact types ``allowed``
+    -- one set for all elements, or one per position (``bool`` is not an
+    ``int`` here)."""
+    if len(allowed) == 1:
+        found = set(map(type, values)) - allowed[0]
+    elif len(values) != len(allowed):
+        raise ValueError(f"{len(values)} fields where {len(allowed)} belong")
+    else:
+        found = {type(x) for x, ok in zip(values, allowed) if type(x) not in ok}
+    if found:
+        raise TypeError("unexpected value type " + ", ".join(
+            sorted(cls.__name__ for cls in found)))
 
 
 def _tree_scheme(ids: _Ids, body: Dict[str, Any], where: str = "") -> TreeRoutingScheme:
     at, opt = ids.at.__getitem__, ids.opt.__getitem__
     with _section(where + "tree_id"):
-        tree_id = at(body["tree_id"])
+        tree_id = ids.id(body["tree_id"])
     with _section(where + "root"):
-        root = at(body["root"])
+        root = ids.id(body["root"])
     with _section(where + "tables"):
-        vs, enters, exits, parents, heavies, dists = body["tables"]
-        _aligned(vs, enters, exits, parents, heavies, dists)
-        tables = dict(zip(map(at, vs), map(
-            TreeTable, enters, exits, map(opt, parents), map(opt, heavies),
-            dists)))
+        vs, enters, exits, parents, heavies, dists = columns = body["tables"]
+        _aligned(*columns)
+        _typed(chain(vs, enters, exits), _INT)
+        _typed(chain(parents, heavies), _OPT_INT)
+        _typed(dists, _OPT_NUMBER)
+        index = dict(zip(map(at, vs), range(len(vs))))
+        parents, heavies = list(map(opt, parents)), list(map(opt, heavies))
     with _section(where + "labels"):
-        vs, enters, counts, light = body["labels"]
-        _aligned(vs, enters, counts)
-        if len(light) != 2 * sum(counts):
+        label_vs, label_enters, counts, light = body["labels"]
+        _aligned(label_vs, label_enters, counts)
+        _aligned(light)
+        _typed(chain(label_vs, label_enters, counts, light), _INT)
+        if min(counts, default=0) < 0:
+            raise ValueError("a negative light-edge count")
+        offsets = list(accumulate(counts, initial=0))
+        if len(light) != 2 * offsets[-1]:
             raise ValueError(
-                f"{len(light)} light-edge endpoints for {sum(counts)} edges")
-        ends = map(at, light)
-        edges = zip(ends, ends)
-        # islice refuses a negative count, so the edges come out exactly
-        labels = {
-            at(v): TreeLabel(enter, tuple(islice(edges, count)))
-            for v, enter, count in zip(vs, enters, counts)
-        }
-    return TreeRoutingScheme(tree_id=tree_id, root=root, tables=tables,
-                             labels=labels)
+                f"{len(light)} light-edge endpoints for {offsets[-1]} edges")
+        label_index = (index if label_vs == vs else
+                       dict(zip(map(at, label_vs), range(len(label_vs)))))
+        light = list(map(at, light))
+    return TreeRoutingScheme(
+        tree_id, root, index=index, enter=list(enters), exit_=list(exits),
+        parent=parents, heavy=heavies,
+        root_distance=list(dists), label_index=label_index,
+        label_enter=list(label_enters), light_offsets=offsets, light=light)
 
 
 def tree_scheme_from_dict(blob: Dict[str, Any]) -> TreeRoutingScheme:
@@ -343,22 +373,20 @@ def tree_scheme_from_dict(blob: Dict[str, Any]) -> TreeRoutingScheme:
 
 
 def graph_scheme_from_dict(blob: Dict[str, Any]) -> GraphRoutingScheme:
+    """Decode a graph scheme: its tree schemes stay columns, and a vertex's
+    table entries written by reference are references to them."""
     _check_header(blob, "graph")
     ids = _Ids(blob)
-    at = ids.at
+    at, opt = ids.at, ids.opt
     with _section("k"):
         k = blob["k"]
+        _typed([k], _INT)
+        if k < 1:
+            raise ValueError(f"k = {k} is below 1")
+    tree_schemes: Dict[TreeId, TreeRoutingScheme] = {}
     with _section("tree_schemes"):
-        tree_schemes = {
-            at[t]: _tree_scheme(ids, body, "tree_schemes/")
-            for t, body in blob["tree_schemes"]
-        }
-
-    def table_entry(v: NodeId, entry: Any) -> Tuple[TreeId, TreeTable]:
-        if isinstance(entry, list):
-            return _tree_table(ids, entry)
-        tree = at[entry]
-        return tree, tree_schemes[tree].tables[v]
+        for t, body in blob["tree_schemes"]:
+            tree_schemes[ids.id(t)] = _tree_scheme(ids, body, "tree_schemes/")
 
     def label_entry(
         v: NodeId, entry: Optional[List[Any]],
@@ -366,21 +394,38 @@ def graph_scheme_from_dict(blob: Dict[str, Any]) -> GraphRoutingScheme:
         if entry is None:
             return None
         if len(entry) == 2:
+            _typed(entry, _INT, _NUMBER)
             tree, dist = at[entry[0]], entry[1]
             return tree, dist, tree_schemes[tree].labels[v]
+        _typed(entry, _INT, _NUMBER, _INT, frozenset({list}))
         tree, dist, enter, light = entry
-        return at[tree], dist, _tree_label(ids, enter, light)
+        _typed(light, _INT)
+        if len(light) % 2:
+            raise ValueError(f"light list of odd length {len(light)}")
+        ends = map(at.__getitem__, light)
+        return at[tree], dist, TreeLabel(enter, tuple(zip(ends, ends)))
 
     tables: Dict[NodeId, GraphTable] = {}
     with _section("tables"):
         for v_index, entries in blob["tables"]:
-            v = at[v_index]
-            tables[v] = GraphTable(
-                vertex=v, trees=dict(table_entry(v, e) for e in entries))
+            v = ids.id(v_index)
+            tables[v] = table = GraphTable(v)
+            held = table.trees.entries
+            for entry in entries:
+                if type(entry) is int:
+                    tree = at[entry]
+                    held[tree] = scheme = tree_schemes[tree]
+                    if v not in scheme.index:
+                        raise KeyError(f"{v!r} has no row in tree {tree!r}")
+                else:
+                    _typed(entry, *_TABLE_ROW)
+                    tree, enter, exit_, parent, heavy, dist = entry
+                    held[at[tree]] = TreeTable(enter, exit_, opt[parent],
+                                               opt[heavy], dist)
     labels: Dict[NodeId, GraphLabel] = {}
     with _section("labels"):
         for v_index, entries in blob["labels"]:
-            v = at[v_index]
+            v = ids.id(v_index)
             labels[v] = GraphLabel(
                 vertex=v, entries=tuple(label_entry(v, e) for e in entries))
     return GraphRoutingScheme(

@@ -56,7 +56,7 @@ def verify_tree_scheme(
     if enters != list(range(1, n + 1)):
         raise InvariantViolation("DFS entry times are not a permutation of 1..n")
 
-    by_vertex = scheme.tables
+    by_vertex = dict(scheme.tables)  # each row built once
     roots = [v for v, t in by_vertex.items() if t.parent is None]
     if roots != [scheme.root]:
         raise InvariantViolation(

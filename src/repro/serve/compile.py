@@ -1,10 +1,10 @@
 """S16 compiler: pack routing-scheme artifacts into flat serving tables.
 
-The preprocessing phase produces dict-of-dataclass artifacts
-(:mod:`repro.routing.artifacts`) that are convenient to build and verify but
-slow to *serve*: every forwarded hop pays two hash lookups plus attribute
-access on a frozen dataclass, and every light-edge test is a linear scan of
-the label.  This module compiles a :class:`TreeRoutingScheme` or
+The preprocessing phase produces column-backed artifacts
+(:mod:`repro.routing.artifacts`) whose per-vertex views are convenient to
+verify but slow to *serve*: every forwarded hop would build a frozen
+dataclass, and every light-edge test is a linear scan of the label.  This
+module compiles a :class:`TreeRoutingScheme` or
 :class:`GraphRoutingScheme` (in memory, or loaded from its
 :mod:`repro.routing.serialization` JSON) into the packed form the query
 engine (:mod:`repro.serve.engine`) consumes, in the same spirit as the
@@ -163,8 +163,9 @@ class CompiledTreeScheme:
         #: Reference hop budget: ``2 * len(tables) + 2`` (router.py).
         self.default_budget = 2 * len(scheme.tables) + 2
         adj = _adjacency(graph)
-        self.tree = _pack_tree(scheme.tree_id, scheme.tables, adj,
-                               weighted=graph is not None)
+        ids = list(scheme.index)
+        self.tree = _pack_tree(scheme.tree_id, ids, scheme.columns_of(ids),
+                               adj, weighted=graph is not None)
         self.labels: Dict[NodeId, PackedLabel] = {
             v: _pack_label(label, self.tree, adj, weighted=graph is not None)
             for v, label in scheme.labels.items()
@@ -214,21 +215,25 @@ class CompiledGraphScheme:
         # -- intern cluster-tree ids over the union of per-vertex tables ----
         tree_ids: List[Hashable] = []
         tree_index: Dict[Hashable, int] = {}
-        members: Dict[int, Dict[NodeId, TreeTable]] = {}
+        members: List[List[NodeId]] = []
+        held: List[list] = []  # each member's GraphTable entry
         for v, table in scheme.tables.items():
-            for tid, row in table.trees.items():
+            for tid, entry in table.trees.entries.items():
                 ti = tree_index.get(tid)
                 if ti is None:
                     ti = tree_index[tid] = len(tree_ids)
                     tree_ids.append(tid)
-                    members[ti] = {}
-                members[ti][v] = row
+                    members.append([])
+                    held.append([])
+                members[ti].append(v)
+                held[ti].append(entry)
         self.tree_ids = tree_ids
         self.tree_index = tree_index
         with _tele.span("serve/compile/trees", trees=len(tree_ids)):
             self.trees: List[PackedTree] = [
-                _pack_tree(tree_ids[ti], members[ti], adj, weighted=True)
-                for ti in range(len(tree_ids))
+                _pack_tree(tid, ids, _member_columns(ids, entries), adj,
+                           weighted=True)
+                for tid, ids, entries in zip(tree_ids, members, held)
             ]
 
         # -- pack destination labels ----------------------------------------
@@ -376,36 +381,47 @@ def _adjacency(
     return adj
 
 
+def _member_columns(ids: List[NodeId], entries: list) -> List[list]:
+    """The five table columns of one tree's members: read off the tree
+    scheme's columns when every entry refers to the same one."""
+    first = entries[0]
+    if not isinstance(first, TreeTable) and all(e is first for e in entries):
+        return first.columns_of(ids)
+    rows = [e if isinstance(e, TreeTable) else e.table_of(v)
+            for v, e in zip(ids, entries)]
+    return [[getattr(row, name) for row in rows] for name in
+            ("enter", "exit_", "parent", "heavy", "root_distance")]
+
+
 def _pack_tree(
     tree_id: Hashable,
-    tables: Dict[NodeId, TreeTable],
+    ids: List[NodeId],
+    columns: List[list],
     adj: Optional[Dict[Tuple[NodeId, NodeId], float]],
     *,
     weighted: bool,
 ) -> PackedTree:
-    """Flatten one tree's per-vertex tables into a :class:`PackedTree`."""
-    packed = PackedTree(tree_id=tree_id)
-    for v in tables:
-        packed.local[v] = len(packed.ids)
-        packed.ids.append(v)
-    for v, row in tables.items():
-        packed.enter.append(row.enter)
-        packed.exit_.append(row.exit_)
-        packed.root_distance.append(row.root_distance or 0.0)
-        for neighbour, idx_list, id_list, w_list in (
-            (row.parent, packed.parent, packed.parent_id, packed.parent_w),
-            (row.heavy, packed.heavy, packed.heavy_id, packed.heavy_w),
-        ):
-            if neighbour is None:
-                idx_list.append(NO_VERTEX)
-                id_list.append(None)
-                w_list.append(None)
-            else:
-                idx_list.append(packed.local.get(neighbour, NO_VERTEX))
-                id_list.append(neighbour)
-                w_list.append(_edge_weight(adj, v, neighbour,
-                                           weighted=weighted))
-    return packed.seal()
+    """One tree's rows (``ids`` and their ``enter`` / ``exit_`` / ``parent``
+    / ``heavy`` / ``root_distance`` columns, in tree-local order) plus the
+    local indices and weights of each parent and heavy pointer."""
+    enter, exit_, parent_id, heavy_id, root_distance = columns
+    local = dict(zip(ids, range(len(ids))))
+
+    def pointers(targets: List[Optional[NodeId]]) -> Tuple[List[int], list]:
+        return (
+            [NO_VERTEX if t is None else local.get(t, NO_VERTEX) for t in targets],
+            [None if t is None else _edge_weight(adj, v, t, weighted=weighted)
+             for v, t in zip(ids, targets)],
+        )
+
+    parent, parent_w = pointers(parent_id)
+    heavy, heavy_w = pointers(heavy_id)
+    return PackedTree(
+        tree_id=tree_id, ids=ids, local=local, enter=enter, exit_=exit_,
+        parent=parent, parent_id=parent_id, parent_w=parent_w, heavy=heavy,
+        heavy_id=heavy_id, heavy_w=heavy_w,
+        root_distance=[d or 0.0 for d in root_distance],
+    ).seal()
 
 
 def _pack_label(

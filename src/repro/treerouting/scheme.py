@@ -17,12 +17,12 @@ deterministic port order -- tests compare them field by field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Optional
+from typing import Callable, Hashable, Mapping, Optional
 
 from ..congest.bfs import BfsTree, build_bfs_tree
 from ..congest.network import Network
 from ..graphs.validation import require_tree_in_graph
-from ..routing.artifacts import TreeLabel, TreeRoutingScheme, TreeTable
+from ..routing.artifacts import TreeRoutingScheme
 from ..telemetry import events as _tele
 from .sampling import TreePartition, partition_tree
 from .stage0_partition import run_stage0
@@ -88,28 +88,14 @@ def build_distributed_tree_scheme(
                               mem_prefix=mem_prefix)
 
     with _tele.span("tree/assemble"):
-        tables: Dict[NodeId, TreeTable] = {}
-        labels: Dict[NodeId, TreeLabel] = {}
+        scheme = TreeRoutingScheme.of_tree(
+            tree_id if tree_id is not None else part.root, part.root,
+            tree_parent, size_info.heavy, dfs_info.intervals,
+            light_info.light_edges, root_distance)
         for v in tree_parent:
-            enter, exit_ = dfs_info.intervals[v]
-            tables[v] = TreeTable(
-                enter=enter,
-                exit_=exit_,
-                parent=tree_parent[v],
-                heavy=size_info.heavy[v],
-                root_distance=root_distance(v) if root_distance is not None else None,
-            )
-            labels[v] = TreeLabel(enter=enter, light_edges=light_info.light_edges[v])
             meter = net.mem(v)
-            meter.store(f"{mem_prefix}/table", tables[v].word_size())
-            meter.store(f"{mem_prefix}/label", labels[v].word_size())
-
-        scheme = TreeRoutingScheme(
-            tree_id=tree_id if tree_id is not None else part.root,
-            root=part.root,
-            tables=tables,
-            labels=labels,
-        )
+            meter.store(f"{mem_prefix}/table", scheme.table_words(v))
+            meter.store(f"{mem_prefix}/label", scheme.label_words(v))
     # O(n), so read once per tree build: the report needs it traced or not.
     max_memory_words = net.max_memory()
     _tele.gauge("memory.high_water_words", max_memory_words)

@@ -23,8 +23,8 @@ from ..graphs.validation import require_weighted_connected
 from ..routing.artifacts import (
     GraphLabel,
     GraphRoutingScheme,
-    GraphTable,
     TreeRoutingScheme,
+    graph_tables,
 )
 from .clusters import all_cluster_trees, compute_pivots
 from .hierarchy import Hierarchy, sample_hierarchy
@@ -63,11 +63,7 @@ def build_centralized_scheme(
             root_distance=lambda v, d=ctree.dist: d[v],
         )
 
-    tables: Dict[NodeId, GraphTable] = {v: GraphTable(vertex=v) for v in graph.nodes}
-    for root, scheme in tree_schemes.items():
-        for v, table in scheme.tables.items():
-            tables[v].trees[root] = table
-
+    tables = graph_tables(graph.nodes, tree_schemes)
     labels: Dict[NodeId, GraphLabel] = {}
     for v in graph.nodes:
         entries = []

@@ -1,7 +1,6 @@
 """Failure-injection tests: corrupted artifacts must fail loudly, never
 loop forever or deliver silently to the wrong vertex."""
 
-import dataclasses
 import random
 
 import pytest
@@ -13,6 +12,7 @@ from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.routing import (
     GraphLabel,
     TreeLabel,
+    TreeRoutingScheme,
     TreeTable,
     route_in_graph,
     route_in_tree,
@@ -52,7 +52,8 @@ class TestCorruptedTreeArtifacts:
         broken[victim] = TreeTable(
             enter=old.enter, exit_=old.exit_, parent=old.parent, heavy=old.parent
         )
-        corrupted = dataclasses.replace(scheme, tables=broken)
+        corrupted = TreeRoutingScheme.from_maps(
+            scheme.tree_id, scheme.root, broken, scheme.labels)
         try:
             result = route_in_tree(corrupted, u, v, max_hops=300)
             assert result.path[-1] == v
@@ -67,9 +68,9 @@ class TestCorruptedTreeArtifacts:
         with pytest.raises(RoutingFailure):
             # destination "enter" exceeds the root interval: the message
             # climbs to the root, which must then fail loudly.
-            broken = dataclasses.replace(
-                scheme, labels={**scheme.labels, v: bogus}
-            )
+            broken = TreeRoutingScheme.from_maps(
+                scheme.tree_id, scheme.root, scheme.tables,
+                {**scheme.labels, v: bogus})
             route_in_tree(broken, u, v)
 
     def test_zero_hop_budget_raises(self, tree_setup):

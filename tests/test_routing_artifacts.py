@@ -1,6 +1,7 @@
 """Unit tests for routing artifacts and the pure forwarding rule."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingFailure
 from repro.routing import (
@@ -8,9 +9,11 @@ from repro.routing import (
     GraphTable,
     Header,
     TreeLabel,
+    TreeRoutingScheme,
     TreeTable,
     tree_forward,
 )
+from repro.routing.artifacts import graph_tables
 
 
 def table(enter, exit_, parent=None, heavy=None, rd=None):
@@ -102,3 +105,152 @@ class TestTreeForward:
         t2 = table(4, 6, parent="p", heavy=None)
         with pytest.raises(RoutingFailure):
             tree_forward("v", t2, TreeLabel(enter=5))
+
+
+# ---------------------------------------------------------------------------
+# Columnar tree schemes: the views, equality, word sizes, GraphTable.trees
+# ---------------------------------------------------------------------------
+
+small_ints = st.integers(min_value=-5, max_value=40)
+
+
+@st.composite
+def tree_maps(draw):
+    """Per-vertex tables and labels of one tree scheme -- not necessarily
+    a well-formed one: the views must give back whatever went in, with
+    the labels over their own vertex set and order."""
+    vertices = draw(st.lists(st.one_of(small_ints, st.text(max_size=3)),
+                             min_size=1, max_size=8, unique=True))
+    neighbour = st.none() | st.sampled_from(vertices)
+    tables = {
+        v: TreeTable(draw(small_ints), draw(small_ints), draw(neighbour),
+                     draw(neighbour),
+                     draw(st.none() | st.floats(allow_nan=False, width=32)))
+        for v in vertices
+    }
+    labelled = draw(st.permutations(vertices))[:draw(
+        st.integers(min_value=1, max_value=len(vertices)))]
+    edge = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    labels = {
+        v: TreeLabel(draw(small_ints),
+                     tuple(draw(st.lists(edge, max_size=3))))
+        for v in labelled
+    }
+    return tables, labels
+
+
+def _permuted(data, mapping):
+    return dict(data.draw(st.permutations(list(mapping.items()))))
+
+
+class TestColumnarTreeScheme:
+    @given(tree_maps())
+    @settings(max_examples=80, deadline=None)
+    def test_views_equal_the_maps_it_was_made_from(self, maps):
+        tables, labels = maps
+        scheme = TreeRoutingScheme.from_maps("t", "r", tables, labels)
+        assert dict(scheme.tables) == tables and dict(scheme.labels) == labels
+        assert list(scheme.tables) == list(tables)
+        assert list(scheme.labels) == list(labels)
+        assert len(scheme.tables) == len(tables) and "absent" not in scheme.tables
+
+    @given(tree_maps(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equality_ignores_vertex_order_and_sees_one_field(self, maps, data):
+        tables, labels = maps
+        scheme = TreeRoutingScheme.from_maps("t", "r", tables, labels)
+        permuted = TreeRoutingScheme.from_maps(
+            "t", "r", _permuted(data, tables), _permuted(data, labels))
+        assert permuted == scheme
+        v = data.draw(st.sampled_from(list(tables)))
+        field = data.draw(st.sampled_from(
+            ["enter", "exit_", "parent", "heavy", "root_distance"]))
+        old = getattr(tables[v], field)
+        if field in ("enter", "exit_"):
+            new = old + 1
+        elif field == "root_distance":
+            new = None if old is not None else 0.5
+        else:
+            new = "elsewhere"
+        changed = {**tables, v: TreeTable(**{
+            **vars(tables[v]), field: new})}
+        assert TreeRoutingScheme.from_maps("t", "r", changed, labels) != scheme
+        w = data.draw(st.sampled_from(list(labels)))
+        relabelled = {**labels, w: TreeLabel(labels[w].enter,
+                                             labels[w].light_edges + ((w, w),))}
+        assert TreeRoutingScheme.from_maps("t", "r", tables, relabelled) != scheme
+
+    @given(tree_maps())
+    @settings(max_examples=80, deadline=None)
+    def test_column_word_sizes_are_the_per_object_sums(self, maps):
+        tables, labels = maps
+        scheme = TreeRoutingScheme.from_maps("t", "r", tables, labels)
+        for v, table in tables.items():
+            assert scheme.table_words(v) == table.word_size()
+        for v, label in labels.items():
+            assert scheme.label_words(v) == label.word_size()
+        assert scheme.max_table_words() == max(
+            t.word_size() for t in tables.values())
+        assert scheme.max_label_words() == max(
+            l.word_size() for l in labels.values())
+        for v, held in graph_tables(tables, {"t": scheme}).items():
+            assert held.word_size() == GraphTable(v, dict(held.trees)).word_size()
+
+    @given(tree_maps(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_del_drops_a_vertex_from_the_view_not_from_references(
+            self, maps, data):
+        tables, labels = maps
+        scheme = TreeRoutingScheme.from_maps("t", "r", tables, labels)
+        held = graph_tables(tables, {"t": scheme})
+        v = data.draw(st.sampled_from(list(tables)))
+        del scheme.tables[v]
+        assert v not in scheme.tables and len(scheme.tables) == len(tables) - 1
+        assert dict(scheme.labels) == labels
+        assert held[v].trees["t"] == tables[v]
+        assert held[v].trees.entries["t"] is scheme
+        with pytest.raises(TypeError, match="read-only"):
+            scheme.tables[v] = tables[v]
+
+
+#: what one step does to ``GraphTable.trees`` and to a plain dict alike
+TREE_OPS = st.lists(st.tuples(
+    st.sampled_from(["set", "pop", "del", "get", "contains", "clear"]),
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.builds(TreeTable, small_ints, small_ints, st.none(), st.none())),
+    max_size=12)
+
+
+class TestGraphTableTrees:
+    @given(TREE_OPS)
+    @settings(max_examples=100, deadline=None)
+    def test_setting_and_popping_behave_like_a_dict(self, ops):
+        """The references :func:`graph_tables` stores read as tables;
+        what is set is stored as is; missing keys fail as in a dict."""
+        schemes = {
+            t: TreeRoutingScheme.from_maps(
+                t, "v", {"v": TreeTable(i, i, None, None, float(i))},
+                {"v": TreeLabel(i)})
+            for i, t in enumerate("abc")
+        }
+        trees = graph_tables(["v"], schemes)["v"].trees
+        model = {t: s.tables["v"] for t, s in schemes.items()}
+        for op, tree, table in ops:
+            if op == "set":
+                trees[tree] = model[tree] = table
+            elif op == "pop":
+                assert trees.pop(tree, None) == model.pop(tree, None)
+            elif op == "del":
+                if tree in model:
+                    del trees[tree], model[tree]
+                else:
+                    with pytest.raises(KeyError):
+                        del trees[tree]
+            elif op == "get":
+                assert trees.get(tree) == model.get(tree)
+            elif op == "contains":
+                assert (tree in trees) == (tree in model)
+            else:
+                trees.clear()
+                model.clear()
+            assert dict(trees) == model and list(trees) == list(model)

@@ -3,6 +3,7 @@ format-3 layout."""
 
 import copy
 import dataclasses
+import gc
 import io
 import json
 
@@ -187,9 +188,10 @@ class TestGraphSchemeRoundTrip:
         assert before.max_stretch == pytest.approx(after.max_stretch)
 
     def test_load_restores_the_sharing_the_builders_create(self, built):
-        """A vertex's table *is* the set of its tree tables: every tree
-        table and tree label is one object, reached from the vertex and
-        from its tree scheme alike."""
+        """A vertex's table *is* the set of its tree tables: every entry
+        is a reference to its tree scheme's row, in the built scheme and
+        the loaded one alike, and every label entry is its tree scheme's
+        label."""
         _, scheme = built
         buf = io.StringIO()
         save_scheme(scheme, buf)
@@ -200,11 +202,11 @@ class TestGraphSchemeRoundTrip:
             shared = view.tree_schemes
             for v, table in view.tables.items():
                 assert table.trees
-                for t, tree_table in table.trees.items():
-                    assert tree_table is shared[t].tables[v]
+                for t, entry in table.trees.entries.items():
+                    assert entry is shared[t] and v in shared[t].tables
             for v, label in view.labels.items():
                 for t, _, tree_label in filter(None, label.entries):
-                    assert tree_label is shared[t].labels[v]
+                    assert tree_label == shared[t].labels[v]
 
     def test_save_unknown_object_rejected(self):
         with pytest.raises(InputError):
@@ -239,8 +241,8 @@ def _hand_built_scheme():
     small_tables = {"c": TreeTable(0, 1, None, 5), 5: TreeTable(1, 1, "c", None)}
     small_labels = {"c": TreeLabel(0), 5: TreeLabel(1)}
     trees = {
-        7: TreeRoutingScheme(7, 7, big_tables, big_labels),
-        "c": TreeRoutingScheme("c", "c", small_tables, small_labels),
+        7: TreeRoutingScheme.from_maps(7, 7, big_tables, big_labels),
+        "c": TreeRoutingScheme.from_maps("c", "c", small_tables, small_labels),
     }
     tables = {
         v: GraphTable(v, {t: s.tables[v] for t, s in trees.items()
@@ -489,6 +491,12 @@ CORRUPTIONS = {
     "light-count-too-large": ("label", _set(2, 1), "labels"),
     # the counts still sum to the one edge there is
     "light-count-negative": ("label", _set_column(2, [-1, 1, 1, 0]), "labels"),
+    # values of the wrong JSON type: each used to load without an error
+    "bool-id-index": ("table", _set(0, False), "tables"),  # aliased id 0
+    "str-enter": ("table", _set(1, "x"), "tables"),
+    "bool-exit": ("table", _set(2, True), "tables"),
+    "str-root-distance": ("table", _set(5, "far"), "tables"),
+    "float-label-enter": ("label", _set(1, 0.5), "labels"),
 }
 
 #: The same for the graph-level sections, which name trees and leave the
@@ -509,6 +517,8 @@ GRAPH_CORRUPTIONS = {
         _set_entry("labels", [0, 0.0, 0, [0]]), "'labels'"),
     "tree-schemes-missing": (lambda blob: blob.pop("tree_schemes"),
                              "'tree_schemes'"),
+    "str-label-dist": (_set_entry("labels", [0, "x"]), "'labels'"),
+    "str-k": (lambda blob: blob.update(k="three"), "'k'"),
 }
 
 
@@ -545,6 +555,65 @@ class TestCorruptFiles:
             graph_scheme_from_dict(blob)
         with pytest.raises(InputError, match=named):
             load_scheme(io.StringIO(json.dumps(blob)))
+
+
+# ---------------------------------------------------------------------------
+# Allocation pins: the deploy path builds no per-membership object
+# ---------------------------------------------------------------------------
+
+def _spy_on_init(monkeypatch, cls):
+    """A list that gets one entry per ``cls(...)`` from now on."""
+    calls, init = [], cls.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return calls
+
+
+class TestDeployAllocations:
+    """A loaded tree scheme stays columns and a vertex's table entries
+    refer to its rows: decoding and compiling a scheme build no
+    :class:`TreeTable`, and what the decoder leaves alive grows with the
+    trees and the vertices, not with the memberships (~34 per vertex
+    here) -- the shape ``test_structure_budget`` pins for the text."""
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        graph = random_connected_graph(300, seed=212)
+        scheme = build_centralized_scheme(graph, 2, seed=212)
+        return graph, json.loads(json.dumps(graph_scheme_to_dict(scheme)))
+
+    def test_decode_builds_no_tree_table(self, shipped, monkeypatch):
+        _, blob = shipped
+        tables = _spy_on_init(monkeypatch, TreeTable)
+        labels = _spy_on_init(monkeypatch, TreeLabel)
+        loaded = graph_scheme_from_dict(blob)
+        entries = sum(entry is not None for label in loaded.labels.values()
+                      for entry in label.entries)
+        assert tables == [] and 0 < len(labels) <= entries
+
+    def test_compiling_a_loaded_scheme_builds_no_tree_table(
+            self, shipped, monkeypatch):
+        graph, blob = shipped
+        loaded = graph_scheme_from_dict(blob)
+        tables = _spy_on_init(monkeypatch, TreeTable)
+        compile_scheme(loaded, graph)
+        assert tables == []
+
+    def test_live_objects_grow_per_tree_and_vertex(self, shipped):
+        _, blob = shipped
+        gc.collect()
+        before = len(gc.get_objects())
+        loaded = graph_scheme_from_dict(blob)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        trees, vertices = len(loaded.tree_schemes), len(loaded.tables)
+        memberships = sum(len(table.trees) for table in loaded.tables.values())
+        assert memberships > 30 * vertices
+        assert grown <= 12 * trees + (6 + 4 * loaded.k) * vertices
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +705,10 @@ def _replace_label(scheme, data):
 
 
 def _drop_vertex_from_tree(scheme, data):
-    t = data.draw(st.sampled_from(list(scheme.tree_schemes)))
-    tree = scheme.tree_schemes[t]
+    trees = [t for t, tree in scheme.tree_schemes.items() if tree.tables]
+    if not trees:
+        return
+    tree = scheme.tree_schemes[data.draw(st.sampled_from(trees))]
     v = data.draw(st.sampled_from(list(tree.tables)))
     del tree.tables[v], tree.labels[v]
 
@@ -656,7 +727,7 @@ def _add_private_tree(scheme, data):
 
 def _reorder_trees(scheme, data):
     v = data.draw(st.sampled_from(list(scheme.tables)))
-    scheme.tables[v].trees = dict(reversed(scheme.tables[v].trees.items()))
+    scheme.tables[v] = GraphTable(v, dict(reversed(list(scheme.tables[v].trees.items()))))
 
 
 DAMAGES = [_replace_table_field, _replace_label, _drop_vertex_from_tree,

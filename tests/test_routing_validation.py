@@ -9,10 +9,18 @@ from repro.congest import Network
 from repro.core import build_distributed_scheme
 from repro.errors import InvariantViolation
 from repro.graphs import random_connected_graph, spanning_tree_of
-from repro.routing import TreeLabel
+from repro.routing import TreeLabel, TreeRoutingScheme
 from repro.routing.validation import verify_graph_scheme, verify_tree_scheme
 from repro.treerouting import build_distributed_tree_scheme
 from repro.tz import build_centralized_scheme, build_tree_scheme
+
+
+def _replaced(scheme, tables=None, labels=None):
+    """``scheme`` with its table and/or label map swapped out."""
+    return TreeRoutingScheme.from_maps(
+        scheme.tree_id, scheme.root,
+        scheme.tables if tables is None else tables,
+        scheme.labels if labels is None else labels)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +59,7 @@ class TestVerifyTreeScheme:
         broken = dict(scheme.tables)
         broken[victim] = dataclasses.replace(old, enter=10 ** 6, exit_=10 ** 6)
         with pytest.raises(InvariantViolation, match="permutation"):
-            verify_tree_scheme(dataclasses.replace(scheme, tables=broken))
+            verify_tree_scheme(_replaced(scheme, tables=broken))
 
     def test_detects_wrong_parent(self, tree_case):
         _, tree, scheme = tree_case
@@ -69,7 +77,7 @@ class TestVerifyTreeScheme:
         broken_labels = dict(scheme.labels)
         broken_labels[victim] = TreeLabel(enter=scheme.labels[victim].enter + 1)
         with pytest.raises(InvariantViolation):
-            verify_tree_scheme(dataclasses.replace(scheme, labels=broken_labels))
+            verify_tree_scheme(_replaced(scheme, labels=broken_labels))
 
     def test_detects_heavy_non_child(self, tree_case):
         _, tree, scheme = tree_case
@@ -80,7 +88,7 @@ class TestVerifyTreeScheme:
             broken[victim], heavy=broken[victim].parent
         )
         with pytest.raises(InvariantViolation, match="heavy"):
-            verify_tree_scheme(dataclasses.replace(scheme, tables=broken))
+            verify_tree_scheme(_replaced(scheme, tables=broken))
 
     def test_detects_interval_gap(self, tree_case):
         _, tree, scheme = tree_case
@@ -91,7 +99,7 @@ class TestVerifyTreeScheme:
             broken[victim], exit_=broken[victim].exit_ + 1
         )
         with pytest.raises(InvariantViolation):
-            verify_tree_scheme(dataclasses.replace(scheme, tables=broken))
+            verify_tree_scheme(_replaced(scheme, tables=broken))
 
 
 class TestVerifyGraphScheme:
