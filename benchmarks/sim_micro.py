@@ -10,13 +10,17 @@ the largest size of ``repro fig graph-rounds``):
   cached port tables + ``deliver_batch``): the pure engine round-trip;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
 * ``fig7_floodmax`` — event-driven leader election via ``run_protocol``
-  (per-message ``send_message`` path, dict-shaped ``tick`` delivery).
+  (per-message ``send_message`` path, dict-shaped ``tick`` delivery);
+* ``fig7_meter``    — memory metering with no traffic: per-vertex stores
+  over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
+  ``free_key`` per key (the network's column bank against one
+  ``MemoryMeter`` per vertex).
 
 This is the measurement that justifies keeping a fast path beside the
 oracle, and the one thing the perf ledger (``benchmarks/perf``) does not
 time.  Every workload first replays on both engines and asserts the
-deterministic outputs are identical (``RunMetrics.fingerprint()`` and the
-memory high-water) — a benchmark that compared engines computing different
+deterministic outputs are identical (``RunMetrics.fingerprint()`` and every
+vertex's memory high-water) — a benchmark that compared engines computing different
 things would be meaningless.  ``speedup_wall`` is *reported*, not gated: the
 timed regions are tens of milliseconds, where a threshold is a coin flip.
 
@@ -45,6 +49,9 @@ FIG7_SEED = 3
 #: Timing repetitions per engine (best-of, to shed scheduler noise).
 BEST_OF = 3
 
+#: Keys ``fig7_meter`` stores at every vertex one by one.
+METER_KEYS = 8
+
 
 def _fig7_graph():
     return random_connected_graph(FIG7_N, avg_degree=6.0, seed=FIG7_SEED)
@@ -68,6 +75,18 @@ def _floodmax(net: Any) -> None:
     run_protocol(net, lambda v: FloodMax(bound + 1), max_rounds=10_000)
 
 
+def _meter(net: Any) -> None:
+    nodes = list(net.nodes())
+    for r in range(4):
+        for k in range(METER_KEYS):
+            for v in nodes:
+                net.mem(v).store(f"meter/k{k}", 1 + (k + r) % 3)
+        net.store_each("meter/batch", {v: 1 + (i + r) % 5 for i, v in enumerate(nodes)})
+        for k in range(METER_KEYS):
+            net.free_key(f"meter/k{k}")
+        net.free_key("meter/batch")
+
+
 #: name -> (graph factory, workload, vertex count).  The graph is built
 #: once per workload and shared by every engine/repetition: the engines
 #: are certified (tests/differential) not to mutate it.
@@ -75,6 +94,7 @@ WORKLOADS: Dict[str, Tuple[Callable[[], Any], Callable[[Any], None], int]] = {
     "fig7_flood": (_fig7_graph, _flood, FIG7_N),
     "fig7_bfs": (_fig7_graph, _bfs, FIG7_N),
     "fig7_floodmax": (_fig7_graph, _floodmax, FIG7_N),
+    "fig7_meter": (_fig7_graph, _meter, FIG7_N),
 }
 
 
@@ -107,7 +127,7 @@ def run_sim_micro() -> List[Dict[str, Any]]:
         assert fast_net.metrics.fingerprint() == ref_net.metrics.fingerprint(), (
             f"{name}: fast engine metrics diverged"
         )
-        assert fast_net.max_memory() == ref_net.max_memory(), (
+        assert fast_net.memory_high_water() == ref_net.memory_high_water(), (
             f"{name}: fast engine memory accounting diverged"
         )
         m = fast_net.metrics

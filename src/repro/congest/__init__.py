@@ -7,7 +7,8 @@ Public surface:
   (the fast-path engine: CSR adjacency, cached port tables, batched sends);
 * :class:`~repro.congest.reference.ReferenceNetwork` -- the frozen seed
   engine, kept as the oracle for the differential harness;
-* :class:`~repro.congest.memory.MemoryMeter` -- per-vertex word accounting;
+* :class:`~repro.congest.memory.MemoryMeter` -- one vertex's word accounting,
+  the specification of the network's column bank (``Network.mem(v)``);
 * :class:`~repro.congest.message.Message`;
 * :func:`~repro.congest.bfs.build_bfs_tree` / :class:`~repro.congest.bfs.BfsTree`;
 * :func:`~repro.congest.broadcast.broadcast_all` (Lemma 1) and

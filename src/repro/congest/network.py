@@ -1,12 +1,15 @@
 """The CONGEST network simulator (fast-path round engine).
 
 A :class:`Network` wraps a weighted undirected :mod:`networkx` graph.  Every
-vertex hosts a processor with a :class:`~repro.congest.memory.MemoryMeter`;
-processors communicate in synchronous rounds by exchanging
+vertex hosts a processor with a memory meter (``mem(v)``, answered by the
+network's :class:`~repro.congest.memory.MemoryBank`); processors
+communicate in synchronous rounds by exchanging
 :class:`~repro.congest.message.Message` objects along edges.
 
 Model enforcement
 -----------------
+* The graph is non-empty, undirected, connected and free of self-loops
+  (:class:`~repro.errors.InputError` naming the defect otherwise).
 * Messages may only traverse edges of the graph
   (:class:`~repro.errors.CongestModelViolation` otherwise).
 * At most ``edge_capacity`` messages (default 1) traverse each edge
@@ -66,14 +69,14 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
 from ..telemetry import flight as _flight
 from ..wordsize import words_of
-from .memory import MemoryBank, MemoryMeter
+from .memory import MemoryBank, MeterView
 from .message import Message
 from .metrics import RunMetrics
 
@@ -98,18 +101,16 @@ class Network:
             raise InputError("network requires an undirected graph")
         if not nx.is_connected(graph):
             raise InputError("network requires a connected graph")
+        looped = next(nx.nodes_with_selfloops(graph), None)
+        if looped is not None:
+            raise InputError(f"network requires a graph without self-loops; "
+                             f"vertex {looped!r} has one")
         self.graph = graph
         self.message_word_limit = message_word_limit
         self.edge_capacity = edge_capacity
         self.strict = strict
         self.rng = random.Random(seed)
         self.metrics = RunMetrics()
-        #: The one memory record of the network; every meter is bound to it,
-        #: so bulk memory operations never visit the vertices one by one.
-        self._bank = MemoryBank()
-        self._meters: Dict[NodeId, MemoryMeter] = {
-            v: MemoryMeter(self._bank) for v in graph
-        }
         self._outbox: List[Message] = []
         #: Words queued in ``_outbox``, accumulated at send time so closing
         #: a round never re-walks the outbox to sum message widths.
@@ -125,6 +126,12 @@ class Network:
             v: i for i, v in enumerate(self._node_of)
         }
         id_of = self._id_of
+        #: The one memory record of the network, a column per key, so bulk
+        #: memory operations never visit the vertices one by one.
+        self._bank = MemoryBank(id_of)
+        self._meters: Dict[NodeId, MeterView] = {
+            v: MeterView(self._bank, i) for v, i in id_of.items()
+        }
         offsets = [0]
         targets: List[int] = []
         weights: List[float] = []
@@ -230,24 +237,29 @@ class Network:
 
     # -- memory ----------------------------------------------------------------
 
-    def mem(self, v: NodeId) -> MemoryMeter:
-        """The memory meter of vertex ``v``."""
+    def mem(self, v: NodeId) -> MeterView:
+        """The memory meter of vertex ``v`` (a view of the network's bank)."""
         return self._meters[v]
 
     def memory_high_water(self) -> Dict[NodeId, int]:
         """Per-vertex memory high-water marks, in words."""
-        return dict(zip(self._meters, self._bank.high_waters()))
+        return dict(zip(self._node_of, self._bank.high_waters()))
 
     def max_memory(self) -> int:
         """Worst per-vertex memory high-water over the run, in words."""
         return max(self._bank.high_waters())
 
+    def memory_by_group(self) -> Dict[str, int]:
+        """Current words per key group (``mem(v).snapshot()``'s grouping)
+        summed over all vertices: the bank's column sums plus each uniform
+        key's size times ``n``."""
+        return self._bank.by_group()
+
     def free_all(self, prefix: str) -> None:
         """Free the given key prefix at every vertex (stage teardown).
 
-        Per vertex this costs O(live keys under the prefix's group) thanks
-        to the meter's prefix index; when the key is exact, use
-        :meth:`free_key`.
+        Per vertex this looks through the live keys of the network; when
+        the key is exact, use :meth:`free_key`.
         """
         for meter in self._meters.values():
             meter.free_prefix(prefix)
@@ -256,6 +268,12 @@ class Network:
         """Free one exact key at every vertex: O(1) for a key stored by
         :meth:`store_all`, O(vertices holding it) otherwise."""
         self._bank.free_key(key)
+
+    def store_each(self, key: str, words_by_vertex: Mapping[NodeId, int]) -> None:
+        """``mem(v).store(key, words)`` for every ``v: words`` of the
+        mapping, in one call: the key's column is looked up once and the
+        high-water marks settled with one lookup per stale epoch."""
+        self._bank.store_each(key, words_by_vertex)
 
     def store_all(self, key: str, words: int) -> None:
         """Store ``words`` under ``key`` at every vertex (stage setup; the

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..errors import InputError
 from ..wordsize import words_of
-from .memory import MemoryMeter
+from .memory import MeterView
 from .message import Message
 from .network import Network
 
@@ -52,7 +52,7 @@ class NodeApi:
         self.id = node
         self.ports: List[NodeId] = net.ports(node)
         self._port_set = frozenset(self.ports)
-        self.memory: MemoryMeter = net.mem(node)
+        self.memory: MeterView = net.mem(node)
         self._outgoing: List[Message] = []
         self.halted = False
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -63,6 +63,10 @@ class ReferenceNetwork:
             raise InputError("network requires an undirected graph")
         if not nx.is_connected(graph):
             raise InputError("network requires a connected graph")
+        for v in graph:
+            if graph.has_edge(v, v):
+                raise InputError(f"network requires a graph without self-loops; "
+                                 f"vertex {v!r} has one")
         self.graph = graph
         self.message_word_limit = message_word_limit
         self.edge_capacity = edge_capacity
@@ -121,6 +125,15 @@ class ReferenceNetwork:
         """Worst per-vertex memory high-water over the run, in words."""
         return max(meter.high_water for meter in self._meters.values())
 
+    def memory_by_group(self) -> Dict[str, int]:
+        """Current words per key group, summed over every meter's
+        ``snapshot()``."""
+        out: Dict[str, int] = {}
+        for meter in self._meters.values():
+            for group, words in meter.snapshot().items():
+                out[group] = out.get(group, 0) + words
+        return out
+
     def free_all(self, prefix: str) -> None:
         """Free the given key prefix at every vertex (stage teardown)."""
         for meter in self._meters.values():
@@ -135,6 +148,11 @@ class ReferenceNetwork:
         """Store ``words`` under ``key`` at every vertex (stage setup)."""
         for meter in self._meters.values():
             meter.store(key, words)
+
+    def store_each(self, key: str, words_by_vertex: Mapping[NodeId, int]) -> None:
+        """Store ``words`` under ``key`` at every ``v: words`` of the mapping."""
+        for v, words in words_by_vertex.items():
+            self.mem(v).store(key, words)
 
     # -- observation -----------------------------------------------------------
 

@@ -13,11 +13,12 @@ A :class:`FlightRecorder` registers as a round observer on a
 same one-truthiness-check guard as the telemetry event bus — nothing else.
 When attached it samples, every ``stride``-th simulated round:
 
-* per-vertex :class:`~repro.congest.memory.MemoryMeter` current /
-  high-water words, **delta-encoded** (only vertices whose values changed
-  since the previous sample are stored);
-* the per-key-prefix breakdown (``tree/``, ``relay/``, ...) summed over
-  vertices (:meth:`MemoryMeter.snapshot`);
+* per-vertex memory meter (``net.mem(v)``) current / high-water words,
+  **delta-encoded** (only vertices whose values changed since the previous
+  sample are stored);
+* the per-key-group breakdown (``tree/``, ``relay/``, ...) summed over
+  vertices (``net.memory_by_group()``: column sums on ``Network``, no
+  per-vertex :meth:`~repro.congest.memory.MemoryMeter.snapshot`);
 * that round's traffic and its ``top_edges`` busiest edges.
 
 Samples live in a **ring buffer** of ``ring`` entries: when full, the
@@ -201,7 +202,6 @@ class FlightRecorder:
         cur_max = 0
         cur_sum = 0
         hw_max = 0
-        prefixes: Dict[str, int] = {}
         delta: Dict[Hashable, Tuple[int, int]] = {}
         last = self._last
         for v in net.nodes():
@@ -217,8 +217,6 @@ class FlightRecorder:
             if last.get(v, (0, 0)) != state:
                 delta[v] = state
                 last[v] = state
-            for group, words_ in meter.snapshot().items():
-                prefixes[group] = prefixes.get(group, 0) + words_
         top = sorted(per_edge.items(), key=lambda kv: kv[1][1], reverse=True)
         sample = FlightSample(
             round_index=net.metrics.rounds,
@@ -228,7 +226,7 @@ class FlightRecorder:
             mem_current_max=cur_max,
             mem_current_mean=cur_sum / max(1, self.n),
             mem_high_water_max=hw_max,
-            prefixes=prefixes,
+            prefixes=net.memory_by_group(),
             edges=[(u, v, m, w)
                    for (u, v), (m, w) in top[: self.config.top_edges]],
             vertex_delta=delta,

@@ -122,7 +122,8 @@ def pointer_jump(
             a_x = current_anc[x]
             anc_val = by_id[a_x][1] if a_x is not None else None
             new_value[x] = pull(x, value[x], anc_val, contributors[x])
-            net.mem(x).store(f"{mem_key}/value", words_of(new_value[x]))
+        net.store_each(f"{mem_key}/value",
+                       {x: words_of(val) for x, val in new_value.items()})
         value = new_value
 
         if not reuse:

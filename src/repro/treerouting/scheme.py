@@ -92,10 +92,10 @@ def build_distributed_tree_scheme(
             tree_id if tree_id is not None else part.root, part.root,
             tree_parent, size_info.heavy, dfs_info.intervals,
             light_info.light_edges, root_distance)
-        for v in tree_parent:
-            meter = net.mem(v)
-            meter.store(f"{mem_prefix}/table", scheme.table_words(v))
-            meter.store(f"{mem_prefix}/label", scheme.label_words(v))
+        net.store_each(f"{mem_prefix}/table",
+                       {v: scheme.table_words(v) for v in tree_parent})
+        net.store_each(f"{mem_prefix}/label",
+                       {v: scheme.label_words(v) for v in tree_parent})
     # O(n), so read once per tree build: the report needs it traced or not.
     max_memory_words = net.max_memory()
     _tele.gauge("memory.high_water_words", max_memory_words)

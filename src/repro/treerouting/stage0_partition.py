@@ -46,10 +46,8 @@ def run_stage0(net: Network, part: TreePartition, *, mem_prefix: str = "tree") -
     virtual_parent: Dict[NodeId, Optional[NodeId]] = {part.root: None}
     for x, announced_root in boundary.items():
         virtual_parent[x] = announced_root
-    for v in part.tree_parent:
-        net.mem(v).store(f"{mem_prefix}/local-root", 1)
-    for x in part.ut:
-        net.mem(x).store(f"{mem_prefix}/virtual-parent", 1)
+    net.store_each(f"{mem_prefix}/local-root", dict.fromkeys(part.tree_parent, 1))
+    net.store_each(f"{mem_prefix}/virtual-parent", dict.fromkeys(part.ut, 1))
 
     # Invariant: matches the simulator-side reference partition.
     reference = part.local_root_reference()

@@ -61,8 +61,7 @@ def run_stage1(
         kind="stage1-local",
         phase="stage1/local-sizes",
     )
-    for v in part.tree_parent:
-        net.mem(v).store(f"{mem_prefix}/s", 1)
+    net.store_each(f"{mem_prefix}/s", dict.fromkeys(part.tree_parent, 1))
 
     # -- step 2: Algorithm 1 (global sizes on U(T)) ----------------------------
     result = pointer_jump(
@@ -89,10 +88,8 @@ def run_stage1(
         kind="stage1-push",
         phase="stage1/push",
     )
-    extra: Dict[NodeId, int] = {}
-    for p, payloads in reported.items():
-        extra[p] = sum(payloads.values())
-        net.mem(p).store(f"{mem_prefix}/s-extra", 1)
+    extra: Dict[NodeId, int] = {p: sum(payloads.values()) for p, payloads in reported.items()}
+    net.store_each(f"{mem_prefix}/s-extra", dict.fromkeys(extra, 1))
 
     sizes = convergecast_up(
         net,
@@ -128,6 +125,6 @@ def run_stage1(
             if best_key is None or key > best_key:
                 best, best_key = child, key
         heavy[p] = best
-        net.mem(p).store(f"{mem_prefix}/heavy", 1)
+    net.store_each(f"{mem_prefix}/heavy", dict.fromkeys(reported, 1))
 
     return SizeInfo(sizes=sizes, heavy=heavy, trail=result.trail)

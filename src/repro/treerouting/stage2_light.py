@@ -70,8 +70,8 @@ def run_stage2(
         kind="stage2",
         phase="stage2/local",
     )
-    for v, edges in local_lists.items():
-        net.mem(v).store(f"{mem_prefix}/light-local", 2 * len(edges))
+    net.store_each(f"{mem_prefix}/light-local",
+                   {v: 2 * len(edges) for v, edges in local_lists.items()})
 
     # -- step 2: Algorithm 3 (global lists on U(T)) -----------------------------
     init: Dict[NodeId, EdgeList] = {part.root: ()}
@@ -100,11 +100,11 @@ def run_stage2(
         kind="stage2-push",
         phase="stage2/push",
     )
-    light_edges: Dict[NodeId, EdgeList] = {}
-    for v in part.tree_parent:
-        # pushed[v] is the global list of v's local root; appending the local
-        # list yields the light edges of the full z-to-v path.
-        light_edges[v] = pushed[v] + local_lists[v]
-        net.mem(v).store(f"{mem_prefix}/light", 2 * len(light_edges[v]))
+    # pushed[v] is the global list of v's local root; appending the local
+    # list yields the light edges of the full z-to-v path.
+    light_edges: Dict[NodeId, EdgeList] = {
+        v: pushed[v] + local_lists[v] for v in part.tree_parent}
+    net.store_each(f"{mem_prefix}/light",
+                   {v: 2 * len(edges) for v, edges in light_edges.items()})
     net.free_key(f"{mem_prefix}/light-local")
     return LightInfo(light_edges=light_edges)

@@ -76,8 +76,7 @@ def _range_partition(
             index_of[c] = j
             parent_of[c] = y
     prefix: Dict[NodeId, int] = {c: sizes[c] for c in index_of}
-    for c in index_of:
-        net.mem(c).store(f"{mem_prefix}/prefix", 1)
+    net.store_each(f"{mem_prefix}/prefix", dict.fromkeys(index_of, 1))
 
     phases = max(0, math.ceil(math.log2(max_r))) if max_r > 1 else 0
     for i in range(phases):
@@ -152,8 +151,7 @@ def run_stage3(
         kind="stage3",
         phase="stage3/local-dfs",
     )
-    for v in part.tree_parent:
-        net.mem(v).store(f"{mem_prefix}/enter-local", 1)
+    net.store_each(f"{mem_prefix}/enter-local", dict.fromkeys(part.tree_parent, 1))
 
     # -- shifts q_x -----------------------------------------------------------------
     shifts: Dict[NodeId, int] = {part.root: 0}
@@ -186,7 +184,7 @@ def run_stage3(
     for v in part.tree_parent:
         enter = local_enter[v] + pushed[v]
         intervals[v] = (enter, enter + sizes[v] - 1)
-        net.mem(v).store(f"{mem_prefix}/interval", 2)
+    net.store_each(f"{mem_prefix}/interval", dict.fromkeys(intervals, 2))
     net.free_key(f"{mem_prefix}/enter-local")
     net.free_key(f"{mem_prefix}/prefix")
 

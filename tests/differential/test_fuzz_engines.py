@@ -26,7 +26,7 @@ from typing import Any, List, Tuple
 import pytest
 
 from repro.congest import Network, ReferenceNetwork
-from repro.errors import CongestModelViolation
+from repro.errors import CongestModelViolation, MemoryAccountingError
 
 from .harness import QUICK, TOPOLOGIES, build_topology, meter_state, run_fingerprint
 
@@ -49,6 +49,9 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
       ("store_all", key, words)                -- uniform network-wide store
       ("mem_add", v, key, words) / ("mem_free", v, key)
       ("mem_free_prefix", v, prefix)           -- one vertex deviates
+      ("store_each", key, {v: words})          -- one key at many vertices;
+                                                  half carry a negative size
+                                                  mid-batch
 
     Capacity violations arise naturally: several sends may pick the same
     directed edge within one round, and a ``flood`` after any send on a
@@ -107,10 +110,16 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                      rng.choice(["fz/", "fz/a", "relay/", "plain"]))
                 )
             elif roll < 0.965:
+                batch = {v: rng.randrange(0, 5)
+                         for v in rng.sample(nodes, rng.randrange(1, len(nodes) + 1))}
+                if len(batch) > 2 and rng.random() < 0.5:
+                    batch[list(batch)[len(batch) // 2]] = -1
+                schedule.append(("store_each", rng.choice(_KEYS), batch))
+            elif roll < 0.975:
                 schedule.append(
                     ("free", rng.choice(["fz/", "fz/a", "relay/", "plain"]))
                 )
-            elif roll < 0.985:
+            elif roll < 0.99:
                 schedule.append(("free_key", rng.choice(_KEYS + ["ghost"])))
             else:
                 schedule.append(
@@ -185,8 +194,13 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
             elif tag == "free_key":
                 net.free_key(op[1])
                 outcomes.append(("ok",))
+            elif tag == "store_each":
+                net.store_each(op[1], op[2])
+                outcomes.append(("ok",))
         except CongestModelViolation as exc:
             outcomes.append(("violation", str(exc)))
+        except MemoryAccountingError as exc:
+            outcomes.append(("negative-store", str(exc)))
     return outcomes
 
 
@@ -238,8 +252,9 @@ def test_fuzz_non_strict_parity(topo, seed):
 
 def test_fuzz_schedules_do_violate():
     """Meta-check: the strict matrix actually exercises both violation
-    kinds (capacity overload and non-edge send) — guards against a fuzzer
-    regression that silently stops generating adversarial ops."""
+    kinds (capacity overload and non-edge send) and a ``store_each`` that
+    fails mid-batch — guards against a fuzzer regression that silently
+    stops generating adversarial ops."""
     kinds = set()
     for s in FUZZ_SEEDS:
         graph = build_topology(TOPO_NAMES[s % len(TOPO_NAMES)], s)
@@ -249,7 +264,9 @@ def test_fuzz_schedules_do_violate():
                 kinds.add(
                     "capacity" if "over capacity" in outcome[1] else "non-edge"
                 )
-    assert kinds == {"capacity", "non-edge"}
+            elif outcome[0] == "negative-store":
+                kinds.add(outcome[0])
+    assert kinds == {"capacity", "non-edge", "negative-store"}
 
 
 def test_fingerprint_helper_covers_timeline():

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis): ``Network`` vs ``ReferenceNetwork``.
 
-Three invariants that must hold for *any* fanout schedule, not just the
-replays pinned by the differential matrix:
+Four invariants that must hold for *any* schedule, not just the replays
+pinned by the differential matrix:
 
 * **Permutation invariance** — the per-destination inbox contents of a
   round are a function of *what* was sent, not of the order in which the
@@ -15,6 +15,9 @@ replays pinned by the differential matrix:
   meter ops (``store`` / ``add`` / ``free`` / ``free_prefix``) leaves
   identical meter state (current, high-water, both breakdowns,
   prefix-scan pin) on both engines.
+* **Batched store parity** — ``store_each(key, m)`` leaves the state of
+  the per-vertex loop over ``m``, whatever ``store_all`` / demotion /
+  ``free_key`` did to the key before.
 
 Examples are kept modest (the differential fuzzer already hammers volume);
 these exist to let hypothesis *shrink* any structural counterexample.
@@ -183,3 +186,46 @@ def test_meter_snapshots_agree_across_engines(graph, ops):
                 getattr(meter, op[0])(*op[2:])
     assert meter_state(nets["fastpath"]) == meter_state(nets["reference"])
     assert nets["fastpath"].max_memory() == nets["reference"].max_memory()
+
+
+_EACH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("store_all"), _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("free_key"), _MEM_KEYS),
+        # A per-vertex store on a uniform key demotes it first.
+        st.tuples(st.just("store"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("store_each"), _MEM_KEYS,
+                  st.dictionaries(_MEM_VERTEX, _MEM_WORDS, max_size=8)),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@given(small_graphs(max_size=8), _EACH_OPS)
+@settings(max_examples=150, deadline=None)
+def test_store_each_equals_the_per_vertex_loop(graph, ops):
+    """``store_each(key, m)`` leaves the meter state the loop ``for v, w in
+    m.items(): mem(v).store(key, w)`` leaves, on a key that is uniform,
+    demoted, per-vertex or freed; on ``Network`` and on the reference."""
+    nets = {"batched": Network(graph), "looped": Network(graph),
+            "reference": ReferenceNetwork(graph)}
+    for name, net in nets.items():
+        nodes = list(net.nodes())
+        for op in ops:
+            if op[0] == "store_all":
+                net.store_all(op[1], op[2])
+            elif op[0] == "free_key":
+                net.free_key(op[1])
+            elif op[0] == "store":
+                net.mem(nodes[op[1] % len(nodes)]).store(op[2], op[3])
+            else:
+                batch = {nodes[i % len(nodes)]: w for i, w in op[2].items()}
+                if name == "looped":
+                    for v, words in batch.items():
+                        net.mem(v).store(op[1], words)
+                else:
+                    net.store_each(op[1], batch)
+    states = {name: meter_state(net) for name, net in nets.items()}
+    assert states["batched"] == states["looped"] == states["reference"]
+    assert nets["batched"].memory_by_group() == nets["reference"].memory_by_group()

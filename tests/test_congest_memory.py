@@ -147,9 +147,9 @@ class TestSnapshot:
 
 
 class TestPrefixIndexTeardownCost:
-    """The group index pins stage-teardown cost (docstring of
-    :mod:`repro.congest.memory`): freeing a slash-qualified prefix scans
-    only that group's live keys, regardless of how much else is stored."""
+    """The prefix probe (docstring of :mod:`repro.congest.memory`): freeing
+    a slash-qualified prefix examines only that group's live keys,
+    regardless of how much else is stored."""
 
     def test_free_prefix_scans_only_its_group(self):
         meter = MemoryMeter()
@@ -345,18 +345,19 @@ class TestNetworkLevelAccounting:
             MemoryMeter().store("t/k", -1)
         assert str(failure.value) == str(expected.value)
         assert meter_state(net) == before
-        net.free_key("t/k")  # the holder index still lists vertex 0
+        net.free_key("t/k")  # vertex 0's entry is still in the key's column
         assert net.mem(0).current == 2
 
-    def test_items_is_a_live_view_when_no_uniform_key_is_live(self, engine):
+    def test_items_at_call_time(self, engine):
         net = engine(nx.path_graph(2))
         net.store_all("relay/buf", 2)
-        net.free_key("relay/buf")
         meter = net.mem(0)
         meter.store("tree/a", 1)
-        view = meter.items()
-        meter.store("tree/b", 2)  # a copy would not see this
-        assert dict(view) == {"tree/a": 1, "tree/b": 2}
+        assert dict(meter.items()) == {"relay/buf": 2, "tree/a": 1}
+        net.free_key("relay/buf")
+        meter.store("tree/b", 2)
+        net.mem(1).store("tree/c", 3)  # another vertex's entry
+        assert dict(meter.items()) == {"tree/a": 1, "tree/b": 2}
 
 
 class TestBulkHighWaterRead:
@@ -385,3 +386,38 @@ class TestBulkHighWaterRead:
         assert marks == {v: 9 if v == 7 else 6 for v in range(50)}
         del lookups[:]
         assert net.memory_high_water() == marks and lookups == []  # all fresh
+
+
+class TestColumnBank:
+    """``Network`` keeps its memory record as columns: no per-vertex meter
+    object, one dict per live per-vertex key."""
+
+    def test_network_constructs_no_memory_meter(self, monkeypatch):
+        from repro.congest import Network, ReferenceNetwork
+        from repro.graphs import random_connected_graph
+
+        built = []
+        init = MemoryMeter.__init__
+        monkeypatch.setattr(MemoryMeter, "__init__",
+                            lambda self: built.append(self) or init(self))
+        graph = random_connected_graph(200, seed=3)
+        Network(graph)
+        assert built == []
+        ReferenceNetwork(graph)  # the spy sees the specification's meters
+        assert len(built) == 200
+
+    def test_one_column_per_live_key_after_a_tree_build(self):
+        from repro.congest import Network
+        from repro.graphs import random_connected_graph, spanning_tree_of
+        from repro.treerouting import build_distributed_tree_scheme
+
+        graph = random_connected_graph(2000, seed=7)
+        tree = spanning_tree_of(graph, style="dfs", seed=7)
+        net = Network(graph)
+        build_distributed_tree_scheme(net, tree, seed=7)
+        bank = net._bank
+        live = {key for v in net.nodes() for key, _ in net.mem(v).items()}
+        assert live == set(bank.columns) | set(bank.uniform)
+        assert all(bank.columns.values())  # an emptied column is dropped
+        assert 0 < len(bank.columns) <= 16  # the tree's retained keys, n=2000
+        assert sum(map(len, bank.columns.values())) >= 2000 * 4

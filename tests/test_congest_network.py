@@ -10,6 +10,7 @@ import pytest
 
 from repro.congest import Message
 from repro.errors import CongestModelViolation, InputError
+from repro.graphs import random_connected_graph
 
 
 def tiny_graph():
@@ -36,6 +37,16 @@ class TestConstruction:
         g.add_edge(1, 2)
         with pytest.raises(InputError):
             engine(g)
+
+    def test_rejects_self_loop_naming_the_vertex(self, engine):
+        # CONGEST has no edge (v, v): a self-loop would put v in ports(v)
+        # and let send(v, v, ...) count as a message.
+        g = random_connected_graph(60, seed=3)
+        g.add_edge(17, 17, weight=1.0)
+        with pytest.raises(InputError) as failure:
+            engine(g)
+        assert str(failure.value) == (
+            "network requires a graph without self-loops; vertex 17 has one")
 
     def test_n_counts_vertices(self, engine):
         assert engine(tiny_graph()).n == 3

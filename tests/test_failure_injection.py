@@ -7,7 +7,7 @@ import pytest
 
 from repro.congest import Network
 from repro.core import build_distributed_scheme
-from repro.errors import RoutingFailure
+from repro.errors import InputError, RoutingFailure
 from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.routing import (
     GraphLabel,
@@ -17,6 +17,7 @@ from repro.routing import (
     route_in_graph,
     route_in_tree,
 )
+from repro.telemetry import flight
 from repro.treerouting import build_distributed_tree_scheme
 from repro.tz import build_tree_scheme
 
@@ -152,6 +153,19 @@ class TestAdversarialTopologies:
         build = build_distributed_tree_scheme(net, tree, seed=1)
         result = route_in_tree(build.scheme, 0, 49, weight_of=lambda a, b: 2.0)
         assert result.length == pytest.approx(2.0 * 49)
+
+    def test_self_loop_fails_before_any_round(self):
+        # A session attaches a flight recorder to every Network built: none
+        # is, so not one round was simulated.
+        graph = random_connected_graph(60, seed=3)
+        tree = spanning_tree_of(graph, style="bfs", seed=3)
+        graph.add_edge(5, 5, weight=1.0)
+        with flight.auto() as session:
+            with pytest.raises(InputError, match="self-loops; vertex 5 has one"):
+                build_distributed_scheme(graph, 2, seed=3)
+            with pytest.raises(InputError, match="self-loops; vertex 5 has one"):
+                build_distributed_tree_scheme(Network(graph), tree, seed=3)
+        assert session.recorders == []
 
     def test_complete_graph_general_scheme(self):
         import networkx as nx

@@ -204,17 +204,28 @@ class TestEngineParity:
         """What ``repro trace --flight`` records on a Table 2 run does not
         depend on how the engine keeps its memory books: per-round
         ``mem_current_max``, ``prefixes`` and ``vertex_delta`` (every
-        field of every sample) agree between the network-level record of
-        ``Network`` and the eager per-vertex loops of the reference."""
+        field of every sample) agree between the column bank of ``Network``
+        and the eager per-vertex loops of the reference.  ``Network``
+        samples its group totals from the columns: no vertex's
+        ``snapshot()`` is taken."""
         from repro.analysis import tables
         from repro.congest import ReferenceNetwork
+        from repro.congest.memory import MemoryMeter, MeterView
 
-        flights = []
+        snapshots = []
+        for cls in (MemoryMeter, MeterView):
+            monkeypatch.setattr(
+                cls, "snapshot",
+                lambda self, prefix=None, real=cls.snapshot:
+                    snapshots.append(self) or real(self, prefix))
+        flights, taken = [], []
         for engine in (Network, ReferenceNetwork):
             monkeypatch.setattr(tables, "Network", engine)
             with flight.auto(stride=3) as session:
                 tables.run_table2(n=90, seed=5)
             flights.append(session)
+            taken.append(len(snapshots))
+        assert taken[0] == 0 < taken[1]
         fast, ref = flights
         assert len(fast.recorders) == len(ref.recorders) == 2
         for a, b in zip(fast.recorders, ref.recorders):
