@@ -14,7 +14,10 @@ the largest size of ``repro fig graph-rounds``):
 * ``fig7_meter``    — memory metering with no traffic: per-vertex stores
   over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
   ``free_key`` per key (the network's column bank against one
-  ``MemoryMeter`` per vertex).
+  ``MemoryMeter`` per vertex);
+* ``fig7_wave``     — the tree-routing stages' round shape over a BFS tree:
+  a down-wave, one ``send_each`` per level, then a ``convergecast_up``
+  (each round one ``send_each`` too), with a ``store_each`` per wave.
 
 This is the measurement that justifies keeping a fast path beside the
 oracle, and the one thing the perf ledger (``benchmarks/perf``) does not
@@ -39,6 +42,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
+from repro.congest.primitives import Forest, convergecast_up
 from repro.congest.protocol import FloodMax, run_protocol
 from repro.graphs import random_connected_graph
 
@@ -51,6 +55,9 @@ BEST_OF = 3
 
 #: Keys ``fig7_meter`` stores at every vertex one by one.
 METER_KEYS = 8
+
+#: Down-waves plus convergecasts ``fig7_wave`` runs over one BFS tree.
+WAVES = 6
 
 
 def _fig7_graph():
@@ -87,6 +94,23 @@ def _meter(net: Any) -> None:
         net.free_key("meter/batch")
 
 
+def _wave(net: Any) -> None:
+    forest = Forest.from_parent_map(build_bfs_tree(net).parent)
+    levels: Dict[int, List[Any]] = {}
+    for v in sorted(forest.vertices(), key=repr):
+        if forest.children[v]:
+            levels.setdefault(forest.depth[v], []).append(v)
+    for r in range(WAVES):
+        for depth in sorted(levels):
+            net.send_each("wave", [(v, c, (r, depth))
+                                   for v in levels[depth] for c in forest.children[v]])
+            net.tick()
+        net.store_each("wave/seen", {v: 1 + (r + d) % 3 for v, d in forest.depth.items()})
+        convergecast_up(net, forest, lambda v: 1,
+                        lambda v, sizes: 1 + sum(sizes), kind="wave-up")
+    net.free_key("wave/seen")
+
+
 #: name -> (graph factory, workload, vertex count).  The graph is built
 #: once per workload and shared by every engine/repetition: the engines
 #: are certified (tests/differential) not to mutate it.
@@ -95,6 +119,7 @@ WORKLOADS: Dict[str, Tuple[Callable[[], Any], Callable[[Any], None], int]] = {
     "fig7_bfs": (_fig7_graph, _bfs, FIG7_N),
     "fig7_floodmax": (_fig7_graph, _floodmax, FIG7_N),
     "fig7_meter": (_fig7_graph, _meter, FIG7_N),
+    "fig7_wave": (_fig7_graph, _wave, FIG7_N),
 }
 
 

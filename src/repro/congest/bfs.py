@@ -16,6 +16,7 @@ O(1) words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..errors import InvariantViolation
@@ -25,13 +26,14 @@ from .network import Network
 NodeId = Hashable
 
 
-@dataclass
+@dataclass(frozen=True)
 class BfsTree:
     """A rooted BFS spanning tree of the network.
 
     ``children`` is derived information kept by the *simulator* for
     orchestration; a vertex itself only stores ``parent`` and ``depth``
-    (charged to its meter by :func:`build_bfs_tree`).
+    (charged to its meter by :func:`build_bfs_tree`).  Frozen because
+    :attr:`height` is cached on first read.
     """
 
     root: NodeId
@@ -39,9 +41,10 @@ class BfsTree:
     depth: Dict[NodeId, int]
     children: Dict[NodeId, List[NodeId]] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def height(self) -> int:
-        """Depth of the deepest vertex (<= hop-diameter D)."""
+        """Depth of the deepest vertex (<= hop-diameter D); computed on the
+        first read, since every Lemma-1 broadcast over the tree reads it."""
         return max(self.depth.values())
 
 
@@ -86,8 +89,8 @@ def build_bfs_tree(net: Network, root: Optional[NodeId] = None) -> BfsTree:
             for v, (_, chosen) in best.items():
                 parent[v] = chosen
                 depth[v] = depth[chosen] + 1
-                net.mem(v).store("bfs/parent", 2)
                 next_frontier.append(v)
+            net.store_each("bfs/parent", dict.fromkeys(next_frontier, 2))
             frontier = next_frontier
         if len(parent) != net.n:
             raise InvariantViolation("BFS flood did not reach every vertex")

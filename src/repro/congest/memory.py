@@ -51,7 +51,15 @@ Every reading is derived exactly:
   answers from a monotone stack of ``(epoch, total)`` peaks;
 * a vertex that deviates from a uniform key (per-vertex ``store`` / ``add``
   / ``free`` / ``free_prefix`` on it) first *demotes* the key into a full
-  column, so a key is never uniform and per-vertex at once.
+  column, so a key is never uniform and per-vertex at once;
+* the network-wide peak (``Network.max_memory()``) is kept eagerly, so
+  reading it settles nothing: a per-vertex store raises it to what the
+  vertex now holds, ``store_each`` to the most any vertex of its batch
+  holds, and a growing ``store_all`` to the largest column sum plus the new
+  uniform total.  Frees and demotion never raise what any vertex holds.
+  That largest column sum is O(n) to find, so the bank keeps an upper
+  bound on it (``ceiling``, raised wherever a column sum grows) and a
+  ``store_all`` whose bound cannot beat the peak skips the search.
 
 What needs one vertex's key set (``items()``, ``snapshot()``,
 ``free_prefix``) scans the live keys for the columns holding it; the
@@ -232,9 +240,13 @@ class MeterView:
         held = current[i] + words - column.get(i, 0)
         column[i] = words
         current[i] = held
+        if held > bank.ceiling:
+            bank.ceiling = held
         held += bank.total
         if held > bank.high[i]:
             bank.high[i] = held
+            if held > bank.peak:
+                bank.peak = held
 
     def add(self, key: str, words: int) -> None:
         """See :meth:`MemoryMeter.add`."""
@@ -302,8 +314,8 @@ class MemoryBank:
     module docstring); vertices are the indices of ``index_of``."""
 
     __slots__ = ("index_of", "n", "columns", "uniform", "total", "current",
-                 "high", "settled", "scans", "epoch", "_peak_epochs",
-                 "_peak_totals")
+                 "high", "settled", "scans", "epoch", "peak", "ceiling",
+                 "_peak_epochs", "_peak_totals")
 
     def __init__(self, index_of: Mapping[Hashable, int]) -> None:
         self.index_of = index_of
@@ -323,6 +335,12 @@ class MemoryBank:
         self.scans: Dict[int, int] = {}
         #: Counts changes of ``total``.
         self.epoch = 0
+        #: The largest high-water mark of any vertex, exact at every store
+        #: (settled or not): the largest ``current + total`` ever held.
+        self.peak = 0
+        #: An upper bound on ``max(current)``: exact when a growing
+        #: ``store_all`` last computed it, raised by every growth since.
+        self.ceiling = 0
         # Monotone stack: epochs ascending, totals strictly descending, so
         # the largest total at or after an epoch is the first entry at or
         # after it.
@@ -388,6 +406,8 @@ class MemoryBank:
         epoch, total = self.epoch, self.total
         current, high, settled = self.current, self.high, self.settled
         peaks: Dict[int, int] = {}
+        top = 0
+        ceiling = self.ceiling
         try:
             for v, words in words_by_vertex.items():
                 if words < 0:
@@ -405,10 +425,17 @@ class MemoryBank:
                 held = current[i] + words - column.get(i, 0)
                 column[i] = words
                 current[i] = held
+                if held > ceiling:
+                    ceiling = held
                 held += total
                 if held > high[i]:
                     high[i] = held
+                    if held > top:
+                        top = held
         finally:
+            self.ceiling = ceiling
+            if top > self.peak:
+                self.peak = top
             if not column:
                 del self.columns[key]
 
@@ -419,8 +446,15 @@ class MemoryBank:
         # shrinking column sum can only pair with the old total below a
         # peak that is already settled.
         self._drop_column(key)
-        self._set_total(self.total + words - self.uniform.get(key, 0))
+        grown = words - self.uniform.get(key, 0)
+        self._set_total(self.total + grown)
         self.uniform[key] = words
+        # Every vertex gained ``grown`` words at once; the fullest one may
+        # set the network's peak, unless even the ceiling cannot.
+        if grown > 0 and self.ceiling + self.total > self.peak:
+            self.ceiling = max(self.current)
+            if self.ceiling + self.total > self.peak:
+                self.peak = self.ceiling + self.total
 
     def free_key(self, key: str) -> None:
         """No vertex retains anything under ``key`` any more."""
@@ -440,6 +474,7 @@ class MemoryBank:
         self._set_total(self.total - words)
         self._settle_each(range(self.n))
         self.current[:] = [held + words for held in self.current]
+        self.ceiling += words
         self.columns[key] = dict.fromkeys(range(self.n), words)
 
     def _drop_column(self, key: str) -> None:

@@ -8,8 +8,10 @@ communicate in synchronous rounds by exchanging
 
 Model enforcement
 -----------------
-* The graph is non-empty, undirected, connected and free of self-loops
-  (:class:`~repro.errors.InputError` naming the defect otherwise).
+* The graph is non-empty, undirected, simple (not a multigraph, whose
+  ``graph[u][v]`` holds edge keys rather than a weight), connected and
+  free of self-loops (:class:`~repro.errors.InputError` naming the defect
+  otherwise).
 * Messages may only traverse edges of the graph
   (:class:`~repro.errors.CongestModelViolation` otherwise).
 * At most ``edge_capacity`` messages (default 1) traverse each edge
@@ -40,6 +42,8 @@ touch :mod:`networkx` again:
   resets only the arcs actually touched;
 * **batched messaging**: :meth:`send_many` fans one payload out of a vertex
   with the word-size computed once and the edge/capacity checks amortized;
+  :meth:`send_each` queues a round of distinct ``(src, dst, payload)``
+  messages in one call;
   :meth:`deliver_batch` delivers a round as one flat list for callers that
   do not need per-destination inboxes.
 
@@ -99,6 +103,9 @@ class Network:
             raise InputError("network requires a non-empty graph")
         if graph.is_directed():
             raise InputError("network requires an undirected graph")
+        if graph.is_multigraph():
+            raise InputError(f"network requires a simple graph, not a "
+                             f"{type(graph).__name__}")
         if not nx.is_connected(graph):
             raise InputError("network requires a connected graph")
         looped = next(nx.nodes_with_selfloops(graph), None)
@@ -246,8 +253,9 @@ class Network:
         return dict(zip(self._node_of, self._bank.high_waters()))
 
     def max_memory(self) -> int:
-        """Worst per-vertex memory high-water over the run, in words."""
-        return max(self._bank.high_waters())
+        """Worst per-vertex memory high-water over the run, in words: O(1),
+        the bank keeps it exact at every store."""
+        return self._bank.peak
 
     def memory_by_group(self) -> Dict[str, int]:
         """Current words per key group (``mem(v).snapshot()``'s grouping)
@@ -422,6 +430,17 @@ class Network:
                 self.metrics.on_charge(slots - 1)
         self._outbox_words += words * count
         return count
+
+    def send_each(
+        self, kind: str, sends: Iterable[Tuple[NodeId, NodeId, Any]]
+    ) -> None:
+        """:meth:`send` for every ``(src, dst, payload)`` of ``sends``, in
+        order: one call queues a whole round of one protocol step.  A
+        failing message raises with the messages before it queued.
+        """
+        send = self.send
+        for src, dst, payload in sends:
+            send(src, dst, kind, payload)
 
     def _end_round(self, delivered: List[Message], words: int) -> None:
         """Shared round-close path of :meth:`tick` / :meth:`deliver_batch`."""

@@ -124,11 +124,10 @@ def convergecast_up(
     ready = [v for v in forest.vertices() if pending[v] == 0]
     for v in ready:
         value[v] = leaf_value(v)
+    parent = forest.parent
     while ready:
-        for v in ready:
-            p = forest.parent[v]
-            if p is not None:
-                net.send(v, p, kind, value[v])
+        net.send_each(kind, [(v, parent[v], value[v])
+                             for v in ready if parent[v] is not None])
         inboxes = net.tick()
         next_ready: List[NodeId] = []
         for v, msgs in inboxes.items():

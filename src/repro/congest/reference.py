@@ -16,7 +16,8 @@ memory high-waters, and trace timelines — including byte-identical
 
 The class mirrors the full public ``Network`` surface (duck-typed — every
 algorithm in the library runs unmodified on either engine), including the
-batched :meth:`send_many` / :meth:`deliver_batch` entry points, which here
+batched :meth:`send_many` / :meth:`send_each` / :meth:`deliver_batch` entry
+points, which here
 degrade to the per-message slow path so batching changes *performance
 only*, never semantics.
 
@@ -61,6 +62,9 @@ class ReferenceNetwork:
             raise InputError("network requires a non-empty graph")
         if graph.is_directed():
             raise InputError("network requires an undirected graph")
+        if graph.is_multigraph():
+            raise InputError(f"network requires a simple graph, not a "
+                             f"{type(graph).__name__}")
         if not nx.is_connected(graph):
             raise InputError("network requires a connected graph")
         for v in graph:
@@ -206,6 +210,14 @@ class ReferenceNetwork:
             self.send(src, dst, kind, payload)
             count += 1
         return count
+
+    def send_each(
+        self, kind: str, sends: Iterable[Tuple[NodeId, NodeId, Any]]
+    ) -> None:
+        """Queue every ``(src, dst, payload)`` of ``sends``, in order
+        (shim: the loop over :meth:`send` the fast path must equal)."""
+        for src, dst, payload in sends:
+            self.send(src, dst, kind, payload)
 
     def send_message(self, msg: Message) -> None:
         """Queue an already-built :class:`Message` (shim: rebuilds via

@@ -14,9 +14,14 @@ NodeId = Hashable
 
 
 def require_weighted_connected(graph: nx.Graph) -> None:
-    """API-boundary check: undirected, connected, positive finite weights."""
+    """API-boundary check: undirected, simple, connected, positive finite
+    weights."""
     if graph.is_directed():
         raise InputError("graph must be undirected")
+    if graph.is_multigraph():
+        # ``graph[u][v]`` of a multigraph maps edge keys, not attributes:
+        # every weight would silently read as 1.0.
+        raise InputError(f"graph must be simple, not a {type(graph).__name__}")
     if graph.number_of_nodes() == 0:
         raise InputError("graph must be non-empty")
     if not nx.is_connected(graph):

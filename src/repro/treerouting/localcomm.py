@@ -23,8 +23,7 @@ one message per tree edge -- fully simulated.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..congest.network import Network
 from ..errors import InvariantViolation
@@ -62,38 +61,31 @@ def local_flood(
     value: Dict[NodeId, Any] = {x: root_value(x) for x in ut}
     boundary: Dict[NodeId, Any] = {}
 
-    # Group senders by local depth; all local trees advance in lockstep.
-    by_depth: Dict[int, list] = defaultdict(list)
-    for v, d in part.local_forest.depth.items():
-        by_depth[d].append(v)
-    for d in by_depth:
-        by_depth[d].sort(key=repr)
-
-    for depth in range(part.max_local_depth + 1):
-        senders = [v for v in by_depth.get(depth, []) if tree_children[v]]
-        if not senders:
-            continue
+    # All local trees advance in lockstep: one wave of senders per round.
+    for senders in part.waves:
+        batch: List[Tuple[NodeId, NodeId, Any]] = []
         for v in senders:
             if v not in value:
                 raise InvariantViolation(
-                    f"vertex {v!r} must send in round {depth + 1} but has no value"
+                    f"vertex {v!r} must send in round "
+                    f"{part.local_forest.depth[v] + 1} but has no value"
                 )
             out = emit(v, value[v])
-            per_child = out if isinstance(out, dict) else None
-            for c in tree_children[v]:
-                payload = per_child[c] if per_child is not None else out
-                net.send(v, c, kind, payload)
-        inboxes = net.tick()
-        for c, msgs in inboxes.items():
-            if len(msgs) != 1:
-                raise InvariantViolation(
-                    f"{c!r} received {len(msgs)} local-flood messages"
-                )
-            if c in ut:
-                boundary[c] = msgs[0].payload
+            if isinstance(out, dict):
+                batch.extend([(v, c, out[c]) for c in tree_children[v]])
             else:
-                payload = msgs[0].payload
-                value[c] = derive(c, payload) if derive is not None else payload
+                batch.extend([(v, c, out) for c in tree_children[v]])
+        net.send_each(kind, batch)
+        for msg in net.deliver_batch():
+            c = msg.dst
+            if c in ut:
+                if c in boundary:
+                    raise InvariantViolation(f"{c!r} received a second local-flood message")
+                boundary[c] = msg.payload
+            else:
+                if c in value:
+                    raise InvariantViolation(f"{c!r} received a second local-flood message")
+                value[c] = derive(c, msg.payload) if derive is not None else msg.payload
 
     if len(value) != part.n:
         raise InvariantViolation("local flood did not reach every vertex")
@@ -126,17 +118,15 @@ def report_to_parents(
     """
     if phase:
         net.begin_phase(phase)
+    tree_parent = part.tree_parent
     if senders is None:
-        senders = [v for v in part.tree_parent if part.tree_parent[v] is not None]
-    for v in sorted(senders, key=repr):
-        p = part.tree_parent[v]
-        if p is None:
-            continue
-        net.send(v, p, kind, payload_of(v))
-    inboxes = net.tick()
+        senders = [v for v, p in tree_parent.items() if p is not None]
+    net.send_each(kind, [(v, tree_parent[v], payload_of(v))
+                         for v in sorted(senders, key=repr)
+                         if tree_parent[v] is not None])
     received: Dict[NodeId, Dict[NodeId, Any]] = {}
-    for p, msgs in inboxes.items():
-        received[p] = {m.src: m.payload for m in msgs}
+    for m in net.deliver_batch():
+        received.setdefault(m.dst, {})[m.src] = m.payload
     if phase:
         net.end_phase()
     return received

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional, Set
+from functools import cached_property
+from typing import Dict, Hashable, List, Mapping, Optional, Set
 
 from ..congest.primitives import Forest
 from ..errors import InputError
@@ -38,9 +40,12 @@ def default_sampling_probability(n: int, s: int = 1) -> float:
     return min(1.0, 1.0 / math.sqrt(s * n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreePartition:
-    """The local-tree decomposition of one routing tree."""
+    """The local-tree decomposition of one routing tree.
+
+    Frozen because :attr:`waves` is cached on first read: a partition with
+    other forests is a new one (``dataclasses.replace``)."""
 
     tree_parent: Dict[NodeId, Optional[NodeId]]
     root: NodeId
@@ -55,6 +60,18 @@ class TreePartition:
     @property
     def max_local_depth(self) -> int:
         return self.local_forest.height
+
+    @cached_property
+    def waves(self) -> List[List[NodeId]]:
+        """The senders of every local flood, one list per round: the
+        vertices with T-children at each local depth that has any, in
+        repr order.  Fixed by the partition, so computed once."""
+        tree_children = self.tree_forest.children
+        by_depth: Dict[int, List[NodeId]] = defaultdict(list)
+        for v, d in self.local_forest.depth.items():
+            if tree_children[v]:
+                by_depth[d].append(v)
+        return [sorted(by_depth[d], key=repr) for d in sorted(by_depth)]
 
     def virtual_parent_reference(self) -> Dict[NodeId, Optional[NodeId]]:
         """T'-parents derived by the simulator (tests only).

@@ -96,7 +96,6 @@ def build_distributed_tree_scheme(
                        {v: scheme.table_words(v) for v in tree_parent})
         net.store_each(f"{mem_prefix}/label",
                        {v: scheme.label_words(v) for v in tree_parent})
-    # O(n), so read once per tree build: the report needs it traced or not.
     max_memory_words = net.max_memory()
     _tele.gauge("memory.high_water_words", max_memory_words)
     return DistributedTreeBuild(

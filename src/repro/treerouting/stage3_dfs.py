@@ -83,7 +83,7 @@ def _range_partition(
         step = 1 << i
         # Round A: designated children send their partial sums to the parent.
         in_flight: Dict[NodeId, List[Tuple[NodeId, int]]] = defaultdict(list)
-        sent_any = False
+        up: List[Tuple[NodeId, NodeId, int]] = []
         for y, kids in kids_of.items():
             r = len(kids)
             t = 1
@@ -92,14 +92,15 @@ def _range_partition(
                 lo = (2 * t - 1) * step + 1
                 hi = min(2 * t * step, r)
                 if lo <= hi:
-                    net.send(sender, y, "alg5-up", prefix[sender])
+                    up.append((sender, y, prefix[sender]))
                     in_flight[y].append((sender, prefix[sender]))
-                    sent_any = True
                 t += 1
-        if not sent_any:
+        if not up:
             continue
+        net.send_each("alg5-up", up)
         net.tick()
         # Round B: the parent forwards each value to its target children.
+        down: List[Tuple[NodeId, NodeId, int]] = []
         for y, transfers in in_flight.items():
             kids = kids_of[y]
             r = len(kids)
@@ -108,8 +109,8 @@ def _range_partition(
                 t = (j_s // step + 1) // 2
                 lo = (2 * t - 1) * step + 1
                 hi = min(2 * t * step, r)
-                for j in range(lo, hi + 1):
-                    net.send(y, kids[j - 1], "alg5-down", value)
+                down.extend([(y, kids[j - 1], value) for j in range(lo, hi + 1)])
+        net.send_each("alg5-down", down)
         inboxes = net.tick()
         for c, msgs in inboxes.items():
             if len(msgs) != 1:

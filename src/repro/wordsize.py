@@ -19,7 +19,10 @@ conservative:
 * dicts: sum over keys and values.
 
 Nested containers are handled recursively.  Custom payload classes may
-expose a ``word_size()`` method which takes precedence.
+expose a ``word_size()`` method which takes precedence.  Objects whose type
+is exactly one of the built-in scalars, ``tuple`` or ``list`` are sized
+without the attribute probe (none of them has a ``word_size``); subclasses
+take the general path, so an override still wins.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import InputError
+
+_ONE_WORD_TYPES = frozenset({int, float, bool, type(None)})
 
 
 def words_of(obj: Any) -> int:
@@ -39,17 +44,22 @@ def words_of(obj: Any) -> int:
     >>> words_of([(1, 2), (3, 4)])
     4
     """
-    if obj is None or isinstance(obj, bool):
+    cls = type(obj)
+    if cls in _ONE_WORD_TYPES:
         return 1
-    if isinstance(obj, (int, float)):
-        return 1
-    if isinstance(obj, str):
-        return max(1, (len(obj) + 7) // 8)
-    size_method = getattr(obj, "word_size", None)
-    if callable(size_method):
-        return int(size_method())
+    if cls is not tuple and cls is not list:
+        if isinstance(obj, (int, float)):
+            return 1
+        if isinstance(obj, str):
+            return max(1, (len(obj) + 7) // 8)
+        size_method = getattr(obj, "word_size", None)
+        if callable(size_method):
+            return int(size_method())
     if isinstance(obj, (tuple, list, set, frozenset)):
-        return sum(words_of(item) for item in obj)
+        words = 0
+        for item in obj:
+            words += 1 if type(item) in _ONE_WORD_TYPES else words_of(item)
+        return words
     if isinstance(obj, dict):
         return sum(words_of(k) + words_of(v) for k, v in obj.items())
     raise InputError(f"cannot compute word size of {type(obj).__name__!r}")

@@ -11,7 +11,10 @@ post-run check covers the whole per-vertex meter state (current,
 high-water, both breakdowns, the ``last_prefix_scan`` pin), so neither the
 bulk bookkeeping nor a lazily settled high-water can drift.  The meters
 are read once, after the schedule: reading a high-water settles it, so a
-mid-run read would hide exactly the laziness under test.
+mid-run read would hide exactly the laziness under test.  The network-wide
+peak is the exception: ``Network.max_memory()`` settles nothing, so it is
+recorded after every op and compared with the reference's eager maximum
+at every step.
 
 Schedules are generated once per seed and applied to each engine
 independently; everything is derived from ``random.Random(seed)``, so a
@@ -21,12 +24,12 @@ failing case reproduces from its pytest id alone.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
 from repro.congest import Network, ReferenceNetwork
-from repro.errors import CongestModelViolation, MemoryAccountingError
+from repro.errors import CongestModelViolation, InputError, MemoryAccountingError
 
 from .harness import QUICK, TOPOLOGIES, build_topology, meter_state, run_fingerprint
 
@@ -42,6 +45,11 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     Ops:
       ("send", src, dst, kind, payload)        -- dst may be a NON-neighbor
       ("send_many", src, dsts, kind, payload)  -- dsts may contain a non-edge
+      ("send_each", kind, [(src, dst, payload)]) -- one round of distinct
+                                                  messages; ~1 in 10 batches
+                                                  carries, mid-batch, a
+                                                  non-edge, a repeated arc, a
+                                                  wide or an unsizable payload
       ("flood", payload)                       -- every vertex, all its ports
       ("close", "tick" | "deliver")            -- end the round either way
       ("idle", k) / ("charge", r, m, w)        -- accounting paths
@@ -61,11 +69,18 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     must never raise.
     """
     rng = random.Random(seed * 6151 + 17)
+    each_rng = random.Random(seed * 7919 + 29)
     nodes = sorted(graph.nodes, key=repr)
     neighbors = {v: sorted(graph.neighbors(v), key=repr) for v in nodes}
     schedule: List[Tuple] = []
     for _ in range(rounds):
         for _ in range(rng.randrange(0, 10)):
+            # ``send_each`` ops come from their own stream, spliced in: the
+            # other ops keep their shares and their draws.
+            if each_rng.random() < 0.2:
+                schedule.append(
+                    ("send_each", "each", _send_each_batch(each_rng, nodes, neighbors))
+                )
             roll = rng.random()
             src = rng.choice(nodes)
             if roll < 0.50:
@@ -132,14 +147,44 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     return schedule
 
 
+class _Unsizable:
+    """A payload ``words_of`` cannot size (it raises ``InputError``)."""
+
+
+def _send_each_batch(rng: random.Random, nodes: List[Any],
+                     neighbors: Dict[Any, List[Any]]) -> List[Tuple]:
+    """A few distinct legal arcs with small payloads; 1 in 10 batches gets
+    one defect spliced in mid-batch."""
+    arcs = set()
+    for _ in range(rng.randrange(1, 6)):
+        src = rng.choice(nodes)
+        arcs.add((src, rng.choice(neighbors[src])))
+    batch = [(src, dst, rng.choice([None, rng.randrange(100), (src, dst)]))
+             for src, dst in sorted(arcs, key=repr)]
+    if rng.random() < 0.1:
+        src, dst, _ = batch[0]
+        defect = rng.choice([
+            (rng.choice(nodes), rng.choice(nodes), 1),  # likely a non-edge
+            (src, dst, 2),                              # the arc again
+            (src, dst, list(range(rng.randrange(5, 12)))),  # wide: charged
+            (src, dst, _Unsizable()),
+        ])
+        batch.insert(rng.randrange(1, len(batch) + 1), defect)
+    return batch
+
+
 def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
-    """Run a schedule, recording each op's observable outcome."""
+    """Run a schedule, recording each op's observable outcome followed by
+    the network's ``max_memory()`` after it."""
     outcomes: List[Tuple] = []
     for op in schedule:
         tag = op[0]
         try:
             if tag == "send":
                 net.send(op[1], op[2], op[3], op[4])
+                outcomes.append(("ok",))
+            elif tag == "send_each":
+                net.send_each(op[1], op[2])
                 outcomes.append(("ok",))
             elif tag == "send_many":
                 outcomes.append(("ok", net.send_many(op[1], op[2], op[3], op[4])))
@@ -201,6 +246,9 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
             outcomes.append(("violation", str(exc)))
         except MemoryAccountingError as exc:
             outcomes.append(("negative-store", str(exc)))
+        except InputError as exc:
+            outcomes.append(("unsizable", str(exc)))
+        outcomes[-1] += (net.max_memory(),)
     return outcomes
 
 
@@ -252,21 +300,24 @@ def test_fuzz_non_strict_parity(topo, seed):
 
 def test_fuzz_schedules_do_violate():
     """Meta-check: the strict matrix actually exercises both violation
-    kinds (capacity overload and non-edge send) and a ``store_each`` that
-    fails mid-batch — guards against a fuzzer regression that silently
-    stops generating adversarial ops."""
+    kinds (capacity overload and non-edge send), a ``store_each`` that
+    fails mid-batch and a ``send_each`` that does — guards against a
+    fuzzer regression that silently stops generating adversarial ops."""
     kinds = set()
     for s in FUZZ_SEEDS:
         graph = build_topology(TOPO_NAMES[s % len(TOPO_NAMES)], s)
         net = ReferenceNetwork(graph, strict=True)
-        for outcome in apply_schedule(net, make_schedule(graph, s)):
+        schedule = make_schedule(graph, s)
+        for op, outcome in zip(schedule, apply_schedule(net, schedule)):
             if outcome[0] == "violation":
                 kinds.add(
                     "capacity" if "over capacity" in outcome[1] else "non-edge"
                 )
             elif outcome[0] == "negative-store":
                 kinds.add(outcome[0])
-    assert kinds == {"capacity", "non-edge", "negative-store"}
+            if op[0] == "send_each" and outcome[0] != "ok":
+                kinds.add("send_each")
+    assert kinds == {"capacity", "non-edge", "negative-store", "send_each"}
 
 
 def test_fingerprint_helper_covers_timeline():

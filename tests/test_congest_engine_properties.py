@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis): ``Network`` vs ``ReferenceNetwork``.
 
-Four invariants that must hold for *any* schedule, not just the replays
+Six invariants that must hold for *any* schedule, not just the replays
 pinned by the differential matrix:
 
 * **Permutation invariance** — the per-destination inbox contents of a
@@ -18,6 +18,11 @@ pinned by the differential matrix:
 * **Batched store parity** — ``store_each(key, m)`` leaves the state of
   the per-vertex loop over ``m``, whatever ``store_all`` / demotion /
   ``free_key`` did to the key before.
+* **Network peak parity** — after every memory op, ``max_memory()`` (kept
+  eagerly by the bank) equals the reference's eager maximum, and at the
+  end the largest per-vertex high-water.
+* **Batched send parity** — ``send_each(kind, sends)`` equals the loop of
+  ``send`` over ``sends``: error text, arc loads, inboxes and metrics.
 
 Examples are kept modest (the differential fuzzer already hammers volume);
 these exist to let hypothesis *shrink* any structural counterexample.
@@ -29,6 +34,7 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.congest import Network, ReferenceNetwork
+from repro.errors import CongestModelViolation, InputError
 from repro.wordsize import words_of
 
 from .differential.harness import ENGINES, meter_state
@@ -229,3 +235,118 @@ def test_store_each_equals_the_per_vertex_loop(graph, ops):
     states = {name: meter_state(net) for name, net in nets.items()}
     assert states["batched"] == states["looped"] == states["reference"]
     assert nets["batched"].memory_by_group() == nets["reference"].memory_by_group()
+
+
+_PEAK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("store_all"), _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("free_key"), _MEM_KEYS),
+        st.tuples(st.just("free_all"), _MEM_PREFIXES),
+        st.tuples(st.just("store_each"), _MEM_KEYS,
+                  st.dictionaries(_MEM_VERTEX, _MEM_WORDS, max_size=8)),
+        # On a uniform key each of these demotes it first.
+        st.tuples(st.just("store"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("add"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
+        st.tuples(st.just("free"), _MEM_VERTEX, _MEM_KEYS),
+        st.tuples(st.just("free_prefix"), _MEM_VERTEX, _MEM_PREFIXES),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@given(small_graphs(max_size=8), _PEAK_OPS)
+@settings(max_examples=150, deadline=None)
+def test_max_memory_is_the_largest_high_water(graph, ops):
+    """``Network.max_memory()`` is kept eagerly by the bank: after every op
+    it equals the reference's eager maximum (reading it settles nothing,
+    so the lazy high-waters stay unsettled in between), and at the end it
+    is the largest per-vertex high-water."""
+    nets = {name: cls(graph) for name, cls in ENGINES.items()}
+    peaks = {name: [] for name in nets}
+    for name, net in nets.items():
+        nodes = list(net.nodes())
+        for op in ops:
+            if op[0] in ("store_all", "free_key", "free_all"):
+                getattr(net, op[0])(*op[1:])
+            elif op[0] == "store_each":
+                net.store_each(op[1], {nodes[i % len(nodes)]: w
+                                       for i, w in op[2].items()})
+            else:
+                getattr(net.mem(nodes[op[1] % len(nodes)]), op[0])(*op[2:])
+            peaks[name].append(net.max_memory())
+    assert peaks["fastpath"] == peaks["reference"]
+    fast = nets["fastpath"]
+    assert fast.max_memory() == max(fast.memory_high_water().values())
+
+
+class _Unsizable:
+    """A payload ``words_of`` rejects."""
+
+
+_PAYLOADS = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=99),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=9),  # > 4: wide
+    st.tuples(st.integers(min_value=0, max_value=9), st.text(max_size=12)),
+    st.just(_Unsizable()),
+)
+
+
+@st.composite
+def send_batches(draw):
+    """A graph and a batch of ``(src, dst, payload)`` sends: mostly arcs
+    (repeats overload them), sometimes a non-edge."""
+    graph = draw(small_graphs(max_size=8))
+    nodes = sorted(graph.nodes, key=_REPR)
+    sends = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        src = nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            dst = nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
+        else:
+            ports = sorted(graph.neighbors(src), key=_REPR)
+            dst = ports[draw(st.integers(min_value=0, max_value=len(ports) - 1))]
+        sends.append((src, dst, draw(_PAYLOADS)))
+    return graph, sends, draw(st.booleans())
+
+
+def _arc_loads(net):
+    """The current round's per-arc loads, by ``(repr(src), repr(dst))``."""
+    if isinstance(net, Network):
+        loads = {net.edge_endpoints(arc): net._edge_load[arc]
+                 for arc in net._loaded_arcs}
+    else:
+        loads = {arc: load for arc, load in net._edge_load.items() if load}
+    return {(_REPR(u), _REPR(v)): load for (u, v), load in loads.items()}
+
+
+@given(send_batches())
+@settings(max_examples=200, deadline=None)
+def test_send_each_equals_the_send_loop(case):
+    """``send_each(kind, sends)`` leaves what the loop of ``send`` leaves,
+    a mid-batch failure included: the same error text, the same queued
+    messages and arc loads, and after the tick the same inboxes and
+    metrics; on ``Network`` and on the reference."""
+    graph, sends, strict = case
+    nets = {"batched": Network(graph, strict=strict),
+            "looped": Network(graph, strict=strict),
+            "reference": ReferenceNetwork(graph, strict=strict)}
+    seen = {}
+    for name, net in nets.items():
+        try:
+            if name == "looped":
+                for src, dst, payload in sends:
+                    net.send(src, dst, "each", payload)
+            else:
+                net.send_each("each", sends)
+            error = None
+        except (CongestModelViolation, InputError) as exc:
+            error = (type(exc).__name__, str(exc))
+        loads = _arc_loads(net)
+        inboxes = {
+            _REPR(v): [(_REPR(m.src), m.kind, m.words) for m in box]
+            for v, box in net.tick().items()
+        }
+        seen[name] = (error, loads, inboxes, net.metrics.to_dict())
+    assert seen["batched"] == seen["looped"] == seen["reference"]

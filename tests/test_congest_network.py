@@ -48,6 +48,17 @@ class TestConstruction:
         assert str(failure.value) == (
             "network requires a graph without self-loops; vertex 17 has one")
 
+    def test_rejects_multigraph_naming_it(self, engine):
+        # ``graph[u][v]`` of a multigraph maps edge keys to attribute dicts:
+        # the weight-5 edge would silently read as 1.0.
+        g = nx.MultiGraph()
+        g.add_edge(0, 1, weight=5.0)
+        g.add_edge(1, 2, weight=3.0)
+        with pytest.raises(InputError) as failure:
+            engine(g)
+        assert str(failure.value) == (
+            "network requires a simple graph, not a MultiGraph")
+
     def test_n_counts_vertices(self, engine):
         assert engine(tiny_graph()).n == 3
 

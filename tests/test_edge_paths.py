@@ -1,5 +1,6 @@
 """Edge-path coverage: error branches and uncommon inputs across layers."""
 
+import dataclasses
 
 import pytest
 
@@ -27,10 +28,24 @@ class TestLocalFloodErrorPaths:
         # Forest construction itself rejects dangling children of victim,
         # or (if victim was a leaf) the flood notices incomplete coverage.
         try:
-            part.local_forest = Forest.from_parent_map(broken_parent)
+            part = dataclasses.replace(
+                part, local_forest=Forest.from_parent_map(broken_parent))
         except InputError:
             return
         with pytest.raises(InvariantViolation):
+            local_flood(
+                Network(graph), part, lambda x: 0, lambda v, val: val
+            )
+
+    def test_flood_names_a_vertex_reached_twice(self):
+        graph = random_connected_graph(40, seed=301)
+        tree = spanning_tree_of(graph, style="dfs", seed=301)
+        part = partition_tree(tree, seed=3)
+        # Replay the first wave a round later: its children hear twice.
+        first = part.waves[0]
+        part.__dict__["waves"] = part.waves + [first]
+        with pytest.raises(InvariantViolation,
+                           match="received a second local-flood message"):
             local_flood(
                 Network(graph), part, lambda x: 0, lambda v, val: val
             )

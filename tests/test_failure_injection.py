@@ -19,7 +19,7 @@ from repro.routing import (
 )
 from repro.telemetry import flight
 from repro.treerouting import build_distributed_tree_scheme
-from repro.tz import build_tree_scheme
+from repro.tz import build_centralized_scheme, build_tree_scheme
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,21 @@ class TestAdversarialTopologies:
                 build_distributed_scheme(graph, 2, seed=3)
             with pytest.raises(InputError, match="self-loops; vertex 5 has one"):
                 build_distributed_tree_scheme(Network(graph), tree, seed=3)
+        assert session.recorders == []
+
+    def test_weighted_multigraph_fails_before_any_round(self):
+        # A multigraph's ``graph[u][v]`` holds edge keys, not attributes:
+        # read as a simple graph every weight would be 1.0 and the schemes
+        # would "succeed" on hop counts.
+        import networkx as nx
+
+        graph = nx.MultiGraph(random_connected_graph(60, seed=4))
+        u, v = next(iter(graph.edges()))
+        graph.add_edge(u, v, weight=5.0)
+        with flight.auto() as session:
+            for build in (build_distributed_scheme, build_centralized_scheme):
+                with pytest.raises(InputError, match="simple, not a MultiGraph"):
+                    build(graph, 2, seed=4)
         assert session.recorders == []
 
     def test_complete_graph_general_scheme(self):
