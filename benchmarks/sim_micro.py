@@ -17,14 +17,19 @@ the largest size of ``repro fig graph-rounds``):
   ``MemoryMeter`` per vertex);
 * ``fig7_wave``     — the tree-routing stages' round shape over a BFS tree:
   a down-wave, one ``send_each`` per level, then a ``convergecast_up``
-  (each round one ``send_each`` too), with a ``store_each`` per wave.
+  (each round one ``send_each`` too), with a ``store_each`` per wave;
+* ``fig7_compile``  — ``COMPILES`` constructions of the engine over the
+  graph and no traffic: the fast path compiles port tables and per-vertex
+  arc maps, the reference builds one ``MemoryMeter`` per vertex.
 
 This is the measurement that justifies keeping a fast path beside the
 oracle, and the one thing the perf ledger (``benchmarks/perf``) does not
 time.  Every workload first replays on both engines and asserts the
-deterministic outputs are identical (``RunMetrics.fingerprint()`` and every
-vertex's memory high-water) — a benchmark that compared engines computing different
-things would be meaningless.  ``speedup_wall`` is *reported*, not gated: the
+deterministic outputs are identical (``RunMetrics.fingerprint()``, every
+vertex's memory high-water, and the topology the engines answer: ``ports``,
+``neighbors``, ``degree``, ``has_edge`` and ``weight`` at every vertex and
+edge) — a benchmark that compared engines computing different things would
+be meaningless.  ``speedup_wall`` is *reported*, not gated: the
 timed regions are tens of milliseconds, where a threshold is a coin flip.
 
 Run it standalone: ``python benchmarks/sim_micro.py``.
@@ -58,6 +63,9 @@ METER_KEYS = 8
 
 #: Down-waves plus convergecasts ``fig7_wave`` runs over one BFS tree.
 WAVES = 6
+
+#: Engine constructions ``fig7_compile`` times.
+COMPILES = 10
 
 
 def _fig7_graph():
@@ -111,6 +119,22 @@ def _wave(net: Any) -> None:
     net.free_key("wave/seen")
 
 
+def _compile(net: Any) -> None:
+    for _ in range(COMPILES):
+        type(net)(net.graph)
+
+
+def _topology(net: Any) -> Tuple[List[Any], List[Any]]:
+    """Everything the engine answers about the graph: per vertex its ports,
+    neighbours and degree; per edge ``has_edge`` and ``weight`` both ways."""
+    vertices = [(v, net.ports(v), list(net.neighbors(v)), net.degree(v))
+                for v in net.nodes()]
+    edges = [(u, v, net.has_edge(u, v), net.has_edge(v, u),
+              net.weight(u, v), net.weight(v, u))
+             for u, v in net.graph.edges]
+    return vertices, edges
+
+
 #: name -> (graph factory, workload, vertex count).  The graph is built
 #: once per workload and shared by every engine/repetition: the engines
 #: are certified (tests/differential) not to mutate it.
@@ -120,6 +144,7 @@ WORKLOADS: Dict[str, Tuple[Callable[[], Any], Callable[[Any], None], int]] = {
     "fig7_floodmax": (_fig7_graph, _floodmax, FIG7_N),
     "fig7_meter": (_fig7_graph, _meter, FIG7_N),
     "fig7_wave": (_fig7_graph, _wave, FIG7_N),
+    "fig7_compile": (_fig7_graph, _compile, FIG7_N),
 }
 
 
@@ -154,6 +179,9 @@ def run_sim_micro() -> List[Dict[str, Any]]:
         )
         assert fast_net.memory_high_water() == ref_net.memory_high_water(), (
             f"{name}: fast engine memory accounting diverged"
+        )
+        assert _topology(fast_net) == _topology(ref_net), (
+            f"{name}: fast engine topology diverged"
         )
         m = fast_net.metrics
         records.append({

@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`~repro.congest.network.Network` -- the round-synchronous simulator
   with per-edge capacity, message word limits, and per-vertex memory meters
-  (the fast-path engine: CSR adjacency, cached port tables, batched sends);
+  (the fast-path engine: cached port tables, one arc map per vertex,
+  batched sends);
 * :class:`~repro.congest.reference.ReferenceNetwork` -- the frozen seed
   engine, kept as the oracle for the differential harness;
 * :class:`~repro.congest.memory.MemoryMeter` -- one vertex's word accounting,

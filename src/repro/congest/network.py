@@ -26,20 +26,24 @@ Model enforcement
 Fast path
 ---------
 Graphs are immutable once a :class:`Network` wraps them, so ``__init__``
-compiles the topology into flat structures and the per-round hot loops never
-touch :mod:`networkx` again:
+compiles what the per-round hot loops read, and nothing else, and those
+loops never touch :mod:`networkx` again:
 
-* **compact integer vertex ids** (``_id_of`` / ``_node_of``) with a
-  **CSR-style adjacency**: ``_adj_offsets[i] .. _adj_offsets[i+1]`` indexes
-  each vertex's slice of ``_adj_targets`` (neighbor ids, in port order) and
-  ``_adj_weights`` (pre-``float()``-ed edge weights);
-* **precomputed port tables**: :meth:`ports` returns a cached list built
-  once per vertex — the seed engine re-ran ``sorted(..., key=repr)`` on
-  every call;
-* **array-backed edge loads**: every directed edge (arc) gets a dense
-  integer id; per-round capacity accounting indexes a flat list instead of
-  hashing ``(src, dst)`` tuples into a ``defaultdict``, and :meth:`tick`
-  resets only the arcs actually touched;
+* **compact integer vertex ids** (``_id_of`` / ``_node_of``, in
+  ``graph.nodes`` order) and **precomputed port tables**: :meth:`ports`
+  returns a cached list built once per vertex (the seed engine re-ran
+  ``sorted(..., key=repr)`` on every call); :meth:`neighbors` iterates it;
+* **one arc map per vertex**: every directed edge (arc) gets a dense
+  integer id in CSR slot order (``_adj_offsets[i] .. _adj_offsets[i+1]``
+  are vertex ``i``'s arcs, in port order), and ``_arc_map[src]`` maps each
+  neighbour to its arc id, so a send costs two dict lookups and allocates
+  no ``(src, dst)`` tuple; construction allocates no per-arc object beyond
+  the map entry and its id;
+* **array-backed edge loads**: per-round capacity accounting indexes a
+  flat list by arc id instead of hashing ``(src, dst)`` tuples into a
+  ``defaultdict``, and :meth:`tick` resets only the arcs actually touched;
+* **lazy reads**: :meth:`weight` reads the graph, as the reference engine
+  does, and a vertex's memory view is made on its first :meth:`mem`;
 * **batched messaging**: :meth:`send_many` fans one payload out of a vertex
   with the word-size computed once and the edge/capacity checks amortized;
   :meth:`send_each` queues a round of distinct ``(src, dst, payload)``
@@ -72,6 +76,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -85,6 +90,9 @@ from .message import Message
 from .metrics import RunMetrics
 
 NodeId = Hashable
+
+#: The arc map of a source that is not a vertex: every lookup misses.
+_NO_ARCS: Dict[NodeId, int] = {}
 
 
 class Network:
@@ -128,43 +136,37 @@ class Network:
         self._round_observers: List[Any] = []
 
         # -- compile the immutable topology (see module docstring) ----------
-        self._node_of: List[NodeId] = list(graph.nodes)
-        self._id_of: Dict[NodeId, int] = {
-            v: i for i, v in enumerate(self._node_of)
-        }
-        id_of = self._id_of
+        # One pass over the raw adjacency, which lists the vertices in
+        # ``graph.nodes`` order: vertex ``i``'s arc ids are its CSR slots
+        # ``offsets[i] .. offsets[i+1]``, in port order.
+        node_of: List[NodeId] = []
+        offsets = [0]
+        ports_tab: List[List[NodeId]] = []
+        arc_map: Dict[NodeId, Dict[NodeId, int]] = {}
+        lo = 0
+        for v, nbrs in graph.adjacency():
+            port_list = sorted(nbrs, key=repr)
+            hi = lo + len(port_list)
+            node_of.append(v)
+            ports_tab.append(port_list)
+            arc_map[v] = dict(zip(port_list, range(lo, hi)))
+            offsets.append(hi)
+            lo = hi
+        self._node_of = node_of
+        self._id_of: Dict[NodeId, int] = {v: i for i, v in enumerate(node_of)}
         #: The one memory record of the network, a column per key, so bulk
         #: memory operations never visit the vertices one by one.
-        self._bank = MemoryBank(id_of)
-        self._meters: Dict[NodeId, MeterView] = {
-            v: MeterView(self._bank, i) for v, i in id_of.items()
-        }
-        offsets = [0]
-        targets: List[int] = []
-        weights: List[float] = []
-        ports_tab: List[List[NodeId]] = []
-        arc_of: Dict[Tuple[NodeId, NodeId], int] = {}
-        arc_ends: List[Tuple[NodeId, NodeId]] = []
-        for v in self._node_of:
-            port_list = sorted(graph.neighbors(v), key=repr)
-            ports_tab.append(port_list)
-            vdata = graph[v]
-            for w in port_list:
-                arc_of[(v, w)] = len(arc_ends)
-                arc_ends.append((v, w))
-                targets.append(id_of[w])
-                weights.append(float(vdata[w].get("weight", 1.0)))
-            offsets.append(len(targets))
+        self._bank = MemoryBank(self._id_of)
+        #: ``mem(v)`` views, each made on the vertex's first ``mem`` call.
+        self._meters: Dict[NodeId, MeterView] = {}
         self._adj_offsets = offsets
-        self._adj_targets = targets
-        self._adj_weights = weights
         self._ports_table = ports_tab
-        self._arc_of = arc_of
-        self._arc_ends = arc_ends
+        #: src -> {neighbour: arc id}: a send's edge check and arc lookup.
+        self._arc_map = arc_map
         #: Per-arc load counters for the current round, indexed by arc id;
         #: ``_loaded_arcs`` lists the dirty entries so ``tick`` resets only
         #: what was touched instead of clearing all 2m counters.
-        self._edge_load: List[int] = [0] * len(arc_ends)
+        self._edge_load: List[int] = [0] * lo
         self._loaded_arcs: List[int] = []
         if _flight._SESSIONS:
             _flight._SESSIONS[-1].attach(self)
@@ -179,33 +181,25 @@ class Network:
     @property
     def num_arcs(self) -> int:
         """Number of directed edges (arcs): twice the edge count."""
-        return len(self._arc_ends)
+        return self._adj_offsets[-1]
 
     def nodes(self) -> Iterator[NodeId]:
         return iter(self._node_of)
 
     def neighbors(self, v: NodeId) -> Iterator[NodeId]:
-        i = self._id_of[v]
-        node_of = self._node_of
-        return (
-            node_of[t]
-            for t in self._adj_targets[self._adj_offsets[i]:self._adj_offsets[i + 1]]
-        )
+        """``v``'s neighbours in port order."""
+        return iter(self._ports_table[self._id_of[v]])
 
     def degree(self, v: NodeId) -> int:
-        i = self._id_of[v]
-        return self._adj_offsets[i + 1] - self._adj_offsets[i]
+        return len(self._ports_table[self._id_of[v]])
 
     def weight(self, u: NodeId, v: NodeId) -> float:
-        """Weight of the edge ``{u, v}`` (1.0 when the graph is unweighted)."""
-        arc = self._arc_of.get((u, v))
-        if arc is None:
-            # Preserve the reference engine's error surface for non-edges.
-            return float(self.graph[u][v].get("weight", 1.0))
-        return self._adj_weights[arc]
+        """Weight of the edge ``{u, v}`` (1.0 when the graph is unweighted),
+        read from the graph as the reference engine reads it."""
+        return float(self.graph[u][v].get("weight", 1.0))
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return (u, v) in self._arc_of
+        return v in self._arc_map.get(u, _NO_ARCS)
 
     def ports(self, v: NodeId) -> List[NodeId]:
         """Deterministically ordered neighbor list ("port numbering").
@@ -233,20 +227,30 @@ class Network:
         CSR slot indices: ``edge_index(u, ports(u)[p])`` is
         ``_adj_offsets[compact_id(u)] + p``.
         """
-        arc = self._arc_of.get((u, v))
+        arc = self._arc_map.get(u, _NO_ARCS).get(v)
         if arc is None:
             raise CongestModelViolation(f"{u!r} -> {v!r} is not an edge")
         return arc
 
     def edge_endpoints(self, arc: int) -> Tuple[NodeId, NodeId]:
-        """Inverse of :meth:`edge_index`: the ``(src, dst)`` of an arc id."""
-        return self._arc_ends[arc]
+        """Inverse of :meth:`edge_index`: the ``(src, dst)`` of an arc id
+        (a bisection of the CSR offsets)."""
+        offsets = self._adj_offsets
+        if not 0 <= arc < offsets[-1]:
+            raise IndexError(f"arc id {arc!r} out of range")
+        i = bisect_right(offsets, arc) - 1
+        return self._node_of[i], self._ports_table[i][arc - offsets[i]]
 
     # -- memory ----------------------------------------------------------------
 
     def mem(self, v: NodeId) -> MeterView:
-        """The memory meter of vertex ``v`` (a view of the network's bank)."""
-        return self._meters[v]
+        """The memory meter of vertex ``v`` (a view of the network's bank,
+        made on the first call and then cached)."""
+        try:
+            return self._meters[v]
+        except KeyError:
+            view = self._meters[v] = MeterView(self._bank, self._id_of[v])
+            return view
 
     def memory_high_water(self) -> Dict[NodeId, int]:
         """Per-vertex memory high-water marks, in words."""
@@ -269,8 +273,8 @@ class Network:
         Per vertex this looks through the live keys of the network; when
         the key is exact, use :meth:`free_key`.
         """
-        for meter in self._meters.values():
-            meter.free_prefix(prefix)
+        for v in self._node_of:
+            self.mem(v).free_prefix(prefix)
 
     def free_key(self, key: str) -> None:
         """Free one exact key at every vertex: O(1) for a key stored by
@@ -315,9 +319,10 @@ class Network:
 
     def send(self, src: NodeId, dst: NodeId, kind: str, payload: Any = None) -> None:
         """Queue a message for delivery at the next :meth:`tick`."""
-        arc = self._arc_of.get((src, dst))
-        if arc is None:
-            raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge")
+        try:
+            arc = self._arc_map[src][dst]
+        except KeyError:
+            raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge") from None
         words = 1 if payload is None else words_of(payload)
         limit = self.message_word_limit
         slots = 1 if words <= limit else -(-words // limit)
@@ -346,9 +351,11 @@ class Network:
         are exactly :meth:`send`; protocol drivers that already hold
         message objects skip rebuilding them.
         """
-        arc = self._arc_of.get((msg.src, msg.dst))
-        if arc is None:
-            raise CongestModelViolation(f"{msg.src!r} -> {msg.dst!r} is not an edge")
+        try:
+            arc = self._arc_map[msg.src][msg.dst]
+        except KeyError:
+            raise CongestModelViolation(
+                f"{msg.src!r} -> {msg.dst!r} is not an edge") from None
         words = msg.words
         limit = self.message_word_limit
         slots = 1 if words <= limit else -(-words // limit)
@@ -384,7 +391,6 @@ class Network:
         words = 1 if payload is None else words_of(payload)
         limit = self.message_word_limit
         slots = 1 if words <= limit else -(-words // limit)
-        arc_of = self._arc_of
         edge_load = self._edge_load
         loaded = self._loaded_arcs
         outbox = self._outbox
@@ -400,7 +406,8 @@ class Network:
                 range(lo, self._adj_offsets[src_id + 1]), dsts
             )
         else:
-            pairs = ((arc_of.get((src, dst)), dst) for dst in dsts)
+            arcs = self._arc_map.get(src, _NO_ARCS)
+            pairs = ((arcs.get(dst), dst) for dst in dsts)
         count = 0
         for arc, dst in pairs:
             if arc is None:

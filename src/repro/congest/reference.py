@@ -95,7 +95,8 @@ class ReferenceNetwork:
         return iter(self.graph.nodes)
 
     def neighbors(self, v: NodeId) -> Iterator[NodeId]:
-        return iter(self.graph.neighbors(v))
+        """``v``'s neighbours in port order, as on the fast path."""
+        return iter(self.ports(v))
 
     def degree(self, v: NodeId) -> int:
         return self.graph.degree(v)

@@ -28,7 +28,11 @@ def require_weighted_connected(graph: nx.Graph) -> None:
         raise InputError("graph must be connected")
     for u, v, data in graph.edges(data=True):
         w = data.get("weight", 1.0)
-        if not (w > 0) or w != w or w == float("inf"):
+        try:
+            valid = w > 0 and w != float("inf")
+        except TypeError:  # "x", "2", None: not ordered against numbers
+            valid = False
+        if not valid:
             raise InputError(f"edge ({u!r}, {v!r}) has invalid weight {w!r}")
 
 

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.congest import Network, ReferenceNetwork
+from repro.congest import Message, Network, ReferenceNetwork
 from repro.errors import CongestModelViolation, InputError, MemoryAccountingError
 
 from .harness import QUICK, TOPOLOGIES, build_topology, meter_state, run_fingerprint
@@ -50,6 +50,10 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                                                   carries, mid-batch, a
                                                   non-edge, a repeated arc, a
                                                   wide or an unsizable payload
+      ("send_message", src, dst, kind, payload) -- a prebuilt ``Message``
+      GHOST sends (kind ``GHOST_KIND``)        -- any of the four send ops
+                                                  with a src or dst that is
+                                                  not a vertex at all
       ("flood", payload)                       -- every vertex, all its ports
       ("close", "tick" | "deliver")            -- end the round either way
       ("idle", k) / ("charge", r, m, w)        -- accounting paths
@@ -61,6 +65,8 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                                                   half carry a negative size
                                                   mid-batch
 
+    The ghost sends exercise the fast path's per-source arc map on a
+    source it has no map for, and a known source's map on a missing key.
     Capacity violations arise naturally: several sends may pick the same
     directed edge within one round, and a ``flood`` after any send on a
     strict network overloads the first already-loaded arc it reaches —
@@ -70,6 +76,7 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     """
     rng = random.Random(seed * 6151 + 17)
     each_rng = random.Random(seed * 7919 + 29)
+    ghost_rng = random.Random(seed * 104729 + 43)
     nodes = sorted(graph.nodes, key=repr)
     neighbors = {v: sorted(graph.neighbors(v), key=repr) for v in nodes}
     schedule: List[Tuple] = []
@@ -81,6 +88,13 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                 schedule.append(
                     ("send_each", "each", _send_each_batch(each_rng, nodes, neighbors))
                 )
+            # ... and so do the ghost sends and the legal ``send_message``s.
+            if ghost_rng.random() < 0.1:
+                schedule.append(_ghost_send(ghost_rng, nodes, neighbors))
+            if ghost_rng.random() < 0.1:
+                src = ghost_rng.choice(nodes)
+                schedule.append(("send_message", src, ghost_rng.choice(neighbors[src]),
+                                 "msg", ghost_rng.choice([None, 3, (src, 1)])))
             roll = rng.random()
             src = rng.choice(nodes)
             if roll < 0.50:
@@ -173,6 +187,32 @@ def _send_each_batch(rng: random.Random, nodes: List[Any],
     return batch
 
 
+#: The vertex no topology has, and the kind of every op that sends to or
+#: from it.
+GHOST = "ghost"
+GHOST_KIND = "to-ghost"
+
+
+def _ghost_send(rng: random.Random, nodes: List[Any],
+                neighbors: Dict[Any, List[Any]]) -> Tuple:
+    """One of the four send ops with ``GHOST`` as its source or as one
+    destination (mid-batch for ``send_many`` / ``send_each``)."""
+    src = rng.choice(nodes)
+    dst = rng.choice(neighbors[src])
+    if rng.random() < 0.5:
+        src, dsts = GHOST, [dst, src]
+    else:
+        dsts = list(neighbors[src])
+        dsts.insert(rng.randrange(len(dsts) + 1), GHOST)
+        dst = GHOST
+    tag = rng.choice(["send", "send_many", "send_each", "send_message"])
+    if tag == "send_many":
+        return (tag, src, dsts, GHOST_KIND, None)
+    if tag == "send_each":
+        return (tag, GHOST_KIND, [(src, d, 1) for d in dsts])
+    return (tag, src, dst, GHOST_KIND, rng.choice([None, 5]))
+
+
 def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
     """Run a schedule, recording each op's observable outcome followed by
     the network's ``max_memory()`` after it."""
@@ -185,6 +225,9 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
                 outcomes.append(("ok",))
             elif tag == "send_each":
                 net.send_each(op[1], op[2])
+                outcomes.append(("ok",))
+            elif tag == "send_message":
+                net.send_message(Message(op[1], op[2], op[3], op[4]))
                 outcomes.append(("ok",))
             elif tag == "send_many":
                 outcomes.append(("ok", net.send_many(op[1], op[2], op[3], op[4])))
@@ -301,8 +344,9 @@ def test_fuzz_non_strict_parity(topo, seed):
 def test_fuzz_schedules_do_violate():
     """Meta-check: the strict matrix actually exercises both violation
     kinds (capacity overload and non-edge send), a ``store_each`` that
-    fails mid-batch and a ``send_each`` that does — guards against a
-    fuzzer regression that silently stops generating adversarial ops."""
+    fails mid-batch, a ``send_each`` that does and a ghost send through
+    each of the four send ops — guards against a fuzzer regression that
+    silently stops generating adversarial ops."""
     kinds = set()
     for s in FUZZ_SEEDS:
         graph = build_topology(TOPO_NAMES[s % len(TOPO_NAMES)], s)
@@ -317,7 +361,13 @@ def test_fuzz_schedules_do_violate():
                 kinds.add(outcome[0])
             if op[0] == "send_each" and outcome[0] != "ok":
                 kinds.add("send_each")
-    assert kinds == {"capacity", "non-edge", "negative-store", "send_each"}
+            if GHOST_KIND in op and outcome[0] == "violation" and (
+                    outcome[1].startswith(f"{GHOST!r} ->")
+                    or outcome[1].endswith(f"-> {GHOST!r} is not an edge")):
+                kinds.add(f"ghost {op[0]}")
+    assert kinds == {"capacity", "non-edge", "negative-store", "send_each",
+                     "ghost send", "ghost send_many", "ghost send_each",
+                     "ghost send_message"}
 
 
 def test_fingerprint_helper_covers_timeline():

@@ -77,6 +77,29 @@ class TestTopology:
         net = engine(tiny_graph())
         assert net.ports("b") == ["a", "c"]
 
+    def test_neighbors_are_listed_in_port_order(self, engine):
+        # networkx insertion order differs from port order at most vertices
+        # of this graph; both engines list neighbours by port.
+        net = engine(random_connected_graph(50, seed=3))
+        for v in net.nodes():
+            assert list(net.neighbors(v)) == net.ports(v)
+            assert net.degree(v) == len(net.ports(v))
+
+    def test_non_numeric_weight_is_read_lazily(self, engine):
+        # The engines do not validate weights (``require_weighted_connected``
+        # does, at the API boundary): construction succeeds and ``weight``
+        # fails as ``float`` does, on both engines.
+        g = tiny_graph()
+        g["a"]["b"]["weight"] = "x"
+        net = engine(g)
+        with pytest.raises(ValueError):
+            net.weight("a", "b")
+        assert net.weight("b", "c") == 1.5
+
+    def test_weight_of_a_non_edge_raises_key_error(self, engine):
+        with pytest.raises(KeyError):
+            engine(tiny_graph()).weight("a", "c")
+
     def test_hop_diameter_upper_bound(self, engine):
         net = engine(tiny_graph())
         assert net.hop_diameter_upper_bound() >= 2

@@ -182,6 +182,21 @@ class TestAdversarialTopologies:
                     build(graph, 2, seed=4)
         assert session.recorders == []
 
+    @pytest.mark.parametrize("weight", ["x", "2", None])
+    def test_non_numeric_weight_fails_naming_the_edge(self, weight):
+        # ``"x" > 0`` is a TypeError: the check must turn it into an
+        # InputError naming the edge and the value, before any round.
+        graph = random_connected_graph(60, seed=4)
+        u, v = next(iter(graph.edges()))
+        graph[u][v]["weight"] = weight
+        with flight.auto() as session:
+            for build in (build_distributed_scheme, build_centralized_scheme):
+                with pytest.raises(InputError) as failure:
+                    build(graph, 2, seed=4)
+                assert str(failure.value) == (
+                    f"edge ({u!r}, {v!r}) has invalid weight {weight!r}")
+        assert session.recorders == []
+
     def test_complete_graph_general_scheme(self):
         import networkx as nx
 

@@ -14,18 +14,33 @@ n=2000 network must therefore do no O(n) work per tree:
 The spies count reads of the dicts those computations walk, so they catch
 the cost however it comes back.  The wave schedule is also checked for
 repr order, which must hold under any ``PYTHONHASHSEED``.
+
+The network those trees run on is built once per operation, so its
+construction is pinned too: ``Network(graph)`` compiles the port tables and
+one arc map per vertex and allocates no per-arc object beyond the map
+entry and its id (at most ``ARC_BYTES`` retained bytes per arc under
+``tracemalloc``; a ``(src, dst)``-tuple-keyed arc dict alone costs more),
+sorts each vertex's ports once, and makes a vertex's memory view on its
+first ``mem`` call.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
+import repro.congest.network as network_mod
 import repro.treerouting.scheme as tree_scheme
 from repro.congest import Network
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.memory import MemoryBank
 from repro.graphs import random_connected_graph
 from repro.treerouting import build_distributed_tree_scheme
+
+
+#: Retained bytes per arc ``Network(graph)`` may allocate at n=2000 (~140
+#: with the per-vertex arc maps, ~280 with the tuple-keyed arc dict).
+ARC_BYTES = 200
 
 
 class CountingDict(dict):
@@ -106,3 +121,22 @@ def test_wave_schedule_is_repr_ordered_by_local_depth():
     part = partition_tree(tree, q=1e-9)  # U(T) = {root}: one local tree
     assert part.waves == [[0], [10, 2]]
     assert part.waves is part.waves
+
+
+def test_network_construction_allocates_no_per_arc_object(big_network, monkeypatch):
+    graph = big_network[0]
+    sorts = []
+    monkeypatch.setattr(network_mod, "sorted",
+                        lambda *a, **kw: sorts.append(1) or sorted(*a, **kw),
+                        raising=False)
+    tracemalloc.start()
+    try:
+        net = Network(graph)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.num_arcs == 2 * graph.number_of_edges()
+    assert retained / net.num_arcs <= ARC_BYTES
+    assert len(sorts) == net.n
+    v = next(net.nodes())
+    assert net.mem(v) is net.mem(v)
