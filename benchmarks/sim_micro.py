@@ -9,15 +9,14 @@ the largest size of ``repro fig graph-rounds``):
 * ``fig7_flood``    — full-neighborhood exchanges (``send_many`` over the
   cached port tables + ``deliver_batch``): the pure engine round-trip;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
-* ``fig7_floodmax`` — event-driven leader election via ``run_protocol``
-  (per-message ``send_message`` path, dict-shaped ``tick`` delivery);
 * ``fig7_meter``    — memory metering with no traffic: per-vertex stores
   over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
   ``free_key`` per key (the network's column bank against one
   ``MemoryMeter`` per vertex);
 * ``fig7_wave``     — the tree-routing stages' round shape over a BFS tree:
-  a down-wave, one ``send_each`` per level, then a ``convergecast_up``
-  (each round one ``send_each`` too), with a ``store_each`` per wave;
+  a down-wave, one ``send_each`` per level delivered by the dict-shaped
+  ``tick``, then a ``convergecast_up`` (each round one ``send_each``
+  too), with a ``store_each`` per wave;
 * ``fig7_compile``  — ``COMPILES`` constructions of the engine over the
   graph and no traffic: the fast path compiles port tables and per-vertex
   arc maps, the reference builds one ``MemoryMeter`` per vertex.
@@ -48,7 +47,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.primitives import Forest, convergecast_up
-from repro.congest.protocol import FloodMax, run_protocol
 from repro.graphs import random_connected_graph
 
 #: The F7 family parameters (largest size of ``repro fig graph-rounds``).
@@ -83,11 +81,6 @@ def _flood(net: Any) -> None:
 def _bfs(net: Any) -> None:
     for _ in range(12):
         build_bfs_tree(net)
-
-
-def _floodmax(net: Any) -> None:
-    bound = net.hop_diameter_upper_bound()
-    run_protocol(net, lambda v: FloodMax(bound + 1), max_rounds=10_000)
 
 
 def _meter(net: Any) -> None:
@@ -141,7 +134,6 @@ def _topology(net: Any) -> Tuple[List[Any], List[Any]]:
 WORKLOADS: Dict[str, Tuple[Callable[[], Any], Callable[[Any], None], int]] = {
     "fig7_flood": (_fig7_graph, _flood, FIG7_N),
     "fig7_bfs": (_fig7_graph, _bfs, FIG7_N),
-    "fig7_floodmax": (_fig7_graph, _floodmax, FIG7_N),
     "fig7_meter": (_fig7_graph, _meter, FIG7_N),
     "fig7_wave": (_fig7_graph, _wave, FIG7_N),
     "fig7_compile": (_fig7_graph, _compile, FIG7_N),

@@ -27,23 +27,9 @@ from .metrics import PhaseRecord, RunMetrics
 from .network import Network
 from .primitives import Forest, convergecast_up
 from .reference import ReferenceNetwork
-from .protocol import (
-    BfsProgram,
-    FloodMax,
-    NodeApi,
-    NodeProgram,
-    ProtocolResult,
-    run_protocol,
-)
 
 __all__ = [
-    "BfsProgram",
     "BfsTree",
-    "FloodMax",
-    "NodeApi",
-    "NodeProgram",
-    "ProtocolResult",
-    "run_protocol",
     "Forest",
     "MemoryMeter",
     "Message",

@@ -65,10 +65,6 @@ class Message:
         self.payload = payload
         self.words = words_of(payload) if words < 0 else words
 
-    def reply(self, kind: str, payload: Any = None) -> "Message":
-        """Build a message back along the same edge."""
-        return Message(self.dst, self.src, kind, payload)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):
             return NotImplemented

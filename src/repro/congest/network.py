@@ -343,40 +343,6 @@ class Network:
         if slots > 1:
             self.metrics.on_charge(slots - 1)
 
-    def send_message(self, msg: Message) -> None:
-        """Queue an already-built :class:`Message` (the zero-copy send path).
-
-        ``msg.words`` must be the payload's true word count (it is whenever
-        the message came from the :class:`Message` constructor).  Semantics
-        are exactly :meth:`send`; protocol drivers that already hold
-        message objects skip rebuilding them.
-        """
-        try:
-            arc = self._arc_map[msg.src][msg.dst]
-        except KeyError:
-            raise CongestModelViolation(
-                f"{msg.src!r} -> {msg.dst!r} is not an edge") from None
-        words = msg.words
-        limit = self.message_word_limit
-        slots = 1 if words <= limit else -(-words // limit)
-        edge_load = self._edge_load
-        prior = edge_load[arc]
-        if self.strict:
-            load = prior + slots
-            if load > self.edge_capacity and slots == 1:
-                raise CongestModelViolation(
-                    f"edge {msg.src!r}->{msg.dst!r} over capacity in round "
-                    f"{self.metrics.rounds}: {load} > {self.edge_capacity}"
-                )
-        if not prior:
-            self._loaded_arcs.append(arc)
-        edge_load[arc] = prior + slots
-        self._outbox.append(msg)
-        self._outbox_words += words
-        # Wide payloads occupy several rounds of the edge; charge the extra.
-        if slots > 1:
-            self.metrics.on_charge(slots - 1)
-
     def send_many(
         self, src: NodeId, dsts: Iterable[NodeId], kind: str, payload: Any = None
     ) -> int:

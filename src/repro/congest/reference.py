@@ -5,7 +5,7 @@ dictionary-based simulator that :class:`~repro.congest.network.Network`
 shipped with before the fast-path engine landed: per-call
 ``sorted(..., key=repr)`` port numbering, ``defaultdict`` edge-load
 accounting keyed by ``(src, dst)`` tuples, and per-message word counting
-through :class:`~repro.congest.message.Message.__post_init__`.
+in the :class:`~repro.congest.message.Message` constructor.
 
 It exists so the fast path can be *proved* equivalent rather than trusted:
 the differential harness under ``tests/differential/`` replays randomized
@@ -219,11 +219,6 @@ class ReferenceNetwork:
         (shim: the loop over :meth:`send` the fast path must equal)."""
         for src, dst, payload in sends:
             self.send(src, dst, kind, payload)
-
-    def send_message(self, msg: Message) -> None:
-        """Queue an already-built :class:`Message` (shim: rebuilds via
-        :meth:`send`, exactly what the seed's protocol driver did)."""
-        self.send(msg.src, msg.dst, msg.kind, msg.payload)
 
     def tick(self) -> Dict[NodeId, List[Message]]:
         """Deliver queued messages, advance one round, return inboxes."""

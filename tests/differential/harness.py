@@ -4,8 +4,8 @@ Provides:
 
 * ``TOPOLOGIES`` — named graph families (parameterized by seed);
 * ``PROTOCOLS`` — named workloads that drive a network through real
-  algorithm code paths (BFS floods, pipelined broadcast, event-driven
-  protocols, raw ``send_many``/``tick`` kernels);
+  algorithm code paths (BFS floods, pipelined broadcast, a FloodMax round
+  loop, raw ``send_many``/``tick`` kernels);
 * :func:`run_fingerprint` — run a workload on an engine and capture every
   observable output in one comparable structure.
 
@@ -26,7 +26,6 @@ import networkx as nx
 from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_all, convergecast_aggregate
-from repro.congest.protocol import FloodMax, run_protocol
 from repro.graphs import grid_graph, random_connected_graph, ring_of_cliques
 
 NodeId = Hashable
@@ -130,10 +129,38 @@ def _proto_broadcast(net: Any, seed: int) -> None:
     convergecast_aggregate(net, bfs, lambda v: 1, lambda a, b: a + b)
 
 
+def floodmax(net: Any) -> Dict[Any, Any]:
+    """FloodMax leader election as a round loop: every vertex whose leader
+    changed last round stores it and sends it on every port
+    (``send_each`` + dict-shaped ``tick``), for ``bound + 1`` rounds plus
+    one to deliver the last changes.  Returns each vertex's leader."""
+    nodes = sorted(net.nodes(), key=repr)
+    leader = {v: v for v in nodes}
+    changed = nodes
+    net.store_each("floodmax/leader", dict.fromkeys(nodes, 1))
+    for _ in range(net.hop_diameter_upper_bound() + 1):
+        net.send_each("leader", [(v, u, leader[v]) for v in changed for u in net.ports(v)])
+        inboxes = net.tick()
+        changed = []
+        for v in nodes:
+            best = leader[v]
+            for msg in inboxes.get(v, ()):
+                if repr(msg.payload) > repr(best):
+                    best = msg.payload
+            if best != leader[v]:
+                leader[v] = best
+                changed.append(v)
+        net.store_each("floodmax/leader", dict.fromkeys(changed, 1))
+    if changed:
+        net.send_each("leader", [(v, u, leader[v]) for v in changed for u in net.ports(v)])
+        net.tick()
+    return leader
+
+
 def _proto_floodmax(net: Any, seed: int) -> None:
-    """Event-driven leader election through the protocol driver."""
-    bound = net.hop_diameter_upper_bound()
-    run_protocol(net, lambda v: FloodMax(bound + 1), max_rounds=10_000)
+    """FloodMax kernel: every vertex must elect the repr-largest id."""
+    leader = floodmax(net)
+    assert set(leader.values()) == {max(net.nodes(), key=repr)}
 
 
 def _proto_flood_kernel(net: Any, seed: int) -> None:

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.congest import Message, Network, ReferenceNetwork
+from repro.congest import Network, ReferenceNetwork
 from repro.errors import CongestModelViolation, InputError, MemoryAccountingError
 
 from .harness import QUICK, TOPOLOGIES, build_topology, meter_state, run_fingerprint
@@ -50,8 +50,7 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                                                   carries, mid-batch, a
                                                   non-edge, a repeated arc, a
                                                   wide or an unsizable payload
-      ("send_message", src, dst, kind, payload) -- a prebuilt ``Message``
-      GHOST sends (kind ``GHOST_KIND``)        -- any of the four send ops
+      GHOST sends (kind ``GHOST_KIND``)        -- any of the three send ops
                                                   with a src or dst that is
                                                   not a vertex at all
       ("flood", payload)                       -- every vertex, all its ports
@@ -88,13 +87,9 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                 schedule.append(
                     ("send_each", "each", _send_each_batch(each_rng, nodes, neighbors))
                 )
-            # ... and so do the ghost sends and the legal ``send_message``s.
+            # ... and so do the ghost sends.
             if ghost_rng.random() < 0.1:
                 schedule.append(_ghost_send(ghost_rng, nodes, neighbors))
-            if ghost_rng.random() < 0.1:
-                src = ghost_rng.choice(nodes)
-                schedule.append(("send_message", src, ghost_rng.choice(neighbors[src]),
-                                 "msg", ghost_rng.choice([None, 3, (src, 1)])))
             roll = rng.random()
             src = rng.choice(nodes)
             if roll < 0.50:
@@ -195,7 +190,7 @@ GHOST_KIND = "to-ghost"
 
 def _ghost_send(rng: random.Random, nodes: List[Any],
                 neighbors: Dict[Any, List[Any]]) -> Tuple:
-    """One of the four send ops with ``GHOST`` as its source or as one
+    """One of the three send ops with ``GHOST`` as its source or as one
     destination (mid-batch for ``send_many`` / ``send_each``)."""
     src = rng.choice(nodes)
     dst = rng.choice(neighbors[src])
@@ -205,7 +200,7 @@ def _ghost_send(rng: random.Random, nodes: List[Any],
         dsts = list(neighbors[src])
         dsts.insert(rng.randrange(len(dsts) + 1), GHOST)
         dst = GHOST
-    tag = rng.choice(["send", "send_many", "send_each", "send_message"])
+    tag = rng.choice(["send", "send_many", "send_each"])
     if tag == "send_many":
         return (tag, src, dsts, GHOST_KIND, None)
     if tag == "send_each":
@@ -225,9 +220,6 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
                 outcomes.append(("ok",))
             elif tag == "send_each":
                 net.send_each(op[1], op[2])
-                outcomes.append(("ok",))
-            elif tag == "send_message":
-                net.send_message(Message(op[1], op[2], op[3], op[4]))
                 outcomes.append(("ok",))
             elif tag == "send_many":
                 outcomes.append(("ok", net.send_many(op[1], op[2], op[3], op[4])))
@@ -345,7 +337,7 @@ def test_fuzz_schedules_do_violate():
     """Meta-check: the strict matrix actually exercises both violation
     kinds (capacity overload and non-edge send), a ``store_each`` that
     fails mid-batch, a ``send_each`` that does and a ghost send through
-    each of the four send ops — guards against a fuzzer regression that
+    each of the three send ops — guards against a fuzzer regression that
     silently stops generating adversarial ops."""
     kinds = set()
     for s in FUZZ_SEEDS:
@@ -366,8 +358,7 @@ def test_fuzz_schedules_do_violate():
                     or outcome[1].endswith(f"-> {GHOST!r} is not an edge")):
                 kinds.add(f"ghost {op[0]}")
     assert kinds == {"capacity", "non-edge", "negative-store", "send_each",
-                     "ghost send", "ghost send_many", "ghost send_each",
-                     "ghost send_message"}
+                     "ghost send", "ghost send_many", "ghost send_each"}
 
 
 def test_fingerprint_helper_covers_timeline():

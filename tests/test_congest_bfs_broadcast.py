@@ -12,7 +12,7 @@ from repro.congest import (
     build_bfs_tree,
     convergecast_aggregate,
 )
-from repro.graphs import random_connected_graph, tree_path
+from repro.graphs import grid_graph, random_connected_graph, tree_path
 
 
 @pytest.fixture()
@@ -71,6 +71,22 @@ class TestBfsTree:
     def test_bfs_charges_o1_memory(self, net):
         build_bfs_tree(net)
         assert all(net.mem(v).high_water <= 2 for v in net.nodes())
+
+    @pytest.mark.parametrize("pick", [0, 17])
+    def test_parent_is_repr_least_upper_neighbour(self, engine, pick):
+        """On a grid most vertices have two neighbours one level up; the
+        flood adopts the repr-least of them (``"10" < "9"``)."""
+        graph = grid_graph(6, 7, seed=1)
+        root = sorted(graph, key=repr)[pick]
+        bfs = build_bfs_tree(engine(graph), root)
+        ties = 0
+        for v, p in bfs.parent.items():
+            if p is None:
+                continue
+            upper = [u for u in graph[v] if bfs.depth[u] == bfs.depth[v] - 1]
+            ties += len(upper) > 1
+            assert p == min(upper, key=repr), v
+        assert ties > len(graph) // 2
 
 
 class TestBroadcastAll:

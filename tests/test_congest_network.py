@@ -153,11 +153,6 @@ class TestMessaging:
         msg = Message(src=1, dst=2, kind="k", payload=(1, 2, 3))
         assert msg.words == 3
 
-    def test_message_reply_swaps_endpoints(self):
-        msg = Message(src=1, dst=2, kind="k")
-        reply = msg.reply("ack", 0)
-        assert (reply.src, reply.dst) == (2, 1)
-
 
 class TestBatchedMessaging:
     def test_send_many_full_fanout(self, engine):

@@ -1,16 +1,12 @@
-"""Tests for the event-driven NodeProgram protocol API."""
+"""Tests for FloodMax leader election written as a round loop over
+``send_each`` / ``tick`` (the differential harness's ``floodmax`` kernel)."""
 
 import pytest
 
-from repro.congest import Network, build_bfs_tree
-from repro.congest.protocol import (
-    BfsProgram,
-    FloodMax,
-    NodeProgram,
-    run_protocol,
-)
-from repro.errors import InputError
+from repro.congest import Network
 from repro.graphs import random_connected_graph
+
+from tests.differential.harness import floodmax
 
 
 @pytest.fixture()
@@ -20,92 +16,11 @@ def net():
 
 class TestFloodMax:
     def test_everyone_agrees_on_leader(self, net):
-        bound = net.hop_diameter_upper_bound() + 1
-        result = run_protocol(net, lambda v: FloodMax(bound))
-        leaders = {p.leader for p in result.programs.values()}
+        leaders = set(floodmax(net).values())
         assert len(leaders) == 1
 
     def test_leader_is_repr_maximum(self, net):
-        bound = net.hop_diameter_upper_bound() + 1
-        result = run_protocol(net, lambda v: FloodMax(bound))
+        leader = floodmax(net)
         expected = max(net.nodes(), key=repr)
-        assert next(iter(result.programs.values())).leader == expected
-
-    def test_halts_cleanly(self, net):
-        bound = net.hop_diameter_upper_bound() + 1
-        result = run_protocol(net, lambda v: FloodMax(bound))
-        assert result.halted
-        assert result.rounds <= bound + 2
-
-    def test_insufficient_bound_still_halts(self, net):
-        # With a 1-round budget the protocol halts but may disagree.
-        result = run_protocol(net, lambda v: FloodMax(1))
-        assert result.halted
-
-
-class TestBfsProgram:
-    def test_matches_procedural_bfs(self, net):
-        root = min(net.nodes(), key=repr)
-        result = run_protocol(net, lambda v: BfsProgram(root))
-        reference = build_bfs_tree(Network(net.graph), root)
-        for v, program in result.programs.items():
-            assert program.depth == reference.depth[v]
-            assert program.parent == reference.parent[v]
-
-    def test_round_count_near_depth(self, net):
-        root = min(net.nodes(), key=repr)
-        result = run_protocol(net, lambda v: BfsProgram(root))
-        reference = build_bfs_tree(Network(net.graph), root)
-        assert result.rounds <= reference.height + 3
-
-
-class TestApiContract:
-    def test_send_to_non_neighbor_rejected(self, net):
-        nodes = sorted(net.nodes(), key=repr)
-
-        class Bad(NodeProgram):
-            def init(self, api):
-                outsider = next(x for x in nodes if x not in api.ports and x != api.id)
-                api.send(outsider, "x")
-
-            def on_round(self, api, inbox):
-                api.halt()
-
-        with pytest.raises(InputError):
-            run_protocol(net, lambda v: Bad(), max_rounds=5)
-
-    def test_stuck_protocol_reports_not_halted(self, net):
-        class Silent(NodeProgram):
-            def on_round(self, api, inbox):
-                pass  # never halts, never sends
-
-        result = run_protocol(
-            net, lambda v: Silent(), max_rounds=200, max_quiet_rounds=10
-        )
-        assert not result.halted
-
-    def test_round_budget_enforced(self, net):
-        class Chatter(NodeProgram):
-            def init(self, api):
-                api.broadcast("spam", 0)
-
-            def on_round(self, api, inbox):
-                api.broadcast("spam", 0)
-
-        with pytest.raises(InputError):
-            run_protocol(net, lambda v: Chatter(), max_rounds=5)
-
-    def test_memory_meter_reachable(self, net):
-        class Hoarder(NodeProgram):
-            def init(self, api):
-                api.memory.store("hoard", 7)
-
-            def on_round(self, api, inbox):
-                api.halt()
-
-        run_protocol(net, lambda v: Hoarder())
-        assert all(net.mem(v).high_water >= 7 for v in net.nodes())
-
-    def test_base_program_on_round_abstract(self, net):
-        with pytest.raises(NotImplementedError):
-            run_protocol(net, lambda v: NodeProgram(), max_rounds=3)
+        assert set(leader) == set(net.nodes())
+        assert set(leader.values()) == {expected}

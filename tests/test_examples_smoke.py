@@ -27,7 +27,7 @@ def run_example(name: str, timeout: int = 280) -> str:
     ("quickstart.py", "ok=True"),
     ("sensor_grid_memory.py", "mem EN16b"),
     ("multicast_overlays.py", "all exact"),
-    ("custom_protocol.py", "(exact)"),
+    ("serialize_scheme.py", "(exact)"),
     ("baselines_showdown.py", "weight-scale-free"),
     ("explain_worst_queries.py", "attribution exact: residual=0.0"),
 ])

@@ -38,7 +38,6 @@ ALLOWED = {
     "assert_laminar_intervals": ORACLE,
     "enabled": ORACLE,  # telemetry.enabled: the zero-overhead-when-detached tests
     "convergecast_aggregate": KERNEL,  # its charge is ROADMAP item 1's to replace
-    "BfsProgram": KERNEL,
 }
 
 

@@ -1,10 +1,11 @@
 """The CONGEST-model invariants the measured bounds rest on, as AST checks.
 
-Five plain functions (REP001-REP005) take ``{relpath: ast.Module}`` and
-return findings as ``"path:line: REPnnn ..."`` strings.  ``src/repro``,
-``benchmarks`` and ``examples`` pass every check with no exemptions; every
-``FIRES`` fixture fails its check and every ``SILENT`` fixture passes all
-five.  docs/static-analysis.md gives the paper statement behind each check.
+Three plain functions (REP002, REP003, REP005) take ``{relpath:
+ast.Module}`` and return findings as ``"path:line: REPnnn ..."`` strings.
+``src/repro``, ``benchmarks`` and ``examples`` pass every check with no
+exemptions; every ``FIRES`` fixture fails its check and every ``SILENT``
+fixture passes all three.  docs/static-analysis.md gives the paper
+statement behind each check.
 """
 
 import ast
@@ -34,13 +35,6 @@ def dotted(node):
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
 
 
-def root_of(node):
-    """The leftmost value of an attribute/subscript/call chain."""
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
-        node = node.func if isinstance(node, ast.Call) else node.value
-    return node
-
-
 def called(call):
     """``f`` of ``f(...)`` and of ``x.f(...)``."""
     return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
@@ -56,46 +50,6 @@ def assigned(node):
     if isinstance(node, ast.Assign):
         return node.targets
     return [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
-
-
-def node_programs(tree):
-    """Classes extending ``NodeProgram``, transitively within the module."""
-    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-    names, found = {"NodeProgram"}, []
-    while True:
-        new = [cls for cls in classes if cls not in found
-               and names & {getattr(b, "id", None) or getattr(b, "attr", None) for b in cls.bases}]
-        if not new:
-            return found
-        found += new
-        names |= {cls.name for cls in new}
-
-
-def methods(cls):
-    return [s for s in cls.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
-
-
-def congest_locality(modules):
-    """REP001: inside a ``NodeProgram``, no private member of anything but
-    ``self``, no ``net``/``network``, no ``Network(...)``, no ``global``."""
-    out = []
-    for path, tree in modules.items():
-        for cls in node_programs(tree):
-            for method in methods(cls):
-                where = f"REP001 {cls.name}.{method.name}"
-                for node in ast.walk(method):
-                    if isinstance(node, ast.Attribute):
-                        attr = node.attr
-                        dunder = attr.startswith("__") and attr.endswith("__")
-                        if attr.startswith("_") and not dunder and not is_self(node.value):
-                            out.append(at(path, node, f"{where} reads private {attr!r}"))
-                        if isinstance(node.value, ast.Name) and node.value.id in ("net", "network"):
-                            out.append(at(path, node, f"{where} holds the Network"))
-                    elif isinstance(node, ast.Call) and called(node) == "Network":
-                        out.append(at(path, node, f"{where} builds a Network"))
-                    elif isinstance(node, ast.Global):
-                        out.append(at(path, node, f"{where}: global {', '.join(node.names)}"))
-    return out
 
 
 #: Constructors that take a seed; called without one they seed from the OS.
@@ -170,49 +124,6 @@ def unaccounted_sends(modules):
     return out
 
 
-GROWTH = {"append", "add", "extend", "update", "insert", "setdefault", "appendleft"}
-CHARGES = {"store", "add", "free", "free_prefix"}
-CONTAINERS = (ast.List, ast.Tuple, ast.Set, ast.Dict, ast.ListComp, ast.SetComp, ast.DictComp)
-
-
-def grows_self(node):
-    """``self.x.add(...)``, ``self.x[k] = v`` or ``self.x += [...]``; a scalar
-    counter (``self.n += 1``) keeps a constant footprint and is not growth."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        return (isinstance(func, ast.Attribute) and func.attr in GROWTH
-                and isinstance(func.value, (ast.Attribute, ast.Subscript))
-                and is_self(root_of(func.value)))
-    if isinstance(node, ast.Assign):
-        return any(isinstance(t, ast.Subscript) and is_self(root_of(t.value)) for t in node.targets)
-    return (isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)
-            and is_self(node.target.value) and isinstance(node.value, CONTAINERS))
-
-
-def charges_meter(node):
-    """``api.memory.store(...)``, ``meter.add(...)``, ``net.mem(v).free(...)``."""
-    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in CHARGES):
-        return False
-    labels = [getattr(sub, "attr", None) or getattr(sub, "id", "")
-              for sub in ast.walk(node.func.value)]
-    return any("mem" in label or "meter" in label for label in labels)
-
-
-def meter_bypass(modules):
-    """REP004: a ``NodeProgram`` method that grows a container on ``self`` (the
-    vertex's retained state) charges its ``MemoryMeter`` somewhere."""
-    out = []
-    for path, tree in modules.items():
-        for cls in node_programs(tree):
-            for method in methods(cls):
-                nodes = list(ast.walk(method))
-                if not any(charges_meter(node) for node in nodes):
-                    out += [at(path, node, f"REP004 {cls.name}.{method.name} grows vertex "
-                                           "state with no MemoryMeter charge")
-                            for node in nodes if grows_self(node)]
-    return out
-
-
 HOT = ("congest", "serve")
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
@@ -248,8 +159,8 @@ def hot_path_slots(modules):
             for key, site in sorted(defined.items()) if site and key in looped]
 
 
-CHECKS = {"REP001": congest_locality, "REP002": unseeded_randomness,
-          "REP003": unaccounted_sends, "REP004": meter_bypass, "REP005": hot_path_slots}
+CHECKS = {"REP002": unseeded_randomness, "REP003": unaccounted_sends,
+          "REP005": hot_path_slots}
 
 
 @pytest.fixture(scope="module")
@@ -267,20 +178,6 @@ def test_every_root_is_walked(repo):
     assert {top for top in WALKED for path in repo if path.startswith(top + "/")} == set(WALKED)
 
 
-def test_program_checks_see_the_reference_programs(repo):
-    """REP001/REP004 pass vacuously if no ``NodeProgram`` is found."""
-    seen = {(path, cls.name) for path, tree in repo.items() for cls in node_programs(tree)}
-    assert {("src/repro/congest/protocol.py", "FloodMax"),
-            ("src/repro/congest/protocol.py", "BfsProgram"),
-            ("examples/custom_protocol.py", "SeedSketch")} <= seen
-
-
-def program(*lines):
-    """A ``NodeProgram`` whose ``on_round`` runs ``lines``."""
-    return "\n        ".join(["class P(NodeProgram):\n    def on_round(self, api, inbox):",
-                               *lines])
-
-
 def parse(files):
     """``{relpath: ast}`` of dedented sources; a string is one ``congest`` module."""
     if isinstance(files, str):
@@ -289,12 +186,6 @@ def parse(files):
 
 
 FIRES = [
-    ("REP001", "private-api-net", program("return self._api._net.nodes()")),
-    ("REP001", "net-name", program("return net.arcs")),
-    ("REP001", "network-construction", program("self.world = Network(graph)")),
-    ("REP001", "global", program("global SEEN")),
-    ("REP001", "transitive-subclass",
-     "class Base(NodeProgram):\n    pass\n\n" + program("api._net").replace("NodeProgram", "Base")),
     ("REP002", "module-global-draw", "import random\nrandom.sample(xs, 2)"),
     ("REP002", "unseeded-constructor", "import random\nrng = random.Random()"),
     ("REP002", "snippet2-shared-default", """
@@ -319,10 +210,6 @@ FIRES = [
     ("REP003", "fabricated-width", 'Message(src, dst, "k", payload, 1)'),
     ("REP003", "fabricated-keyword-width", 'Message(src, dst, "k", payload, words=3)'),
     ("REP003", "rewritten-width", "def shrink(msg):\n    msg.words = 1"),
-    ("REP004", "unmetered-add", program("for msg in inbox:", "    self.seen.add(msg.src)")),
-    ("REP004", "unmetered-subscript",
-     program("for msg in inbox:", "    self.table[msg.src] = msg.payload")),
-    ("REP004", "container-augassign", program("self.buf += [m.payload for m in inbox]")),
     ("REP005", "slotless-loop-class", {
         "src/repro/congest/snippet.py": "class Packet:\n    pass",
         "src/repro/congest/pump.py": "def pump(n):\n    return [Packet(i) for i in range(n)]",
@@ -330,19 +217,6 @@ FIRES = [
 ]
 
 SILENT = [
-    ("REP001", "well-behaved-program", """
-        class Good(NodeProgram):
-            def init(self, api):
-                self._value = api.id
-                api.broadcast("hello", self._value)
-
-            def on_round(self, api, inbox):
-                for msg in inbox:
-                    if msg.payload > self._value:
-                        self._value = msg.payload
-                api.halt()
-    """),
-    ("REP001", "private-outside-programs", "def helper(net):\n    return net._graph"),
     ("REP002", "seeded-and-injected", """
         import random
         import numpy as np
@@ -364,12 +238,6 @@ SILENT = [
     ("REP003", "copied-width", "Message(msg.dst, nxt, msg.kind, msg.payload, msg.words)"),
     ("REP003", "self-words",
      "class Message:\n    def __init__(self, payload):\n        self.words = words_of(payload)"),
-    ("REP004", "charged-growth", program("for msg in inbox:", "    self.seen.add(msg.src)",
-                                         "    api.memory.store(('seen', msg.src), msg.src)")),
-    ("REP004", "scalar-counters",
-     program("self.rounds += 1", "self.best = max(self.best, len(inbox))")),
-    ("REP004", "outside-programs",
-     "class Builder:\n    def collect(self, items):\n        self.bag.extend(items)"),
     ("REP005", "slotted-class",
      "class Packet:\n    __slots__ = ()\n\nPACKETS = [Packet() for _ in range(3)]"),
     ("REP005", "cold-instantiation", "class Config:\n    pass\n\ndef load():\n    return Config()"),

@@ -1,9 +1,11 @@
-"""Property-based test for the protocol runner."""
+"""Property-based test for the FloodMax round loop."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.congest import FloodMax, Network, run_protocol
+from repro.congest import Network
 from repro.graphs import random_connected_graph
+
+from tests.differential.harness import floodmax
 
 
 @given(st.tuples(
@@ -15,8 +17,5 @@ def test_floodmax_consensus_property(case):
     n, seed = case
     graph = random_connected_graph(n, seed=seed)
     net = Network(graph)
-    bound = net.hop_diameter_upper_bound() + 1
-    result = run_protocol(net, lambda v: FloodMax(bound))
-    assert result.halted
-    leaders = {p.leader for p in result.programs.values()}
+    leaders = set(floodmax(net).values())
     assert leaders == {max(graph.nodes, key=repr)}
