@@ -68,7 +68,6 @@ from .telemetry import (
     record_run,
     render_profile,
     verdict_from_dict,
-    write_chrome_trace,
 )
 from .telemetry import flight as _flight
 
@@ -155,7 +154,7 @@ def _args_table1(new, shared) -> None:
     add("--n", type=int, default=200)
     add("--k", type=int, default=3)
     add("--seed", type=int, default=0)
-    add("--pairs", type=int, default=100)
+    add("--pairs", type=_positive(int), default=100)
 
 
 def _args_table2(new, shared) -> None:
@@ -183,8 +182,6 @@ def _args_trace(new, shared) -> None:
     add("name", choices=_FIG_NAMES)
     add("--jsonl", action="store_true",
         help="one JSON object per line: RunRecord manifest first, then each sweep row")
-    add("--chrome", metavar="PATH",
-        help="also write a Chrome trace_event JSON (open in Perfetto / chrome://tracing)")
     add("--flight", action="store_true",
         help="attach a flight recorder to every network built (round-resolved "
              "memory/congestion)")
@@ -197,7 +194,7 @@ def _args_serve(new, shared) -> None:
               help="serve a seeded query workload against a built scheme (S16)").add_argument
     add("--workload", choices=list(WORKLOADS), default="uniform",
         help="traffic model (default: uniform)")
-    add("--queries", type=int, default=1000)
+    add("--queries", type=_positive(int), default=1000)
     add("--n", type=int, default=200, help="graph size (random connected family)")
     add("--k", type=int, default=3, help="hierarchy parameter of the built scheme")
     add("--seed", type=int, default=0)
@@ -205,7 +202,8 @@ def _args_serve(new, shared) -> None:
         help="scheme construction (default: centralized)")
     add("--mode", choices=("first", "best"), default="first",
         help="source rule (default: first, the 4k-3 analysis)")
-    add("--cache", type=int, default=4096, metavar="SIZE",
+    add("--cache", default=4096, metavar="SIZE",
+        type=_checked(int, lambda v: v >= 0, ">= 0", "non-negative"),
         help="LRU decision-cache entries (0 disables)")
     add("--zipf-alpha", type=float, default=1.1)
     add("--metrics-out", metavar="PATH",
@@ -227,8 +225,6 @@ def _args_serve(new, shared) -> None:
     add("--trace-out", metavar="PATH",
         help="serve under the sampled query tracer and write the traces as JSONL (S19; "
              "replay with repro explain)")
-    add("--trace-chrome", metavar="PATH",
-        help="also write sampled traces as a Chrome trace_event JSON (open in Perfetto)")
     add("--trace-rate", default=0.01,
         type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]", "fraction"),
         help="head-sampling rate for query tracing (default 0.01; tail worst-stretch traces "
@@ -245,7 +241,7 @@ def _args_explain(new, shared) -> None:
     add("--traces", default="traces.jsonl", metavar="PATH",
         help="JSONL trace file written by repro serve --trace-out (default: traces.jsonl)")
     add("--trace-id", help="explain one trace by id (as printed in exemplars)")
-    add("--worst", type=int, metavar="N",
+    add("--worst", type=_positive(int), metavar="N",
         help="drill into the N worst traces (failures first, then stretch excess)")
 
 
@@ -369,12 +365,6 @@ def _cmd_fig(args):
 
 def _cmd_trace(args):
     sweep, record = _sweep(args)
-    if args.chrome:
-        write_chrome_trace(
-            args.chrome, record.spans, flight=record.flight or None,
-            meta={"kind": record.kind, "title": sweep.workload["title"]},
-        )
-        print(f"chrome trace written to {args.chrome}", file=sys.stderr)
     jsonl = None
     if args.jsonl:
         jsonl = "\n".join([record.to_json(indent=None)]
@@ -400,9 +390,9 @@ def _built_scheme(args):
 
 
 def _cmd_serve(args):
-    if args.workers > 1 and (args.metrics_out or args.trace_out or args.trace_chrome):
+    if args.workers > 1 and (args.metrics_out or args.trace_out):
         print("serve: --workers > 1 is incompatible with "
-              "--metrics-out/--trace-out/--trace-chrome (per-worker "
+              "--metrics-out/--trace-out (per-worker "
               "registries and tracers do not merge into one live "
               "snapshot; run those single-process)", file=sys.stderr)
         return 2
@@ -422,7 +412,7 @@ def _serve_single(args, graph, scheme, stream):
     metrics = tracer = engine = computed_on = None
     if args.metrics_out:
         metrics = ServeMetrics()
-    if args.trace_out or args.trace_chrome:
+    if args.trace_out:
         tracer = Tracer(rate=args.trace_rate, seed=args.seed, tail_limit=args.trace_tail,
                         prefix=f"{args.workload}-{args.seed}")
     if args.cache_file:
@@ -442,15 +432,11 @@ def _serve_single(args, graph, scheme, stream):
 
     notes = []
     if metrics is not None:
-        write_prometheus(metrics.registry, args.metrics_out, now=report.serve_s)
+        write_prometheus(metrics.registry, args.metrics_out)
         notes.append(f"metrics snapshot written to {args.metrics_out}")
     if args.trace_out:
         write_traces_jsonl(args.trace_out, record.traces)
         notes.append(f"{len(record.traces)} traces written to {args.trace_out}")
-    if args.trace_chrome:
-        write_chrome_trace(args.trace_chrome, record.spans, queries=record.traces,
-                           meta={"kind": "serve", "workload": args.workload})
-        notes.append(f"chrome trace written to {args.trace_chrome}")
     return report, record, notes
 
 

@@ -1,9 +1,9 @@
 """S18 live serving observability: metrics registry, sketches, exemplars.
 
 The live counterpart of :mod:`repro.telemetry` (which records bounded
-runs after the fact): a :class:`MetricsRegistry` of counters, windowed
-rate meters, and :class:`QuantileSketch`-backed histograms with
-worst-stretch exemplars, and Prometheus text exposition
+runs after the fact): a :class:`MetricsRegistry` of counters and
+:class:`QuantileSketch`-backed histograms with worst-stretch exemplars,
+and Prometheus text exposition
 (:func:`render_prometheus` / ``repro serve --metrics-out``).  The
 stretch-SLO verdict itself is ``repro serve``'s (``slo_verdict``).  See
 docs/observability.md ("Live metrics").
@@ -19,7 +19,6 @@ from .registry import (
     Counter,
     Histogram,
     MetricsRegistry,
-    RateMeter,
     intern_labels,
 )
 from .serve import ServeMetrics, exemplar_payload
@@ -31,7 +30,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
-    "RateMeter",
     "ServeMetrics",
     "exemplar_payload",
     "intern_labels",

@@ -6,9 +6,7 @@
 ``name{label="value"} number``.  Histograms follow the native histogram
 text convention -- cumulative ``_bucket{le="..."}`` series over the
 sketch's log-bucket upper bounds plus ``_sum`` / ``_count`` -- so the
-snapshot is directly scrapeable/graphable.  Rate meters export as two
-series: the monotone ``<name>_total`` counter and a ``<name>_per_s``
-gauge of the current windowed rate.
+snapshot is directly scrapeable/graphable.
 
 ``parse_prometheus`` is the structural inverse used by the test suite
 and by anything that wants to diff two snapshots: it validates HELP/TYPE
@@ -95,27 +93,13 @@ def _pop_bucket_exemplar(
     return None
 
 
-def render_prometheus(registry: "MetricsRegistry", *,
-                      now: Optional[float] = None) -> str:
+def render_prometheus(registry: "MetricsRegistry") -> str:
     """The whole registry in Prometheus text exposition format."""
-    import time as _time
-
-    now = _time.time() if now is None else now
     lines: List[str] = []
     for family in registry.families():
         name = family.name
         if family.help:
             lines.append(f"# HELP {name} {_escape_help(family.help)}")
-        if family.type == "meter":
-            lines.append(f"# TYPE {name}_total counter")
-            for key, inst in family.series.items():
-                lines.append(f"{name}_total{_labels_text(key)} "
-                             f"{_fmt_value(inst.total)}")
-            lines.append(f"# TYPE {name}_per_s gauge")
-            for key, inst in family.series.items():
-                lines.append(f"{name}_per_s{_labels_text(key)} "
-                             f"{_fmt_value(inst.rate(now))}")
-            continue
         lines.append(f"# TYPE {name} {family.type}")
         for key, inst in family.series.items():
             if family.type == "histogram":
@@ -155,12 +139,11 @@ def render_prometheus(registry: "MetricsRegistry", *,
 
 
 def write_prometheus(registry: "MetricsRegistry",
-                     path: Union[str, Path], *,
-                     now: Optional[float] = None) -> Path:
+                     path: Union[str, Path]) -> Path:
     """Render the registry to ``path``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_prometheus(registry, now=now))
+    path.write_text(render_prometheus(registry))
     return path
 
 
@@ -237,9 +220,10 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, Any]]:
     (`` # {labels} value``); these parse into the family's ``exemplars``
     list as ``{"metric", "labels", "value"}`` dicts, and the sample
     triple stays clean.  Raises :class:`ExpositionError` on structural
-    violations: a sample before its ``# TYPE``, malformed lines or
-    exemplar trailers, non-monotone histogram buckets, or a ``+Inf``
-    bucket disagreeing with ``_count``.
+    violations: a sample before its ``# TYPE``, a ``# HELP`` whose family
+    never gets a ``# TYPE``, malformed lines or exemplar trailers,
+    non-monotone histogram buckets, or a ``+Inf`` bucket disagreeing with
+    ``_count``.
     """
     families: Dict[str, Dict[str, Any]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -296,6 +280,8 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, Any]]:
             fam.setdefault("exemplars", []).append(exemplar)
 
     for base, fam in families.items():
+        if fam["type"] is None:
+            raise ExpositionError(f"{base}: # HELP without a # TYPE")
         if fam["type"] != "histogram":
             continue
         buckets = [(s[1], s[2]) for s in fam["samples"]

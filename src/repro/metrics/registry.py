@@ -1,4 +1,4 @@
-"""The live metrics registry: counters, rate meters, histograms.
+"""The live metrics registry: counters and histograms.
 
 :class:`MetricsRegistry` is the process-local home of every live serving
 metric.  It is deliberately *not* the telemetry event bus
@@ -20,8 +20,6 @@ few attribute operations, cheap enough to ride inside the serve loop.
 Instrument types:
 
 * :class:`Counter` -- monotone total (``inc``);
-* :class:`RateMeter` -- windowed event rate over a ring of time buckets
-  (``mark`` / ``rate``), for live QPS without unbounded history;
 * :class:`Histogram` -- a :class:`~repro.metrics.sketch.QuantileSketch`
   plus a bounded worst-``k`` exemplar reservoir: the queries with the
   largest observed values keep a small structured payload (source,
@@ -32,7 +30,6 @@ Instrument types:
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .sketch import QuantileSketch
@@ -42,7 +39,6 @@ __all__ = [
     "Histogram",
     "LabelTuple",
     "MetricsRegistry",
-    "RateMeter",
     "intern_labels",
 ]
 
@@ -92,49 +88,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
-
-
-class RateMeter:
-    """Windowed event rate over a ring of fixed-width time buckets.
-
-    ``mark(n, now)`` adds ``n`` events at time ``now``; ``rate(now)``
-    returns events/second over the trailing ``window_s``.  The clock is
-    always passed in (no hidden ``time.time()``) so replays under a
-    virtual clock stay deterministic.  Memory is ``bucket_count`` floats
-    regardless of traffic.
-    """
-
-    __slots__ = ("name", "labels", "window_s", "_width", "_counts",
-                 "_stamps", "total")
-
-    def __init__(self, name: str, labels: LabelTuple,
-                 window_s: float = 10.0, buckets: int = 20) -> None:
-        if window_s <= 0 or buckets <= 0:
-            raise ValueError("window_s and buckets must be positive")
-        self.name = name
-        self.labels = labels
-        self.window_s = float(window_s)
-        self._width = self.window_s / buckets
-        self._counts = [0.0] * buckets
-        self._stamps = [None] * buckets  # type: List[Optional[int]]
-        self.total = 0.0
-
-    def mark(self, n: float, now: float) -> None:
-        self.total += n
-        epoch = int(now / self._width)
-        slot = epoch % len(self._counts)
-        if self._stamps[slot] != epoch:
-            self._stamps[slot] = epoch
-            self._counts[slot] = 0.0
-        self._counts[slot] += n
-
-    def rate(self, now: float) -> float:
-        """Events per second over the trailing window ending at ``now``."""
-        epoch = int(now / self._width)
-        lo = epoch - len(self._counts) + 1
-        live = sum(c for c, s in zip(self._counts, self._stamps)
-                   if s is not None and lo <= s <= epoch)
-        return live / self.window_s
 
 
 class Histogram:
@@ -208,7 +161,6 @@ class Histogram:
 #: type name -> instrument class (the registry's dispatch table).
 _INSTRUMENTS = {
     "counter": Counter,
-    "meter": RateMeter,
     "histogram": Histogram,
 }
 
@@ -267,12 +219,6 @@ class MetricsRegistry:
                 ) -> Counter:
         return self._register("counter", name, help, labels)
 
-    def meter(self, name: str, help: str = "",
-              labels: Union[LabelTuple, Mapping[str, Any], None] = None,
-              *, window_s: float = 10.0, buckets: int = 20) -> RateMeter:
-        return self._register("meter", name, help, labels,
-                              window_s=window_s, buckets=buckets)
-
     def histogram(self, name: str, help: str = "",
                   labels: Union[LabelTuple, Mapping[str, Any], None] = None,
                   *, relative_accuracy: float = 0.01,
@@ -290,11 +236,8 @@ class MetricsRegistry:
         full = f"{self.namespace}_{name}" if self.namespace else name
         return self._families.get(full)
 
-    def snapshot(self, *, now: Optional[float] = None,
-                 quantiles: Sequence[float] = (0.5, 0.9, 0.99),
-                 ) -> Dict[str, Any]:
+    def snapshot(self, *, quantiles: Sequence[float] = (0.5, 0.9, 0.99)) -> Dict[str, Any]:
         """One JSON-ready dict of every family's current state."""
-        now = time.time() if now is None else now
         out: Dict[str, Any] = {}
         for family in self._families.values():
             series = []
@@ -313,9 +256,6 @@ class MetricsRegistry:
                     exemplars = inst.exemplars()
                     if exemplars:
                         entry["exemplars"] = exemplars
-                elif family.type == "meter":
-                    entry["total"] = inst.total
-                    entry["rate_per_s"] = inst.rate(now)
                 else:
                     entry["value"] = inst.value
                 series.append(entry)
@@ -326,8 +266,8 @@ class MetricsRegistry:
             }
         return out
 
-    def expose(self, *, now: Optional[float] = None) -> str:
+    def expose(self) -> str:
         """Prometheus text exposition format (``# HELP`` / ``# TYPE``)."""
         from .exposition import render_prometheus
 
-        return render_prometheus(self, now=now)
+        return render_prometheus(self)

@@ -1,7 +1,7 @@
 """The serve-path instrument bundle: registry wiring for live serving.
 
 :class:`ServeMetrics` pre-registers every instrument the serving tier
-emits -- query/failure/cache counters, a QPS meter, hop/latency/stretch
+emits -- query/failure/cache counters and hop/latency/stretch
 histograms with worst-stretch exemplars -- and exposes the few cheap
 mutators the hot path calls.  The zero-overhead contract mirrors
 :mod:`repro.telemetry.events`: the engine holds ``metrics=None`` by
@@ -93,7 +93,6 @@ class ServeMetrics:
         *,
         relative_accuracy: float = 0.005,
         exemplar_limit: int = 8,
-        rate_window_s: float = 10.0,
     ) -> None:
         reg = MetricsRegistry() if registry is None else registry
         self.registry = reg
@@ -105,9 +104,6 @@ class ServeMetrics:
             "cache_hits_total", "Decision-cache hits.")
         self.cache_misses = reg.counter(
             "cache_misses_total", "Decision-cache misses.")
-        self.qps = reg.meter(
-            "qps", "Serving rate over the trailing window.",
-            window_s=rate_window_s)
         self.hops = reg.histogram(
             "hops", "Hops per successfully served query.",
             relative_accuracy=relative_accuracy, exemplar_limit=0)
@@ -181,21 +177,14 @@ class ServeMetrics:
                 add(h, c)
                 counts[h] = 0
 
-    # -- harness-side (per query, with clock) --------------------------------
-
-    def observe_query(self, latency_us: float, now: float) -> None:
-        """Record one query's latency, served at time ``now``."""
-        self.latency_us.sketch.add(latency_us)
-        self.qps.mark(1.0, now)
-
     # -- scraping ------------------------------------------------------------
 
-    def snapshot(self, *, now: Optional[float] = None) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """JSON-ready registry snapshot."""
         self.flush()
-        return self.registry.snapshot(now=now)
+        return self.registry.snapshot()
 
-    def expose(self, *, now: Optional[float] = None) -> str:
+    def expose(self) -> str:
         """Prometheus text exposition of the registry."""
         self.flush()
-        return self.registry.expose(now=now)
+        return self.registry.expose()

@@ -403,7 +403,7 @@ def run_serving(
     prebuilt ``engine`` to serve with a warm cache; by default the run
     compiles fresh and starts cold.  Pass a
     :class:`~repro.metrics.ServeMetrics` bundle to emit into the live
-    registry (counters, QPS meter, hop/latency/stretch histograms with
+    registry (counters, hop/latency/stretch histograms with
     worst-stretch exemplars); the report then carries the
     registry snapshot in its ``metrics`` section.  Pass a
     :class:`~repro.tracing.Tracer` to sample per-query traces (S19): the
@@ -495,12 +495,7 @@ def serve_pairs(
     lat_sketch = QuantileSketch(SKETCH_ACCURACY)
     lat_sketch.add_many(latencies_us)
     if metrics is not None:
-        observe = metrics.observe_query
-        for latency_us, done in zip(latencies_us,
-                                    islice(boundaries, 1, None)):
-            observe(latency_us, done - serve_started)
-    _tele.emit("serve.queries", len(results))
-    _tele.emit("serve.failures", engine.failures)
+        metrics.latency_us.sketch.add_many(latencies_us)
 
     if (slo and slo_bound is None
             and isinstance(compiled, CompiledGraphScheme)):
@@ -529,7 +524,6 @@ def serve_pairs(
                         head=len(tracer.head) + len(tracer.pending)):
             traces = tracer.finalize(engine, results, stretches,
                                      graph=graph, base=trace_base)
-        _tele.emit("serve.traces", len(traces))
 
     hops_sketch = QuantileSketch(SKETCH_ACCURACY)
     for path_length, count in path_length_counts(results).items():
@@ -567,14 +561,11 @@ def serve_pairs(
         slo_within=slo_within,
         packed=_jsonable_summary(compiled),
         sketches=sketches,
-        metrics=(metrics.snapshot(now=serve_s)
-                 if metrics is not None else {}),
+        metrics=metrics.snapshot() if metrics is not None else {},
         traces=traces,
         exemplars=(metrics.stretch.exemplars()
                    if metrics is not None else []),
     )
-    if slo_fraction is not None:
-        _tele.gauge("serve.slo_fraction", slo_fraction)
     return report, results
 
 

@@ -142,8 +142,6 @@ class ShardPool:
         if shm:
             with _tele.span("shard/seal", workers=workers):
                 self.sealed = seal_to_buffers(compiled)
-            _tele.emit("shard.image_nbytes",
-                       self.sealed.manifest["nbytes"])
         self.manifest = self.sealed.manifest if self.sealed else None
 
         # Warm-cache entries preload on the worker that will serve the

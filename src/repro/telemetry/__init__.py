@@ -13,9 +13,7 @@ The observability layer every execution funnels through:
 * :mod:`~repro.telemetry.bounds` -- the paper-bound checker evaluating
   Theorems 2/3 closed forms against measured columns;
 * :mod:`~repro.telemetry.flight` -- the opt-in flight recorder sampling
-  per-vertex memory and per-edge congestion round by round;
-* :mod:`~repro.telemetry.chrometrace` -- Chrome ``trace_event`` export
-  (open runs in Perfetto / ``chrome://tracing``).
+  per-vertex memory and per-edge congestion round by round.
 
 Host time across commits is not this package's job: the perf ledger
 (``benchmarks/perf``) measures it and its ``compare.py`` diffs two run
@@ -33,11 +31,6 @@ from .bounds import (
     failures,
     verdict_from_dict,
 )
-from .chrometrace import (
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
 from .collector import SpanNode, TelemetryCollector, render_profile
 from .events import attach, collect, detach, emit, enabled, gauge, span
 from .flight import FlightConfig, FlightRecorder, attach_flight_recorder
@@ -51,9 +44,6 @@ __all__ = [
     "SpanNode",
     "TelemetryCollector",
     "attach_flight_recorder",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
     "attach",
     "check_graph_columns",
     "check_table1_relations",

@@ -40,21 +40,16 @@ class SpanNode:
             c.total(counter) for c in self.children
         )
 
-    def to_dict(self, origin: Optional[float] = None) -> Dict[str, Any]:
-        """Serialize; with ``origin`` (a ``perf_counter`` instant) each node
-        additionally carries ``t0``, its start offset in seconds — the
-        timestamps the Chrome-trace exporter needs."""
+    def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "name": self.name,
             "wall_s": round(self.wall_s, 6),
             "counters": dict(self.counters),
         }
-        if origin is not None:
-            out["t0"] = round(self.started - origin, 6)
         if self.attrs:
             out["attrs"] = {k: repr(v) for k, v in self.attrs.items()}
         if self.children:
-            out["children"] = [c.to_dict(origin) for c in self.children]
+            out["children"] = [c.to_dict() for c in self.children]
         return out
 
 
@@ -99,8 +94,7 @@ class TelemetryCollector:
         return self.counters.get(name, 0)
 
     def span_dicts(self) -> List[Dict[str, Any]]:
-        origin = min((r.started for r in self.roots), default=None)
-        return [r.to_dict(origin) for r in self.roots]
+        return [r.to_dict() for r in self.roots]
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -284,7 +284,7 @@ class FlightRecorder:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (consumed by chrometrace)."""
+        """JSON-ready form: one entry of a RunRecord's ``flight`` list."""
         return {
             "config": {
                 "stride": self.config.stride,

@@ -1,10 +1,7 @@
 """S19 trace export: JSONL persistence for ``repro explain``.
 
 One JSON object per line, in trace-id order — the shape
-``repro serve --trace-out`` writes and ``repro explain`` reads.  The
-Chrome/Perfetto rendering of the same traces lives with the other
-trace_event plumbing in :mod:`repro.telemetry.chrometrace`
-(``write_chrome_trace(..., queries=...)``).
+``repro serve --trace-out`` writes and ``repro explain`` reads.
 """
 
 from __future__ import annotations

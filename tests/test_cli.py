@@ -42,10 +42,9 @@ class TestParser:
 
     def test_serve_trace_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--trace-out", "t.jsonl", "--trace-chrome", "t.json",
+            ["serve", "--trace-out", "t.jsonl",
              "--trace-rate", "0.05", "--trace-tail", "32"])
         assert args.trace_out == "t.jsonl"
-        assert args.trace_chrome == "t.json"
         assert args.trace_rate == 0.05
         assert args.trace_tail == 32
 
@@ -179,10 +178,22 @@ class TestTelemetrySurfaces:
         (["serve", "--n", "1"], "repro serve: need n >= 2"),
         (["lint"], "argument command: invalid choice: 'lint'"),
         (["monitor"], "argument command: invalid choice: 'monitor'"),
-    ], ids=["stride-0", "workers-0", "n-1", "lint-is-gone", "monitor-is-gone"])
-    def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys):
+        # A count of zero would pass its verdict vacuously.
+        (["table1", "--pairs", "0", "--strict"], "--pairs: must be > 0"),
+        (["serve", "--queries", "0", "--strict"], "--queries: must be > 0"),
+        (["serve", "--queries", "-5"], "--queries: must be > 0"),
+        (["serve", "--cache", "-1"], "--cache: must be >= 0"),
+        (["explain", "--traces", "<traces>", "--worst", "0", "--strict"],
+         "--worst: must be > 0"),
+        (["explain", "--traces", "<traces>", "--worst", "-1"], "--worst: must be > 0"),
+    ], ids=["stride-0", "workers-0", "n-1", "lint-is-gone", "monitor-is-gone",
+            "pairs-0", "queries-0", "queries-negative", "cache-negative",
+            "worst-0", "worst-negative"])
+    def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys,
+                                                 traces_file):
         """Not a traceback: a flag argparse can judge is a usage error, and
         an ``InputError`` from the library is caught once, in ``main``."""
+        argv = [{"<traces>": traces_file}.get(a, a) for a in argv]
         try:
             rc = main(argv)
         except SystemExit as usage:
@@ -214,7 +225,7 @@ class TestTelemetrySurfaces:
         parse_prometheus(prom.read_text())
 
     def test_zero_stays_legal_where_it_means_off_or_empty(self, capsys):
-        assert main(["serve", "--n", "40", "--k", "2", "--queries", "0", "--cache", "0",
+        assert main(["serve", "--n", "40", "--k", "2", "--queries", "20", "--cache", "0",
                      "--trace-tail", "0", "--quiet"]) == 0
 
     def test_report_json(self, capsys):
@@ -307,24 +318,16 @@ class TestCommandTable:
         json.loads(out.read_text())
         assert "wall_s" in captured.err and "totals:" in captured.err
 
-    def test_trace_chrome_notice_keeps_stdout_json(self, tmp_path, capsys):
-        chrome = tmp_path / "c.json"
-        assert main(["trace", "tree-styles", "--jsonl",
-                     "--chrome", str(chrome)]) == 0
-        captured = capsys.readouterr()
-        for line in captured.out.strip().splitlines():
-            json.loads(line)
-        assert str(chrome) in captured.err
+    def test_trace_flight_embeds_flight_payloads(self, tmp_path):
+        from repro.__main__ import main
 
-    def test_serve_trace_chrome_has_span_track_without_other_flags(
-            self, tmp_path, capsys):
-        """Always-recorded: the Chrome trace holds the run's spans even
-        when none of --json/--strict/--profile asked for a record."""
-        chrome = tmp_path / "q.json"
-        assert main(_SERVE + ["--quiet", "--trace-chrome", str(chrome)]) == 0
-        names = {e.get("name")
-                 for e in json.loads(chrome.read_text())["traceEvents"]}
-        assert "serve/run" in names and "serve/queries" in names
+        out = tmp_path / "rec.json"
+        code = main(["trace", "tree-rounds", "--flight", "--stride", "8",
+                     "--quiet", "--out", str(out)])
+        assert code == 0
+        rec = json.loads(out.read_text())
+        assert rec["flight"]
+        assert all(f["rounds_seen"] > 0 for f in rec["flight"])
 
     def test_profile_honoured_by_serve(self, capsys):
         assert main(_SERVE + ["--profile"]) == 0

@@ -34,7 +34,6 @@ ALLOWED = {
     "forest_decomposition": CLAIM,
     "nash_williams_lower_bound": CLAIM,
     "verify_forest": CLAIM,
-    "validate_chrome_trace": ORACLE,
     "assert_laminar_intervals": ORACLE,
     "enabled": ORACLE,  # telemetry.enabled: the zero-overhead-when-detached tests
     "convergecast_aggregate": KERNEL,  # its charge is ROADMAP item 1's to replace

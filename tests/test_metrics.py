@@ -133,8 +133,9 @@ class TestRegistry:
         reg.counter("x_total")
         with pytest.raises(ValueError):
             reg.histogram("x_total")
+        reg.histogram("x_us")
         with pytest.raises(ValueError):
-            reg.meter("x_total")
+            reg.counter("x_us")
 
     def test_invalid_name_raises(self):
         with pytest.raises(ValueError):
@@ -157,20 +158,11 @@ class TestRegistry:
         fam = reg.get("served_total")
         assert len(fam.series) == 2
 
-    def test_meter_windowed_rate(self):
-        reg = MetricsRegistry()
-        m = reg.meter("qps", window_s=10.0, buckets=10)
-        for i in range(100):
-            m.mark(1.0, now=i * 0.1)  # 100 events over 10s
-        assert m.rate(9.9) == pytest.approx(10.0, rel=0.35)
-        # Long idle gap: stale slots expire and the rate decays to ~0.
-        assert m.rate(1000.0) == 0.0
-
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("queries_total", "queries").inc(3)
         reg.histogram("hops", "hop histogram").add(5.0)
-        snap = reg.snapshot(now=1.0)
+        snap = reg.snapshot()
         assert snap["repro_serve_queries_total"]["type"] == "counter"
         assert snap["repro_serve_queries_total"]["series"][0]["value"] == 3.0
         hist = snap["repro_serve_hops"]["series"][0]
@@ -196,15 +188,13 @@ class TestExposition:
     def _registry(self):
         reg = MetricsRegistry()
         reg.counter("queries_total", "Total queries.").inc(7)
-        m = reg.meter("qps", "Rate.")
-        m.mark(5, now=1.0)
         h = reg.histogram("latency_us", "Latency.")
         h.add(10.0)
         h.add(200.0)
         return reg
 
     def test_render_parse_roundtrip(self):
-        text = render_prometheus(self._registry(), now=2.0)
+        text = render_prometheus(self._registry())
         families = parse_prometheus(text)
         counter = families["repro_serve_queries_total"]
         assert counter["type"] == "counter"
@@ -216,16 +206,9 @@ class TestExposition:
         assert buckets[-1][1]["le"] == "+Inf"
         assert buckets[-1][2] == 2.0
 
-    def test_meter_exposes_total_and_rate(self):
-        text = render_prometheus(self._registry(), now=2.0)
-        assert "repro_serve_qps_total 5" in text
-        assert "# TYPE repro_serve_qps_per_s gauge" in text
-        families = parse_prometheus(text)
-        assert families["repro_serve_qps_per_s"]["type"] == "gauge"
-
     def test_write_prometheus(self, tmp_path):
         out = tmp_path / "metrics.prom"
-        write_prometheus(self._registry(), out, now=2.0)
+        write_prometheus(self._registry(), out)
         families = parse_prometheus(out.read_text())
         assert "repro_serve_queries_total" in families
 
@@ -244,6 +227,10 @@ class TestExposition:
         "# TYPE h histogram\nh_bucket{le=\"1\"} 1\n"
         "h_sum 1\nh_count 1\n",                   # missing +Inf
         "# TYPE c counter\nc nope\n",             # malformed value
+        "# HELP repro_serve_qps Serving rate over the trailing window.\n"
+        "# TYPE repro_serve_qps_total counter\n"
+        "repro_serve_qps_total 2000\n"
+        "# TYPE repro_serve_qps_per_s gauge\n",  # HELP never TYPEd
     ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ExpositionError):
@@ -262,7 +249,7 @@ class TestExposition:
             payloads.append((v, payload))
             if h.wants_exemplar(v):
                 h.offer_exemplar(v, payload)
-        text = render_prometheus(reg, now=1.0)
+        text = render_prometheus(reg)
         assert " # {" in text
         families = parse_prometheus(text)
         exemplars = families["repro_serve_stretch"].get("exemplars")
@@ -362,7 +349,7 @@ class TestServeMetricsBundle:
     def test_snapshot_has_no_slo_key(self):
         m = ServeMetrics()
         m.record_batch(5, 0, 0, 5)
-        snap = m.snapshot(now=1.0)
+        snap = m.snapshot()
         assert "slo" not in snap
         assert snap["repro_serve_queries_total"]["series"][0]["value"] == 5.0
 
@@ -370,9 +357,9 @@ class TestServeMetricsBundle:
         m = ServeMetrics()
         m.record_batch(1, 0, 0, 1)
         m.record_path_lengths({4: 1})
-        m.observe_query(12.5, now=0.1)
+        m.latency_us.add(12.5)
         m.stretch.add(1.2)
-        families = parse_prometheus(m.expose(now=1.0))
+        families = parse_prometheus(m.expose())
         assert "repro_serve_hops" in families
         assert "repro_serve_latency_us" in families
         assert "repro_serve_stretch" in families

@@ -103,8 +103,8 @@ class TestEqualsTheRecordedLoop:
         if timed:
             assert len(boundaries) == len(stream) + 1
         if instrumented:
-            assert new.metrics.snapshot(now=1.0) == \
-                old.metrics.snapshot(now=1.0)
+            assert new.metrics.snapshot() == \
+                old.metrics.snapshot()
             # Batch picks and single-query picks: the same traces, in full.
             assert ([t.to_dict() for t in new.tracer.finalize(new, batch)]
                     == [t.to_dict()

@@ -203,8 +203,8 @@ class TestMeasurementLoop:
         assert report.sketches["stretch"] == stretch
 
         if instrumented:
-            got = new.metrics.snapshot(now=1.0)
-            want = old.metrics.snapshot(now=1.0)
+            got = new.metrics.snapshot()
+            want = old.metrics.snapshot()
             for name in _COUNTERS:
                 assert got[name]["series"] == want[name]["series"], name
             assert new.metrics.hops.sketch == old.metrics.hops.sketch

@@ -25,7 +25,6 @@ from repro.errors import InputError
 from repro.graphs import random_connected_graph
 from repro.graphs.paths import dijkstra
 from repro.serve import ServeEngine, compile_scheme, run_serving
-from repro.telemetry.chrometrace import to_chrome_trace, validate_chrome_trace
 from repro.tracing import (
     HopSpan,
     QueryTrace,
@@ -436,7 +435,7 @@ class TestFinalize:
 
 
 # ---------------------------------------------------------------------------
-# Export: JSONL round-trip + Chrome trace
+# Export: JSONL round-trip
 # ---------------------------------------------------------------------------
 
 class TestExport:
@@ -479,17 +478,6 @@ class TestExport:
         again = QueryTrace.from_dict(trace.to_dict())
         assert again.to_dict() == trace.to_dict()
         assert again.hops[0].excess == 0.25
-
-    def test_chrome_trace_validates(self, built):
-        report, _, _ = serve_traced(built, queries=300, rate=0.1)
-        doc = to_chrome_trace([], queries=[t.to_dict()
-                                           for t in report.traces])
-        assert validate_chrome_trace(doc) == []
-        pids = {e["pid"] for e in doc["traceEvents"]}
-        assert 1000 in pids
-        names = {e["args"]["name"] for e in doc["traceEvents"]
-                 if e.get("ph") == "M" and e.get("name") == "thread_name"}
-        assert {t.trace_id for t in report.traces} <= names
 
 
 # ---------------------------------------------------------------------------
