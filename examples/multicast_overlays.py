@@ -19,7 +19,7 @@ import random
 
 from repro import (
     Network,
-    build_many_tree_schemes,
+    build_tree_schemes,
     random_connected_graph,
     route_in_tree,
     spanning_tree_of,
@@ -36,14 +36,14 @@ def main() -> None:
     }
 
     net = Network(graph)
-    build = build_many_tree_schemes(net, trees, seed=13)
+    build = build_tree_schemes(net, trees, seed=13)
 
     print(f"{s} overlays over n={n}; q = 1/sqrt(sn) = {build.q:.4f}")
     print(f"parallel schedule:   {build.rounds_parallel:>7} rounds "
           f"(Õ(sqrt(sn)+D); sqrt(sn)={math.sqrt(s * n):.0f})")
     print(f"naive sequential:    {build.rounds_sequential:>7} rounds "
           f"(sum over trees)")
-    print(f"memory high-water:   {build.max_memory_words:>7} words "
+    print(f"memory high-water:   {net.max_memory():>7} words "
           f"(paper: O(s log n) = {s}*{n.bit_length()} = {s * n.bit_length()})")
 
     weight = lambda u, v: graph[u][v]["weight"]

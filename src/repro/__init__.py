@@ -90,7 +90,7 @@ from .treerouting import (
     build_distributed_tree_scheme,
     partition_tree,
 )
-from .treerouting.multi import MultiTreeBuild, build_many_tree_schemes
+from .treerouting.multi import MultiTreeBuild, build_tree_schemes
 from .tz import (
     build_centralized_scheme,
     build_tree_scheme,
@@ -133,8 +133,8 @@ __all__ = [
     "build_distributed_scheme",
     "build_distributed_tree_scheme",
     "build_hopset",
-    "build_many_tree_schemes",
     "build_tree_scheme",
+    "build_tree_schemes",
     "collect",
     "convergecast_up",
     "grid_graph",

@@ -22,7 +22,7 @@ from ..graphs.virtual import VirtualGraphOracle, default_hop_bound
 from ..hopsets.construction import build_hopset
 from ..hopsets.hopset import measure_hopbound
 from ..routing.router import measure_stretch, sample_pairs
-from ..treerouting.multi import build_many_tree_schemes
+from ..treerouting.multi import build_tree_schemes
 from ..treerouting.scheme import build_distributed_tree_scheme
 from ..tz.hierarchy import sample_hierarchy
 
@@ -258,7 +258,7 @@ def fig_multitree(
             for i in range(s)
         }
         net = Network(graph)
-        build = build_many_tree_schemes(net, trees, seed=seed)
+        build = build_tree_schemes(net, trees, seed=seed)
         records.append({
             "trees": s,
             "rounds_parallel": build.rounds_parallel,

@@ -75,7 +75,6 @@ makes the round and memory measurements meaningful.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from collections import defaultdict
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -105,7 +104,6 @@ class Network:
         message_word_limit: int = 4,
         edge_capacity: int = 1,
         strict: bool = True,
-        seed: Optional[int] = None,
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise InputError("network requires a non-empty graph")
@@ -124,7 +122,6 @@ class Network:
         self.message_word_limit = message_word_limit
         self.edge_capacity = edge_capacity
         self.strict = strict
-        self.rng = random.Random(seed)
         self.metrics = RunMetrics()
         self._outbox: List[Message] = []
         #: Words queued in ``_outbox``, accumulated at send time so closing

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 import networkx as nx
 
@@ -52,10 +52,7 @@ class ReferenceNetwork:
         message_word_limit: int = 4,
         edge_capacity: int = 1,
         strict: bool = True,
-        seed: Optional[int] = None,
     ) -> None:
-        import random
-
         from .metrics import RunMetrics
 
         if graph.number_of_nodes() == 0:
@@ -75,7 +72,6 @@ class ReferenceNetwork:
         self.message_word_limit = message_word_limit
         self.edge_capacity = edge_capacity
         self.strict = strict
-        self.rng = random.Random(seed)
         self.metrics = RunMetrics()
         self._meters: Dict[NodeId, MemoryMeter] = {v: MemoryMeter() for v in graph}
         self._outbox: List[Message] = []

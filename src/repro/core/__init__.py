@@ -1,12 +1,7 @@
 """The paper's distributed low-memory routing for general graphs
 (Appendix B, Theorem 3; system S7 of DESIGN.md)."""
 
-from .assembly import (
-    AssemblyStats,
-    assemble_labels,
-    assemble_tables,
-    build_tree_schemes,
-)
+from .assembly import assemble_labels, assemble_tables
 from .build import BuildReport, build_distributed_scheme, default_beta
 from .high_levels import (
     HighLevelConfig,
@@ -18,7 +13,6 @@ from .low_levels import build_exact_low_level_clusters, claim8_hop_limit
 from .parameters import SchemePreset, expected_virtual_size, preset
 
 __all__ = [
-    "AssemblyStats",
     "BuildReport",
     "HighLevelConfig",
     "approximate_pivot_distances",
@@ -28,7 +22,6 @@ __all__ = [
     "build_exact_low_level_clusters",
     "build_high_level_clusters",
     "build_distributed_scheme",
-    "build_tree_schemes",
     "claim8_hop_limit",
     "default_beta",
     "SchemePreset",

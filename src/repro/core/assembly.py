@@ -6,8 +6,8 @@ a tree of G, the remaining distributed work is:
 1. run the **distributed tree-routing construction** of Section 3 on all
    cluster trees in parallel (``q = 1/sqrt(s n)`` with ``s`` the maximum
    number of trees through one vertex; random start times make the parallel
-   schedule Õ(sqrt(s n) + D) whp -- see :mod:`repro.core.build` for the
-   round accounting);
+   schedule Õ(sqrt(s n) + D) whp -- the driver and its round accounting
+   are :func:`repro.treerouting.multi.build_tree_schemes`);
 2. every vertex's **table** is the collection of its tree tables (Claim 6:
    Õ(n^{1/k}) of them);
 3. every vertex's **label** has one entry per level ``i``: the best tree of
@@ -21,10 +21,8 @@ a tree of G, the remaining distributed work is:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ..congest.bfs import BfsTree
 from ..congest.network import Network
 from ..errors import InvariantViolation
 from ..routing.artifacts import (
@@ -33,60 +31,11 @@ from ..routing.artifacts import (
     TreeRoutingScheme,
     graph_tables,
 )
-from ..treerouting.scheme import build_distributed_tree_scheme
 from ..tz.clusters import ClusterTree
 from ..tz.hierarchy import Hierarchy
 
 NodeId = Hashable
 INF = math.inf
-
-
-@dataclass
-class AssemblyStats:
-    """Per-phase observability for the bench harness."""
-
-    tree_rounds_total: int = 0
-    tree_rounds_max: int = 0
-    trees_built: int = 0
-    max_trees_per_vertex: int = 0
-
-
-def build_tree_schemes(
-    net: Network,
-    bfs: BfsTree,
-    cluster_trees: Mapping[NodeId, ClusterTree],
-    *,
-    seed: int = 0,
-) -> Tuple[Dict[NodeId, TreeRoutingScheme], AssemblyStats]:
-    """Section-3 construction on every cluster tree, multi-tree mode."""
-    stats = AssemblyStats()
-    membership: Dict[NodeId, int] = {}
-    for tree in cluster_trees.values():
-        for v in tree.dist:
-            membership[v] = membership.get(v, 0) + 1
-    stats.max_trees_per_vertex = max(membership.values()) if membership else 0
-    s = max(1, stats.max_trees_per_vertex)
-    q = min(1.0, 1.0 / math.sqrt(s * net.n))
-
-    schemes: Dict[NodeId, TreeRoutingScheme] = {}
-    for root in sorted(cluster_trees, key=repr):
-        tree = cluster_trees[root]
-        build = build_distributed_tree_scheme(
-            net,
-            tree.parent,
-            q=q,
-            seed=seed,
-            salt=f"ct/{root!r}",
-            bfs=bfs,
-            tree_id=root,
-            root_distance=lambda v, d=tree.dist: d[v],
-            mem_prefix=f"ct/{root!r}",
-        )
-        schemes[root] = build.scheme
-        stats.trees_built += 1
-        stats.tree_rounds_total += build.rounds
-        stats.tree_rounds_max = max(stats.tree_rounds_max, build.rounds)
-    return schemes, stats
 
 
 def assemble_tables(

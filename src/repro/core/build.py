@@ -38,7 +38,8 @@ from ..routing.artifacts import GraphRoutingScheme
 from ..telemetry import events as _tele
 from ..tz.clusters import compute_pivots
 from ..tz.hierarchy import Hierarchy, sample_hierarchy, virtual_level
-from .assembly import assemble_labels, assemble_tables, build_tree_schemes
+from ..treerouting.multi import build_tree_schemes
+from .assembly import assemble_labels, assemble_tables
 from .high_levels import HighLevelConfig, build_high_level_clusters
 from .low_levels import build_exact_low_level_clusters
 
@@ -170,7 +171,12 @@ def build_distributed_scheme(
 
     # -- tree routing + assembly ----------------------------------------------------
     with _tele.span("build/tree-routing", trees=len(cluster_trees)):
-        schemes, stats = build_tree_schemes(net, bfs, cluster_trees, seed=seed)
+        trees = build_tree_schemes(
+            net, {root: tree.parent for root, tree in cluster_trees.items()},
+            seed=seed, bfs=bfs,
+            root_distances={root: tree.dist for root, tree in cluster_trees.items()},
+        )
+        schemes = trees.schemes
     with _tele.span("build/assembly"):
         tables = assemble_tables(net, schemes)
         pivot_reference: Dict[int, Dict[NodeId, float]] = {
@@ -186,12 +192,7 @@ def build_distributed_scheme(
         )
 
     # -- cost reporting ---------------------------------------------------------------
-    s = max(1, stats.max_trees_per_vertex)
-    offsets = math.ceil(math.sqrt(s * n) * max(1.0, math.log(n)))
     rounds_sequential = net.metrics.total_rounds
-    rounds_parallel = (
-        rounds_sequential - stats.tree_rounds_total + stats.tree_rounds_max + offsets
-    )
     high_water = net.memory_high_water()
     if _tele._collectors:
         _tele.gauge("memory.high_water_words", max(high_water.values()))
@@ -206,11 +207,13 @@ def build_distributed_scheme(
         hopset_size=hopset_build.size,
         hopset_max_out_degree=hopset_build.hopset.max_out_degree(),
         rounds_sequential=rounds_sequential,
-        rounds_parallel_estimate=rounds_parallel,
+        rounds_parallel_estimate=(
+            rounds_sequential - trees.rounds_sequential + trees.rounds_parallel
+        ),
         messages=net.metrics.messages,
         max_memory_words=max(high_water.values()),
         mean_memory_words=sum(high_water.values()) / len(high_water),
-        max_trees_per_vertex=stats.max_trees_per_vertex,
+        max_trees_per_vertex=trees.s,
         stretch_bound=(4 * k - 3) * (1 + 6 * epsilon) ** 2,
         phase_rounds=net.metrics.by_phase(),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -66,8 +67,8 @@ def zipf_pairs(
     nodes = list(nodes)
     if len(nodes) < 2:
         raise InputError("need at least two vertices to form query pairs")
-    if alpha <= 0:
-        raise InputError("zipf alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise InputError(f"zipf alpha must be positive and finite, got {alpha}")
     ranked = list(nodes)
     rng.shuffle(ranked)
     cumulative = list(itertools.accumulate(

@@ -159,7 +159,6 @@ class Tracer:
         tail_limit: int = 16,
         head_limit: int = 256,
         prefix: str = "q",
-        tail_seed: Optional[int] = None,
     ) -> None:
         self.rate = float(rate)
         if not 0.0 <= self.rate <= 1.0:  # NaN fails this too
@@ -174,10 +173,7 @@ class Tracer:
         self._head_rng = random.Random(seed)
         # The tail tie-break rng is seeded independently of the head rng
         # so head sampling never perturbs tail retention (and vice versa).
-        self.tail = TailBuffer(
-            tail_limit,
-            rng=random.Random(seed + 1 if tail_seed is None else tail_seed),
-        )
+        self.tail = TailBuffer(tail_limit, rng=random.Random(seed + 1))
         self.seq = 0
         self.head: List[QueryTrace] = []
         self.head_dropped = 0

@@ -8,22 +8,22 @@ memory O(s log n) at each vertex."
 The recipe: sample with ``q = 1/sqrt(s n)`` (bigger local trees, but far
 fewer virtual vertices per tree, so the *global* broadcast traffic summed
 over all trees stays Õ(sqrt(s n))), and give every tree a random start
-offset from ``{1, ..., O(sqrt(s n) log n)}`` so that, whp, the local-tree
-phases of different trees do not congest any edge.
+offset from a window of ``⌈sqrt(s n) · max(1, ln n)⌉`` rounds so that, whp,
+the local-tree phases of different trees do not congest any edge.
 
-The simulator executes the trees one after another (their message schedules
-are independent given the offsets), so the honest *sequential* round total
-is the sum; :class:`MultiTreeBuild` additionally reports the parallel
-schedule length ``max_offset + max_tree_rounds``, which is the quantity
-Theorem 2 bounds and which the F8 benchmark plots against the naive
-``s * sqrt(n)`` baseline.
+:func:`build_tree_schemes` is the one driver: the general-graph scheme
+runs it on its cluster trees (with their root distances), F8 on random
+spanning trees.  The simulator executes the trees one after another (their
+message schedules are independent given their offsets), so the honest
+*sequential* round total is the sum; :class:`MultiTreeBuild` additionally
+reports the parallel schedule length ``window + slowest tree``, which is
+the quantity Theorem 2 bounds.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional
 
 from ..congest.bfs import BfsTree, build_bfs_tree
@@ -45,18 +45,14 @@ class MultiTreeBuild:
     schemes: Dict[Hashable, TreeRoutingScheme]
     s: int  # max trees through one vertex
     q: float
-    offsets: Dict[Hashable, int]
+    window: int  # the random start offsets' range, in rounds
     per_tree_rounds: Dict[Hashable, int]
     rounds_sequential: int
-    max_memory_words: int = 0
-    phase_rounds: Dict[str, int] = field(default_factory=dict)
 
     @property
     def rounds_parallel(self) -> int:
         """The Theorem-2 schedule: offset window + slowest tree."""
-        if not self.per_tree_rounds:
-            return 0
-        return max(self.offsets.values()) + max(self.per_tree_rounds.values())
+        return self.window + max(self.per_tree_rounds.values())
 
 
 def max_trees_per_vertex(trees: Mapping[Hashable, ParentMap]) -> int:
@@ -67,46 +63,47 @@ def max_trees_per_vertex(trees: Mapping[Hashable, ParentMap]) -> int:
     return max(counts.values()) if counts else 0
 
 
-def build_many_tree_schemes(
+def build_tree_schemes(
     net: Network,
     trees: Mapping[Hashable, ParentMap],
     *,
     seed: int = 0,
     bfs: Optional[BfsTree] = None,
-    q: Optional[float] = None,
+    root_distances: Optional[Mapping[Hashable, Mapping[NodeId, float]]] = None,
 ) -> MultiTreeBuild:
     """Build routing schemes for all ``trees`` with shared sampling rate.
 
     ``trees`` maps a tree id to its parent map.  Every tree's vertices must
     live in ``net``; a vertex may appear in many trees (s is measured, not
-    assumed).
+    assumed).  ``root_distances[tree_id]``, when given, records each
+    member's weighted root distance in that tree's tables.
     """
     if not trees:
         raise InputError("no trees given")
     s = max_trees_per_vertex(trees)
-    if q is None:
-        q = default_sampling_probability(net.n, s)
+    q = default_sampling_probability(net.n, s)
     if bfs is None:
         bfs = build_bfs_tree(net)
-    rng = random.Random(f"multitree/{seed}")
-    window = max(1, math.ceil(math.sqrt(s * net.n) * max(1.0, math.log(net.n))))
+    window = math.ceil(math.sqrt(s * net.n) * max(1.0, math.log(net.n)))
 
     schemes: Dict[Hashable, TreeRoutingScheme] = {}
-    offsets: Dict[Hashable, int] = {}
     per_tree_rounds: Dict[Hashable, int] = {}
     rounds_before = net.metrics.total_rounds
     for tree_id in sorted(trees, key=repr):
-        offsets[tree_id] = rng.randint(1, window)
+        root_distance = (
+            None if root_distances is None else root_distances[tree_id].__getitem__
+        )
         with _tele.span("tree/build", tree=tree_id):
             build = build_distributed_tree_scheme(
                 net,
                 trees[tree_id],
                 q=q,
                 seed=seed,
-                salt=f"multi/{tree_id!r}",
+                salt=f"ct/{tree_id!r}",
                 bfs=bfs,
                 tree_id=tree_id,
-                mem_prefix=f"mt/{tree_id!r}",
+                root_distance=root_distance,
+                mem_prefix=f"ct/{tree_id!r}",
             )
         schemes[tree_id] = build.scheme
         per_tree_rounds[tree_id] = build.rounds
@@ -114,9 +111,7 @@ def build_many_tree_schemes(
         schemes=schemes,
         s=s,
         q=q,
-        offsets=offsets,
+        window=window,
         per_tree_rounds=per_tree_rounds,
         rounds_sequential=net.metrics.total_rounds - rounds_before,
-        max_memory_words=net.max_memory(),
-        phase_rounds=net.metrics.by_phase(),
     )

@@ -39,13 +39,13 @@ def test_engines_agree(topo, proto, seed):
     graph = build_topology(topo, seed)
     workload = PROTOCOLS[proto]
     ref = run_fingerprint(
-        ReferenceNetwork, graph, workload, seed, edge_capacity=1, seed=seed
+        ReferenceNetwork, graph, workload, seed, edge_capacity=1
     )
     # Fresh graph objects per engine: engines must not depend on (or
     # mutate) shared graph state.
     candidate = run_fingerprint(
         Network, build_topology(topo, seed), workload, seed,
-        edge_capacity=1, seed=seed,
+        edge_capacity=1,
     )
     for key in ref:
         assert candidate[key] == ref[key], (

@@ -186,9 +186,17 @@ class TestTelemetrySurfaces:
         (["explain", "--traces", "<traces>", "--worst", "0", "--strict"],
          "--worst: must be > 0"),
         (["explain", "--traces", "<traces>", "--worst", "-1"], "--worst: must be > 0"),
+        # A target of 0 or below passed its stretch-SLO verdict; NaN failed it.
+        (["serve", "--slo-target", "0", "--strict"], "--slo-target: must be > 0"),
+        (["serve", "--slo-target", "-1", "--strict"], "--slo-target: must be > 0"),
+        (["serve", "--slo-target", "nan", "--strict"], "--slo-target: must be > 0"),
+        # NaN weights sent every zipf query to one vertex.
+        (["serve", "--workload", "zipf", "--zipf-alpha", "nan"],
+         "repro serve: zipf alpha must be positive and finite, got nan"),
     ], ids=["stride-0", "workers-0", "n-1", "lint-is-gone", "monitor-is-gone",
             "pairs-0", "queries-0", "queries-negative", "cache-negative",
-            "worst-0", "worst-negative"])
+            "worst-0", "worst-negative", "slo-target-0", "slo-target-negative",
+            "slo-target-nan", "zipf-alpha-nan"])
     def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys,
                                                  traces_file):
         """Not a traceback: a flag argparse can judge is a usage error, and

@@ -5,12 +5,9 @@ import math
 import pytest
 
 from repro.congest import Network, build_bfs_tree
-from repro.core.assembly import (
-    assemble_labels,
-    assemble_tables,
-    build_tree_schemes,
-)
+from repro.core.assembly import assemble_labels, assemble_tables
 from repro.graphs import random_connected_graph
+from repro.treerouting.multi import build_tree_schemes
 from repro.tz import all_cluster_trees, compute_pivots, sample_hierarchy
 
 
@@ -22,52 +19,31 @@ def setup():
     trees = all_cluster_trees(graph, hierarchy, pivots)
     net = Network(graph)
     bfs = build_bfs_tree(net)
-    schemes, stats = build_tree_schemes(net, bfs, trees, seed=28)
-    return graph, hierarchy, pivots, trees, net, schemes, stats
-
-
-class TestBuildTreeSchemes:
-    def test_one_scheme_per_cluster(self, setup):
-        _, _, _, trees, _, schemes, _ = setup
-        assert set(schemes) == set(trees)
-
-    def test_stats_counts(self, setup):
-        _, _, _, trees, _, _, stats = setup
-        assert stats.trees_built == len(trees)
-        assert stats.tree_rounds_max <= stats.tree_rounds_total
-
-    def test_max_trees_per_vertex_measured(self, setup):
-        _, _, _, trees, _, _, stats = setup
-        counts = {}
-        for tree in trees.values():
-            for v in tree.dist:
-                counts[v] = counts.get(v, 0) + 1
-        assert stats.max_trees_per_vertex == max(counts.values())
-
-    def test_root_distances_recorded(self, setup):
-        _, _, _, trees, _, schemes, _ = setup
-        for root, scheme in schemes.items():
-            for v, table in scheme.tables.items():
-                assert table.root_distance == pytest.approx(trees[root].dist[v])
+    schemes = build_tree_schemes(
+        net, {root: tree.parent for root, tree in trees.items()},
+        seed=28, bfs=bfs,
+        root_distances={root: tree.dist for root, tree in trees.items()},
+    ).schemes
+    return graph, hierarchy, pivots, trees, net, schemes
 
 
 class TestAssembleTables:
     def test_every_membership_has_a_table(self, setup):
-        _, _, _, trees, net, schemes, _ = setup
+        _, _, _, trees, net, schemes = setup
         tables = assemble_tables(net, schemes)
         for root, tree in trees.items():
             for v in tree.dist:
                 assert root in tables[v].trees
 
     def test_no_spurious_tables(self, setup):
-        _, _, _, trees, net, schemes, _ = setup
+        _, _, _, trees, net, schemes = setup
         tables = assemble_tables(net, schemes)
         for v, table in tables.items():
             for root in table.trees:
                 assert v in trees[root].dist
 
     def test_memory_charged_for_tables(self, setup):
-        _, _, _, _, net, schemes, _ = setup
+        _, _, _, _, net, schemes = setup
         tables = assemble_tables(net, schemes)
         for v, table in tables.items():
             stored = dict(net.mem(v).items()).get("scheme/table", 0)
@@ -76,7 +52,7 @@ class TestAssembleTables:
 
 class TestAssembleLabels:
     def _labels(self, setup, slack):
-        graph, hierarchy, pivots, trees, net, schemes, _ = setup
+        graph, hierarchy, pivots, trees, net, schemes = setup
         assemble_tables(net, schemes)
         reference = {i: pivots.dist[i] for i in range(hierarchy.k)}
         return assemble_labels(

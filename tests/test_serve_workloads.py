@@ -1,5 +1,6 @@
 """Unit tests for the serve workload models (seeded traffic)."""
 
+import math
 import random
 from collections import Counter
 
@@ -99,9 +100,12 @@ class TestValidation:
         with pytest.raises(InputError):
             gravity_pairs(nx.path_graph(1), 5)
 
-    def test_bad_zipf_alpha(self, graph):
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_bad_zipf_alpha(self, graph, alpha):
+        """NaN fails ``alpha <= 0`` and inf puts all weight on rank 0:
+        either way every query would target one vertex."""
         with pytest.raises(InputError):
-            zipf_pairs(list(graph.nodes), 5, alpha=0.0)
+            zipf_pairs(list(graph.nodes), 5, alpha=alpha)
 
     def test_bad_pool_factor(self, graph):
         with pytest.raises(InputError):

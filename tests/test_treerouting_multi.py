@@ -5,12 +5,15 @@ import random
 
 import pytest
 
-from repro.congest import Network
+import repro.core.build as core_build
+import repro.treerouting.multi as multi
+from repro.congest import Network, build_bfs_tree
+from repro.core import build_distributed_scheme
 from repro.errors import InputError
 from repro.graphs import random_connected_graph, spanning_tree_of, tree_distance
 from repro.routing import route_in_tree
-from repro.treerouting.multi import build_many_tree_schemes, max_trees_per_vertex
-from repro.tz import build_tree_scheme
+from repro.treerouting.multi import build_tree_schemes, max_trees_per_vertex
+from repro.tz import all_cluster_trees, build_tree_scheme, compute_pivots, sample_hierarchy
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +24,7 @@ def built():
         for i in range(4)
     }
     net = Network(graph)
-    build = build_many_tree_schemes(net, trees, seed=4)
+    build = build_tree_schemes(net, trees, seed=4)
     return graph, trees, net, build
 
 
@@ -62,20 +65,91 @@ class TestMultiTree:
         _, _, _, build = built
         assert build.rounds_parallel < build.rounds_sequential
 
-    def test_offsets_within_window(self, built):
-        graph, trees, _, build = built
+    def test_rounds_parallel_is_window_plus_slowest_tree(self, built):
+        graph, _, _, build = built
         n = graph.number_of_nodes()
-        window = math.sqrt(len(trees) * n) * math.log(n) + 1
-        for off in build.offsets.values():
-            assert 1 <= off <= window
+        window = math.ceil(math.sqrt(build.s * n) * max(1.0, math.log(n)))
+        assert build.window == window
+        assert build.rounds_parallel == window + max(build.per_tree_rounds.values())
+
+    def test_rounds_pinned(self, built):
+        """Trees are ordered and salted by ``repr``: the schedule is the
+        same under any hash seed."""
+        _, _, _, build = built
+        assert build.per_tree_rounds == {"t0": 462, "t1": 487, "t2": 531, "t3": 729}
+        assert build.rounds_sequential == sum(build.per_tree_rounds.values())
 
     def test_memory_scales_with_s_not_sqrt_n(self, built):
-        graph, trees, _, build = built
+        graph, trees, net, _ = built
         n = graph.number_of_nodes()
         s = len(trees)
-        assert build.max_memory_words <= 12 * s * math.log2(n) + 60
+        assert net.max_memory() <= 12 * s * math.log2(n) + 60
 
     def test_empty_trees_rejected(self, built):
         graph, _, _, _ = built
         with pytest.raises(InputError):
-            build_many_tree_schemes(Network(graph), {}, seed=1)
+            build_tree_schemes(Network(graph), {}, seed=1)
+
+
+@pytest.fixture(scope="module")
+def clusters():
+    graph = random_connected_graph(100, seed=281)
+    hierarchy = sample_hierarchy(list(graph.nodes), 2, seed=281)
+    trees = all_cluster_trees(graph, hierarchy, compute_pivots(graph, hierarchy))
+    net = Network(graph)
+    build = build_tree_schemes(
+        net, {root: tree.parent for root, tree in trees.items()},
+        seed=28, bfs=build_bfs_tree(net),
+        root_distances={root: tree.dist for root, tree in trees.items()},
+    )
+    return trees, build
+
+
+class TestClusterTrees:
+    """The general scheme's use: cluster trees with their root distances."""
+
+    def test_one_scheme_per_cluster(self, clusters):
+        trees, build = clusters
+        assert set(build.schemes) == set(trees)
+
+    def test_round_counts(self, clusters):
+        trees, build = clusters
+        assert set(build.per_tree_rounds) == set(trees)
+        assert max(build.per_tree_rounds.values()) <= build.rounds_sequential
+
+    def test_max_trees_per_vertex_measured(self, clusters):
+        trees, build = clusters
+        counts = {}
+        for tree in trees.values():
+            for v in tree.dist:
+                counts[v] = counts.get(v, 0) + 1
+        assert build.s == max(counts.values())
+
+    def test_root_distances_recorded(self, clusters):
+        trees, build = clusters
+        for root, scheme in build.schemes.items():
+            for v, table in scheme.tables.items():
+                assert table.root_distance == pytest.approx(trees[root].dist[v])
+
+
+class TestGeneralScheme:
+    """``build_distributed_scheme`` reads its tree phase from the driver."""
+
+    def test_core_calls_the_one_driver(self):
+        assert core_build.build_tree_schemes is multi.build_tree_schemes
+
+    def test_report_reads_the_driver(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(multi.build_tree_schemes(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(core_build, "build_tree_schemes", spy)
+        report = build_distributed_scheme(
+            random_connected_graph(120, seed=5), 2, seed=5)
+        (trees,) = seen
+        assert report.max_trees_per_vertex == trees.s
+        assert report.rounds_parallel_estimate == (
+            report.rounds_sequential - trees.rounds_sequential
+            + trees.rounds_parallel)
