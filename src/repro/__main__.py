@@ -212,10 +212,6 @@ def _args_serve(new, shared) -> None:
     add("--workers", type=_positive(int), default=1, metavar="N",
         help="shard the stream over N worker processes (S20, docs/sharding.md); per-shard "
              "reports merge exactly into one")
-    add("--shm", action="store_true", default=True,
-        help="share packed tables with workers via a sealed shared-memory image (default)")
-    add("--no-shm", dest="shm", action="store_false",
-        help="fork-inherit the compiled tables instead of sealing a shared-memory image")
     add("--cache-file", metavar="PATH",
         help="warm-cache persistence: preload the decision cache from PATH when it exists "
              "and save the (merged) cache back after the run; a file written against other "
@@ -461,7 +457,7 @@ def _serve_sharded(args, graph, scheme, stream):
                 args.cache_file, maxsize=args.cache, fingerprint=computed_on).entries()
     cache_out: Optional[list] = [] if args.cache_file else None
     report, record = record_run(lambda: run_sharded(
-        scheme, graph, workers=args.workers, shm=args.shm, slo_target=args.slo_target,
+        scheme, graph, workers=args.workers, slo_target=args.slo_target,
         cache_entries=cache_entries, cache_out=cache_out, **stream)[0])
     if cache_out is not None:
         merged_cache = DecisionCache(args.cache)
@@ -473,13 +469,8 @@ def _serve_sharded(args, graph, scheme, stream):
 def _cmd_explain(args):
     from .tracing import read_traces_jsonl, run_explain
 
-    try:
-        traces = read_traces_jsonl(args.traces)
-        text, record = run_explain(traces, trace_id=args.trace_id, worst=args.worst,
-                                   source=args.traces)
-    except OSError as exc:
-        print(f"explain: cannot read {args.traces}: {exc}", file=sys.stderr)
-        return 2
+    text, record = run_explain(read_traces_jsonl(args.traces), trace_id=args.trace_id,
+                               worst=args.worst, source=args.traces)
     return text, record, _failed("attribution violations", record)
 
 
@@ -537,10 +528,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         outcome = COMMANDS[args.command][1](args)
+        return outcome if isinstance(outcome, int) else _finish(args, *outcome)
     except InputError as exc:  # bad input that reached the library: one line, no traceback
         print(f"repro {args.command}: {exc}", file=sys.stderr)
-        return 2
-    return outcome if isinstance(outcome, int) else _finish(args, *outcome)
+    except OSError as exc:  # a path argument that cannot be read or written: likewise
+        if exc.filename is None:
+            raise
+        print(f"repro {args.command}: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -73,6 +73,9 @@ def exemplar_payload(
 #: bug, not a fast path worth optimizing).
 _HOP_SCRATCH = 512
 
+#: Worst-stretch exemplars a bundle keeps (and a merged pool report keeps).
+EXEMPLAR_LIMIT = 8
+
 #: Deferred-batch cap: hop counting normally waits for the next scrape
 #: (``flush``), but after this many pending batches the backlog is
 #: drained inline so held batches cannot grow without bound.
@@ -92,7 +95,7 @@ class ServeMetrics:
         registry: Optional[MetricsRegistry] = None,
         *,
         relative_accuracy: float = 0.005,
-        exemplar_limit: int = 8,
+        exemplar_limit: int = EXEMPLAR_LIMIT,
     ) -> None:
         reg = MetricsRegistry() if registry is None else registry
         self.registry = reg

@@ -40,6 +40,7 @@ from array import array
 from collections import OrderedDict
 from collections.abc import Sequence
 from operator import eq
+from pathlib import Path
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -349,6 +350,7 @@ class DecisionCache:
                 for key, value in self._data.items()
             ],
         }
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fp:
             # not json.dump: that streams through the pure-Python encoder
             fp.write(json.dumps(blob))

@@ -11,16 +11,16 @@ on the same stream.
   columns in one ``multiprocessing.shared_memory`` segment
   (``seal_to_buffers``) and rebuild byte-identical engines from the
   manifest (``from_buffers``);
-* :mod:`~repro.shard.plan` -- salt-free deterministic query partitioning
-  and per-shard seed splitting;
-* :mod:`~repro.shard.worker` -- the worker loop: attach, serve, report;
+* :mod:`~repro.shard.plan` -- salt-free deterministic query partitioning;
+* :mod:`~repro.shard.worker` -- the worker loop: attach the image by
+  manifest (the only way tables reach a worker), serve, report;
 * :mod:`~repro.shard.pool` -- :class:`ShardPool` lifecycle plus the
   ``run_sharded`` entry point behind ``repro serve --workers N``;
 * :mod:`~repro.shard.report` -- report transport across the worker pipe
   and the RunRecord ``shards`` section.
 """
 
-from .plan import partition_pairs, shard_of, split_seed
+from .plan import partition_pairs, shard_of
 from .pool import ShardPool, run_sharded
 from .report import payload_report, report_payload, shards_section
 from .tables import (
@@ -52,6 +52,5 @@ __all__ = [
     "seal_to_buffers",
     "shard_of",
     "shards_section",
-    "split_seed",
     "worker_main",
 ]

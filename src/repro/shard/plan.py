@@ -1,4 +1,4 @@
-"""S20 shard plan: deterministic query partitioning and seed splitting.
+"""S20 shard plan: deterministic query partitioning.
 
 A shard plan must be a *pure function of the query* — never of arrival
 order, worker count changes aside — so that (a) the same ``(source,
@@ -107,16 +107,3 @@ def partition_pairs(
         indices[s].append(i)
     return slices, indices
 
-
-def split_seed(seed: int, shard: int, workers: int) -> int:
-    """Derive shard ``shard``-of-``workers``'s rng seed from the run seed.
-
-    Stable, collision-resistant within a run (crc over the tagged triple),
-    and distinct from the parent seed so a worker-local consumer (tracer
-    eviction rng, future sampled subsystems) never replays the parent's
-    stream.  Recorded per shard in the RunRecord ``shards`` section.
-    """
-    if not 0 <= shard < workers:
-        raise InputError(f"shard {shard} out of range for {workers} workers")
-    blob = f"{seed}:{shard}:{workers}".encode("utf-8")
-    return zlib.crc32(_PLAN_TAG + blob)

@@ -4,8 +4,8 @@
 construction it **seals** the compiled scheme into a shared-memory table
 image (:func:`~repro.shard.tables.seal_to_buffers`) and starts ``workers``
 workers, each of which attaches the image by manifest name — zero-copy,
-near-zero fork cost, and never a pickled packed table on the pipe
-(spawn without shm is an ``InputError``).  ``serve`` then:
+near-zero fork cost, and never a pickled packed table on the pipe: the
+manifest is the only way tables reach a worker.  ``serve`` then:
 
 1. partitions the pair stream deterministically
    (:func:`~repro.shard.plan.partition_pairs` — same pair, same shard,
@@ -16,11 +16,10 @@ near-zero fork cost, and never a pickled packed table on the pipe
    (counters sum, sketches bucket-exact merge, SLO recomputed on summed
    counters) and reassembles per-query results in stream order.
 
-Start modes: ``fork`` (default; processes, table image via shm or
-inherited memory), ``spawn`` (processes with a fresh interpreter —
-requires shm, since the compiled scheme must never be pickled across),
-and ``thread`` (in-process; what the unit tests and pytest-cov use —
-coverage does not follow child processes).
+Start modes: ``fork`` (default; processes), ``spawn`` (processes with a
+fresh interpreter) and ``thread`` (in-process; what the unit tests and
+pytest-cov use — coverage does not follow child processes).  All three
+hand a worker the same manifest.
 
 Lifecycle: the pool owns the shm segment.  ``close()`` is idempotent,
 registered with :mod:`atexit`, and runs unlink even when a worker died
@@ -37,12 +36,13 @@ from typing import Any, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..errors import InputError, ShardError
+from ..metrics.serve import EXEMPLAR_LIMIT
 from ..serve.compile import CompiledGraphScheme, CompiledScheme, Scheme, compile_scheme
 from ..serve.engine import RouteBatch
 from ..serve.harness import ServeReport
 from ..serve.workloads import make_workload
 from ..telemetry import events as _tele
-from .plan import partition_pairs, shard_of, split_seed
+from .plan import partition_pairs, shard_of
 from .report import payload_report, shards_section
 from .tables import SealedTables, seal_to_buffers
 from .worker import WorkerSpec, worker_main
@@ -103,12 +103,10 @@ class ShardPool:
         graph: nx.Graph,
         *,
         workers: int,
-        shm: bool = True,
         start: str = "fork",
         mode: str = "first",
         cache_size: int = 4096,
         metrics: bool = True,
-        exemplar_limit: int = 8,
         seed: int = 0,
         cache_entries: Optional[Sequence[Tuple[Any, Any]]] = None,
         collect_results: bool = False,
@@ -118,31 +116,15 @@ class ShardPool:
         if start not in _STARTS:
             raise InputError(
                 f"unknown start mode {start!r}; expected one of {_STARTS}")
-        if start == "spawn" and not shm:
-            raise InputError(
-                "spawn workers require the shared-memory image: without "
-                "shm the compiled scheme would have to be pickled across "
-                "the process boundary (forbidden)")
         self.compiled = compiled
-        self.graph = graph
         self.workers = workers
-        self.shm = shm
-        self.start = start
-        self.mode = mode
-        self.cache_size = cache_size
-        self.metrics = metrics
-        self.exemplar_limit = exemplar_limit
         self.seed = seed
-        self.seeds = [split_seed(seed, s, workers) for s in range(workers)]
         self.collect_results = collect_results
         self._closed = False
         self._broken = False
 
-        self.sealed: Optional[SealedTables] = None
-        if shm:
-            with _tele.span("shard/seal", workers=workers):
-                self.sealed = seal_to_buffers(compiled)
-        self.manifest = self.sealed.manifest if self.sealed else None
+        with _tele.span("shard/seal", workers=workers):
+            self.sealed: SealedTables = seal_to_buffers(compiled)
 
         # Warm-cache entries preload on the worker that will serve the
         # pair (the plan serving partitions by), so a restored pool hits
@@ -156,26 +138,20 @@ class ShardPool:
         try:
             for s in range(workers):
                 spec = WorkerSpec(
-                    shard=s,
-                    workers=workers,
                     start=start,
-                    manifest=self.manifest,
+                    manifest=self.sealed.manifest,
                     mode=mode,
                     cache_size=cache_size,
                     metrics=metrics,
-                    exemplar_limit=exemplar_limit,
-                    rng_seed=self.seeds[s],
                     collect_results=collect_results,
                     cache_entries=preload[s] or None,
                 )
-                inherited = compiled if not shm else None
                 if start == "thread":
                     import threading
 
                     parent, child = _InlineConn.pipe()
                     proc: Any = threading.Thread(
-                        target=worker_main,
-                        args=(child, spec, graph, inherited),
+                        target=worker_main, args=(child, spec, graph),
                         daemon=True,
                     )
                 else:
@@ -183,11 +159,8 @@ class ShardPool:
 
                     ctx = mp.get_context(start)
                     parent, child = ctx.Pipe(duplex=True)
-                    # Under fork, args are inherited memory, not pickles;
-                    # `inherited` is None in every shm/spawn configuration.
                     proc = ctx.Process(
-                        target=worker_main,
-                        args=(child, spec, graph, inherited),
+                        target=worker_main, args=(child, spec, graph),
                         daemon=True,
                     )
                 proc.start()
@@ -245,10 +218,7 @@ class ShardPool:
             payloads = self._gather("report")
 
         reports, batches = zip(*map(payload_report, payloads, slices))
-        merged = ServeReport.merge(
-            reports,
-            exemplar_limit=self.exemplar_limit if self.metrics else None,
-        )
+        merged = ServeReport.merge(reports, exemplar_limit=EXEMPLAR_LIMIT)
         self._last_reports = list(reports)
         results = (RouteBatch.interleaved(list(pairs), batches, indices)
                    if self.collect_results else None)
@@ -340,9 +310,8 @@ class ShardPool:
                 except OSError:  # pragma: no cover - already torn down
                     pass
         finally:
-            if self.sealed is not None:
-                self.sealed.close()
-                self.sealed.unlink()
+            self.sealed.close()
+            self.sealed.unlink()
             atexit.unregister(self.close)
 
     def __enter__(self) -> "ShardPool":
@@ -369,7 +338,6 @@ def run_sharded(
     zipf_alpha: float = 1.1,
     slo_bound: Optional[float] = None,
     slo_target: float = 0.99,
-    shm: bool = True,
     start: str = "fork",
     cache_entries: Optional[Sequence[Tuple[Any, Any]]] = None,
     cache_out: Optional[List[Tuple[Any, Any]]] = None,
@@ -383,7 +351,7 @@ def run_sharded(
     report is field-identical to :func:`run_serving`'s on the same
     arguments (wall-clock columns aside).  The merged report carries
     its ``shard_rows`` — one row per worker (partition size, per-shard
-    throughput, cache counters, split seed) plus the table-image
+    throughput, cache counters) plus the table-image
     provenance — which become the RunRecord ``shards`` section.
     """
     with _tele.span("shard/run", workers=workers, workload=workload,
@@ -392,7 +360,7 @@ def run_sharded(
         compiled = compile_scheme(scheme, graph)
         with ShardPool(
             compiled, graph,
-            workers=workers, shm=shm, start=start, mode=mode,
+            workers=workers, start=start, mode=mode,
             cache_size=cache_size, seed=seed,
             cache_entries=cache_entries,
             collect_results=collect_results,
@@ -413,8 +381,6 @@ def run_sharded(
             merged.compile_s = compile_s
             merged.throughput_qps = (merged.queries / merged.serve_s
                                      if merged.serve_s > 0 else 0.0)
-            merged.shard_rows = shards_section(
-                pool.shard_reports, seeds=pool.seeds, shm=pool.shm,
-                manifest=pool.manifest,
-            )
+            merged.shard_rows = shards_section(pool.shard_reports,
+                                               pool.sealed.manifest)
         return merged, results

@@ -8,8 +8,8 @@ exemplar payloads are already plain dicts, and the raw counters ride
 next to their derived rates.  Query results travel as the five columns
 of the worker's :class:`~repro.serve.RouteBatch` (a few flat buffers, not
 a tuple per query; the pairs stay with the parent that sent them) — the
-packed tables themselves never cross the boundary (``ShardPool`` rejects
-the one configuration that would pickle them), only measurements do.
+packed tables themselves never cross the boundary (workers attach the
+sealed image by manifest), only measurements do.
 """
 
 from __future__ import annotations
@@ -78,10 +78,7 @@ def payload_report(
 
 def shards_section(
     shard_reports: Sequence[ServeReport],
-    *,
-    seeds: Sequence[int],
-    shm: bool,
-    manifest: Optional[Dict[str, Any]] = None,
+    manifest: Dict[str, Any],
 ) -> List[Dict[str, Any]]:
     """The RunRecord ``shards`` rows: one per worker plus provenance.
 
@@ -93,7 +90,6 @@ def shards_section(
     for i, report in enumerate(shard_reports):
         row = {
             "shard": i,
-            "seed": seeds[i],
             "queries": report.queries,
             "failures": report.failures,
             "serve_s": round(report.serve_s, 4),
@@ -101,9 +97,8 @@ def shards_section(
             "cache_hit_rate": round(report.cache_hit_rate, 4),
             "cache_hits": report.cache_hits,
             "cache_misses": report.cache_misses,
-            "shm": shm,
         }
-        if i == 0 and manifest is not None:
+        if i == 0:
             row["image_nbytes"] = manifest["nbytes"]
         rows.append(row)
     return rows

@@ -26,13 +26,12 @@ Python ints/floats, so the worker hot loop is type- and byte-identical to
 the in-process engine.
 
 Lifecycle.  :func:`seal_to_buffers` creates the segment (the caller owns
-``unlink``); :func:`from_buffers` attaches by manifest alone — workers
-never receive the packed objects themselves (``ShardPool`` rejects spawn
-without shm, the one configuration that would pickle them) — and
-unregisters the attach-side resource-tracker entry so only the owner
-cleans up.  ``AttachedTables.close`` releases every exported view before
-closing the mapping; the compiled scheme it produced must not be used
-afterwards.
+``unlink``); :func:`from_buffers` attaches by manifest alone — the only
+way tables reach a ``ShardPool`` worker, which never receives the packed
+objects themselves — and leaves the segment's resource-tracker
+registration to the owner, which alone cleans up.
+``AttachedTables.close`` releases every exported view before closing the
+mapping; the compiled scheme it produced must not be used afterwards.
 """
 
 from __future__ import annotations
@@ -237,21 +236,6 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
 # Shared-memory seal / attach
 # ---------------------------------------------------------------------------
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Drop a spawn-started worker's resource-tracker registration.
-
-    A spawned process runs its *own* resource tracker: attaching registers
-    the segment there, and when the worker exits its tracker would warn
-    about a "leaked" segment and unlink it out from under the owner.
-    """
-    try:  # pragma: no branch
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
-
-
 class SealedTables:
     """An owned shared-memory image: the sealer closes *and* unlinks."""
 
@@ -384,12 +368,7 @@ class AttachedTables:
         self.close()
 
 
-def from_buffers(
-    manifest: Dict[str, Any],
-    buffer: Any = None,
-    *,
-    untrack: bool = False,
-) -> AttachedTables:
+def from_buffers(manifest: Dict[str, Any], buffer: Any = None) -> AttachedTables:
     """Rebuild a compiled scheme from a manifest (+ optional buffer).
 
     With ``buffer=None`` the shared-memory segment named in the manifest is
@@ -398,16 +377,12 @@ def from_buffers(
     buffer (e.g. ``LoweredTables.payload``) to rebuild without shared
     memory, which is how the differential tests run in-process.
 
-    ``untrack=True`` drops the attach-side resource-tracker registration;
-    pass it only when the attaching process runs its **own** tracker
-    (e.g. a process started outside :mod:`multiprocessing`), which would
-    otherwise unlink the owner's segment when the attacher exits.  Both
+    The attach leaves the segment's resource-tracker registration alone:
     fork- and spawn-started :class:`~repro.shard.pool.ShardPool` workers
     share the owner's tracker (on POSIX the tracker fd rides in spawn
-    preparation data) and must leave its registration alone — the
-    tracker's cache is one set per name, so an attach-side unregister
-    would clobber the owner's and turn the final unlink into tracker
-    noise.
+    preparation data), whose cache is one set per name, so an
+    attach-side unregister would clobber the owner's and turn the final
+    unlink into tracker noise.
     """
     if buffer is not None:
         return AttachedTables(manifest, buffer)
@@ -420,8 +395,6 @@ def from_buffers(
     except FileNotFoundError:
         raise ShardError(
             f"table image segment {name!r} does not exist") from None
-    if untrack:
-        _untrack(shm)
     try:
         return AttachedTables(manifest, shm.buf, shm=shm)
     except ReproError:

@@ -1,8 +1,8 @@
 """S20 shard worker: one process (or thread), one engine, one pipe.
 
 A worker is deliberately thin: it **attaches** the shared table image
-from the manifest in its :class:`WorkerSpec` (never receives the packed
-objects: ``ShardPool`` rejects spawn without shm), builds an ordinary
+from the manifest in its :class:`WorkerSpec` (the only way tables reach
+it; it never receives the packed objects), builds an ordinary
 :class:`~repro.serve.ServeEngine` with its own LRU cache and optional
 :class:`~repro.metrics.ServeMetrics` bundle, and then answers a tiny
 message protocol over its pipe:
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..metrics.serve import ServeMetrics
-from ..serve.compile import CompiledScheme
 from ..serve.engine import DecisionCache, ServeEngine
 from ..serve.harness import serve_pairs
 from .report import report_payload
@@ -53,66 +52,44 @@ from .tables import AttachedTables, from_buffers
 class WorkerSpec:
     """Everything a worker needs, picklable and packed-table-free.
 
-    ``manifest`` is the shared-memory table manifest (attach-by-name);
-    ``None`` means the compiled scheme is fork-inherited (``--no-shm``).
-    ``rng_seed`` is this shard's :func:`~repro.shard.plan.split_seed`
-    stream — provenance recorded in the RunRecord ``shards`` section and
-    reserved for worker-local seeded consumers; the *workload* seed rides
-    on each serve message because it names the shared stream and must
-    match across shards for report merging.
+    ``manifest`` is the shared-memory table manifest (attach-by-name).
+    The *workload* seed rides on each serve message instead: it names
+    the shared stream and must match across shards for report merging.
     """
 
-    shard: int
-    workers: int
     start: str
-    manifest: Optional[Dict[str, Any]] = None
+    manifest: Dict[str, Any]
     mode: str = "first"
     cache_size: int = 4096
     metrics: bool = True
-    exemplar_limit: int = 8
-    rng_seed: int = 0
     collect_results: bool = False
     cache_entries: Optional[List[Tuple[Any, Any]]] = field(default=None)
 
 
-def worker_main(
-    conn: Any,
-    spec: WorkerSpec,
-    graph: Any,
-    inherited: Optional[CompiledScheme] = None,
-) -> None:
+def worker_main(conn: Any, spec: WorkerSpec, graph: Any) -> None:
     """Worker entry point (process target or thread body)."""
     attached: Optional[AttachedTables] = None
     try:
-        if spec.manifest is not None:
-            # Attach by manifest name only.  Both fork and spawn children
-            # share the pool's resource tracker (the tracker fd rides in
-            # spawn preparation data on POSIX), so the attach must leave
-            # the owner's registration alone (see tables.from_buffers).
-            attached = from_buffers(spec.manifest)
-            compiled = attached.compiled
-        else:
-            compiled = inherited
-        if compiled is None:
-            raise ValueError("worker has neither a table manifest nor a "
-                             "fork-inherited compiled scheme")
+        # Attach by manifest name only; the pool keeps the segment's
+        # resource-tracker registration (see tables.from_buffers).
+        attached = from_buffers(spec.manifest)
         cache = DecisionCache(spec.cache_size)
         if spec.cache_entries:
             cache.preload(spec.cache_entries)
-        engine = ServeEngine(compiled, mode=spec.mode, cache=cache)
+        engine = ServeEngine(attached.compiled, mode=spec.mode, cache=cache)
         # One bundle for the worker's lifetime: engine counters and
         # exemplar reservoirs accumulate across serve ops exactly like a
         # pre-warmed single-process engine's do.
-        metrics = (ServeMetrics(exemplar_limit=spec.exemplar_limit)
-                   if spec.metrics else None)
+        metrics = ServeMetrics() if spec.metrics else None
         if spec.start != "thread":
             # A process worker owns its collector, and everything alive
             # here (the attached tables, the preloaded cache, whatever
-            # heap a fork inherited) lives as long as it does: frozen,
-            # no collection walks it or writes to an inherited page
-            # (a pass keeps its results in a few columns, but every
-            # serve message unpickles a tuple per pair).  Thread workers
-            # share their caller's process and leave its collector alone.
+            # heap came along with a fork) lives as long as it does:
+            # frozen, no collection walks it or writes to a page still
+            # shared with the parent (a pass keeps its results in a few
+            # columns, but every serve message unpickles a tuple per
+            # pair).  Thread workers share their caller's process and
+            # leave its collector alone.
             gc.collect()
             gc.freeze()
 

@@ -20,6 +20,7 @@ def write_traces_jsonl(
 ) -> Path:
     """Write traces (objects or already-dict form) as JSONL."""
     out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w") as fp:
         for trace in traces:
             d = trace.to_dict() if isinstance(trace, QueryTrace) else trace

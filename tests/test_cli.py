@@ -193,15 +193,27 @@ class TestTelemetrySurfaces:
         # NaN weights sent every zipf query to one vertex.
         (["serve", "--workload", "zipf", "--zipf-alpha", "nan"],
          "repro serve: zipf alpha must be positive and finite, got nan"),
+        # A path that cannot be read (the cache, before the run) or written
+        # (the metrics snapshot, after it).
+        (["serve", "--n", "30", "--queries", "5", "--cache-file", "<dir>"],
+         "repro serve: <dir>: Is a directory"),
+        (["serve", "--n", "30", "--queries", "5", "--cache-file", "<dir>",
+          "--workers", "2"], "repro serve: <dir>: Is a directory"),
+        (["serve", "--n", "30", "--queries", "5", "--metrics-out", "<dir>"],
+         "repro serve: <dir>: Is a directory"),
     ], ids=["stride-0", "workers-0", "n-1", "lint-is-gone", "monitor-is-gone",
             "pairs-0", "queries-0", "queries-negative", "cache-negative",
             "worst-0", "worst-negative", "slo-target-0", "slo-target-negative",
-            "slo-target-nan", "zipf-alpha-nan"])
+            "slo-target-nan", "zipf-alpha-nan", "cache-file-dir",
+            "cache-file-dir-workers-2", "metrics-out-dir"])
     def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys,
-                                                 traces_file):
+                                                 traces_file, tmp_path):
         """Not a traceback: a flag argparse can judge is a usage error, and
-        an ``InputError`` from the library is caught once, in ``main``."""
-        argv = [{"<traces>": traces_file}.get(a, a) for a in argv]
+        an ``InputError`` from the library or an ``OSError`` naming a path
+        is caught once, in ``main``."""
+        argv = [{"<traces>": traces_file, "<dir>": str(tmp_path)}.get(a, a)
+                for a in argv]
+        says = says.replace("<dir>", str(tmp_path))
         try:
             rc = main(argv)
         except SystemExit as usage:
@@ -231,6 +243,19 @@ class TestTelemetrySurfaces:
         assert [v["passed"] for v in record["verdicts"]] == [False]
         assert "slo" not in record["metrics"]
         parse_prometheus(prom.read_text())
+
+    @pytest.mark.parametrize("argv,written", [
+        (["--cache-file", "new/cache.json"], "new/cache.json"),
+        (["--cache-file", "new/cache.json", "--workers", "2"], "new/cache.json"),
+        (["--trace-out", "new/t.jsonl"], "new/t.jsonl"),
+    ], ids=["cache-file", "cache-file-workers-2", "trace-out"])
+    def test_serve_outputs_create_missing_parents(self, argv, written, tmp_path,
+                                                  capsys):
+        """Like ``--out`` and ``--metrics-out``: the run is not lost to a
+        directory that does not exist yet."""
+        argv = [str(tmp_path / a) if a.startswith("new/") else a for a in argv]
+        assert main(_SERVE + argv + ["--quiet"]) == 0
+        assert (tmp_path / written).read_text()
 
     def test_zero_stays_legal_where_it_means_off_or_empty(self, capsys):
         assert main(["serve", "--n", "40", "--k", "2", "--queries", "20", "--cache", "0",

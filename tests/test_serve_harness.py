@@ -602,11 +602,10 @@ class TestShardedCli:
     """repro serve --workers N (S20): the sharded serving path."""
 
     def test_workers_flag_parses(self):
-        args = build_parser().parse_args(
-            ["serve", "--workers", "4", "--no-shm"])
-        assert args.workers == 4 and args.shm is False
-        args = build_parser().parse_args(["serve", "--workers", "2"])
-        assert args.shm is True
+        args = build_parser().parse_args(["serve", "--workers", "4"])
+        assert args.workers == 4
+        with pytest.raises(SystemExit):  # the sealed image is the only way
+            build_parser().parse_args(["serve", "--workers", "2", "--no-shm"])
 
     def test_two_worker_smoke(self, capsys):
         rc = main(["serve", "--n", "40", "--k", "2", "--queries", "80",

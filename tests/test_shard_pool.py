@@ -33,10 +33,11 @@ from repro.shard import (
     WorkerSpec,
     partition_pairs,
     run_sharded,
+    seal_to_buffers,
     shard_of,
-    split_seed,
     worker_main,
 )
+from repro.shard import pool as pool_module
 from repro.shard import worker as worker_module
 from repro.shard.pool import _InlineConn
 from repro.telemetry import record_run
@@ -176,12 +177,6 @@ class TestPlan:
         with pytest.raises(InputError):
             partition_pairs([(1, 2)], 0)
 
-    def test_split_seed_distinct(self):
-        seeds = {split_seed(42, s, 8) for s in range(8)}
-        assert len(seeds) == 8
-        with pytest.raises(InputError):
-            split_seed(42, 8, 8)
-
 
 class TestMergedEqualsSingle:
     @pytest.mark.parametrize("workload", ["zipf", "gravity"])
@@ -207,15 +202,6 @@ class TestMergedEqualsSingle:
                     a.error) == \
                    (b.source, b.target, b.path, b.length, b.ok, b.error)
 
-    def test_no_shm_fork_inherit_path(self, built):
-        graph, scheme, _ = built
-        single, _ = run_serving(scheme, graph, workload="zipf",
-                                queries=300, seed=5)
-        merged, _ = run_sharded(scheme, graph, workers=2, workload="zipf",
-                                queries=300, seed=5, start="thread",
-                                shm=False)
-        assert merged == single
-
     def test_recorded_shards_section(self, built):
         graph, scheme, _ = built
         report, record = record_run(lambda: run_sharded(
@@ -226,9 +212,7 @@ class TestMergedEqualsSingle:
         assert len(rows) == 2
         assert sum(r["queries"] for r in rows) == report.queries
         assert rows[0]["image_nbytes"] > 0
-        assert [r["seed"] for r in rows] == \
-               [split_seed(5, s, 2) for s in range(2)]
-        assert all(r["shm"] for r in rows)
+        assert not {"seed", "shm"} & set(rows[0])
         # Round-trips like every other optional RunRecord section.
         from repro.telemetry.runrecord import RunRecord
         back = RunRecord.from_dict(record.to_dict())
@@ -236,11 +220,6 @@ class TestMergedEqualsSingle:
 
 
 class TestPoolLifecycle:
-    def test_spawn_without_shm_rejected(self, built):
-        graph, _, compiled = built
-        with pytest.raises(InputError):
-            ShardPool(compiled, graph, workers=2, start="spawn", shm=False)
-
     def test_bad_workers_rejected(self, built):
         graph, _, compiled = built
         with pytest.raises(InputError):
@@ -348,16 +327,40 @@ class TestWorkerFreeze:
 
         monkeypatch.setattr(worker_module, "gc", RecordingGc)
         parent, child = _InlineConn.pipe()
-        spec = WorkerSpec(shard=0, workers=1, start=start)
-        thread = threading.Thread(
-            target=worker_main, args=(child, spec, graph, compiled))
-        thread.start()
-        parent.send(("cache",))
-        assert parent.recv() == ("cache", [])  # past start-up
-        parent.send(("stop",))
-        thread.join(timeout=10.0)
+        with seal_to_buffers(compiled) as sealed:
+            spec = WorkerSpec(start=start, manifest=sealed.manifest)
+            thread = threading.Thread(
+                target=worker_main, args=(child, spec, graph))
+            thread.start()
+            parent.send(("cache",))
+            assert parent.recv() == ("cache", [])  # past start-up
+            parent.send(("stop",))
+            thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert calls == (["collect", "freeze"] if froze else [])
+
+
+class TestSpawnIntegration:
+    def test_spawn_pool_matches_single_process(self, built, monkeypatch):
+        """A spawned worker starts from a fresh interpreter: the manifest
+        in its spec is all it has of the tables, and the merged report
+        still equals the single-process one."""
+        graph, scheme, _ = built
+        sealed = []
+
+        def seal(compiled):
+            sealed.append(seal_to_buffers(compiled))
+            return sealed[-1]
+
+        monkeypatch.setattr(pool_module, "seal_to_buffers", seal)
+        single, _ = run_serving(scheme, graph, workload="zipf",
+                                queries=200, seed=29)
+        merged, _ = run_sharded(scheme, graph, workers=2, workload="zipf",
+                                queries=200, seed=29, start="spawn")
+        assert merged == single
+        assert merged.sketches["hops"] == single.sketches["hops"]
+        name = sealed[0].name.lstrip("/")
+        assert not glob.glob(f"/dev/shm/*{name}*")
 
 
 class TestForkIntegration:
