@@ -6,8 +6,9 @@ Times identical communication kernels on the two round engines —
 graph family (``random_connected_graph(800, avg_degree=6.0, seed=3)``,
 the largest size of ``repro fig graph-rounds``):
 
-* ``fig7_flood``    — full-neighborhood exchanges (``send_many`` over the
-  cached port tables + ``deliver_batch``): the pure engine round-trip;
+* ``fig7_flood``    — full-neighborhood exchanges (one ``send_each`` per
+  round over every vertex's ports + ``deliver_batch``): the pure engine
+  round-trip;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
 * ``fig7_meter``    — memory metering with no traffic: per-vertex stores
   over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
@@ -71,10 +72,9 @@ def _fig7_graph():
 
 
 def _flood(net: Any) -> None:
-    nodes = list(net.nodes())
+    arcs = [(v, w, None) for v in net.nodes() for w in net.ports(v)]
     for _ in range(25):
-        for v in nodes:
-            net.send_many(v, net.ports(v), "flood")
+        net.send_each("flood", arcs)
         net.deliver_batch()
 
 

@@ -216,7 +216,8 @@ def _args_serve(new, shared) -> None:
         help="warm-cache persistence: preload the decision cache from PATH when it exists "
              "and save the (merged) cache back after the run; a file written against other "
              "tables (another graph, k, seed or --mode) is an error, not a warm start")
-    add("--slo-target", type=_positive(float), default=0.99,
+    add("--slo-target", default=0.99,
+        type=_checked(float, lambda v: 0 < v <= 1, "in (0, 1]", "fraction"),
         help="required fraction of queries within the stretch bound (default 0.99)")
     add("--trace-out", metavar="PATH",
         help="serve under the sampled query tracer and write the traces as JSONL (S19; "

@@ -4,8 +4,9 @@ Public surface:
 
 * :class:`~repro.congest.network.Network` -- the round-synchronous simulator
   with per-edge capacity, message word limits, and per-vertex memory meters
-  (the fast-path engine: cached port tables, one arc map per vertex,
-  batched sends);
+  (the fast-path engine: cached port tables, one arc map per vertex);
+  ``send_each(kind, [(src, dst, payload), ...])`` is the one way to queue
+  a round's messages on either engine;
 * :class:`~repro.congest.reference.ReferenceNetwork` -- the frozen seed
   engine, kept as the oracle for the differential harness;
 * :class:`~repro.congest.memory.MemoryMeter` -- one vertex's word accounting,

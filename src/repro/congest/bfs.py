@@ -63,15 +63,10 @@ def build_bfs_tree(net: Network, root: Optional[NodeId] = None) -> BfsTree:
         net.mem(root).store("bfs/parent", 2)
         frontier = [root]
         while frontier:
-            for u in frontier:
-                # Pass the engine's own cached port list when the filter
-                # removes nothing: the batched engines recognise it by
-                # identity and take the full-fanout fast lane.
-                ports = net.ports(u)
-                dsts = [w for w in ports if w not in parent]
-                net.send_many(
-                    u, ports if len(dsts) == len(ports) else dsts, "bfs"
-                )
+            # The whole frontier is one round: every frontier vertex sends
+            # the wave to each port not yet reached.
+            net.send_each("bfs", [(u, w, None) for u in frontier
+                                  for w in net.ports(u) if w not in parent])
             # Flat delivery: pick each vertex's first sender in repr order
             # without building per-destination inboxes.  ``best`` keeps
             # first-arrival insertion order, matching the inbox order the

@@ -151,13 +151,3 @@ class RunMetrics:
                 for p in self.phases
             ),
         )
-
-    def summary(self) -> str:
-        lines = [
-            f"rounds={self.rounds} charged={self.charged_rounds} "
-            f"total={self.total_rounds} messages={self.messages} "
-            f"words={self.message_words}"
-        ]
-        for name, rounds in self.by_phase().items():
-            lines.append(f"  {name}: {rounds} rounds")
-        return "\n".join(lines)

@@ -11,7 +11,8 @@ Model enforcement
 * The graph is non-empty, undirected, simple (not a multigraph, whose
   ``graph[u][v]`` holds edge keys rather than a weight), connected and
   free of self-loops (:class:`~repro.errors.InputError` naming the defect
-  otherwise).
+  otherwise), and ``message_word_limit`` and ``edge_capacity`` are at
+  least 1 (an ``InputError`` naming the limit otherwise).
 * Messages may only traverse edges of the graph
   (:class:`~repro.errors.CongestModelViolation` otherwise).
 * At most ``edge_capacity`` messages (default 1) traverse each edge
@@ -34,20 +35,19 @@ loops never touch :mod:`networkx` again:
   returns a cached list built once per vertex (the seed engine re-ran
   ``sorted(..., key=repr)`` on every call); :meth:`neighbors` iterates it;
 * **one arc map per vertex**: every directed edge (arc) gets a dense
-  integer id in CSR slot order (``_adj_offsets[i] .. _adj_offsets[i+1]``
-  are vertex ``i``'s arcs, in port order), and ``_arc_map[src]`` maps each
-  neighbour to its arc id, so a send costs two dict lookups and allocates
-  no ``(src, dst)`` tuple; construction allocates no per-arc object beyond
-  the map entry and its id;
+  integer id, vertex by vertex in port order, and ``_arc_map[src]`` maps
+  each neighbour to its arc id, so a message costs two dict lookups and
+  allocates no ``(src, dst)`` tuple; construction allocates no per-arc
+  object beyond the map entry and its id;
 * **array-backed edge loads**: per-round capacity accounting indexes a
   flat list by arc id instead of hashing ``(src, dst)`` tuples into a
   ``defaultdict``, and :meth:`tick` resets only the arcs actually touched;
 * **lazy reads**: :meth:`weight` reads the graph, as the reference engine
   does, and a vertex's memory view is made on its first :meth:`mem`;
-* **batched messaging**: :meth:`send_many` fans one payload out of a vertex
-  with the word-size computed once and the edge/capacity checks amortized;
-  :meth:`send_each` queues a round of distinct ``(src, dst, payload)``
-  messages in one call;
+* **one send per round**: :meth:`send_each` is the only way to queue
+  messages; it queues a round of ``(src, dst, payload)`` messages in one
+  call, with the engine state it touches read once per call rather than
+  once per message, and the word total accumulated as it goes;
   :meth:`deliver_batch` delivers a round as one flat list for callers that
   do not need per-destination inboxes.
 
@@ -67,17 +67,16 @@ hopset construction); see DESIGN.md.  Benchmarks report
 ``metrics.total_rounds``.
 
 The simulator is deliberately *orchestrated*: algorithm code drives rounds
-procedurally (send / tick loops) rather than via per-node state machines.
-Information still only moves along edges, one hop per round, which is what
-makes the round and memory measurements meaningful.
+procedurally (``send_each`` / ``tick`` loops) rather than via per-node
+state machines.  Information still only moves along edges, one hop per
+round, which is what makes the round and memory measurements meaningful.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 import networkx as nx
 
@@ -105,6 +104,12 @@ class Network:
         edge_capacity: int = 1,
         strict: bool = True,
     ) -> None:
+        if message_word_limit < 1:
+            raise InputError(f"network requires message_word_limit >= 1, "
+                             f"got {message_word_limit!r}")
+        if edge_capacity < 1:
+            raise InputError(f"network requires edge_capacity >= 1, "
+                             f"got {edge_capacity!r}")
         if graph.number_of_nodes() == 0:
             raise InputError("network requires a non-empty graph")
         if graph.is_directed():
@@ -134,10 +139,9 @@ class Network:
 
         # -- compile the immutable topology (see module docstring) ----------
         # One pass over the raw adjacency, which lists the vertices in
-        # ``graph.nodes`` order: vertex ``i``'s arc ids are its CSR slots
-        # ``offsets[i] .. offsets[i+1]``, in port order.
+        # ``graph.nodes`` order: vertex ``i``'s arc ids follow those of
+        # vertices ``0 .. i-1``, in port order.
         node_of: List[NodeId] = []
-        offsets = [0]
         ports_tab: List[List[NodeId]] = []
         arc_map: Dict[NodeId, Dict[NodeId, int]] = {}
         lo = 0
@@ -147,7 +151,6 @@ class Network:
             node_of.append(v)
             ports_tab.append(port_list)
             arc_map[v] = dict(zip(port_list, range(lo, hi)))
-            offsets.append(hi)
             lo = hi
         self._node_of = node_of
         self._id_of: Dict[NodeId, int] = {v: i for i, v in enumerate(node_of)}
@@ -156,7 +159,6 @@ class Network:
         self._bank = MemoryBank(self._id_of)
         #: ``mem(v)`` views, each made on the vertex's first ``mem`` call.
         self._meters: Dict[NodeId, MeterView] = {}
-        self._adj_offsets = offsets
         self._ports_table = ports_tab
         #: src -> {neighbour: arc id}: a send's edge check and arc lookup.
         self._arc_map = arc_map
@@ -174,11 +176,6 @@ class Network:
     def n(self) -> int:
         """Number of vertices."""
         return len(self._node_of)
-
-    @property
-    def num_arcs(self) -> int:
-        """Number of directed edges (arcs): twice the edge count."""
-        return self._adj_offsets[-1]
 
     def nodes(self) -> Iterator[NodeId]:
         return iter(self._node_of)
@@ -206,37 +203,6 @@ class Network:
         read-only.
         """
         return self._ports_table[self._id_of[v]]
-
-    # -- compact ids / edge ids (fast-path introspection) ---------------------
-
-    def compact_id(self, v: NodeId) -> int:
-        """The dense integer id of vertex ``v`` (0..n-1, node order)."""
-        return self._id_of[v]
-
-    def node_of(self, i: int) -> NodeId:
-        """Inverse of :meth:`compact_id`."""
-        return self._node_of[i]
-
-    def edge_index(self, u: NodeId, v: NodeId) -> int:
-        """Dense id of the directed edge (arc) ``u -> v``.
-
-        Arc ids enumerate each vertex's ports in order, so they double as
-        CSR slot indices: ``edge_index(u, ports(u)[p])`` is
-        ``_adj_offsets[compact_id(u)] + p``.
-        """
-        arc = self._arc_map.get(u, _NO_ARCS).get(v)
-        if arc is None:
-            raise CongestModelViolation(f"{u!r} -> {v!r} is not an edge")
-        return arc
-
-    def edge_endpoints(self, arc: int) -> Tuple[NodeId, NodeId]:
-        """Inverse of :meth:`edge_index`: the ``(src, dst)`` of an arc id
-        (a bisection of the CSR offsets)."""
-        offsets = self._adj_offsets
-        if not 0 <= arc < offsets[-1]:
-            raise IndexError(f"arc id {arc!r} out of range")
-        i = bisect_right(offsets, arc) - 1
-        return self._node_of[i], self._ports_table[i][arc - offsets[i]]
 
     # -- memory ----------------------------------------------------------------
 
@@ -305,112 +271,49 @@ class Network:
         self._round_observers.append(observer)
         return observer
 
-    def remove_round_observer(self, observer: Any) -> None:
-        """Unregister an observer (no error if absent)."""
-        try:
-            self._round_observers.remove(observer)
-        except ValueError:
-            pass
-
     # -- messaging -------------------------------------------------------------
-
-    def send(self, src: NodeId, dst: NodeId, kind: str, payload: Any = None) -> None:
-        """Queue a message for delivery at the next :meth:`tick`."""
-        try:
-            arc = self._arc_map[src][dst]
-        except KeyError:
-            raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge") from None
-        words = 1 if payload is None else words_of(payload)
-        limit = self.message_word_limit
-        slots = 1 if words <= limit else -(-words // limit)
-        edge_load = self._edge_load
-        prior = edge_load[arc]
-        if self.strict:
-            load = prior + slots
-            if load > self.edge_capacity and slots == 1:
-                raise CongestModelViolation(
-                    f"edge {src!r}->{dst!r} over capacity in round "
-                    f"{self.metrics.rounds}: {load} > {self.edge_capacity}"
-                )
-        if not prior:
-            self._loaded_arcs.append(arc)
-        edge_load[arc] = prior + slots
-        self._outbox.append(Message(src, dst, kind, payload, words))
-        self._outbox_words += words
-        if slots > 1:
-            self.metrics.on_charge(slots - 1)
-
-    def send_many(
-        self, src: NodeId, dsts: Iterable[NodeId], kind: str, payload: Any = None
-    ) -> int:
-        """Fan ``payload`` out from ``src`` to every vertex in ``dsts``.
-
-        Semantically identical to calling :meth:`send` per destination (in
-        order), but the payload's word size is computed once — up front,
-        before any destination is validated — and the edge-existence/
-        capacity bookkeeping runs with the per-call overhead amortized.
-        Returns the number of messages queued.
-        """
-        words = 1 if payload is None else words_of(payload)
-        limit = self.message_word_limit
-        slots = 1 if words <= limit else -(-words // limit)
-        edge_load = self._edge_load
-        loaded = self._loaded_arcs
-        outbox = self._outbox
-        strict = self.strict
-        capacity = self.edge_capacity
-        src_id = self._id_of.get(src)
-        # Full-fanout fast path: when the caller hands back the cached port
-        # table itself, the arcs are exactly this vertex's contiguous CSR
-        # slot range -- no per-destination hash lookups.
-        if src_id is not None and dsts is self._ports_table[src_id]:
-            lo = self._adj_offsets[src_id]
-            pairs: Iterable[Tuple[Optional[int], NodeId]] = zip(
-                range(lo, self._adj_offsets[src_id + 1]), dsts
-            )
-        else:
-            arcs = self._arc_map.get(src, _NO_ARCS)
-            pairs = ((arcs.get(dst), dst) for dst in dsts)
-        count = 0
-        for arc, dst in pairs:
-            if arc is None:
-                # Validation is interleaved, not up-front: a non-edge leaves
-                # the earlier messages of the batch queued, exactly like a
-                # loop over :meth:`send` would.
-                self._outbox_words += words * count
-                raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge")
-            prior = edge_load[arc]
-            if strict:
-                load = prior + slots
-                if load > capacity and slots == 1:
-                    # Messages already appended this batch stay queued (the
-                    # per-send reference path behaves the same); count their
-                    # words before surfacing the violation.
-                    self._outbox_words += words * count
-                    raise CongestModelViolation(
-                        f"edge {src!r}->{dst!r} over capacity in round "
-                        f"{self.metrics.rounds}: {load} > {capacity}"
-                    )
-            if not prior:
-                loaded.append(arc)
-            edge_load[arc] = prior + slots
-            outbox.append(Message(src, dst, kind, payload, words))
-            count += 1
-            if slots > 1:
-                self.metrics.on_charge(slots - 1)
-        self._outbox_words += words * count
-        return count
 
     def send_each(
         self, kind: str, sends: Iterable[Tuple[NodeId, NodeId, Any]]
     ) -> None:
-        """:meth:`send` for every ``(src, dst, payload)`` of ``sends``, in
-        order: one call queues a whole round of one protocol step.  A
-        failing message raises with the messages before it queued.
+        """Queue every ``(src, dst, payload)`` of ``sends`` for delivery at
+        the next :meth:`tick`, in order: one call queues a whole round of
+        one protocol step.  A failing message (a non-edge, an unsizable
+        payload, a strict overload) raises with the messages before it
+        queued.
         """
-        send = self.send
-        for src, dst, payload in sends:
-            send(src, dst, kind, payload)
+        arc_map = self._arc_map
+        edge_load = self._edge_load
+        loaded = self._loaded_arcs
+        outbox = self._outbox
+        metrics = self.metrics
+        limit = self.message_word_limit
+        capacity = self.edge_capacity
+        strict = self.strict
+        queued_words = 0
+        try:
+            for src, dst, payload in sends:
+                arc = arc_map.get(src, _NO_ARCS).get(dst)
+                if arc is None:
+                    raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge")
+                words = 1 if payload is None else words_of(payload)
+                slots = 1 if words <= limit else -(-words // limit)
+                prior = edge_load[arc]
+                if strict and slots == 1 and prior >= capacity:
+                    raise CongestModelViolation(
+                        f"edge {src!r}->{dst!r} over capacity in round "
+                        f"{metrics.rounds}: {prior + 1} > {capacity}"
+                    )
+                if not prior:
+                    loaded.append(arc)
+                edge_load[arc] = prior + slots
+                outbox.append(Message(src, dst, kind, payload, words))
+                queued_words += words
+                if slots > 1:
+                    metrics.on_charge(slots - 1)
+        finally:
+            # A failure leaves the messages before it queued: count them.
+            self._outbox_words += queued_words
 
     def _end_round(self, delivered: List[Message], words: int) -> None:
         """Shared round-close path of :meth:`tick` / :meth:`deliver_batch`."""
@@ -448,11 +351,6 @@ class Network:
         words = self._outbox_words
         self._end_round(delivered, words)
         return delivered
-
-    def idle_rounds(self, count: int) -> None:
-        """Advance ``count`` rounds with no traffic (synchronization waits)."""
-        for _ in range(count):
-            self.tick()
 
     def charge_rounds(self, rounds: int, messages: int = 0, words: int = 0) -> None:
         """Account for ``rounds`` rounds computed analytically.

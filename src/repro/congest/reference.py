@@ -15,11 +15,12 @@ memory high-waters, and trace timelines — including byte-identical
 :class:`~repro.errors.CongestModelViolation` messages under ``strict``.
 
 The class mirrors the full public ``Network`` surface (duck-typed — every
-algorithm in the library runs unmodified on either engine), including the
-batched :meth:`send_many` / :meth:`send_each` / :meth:`deliver_batch` entry
-points, which here
-degrade to the per-message slow path so batching changes *performance
-only*, never semantics.
+algorithm in the library runs unmodified on either engine, and
+``tests/test_congest_network.py`` holds the two public surfaces equal).
+Its :meth:`send_each` queues one message at a time through the
+per-message body the original ``send`` had, and :meth:`deliver_batch`
+re-sums the words it delivers, so batching changes *performance only*,
+never semantics.
 
 Do not optimise this module.  Its value is being obviously correct and
 frozen; speed belongs in :mod:`repro.congest.network`.
@@ -35,7 +36,6 @@ import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
 from ..telemetry import flight as _flight
-from ..wordsize import words_of
 from .memory import MemoryMeter
 from .message import Message
 
@@ -55,6 +55,12 @@ class ReferenceNetwork:
     ) -> None:
         from .metrics import RunMetrics
 
+        if message_word_limit < 1:
+            raise InputError(f"network requires message_word_limit >= 1, "
+                             f"got {message_word_limit!r}")
+        if edge_capacity < 1:
+            raise InputError(f"network requires edge_capacity >= 1, "
+                             f"got {edge_capacity!r}")
         if graph.number_of_nodes() == 0:
             raise InputError("network requires a non-empty graph")
         if graph.is_directed():
@@ -162,59 +168,30 @@ class ReferenceNetwork:
         self._round_observers.append(observer)
         return observer
 
-    def remove_round_observer(self, observer: Any) -> None:
-        """Unregister an observer (no error if absent)."""
-        try:
-            self._round_observers.remove(observer)
-        except ValueError:
-            pass
-
     # -- messaging -------------------------------------------------------------
-
-    def send(self, src: NodeId, dst: NodeId, kind: str, payload: Any = None) -> None:
-        """Queue a message for delivery at the next :meth:`tick`."""
-        if not self.graph.has_edge(src, dst):
-            raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge")
-        msg = Message(src=src, dst=dst, kind=kind, payload=payload)
-        slots = max(1, math.ceil(msg.words / self.message_word_limit))
-        if self.strict:
-            load = self._edge_load[(src, dst)] + slots
-            if load > self.edge_capacity and slots == 1:
-                raise CongestModelViolation(
-                    f"edge {src!r}->{dst!r} over capacity in round "
-                    f"{self.metrics.rounds}: {load} > {self.edge_capacity}"
-                )
-        self._edge_load[(src, dst)] += slots
-        self._outbox.append(msg)
-        # Wide payloads occupy several rounds of the edge; charge the extra.
-        if slots > 1:
-            self.metrics.on_charge(slots - 1)
-
-    def send_many(
-        self, src: NodeId, dsts: Iterable[NodeId], kind: str, payload: Any = None
-    ) -> int:
-        """Fan ``payload`` out from ``src`` to every vertex in ``dsts``.
-
-        API compatibility shim: the reference engine just loops over
-        :meth:`send`, so the batched entry point provably changes nothing
-        but speed.  Returns the number of messages queued.
-        """
-        # Contract shared with the fast path: the payload is sized before
-        # any destination is validated.
-        words_of(payload)
-        count = 0
-        for dst in dsts:
-            self.send(src, dst, kind, payload)
-            count += 1
-        return count
 
     def send_each(
         self, kind: str, sends: Iterable[Tuple[NodeId, NodeId, Any]]
     ) -> None:
-        """Queue every ``(src, dst, payload)`` of ``sends``, in order
-        (shim: the loop over :meth:`send` the fast path must equal)."""
+        """Queue every ``(src, dst, payload)`` of ``sends`` for delivery at
+        the next :meth:`tick`, one message at a time, in order."""
         for src, dst, payload in sends:
-            self.send(src, dst, kind, payload)
+            if not self.graph.has_edge(src, dst):
+                raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge")
+            msg = Message(src=src, dst=dst, kind=kind, payload=payload)
+            slots = max(1, math.ceil(msg.words / self.message_word_limit))
+            if self.strict:
+                load = self._edge_load[(src, dst)] + slots
+                if load > self.edge_capacity and slots == 1:
+                    raise CongestModelViolation(
+                        f"edge {src!r}->{dst!r} over capacity in round "
+                        f"{self.metrics.rounds}: {load} > {self.edge_capacity}"
+                    )
+            self._edge_load[(src, dst)] += slots
+            self._outbox.append(msg)
+            # Wide payloads occupy several rounds of the edge; charge the extra.
+            if slots > 1:
+                self.metrics.on_charge(slots - 1)
 
     def tick(self) -> Dict[NodeId, List[Message]]:
         """Deliver queued messages, advance one round, return inboxes."""
@@ -248,11 +225,6 @@ class ReferenceNetwork:
         self._outbox = []
         self._edge_load.clear()
         return delivered
-
-    def idle_rounds(self, count: int) -> None:
-        """Advance ``count`` rounds with no traffic (synchronization waits)."""
-        for _ in range(count):
-            self.tick()
 
     def charge_rounds(self, rounds: int, messages: int = 0, words: int = 0) -> None:
         """Account for ``rounds`` rounds computed analytically."""

@@ -461,7 +461,10 @@ def serve_pairs(
     otherwise ``slo_bound`` defaults to the paper's ``4k-3`` for graph
     schemes exactly like :func:`run_serving`.  The second element is the
     engine's :class:`~repro.serve.engine.RouteBatch`; everything here
-    reads its columns, and builds a result only for an exemplar.
+    reads its columns, and builds a result only for an exemplar.  The
+    report's counters (queries, failures, cache hits and misses) count
+    this call alone, on a warm engine too; a live ``ServeMetrics``
+    bundle stays cumulative.
     """
     compiled = engine.compiled
     mode = engine.mode
@@ -477,6 +480,10 @@ def serve_pairs(
     # Results[i] gets trace ordinal trace_base + i (a pre-warmed
     # engine may already have consumed ordinals).
     trace_base = tracer.seq if tracer is not None else 0
+    # The engine's counters are lifetime totals; the report counts this
+    # call alone, like ``queries``.
+    failures_before = engine.failures
+    hits_before, misses_before = engine.cache.hits, engine.cache.misses
 
     # The batched loop is its own stopwatch: one clock reading per query
     # boundary into a flat buffer (8 bytes a query), so the measured
@@ -533,7 +540,9 @@ def serve_pairs(
     sketches = {"hops": hops_sketch, "latency_us": lat_sketch}
     if stretch_sketch is not None:
         sketches["stretch"] = stretch_sketch
-    stats = engine.stats()
+    cache_hits = engine.cache.hits - hits_before
+    cache_misses = engine.cache.misses - misses_before
+    lookups = cache_hits + cache_misses
     report = ServeReport(
         workload=workload,
         queries=len(results),
@@ -551,13 +560,13 @@ def serve_pairs(
         latency_us_p50=lat_sketch.quantile(0.5),
         latency_us_p90=lat_sketch.quantile(0.9),
         latency_us_p99=lat_sketch.quantile(0.99),
-        cache_hit_rate=stats["cache_hit_rate"],
-        failures=engine.failures,
+        cache_hit_rate=round(cache_hits / lookups, 4) if lookups else 0.0,
+        failures=engine.failures - failures_before,
         slo_bound=slo_bound if slo else None,
         slo_fraction=slo_fraction,
         slo_target=slo_target if slo_fraction is not None else None,
-        cache_hits=stats["cache_hits"],
-        cache_misses=stats["cache_misses"],
+        cache_hits=cache_hits,
+        cache_misses=cache_misses,
         slo_within=slo_within,
         packed=_jsonable_summary(compiled),
         sketches=sketches,

@@ -5,7 +5,7 @@ Provides:
 * ``TOPOLOGIES`` — named graph families (parameterized by seed);
 * ``PROTOCOLS`` — named workloads that drive a network through real
   algorithm code paths (BFS floods, pipelined broadcast, a FloodMax round
-  loop, raw ``send_many``/``tick`` kernels);
+  loop, raw ``send_each``/``tick`` kernels);
 * :func:`run_fingerprint` — run a workload on an engine and capture every
   observable output in one comparable structure.
 
@@ -114,7 +114,7 @@ def build_topology(name: str, seed: int) -> nx.Graph:
 # ---------------------------------------------------------------------------
 
 def _proto_bfs(net: Any, seed: int) -> None:
-    """BFS floods from two deterministic roots (send_many + deliver_batch)."""
+    """BFS floods from two deterministic roots (send_each + deliver_batch)."""
     nodes = sorted(net.nodes(), key=repr)
     build_bfs_tree(net, root=nodes[0])
     build_bfs_tree(net, root=nodes[seed % len(nodes)])
@@ -167,8 +167,8 @@ def _proto_flood_kernel(net: Any, seed: int) -> None:
     """Raw engine kernel: full-neighborhood exchanges, alternating the
     dict-shaped (``tick``) and flat (``deliver_batch``) delivery paths and
     two vertex orders, with occasional wide payloads (charged extra
-    rounds), partial fanouts, and idle gaps.  Every fanout hands back
-    ``net.ports(v)`` itself: the full-fanout lane of ``Network.send_many``."""
+    rounds), partial fanouts, and idle gaps.  Each round is one
+    ``send_each`` over every vertex's ports."""
     rng = random.Random(seed)
     nodes = sorted(net.nodes(), key=repr)
     wide = list(range(net.message_word_limit + 2))
@@ -176,17 +176,17 @@ def _proto_flood_kernel(net: Any, seed: int) -> None:
         payload = wide if r % 3 == 2 else r
         # Odd rounds in node order (what a whole-network flood issues),
         # even rounds in repr order.
-        for v in (net.nodes() if r % 2 else nodes):
-            net.send_many(v, net.ports(v), "flood", payload)
+        net.send_each("flood", [(v, w, payload)
+                                for v in (net.nodes() if r % 2 else nodes)
+                                for w in net.ports(v)])
         if r % 2:
             net.tick()
         else:
             net.deliver_batch()
         if rng.random() < 0.3:
-            net.idle_rounds(1)
-    # Partial fanouts (every other port): the non-contiguous batch lane.
-    for v in nodes[:5]:
-        net.send_many(v, net.ports(v)[::2], "partial", seed)
+            net.tick()  # an idle round
+    # Partial fanouts (every other port).
+    net.send_each("partial", [(v, w, seed) for v in nodes[:5] for w in net.ports(v)[::2]])
     net.deliver_batch()
     net.charge_rounds(seed % 4, messages=seed % 3, words=seed % 5)
 

@@ -42,20 +42,28 @@ TOPO_NAMES = sorted(TOPOLOGIES)
 def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     """A deterministic random schedule of engine operations.
 
-    Ops:
-      ("send", src, dst, kind, payload)        -- dst may be a NON-neighbor
-      ("send_many", src, dsts, kind, payload)  -- dsts may contain a non-edge
-      ("send_each", kind, [(src, dst, payload)]) -- one round of distinct
+    Ops (every send is a ``send_each`` batch):
+      ("send_each", "fuzz", [(src, dst, payload)])
+                                               -- one message; dst may be a
+                                                  NON-neighbor
+      ("send_each", "fan", [(src, dst, None), ...])
+                                               -- a fan-out over some of
+                                                  src's ports; may contain a
+                                                  non-edge
+      ("send_each", "each", [(src, dst, payload), ...])
+                                               -- one round of distinct
                                                   messages; ~1 in 10 batches
                                                   carries, mid-batch, a
                                                   non-edge, a repeated arc, a
                                                   wide or an unsizable payload
-      GHOST sends (kind ``GHOST_KIND``)        -- any of the three send ops
-                                                  with a src or dst that is
-                                                  not a vertex at all
-      ("flood", payload)                       -- every vertex, all its ports
+      GHOST sends (kind ``GHOST_KIND``)        -- a batch of each of the
+                                                  three shapes with a src or
+                                                  dst that is not a vertex
+      ("flood", payload)                       -- one batch: every vertex,
+                                                  all its ports
       ("close", "tick" | "deliver")            -- end the round either way
-      ("idle", k) / ("charge", r, m, w)        -- accounting paths
+      ("idle", k)                              -- ``k`` empty ``tick`` rounds
+      ("charge", r, m, w)                      -- charged rounds
       ("mem", v, key, words) / ("free", prefix) / ("free_key", key)
       ("store_all", key, words)                -- uniform network-wide store
       ("mem_add", v, key, words) / ("mem_free", v, key)
@@ -68,8 +76,8 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     source it has no map for, and a known source's map on a missing key.
     Capacity violations arise naturally: several sends may pick the same
     directed edge within one round, and a ``flood`` after any send on a
-    strict network overloads the first already-loaded arc it reaches —
-    mid-batch, inside the full-fanout lane of ``send_many``.  Wide
+    strict network overloads the first already-loaded arc it reaches,
+    mid-batch.  Wide
     payloads (> word limit) exercise the multi-slot charging path, which
     must never raise.
     """
@@ -101,14 +109,14 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                 payload = rng.choice(
                     [None, rng.randrange(100), list(range(rng.randrange(5, 9)))]
                 )
-                schedule.append(("send", src, dst, "fuzz", payload))
+                schedule.append(("send_each", "fuzz", [(src, dst, payload)]))
             elif roll < 0.78:
                 dsts = rng.sample(
                     neighbors[src], rng.randrange(1, len(neighbors[src]) + 1)
                 )
                 if rng.random() < 0.1:
                     dsts.insert(rng.randrange(len(dsts) + 1), rng.choice(nodes))
-                schedule.append(("send_many", src, dsts, "fan", None))
+                schedule.append(("send_each", "fan", [(src, d, None) for d in dsts]))
             elif roll < 0.84:
                 payload = rng.choice(
                     [None, rng.randrange(50), list(range(rng.randrange(5, 9)))]
@@ -190,8 +198,9 @@ GHOST_KIND = "to-ghost"
 
 def _ghost_send(rng: random.Random, nodes: List[Any],
                 neighbors: Dict[Any, List[Any]]) -> Tuple:
-    """One of the three send ops with ``GHOST`` as its source or as one
-    destination (mid-batch for ``send_many`` / ``send_each``)."""
+    """A batch of one of the three send shapes (one message, a fan-out, a
+    round of payloads) with ``GHOST`` as its source or as one destination
+    (mid-batch for the two multi-message shapes)."""
     src = rng.choice(nodes)
     dst = rng.choice(neighbors[src])
     if rng.random() < 0.5:
@@ -200,12 +209,14 @@ def _ghost_send(rng: random.Random, nodes: List[Any],
         dsts = list(neighbors[src])
         dsts.insert(rng.randrange(len(dsts) + 1), GHOST)
         dst = GHOST
-    tag = rng.choice(["send", "send_many", "send_each"])
-    if tag == "send_many":
-        return (tag, src, dsts, GHOST_KIND, None)
-    if tag == "send_each":
-        return (tag, GHOST_KIND, [(src, d, 1) for d in dsts])
-    return (tag, src, dst, GHOST_KIND, rng.choice([None, 5]))
+    shape = rng.choice(["one", "fan", "each"])
+    if shape == "fan":
+        batch = [(src, d, None) for d in dsts]
+    elif shape == "each":
+        batch = [(src, d, 1) for d in dsts]
+    else:
+        batch = [(src, dst, rng.choice([None, 5]))]
+    return ("send_each", GHOST_KIND, batch)
 
 
 def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
@@ -215,21 +226,14 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
     for op in schedule:
         tag = op[0]
         try:
-            if tag == "send":
-                net.send(op[1], op[2], op[3], op[4])
-                outcomes.append(("ok",))
-            elif tag == "send_each":
+            if tag == "send_each":
                 net.send_each(op[1], op[2])
                 outcomes.append(("ok",))
-            elif tag == "send_many":
-                outcomes.append(("ok", net.send_many(op[1], op[2], op[3], op[4])))
             elif tag == "flood":
-                # Handing back ``net.ports(v)`` itself takes the fast path's
-                # full-fanout lane; a violation aborts the remaining vertices.
-                outcomes.append(("ok", sum(
-                    net.send_many(v, net.ports(v), "flood", op[1])
-                    for v in net.nodes()
-                )))
+                # A violation aborts the rest of the flood.
+                net.send_each("flood", [(v, w, op[1]) for v in net.nodes()
+                                        for w in net.ports(v)])
+                outcomes.append(("ok",))
             elif tag == "close":
                 if op[1] == "tick":
                     inboxes = net.tick()
@@ -248,7 +252,8 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
                          for m in delivered],
                     ))
             elif tag == "idle":
-                net.idle_rounds(op[1])
+                for _ in range(op[1]):
+                    net.tick()
                 outcomes.append(("ok",))
             elif tag == "charge":
                 net.charge_rounds(op[1], messages=op[2], words=op[3])
@@ -335,36 +340,45 @@ def test_fuzz_non_strict_parity(topo, seed):
 
 def test_fuzz_schedules_do_violate():
     """Meta-check: the strict matrix actually exercises both violation
-    kinds (capacity overload and non-edge send), a ``store_each`` that
-    fails mid-batch, a ``send_each`` that does and a ghost send through
-    each of the three send ops — guards against a fuzzer regression that
-    silently stops generating adversarial ops."""
+    kinds (capacity overload and non-edge send), an unsizable payload, a
+    ``store_each`` that fails mid-batch, a ``send_each`` that fails with
+    messages of its batch already queued, and a ghost source and a ghost
+    destination — guards against a fuzzer regression that silently stops
+    generating adversarial ops."""
     kinds = set()
     for s in FUZZ_SEEDS:
         graph = build_topology(TOPO_NAMES[s % len(TOPO_NAMES)], s)
         net = ReferenceNetwork(graph, strict=True)
-        schedule = make_schedule(graph, s)
-        for op, outcome in zip(schedule, apply_schedule(net, schedule)):
+        for op in make_schedule(graph, s):
+            queued = len(net._outbox)
+            (outcome,) = apply_schedule(net, [op])
             if outcome[0] == "violation":
                 kinds.add(
                     "capacity" if "over capacity" in outcome[1] else "non-edge"
                 )
-            elif outcome[0] == "negative-store":
+            elif outcome[0] in ("negative-store", "unsizable"):
                 kinds.add(outcome[0])
-            if op[0] == "send_each" and outcome[0] != "ok":
-                kinds.add("send_each")
-            if GHOST_KIND in op and outcome[0] == "violation" and (
-                    outcome[1].startswith(f"{GHOST!r} ->")
-                    or outcome[1].endswith(f"-> {GHOST!r} is not an edge")):
-                kinds.add(f"ghost {op[0]}")
-    assert kinds == {"capacity", "non-edge", "negative-store", "send_each",
-                     "ghost send", "ghost send_many", "ghost send_each"}
+            if op[0] == "send_each" and outcome[0] != "ok" \
+                    and len(net._outbox) > queued:
+                kinds.add("mid-batch")
+            if op[1] == GHOST_KIND and outcome[0] == "violation":
+                if outcome[1].startswith(f"{GHOST!r} ->"):
+                    kinds.add("ghost source")
+                if outcome[1].endswith(f"-> {GHOST!r} is not an edge"):
+                    kinds.add("ghost destination")
+    assert kinds == {"capacity", "non-edge", "unsizable", "negative-store",
+                     "mid-batch", "ghost source", "ghost destination"}
 
 
 def test_fingerprint_helper_covers_timeline():
     """The replay fingerprint includes the per-round timeline (round,
     messages, words, phase) on both engines, idle rounds included."""
+
+    def idle(net, seed):
+        for _ in range(3):
+            net.tick()
+
     graph = build_topology("gnp", 1)
     for engine in (ReferenceNetwork, Network):
-        fp = run_fingerprint(engine, graph, lambda net, s: net.idle_rounds(3), 0)
+        fp = run_fingerprint(engine, graph, idle, 0)
         assert fp["rounds"] == [(r, 0, 0, None) for r in (1, 2, 3)]

@@ -186,10 +186,14 @@ class TestTelemetrySurfaces:
         (["explain", "--traces", "<traces>", "--worst", "0", "--strict"],
          "--worst: must be > 0"),
         (["explain", "--traces", "<traces>", "--worst", "-1"], "--worst: must be > 0"),
-        # A target of 0 or below passed its stretch-SLO verdict; NaN failed it.
-        (["serve", "--slo-target", "0", "--strict"], "--slo-target: must be > 0"),
-        (["serve", "--slo-target", "-1", "--strict"], "--slo-target: must be > 0"),
-        (["serve", "--slo-target", "nan", "--strict"], "--slo-target: must be > 0"),
+        # A target of 0 or below passed its stretch-SLO verdict; NaN failed
+        # it, and so did any target above 1, which no run can meet.
+        (["serve", "--slo-target", "0", "--strict"], "--slo-target: must be in (0, 1]"),
+        (["serve", "--slo-target", "-1", "--strict"], "--slo-target: must be in (0, 1]"),
+        (["serve", "--slo-target", "nan", "--strict"], "--slo-target: must be in (0, 1]"),
+        (["serve", "--slo-target", "2"], "--slo-target: must be in (0, 1], got 2"),
+        (["serve", "--slo-target", "1.01", "--strict"],
+         "--slo-target: must be in (0, 1], got 1.01"),
         # NaN weights sent every zipf query to one vertex.
         (["serve", "--workload", "zipf", "--zipf-alpha", "nan"],
          "repro serve: zipf alpha must be positive and finite, got nan"),
@@ -204,8 +208,8 @@ class TestTelemetrySurfaces:
     ], ids=["stride-0", "workers-0", "n-1", "lint-is-gone", "monitor-is-gone",
             "pairs-0", "queries-0", "queries-negative", "cache-negative",
             "worst-0", "worst-negative", "slo-target-0", "slo-target-negative",
-            "slo-target-nan", "zipf-alpha-nan", "cache-file-dir",
-            "cache-file-dir-workers-2", "metrics-out-dir"])
+            "slo-target-nan", "slo-target-2", "slo-target-above-1", "zipf-alpha-nan",
+            "cache-file-dir", "cache-file-dir-workers-2", "metrics-out-dir"])
     def test_bad_input_is_one_line_and_exit_two(self, argv, says, capsys,
                                                  traces_file, tmp_path):
         """Not a traceback: a flag argparse can judge is a usage error, and
@@ -231,9 +235,11 @@ class TestTelemetrySurfaces:
         families = parse_prometheus(prom.read_text())
         assert families["repro_serve_queries_total"]["samples"][0][2] == 200.0
 
-    def test_metrics_out_strict_slo_miss_is_the_verdict(self, tmp_path, capsys):
+    def test_metrics_out_strict_slo_miss_is_the_verdict(self, tmp_path, capsys,
+                                                         monkeypatch):
+        _miss_every_stretch(monkeypatch)
         prom = tmp_path / "m.prom"
-        rc = main(_SERVE + ["--metrics-out", str(prom), "--slo-target", "1.01",
+        rc = main(_SERVE + ["--metrics-out", str(prom), "--slo-target", "1.0",
                             "--strict", "--json"])
         captured = capsys.readouterr()
         assert rc == 1
@@ -287,13 +293,25 @@ def traces_file(tmp_path_factory):
 
 _SERVE = ["serve", "--n", "60", "--k", "2", "--queries", "200"]
 
+
+def _miss_every_stretch(monkeypatch):
+    """Read every measured stretch ten times too high, past the ``4k-3``
+    bound: the stretch-SLO verdict fails whatever the (legal) target."""
+    from repro.serve import harness
+
+    measured = harness._per_query_stretch
+    monkeypatch.setattr(harness, "_per_query_stretch", lambda graph, results: [
+        None if s is None else 10 * s for s in measured(graph, results)])
+
+
 #: Every recordable command: (id, argv, RunRecord kind, --strict exit code).
+#: ``serve-slo-miss`` runs under ``_miss_every_stretch``.
 RECORDABLE = [
     ("table1", ["table1", "--n", "80", "--k", "2", "--pairs", "20"],
      "table1", 0),
     ("table2", ["table2", "--n", "120"], "table2", 0),
     ("serve", _SERVE, "serve", 0),
-    ("serve-slo-miss", _SERVE + ["--slo-target", "1.01"], "serve", 1),
+    ("serve-slo-miss", _SERVE + ["--slo-target", "1.0"], "serve", 1),
     ("serve-workers-2", _SERVE + ["--workers", "2"], "serve", 0),
     ("explain", ["explain", "--worst", "2", "--traces", "<traces>"],
      "explain", 0),
@@ -313,12 +331,14 @@ class TestCommandTable:
             assert f"repro {name}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv,kind,strict_rc",
-        [pytest.param(*row[1:], id=row[0]) for row in RECORDABLE])
-    def test_json_out_and_strict(self, argv, kind, strict_rc, tmp_path,
-                                 capsys, traces_file):
+        "name,argv,kind,strict_rc",
+        [pytest.param(*row, id=row[0]) for row in RECORDABLE])
+    def test_json_out_and_strict(self, name, argv, kind, strict_rc, tmp_path,
+                                 capsys, traces_file, monkeypatch):
         from repro.telemetry import RunRecord
 
+        if name == "serve-slo-miss":
+            _miss_every_stretch(monkeypatch)
         argv = [{"<traces>": traces_file}.get(a, a) for a in argv]
         flags = [] if argv[0] == "trace" else ["--json", "--strict"]
         out = tmp_path / "rec.json"

@@ -6,10 +6,14 @@ by :class:`repro.congest.network.Network` and checked against the
 :mod:`networkx` graph itself as the reference:
 
 * ``neighbors`` / ``degree`` / ``weight`` / ``ports`` agree with the graph;
-* arc (directed-edge) ids are a bijection onto ``range(num_arcs)`` that
-  round-trips through ``edge_index`` / ``edge_endpoints`` and lines up
-  with CSR slot order;
-* ``compact_id`` / ``node_of`` are inverse bijections.
+* arc (directed-edge) ids, read from the per-vertex arc maps, are a
+  bijection onto the ``2m`` per-arc load counters and are numbered vertex
+  by vertex in port order;
+* the compact vertex ids (``_id_of`` / ``_node_of``) are inverse
+  bijections.
+
+The last two read the engine's private tables: they are the invariants
+the capacity accounting and the memory bank index by.
 """
 
 from __future__ import annotations
@@ -73,16 +77,16 @@ def test_ports_are_repr_sorted_neighbors(graph):
 @settings(max_examples=60, deadline=None)
 def test_arc_ids_are_a_bijection(graph):
     net = Network(graph)
-    seen = set()
+    arcs = len(net._edge_load)
+    seen = {}
     for v in graph.nodes:
-        for w in graph.neighbors(v):
-            arc = net.edge_index(v, w)
-            assert 0 <= arc < net.num_arcs
+        assert set(net._arc_map[v]) == set(graph.neighbors(v))
+        for w, arc in net._arc_map[v].items():
+            assert 0 <= arc < arcs
             assert arc not in seen
-            seen.add(arc)
-            assert net.edge_endpoints(arc) == (v, w)
-    assert seen == set(range(net.num_arcs))
-    assert net.num_arcs == 2 * graph.number_of_edges()
+            seen[arc] = (v, w)
+    assert set(seen) == set(range(arcs))
+    assert arcs == 2 * graph.number_of_edges()
 
 
 @given(connected_graphs())
@@ -92,16 +96,16 @@ def test_arc_ids_follow_csr_slot_order(graph):
     expected = 0
     for v in net.nodes():
         for w in net.ports(v):
-            assert net.edge_index(v, w) == expected
+            assert net._arc_map[v][w] == expected
             expected += 1
-    assert expected == net.num_arcs
+    assert expected == len(net._edge_load)
 
 
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_compact_ids_are_inverse_bijections(graph):
     net = Network(graph)
-    ids = [net.compact_id(v) for v in net.nodes()]
-    assert sorted(ids) == list(range(net.n))
+    ids = [net._id_of[v] for v in net.nodes()]
+    assert ids == list(range(net.n))
     for v in net.nodes():
-        assert net.node_of(net.compact_id(v)) == v
+        assert net._node_of[net._id_of[v]] == v

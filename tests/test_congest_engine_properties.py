@@ -5,8 +5,8 @@ pinned by the differential matrix:
 
 * **Permutation invariance** — the per-destination inbox contents of a
   round are a function of *what* was sent, not of the order in which the
-  sending vertices issued their ``send_many`` calls; and they agree with
-  the reference engine.
+  sending vertices' fan-outs were queued; and they agree with the
+  reference engine.
 * **Word-accounting conservation** — after delivery the word meters equal
   the total width of everything queued (floods, partial fanouts, wide
   multi-slot payloads) on both engines.
@@ -22,7 +22,8 @@ pinned by the differential matrix:
   eagerly by the bank) equals the reference's eager maximum, and at the
   end the largest per-vertex high-water.
 * **Batched send parity** — ``send_each(kind, sends)`` equals the loop of
-  ``send`` over ``sends``: error text, arc loads, inboxes and metrics.
+  one-message ``send_each`` calls over ``sends``: error text, arc loads,
+  inboxes and metrics.
 
 Examples are kept modest (the differential fuzzer already hammers volume);
 these exist to let hypothesis *shrink* any structural counterexample.
@@ -63,9 +64,8 @@ def small_graphs(draw, min_size=2, max_size=16):
 
 @st.composite
 def fanout_schedules(draw):
-    """A graph plus one ``send_many`` batch per vertex (possibly empty,
-    possibly the full port list — the identity fast lane) and a random
-    permutation of the issuing order."""
+    """A graph plus one fan-out per vertex (possibly empty, possibly every
+    port) and a random permutation of the issuing order."""
     graph = draw(small_graphs())
     nodes = sorted(graph.nodes, key=_REPR)
     batches = []
@@ -80,14 +80,16 @@ def fanout_schedules(draw):
     return graph, batches, perm
 
 
-def _inbox_sets(net, batches, order, *, use_ports_identity):
-    """Queue every batch in ``order`` on a fresh round, tick, and return
+def _fan_outs(batches, order, payload):
+    """One round's ``(src, dst, payload)`` messages: the fan-outs of
+    ``batches`` in ``order``."""
+    return [(batches[i][0], dst, payload) for i in order for dst in batches[i][1]]
+
+
+def _inbox_sets(net, batches, order):
+    """Queue every fan-out in ``order`` on a fresh round, tick, and return
     per-destination inbox contents as comparable sorted multisets."""
-    for i in order:
-        v, dsts = batches[i]
-        if use_ports_identity and dsts and len(dsts) == net.degree(v):
-            dsts = net.ports(v)  # the cached-list identity fast lane
-        net.send_many(v, dsts, "wave", 7)
+    net.send_each("wave", _fan_outs(batches, order, 7))
     inboxes = net.tick()
     return {
         _REPR(v): sorted((_REPR(m.src), m.kind, m.words) for m in box)
@@ -99,16 +101,13 @@ def _inbox_sets(net, batches, order, *, use_ports_identity):
 @settings(max_examples=25, deadline=None)
 def test_inboxes_invariant_under_issue_order(case):
     """Round delivery content is a set-function of the queued batches:
-    permuting which vertex calls ``send_many`` first changes nothing, and
+    permuting which vertex's fan-out is queued first changes nothing, and
     the fast path agrees with the reference oracle."""
     graph, batches, perm = case
     identity = list(range(len(batches)))
-    ref = _inbox_sets(ReferenceNetwork(graph), batches, identity,
-                      use_ports_identity=False)
-    fast_same = _inbox_sets(Network(graph), batches, identity,
-                            use_ports_identity=True)
-    fast_perm = _inbox_sets(Network(graph), batches, perm,
-                            use_ports_identity=True)
+    ref = _inbox_sets(ReferenceNetwork(graph), batches, identity)
+    fast_same = _inbox_sets(Network(graph), batches, identity)
+    fast_perm = _inbox_sets(Network(graph), batches, perm)
     assert fast_same == ref
     assert fast_perm == ref
 
@@ -122,14 +121,12 @@ def test_word_accounting_conserved_across_engines(case, wide_words):
     graph, batches, _ = case
     nets = {name: ENGINES[name](graph, strict=False) for name in ENGINES}
     for net in nets.values():
-        for v in net.nodes():
-            net.send_many(v, net.ports(v), "flood", None)
-        for v, dsts in batches:
-            net.send_many(v, dsts, "wave", 3)
+        net.send_each("flood", [(v, w, None) for v in net.nodes() for w in net.ports(v)])
+        net.send_each("wave", _fan_outs(batches, range(len(batches)), 3))
         for i, n_items in enumerate(wide_words):
             src = sorted(graph.nodes, key=_REPR)[i % net.n]
-            for dst in net.ports(src):
-                net.send(src, dst, "wide", list(range(n_items)))
+            net.send_each("wide", [(src, dst, list(range(n_items)))
+                                   for dst in net.ports(src)])
 
     ref = nets["reference"]
     expected_words = 0
@@ -314,8 +311,9 @@ def send_batches(draw):
 def _arc_loads(net):
     """The current round's per-arc loads, by ``(repr(src), repr(dst))``."""
     if isinstance(net, Network):
-        loads = {net.edge_endpoints(arc): net._edge_load[arc]
-                 for arc in net._loaded_arcs}
+        ends = {arc: (src, dst) for src, arcs in net._arc_map.items()
+                for dst, arc in arcs.items()}
+        loads = {ends[arc]: net._edge_load[arc] for arc in net._loaded_arcs}
     else:
         loads = {arc: load for arc, load in net._edge_load.items() if load}
     return {(_REPR(u), _REPR(v)): load for (u, v), load in loads.items()}
@@ -324,8 +322,8 @@ def _arc_loads(net):
 @given(send_batches())
 @settings(max_examples=200, deadline=None)
 def test_send_each_equals_the_send_loop(case):
-    """``send_each(kind, sends)`` leaves what the loop of ``send`` leaves,
-    a mid-batch failure included: the same error text, the same queued
+    """``send_each(kind, sends)`` leaves what one ``send_each`` call per
+    message leaves, a mid-batch failure included: the same error text, the same queued
     messages and arc loads, and after the tick the same inboxes and
     metrics; on ``Network`` and on the reference."""
     graph, sends, strict = case
@@ -336,8 +334,8 @@ def test_send_each_equals_the_send_loop(case):
     for name, net in nets.items():
         try:
             if name == "looped":
-                for src, dst, payload in sends:
-                    net.send(src, dst, "each", payload)
+                for message in sends:
+                    net.send_each("each", [message])
             else:
                 net.send_each("each", sends)
             error = None

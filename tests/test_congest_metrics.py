@@ -43,15 +43,6 @@ class TestRunMetrics:
             m.end_phase()
         assert m.by_phase() == {"x": 2}
 
-    def test_summary_mentions_phases(self):
-        m = RunMetrics()
-        m.begin_phase("setup")
-        m.on_round(1, 1)
-        m.end_phase()
-        text = m.summary()
-        assert "setup" in text and "rounds=1" in text
-
-
     def test_charged_traffic_goes_to_totals_not_phase(self):
         m = RunMetrics()
         m.begin_phase("p")

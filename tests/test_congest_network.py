@@ -62,6 +62,36 @@ class TestConstruction:
     def test_n_counts_vertices(self, engine):
         assert engine(tiny_graph()).n == 3
 
+    @pytest.mark.parametrize("limits,says", [
+        ({"message_word_limit": 0}, "message_word_limit >= 1, got 0"),
+        ({"message_word_limit": -2}, "message_word_limit >= 1, got -2"),
+        ({"edge_capacity": 0}, "edge_capacity >= 1, got 0"),
+        ({"edge_capacity": -1}, "edge_capacity >= 1, got -1"),
+    ], ids=["word-limit-0", "word-limit-negative", "capacity-0",
+            "capacity-negative"])
+    def test_rejects_limits_below_one(self, engine, limits, says):
+        # A zero word limit divided by zero at the first send, a negative
+        # one computed a wrong slot count, a zero capacity refused every
+        # message.
+        with pytest.raises(InputError) as failure:
+            engine(tiny_graph(), **limits)
+        assert str(failure.value) == f"network requires {says}"
+
+
+def _public_surface(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+def test_engines_expose_the_same_public_surface():
+    """Every algorithm runs on either engine, so neither may offer a method
+    or property the other lacks; instance attributes included."""
+    from repro.congest import Network, ReferenceNetwork
+
+    assert _public_surface(Network) == _public_surface(ReferenceNetwork)
+    graph = tiny_graph()
+    assert (_public_surface(Network(graph))
+            == _public_surface(ReferenceNetwork(graph)))
+
 
 class TestTopology:
     def test_weight_reads_attribute(self, engine):
@@ -108,45 +138,44 @@ class TestTopology:
 class TestMessaging:
     def test_send_and_tick_delivers(self, engine):
         net = engine(tiny_graph())
-        net.send("a", "b", "ping", 42)
+        net.send_each("ping", [("a", "b", 42)])
         inboxes = net.tick()
         assert [m.payload for m in inboxes["b"]] == [42]
 
     def test_tick_advances_round_counter(self, engine):
         net = engine(tiny_graph())
-        net.send("a", "b", "x")
+        net.send_each("x", [("a", "b", None)])
         net.tick()
         assert net.metrics.rounds == 1
 
     def test_non_edge_send_raises(self, engine):
         net = engine(tiny_graph())
         with pytest.raises(CongestModelViolation):
-            net.send("a", "c", "x")
+            net.send_each("x", [("a", "c", None)])
 
     def test_edge_capacity_enforced(self, engine):
         net = engine(tiny_graph())
-        net.send("a", "b", "x", 1)
+        net.send_each("x", [("a", "b", 1)])
         with pytest.raises(CongestModelViolation):
-            net.send("a", "b", "y", 2)
+            net.send_each("y", [("a", "b", 2)])
 
     def test_opposite_directions_are_independent(self, engine):
         net = engine(tiny_graph())
-        net.send("a", "b", "x")
-        net.send("b", "a", "y")  # no violation
+        net.send_each("x", [("a", "b", None), ("b", "a", None)])  # no violation
         inboxes = net.tick()
         assert "a" in inboxes and "b" in inboxes
 
     def test_capacity_resets_each_round(self, engine):
         net = engine(tiny_graph())
-        net.send("a", "b", "x")
+        net.send_each("x", [("a", "b", None)])
         net.tick()
-        net.send("a", "b", "y")  # new round: fine
+        net.send_each("y", [("a", "b", None)])  # new round: fine
         net.tick()
         assert net.metrics.messages == 2
 
     def test_wide_payload_charges_extra_rounds(self, engine):
         net = engine(tiny_graph(), message_word_limit=2)
-        net.send("a", "b", "wide", (1, 2, 3, 4, 5, 6))
+        net.send_each("wide", [("a", "b", (1, 2, 3, 4, 5, 6))])
         assert net.metrics.charged_rounds == 2  # ceil(6/2) - 1
 
     def test_message_word_count(self):
@@ -154,10 +183,19 @@ class TestMessaging:
         assert msg.words == 3
 
 
+def fan_out(src, dsts, payload=None):
+    """The ``(src, dst, payload)`` batch sending ``payload`` to each of
+    ``dsts``."""
+    return [(src, dst, payload) for dst in dsts]
+
+
 class TestBatchedMessaging:
+    """Many messages in one ``send_each`` call: fan-outs over a vertex's
+    ports and failures in the middle of a batch."""
+
     def test_send_many_full_fanout(self, engine):
         net = engine(tiny_graph())
-        assert net.send_many("b", net.ports("b"), "wave", 5) == 2
+        net.send_each("wave", fan_out("b", net.ports("b"), 5))
         delivered = net.deliver_batch()
         assert len(delivered) == 2
         assert [(m.src, m.dst, m.payload) for m in delivered] == [
@@ -166,23 +204,23 @@ class TestBatchedMessaging:
 
     def test_send_many_partial_fanout(self, engine):
         net = engine(tiny_graph())
-        assert net.send_many("b", ["c"], "wave") == 1
+        net.send_each("wave", fan_out("b", ["c"]))
         delivered = net.deliver_batch()
         assert [(m.src, m.dst) for m in delivered] == [("b", "c")]
 
     def test_send_many_violation_keeps_prefix_queued(self, engine):
         net = engine(tiny_graph())
         with pytest.raises(CongestModelViolation, match="is not an edge"):
-            net.send_many("b", ["a", "zzz"], "wave", 7)
+            net.send_each("wave", fan_out("b", ["a", "zzz"], 7))
         delivered = net.deliver_batch()
         assert [(m.src, m.dst, m.payload) for m in delivered] == [("b", "a", 7)]
         assert net.metrics.message_words == 1
 
     def test_send_many_capacity_violation_mid_batch(self, engine):
         net = engine(tiny_graph())
-        net.send("b", "c", "first")
+        net.send_each("first", [("b", "c", None)])
         with pytest.raises(CongestModelViolation, match="over capacity"):
-            net.send_many("b", net.ports("b"), "wave")
+            net.send_each("wave", fan_out("b", net.ports("b")))
         # "b -> a" was fine and stays queued; "b -> c" tripped the check.
         assert [(m.src, m.dst) for m in net.deliver_batch()] == [
             ("b", "c"), ("b", "a")
@@ -190,9 +228,9 @@ class TestBatchedMessaging:
 
     def test_deliver_batch_messages_compare_equal_across_rounds(self, engine):
         net = engine(tiny_graph())
-        net.send_many("b", net.ports("b"), "wave", 3)
+        net.send_each("wave", fan_out("b", net.ports("b"), 3))
         first = net.deliver_batch()
-        net.send_many("b", net.ports("b"), "wave", 3)
+        net.send_each("wave", fan_out("b", net.ports("b"), 3))
         second = net.deliver_batch()
         assert first == second
         assert first[0] == Message("b", "a", "wave", 3)
@@ -213,20 +251,21 @@ class TestChargingAndPhases:
     def test_phase_attribution(self, engine):
         net = engine(tiny_graph())
         net.begin_phase("setup")
-        net.send("a", "b", "x")
+        net.send_each("x", [("a", "b", None)])
         net.tick()
         net.end_phase()
         assert net.metrics.by_phase() == {"setup": 1}
 
     def test_idle_rounds(self, engine):
         net = engine(tiny_graph())
-        net.idle_rounds(3)
+        for _ in range(3):
+            assert net.tick() == {}
         assert net.metrics.rounds == 3
         assert net.metrics.messages == 0
 
     def test_wide_fanout_charges_per_message(self, engine):
         net = engine(tiny_graph(), message_word_limit=2)
-        net.send_many("b", net.ports("b"), "wide", (1, 2, 3, 4, 5, 6))
+        net.send_each("wide", fan_out("b", net.ports("b"), (1, 2, 3, 4, 5, 6)))
         assert net.metrics.charged_rounds == 4  # 2 messages x (ceil(6/2)-1)
 
 

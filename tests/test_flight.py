@@ -25,7 +25,7 @@ def _chat(net, rounds=6):
             net.mem(v).store(f"tree/round{r}", r + 1)
         u = nodes[0]
         w = next(net.neighbors(u))
-        net.send(u, w, "ping", payload=r)
+        net.send_each("ping", [(u, w, r)])
         net.tick()
 
 

@@ -106,7 +106,36 @@ class TestRunServing:
         run_serving(scheme, graph, queries=200, seed=8, engine=engine)
         report, _ = run_serving(scheme, graph, queries=200, seed=8,
                                 engine=engine)
-        assert report.cache_hit_rate > 0.5  # identical stream, warm cache
+        # Identical stream, roomy warm cache: this call's every lookup hits.
+        assert report.cache_misses == 0
+        assert report.cache_hit_rate == 1.0
+
+    def test_warm_engine_report_counts_this_call(self, built):
+        """The engine's counters are lifetime totals; each report counts
+        its own call, cache lookups and failures alike."""
+        graph, scheme = built
+        engine = ServeEngine(compile_scheme(scheme, graph), cache_size=64)
+        pairs = make_workload("zipf", graph, engine.compiled.nodes, 500, 12)
+        lookups = sum(1 for u, v in pairs if u != v)
+        first, _ = serve_pairs(engine, graph, pairs, slo=False)
+        second, _ = serve_pairs(engine, graph, pairs, slo=False)
+        for report in (first, second):
+            assert report.queries == 500
+            assert report.cache_hits + report.cache_misses == lookups
+        assert first.cache_hits + second.cache_hits == engine.cache.hits
+        assert second.cache_hit_rate == round(second.cache_hits / lookups, 4)
+
+    def test_warm_engine_failures_count_this_call(self, built):
+        graph, scheme = built
+        broken = copy.deepcopy(scheme)
+        for v in list(broken.tables)[:20]:
+            broken.tables[v].trees.clear()
+        engine = ServeEngine(compile_scheme(broken, graph))
+        for _ in range(2):
+            report, results = run_serving(broken, graph, queries=300, seed=6,
+                                          engine=engine)
+            assert report.failures == sum(1 for r in results if not r.ok) > 0
+        assert engine.failures == 2 * report.failures
 
     def test_recorded_run_record(self, built):
         graph, scheme = built

@@ -297,6 +297,21 @@ class TestPoolLifecycle:
         assert warm3.cache_hits == warm3.queries
 
 
+    def test_reused_pool_reports_each_pass_alone(self, built):
+        """Workers keep their engines from pass to pass; each merged report
+        counts its own pass."""
+        graph, _, compiled = built
+        pairs = make_workload("zipf", graph, compiled.nodes, 400, 3)
+        lookups = sum(1 for u, v in pairs if u != v)
+        with ShardPool(compiled, graph, workers=2, start="thread") as pool:
+            reports = [pool.serve(pairs, workload="zipf", seed=3)[0]
+                       for _ in range(2)]
+        for report in reports:
+            assert report.queries == len(pairs)
+            assert report.cache_hits + report.cache_misses == lookups
+        assert reports[1].cache_hit_rate == 1.0
+
+
 class TestWorkerFreeze:
     """Process workers freeze their tables out of the cyclic collector;
     nothing that shares the caller's process may touch its collector."""
