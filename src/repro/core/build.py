@@ -15,9 +15,10 @@
    parallel, and the table/label assembly.
 
 The returned :class:`BuildReport` carries the scheme plus everything the
-Table-1 benchmarks report: total rounds (sequentially simulated and the
-parallel-schedule estimate), message counts, per-vertex memory high-water,
-and artifact sizes.
+Table-1 benchmarks report: rounds (simulated by the round engine, charged
+in closed form, their sequential total and the parallel-schedule
+estimate), message counts, per-vertex memory high-water, and artifact
+sizes.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class BuildReport:
     hopset_max_out_degree: int
     rounds_sequential: int
     rounds_parallel_estimate: int
+    simulated_rounds: int
+    charged_rounds: int
     messages: int
     max_memory_words: int
     mean_memory_words: float
@@ -80,6 +83,8 @@ class BuildReport:
             "hopset_size": self.hopset_size,
             "rounds_sequential": self.rounds_sequential,
             "rounds_parallel_estimate": self.rounds_parallel_estimate,
+            "simulated_rounds": self.simulated_rounds,
+            "charged_rounds": self.charged_rounds,
             "messages": self.messages,
             "max_memory_words": self.max_memory_words,
             "mean_memory_words": round(self.mean_memory_words, 2),
@@ -210,6 +215,8 @@ def build_distributed_scheme(
         rounds_parallel_estimate=(
             rounds_sequential - trees.rounds_sequential + trees.rounds_parallel
         ),
+        simulated_rounds=net.metrics.rounds,
+        charged_rounds=net.metrics.charged_rounds,
         messages=net.metrics.messages,
         max_memory_words=max(high_water.values()),
         mean_memory_words=sum(high_water.values()) / len(high_water),

@@ -89,6 +89,16 @@ def dijkstra(
     vertices that fail the predicate still receive a distance but do not
     relax their neighbours).  Returns ``(dist, parent)``; unreached vertices
     are absent.
+
+    The predicate is evaluated when a relaxation improves ``v`` (and once
+    per source), not when ``v`` is popped: an improvement still writes
+    ``dist[v]`` and ``parent[v]``, but ``v`` is heaped only if
+    ``predicate(v, nd)`` holds, so a vertex that will not expand is never
+    pushed.  Contract: ``predicate`` is a pure function of ``(v, d)`` and
+    monotone -- false at ``d`` stays false at every larger ``d`` for that
+    vertex -- as every cluster rule is (``d < bound[v]``, ``d <= r``).  The
+    result then equals evaluating it at pop time, dicts in insertion order
+    included.
     """
     rows = Adjacency.of(graph).rows
     dist: Dict[NodeId, float] = {}
@@ -99,20 +109,20 @@ def dijkstra(
         _require_vertex(rows, s)
         dist[s] = 0.0
         parent[s] = None
-        push(heap, (0.0, repr(s), s))
+        if predicate is None or predicate(s, 0.0):
+            push(heap, (0.0, repr(s), s))
     known = dist.get
     while heap:
         d, _, u = pop(heap)
         if d > dist[u]:
-            continue
-        if predicate is not None and not predicate(u, d):
             continue
         for v, weight, tie in rows[u]:
             nd = d + weight
             if nd < known(v, INF):
                 dist[v] = nd
                 parent[v] = u
-                push(heap, (nd, tie, v))
+                if predicate is None or predicate(v, nd):
+                    push(heap, (nd, tie, v))
     return dist, parent
 
 

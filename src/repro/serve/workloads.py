@@ -24,6 +24,7 @@ import bisect
 import itertools
 import math
 import random
+import struct
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -39,15 +40,70 @@ def _rng(seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
+def _require_count(count) -> None:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise InputError(
+            f"query count must be a non-negative int, got {count!r}")
+
+
+# ``random.sample`` keeps a pool list instead of a selected-index set while
+# the population is at most this large (its ``setsize`` for k = 2).
+_SAMPLE_SETSIZE = 21
+# Mersenne-Twister words per bulk draw: 128 KiB as bytes.
+_CHUNK_WORDS = 1 << 15
+
+
 def uniform_pairs(
     nodes: Sequence[NodeId], count: int, seed=0
 ) -> List[Pair]:
-    """Distinct ordered pairs, uniform over the population."""
+    """Distinct ordered pairs, uniform over the population.
+
+    The stream is ``[tuple(rng.sample(nodes, 2)) for _ in range(count)]``
+    exactly, drawn in bulk.  ``rng._randbelow(m)`` takes the next
+    Mersenne-Twister word ``w`` and returns ``w >> (32 - m.bit_length())``,
+    retrying while that is ``>= m``, and ``getrandbits(32 * k)`` returns
+    the next ``k`` words least significant first.  ``sample`` draws the
+    first index below ``n``; above ``_SAMPLE_SETSIZE`` vertices it redraws
+    the second below ``n`` while it repeats the first, otherwise it draws
+    it below ``n - 1`` from a pool whose slot of the first pick now holds
+    the last vertex.  A refill draws only words the remaining pairs are
+    sure to consume (two per pair, one for a half-drawn pair), so ``rng``
+    ends in the state ``sample`` leaves it in.
+    """
+    _require_count(count)
     rng = _rng(seed)
     nodes = list(nodes)
-    if len(nodes) < 2:
+    n = len(nodes)
+    if n < 2:
         raise InputError("need at least two vertices to form query pairs")
-    return [tuple(rng.sample(nodes, 2)) for _ in range(count)]
+    redraw = n > _SAMPLE_SETSIZE
+    below = n if redraw else n - 1
+    shift_first = 32 - n.bit_length()
+    shift_second = 32 - below.bit_length()
+    pairs: List[Pair] = []
+    append = pairs.append
+    first = -1  # the pending pair's first index, -1 between pairs
+    left = count
+    while left:
+        k = min(2 * left - (first >= 0), _CHUNK_WORDS)
+        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        for w in struct.unpack(f"<{k}I", words):
+            if first < 0:
+                j = w >> shift_first
+                if j < n:
+                    first = j
+                continue
+            j = w >> shift_second
+            if j >= below:
+                continue
+            if j == first:
+                if redraw:
+                    continue
+                j = n - 1
+            append((nodes[first], nodes[j]))
+            first = -1
+            left -= 1
+    return pairs
 
 
 def zipf_pairs(
@@ -63,6 +119,7 @@ def zipf_pairs(
     so two runs with one seed hit the *same* hot destinations.  Sampling
     is a bisect over the cumulative weights -- O(log n) per query.
     """
+    _require_count(count)
     rng = _rng(seed)
     nodes = list(nodes)
     if len(nodes) < 2:
@@ -92,6 +149,7 @@ def gravity_pairs(
     seed=0,
 ) -> List[Pair]:
     """Degree-weighted endpoints: P(v) proportional to deg(v) at both ends."""
+    _require_count(count)
     rng = _rng(seed)
     nodes = list(graph.nodes)
     if len(nodes) < 2:
@@ -130,6 +188,7 @@ def adversarial_pairs(
     returns the ``count`` worst, worst first.  Exact distances are
     computed once per distinct source, like ``measure_stretch``.
     """
+    _require_count(count)
     if pool_factor < 1:
         raise InputError("pool_factor must be >= 1")
     pool = uniform_pairs(list(graph.nodes), count * pool_factor, seed)

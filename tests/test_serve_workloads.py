@@ -42,6 +42,37 @@ class TestDeterminism:
                uniform_pairs(nodes, 50, 9)
 
 
+def sample_loop(nodes, count, seed):
+    """The specification of ``uniform_pairs``: one ``rng.sample`` per pair."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    nodes = list(nodes)
+    return [tuple(rng.sample(nodes, 2)) for _ in range(count)]
+
+
+class TestUniformIsTheSampleStream:
+    """The bulk word loop against ``random.sample``: both of its branches
+    (a pool list up to 21 vertices, a selected set above), populations on
+    either side of a power of two (where half the words are rejected), and
+    the generator left in the state the per-pair loop leaves it in."""
+
+    @pytest.mark.parametrize("n", [2, 3, 21, 22, 23, 1000, 2000, 2048, 2049])
+    @pytest.mark.parametrize("count", [0, 1, 5, 3000])
+    def test_int_seed(self, n, count):
+        nodes = [f"v{i}" for i in range(n)]
+        for seed in (0, 7, 2**40 + 3):
+            assert uniform_pairs(nodes, count, seed) == sample_loop(nodes, count, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 21, 22, 23, 1000, 2000, 2048, 2049])
+    def test_passed_in_generator_ends_in_the_same_state(self, n):
+        nodes = list(range(n))
+        got_rng, want_rng = random.Random(11), random.Random(11)
+        got_rng.random(), want_rng.random()  # mid-stream, not at a fresh seed
+        for count in (1, 2, 999):
+            assert uniform_pairs(nodes, count, got_rng) == \
+                sample_loop(nodes, count, want_rng)
+            assert got_rng.getstate() == want_rng.getstate()
+
+
 class TestSkewProperties:
     def test_zipf_concentrates_destinations(self, graph):
         nodes = list(graph.nodes)
@@ -111,6 +142,14 @@ class TestValidation:
         with pytest.raises(InputError):
             adversarial_pairs(graph, 5, pool_factor=0,
                               route_length=lambda u, v: 1.0)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    @pytest.mark.parametrize("count", [-3, 2.5, True, None])
+    def test_bad_count(self, graph, name, count):
+        """``-3`` used to return ``[]`` and ``True`` one pair."""
+        with pytest.raises(InputError, match=f"count .*{count!r}"):
+            make_workload(name, graph, list(graph.nodes), count, 0,
+                          route_length=lambda u, v: 1.0)
 
     def test_unknown_workload(self, graph):
         with pytest.raises(InputError):
