@@ -433,7 +433,9 @@ def _serve_single(args, graph, scheme, stream):
         notes.append(f"metrics snapshot written to {args.metrics_out}")
     if args.trace_out:
         write_traces_jsonl(args.trace_out, record.traces)
-        notes.append(f"{len(record.traces)} traces written to {args.trace_out}")
+        notes.append(f"{len(record.traces)} traces written to {args.trace_out} "
+                     f"({tracer.head_dropped} head-sampled queries dropped at the "
+                     f"{tracer.head_limit}-trace head limit)")
     return report, record, notes
 
 

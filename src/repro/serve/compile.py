@@ -19,8 +19,14 @@ CSR fast path of the CONGEST engine (docs/performance.md):
   ``RoutingFailure`` exactly);
 * each destination label becomes one :class:`PackedLabel` per usable level:
   the destination's DFS enter time plus the light-edge scan collapsed into
-  a first-match dict ``local index -> (next hop, weight)``.
+  a first-match dict ``local index -> (next hop, weight)``;
+* per destination, its usable levels become the ``decisions`` candidate
+  tuples the engine's source rule scans -- the one per-target table, and
+  where a sampled trace reads its level, tree and root.
 
+Both compiled classes are built from parts (scalars, packed trees,
+per-target ``(level, tree_index, dist_to_root, label)`` rows): here, and
+when a shard worker decodes the table image (:mod:`repro.shard.tables`).
 Compilation is pure preprocessing: nothing here is on the per-query path.
 The packed form is documented in docs/serving.md.
 """
@@ -28,7 +34,8 @@ The packed form is documented in docs/serving.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import (Any, Dict, Hashable, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import networkx as nx
 
@@ -79,9 +86,6 @@ class PackedTree:
     #: this tuple instead.
     hot: Optional[tuple] = None
 
-    def member(self, vertex: NodeId) -> bool:
-        return vertex in self.local
-
     def seal(self) -> "PackedTree":
         self.hot = (
             self.enter, self.exit_,
@@ -111,76 +115,45 @@ class PackedLabel:
     words: int
 
 
-@dataclass(frozen=True)
-class PackedEntry:
-    """One usable level of a destination's graph label."""
+#: One usable level of a destination's label, as both constructors take
+#: it and the table image stores it: ``(level, tree_index, dist_to_root,
+#: label)``.
+Row = Tuple[int, int, float, PackedLabel]
 
-    __slots__ = ("level", "tree_index", "dist_to_root", "label")
-
-    level: int
-    tree_index: int
-    dist_to_root: float
-    label: PackedLabel
-
-
-@dataclass(frozen=True)
-class DecisionProvenance:
-    """Origin of one packed decision-table candidate (S19 tracing).
-
-    The decision table (:attr:`CompiledGraphScheme.decisions`) strips every
-    candidate down to bare tuples for speed; this side-table keeps, in the
-    *same candidate order*, what each tuple came from — the hierarchy level,
-    the cluster-tree (= landmark) identity, and the label's advertised
-    distance to the tree root — so a sampled :class:`~repro.tracing.QueryTrace`
-    can annotate the committed decision without touching the hot path.
-    """
-
-    __slots__ = ("level", "tree_id", "tree_index", "root", "dist_to_root",
-                 "tree_size", "label_words")
-
-    level: int
-    tree_id: Hashable
-    tree_index: int
-    root: Optional[NodeId]
-    dist_to_root: float
-    tree_size: int
-    label_words: int
+#: One ``decisions`` candidate: ``(local, (tree, label), root_distance,
+#: level, dist_to_root)``.
+Candidate = Tuple[Dict[NodeId, int], Tuple[PackedTree, PackedLabel],
+                  Sequence[float], int, float]
 
 
 class CompiledTreeScheme:
-    """A :class:`TreeRoutingScheme` packed for serving."""
+    """A :class:`TreeRoutingScheme` packed for serving.
+
+    Built from parts -- the packed tree, per-target rows and scalars --
+    by :func:`compile_scheme` and by shared-memory reconstruction
+    (:mod:`repro.shard.tables`) alike.  A tree scheme's ``rows[v]`` holds
+    exactly one ``(0, 0, 0.0, label)`` row.
+    """
 
     kind = "tree"
 
     def __init__(
         self,
-        scheme: TreeRoutingScheme,
-        graph: Optional[nx.Graph] = None,
+        tree: PackedTree,
+        rows: Dict[NodeId, Sequence[Row]],
+        *,
+        root: Optional[NodeId],
+        vertex_count: int,
+        default_budget: int,
     ) -> None:
-        self.tree_id = scheme.tree_id
-        self.root = scheme.root
-        self.vertex_count = len(scheme.tables)
+        self.tree = tree
+        self.root = root
+        self.vertex_count = vertex_count
         #: Reference hop budget: ``2 * len(tables) + 2`` (router.py).
-        self.default_budget = 2 * len(scheme.tables) + 2
-        adj = _adjacency(graph)
-        ids = list(scheme.index)
-        self.tree = _pack_tree(scheme.tree_id, ids, scheme.columns_of(ids),
-                               adj, weighted=graph is not None)
+        self.default_budget = default_budget
         self.labels: Dict[NodeId, PackedLabel] = {
-            v: _pack_label(label, self.tree, adj, weighted=graph is not None)
-            for v, label in scheme.labels.items()
-        }
-        self.nodes: List[NodeId] = list(scheme.tables)
-        #: Single-tree provenance for traced queries (level 0 by definition).
-        self.provenance = DecisionProvenance(
-            level=0,
-            tree_id=scheme.tree_id,
-            tree_index=0,
-            root=scheme.root,
-            dist_to_root=0.0,
-            tree_size=self.tree.size,
-            label_words=0,
-        )
+            v: label for v, ((_, _, _, label),) in rows.items()}
+        self.nodes: List[NodeId] = list(tree.ids)
 
     def table_words(self) -> int:
         """Words across all packed per-vertex rows (5 words per vertex)."""
@@ -190,95 +163,47 @@ class CompiledTreeScheme:
 class CompiledGraphScheme:
     """A :class:`GraphRoutingScheme` packed for serving.
 
-    Per-tree structure is compiled from the **per-vertex tables** (not from
-    ``tree_schemes``): the reference router consults only
-    ``scheme.tables[at].trees``, and a scheme whose per-vertex tables are
-    out of sync with its tree schemes must fail identically here.
+    Built from parts -- the packed trees, per-target ``(level,
+    tree_index, dist_to_root, label)`` rows and scalars -- by
+    :func:`compile_scheme` and by shared-memory reconstruction
+    (:mod:`repro.shard.tables`) alike.
     """
 
     kind = "graph"
 
-    def __init__(self, scheme: GraphRoutingScheme, graph: nx.Graph) -> None:
-        if graph is None:
-            raise InputError("compiling a graph scheme requires the graph "
-                             "(edge checks, weights, hop budget)")
-        self.k = scheme.k
-        self.n = graph.number_of_nodes()
+    def __init__(
+        self,
+        trees: List[PackedTree],
+        rows: Dict[NodeId, Sequence[Row]],
+        *,
+        k: int,
+        n: int,
+        default_budget: int,
+        table_ids: Iterable[NodeId],
+    ) -> None:
+        self.k = k
+        self.n = n
         #: Reference hop budget: ``4 * graph.number_of_nodes() + 4``.
-        self.default_budget = 4 * self.n + 4
+        self.default_budget = default_budget
         #: Vertices owning a GraphTable at all -- the reference raises
         #: ``KeyError`` (not ``RoutingFailure``) on a vertex outside this
         #: set, and the engine must match.
-        self.table_ids = frozenset(scheme.tables)
-        adj = _adjacency(graph)
-
-        # -- intern cluster-tree ids over the union of per-vertex tables ----
-        tree_ids: List[Hashable] = []
-        tree_index: Dict[Hashable, int] = {}
-        members: List[List[NodeId]] = []
-        held: List[list] = []  # each member's GraphTable entry
-        for v, table in scheme.tables.items():
-            for tid, entry in table.trees.entries.items():
-                ti = tree_index.get(tid)
-                if ti is None:
-                    ti = tree_index[tid] = len(tree_ids)
-                    tree_ids.append(tid)
-                    members.append([])
-                    held.append([])
-                members[ti].append(v)
-                held[ti].append(entry)
-        self.tree_ids = tree_ids
-        self.tree_index = tree_index
-        with _tele.span("serve/compile/trees", trees=len(tree_ids)):
-            self.trees: List[PackedTree] = [
-                _pack_tree(tid, ids, _member_columns(ids, entries), adj,
-                           weighted=True)
-                for tid, ids, entries in zip(tree_ids, members, held)
-            ]
-
-        # -- pack destination labels ----------------------------------------
-        with _tele.span("serve/compile/labels", labels=len(scheme.labels)):
-            self.entries: Dict[NodeId, Tuple[PackedEntry, ...]] = {}
-            for v, label in scheme.labels.items():
-                packed: List[PackedEntry] = []
-                for i, entry in enumerate(label.entries):
-                    if entry is None:
-                        continue
-                    tid, dist, tree_label = entry
-                    ti = tree_index.get(tid)
-                    if ti is None:
-                        # The reference router skips this entry for every
-                        # source (`has_tree` is False everywhere).
-                        continue
-                    packed.append(PackedEntry(
-                        level=i,
-                        tree_index=ti,
-                        dist_to_root=dist,
-                        label=_pack_label(tree_label, self.trees[ti], adj,
-                                          weighted=True),
-                    ))
-                self.entries[v] = tuple(packed)
-        self.nodes: List[NodeId] = list(scheme.labels)
-
-        # -- flat decision table --------------------------------------------
-        #: ``decisions[target]`` is the per-target candidate scan of
-        #: ``entries[target]`` pre-resolved into bare tuples
-        #: ``(local, (tree, label), root_distance, level, dist_to_root)``,
-        #: in level order.  The engine's source rule is then one membership
-        #: probe per candidate with zero dataclass attribute loads -- the
-        #: decision scan runs on every cache miss, and attribute chasing on
-        #: :class:`PackedEntry` was a measurable share of it.
-        self.decisions = _decision_table(self.trees, self.entries)
-
-        # -- provenance side-table (S19 tracing) ----------------------------
-        #: ``provenance[target][i]`` describes ``decisions[target][i]``:
-        #: candidate order is identical, so a replayed decision scan can
-        #: recover level / landmark / tree identity from the committed
-        #: candidate index alone.  ``bunch_levels[target]`` is the set of
-        #: hierarchy levels present in the target's usable label — its bunch
-        #: membership as the serving layer sees it.
-        self.provenance = _provenance_table(self.trees, self.entries)
-        self.bunch_levels = _bunch_levels(self.entries)
+        self.table_ids = frozenset(table_ids)
+        self.trees = trees
+        #: ``decisions[target]`` -- the one per-target table -- is the
+        #: target's usable label entries in level order, pre-resolved
+        #: into bare tuples ``(local, (tree, label), root_distance,
+        #: level, dist_to_root)``.  The engine's source rule is then one
+        #: membership probe per candidate with zero attribute loads (the
+        #: scan runs on every cache miss), and a trace reads its
+        #: provenance off the committed tuple.
+        self.decisions: Dict[NodeId, Tuple[Candidate, ...]] = {
+            v: tuple((trees[ti].local, (trees[ti], label),
+                      trees[ti].root_distance, level, dist)
+                     for level, ti, dist, label in target_rows)
+            for v, target_rows in rows.items()
+        }
+        self.nodes: List[NodeId] = list(self.decisions)
 
     def table_words(self) -> int:
         """Words across all packed per-tree rows (5 words per membership)."""
@@ -302,70 +227,87 @@ def compile_scheme(
     """
     with _tele.span("serve/compile", kind=type(scheme).__name__):
         if isinstance(scheme, TreeRoutingScheme):
-            return CompiledTreeScheme(scheme, graph)
+            return _compile_tree(scheme, graph)
         if isinstance(scheme, GraphRoutingScheme):
-            return CompiledGraphScheme(scheme, graph)
+            return _compile_graph(scheme, graph)
     raise InputError(f"cannot compile {type(scheme).__name__}")
+
+
+def _compile_tree(
+    scheme: TreeRoutingScheme,
+    graph: Optional[nx.Graph],
+) -> CompiledTreeScheme:
+    adj = _adjacency(graph)
+    weighted = graph is not None
+    ids = list(scheme.index)
+    tree = _pack_tree(scheme.tree_id, ids, scheme.columns_of(ids), adj,
+                      weighted=weighted)
+    rows = {v: ((0, 0, 0.0, _pack_label(label, tree, adj, weighted=weighted)),)
+            for v, label in scheme.labels.items()}
+    return CompiledTreeScheme(
+        tree, rows, root=scheme.root, vertex_count=len(ids),
+        default_budget=2 * len(ids) + 2)
+
+
+def _compile_graph(
+    scheme: GraphRoutingScheme,
+    graph: Optional[nx.Graph],
+) -> CompiledGraphScheme:
+    """Per-tree structure is compiled from the **per-vertex tables** (not
+    from ``tree_schemes``): the reference router consults only
+    ``scheme.tables[at].trees``, and a scheme whose per-vertex tables are
+    out of sync with its tree schemes must fail identically here."""
+    if graph is None:
+        raise InputError("compiling a graph scheme requires the graph "
+                         "(edge checks, weights, hop budget)")
+    adj = _adjacency(graph)
+
+    # -- intern cluster-tree ids over the union of per-vertex tables --------
+    tree_index: Dict[Hashable, int] = {}
+    members: List[List[NodeId]] = []
+    held: List[list] = []  # each member's GraphTable entry
+    for v, table in scheme.tables.items():
+        for tid, entry in table.trees.entries.items():
+            ti = tree_index.get(tid)
+            if ti is None:
+                ti = tree_index[tid] = len(members)
+                members.append([])
+                held.append([])
+            members[ti].append(v)
+            held[ti].append(entry)
+    with _tele.span("serve/compile/trees", trees=len(tree_index)):
+        trees = [
+            _pack_tree(tid, ids, _member_columns(ids, entries), adj,
+                       weighted=True)
+            for tid, ids, entries in zip(tree_index, members, held)
+        ]
+
+    # -- pack destination labels into (level, tree, dist, label) rows -------
+    with _tele.span("serve/compile/labels", labels=len(scheme.labels)):
+        rows: Dict[NodeId, List[Row]] = {}
+        for v, label in scheme.labels.items():
+            target_rows: List[Row] = []
+            for level, entry in enumerate(label.entries):
+                if entry is None:
+                    continue
+                tid, dist, tree_label = entry
+                ti = tree_index.get(tid)
+                if ti is None:
+                    # The reference router skips this entry for every
+                    # source (`has_tree` is False everywhere).
+                    continue
+                target_rows.append((level, ti, dist, _pack_label(
+                    tree_label, trees[ti], adj, weighted=True)))
+            rows[v] = target_rows
+    n = graph.number_of_nodes()
+    return CompiledGraphScheme(
+        trees, rows, k=scheme.k, n=n, default_budget=4 * n + 4,
+        table_ids=scheme.tables)
 
 
 # ---------------------------------------------------------------------------
 # Packing helpers
 # ---------------------------------------------------------------------------
-
-def _decision_table(
-    trees: List[PackedTree],
-    entries: Dict[NodeId, Tuple[PackedEntry, ...]],
-) -> Dict[NodeId, Tuple[Tuple[Dict[NodeId, int],
-                              Tuple[PackedTree, PackedLabel],
-                              List[float], int, float], ...]]:
-    """Resolve packed entries into the engine's bare candidate tuples.
-
-    Shared between compilation and shared-memory reconstruction
-    (:mod:`repro.shard.tables`), so the two code paths cannot drift.
-    """
-    return {
-        v: tuple(
-            (trees[e.tree_index].local,
-             (trees[e.tree_index], e.label),
-             trees[e.tree_index].root_distance,
-             e.level, e.dist_to_root)
-            for e in packed_entries
-        )
-        for v, packed_entries in entries.items()
-    }
-
-
-def _provenance_table(
-    trees: List[PackedTree],
-    entries: Dict[NodeId, Tuple[PackedEntry, ...]],
-) -> Dict[NodeId, Tuple[DecisionProvenance, ...]]:
-    """Candidate-order-aligned provenance rows (see ``provenance`` above)."""
-    roots = [_tree_root(t) for t in trees]
-    return {
-        v: tuple(
-            DecisionProvenance(
-                level=e.level,
-                tree_id=trees[e.tree_index].tree_id,
-                tree_index=e.tree_index,
-                root=roots[e.tree_index],
-                dist_to_root=e.dist_to_root,
-                tree_size=trees[e.tree_index].size,
-                label_words=e.label.words,
-            )
-            for e in packed_entries
-        )
-        for v, packed_entries in entries.items()
-    }
-
-
-def _bunch_levels(
-    entries: Dict[NodeId, Tuple[PackedEntry, ...]],
-) -> Dict[NodeId, Tuple[int, ...]]:
-    return {
-        v: tuple(e.level for e in packed_entries)
-        for v, packed_entries in entries.items()
-    }
-
 
 def _adjacency(
     graph: Optional[nx.Graph],

@@ -53,7 +53,7 @@ from typing import (
     Tuple,
 )
 
-from ..errors import RoutingFailure
+from ..errors import InputError, RoutingFailure
 
 #: On-disk format version of :meth:`DecisionCache.save` (2: the file
 #: names what its entries were computed on).
@@ -367,7 +367,6 @@ class DecisionCache:
         an :class:`~repro.errors.InputError`: its paths would be served
         as answers about tables they were never computed on.
         """
-        from ..errors import InputError
         from ..routing.serialization import decode_id
 
         with open(path) as fp:
@@ -437,14 +436,14 @@ class ServeEngine:
         tracer: Optional["Tracer"] = None,
     ) -> None:
         if mode not in ("first", "best"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise InputError(f"unknown mode {mode!r}")
         self.compiled = compiled
         self.mode = mode
         #: ``cache`` (e.g. a :meth:`DecisionCache.load`-ed warm cache)
         #: takes precedence over ``cache_size``.
         self.cache = cache if cache is not None else DecisionCache(cache_size)
         if max_hops is not None and max_hops < 0:
-            raise ValueError(f"max_hops must be >= 0, got {max_hops}")
+            raise InputError(f"max_hops must be >= 0, got {max_hops}")
         #: Hops one query may take, by the reference routers' rule: an
         #: explicit ``max_hops`` (0 included) or the scheme's default.
         self.budget = (max_hops if max_hops is not None

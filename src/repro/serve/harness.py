@@ -480,6 +480,7 @@ def serve_pairs(
     # Results[i] gets trace ordinal trace_base + i (a pre-warmed
     # engine may already have consumed ordinals).
     trace_base = tracer.seq if tracer is not None else 0
+    dropped_before = tracer.head_dropped if tracer is not None else 0
     # The engine's counters are lifetime totals; the report counts this
     # call alone, like ``queries``.
     failures_before = engine.failures
@@ -531,6 +532,10 @@ def serve_pairs(
                         head=len(tracer.head) + len(tracer.pending)):
             traces = tracer.finalize(engine, results, stretches,
                                      graph=graph, base=trace_base)
+        # Head picks past ``head_limit`` get no trace; a recorded run
+        # says how many (the RunRecord's counters).
+        _tele.emit("tracing.head_dropped",
+                   tracer.head_dropped - dropped_before)
 
     hops_sketch = QuantileSketch(SKETCH_ACCURACY)
     for path_length, count in path_length_counts(results).items():

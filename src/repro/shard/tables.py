@@ -48,13 +48,9 @@ from ..serve.compile import (
     CompiledGraphScheme,
     CompiledScheme,
     CompiledTreeScheme,
-    DecisionProvenance,
-    PackedEntry,
     PackedLabel,
     PackedTree,
-    _bunch_levels,
-    _decision_table,
-    _provenance_table,
+    Row,
 )
 
 NodeId = Hashable
@@ -126,17 +122,18 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
         scalars: Dict[str, Any] = {
             "vertex_count": compiled.vertex_count,
             "default_budget": compiled.default_budget,
-            "tree_id_u": index(compiled.tree_id),
+            "tree_id_u": index(compiled.tree.tree_id),
             "root_u": (NO_ID if compiled.root is None
                        else index(compiled.root)),
         }
     elif isinstance(compiled, CompiledGraphScheme):
         kind = "graph"
         trees = compiled.trees
+        position = {tree.tree_id: ti for ti, tree in enumerate(trees)}
         per_target = [
-            (v, tuple((e.level, e.tree_index, e.dist_to_root, e.label)
-                      for e in packed))
-            for v, packed in compiled.entries.items()
+            (v, tuple((level, position[tree.tree_id], dist, label)
+                      for _, (tree, label), _, level, dist in cands))
+            for v, cands in compiled.decisions.items()
         ]
         scalars = {
             "k": compiled.k,
@@ -410,52 +407,23 @@ def from_buffers(manifest: Dict[str, Any], buffer: Any = None) -> AttachedTables
 def _rebuild(manifest: Dict[str, Any],
              arrays: Dict[str, memoryview],
              keep) -> CompiledScheme:
+    """Decode the image into the parts both compiled classes are built
+    from, and build one."""
     universe = [decode_id(blob) for blob in manifest["universe"]]
     trees = _rebuild_trees(manifest, arrays, universe, keep)
-    labels = _rebuild_labels(manifest, arrays, universe, trees)
+    rows = _rebuild_rows(arrays, universe)
     scalars = manifest["scalars"]
-
     if manifest["kind"] == "tree":
-        compiled_t = object.__new__(CompiledTreeScheme)
-        compiled_t.tree_id = universe[scalars["tree_id_u"]]
         root_u = scalars["root_u"]
-        compiled_t.root = None if root_u == NO_ID else universe[root_u]
-        compiled_t.vertex_count = scalars["vertex_count"]
-        compiled_t.default_budget = scalars["default_budget"]
-        compiled_t.tree = trees[0]
-        compiled_t.labels = {
-            target: entries[0][3] for target, entries in labels
-        }
-        compiled_t.nodes = list(trees[0].ids)
-        compiled_t.provenance = DecisionProvenance(
-            level=0, tree_id=compiled_t.tree_id, tree_index=0,
-            root=compiled_t.root, dist_to_root=0.0,
-            tree_size=trees[0].size, label_words=0,
-        )
-        return compiled_t
-
-    compiled_g = object.__new__(CompiledGraphScheme)
-    compiled_g.k = scalars["k"]
-    compiled_g.n = scalars["n"]
-    compiled_g.default_budget = scalars["default_budget"]
-    compiled_g.table_ids = frozenset(
-        universe[u] for u in arrays["table_ids_u"])
-    compiled_g.tree_ids = [universe[u] for u in arrays["tree_ids_u"]]
-    compiled_g.tree_index = {
-        tid: i for i, tid in enumerate(compiled_g.tree_ids)}
-    compiled_g.trees = trees
-    compiled_g.entries = {
-        target: tuple(
-            PackedEntry(level=level, tree_index=ti, dist_to_root=dist,
-                        label=label)
-            for level, ti, dist, label in entries)
-        for target, entries in labels
-    }
-    compiled_g.nodes = list(compiled_g.entries)
-    compiled_g.decisions = _decision_table(trees, compiled_g.entries)
-    compiled_g.provenance = _provenance_table(trees, compiled_g.entries)
-    compiled_g.bunch_levels = _bunch_levels(compiled_g.entries)
-    return compiled_g
+        return CompiledTreeScheme(
+            trees[0], rows,
+            root=None if root_u == NO_ID else universe[root_u],
+            vertex_count=scalars["vertex_count"],
+            default_budget=scalars["default_budget"])
+    return CompiledGraphScheme(
+        trees, rows, k=scalars["k"], n=scalars["n"],
+        default_budget=scalars["default_budget"],
+        table_ids=[universe[u] for u in arrays["table_ids_u"]])
 
 
 def _rebuild_trees(
@@ -503,12 +471,10 @@ def _rebuild_trees(
     return trees
 
 
-def _rebuild_labels(
-    manifest: Dict[str, Any],
+def _rebuild_rows(
     arrays: Dict[str, memoryview],
     universe: List[NodeId],
-    trees: List[PackedTree],
-) -> List[Tuple[NodeId, List[Tuple[int, int, float, PackedLabel]]]]:
+) -> Dict[NodeId, List[Row]]:
     entry_offsets = arrays["entry_offsets"]
     light_offsets = arrays["light_offsets"]
     entry_level = arrays["entry_level"]
@@ -520,9 +486,9 @@ def _rebuild_labels(
     light_next_li = arrays["light_next_li"]
     light_next_u = arrays["light_next_u"]
     light_w = arrays["light_w"]
-    out: List[Tuple[NodeId, List[Tuple[int, int, float, PackedLabel]]]] = []
+    rows: Dict[NodeId, List[Row]] = {}
     for i, target_u in enumerate(arrays["label_targets_u"]):
-        entries: List[Tuple[int, int, float, PackedLabel]] = []
+        target_rows: List[Row] = []
         for e in range(entry_offsets[i], entry_offsets[i + 1]):
             light: Dict[int, Tuple[int, NodeId, Optional[float]]] = {}
             for j in range(light_offsets[e], light_offsets[e + 1]):
@@ -532,10 +498,10 @@ def _rebuild_labels(
                     universe[light_next_u[j]],
                     None if w != w else w,
                 )
-            entries.append((
+            target_rows.append((
                 entry_level[e], entry_tree[e], entry_dist[e],
                 PackedLabel(enter=entry_enter[e], light=light,
                             words=entry_words[e]),
             ))
-        out.append((universe[target_u], entries))
-    return out
+        rows[universe[target_u]] = target_rows
+    return rows

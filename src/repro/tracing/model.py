@@ -2,8 +2,8 @@
 
 A :class:`QueryTrace` is the causal record of one served query: which
 hierarchy level / cluster tree / landmark the source rule committed to
-(from the compiler's :class:`~repro.serve.compile.DecisionProvenance`
-side-table), every forwarded hop annotated with its decision kind
+(read off the committed candidate of the compiler's ``decisions``
+table), every forwarded hop annotated with its decision kind
 (``parent`` ascent, ``heavy``/``light`` descent), and — once
 :mod:`repro.tracing.attribution` has run — an exact split of
 ``actual - optimal`` route cost.

@@ -7,8 +7,8 @@ committed candidate's index) and hop loop (``_forward_graph`` /
 ``_forward_tree``): the trace takes the served path and failure text by
 construction.  One pass over the walked path then labels each
 :class:`~repro.tracing.model.HopSpan` (kind and weight, from the arrays the
-walk stepped through), and the candidate's
-:class:`~repro.serve.compile.DecisionProvenance` names level, tree and root.
+walk stepped through), and the committed ``decisions`` candidate names
+level, tree, root and distance to it: provenance is read at replay.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Hashable, List, Sequence, Tuple
 
 from ..errors import RoutingFailure
-from ..serve.compile import CompiledTreeScheme, PackedLabel, PackedTree
+from ..serve.compile import (
+    CompiledTreeScheme,
+    PackedLabel,
+    PackedTree,
+    _tree_root,
+)
 from ..serve.engine import _forward_graph, _forward_tree
 from .model import HopSpan, QueryTrace
 
@@ -47,22 +52,24 @@ def replay_query(
     if is_tree:
         tree = compiled.tree
         label = compiled.labels[target]  # parity: scheme.labels[target]
-        index, prov = 0, compiled.provenance
+        index, level, dist_to_root, root = 0, 0, 0.0, compiled.root
         trace.bunch_levels = (0,)
     else:
         if source == target:
             trace.ok = True
             return trace
-        trace.bunch_levels = compiled.bunch_levels.get(target, ())
+        cands = compiled.decisions.get(target, ())
+        trace.bunch_levels = tuple(cand[3] for cand in cands)
         try:
             index, (tree, label) = engine._decide(compiled, source, target)
         except RoutingFailure as exc:
             trace.error = str(exc)
             return trace
-        prov = compiled.provenance[target][index]
+        _, _, _, level, dist_to_root = cands[index]
+        root = _tree_root(tree)
     trace.candidate_index, trace.level, trace.tree_id = \
-        index, prov.level, prov.tree_id
-    trace.root, trace.dist_to_root = prov.root, prov.dist_to_root
+        index, level, tree.tree_id
+    trace.root, trace.dist_to_root = root, dist_to_root
     try:
         if is_tree:
             path, _ = _forward_tree(tree, label, source, budget=engine.budget)

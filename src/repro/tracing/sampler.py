@@ -33,6 +33,7 @@ import math
 import random
 from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Sequence, Tuple
 
+from ..errors import InputError
 from ..serve.engine import RouteBatch
 from .model import QueryTrace
 from .recorder import replay_query
@@ -88,7 +89,6 @@ class TailBuffer:
         # Min-heap of (key, tie, ordinal, source, target, failed); the
         # ordinal makes comparisons total even for exotic vertex ids.
         self._heap: List[tuple] = []
-        self.offered = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -108,7 +108,6 @@ class TailBuffer:
         stream depends only on the offer sequence (bugfix: an accepted/
         rejected-dependent draw made retention depend on heap state).
         """
-        self.offered += 1
         tie = self._rng.random()
         if self.limit <= 0:
             return False
@@ -148,7 +147,7 @@ class Tracer:
     engine answers (the query *ordinal*); ``trace_id(ordinal)`` is the
     stable id ``{prefix}-{ordinal:06d}`` shared with Prometheus exemplars
     and ``repro explain``.  ``rate`` must lie in ``[0, 1]`` and both
-    limits must be ``>= 0`` (``ValueError`` otherwise).
+    limits must be ``>= 0`` (:class:`~repro.errors.InputError` otherwise).
     """
 
     def __init__(
@@ -162,11 +161,11 @@ class Tracer:
     ) -> None:
         self.rate = float(rate)
         if not 0.0 <= self.rate <= 1.0:  # NaN fails this too
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
+            raise InputError(f"rate must be in [0, 1], got {rate}")
         for name, limit in (("tail_limit", tail_limit),
                             ("head_limit", head_limit)):
             if limit < 0:
-                raise ValueError(f"{name} must be >= 0, got {limit}")
+                raise InputError(f"{name} must be >= 0, got {limit}")
         self.seed = int(seed)
         self.prefix = prefix
         self.head_limit = int(head_limit)

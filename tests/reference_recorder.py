@@ -22,6 +22,7 @@ from repro.serve.compile import (
     CompiledTreeScheme,
     PackedLabel,
     PackedTree,
+    _tree_root,
 )
 from repro.tracing.model import HopSpan, QueryTrace
 
@@ -68,18 +69,19 @@ def _replay_graph(
     if source == target:
         trace.ok = True
         return trace
-    trace.bunch_levels = compiled.bunch_levels.get(target, ())
+    trace.bunch_levels = tuple(
+        cand[3] for cand in compiled.decisions.get(target, ()))
     try:
         idx, tree, label = _decide_indexed(engine, compiled, source, target)
     except RoutingFailure as exc:
         trace.error = str(exc)
         return trace
-    prov = compiled.provenance[target][idx]
+    _, _, _, level, dist_to_root = compiled.decisions[target][idx]
     trace.candidate_index = idx
-    trace.level = prov.level
-    trace.tree_id = prov.tree_id
-    trace.root = prov.root
-    trace.dist_to_root = prov.dist_to_root
+    trace.level = level
+    trace.tree_id = tree.tree_id
+    trace.root = _tree_root(tree)
+    trace.dist_to_root = dist_to_root
     _walk_graph(trace, compiled, tree, label, source, target, engine.budget)
     return trace
 
@@ -199,11 +201,10 @@ def _replay_tree(
     via: str,
 ) -> QueryTrace:
     trace = QueryTrace(trace_id, source, target, via=via, mode=engine.mode)
-    prov = compiled.provenance
-    trace.level = prov.level
-    trace.tree_id = prov.tree_id
-    trace.root = prov.root
-    trace.dist_to_root = prov.dist_to_root
+    trace.level = 0
+    trace.tree_id = compiled.tree.tree_id
+    trace.root = compiled.root
+    trace.dist_to_root = 0.0
     trace.candidate_index = 0
     trace.bunch_levels = (0,)
     label = compiled.labels[target]  # parity: scheme.labels[target]

@@ -156,6 +156,24 @@ class TestTelemetrySurfaces:
         assert verdict["measured"] == 0.0
         assert record["traces"]
 
+    def test_serve_reports_dropped_head_traces(self, tmp_path, capsys):
+        """Every query is head-sampled at rate 1, so the picks past the
+        256-trace head limit are dropped; the text says how many, and so
+        does the RunRecord, outside the serving row."""
+        traces = tmp_path / "traces.jsonl"
+        argv = ["serve", "--n", "60", "--k", "2", "--queries", "400",
+                "--trace-out", str(traces), "--trace-rate", "1"]
+        assert main(argv) == 0
+        lines = traces.read_text().splitlines()
+        assert (f"{len(lines)} traces written to {traces} (144 head-sampled "
+                "queries dropped at the 256-trace head limit)"
+                in capsys.readouterr().out)
+        assert main([*argv, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["counters"]["tracing.head_dropped"] == 144
+        assert len(record["traces"]) == len(lines)
+        assert not any("dropped" in key for key in record["columns"][0])
+
     def test_explain_unknown_trace_id_exits_two(self, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
         rc = main(["serve", "--n", "60", "--k", "2", "--queries", "200",

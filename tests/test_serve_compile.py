@@ -56,16 +56,23 @@ class TestPackedStructure:
         assert compiled.table_ids == frozenset(scheme.tables)
 
     def test_decisions_mirror_entries(self, built):
-        _, _, compiled = built
-        assert set(compiled.decisions) == set(compiled.entries)
-        for v, entries in compiled.entries.items():
+        _, scheme, compiled = built
+        trees = {t.tree_id: t for t in compiled.trees}
+        assert list(compiled.decisions) == list(scheme.labels)
+        for v, label in scheme.labels.items():
+            usable = [(level, entry) for level, entry
+                      in enumerate(label.entries)
+                      if entry is not None and entry[0] in trees]
             cands = compiled.decisions[v]
-            assert len(cands) == len(entries)
-            for entry, (local, pair, rd, level, dist) in zip(entries, cands):
-                tree = compiled.trees[entry.tree_index]
-                assert pair == (tree, entry.label)
+            assert len(cands) == len(usable)
+            for (level, (tid, dist, tree_label)), \
+                    (local, (tree, packed), rd, got_level, got_dist) \
+                    in zip(usable, cands):
+                assert tree is trees[tid]
                 assert local is tree.local and rd is tree.root_distance
-                assert (level, dist) == (entry.level, entry.dist_to_root)
+                assert (got_level, got_dist) == (level, dist)
+                assert packed.enter == tree_label.enter
+                assert packed.words == tree_label.word_size()
 
     def test_edge_weights_match_graph(self, built):
         graph, _, compiled = built

@@ -10,7 +10,7 @@ corrupted-scheme cases check the failure surface hop by hop.
 
 import pytest
 
-from repro.errors import RoutingFailure
+from repro.errors import InputError, RoutingFailure
 from repro.graphs import (
     grid_graph,
     random_connected_graph,
@@ -19,8 +19,8 @@ from repro.graphs import (
 )
 from repro.routing import route_in_tree
 from repro.routing.router import route_in_graph, sample_pairs
-from repro.serve import ServeEngine, compile_scheme
-from repro.tracing import replay_query
+from repro.serve import ServeEngine, compile_scheme, serve_pairs
+from repro.tracing import Tracer, replay_query
 from repro.tz import build_centralized_scheme, build_tree_scheme
 
 from .differential.harness import random_tree_network
@@ -307,7 +307,7 @@ class TestTreeDifferential:
         compiled = compile_scheme(scheme)
         assert ServeEngine(compiled).budget == compiled.default_budget \
             == 2 * len(scheme.tables) + 2
-        with pytest.raises(ValueError, match="max_hops"):
+        with pytest.raises(InputError, match="max_hops"):
             ServeEngine(compiled, max_hops=-1)
 
 
@@ -320,3 +320,31 @@ def test_graph_engine_takes_max_hops_zero_literally(graph_setup):
         assert result.error == "exceeded hop budget 0"
     assert replay_query(engine, u, v).error == "exceeded hop budget 0"
     assert engine.route_many([(u, u)])[0].ok
+
+
+@pytest.mark.parametrize("mode", ["first", "best"])
+def test_trace_provenance_matches_the_source_scheme(graph_setup, mode):
+    """Every head and tail trace names the level, tree, root, distance to
+    the root and bunch levels the *source scheme* gives: read off
+    ``scheme.labels`` and ``scheme.tree_schemes``, never off the compiled
+    tables the replay itself reads."""
+    graph, scheme, compiled = graph_setup
+    held = {tid for table in scheme.tables.values() for tid in table.trees}
+    pairs = sample_pairs(list(graph.nodes), 300, seed=41)
+    report, _ = serve_pairs(ServeEngine(compiled, mode=mode), graph, pairs,
+                            tracer=Tracer(rate=0.1, seed=7, tail_limit=16))
+    vias = {trace.via for trace in report.traces}
+    assert any("head" in via for via in vias)
+    assert any("tail" in via for via in vias)
+    for trace in report.traces:
+        entries = scheme.labels[trace.target].entries
+        assert trace.bunch_levels == tuple(
+            level for level, entry in enumerate(entries)
+            if entry is not None and entry[0] in held)
+        tree_id, dist_to_root, _ = entries[trace.level]
+        assert (trace.tree_id, trace.dist_to_root) == (tree_id, dist_to_root)
+        assert trace.root == scheme.tree_schemes[tree_id].root
+        assert scheme.tables[trace.source].has_tree(tree_id)
+        # Thorup-Zwick: every vertex is in a level-0 cluster, and a
+        # cluster tree is named by its landmark, its root.
+        assert 0 in trace.bunch_levels and trace.root == trace.tree_id

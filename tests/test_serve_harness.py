@@ -296,7 +296,7 @@ class TestMeasurementLoop:
 class TestServeEngineUnits:
     def test_mode_validated(self, built):
         graph, scheme = built
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             ServeEngine(compile_scheme(scheme, graph), mode="worst")
 
     def test_cache_lru_eviction(self, built):

@@ -89,11 +89,10 @@ class TestRoundTrip:
         re = attached.compiled
         assert re.k == compiled.k and re.n == compiled.n
         assert re.nodes == compiled.nodes
-        assert re.tree_ids == compiled.tree_ids
+        assert [t.tree_id for t in re.trees] == \
+            [t.tree_id for t in compiled.trees]
         assert re.table_ids == compiled.table_ids
         assert re.default_budget == compiled.default_budget
-        assert re.bunch_levels == compiled.bunch_levels
-        assert set(re.provenance) == set(compiled.provenance)
         # Decision tables: same candidates in the same order (the packed
         # trees inside are compared by identity fields — their hot arrays
         # are zero-copy memoryviews on the rebuilt side, list-equal in
