@@ -8,7 +8,7 @@ the largest size of ``repro fig graph-rounds``):
 
 * ``fig7_flood``    — full-neighborhood exchanges (one ``send_each`` per
   round over every vertex's ports + ``deliver_batch``): the pure engine
-  round-trip;
+  round-trip, also printed as nanoseconds per message on each engine;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
 * ``fig7_meter``    — memory metering with no traffic: per-vertex stores
   over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
@@ -74,7 +74,7 @@ def _fig7_graph():
 def _flood(net: Any) -> None:
     arcs = [(v, w, None) for v in net.nodes() for w in net.ports(v)]
     for _ in range(25):
-        net.send_each("flood", arcs)
+        net.send_each(arcs)
         net.deliver_batch()
 
 
@@ -103,12 +103,11 @@ def _wave(net: Any) -> None:
             levels.setdefault(forest.depth[v], []).append(v)
     for r in range(WAVES):
         for depth in sorted(levels):
-            net.send_each("wave", [(v, c, (r, depth))
-                                   for v in levels[depth] for c in forest.children[v]])
+            net.send_each([(v, c, (r, depth))
+                           for v in levels[depth] for c in forest.children[v]])
             net.tick()
         net.store_each("wave/seen", {v: 1 + (r + d) % 3 for v, d in forest.depth.items()})
-        convergecast_up(net, forest, lambda v: 1,
-                        lambda v, sizes: 1 + sum(sizes), kind="wave-up")
+        convergecast_up(net, forest, lambda v: 1, lambda v, sizes: 1 + sum(sizes))
     net.free_key("wave/seen")
 
 
@@ -203,6 +202,12 @@ def render(records: List[Dict[str, Any]]) -> str:
             f"{r['message_words']:>10}{r['ref_wall_s']:>9.3f}"
             f"{r['fast_wall_s']:>9.3f}{r['speedup_wall']:>8.2f}x"
         )
+    for r in records:
+        if r["workload"] == "fig7_flood":
+            ref_ns, fast_ns = (round(r[f"{e}_wall_s"] * 1e9 / r["messages"])
+                               for e in ("ref", "fast"))
+            lines.append(f"fig7_flood per message: reference {ref_ns} ns, "
+                         f"fast {fast_ns} ns")
     return "\n".join(lines)
 
 

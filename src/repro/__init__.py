@@ -41,7 +41,6 @@ from .congest import (
     BfsTree,
     Forest,
     MemoryMeter,
-    Message,
     Network,
     RunMetrics,
     broadcast_all,
@@ -114,7 +113,6 @@ __all__ = [
     "InvariantViolation",
     "MemoryAccountingError",
     "MemoryMeter",
-    "Message",
     "MultiTreeBuild",
     "Network",
     "ReproError",

@@ -17,11 +17,13 @@ from ..baselines.landmark import build_landmark_scheme
 from ..baselines.tree_cover import build_tree_cover_scheme, route_cover
 from ..congest.network import Network
 from ..core.build import build_distributed_scheme
+from ..core.low_levels import claim8_hop_limit
 from ..graphs.generators import random_connected_graph, spanning_tree_of
 from ..routing.router import measure_stretch, sample_pairs
 from ..telemetry import (
     BoundVerdict,
     RunRecord,
+    check_claim8_hop_depth,
     check_graph_columns,
     check_table1_relations,
     check_table2_relations,
@@ -143,6 +145,8 @@ class Table1Result:
     seed: int = 0
     pairs: int = 150
     avg_degree: float = 6.0
+    #: The build's deepest cluster tree per low level (Claim 8's verdict).
+    low_level_hop_depth: Dict[int, int] = field(default_factory=dict)
 
     def render(self) -> str:
         return format_records(
@@ -194,6 +198,7 @@ def run_table1(
     # This paper (Appendix B, distributed).
     report = build_distributed_scheme(graph, k, epsilon=epsilon, seed=seed)
     result.hop_diameter_bound = report.hop_diameter_bound
+    result.low_level_hop_depth = report.low_level_hop_depth
     stretch = measure_stretch(report.scheme, graph, pair_sample)
     result.rows.append({
         "scheme": "this-paper",
@@ -308,4 +313,7 @@ def table1_verdicts(result: Table1Result) -> List[BoundVerdict]:
         hop_diameter_bound=result.hop_diameter_bound,
     )
     verdicts += check_table1_relations(ours, n=result.n)
+    depths = result.low_level_hop_depth
+    verdicts += check_claim8_hop_depth(
+        depths, {i: claim8_hop_limit(result.n, result.k, i) for i in depths})
     return verdicts

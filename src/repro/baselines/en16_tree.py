@@ -130,7 +130,6 @@ def build_en16_tree_scheme(
         part.local_forest,
         leaf_value=lambda v: 1,
         combine=lambda v, sizes: 1 + sum(sizes),
-        kind="en16-sizes",
         phase="en16/local-sizes",
     )
 

@@ -5,13 +5,13 @@ Public surface:
 * :class:`~repro.congest.network.Network` -- the round-synchronous simulator
   with per-edge capacity, message word limits, and per-vertex memory meters
   (the fast-path engine: cached port tables, one arc map per vertex);
-  ``send_each(kind, [(src, dst, payload), ...])`` is the one way to queue
-  a round's messages on either engine;
+  ``send_each([(src, dst, payload), ...])`` is the one way to queue
+  a round's messages on either engine, and a message is that
+  ``(src, dst, payload)`` tuple (the engine owns its width);
 * :class:`~repro.congest.reference.ReferenceNetwork` -- the frozen seed
   engine, kept as the oracle for the differential harness;
 * :class:`~repro.congest.memory.MemoryMeter` -- one vertex's word accounting,
   the specification of the network's column bank (``Network.mem(v)``);
-* :class:`~repro.congest.message.Message`;
 * :func:`~repro.congest.bfs.build_bfs_tree` / :class:`~repro.congest.bfs.BfsTree`;
 * :func:`~repro.congest.broadcast.broadcast_all` (Lemma 1) and
   :func:`~repro.congest.broadcast.convergecast_aggregate`;
@@ -23,7 +23,6 @@ Public surface:
 from .bfs import BfsTree, build_bfs_tree
 from .broadcast import broadcast_all, convergecast_aggregate
 from .memory import MemoryMeter
-from .message import Message
 from .metrics import PhaseRecord, RunMetrics
 from .network import Network
 from .primitives import Forest, convergecast_up
@@ -33,7 +32,6 @@ __all__ = [
     "BfsTree",
     "Forest",
     "MemoryMeter",
-    "Message",
     "Network",
     "PhaseRecord",
     "ReferenceNetwork",

@@ -65,21 +65,20 @@ def build_bfs_tree(net: Network, root: Optional[NodeId] = None) -> BfsTree:
         while frontier:
             # The whole frontier is one round: every frontier vertex sends
             # the wave to each port not yet reached.
-            net.send_each("bfs", [(u, w, None) for u in frontier
-                                  for w in net.ports(u) if w not in parent])
+            net.send_each([(u, w, None) for u in frontier
+                           for w in net.ports(u) if w not in parent])
             # Flat delivery: pick each vertex's first sender in repr order
             # without building per-destination inboxes.  ``best`` keeps
             # first-arrival insertion order, matching the inbox order the
             # seed engine iterated.
             best: Dict[NodeId, Tuple[str, NodeId]] = {}
-            for msg in net.deliver_batch():
-                v = msg.dst
+            for src, v, _ in net.deliver_batch():
                 if v in parent:
                     continue
-                key = repr(msg.src)
+                key = repr(src)
                 cur = best.get(v)
                 if cur is None or key < cur[0]:
-                    best[v] = (key, msg.src)
+                    best[v] = (key, src)
             next_frontier: List[NodeId] = []
             for v, (_, chosen) in best.items():
                 parent[v] = chosen

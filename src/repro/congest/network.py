@@ -3,8 +3,10 @@
 A :class:`Network` wraps a weighted undirected :mod:`networkx` graph.  Every
 vertex hosts a processor with a memory meter (``mem(v)``, answered by the
 network's :class:`~repro.congest.memory.MemoryBank`); processors
-communicate in synchronous rounds by exchanging
-:class:`~repro.congest.message.Message` objects along edges.
+communicate in synchronous rounds by exchanging messages along edges.
+A message is the ``(src, dst, payload)`` tuple its sender names: the
+engine queues and delivers that tuple object itself and owns its width,
+sized once at send (one word for a bare scalar, ``words_of`` otherwise).
 
 Model enforcement
 -----------------
@@ -48,8 +50,11 @@ loops never touch :mod:`networkx` again:
   messages; it queues a round of ``(src, dst, payload)`` messages in one
   call, with the engine state it touches read once per call rather than
   once per message, and the word total accumulated as it goes;
-  :meth:`deliver_batch` delivers a round as one flat list for callers that
-  do not need per-destination inboxes.
+* **no per-message object**: the outbox holds the senders' own tuples (a
+  non-tuple triple is converted once), a one-word payload is sized by a
+  type test instead of a ``words_of`` call, and :meth:`deliver_batch`
+  hands the round back as one flat list for callers that do not need
+  per-destination inboxes.
 
 All observable behaviour — message order, inbox ordering, metrics,
 memory accounting, round observers, and byte-for-byte ``strict``
@@ -76,18 +81,19 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple, cast
 
 import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
 from ..telemetry import flight as _flight
-from ..wordsize import words_of
+from ..wordsize import _ONE_WORD_TYPES, words_of
 from .memory import MemoryBank, MeterView
-from .message import Message
 from .metrics import RunMetrics
 
 NodeId = Hashable
+#: A message: the ``(src, dst, payload)`` tuple its sender names.
+Msg = Tuple[NodeId, NodeId, Any]
 
 #: The arc map of a source that is not a vertex: every lookup misses.
 _NO_ARCS: Dict[NodeId, int] = {}
@@ -128,7 +134,7 @@ class Network:
         self.edge_capacity = edge_capacity
         self.strict = strict
         self.metrics = RunMetrics()
-        self._outbox: List[Message] = []
+        self._outbox: List[Msg] = []
         #: Words queued in ``_outbox``, accumulated at send time so closing
         #: a round never re-walks the outbox to sum message widths.
         self._outbox_words = 0
@@ -273,14 +279,13 @@ class Network:
 
     # -- messaging -------------------------------------------------------------
 
-    def send_each(
-        self, kind: str, sends: Iterable[Tuple[NodeId, NodeId, Any]]
-    ) -> None:
+    def send_each(self, sends: Iterable[Msg]) -> None:
         """Queue every ``(src, dst, payload)`` of ``sends`` for delivery at
         the next :meth:`tick`, in order: one call queues a whole round of
-        one protocol step.  A failing message (a non-edge, an unsizable
-        payload, a strict overload) raises with the messages before it
-        queued.
+        one protocol step.  The tuple itself is what is delivered (a
+        non-tuple triple is converted once).  A failing message (a
+        non-edge, an unsizable payload, a strict overload) raises with the
+        messages before it queued.
         """
         arc_map = self._arc_map
         edge_load = self._edge_load
@@ -290,13 +295,17 @@ class Network:
         limit = self.message_word_limit
         capacity = self.edge_capacity
         strict = self.strict
+        one_word = _ONE_WORD_TYPES
         queued_words = 0
         try:
-            for src, dst, payload in sends:
+            for msg in sends:
+                if type(msg) is not tuple:
+                    msg = cast(Msg, tuple(msg))
+                src, dst, payload = msg
                 arc = arc_map.get(src, _NO_ARCS).get(dst)
                 if arc is None:
                     raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge")
-                words = 1 if payload is None else words_of(payload)
+                words = 1 if type(payload) in one_word else words_of(payload)
                 slots = 1 if words <= limit else -(-words // limit)
                 prior = edge_load[arc]
                 if strict and slots == 1 and prior >= capacity:
@@ -307,7 +316,7 @@ class Network:
                 if not prior:
                     loaded.append(arc)
                 edge_load[arc] = prior + slots
-                outbox.append(Message(src, dst, kind, payload, words))
+                outbox.append(msg)
                 queued_words += words
                 if slots > 1:
                     metrics.on_charge(slots - 1)
@@ -315,7 +324,7 @@ class Network:
             # A failure leaves the messages before it queued: count them.
             self._outbox_words += queued_words
 
-    def _end_round(self, delivered: List[Message], words: int) -> None:
+    def _end_round(self, delivered: List[Msg], words: int) -> None:
         """Shared round-close path of :meth:`tick` / :meth:`deliver_batch`."""
         self.metrics.on_round(len(delivered), words)
         if self._round_observers:
@@ -328,22 +337,23 @@ class Network:
             edge_load[arc] = 0
         self._loaded_arcs.clear()
 
-    def tick(self) -> Dict[NodeId, List[Message]]:
+    def tick(self) -> Dict[NodeId, List[Msg]]:
         """Deliver queued messages, advance one round, return inboxes."""
         delivered = self._outbox
         words = self._outbox_words
-        inboxes: Dict[NodeId, List[Message]] = defaultdict(list)
+        inboxes: Dict[NodeId, List[Msg]] = defaultdict(list)
         for msg in delivered:
-            inboxes[msg.dst].append(msg)
+            inboxes[msg[1]].append(msg)
         self._end_round(delivered, words)
         return inboxes
 
-    def deliver_batch(self) -> List[Message]:
+    def deliver_batch(self) -> List[Msg]:
         """Deliver queued messages as one flat list (no per-dst inboxes).
 
         Same round/metrics/observer semantics as :meth:`tick`, minus the
         cost of grouping by destination — for counting floods, observers-
-        only runs, and callers that dispatch on ``msg.dst`` themselves.
+        only runs, and callers that unpack ``(src, dst, payload)``
+        themselves.
         The word total was accumulated at send time, so closing the round
         does not touch the messages at all.
         """

@@ -98,7 +98,6 @@ def convergecast_up(
     leaf_value: Callable[[NodeId], Any],
     combine: Callable[[NodeId, List[Any]], Any],
     *,
-    kind: str = "converge",
     phase: Optional[str] = None,
 ) -> Dict[NodeId, Any]:
     """Aggregate values from the leaves to the roots of every tree.
@@ -117,24 +116,25 @@ def convergecast_up(
     if phase:
         net.begin_phase(phase)
     value: Dict[NodeId, Any] = {}
-    pending: Dict[NodeId, int] = {
-        v: len(forest.children[v]) for v in forest.vertices()
-    }
+    children = forest.children
     arrived: Dict[NodeId, List[Any]] = defaultdict(list)
-    ready = [v for v in forest.vertices() if pending[v] == 0]
+    ready = [v for v in forest.vertices() if not children[v]]
     for v in ready:
         value[v] = leaf_value(v)
     parent = forest.parent
     while ready:
-        net.send_each(kind, [(v, parent[v], value[v])
-                             for v in ready if parent[v] is not None])
-        inboxes = net.tick()
+        net.send_each([(v, parent[v], value[v])
+                       for v in ready if parent[v] is not None])
+        # One pass over the delivered round; ``reached`` keeps its
+        # destinations in first-arrival order, so parents fire in the order
+        # per-destination inboxes would list them.
+        reached: Dict[NodeId, None] = {}
+        for _, v, payload in net.deliver_batch():
+            arrived[v].append(payload)
+            reached[v] = None
         next_ready: List[NodeId] = []
-        for v, msgs in inboxes.items():
-            for m in msgs:
-                arrived[v].append(m.payload)
-                pending[v] -= 1
-            if pending[v] == 0 and v not in value:
+        for v in reached:
+            if len(arrived[v]) == len(children[v]) and v not in value:
                 value[v] = combine(v, arrived.pop(v))
                 next_ready.append(v)
         ready = next_ready

@@ -4,8 +4,8 @@
 dictionary-based simulator that :class:`~repro.congest.network.Network`
 shipped with before the fast-path engine landed: per-call
 ``sorted(..., key=repr)`` port numbering, ``defaultdict`` edge-load
-accounting keyed by ``(src, dst)`` tuples, and per-message word counting
-in the :class:`~repro.congest.message.Message` constructor.
+accounting keyed by ``(src, dst)`` tuples, and a full ``words_of`` call
+per message, at send and again at delivery.
 
 It exists so the fast path can be *proved* equivalent rather than trusted:
 the differential harness under ``tests/differential/`` replays randomized
@@ -18,9 +18,10 @@ The class mirrors the full public ``Network`` surface (duck-typed — every
 algorithm in the library runs unmodified on either engine, and
 ``tests/test_congest_network.py`` holds the two public surfaces equal).
 Its :meth:`send_each` queues one message at a time through the
-per-message body the original ``send`` had, and :meth:`deliver_batch`
-re-sums the words it delivers, so batching changes *performance only*,
-never semantics.
+per-message body the original ``send`` had, as a fresh ``(src, dst,
+payload)`` tuple, and :meth:`tick` / :meth:`deliver_batch` re-size every
+payload they deliver, so batching changes *performance only*, never
+semantics.
 
 Do not optimise this module.  Its value is being obviously correct and
 frozen; speed belongs in :mod:`repro.congest.network`.
@@ -36,10 +37,11 @@ import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
 from ..telemetry import flight as _flight
+from ..wordsize import words_of
 from .memory import MemoryMeter
-from .message import Message
 
 NodeId = Hashable
+Msg = Tuple[NodeId, NodeId, Any]
 
 
 class ReferenceNetwork:
@@ -80,7 +82,7 @@ class ReferenceNetwork:
         self.strict = strict
         self.metrics = RunMetrics()
         self._meters: Dict[NodeId, MemoryMeter] = {v: MemoryMeter() for v in graph}
-        self._outbox: List[Message] = []
+        self._outbox: List[Msg] = []
         self._edge_load: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
         self._round_observers: List[Any] = []
         if _flight._SESSIONS:
@@ -170,16 +172,13 @@ class ReferenceNetwork:
 
     # -- messaging -------------------------------------------------------------
 
-    def send_each(
-        self, kind: str, sends: Iterable[Tuple[NodeId, NodeId, Any]]
-    ) -> None:
+    def send_each(self, sends: Iterable[Msg]) -> None:
         """Queue every ``(src, dst, payload)`` of ``sends`` for delivery at
         the next :meth:`tick`, one message at a time, in order."""
         for src, dst, payload in sends:
             if not self.graph.has_edge(src, dst):
                 raise CongestModelViolation(f"{src!r} -> {dst!r} is not an edge")
-            msg = Message(src=src, dst=dst, kind=kind, payload=payload)
-            slots = max(1, math.ceil(msg.words / self.message_word_limit))
+            slots = max(1, math.ceil(words_of(payload) / self.message_word_limit))
             if self.strict:
                 load = self._edge_load[(src, dst)] + slots
                 if load > self.edge_capacity and slots == 1:
@@ -188,18 +187,19 @@ class ReferenceNetwork:
                         f"{self.metrics.rounds}: {load} > {self.edge_capacity}"
                     )
             self._edge_load[(src, dst)] += slots
-            self._outbox.append(msg)
+            self._outbox.append((src, dst, payload))
             # Wide payloads occupy several rounds of the edge; charge the extra.
             if slots > 1:
                 self.metrics.on_charge(slots - 1)
 
-    def tick(self) -> Dict[NodeId, List[Message]]:
+    def tick(self) -> Dict[NodeId, List[Msg]]:
         """Deliver queued messages, advance one round, return inboxes."""
-        inboxes: Dict[NodeId, List[Message]] = defaultdict(list)
+        inboxes: Dict[NodeId, List[Msg]] = defaultdict(list)
         words = 0
         for msg in self._outbox:
-            inboxes[msg.dst].append(msg)
-            words += msg.words
+            src, dst, payload = msg
+            inboxes[dst].append(msg)
+            words += words_of(payload)
         self.metrics.on_round(len(self._outbox), words)
         if self._round_observers:
             for obs in self._round_observers:
@@ -208,7 +208,7 @@ class ReferenceNetwork:
         self._edge_load.clear()
         return inboxes
 
-    def deliver_batch(self) -> List[Message]:
+    def deliver_batch(self) -> List[Msg]:
         """Deliver queued messages as one flat list (no per-dst inboxes).
 
         Same round/metrics/observer semantics as :meth:`tick`; only the
@@ -216,8 +216,8 @@ class ReferenceNetwork:
         """
         delivered = self._outbox
         words = 0
-        for msg in delivered:
-            words += msg.words
+        for src, dst, payload in delivered:
+            words += words_of(payload)
         self.metrics.on_round(len(delivered), words)
         if self._round_observers:
             for obs in self._round_observers:

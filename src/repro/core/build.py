@@ -42,7 +42,7 @@ from ..tz.hierarchy import Hierarchy, sample_hierarchy, virtual_level
 from ..treerouting.multi import build_tree_schemes
 from .assembly import assemble_labels, assemble_tables
 from .high_levels import HighLevelConfig, build_high_level_clusters
-from .low_levels import build_exact_low_level_clusters
+from .low_levels import build_exact_low_level_clusters, hop_depth
 
 NodeId = Hashable
 
@@ -70,6 +70,9 @@ class BuildReport:
     max_trees_per_vertex: int
     stretch_bound: float = 0.0
     phase_rounds: Dict[str, int] = field(default_factory=dict)
+    #: Low level ``i`` -> the largest hop depth of a level-``i`` cluster
+    #: tree this build made (Claim 8 bounds it).
+    low_level_hop_depth: Dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready cost summary (telemetry RunRecords, bench twins)."""
@@ -150,6 +153,10 @@ def build_distributed_scheme(
     # -- low levels ----------------------------------------------------------
     with _tele.span("build/low-levels", boundary=boundary):
         low_trees = build_exact_low_level_clusters(net, hierarchy, pivots, boundary)
+    low_level_hop_depth: Dict[int, int] = {}
+    for tree in low_trees.values():
+        low_level_hop_depth[tree.level] = max(
+            low_level_hop_depth.get(tree.level, 0), hop_depth(tree))
 
     # -- virtual graph + hopset ------------------------------------------------
     virtual_vertices = sorted(hierarchy.set_at(boundary), key=repr)
@@ -223,4 +230,5 @@ def build_distributed_scheme(
         max_trees_per_vertex=trees.s,
         stretch_bound=(4 * k - 3) * (1 + 6 * epsilon) ** 2,
         phase_rounds=net.metrics.by_phase(),
+        low_level_hop_depth=low_level_hop_depth,
     )

@@ -24,6 +24,7 @@ span/counter naming scheme and the RunRecord JSON schema.
 
 from .bounds import (
     BoundVerdict,
+    check_claim8_hop_depth,
     check_graph_columns,
     check_table1_relations,
     check_table2_relations,
@@ -45,6 +46,7 @@ __all__ = [
     "TelemetryCollector",
     "attach_flight_recorder",
     "attach",
+    "check_claim8_hop_depth",
     "check_graph_columns",
     "check_table1_relations",
     "check_table2_relations",

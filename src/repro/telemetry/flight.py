@@ -48,6 +48,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from ..errors import InputError
+from ..wordsize import _ONE_WORD_TYPES, words_of
+
 #: Active ``auto`` sessions.  Empty list == flight recording disabled;
 #: ``Network.__init__`` tests truthiness only (the event-bus guard).
 _SESSIONS: List["auto"] = []
@@ -62,10 +65,11 @@ class FlightConfig:
     top_edges: int = 8  #: busiest edges stored per sample
 
     def __post_init__(self) -> None:
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.ring < 1:
-            raise ValueError("ring must be >= 1")
+        for knob, least in (("stride", 1), ("ring", 1), ("top_edges", 0)):
+            value = getattr(self, knob)
+            if type(value) is not int or value < least:
+                raise InputError(f"flight recorder {knob} must be an int >= "
+                                 f"{least}, got {value!r}")
 
 
 @dataclass
@@ -130,7 +134,7 @@ class FlightRecorder:
         if config is None:
             config = FlightConfig(**knobs)
         elif knobs:
-            raise TypeError("pass either a FlightConfig or knobs, not both")
+            raise InputError("pass either a FlightConfig or knobs, not both")
         self.config = config
         self.samples: Deque[FlightSample] = deque()
         self.charges: List[ChargeEvent] = []
@@ -155,24 +159,29 @@ class FlightRecorder:
 
     # -- observer callbacks --------------------------------------------------
 
-    def on_round(self, net: Any, delivered: Iterable[Any], words: int) -> None:
+    def on_round(self, net: Any, delivered: Iterable[Tuple[Any, Any, Any]],
+                 words: int) -> None:
+        """Fold one delivered round of ``(src, dst, payload)`` messages in,
+        sizing each payload as the engine did at send."""
         self.rounds_seen += 1
         count = 0
         phase = net.metrics.phase_name
         per_edge: Dict[Tuple[Any, Any], List[int]] = {}
-        for msg in delivered:
+        one_word = _ONE_WORD_TYPES
+        for src, dst, payload in delivered:
             count += 1
-            edge = (msg.src, msg.dst)
+            width = 1 if type(payload) in one_word else words_of(payload)
+            edge = (src, dst)
             entry = self.edge_totals.get(edge)
             if entry is None:
                 entry = self.edge_totals[edge] = [0, 0]
             entry[0] += 1
-            entry[1] += msg.words
+            entry[1] += width
             e = per_edge.get(edge)
             if e is None:
                 e = per_edge[edge] = [0, 0]
             e[0] += 1
-            e[1] += msg.words
+            e[1] += width
         self.total_messages += count
         self.total_words += words
         if self.rounds_seen % self.config.stride:

@@ -39,7 +39,6 @@ def local_flood(
     emit: Callable[[NodeId, Any], Any],
     *,
     derive: Optional[Callable[[NodeId, Any], Any]] = None,
-    kind: str = "local-flood",
     phase: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Any], Dict[NodeId, Any]]:
     """Flood all local trees in parallel, delivering across boundaries.
@@ -75,17 +74,16 @@ def local_flood(
                 batch.extend([(v, c, out[c]) for c in tree_children[v]])
             else:
                 batch.extend([(v, c, out) for c in tree_children[v]])
-        net.send_each(kind, batch)
-        for msg in net.deliver_batch():
-            c = msg.dst
+        net.send_each(batch)
+        for _, c, payload in net.deliver_batch():
             if c in ut:
                 if c in boundary:
                     raise InvariantViolation(f"{c!r} received a second local-flood message")
-                boundary[c] = msg.payload
+                boundary[c] = payload
             else:
                 if c in value:
                     raise InvariantViolation(f"{c!r} received a second local-flood message")
-                value[c] = derive(c, msg.payload) if derive is not None else msg.payload
+                value[c] = derive(c, payload) if derive is not None else payload
 
     if len(value) != part.n:
         raise InvariantViolation("local flood did not reach every vertex")
@@ -105,11 +103,10 @@ def report_to_parents(
     payload_of: Callable[[NodeId], Any],
     *,
     senders=None,
-    kind: str = "to-parent",
     phase: Optional[str] = None,
 ) -> Dict[NodeId, Dict[NodeId, Any]]:
     """One round in which ``senders`` (default: all non-root vertices) send
-    ``payload_of(v)`` to their T-parent.
+    ``payload_of(v)`` to their T-parent, in the partition's repr order.
 
     Returns ``received[parent][child] = payload``.  Every message crosses a
     distinct tree edge, so a single round suffices; parents must fold the
@@ -121,12 +118,12 @@ def report_to_parents(
     tree_parent = part.tree_parent
     if senders is None:
         senders = [v for v, p in tree_parent.items() if p is not None]
-    net.send_each(kind, [(v, tree_parent[v], payload_of(v))
-                         for v in sorted(senders, key=repr)
-                         if tree_parent[v] is not None])
+    net.send_each([(v, tree_parent[v], payload_of(v))
+                   for v in sorted(senders, key=part.repr_rank.__getitem__)
+                   if tree_parent[v] is not None])
     received: Dict[NodeId, Dict[NodeId, Any]] = {}
-    for m in net.deliver_batch():
-        received.setdefault(m.dst, {})[m.src] = m.payload
+    for src, dst, payload in net.deliver_batch():
+        received.setdefault(dst, {})[src] = payload
     if phase:
         net.end_phase()
     return received

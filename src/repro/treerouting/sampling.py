@@ -62,6 +62,15 @@ class TreePartition:
         return self.local_forest.height
 
     @cached_property
+    def repr_rank(self) -> Dict[NodeId, int]:
+        """Each vertex's position in repr order, vertices with equal reprs
+        sharing one: a stable sort keyed by it orders exactly as one keyed
+        by ``repr``, without calling ``repr`` again."""
+        reprs = {v: repr(v) for v in self.tree_parent}
+        rank = {key: i for i, key in enumerate(sorted(set(reprs.values())))}
+        return {v: rank[key] for v, key in reprs.items()}
+
+    @cached_property
     def waves(self) -> List[List[NodeId]]:
         """The senders of every local flood, one list per round: the
         vertices with T-children at each local depth that has any, in
@@ -71,7 +80,8 @@ class TreePartition:
         for v, d in self.local_forest.depth.items():
             if tree_children[v]:
                 by_depth[d].append(v)
-        return [sorted(by_depth[d], key=repr) for d in sorted(by_depth)]
+        rank = self.repr_rank.__getitem__
+        return [sorted(by_depth[d], key=rank) for d in sorted(by_depth)]
 
     def virtual_parent_reference(self) -> Dict[NodeId, Optional[NodeId]]:
         """T'-parents derived by the simulator (tests only).

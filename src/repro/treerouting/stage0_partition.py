@@ -39,7 +39,6 @@ def run_stage0(net: Network, part: TreePartition, *, mem_prefix: str = "tree") -
         part,
         root_value=lambda x: x,
         emit=lambda v, root_id: root_id,
-        kind="stage0",
         phase="stage0/membership",
     )
     local_root: Dict[NodeId, NodeId] = dict(value)

@@ -58,7 +58,6 @@ def run_stage1(
         part.local_forest,
         leaf_value=lambda v: 1,
         combine=lambda v, child_sizes: 1 + sum(child_sizes),
-        kind="stage1-local",
         phase="stage1/local-sizes",
     )
     net.store_each(f"{mem_prefix}/s", dict.fromkeys(part.tree_parent, 1))
@@ -85,7 +84,6 @@ def run_stage1(
         part,
         payload_of=lambda x: s_virtual[x],
         senders=[x for x in part.ut if x != part.root],
-        kind="stage1-push",
         phase="stage1/push",
     )
     extra: Dict[NodeId, int] = {p: sum(payloads.values()) for p, payloads in reported.items()}
@@ -96,7 +94,6 @@ def run_stage1(
         part.local_forest,
         leaf_value=lambda v: 1 + extra.get(v, 0),
         combine=lambda v, child_sizes: 1 + extra.get(v, 0) + sum(child_sizes),
-        kind="stage1-global",
         phase="stage1/global-sizes",
     )
     for x in part.ut:
@@ -111,7 +108,6 @@ def run_stage1(
         net,
         part,
         payload_of=lambda v: sizes[v],
-        kind="stage1-heavy",
         phase="stage1/heavy",
     )
     heavy: Dict[NodeId, Optional[NodeId]] = {v: None for v in part.tree_parent}

@@ -67,7 +67,6 @@ def run_stage2(
         part,
         root_value=lambda x: (),
         emit=emit_lists,
-        kind="stage2",
         phase="stage2/local",
     )
     net.store_each(f"{mem_prefix}/light-local",
@@ -97,7 +96,6 @@ def run_stage2(
         part,
         root_value=lambda x: global_lists[x],
         emit=lambda v, edges: edges,
-        kind="stage2-push",
         phase="stage2/push",
     )
     # pushed[v] is the global list of v's local root; appending the local

@@ -97,8 +97,8 @@ def _range_partition(
                 t += 1
         if not up:
             continue
-        net.send_each("alg5-up", up)
-        net.tick()
+        net.send_each(up)
+        net.deliver_batch()
         # Round B: the parent forwards each value to its target children.
         down: List[Tuple[NodeId, NodeId, int]] = []
         for y, transfers in in_flight.items():
@@ -110,14 +110,14 @@ def _range_partition(
                 lo = (2 * t - 1) * step + 1
                 hi = min(2 * t * step, r)
                 down.extend([(y, kids[j - 1], value) for j in range(lo, hi + 1)])
-        net.send_each("alg5-down", down)
+        net.send_each(down)
         inboxes = net.tick()
         for c, msgs in inboxes.items():
             if len(msgs) != 1:
                 raise InvariantViolation(
                     f"child {c!r} received {len(msgs)} Algorithm-5 messages"
                 )
-            prefix[c] += msgs[0].payload
+            prefix[c] += msgs[0][2]
     net.end_phase()
     return prefix
 
@@ -149,7 +149,6 @@ def run_stage3(
         root_value=lambda x: 1,
         emit=lambda u, enter: enter,
         derive=lambda c, parent_enter: parent_enter + prefix[c] - sizes[c] + 1,
-        kind="stage3",
         phase="stage3/local-dfs",
     )
     net.store_each(f"{mem_prefix}/enter-local", dict.fromkeys(part.tree_parent, 1))
@@ -178,7 +177,6 @@ def run_stage3(
         part,
         root_value=lambda x: sigma[x],
         emit=lambda v, shift: shift,
-        kind="stage3-push",
         phase="stage3/push",
     )
     intervals: Dict[NodeId, Tuple[int, int]] = {}

@@ -139,20 +139,20 @@ def floodmax(net: Any) -> Dict[Any, Any]:
     changed = nodes
     net.store_each("floodmax/leader", dict.fromkeys(nodes, 1))
     for _ in range(net.hop_diameter_upper_bound() + 1):
-        net.send_each("leader", [(v, u, leader[v]) for v in changed for u in net.ports(v)])
+        net.send_each([(v, u, leader[v]) for v in changed for u in net.ports(v)])
         inboxes = net.tick()
         changed = []
         for v in nodes:
             best = leader[v]
-            for msg in inboxes.get(v, ()):
-                if repr(msg.payload) > repr(best):
-                    best = msg.payload
+            for _, _, payload in inboxes.get(v, ()):
+                if repr(payload) > repr(best):
+                    best = payload
             if best != leader[v]:
                 leader[v] = best
                 changed.append(v)
         net.store_each("floodmax/leader", dict.fromkeys(changed, 1))
     if changed:
-        net.send_each("leader", [(v, u, leader[v]) for v in changed for u in net.ports(v)])
+        net.send_each([(v, u, leader[v]) for v in changed for u in net.ports(v)])
         net.tick()
     return leader
 
@@ -176,9 +176,9 @@ def _proto_flood_kernel(net: Any, seed: int) -> None:
         payload = wide if r % 3 == 2 else r
         # Odd rounds in node order (what a whole-network flood issues),
         # even rounds in repr order.
-        net.send_each("flood", [(v, w, payload)
-                                for v in (net.nodes() if r % 2 else nodes)
-                                for w in net.ports(v)])
+        net.send_each([(v, w, payload)
+                       for v in (net.nodes() if r % 2 else nodes)
+                       for w in net.ports(v)])
         if r % 2:
             net.tick()
         else:
@@ -186,7 +186,7 @@ def _proto_flood_kernel(net: Any, seed: int) -> None:
         if rng.random() < 0.3:
             net.tick()  # an idle round
     # Partial fanouts (every other port).
-    net.send_each("partial", [(v, w, seed) for v in nodes[:5] for w in net.ports(v)[::2]])
+    net.send_each([(v, w, seed) for v in nodes[:5] for w in net.ports(v)[::2]])
     net.deliver_batch()
     net.charge_rounds(seed % 4, messages=seed % 3, words=seed % 5)
 
@@ -216,8 +216,8 @@ class EdgeCountObserver:
         self.charges: List[Tuple[int, int, int, int, Any]] = []
 
     def on_round(self, net: Any, delivered: List[Any], words: int) -> None:
-        for msg in delivered:
-            self.edges[(repr(msg.src), repr(msg.dst))] += 1
+        for src, dst, _ in delivered:
+            self.edges[(repr(src), repr(dst))] += 1
         self.rounds.append(
             (net.metrics.rounds, len(delivered), words, net.metrics.phase_name))
 

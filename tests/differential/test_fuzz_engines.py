@@ -30,6 +30,7 @@ import pytest
 
 from repro.congest import Network, ReferenceNetwork
 from repro.errors import CongestModelViolation, InputError, MemoryAccountingError
+from repro.wordsize import words_of
 
 from .harness import QUICK, TOPOLOGIES, build_topology, meter_state, run_fingerprint
 
@@ -42,7 +43,8 @@ TOPO_NAMES = sorted(TOPOLOGIES)
 def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
     """A deterministic random schedule of engine operations.
 
-    Ops (every send is a ``send_each`` batch):
+    Ops (every send is a ``send_each`` batch; the second field labels
+    the op for the meta-check and is not sent):
       ("send_each", "fuzz", [(src, dst, payload)])
                                                -- one message; dst may be a
                                                   NON-neighbor
@@ -56,7 +58,7 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                                                   carries, mid-batch, a
                                                   non-edge, a repeated arc, a
                                                   wide or an unsizable payload
-      GHOST sends (kind ``GHOST_KIND``)        -- a batch of each of the
+      GHOST sends (label ``GHOST_LABEL``)      -- a batch of each of the
                                                   three shapes with a src or
                                                   dst that is not a vertex
       ("flood", payload)                       -- one batch: every vertex,
@@ -190,10 +192,10 @@ def _send_each_batch(rng: random.Random, nodes: List[Any],
     return batch
 
 
-#: The vertex no topology has, and the kind of every op that sends to or
+#: The vertex no topology has, and the label of every op that sends to or
 #: from it.
 GHOST = "ghost"
-GHOST_KIND = "to-ghost"
+GHOST_LABEL = "to-ghost"
 
 
 def _ghost_send(rng: random.Random, nodes: List[Any],
@@ -216,23 +218,24 @@ def _ghost_send(rng: random.Random, nodes: List[Any],
         batch = [(src, d, 1) for d in dsts]
     else:
         batch = [(src, dst, rng.choice([None, 5]))]
-    return ("send_each", GHOST_KIND, batch)
+    return ("send_each", GHOST_LABEL, batch)
 
 
 def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
     """Run a schedule, recording each op's observable outcome followed by
-    the network's ``max_memory()`` after it."""
+    the network's ``max_memory()`` after it.  A delivered message is
+    recorded as its source, payload and ``words_of`` width."""
     outcomes: List[Tuple] = []
     for op in schedule:
         tag = op[0]
         try:
             if tag == "send_each":
-                net.send_each(op[1], op[2])
+                net.send_each(op[2])
                 outcomes.append(("ok",))
             elif tag == "flood":
                 # A violation aborts the rest of the flood.
-                net.send_each("flood", [(v, w, op[1]) for v in net.nodes()
-                                        for w in net.ports(v)])
+                net.send_each([(v, w, op[1]) for v in net.nodes()
+                               for w in net.ports(v)])
                 outcomes.append(("ok",))
             elif tag == "close":
                 if op[1] == "tick":
@@ -240,7 +243,8 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
                     outcomes.append((
                         "round",
                         sorted(
-                            (repr(v), [(repr(m.src), m.kind, m.words) for m in box])
+                            (repr(v), [(repr(src), payload, words_of(payload))
+                                       for src, _, payload in box])
                             for v, box in inboxes.items()
                         ),
                     ))
@@ -248,8 +252,8 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
                     delivered = net.deliver_batch()
                     outcomes.append((
                         "round",
-                        [(repr(m.src), repr(m.dst), m.kind, m.words)
-                         for m in delivered],
+                        [(repr(src), repr(dst), payload, words_of(payload))
+                         for src, dst, payload in delivered],
                     ))
             elif tag == "idle":
                 for _ in range(op[1]):
@@ -361,7 +365,7 @@ def test_fuzz_schedules_do_violate():
             if op[0] == "send_each" and outcome[0] != "ok" \
                     and len(net._outbox) > queued:
                 kinds.add("mid-batch")
-            if op[1] == GHOST_KIND and outcome[0] == "violation":
+            if op[1] == GHOST_LABEL and outcome[0] == "violation":
                 if outcome[1].startswith(f"{GHOST!r} ->"):
                     kinds.add("ghost source")
                 if outcome[1].endswith(f"-> {GHOST!r} is not an edge"):

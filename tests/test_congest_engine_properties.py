@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis): ``Network`` vs ``ReferenceNetwork``.
 
-Six invariants that must hold for *any* schedule, not just the replays
+Seven invariants that must hold for *any* schedule, not just the replays
 pinned by the differential matrix:
 
 * **Permutation invariance** — the per-destination inbox contents of a
@@ -21,9 +21,14 @@ pinned by the differential matrix:
 * **Network peak parity** — after every memory op, ``max_memory()`` (kept
   eagerly by the bank) equals the reference's eager maximum, and at the
   end the largest per-vertex high-water.
-* **Batched send parity** — ``send_each(kind, sends)`` equals the loop of
+* **Batched send parity** — ``send_each(sends)`` equals the loop of
   one-message ``send_each`` calls over ``sends``: error text, arc loads,
   inboxes and metrics.
+* **Delivery contract** — a message is the ``(src, dst, payload)`` tuple
+  its sender named: both engines deliver equal tuple streams in equal
+  per-inbox order, the fast engine hands back the sender's own tuple
+  objects, and the flight recorder's per-edge words are the ``words_of``
+  sums of what crossed each edge.
 
 Examples are kept modest (the differential fuzzer already hammers volume);
 these exist to let hypothesis *shrink* any structural counterexample.
@@ -89,10 +94,11 @@ def _fan_outs(batches, order, payload):
 def _inbox_sets(net, batches, order):
     """Queue every fan-out in ``order`` on a fresh round, tick, and return
     per-destination inbox contents as comparable sorted multisets."""
-    net.send_each("wave", _fan_outs(batches, order, 7))
+    net.send_each(_fan_outs(batches, order, 7))
     inboxes = net.tick()
     return {
-        _REPR(v): sorted((_REPR(m.src), m.kind, m.words) for m in box)
+        _REPR(v): sorted((_REPR(src), payload, words_of(payload))
+                         for src, _, payload in box)
         for v, box in inboxes.items()
     }
 
@@ -121,12 +127,12 @@ def test_word_accounting_conserved_across_engines(case, wide_words):
     graph, batches, _ = case
     nets = {name: ENGINES[name](graph, strict=False) for name in ENGINES}
     for net in nets.values():
-        net.send_each("flood", [(v, w, None) for v in net.nodes() for w in net.ports(v)])
-        net.send_each("wave", _fan_outs(batches, range(len(batches)), 3))
+        net.send_each([(v, w, None) for v in net.nodes() for w in net.ports(v)])
+        net.send_each(_fan_outs(batches, range(len(batches)), 3))
         for i, n_items in enumerate(wide_words):
             src = sorted(graph.nodes, key=_REPR)[i % net.n]
-            net.send_each("wide", [(src, dst, list(range(n_items)))
-                                   for dst in net.ports(src)])
+            net.send_each([(src, dst, list(range(n_items)))
+                           for dst in net.ports(src)])
 
     ref = nets["reference"]
     expected_words = 0
@@ -322,7 +328,7 @@ def _arc_loads(net):
 @given(send_batches())
 @settings(max_examples=200, deadline=None)
 def test_send_each_equals_the_send_loop(case):
-    """``send_each(kind, sends)`` leaves what one ``send_each`` call per
+    """``send_each(sends)`` leaves what one ``send_each`` call per
     message leaves, a mid-batch failure included: the same error text, the same queued
     messages and arc loads, and after the tick the same inboxes and
     metrics; on ``Network`` and on the reference."""
@@ -335,16 +341,98 @@ def test_send_each_equals_the_send_loop(case):
         try:
             if name == "looped":
                 for message in sends:
-                    net.send_each("each", [message])
+                    net.send_each([message])
             else:
-                net.send_each("each", sends)
+                net.send_each(sends)
             error = None
         except (CongestModelViolation, InputError) as exc:
             error = (type(exc).__name__, str(exc))
         loads = _arc_loads(net)
         inboxes = {
-            _REPR(v): [(_REPR(m.src), m.kind, m.words) for m in box]
+            _REPR(v): [(_REPR(src), payload, words_of(payload))
+                       for src, _, payload in box]
             for v, box in net.tick().items()
         }
         seen[name] = (error, loads, inboxes, net.metrics.to_dict())
     assert seen["batched"] == seen["looped"] == seen["reference"]
+
+
+@given(send_batches())
+@settings(max_examples=100, deadline=None)
+def test_engines_deliver_equal_tuple_streams(case):
+    """Both engines deliver the same ``(src, dst, payload)`` tuples in the
+    same order, flat and per inbox: the sizable, legal prefix of a random
+    batch, queued on a non-strict network, closed once each way."""
+    graph, sends, _ = case
+    sends = [m for m in sends if not isinstance(m[2], _Unsizable)
+             and graph.has_edge(m[0], m[1])]
+    streams = {}
+    for name, engine in ENGINES.items():
+        net = engine(graph, strict=False)
+        net.send_each(sends)
+        flat = net.deliver_batch()
+        net.send_each(sends)
+        boxes = net.tick()
+        assert all(type(m) is tuple for m in flat)
+        streams[name] = (flat, {_REPR(v): box for v, box in boxes.items()})
+    assert streams["fastpath"] == streams["reference"]
+    assert streams["fastpath"][0] == sends
+
+
+def test_fast_engine_delivers_the_senders_tuples():
+    """``Network`` queues the caller's own tuple objects; a list triple is
+    converted once and comes back as an equal tuple."""
+    net = Network(nx.path_graph(3))
+    sent = (0, 1, (5, 6))
+    net.send_each([sent, [1, 2, 7]])
+    delivered = net.deliver_batch()
+    assert delivered[0] is sent
+    assert type(delivered[1]) is tuple and delivered[1] == (1, 2, 7)
+    net.send_each([sent])
+    assert net.tick()[1][0] is sent
+
+
+def _flight_run(engine):
+    """One small non-strict run with a recorder attached: scalar, string,
+    container, dict and wide payloads, both ways of closing a round, a
+    charge.  Returns the recorder and the messages sent."""
+    from repro.graphs import random_connected_graph
+    from repro.telemetry.flight import attach_flight_recorder
+
+    net = engine(random_connected_graph(12, seed=3), strict=False)
+    rec = attach_flight_recorder(net, stride=2, top_edges=3)
+    nodes = sorted(net.nodes())
+    payloads = [None, 7, 2.5, True, "v12", "x" * 17, (1, 2),
+                [1, 2, 3, 4, 5, 6], {1: (2, 3)}]
+    sent = []
+    for r in range(7):
+        net.mem(nodes[r]).store(f"tree/r{r}", r + 1)
+        batch = [(v, w, payloads[(r + i) % len(payloads)])
+                 for i, v in enumerate(nodes[r:r + 5]) for w in net.ports(v)]
+        net.send_each(batch)
+        sent += batch
+        net.tick() if r % 2 else net.deliver_batch()
+    net.charge_rounds(3, messages=4, words=5)
+    return rec, sent
+
+
+def test_flight_recorder_document_is_pinned():
+    """The recorder sizes what it is handed itself: its document for one
+    small run is byte-for-byte the one the per-message-object engines
+    wrote (sha256 pin), on both engines, and every per-edge total is the
+    ``words_of`` sum of the payloads that crossed the edge."""
+    import hashlib
+    import json
+
+    for engine in ENGINES.values():
+        rec, sent = _flight_run(engine)
+        doc = json.dumps(rec.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == (
+            "262b1c16146a513089453521d75b1e9281388f36fd42b6737c66af061f0ca21f")
+        expected = {}
+        for src, dst, payload in sent:
+            got = expected.setdefault((src, dst), [0, 0])
+            got[0] += 1
+            got[1] += words_of(payload)
+        assert rec.edge_totals == expected
+        assert rec.total_words == sum(w for _, w in expected.values())

@@ -20,6 +20,7 @@ import repro.congest.network as network_mod
 import repro.congest.reference as reference_mod
 from repro.congest import Network, ReferenceNetwork
 from repro.graphs import random_connected_graph
+from repro.wordsize import words_of
 
 SEED = 99
 
@@ -93,12 +94,12 @@ class TestSendManyFastPath:
         net = Network(graph)
         v = max(net.nodes(), key=net.degree)  # guaranteed >= 2 ports
         ports = net.ports(v)
-        net.send_each("first", [(v, ports[0], None)])
+        net.send_each([(v, ports[0], None)])
         with pytest.raises(CongestModelViolation):
-            net.send_each("clash", [(v, ports[-1], None), (v, ports[0], None)])
+            net.send_each([(v, ports[-1], None), (v, ports[0], None)])
         # ports[-1]'s message survived the failed batch; the word counter
         # must agree with what tick() delivers.
         inboxes = net.tick()
         delivered = [m for box in inboxes.values() for m in box]
         assert len(delivered) == 2
-        assert net.metrics.message_words == sum(m.words for m in delivered)
+        assert net.metrics.message_words == sum(words_of(m[2]) for m in delivered)

@@ -262,7 +262,7 @@ class TestNetworkBulkFrees:
     def test_high_water_after_round_teardown(self, engine):
         net = engine(nx.path_graph(3))
         net.store_all("relay/buf", 4)
-        net.send_each("flood", [(v, w, None) for v in net.nodes() for w in net.ports(v)])
+        net.send_each([(v, w, None) for v in net.nodes() for w in net.ports(v)])
         net.deliver_batch()
         net.free_key("relay/buf")
         assert net.max_memory() == 4

@@ -8,7 +8,6 @@ contract detail.
 import networkx as nx
 import pytest
 
-from repro.congest import Message
 from repro.errors import CongestModelViolation, InputError
 from repro.graphs import random_connected_graph
 
@@ -138,49 +137,51 @@ class TestTopology:
 class TestMessaging:
     def test_send_and_tick_delivers(self, engine):
         net = engine(tiny_graph())
-        net.send_each("ping", [("a", "b", 42)])
+        net.send_each([("a", "b", 42)])
         inboxes = net.tick()
-        assert [m.payload for m in inboxes["b"]] == [42]
+        assert inboxes["b"] == [("a", "b", 42)]
 
     def test_tick_advances_round_counter(self, engine):
         net = engine(tiny_graph())
-        net.send_each("x", [("a", "b", None)])
+        net.send_each([("a", "b", None)])
         net.tick()
         assert net.metrics.rounds == 1
 
     def test_non_edge_send_raises(self, engine):
         net = engine(tiny_graph())
         with pytest.raises(CongestModelViolation):
-            net.send_each("x", [("a", "c", None)])
+            net.send_each([("a", "c", None)])
 
     def test_edge_capacity_enforced(self, engine):
         net = engine(tiny_graph())
-        net.send_each("x", [("a", "b", 1)])
+        net.send_each([("a", "b", 1)])
         with pytest.raises(CongestModelViolation):
-            net.send_each("y", [("a", "b", 2)])
+            net.send_each([("a", "b", 2)])
 
     def test_opposite_directions_are_independent(self, engine):
         net = engine(tiny_graph())
-        net.send_each("x", [("a", "b", None), ("b", "a", None)])  # no violation
+        net.send_each([("a", "b", None), ("b", "a", None)])  # no violation
         inboxes = net.tick()
         assert "a" in inboxes and "b" in inboxes
 
     def test_capacity_resets_each_round(self, engine):
         net = engine(tiny_graph())
-        net.send_each("x", [("a", "b", None)])
+        net.send_each([("a", "b", None)])
         net.tick()
-        net.send_each("y", [("a", "b", None)])  # new round: fine
+        net.send_each([("a", "b", None)])  # new round: fine
         net.tick()
         assert net.metrics.messages == 2
 
     def test_wide_payload_charges_extra_rounds(self, engine):
         net = engine(tiny_graph(), message_word_limit=2)
-        net.send_each("wide", [("a", "b", (1, 2, 3, 4, 5, 6))])
+        net.send_each([("a", "b", (1, 2, 3, 4, 5, 6))])
         assert net.metrics.charged_rounds == 2  # ceil(6/2) - 1
 
-    def test_message_word_count(self):
-        msg = Message(src=1, dst=2, kind="k", payload=(1, 2, 3))
-        assert msg.words == 3
+    def test_message_word_count(self, engine):
+        net = engine(tiny_graph())
+        net.send_each([("a", "b", (1, 2, 3)), ("b", "c", None)])
+        assert net.deliver_batch() == [("a", "b", (1, 2, 3)), ("b", "c", None)]
+        assert net.metrics.message_words == 4
 
 
 def fan_out(src, dsts, payload=None):
@@ -195,45 +196,41 @@ class TestBatchedMessaging:
 
     def test_send_many_full_fanout(self, engine):
         net = engine(tiny_graph())
-        net.send_each("wave", fan_out("b", net.ports("b"), 5))
+        net.send_each(fan_out("b", net.ports("b"), 5))
         delivered = net.deliver_batch()
         assert len(delivered) == 2
-        assert [(m.src, m.dst, m.payload) for m in delivered] == [
-            ("b", "a", 5), ("b", "c", 5)
-        ]
+        assert delivered == [("b", "a", 5), ("b", "c", 5)]
 
     def test_send_many_partial_fanout(self, engine):
         net = engine(tiny_graph())
-        net.send_each("wave", fan_out("b", ["c"]))
+        net.send_each(fan_out("b", ["c"]))
         delivered = net.deliver_batch()
-        assert [(m.src, m.dst) for m in delivered] == [("b", "c")]
+        assert delivered == [("b", "c", None)]
 
     def test_send_many_violation_keeps_prefix_queued(self, engine):
         net = engine(tiny_graph())
         with pytest.raises(CongestModelViolation, match="is not an edge"):
-            net.send_each("wave", fan_out("b", ["a", "zzz"], 7))
+            net.send_each(fan_out("b", ["a", "zzz"], 7))
         delivered = net.deliver_batch()
-        assert [(m.src, m.dst, m.payload) for m in delivered] == [("b", "a", 7)]
+        assert delivered == [("b", "a", 7)]
         assert net.metrics.message_words == 1
 
     def test_send_many_capacity_violation_mid_batch(self, engine):
         net = engine(tiny_graph())
-        net.send_each("first", [("b", "c", None)])
+        net.send_each([("b", "c", None)])
         with pytest.raises(CongestModelViolation, match="over capacity"):
-            net.send_each("wave", fan_out("b", net.ports("b")))
+            net.send_each(fan_out("b", net.ports("b")))
         # "b -> a" was fine and stays queued; "b -> c" tripped the check.
-        assert [(m.src, m.dst) for m in net.deliver_batch()] == [
-            ("b", "c"), ("b", "a")
-        ]
+        assert net.deliver_batch() == [("b", "c", None), ("b", "a", None)]
 
     def test_deliver_batch_messages_compare_equal_across_rounds(self, engine):
         net = engine(tiny_graph())
-        net.send_each("wave", fan_out("b", net.ports("b"), 3))
+        net.send_each(fan_out("b", net.ports("b"), 3))
         first = net.deliver_batch()
-        net.send_each("wave", fan_out("b", net.ports("b"), 3))
+        net.send_each(fan_out("b", net.ports("b"), 3))
         second = net.deliver_batch()
         assert first == second
-        assert first[0] == Message("b", "a", "wave", 3)
+        assert first[0] == ("b", "a", 3)
 
 
 class TestChargingAndPhases:
@@ -251,7 +248,7 @@ class TestChargingAndPhases:
     def test_phase_attribution(self, engine):
         net = engine(tiny_graph())
         net.begin_phase("setup")
-        net.send_each("x", [("a", "b", None)])
+        net.send_each([("a", "b", None)])
         net.tick()
         net.end_phase()
         assert net.metrics.by_phase() == {"setup": 1}
@@ -265,7 +262,7 @@ class TestChargingAndPhases:
 
     def test_wide_fanout_charges_per_message(self, engine):
         net = engine(tiny_graph(), message_word_limit=2)
-        net.send_each("wide", fan_out("b", net.ports("b"), (1, 2, 3, 4, 5, 6)))
+        net.send_each(fan_out("b", net.ports("b"), (1, 2, 3, 4, 5, 6)))
         assert net.metrics.charged_rounds == 4  # 2 messages x (ceil(6/2)-1)
 
 

@@ -75,3 +75,48 @@ class TestLowLevelPhase:
         for v in graph.nodes:
             stored = dict(net.mem(v).items()).get("clusters/membership", 0)
             assert stored == 2 * counts[v]
+
+
+class TestClaim8Verdict:
+    """``table1/this-paper/claim8_hop_depth``: every low-level cluster tree
+    of the Table 1 build is within Claim 8's hop limit for its level."""
+
+    @pytest.fixture(scope="class")
+    def table1(self):
+        from repro.analysis.tables import run_table1
+
+        return run_table1(n=80, k=3, seed=3, pairs=20)
+
+    def test_hop_depth_reads_the_parent_pointers(self, setup):
+        from repro.core.low_levels import hop_depth
+        from repro.tz.clusters import ClusterTree
+
+        path = ClusterTree(root=0, level=0, dist={0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0},
+                           parent={3: 0, 2: 1, 1: 0, 0: None})
+        assert hop_depth(path) == 2
+        graph, hier, pivots = setup
+        for root, tree in all_cluster_trees(graph, hier, pivots).items():
+            depth = {root: 0}
+            for v in sorted(tree.dist, key=tree.dist.get):
+                if tree.parent[v] is not None:
+                    depth[v] = depth[tree.parent[v]] + 1
+            assert hop_depth(tree) == max(depth.values())
+
+    def test_verdict_is_emitted_and_passes(self, table1):
+        record = table1.to_run_record()
+        (verdict,) = [v for v in record.verdicts
+                      if v.name == "table1/this-paper/claim8_hop_depth"]
+        assert verdict.passed and record.passed
+        assert sorted(table1.low_level_hop_depth) == [0, 1]  # ⌈k/2⌉ = 2 low levels
+        assert verdict.measured in table1.low_level_hop_depth.values()
+        assert min(table1.low_level_hop_depth.values()) >= 1
+
+    def test_verdict_fails_under_a_limit_of_one(self, table1, monkeypatch):
+        import repro.analysis.tables as tables
+
+        monkeypatch.setattr(tables, "claim8_hop_limit", lambda n, k, i: 1)
+        record = table1.to_run_record()
+        (verdict,) = [v for v in record.verdicts
+                      if v.name == "table1/this-paper/claim8_hop_depth"]
+        assert not verdict.passed and verdict.limit == 1
+        assert not record.passed

@@ -92,9 +92,9 @@ class TestNetworkEdgeCases:
         g = nx.Graph()
         g.add_edge("a", "b", weight=3.0)
         net = Network(g)
-        net.send_each("hi", [("a", "b", 1)])
+        net.send_each([("a", "b", 1)])
         inbox = net.tick()
-        assert inbox["b"][0].payload == 1
+        assert inbox["b"] == [("a", "b", 1)]
 
     def test_nonstrict_mode_allows_overload(self):
         import networkx as nx
@@ -102,8 +102,8 @@ class TestNetworkEdgeCases:
         g = nx.Graph()
         g.add_edge(1, 2, weight=1.0)
         net = Network(g, strict=False)
-        net.send_each("a", [(1, 2, None)])
-        net.send_each("b", [(1, 2, None)])  # would raise in strict mode
+        net.send_each([(1, 2, None)])
+        net.send_each([(1, 2, None)])  # would raise in strict mode
         inbox = net.tick()
         assert len(inbox[2]) == 2
 
@@ -113,8 +113,8 @@ class TestNetworkEdgeCases:
         g = nx.Graph()
         g.add_edge(1, 2, weight=1.0)
         net = Network(g, edge_capacity=2)
-        net.send_each("a", [(1, 2, None)])
-        net.send_each("b", [(1, 2, None)])
+        net.send_each([(1, 2, None)])
+        net.send_each([(1, 2, None)])
         assert len(net.tick()[2]) == 2
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.congest import Network
+from repro.errors import InputError
 from repro.graphs import random_connected_graph
 from repro.telemetry import flight
 from repro.telemetry.flight import (
@@ -25,7 +26,7 @@ def _chat(net, rounds=6):
             net.mem(v).store(f"tree/round{r}", r + 1)
         u = nodes[0]
         w = next(net.neighbors(u))
-        net.send_each("ping", [(u, w, r)])
+        net.send_each([(u, w, r)])
         net.tick()
 
 
@@ -64,15 +65,32 @@ class TestGuard:
 
 class TestConfig:
     def test_bad_stride_rejected(self):
-        with pytest.raises(ValueError):
-            FlightConfig(stride=0)
+        for bad in (0, -1, 2.0, "2", True, None):
+            with pytest.raises(InputError, match="stride"):
+                FlightConfig(stride=bad)
 
     def test_bad_ring_rejected(self):
-        with pytest.raises(ValueError):
-            FlightConfig(ring=0)
+        for bad in (0, -3, 8.5, "8", None):
+            with pytest.raises(InputError, match="ring"):
+                FlightConfig(ring=bad)
+
+    def test_bad_top_edges_rejected(self):
+        """A negative ``top_edges`` would keep every edge but the least
+        busy: an unbounded sample from the knob that bounds it."""
+        for bad in (-1, -2, 1.5, "3", None):
+            with pytest.raises(InputError, match="top_edges"):
+                FlightConfig(top_edges=bad)
+        assert FlightConfig(top_edges=0).top_edges == 0
+
+    def test_bad_knobs_rejected_through_every_entry(self):
+        for make in (FlightRecorder, flight.auto,
+                     lambda **kw: attach_flight_recorder(
+                         Network(random_connected_graph(6, seed=1)), **kw)):
+            with pytest.raises(InputError, match="top_edges"):
+                make(top_edges=-2)
 
     def test_config_xor_knobs(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="not both"):
             FlightRecorder(FlightConfig(), stride=2)
 
 

@@ -1,11 +1,10 @@
 """The CONGEST-model invariants the measured bounds rest on, as AST checks.
 
-Three plain functions (REP002, REP003, REP005) take ``{relpath:
-ast.Module}`` and return findings as ``"path:line: REPnnn ..."`` strings.
-``src/repro``, ``benchmarks`` and ``examples`` pass every check with no
-exemptions; every ``FIRES`` fixture fails its check and every ``SILENT``
-fixture passes all three.  docs/static-analysis.md gives the paper
-statement behind each check.
+Two plain functions (REP002, REP005) take ``{relpath: ast.Module}`` and
+return findings as ``"path:line: REPnnn ..."`` strings.  ``src/repro``,
+``benchmarks`` and ``examples`` pass every check with no exemptions; every
+``FIRES`` fixture fails its check and every ``SILENT`` fixture passes
+both.  docs/static-analysis.md gives the paper statement behind each check.
 """
 
 import ast
@@ -22,10 +21,6 @@ def at(path, node, text):
     return f"{path}:{node.lineno}: {text}"
 
 
-def is_self(node):
-    return isinstance(node, ast.Name) and node.id == "self"
-
-
 def dotted(node):
     """``a.b.c`` for a pure Name/Attribute chain, else None."""
     parts = []
@@ -33,16 +28,6 @@ def dotted(node):
         parts.append(node.attr)
         node = node.value
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
-
-
-def called(call):
-    """``f`` of ``f(...)`` and of ``x.f(...)``."""
-    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-
-
-def calls(node, name):
-    """True when ``node`` contains a call to ``name``."""
-    return any(isinstance(sub, ast.Call) and called(sub) == name for sub in ast.walk(node))
 
 
 def assigned(node):
@@ -99,31 +84,6 @@ def unseeded_randomness(modules):
     return out
 
 
-def unaccounted_sends(modules):
-    """REP003: a width passed to ``Message`` comes from ``words_of`` (in the
-    expression or the enclosing function) or a message's ``.words``, and no
-    ``.words`` but ``self``'s is assigned."""
-    out = []
-
-    def visit(path, node, sized):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            sized = calls(node, "words_of")
-        elif isinstance(node, ast.Call) and called(node) == "Message":
-            for width in node.args[4:5] + [kw.value for kw in node.keywords if kw.arg == "words"]:
-                if not (sized or calls(width, "words_of")
-                        or isinstance(width, ast.Attribute) and width.attr == "words"):
-                    out.append(at(path, node, "REP003 Message width never passed through words_of"))
-        for target in assigned(node):
-            if getattr(target, "attr", None) == "words" and not is_self(target.value):
-                out.append(at(path, target, "REP003 a message's .words rewritten"))
-        for child in ast.iter_child_nodes(node):
-            visit(path, child, sized)
-
-    for path, tree in modules.items():
-        visit(path, tree, False)
-    return out
-
-
 HOT = ("congest", "serve")
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
@@ -159,8 +119,7 @@ def hot_path_slots(modules):
             for key, site in sorted(defined.items()) if site and key in looped]
 
 
-CHECKS = {"REP002": unseeded_randomness, "REP003": unaccounted_sends,
-          "REP005": hot_path_slots}
+CHECKS = {"REP002": unseeded_randomness, "REP005": hot_path_slots}
 
 
 @pytest.fixture(scope="module")
@@ -207,9 +166,6 @@ FIRES = [
     ("REP002", "from-import-default-rng-unseeded",
      "from numpy.random import default_rng\ndefault_rng()"),
     ("REP002", "from-import-random-unseeded", "from random import Random\nRandom()"),
-    ("REP003", "fabricated-width", 'Message(src, dst, "k", payload, 1)'),
-    ("REP003", "fabricated-keyword-width", 'Message(src, dst, "k", payload, words=3)'),
-    ("REP003", "rewritten-width", "def shrink(msg):\n    msg.words = 1"),
     ("REP005", "slotless-loop-class", {
         "src/repro/congest/snippet.py": "class Packet:\n    pass",
         "src/repro/congest/pump.py": "def pump(n):\n    return [Packet(i) for i in range(n)]",
@@ -229,15 +185,6 @@ SILENT = [
             return rng.sample(xs, 2), gen, other.random()
     """),
     ("REP002", "local-name-random", "def random(x):\n    return random(x)"),
-    ("REP003", "words-of-width", 'Message(src, dst, "k", payload, words_of(payload))'),
-    ("REP003", "enclosing-words-of", """
-        def broadcast(src, ports, payload):
-            words = words_of(payload)
-            return [Message(src, p, "k", payload, words) for p in ports]
-    """),
-    ("REP003", "copied-width", "Message(msg.dst, nxt, msg.kind, msg.payload, msg.words)"),
-    ("REP003", "self-words",
-     "class Message:\n    def __init__(self, payload):\n        self.words = words_of(payload)"),
     ("REP005", "slotted-class",
      "class Packet:\n    __slots__ = ()\n\nPACKETS = [Packet() for _ in range(3)]"),
     ("REP005", "cold-instantiation", "class Config:\n    pass\n\ndef load():\n    return Config()"),
