@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import CongestModelViolation, InputError
 from repro.graphs import random_connected_graph
+from repro.wordsize import words_of
 
 
 def tiny_graph():
@@ -177,7 +178,13 @@ class TestMessaging:
         net.send_each([("a", "b", (1, 2, 3, 4, 5, 6))])
         assert net.metrics.charged_rounds == 2  # ceil(6/2) - 1
 
-    def test_message_word_count(self, engine):
+    def test_message_word_count(self):
+        # A message is the sender's ``(src, dst, payload)`` tuple; its width
+        # is the payload's, sized by the same rule the engines charge.
+        _src, _dst, payload = (1, 2, (1, 2, 3))
+        assert words_of(payload) == 3
+
+    def test_message_words_metric_sums_payloads(self, engine):
         net = engine(tiny_graph())
         net.send_each([("a", "b", (1, 2, 3)), ("b", "c", None)])
         assert net.deliver_batch() == [("a", "b", (1, 2, 3)), ("b", "c", None)]
