@@ -8,7 +8,7 @@ the largest size of ``repro fig graph-rounds``):
 
 * ``fig7_flood``    — full-neighborhood exchanges (one ``send_each`` per
   round over every vertex's ports + ``deliver_batch``): the pure engine
-  round-trip, also printed as nanoseconds per message on each engine;
+  round-trip;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
 * ``fig7_meter``    — memory metering with no traffic: per-vertex stores
   over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
@@ -202,12 +202,6 @@ def render(records: List[Dict[str, Any]]) -> str:
             f"{r['message_words']:>10}{r['ref_wall_s']:>9.3f}"
             f"{r['fast_wall_s']:>9.3f}{r['speedup_wall']:>8.2f}x"
         )
-    for r in records:
-        if r["workload"] == "fig7_flood":
-            ref_ns, fast_ns = (round(r[f"{e}_wall_s"] * 1e9 / r["messages"])
-                               for e in ("ref", "fast"))
-            lines.append(f"fig7_flood per message: reference {ref_ns} ns, "
-                         f"fast {fast_ns} ns")
     return "\n".join(lines)
 
 

@@ -32,6 +32,7 @@ import networkx as nx
 from ..congest.bfs import build_bfs_tree
 from ..congest.network import Network
 from ..errors import InputError
+from ..graphs.trees import depths
 from ..graphs.validation import require_weighted_connected
 from ..graphs.virtual import VirtualGraphOracle
 from ..hopsets.construction import build_hopset
@@ -42,7 +43,7 @@ from ..tz.hierarchy import Hierarchy, sample_hierarchy, virtual_level
 from ..treerouting.multi import build_tree_schemes
 from .assembly import assemble_labels, assemble_tables
 from .high_levels import HighLevelConfig, build_high_level_clusters
-from .low_levels import build_exact_low_level_clusters, hop_depth
+from .low_levels import build_exact_low_level_clusters
 
 NodeId = Hashable
 
@@ -156,7 +157,7 @@ def build_distributed_scheme(
     low_level_hop_depth: Dict[int, int] = {}
     for tree in low_trees.values():
         low_level_hop_depth[tree.level] = max(
-            low_level_hop_depth.get(tree.level, 0), hop_depth(tree))
+            low_level_hop_depth.get(tree.level, 0), max(depths(tree.parent).values()))
 
     # -- virtual graph + hopset ------------------------------------------------
     virtual_vertices = sorted(hierarchy.set_at(boundary), key=repr)

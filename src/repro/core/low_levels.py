@@ -33,23 +33,6 @@ def claim8_hop_limit(n: int, k: int, i: int) -> int:
     return int(min(n, math.ceil(4.0 * n ** ((i + 1) / k) * max(1.0, math.log(n)))))
 
 
-def hop_depth(tree: ClusterTree) -> int:
-    """Hops from the root to the deepest member along the tree's parent
-    pointers: the ``h(root, v)`` Claim 8 bounds, read off the tree."""
-    parent = tree.parent
-    depth: Dict[NodeId, int] = {tree.root: 0}
-    for v in parent:
-        path = []
-        while v not in depth:  # climb to the nearest vertex already placed
-            path.append(v)
-            v = parent[v]
-        d = depth[v]
-        for u in reversed(path):
-            d += 1
-            depth[u] = d
-    return max(depth.values())
-
-
 def build_exact_low_level_clusters(
     net: Network,
     hierarchy: Hierarchy,

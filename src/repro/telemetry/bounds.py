@@ -205,8 +205,6 @@ def check_graph_columns(
 def check_claim8_hop_depth(
     depths: Dict[int, int],
     limits: Dict[int, int],
-    *,
-    prefix: str = "table1/this-paper",
 ) -> List[BoundVerdict]:
     """Claim 8: a level-``i`` cluster tree of a low level is at most
     ``limits[i]`` hops deep.  ``depths[i]`` is the deepest level-``i`` tree
@@ -216,7 +214,7 @@ def check_claim8_hop_depth(
         return []
     level = max(sorted(depths), key=lambda i: depths[i] / limits[i])
     return [_check(
-        f"{prefix}/claim8_hop_depth", "hop_depth",
+        "table1/this-paper/claim8_hop_depth", "hop_depth",
         f"Claim 8: level-{level} cluster-tree hop depth <= "
         f"min(n, ⌈4·n^({level + 1}/k)·ln n⌉)",
         float(depths[level]), float(limits[level]),

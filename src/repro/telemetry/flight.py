@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..errors import InputError
-from ..wordsize import _ONE_WORD_TYPES, words_of
+from ..wordsize import words_of
 
 #: Active ``auto`` sessions.  Empty list == flight recording disabled;
 #: ``Network.__init__`` tests truthiness only (the event-bus guard).
@@ -167,10 +167,9 @@ class FlightRecorder:
         count = 0
         phase = net.metrics.phase_name
         per_edge: Dict[Tuple[Any, Any], List[int]] = {}
-        one_word = _ONE_WORD_TYPES
         for src, dst, payload in delivered:
             count += 1
-            width = 1 if type(payload) in one_word else words_of(payload)
+            width = words_of(payload)
             edge = (src, dst)
             entry = self.edge_totals.get(edge)
             if entry is None:

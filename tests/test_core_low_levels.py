@@ -88,19 +88,15 @@ class TestClaim8Verdict:
         return run_table1(n=80, k=3, seed=3, pairs=20)
 
     def test_hop_depth_reads_the_parent_pointers(self, setup):
-        from repro.core.low_levels import hop_depth
-        from repro.tz.clusters import ClusterTree
+        from repro.graphs.trees import depths
 
-        path = ClusterTree(root=0, level=0, dist={0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0},
-                           parent={3: 0, 2: 1, 1: 0, 0: None})
-        assert hop_depth(path) == 2
         graph, hier, pivots = setup
         for root, tree in all_cluster_trees(graph, hier, pivots).items():
             depth = {root: 0}
             for v in sorted(tree.dist, key=tree.dist.get):
                 if tree.parent[v] is not None:
                     depth[v] = depth[tree.parent[v]] + 1
-            assert hop_depth(tree) == max(depth.values())
+            assert depths(tree.parent) == depth
 
     def test_verdict_is_emitted_and_passes(self, table1):
         record = table1.to_run_record()
