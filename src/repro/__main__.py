@@ -5,7 +5,7 @@ Regenerates the paper's tables and the figure / ablation sweeps::
     python -m repro table2                 # Table 2, default workload
     python -m repro table1 --n 200 --k 3   # Table 1
     python -m repro fig tree-memory        # one of the F1-F9 sweeps
-    python -m repro fig ablation-q         # one of the A1-A4 ablations
+    python -m repro fig ablation-q         # one of the A1-A3 ablations
     python -m repro demo                   # tiny end-to-end demo
 
 Telemetry surfaces (docs/observability.md):
@@ -43,7 +43,6 @@ from .analysis import (
     ReportSpec,
     ablation_aspect_ratio,
     ablation_epsilon,
-    ablation_mode,
     ablation_q,
     fig_graph_rounds,
     fig_hopset,
@@ -90,13 +89,12 @@ FIGURE_ALIASES = {
     for i, name in enumerate(FIGURES, start=1)
 }
 
-#: Everything ``fig`` / ``trace`` run: the nine figures and the four ablations.
+#: Everything ``fig`` / ``trace`` run: the nine figures and the three ablations.
 _SWEEPS = {
     **FIGURES,
     "ablation-aspect-ratio": (ablation_aspect_ratio, "A1: aspect-ratio independence (n=500)"),
     "ablation-q": (ablation_q, "A2: sampling rate q (tree routing, n=1000)"),
     "ablation-epsilon": (ablation_epsilon, "A3: approximation slack epsilon (n=400, k=3)"),
-    "ablation-mode": (ablation_mode, "A4: routing mode first vs best (k=3)"),
 }
 
 
@@ -200,8 +198,6 @@ def _args_serve(new, shared) -> None:
     add("--seed", type=int, default=0)
     add("--builder", choices=("centralized", "distributed"), default="centralized",
         help="scheme construction (default: centralized)")
-    add("--mode", choices=("first", "best"), default="first",
-        help="source rule (default: first, the 4k-3 analysis)")
     add("--cache", default=4096, metavar="SIZE",
         type=_checked(int, lambda v: v >= 0, ">= 0", "non-negative"),
         help="LRU decision-cache entries (0 disables)")
@@ -215,7 +211,7 @@ def _args_serve(new, shared) -> None:
     add("--cache-file", metavar="PATH",
         help="warm-cache persistence: preload the decision cache from PATH when it exists "
              "and save the (merged) cache back after the run; a file written against other "
-             "tables (another graph, k, seed or --mode) is an error, not a warm start")
+             "tables (another graph, k or seed) is an error, not a warm start")
     add("--slo-target", default=0.99,
         type=_checked(float, lambda v: 0 < v <= 1, "in (0, 1]", "fraction"),
         help="required fraction of queries within the stretch bound (default 0.99)")
@@ -382,7 +378,7 @@ def _built_scheme(args):
         from .core import build_distributed_scheme
         scheme = build_distributed_scheme(graph, args.k, seed=args.seed).scheme
     stream = dict(workload=args.workload, queries=args.queries, seed=args.seed,
-                  mode=args.mode, cache_size=args.cache, zipf_alpha=args.zipf_alpha)
+                  cache_size=args.cache, zipf_alpha=args.zipf_alpha)
     return graph, scheme, stream
 
 
@@ -416,11 +412,11 @@ def _serve_single(args, graph, scheme, stream):
         # Warm-cache persistence: serve with a preloaded engine, save
         # the (possibly warmer) cache back after the run.
         compiled = compile_scheme(scheme, graph)
-        computed_on = _cache_fingerprint(compiled, args.mode)
+        computed_on = _cache_fingerprint(compiled)
         cache = (DecisionCache.load(args.cache_file, maxsize=args.cache,
                                     fingerprint=computed_on)
                  if Path(args.cache_file).exists() else DecisionCache(args.cache))
-        engine = ServeEngine(compiled, mode=args.mode, cache=cache)
+        engine = ServeEngine(compiled, cache=cache)
     report, record = record_run(lambda: run_serving(
         scheme, graph, slo_target=args.slo_target, engine=engine, metrics=metrics,
         tracer=tracer, **stream)[0])
@@ -439,12 +435,12 @@ def _serve_single(args, graph, scheme, stream):
     return report, record, notes
 
 
-def _cache_fingerprint(compiled, mode: str) -> str:
+def _cache_fingerprint(compiled) -> str:
     """What a ``--cache-file``'s entries are answers about: these tables
-    under this source rule (computed only when a cache file is in play)."""
+    (computed only when a cache file is in play)."""
     from .shard import lower_compiled
 
-    return f"{lower_compiled(compiled).fingerprint()}/{mode}"
+    return lower_compiled(compiled).fingerprint()
 
 
 def _serve_sharded(args, graph, scheme, stream):
@@ -454,7 +450,7 @@ def _serve_sharded(args, graph, scheme, stream):
 
     cache_entries = computed_on = None
     if args.cache_file:
-        computed_on = _cache_fingerprint(compile_scheme(scheme, graph), args.mode)
+        computed_on = _cache_fingerprint(compile_scheme(scheme, graph))
         if Path(args.cache_file).exists():
             cache_entries = DecisionCache.load(
                 args.cache_file, maxsize=args.cache, fingerprint=computed_on).entries()

@@ -3,7 +3,6 @@
 from .ablations import (
     ablation_aspect_ratio,
     ablation_epsilon,
-    ablation_mode,
     ablation_q,
 )
 from .figures import (
@@ -34,7 +33,6 @@ __all__ = [
     "Table2Result",
     "ablation_aspect_ratio",
     "ablation_epsilon",
-    "ablation_mode",
     "ablation_q",
     "fig_graph_rounds",
     "fig_hopset",

@@ -1,4 +1,4 @@
-"""Ablation sweeps A1-A4 (see DESIGN.md's per-experiment index).
+"""Ablation sweeps A1-A3 (see DESIGN.md's per-experiment index).
 
 Each sweep turns one knob the paper's analysis fixes and returns records
 like the figure sweeps of :mod:`repro.analysis.figures`; the defaults are
@@ -14,12 +14,7 @@ from typing import List, Sequence, Tuple
 
 from ..congest.network import Network
 from ..core.build import build_distributed_scheme
-from ..graphs.generators import (
-    grid_graph,
-    random_connected_graph,
-    ring_of_cliques,
-    spanning_tree_of,
-)
+from ..graphs.generators import random_connected_graph, spanning_tree_of
 from ..graphs.trees import tree_distance
 from ..graphs.weights import (
     assign_log_uniform_weights,
@@ -148,37 +143,5 @@ def ablation_epsilon(
             "stretch_mean": stretch.mean_stretch,
             "cluster_coverage": round(covered / total, 4),
             "table_max": report.scheme.max_table_words(),
-        })
-    return records
-
-
-def ablation_mode(k: int = 3, *, seed: int = 41, pairs: int = 150) -> List[Record]:
-    """A4: source-side candidate selection ("first" vs "best").
-
-    Appendix B routes through the first level whose pivot tree contains the
-    source (the 4k-3 analysis).  The paper notes the 4k-5 refinement picks
-    candidates more carefully at a polylog table cost; our "best" mode is
-    the source-side version: among all label entries whose tree contains
-    the source, choose the one minimizing the advertised
-    source→root→destination bound (uses the root_distance word the tables
-    already carry).  The sweep quantifies the gain across graph families.
-    """
-    workloads = {
-        "random-500": random_connected_graph(500, seed=seed),
-        "grid-20x20": grid_graph(20, 20, seed=seed),
-        "cliques-16x16": ring_of_cliques(16, 16, seed=seed),
-    }
-    records: List[Record] = []
-    for name, graph in workloads.items():
-        report = build_distributed_scheme(graph, k, seed=seed + 1)
-        pair_sample = sample_pairs(list(graph.nodes), pairs, seed=seed + 2)
-        first = measure_stretch(report.scheme, graph, pair_sample, mode="first")
-        best = measure_stretch(report.scheme, graph, pair_sample, mode="best")
-        records.append({
-            "workload": name,
-            "first_max": first.max_stretch,
-            "best_max": best.max_stretch,
-            "first_mean": first.mean_stretch,
-            "best_mean": best.mean_stretch,
         })
     return records

@@ -211,7 +211,7 @@ def run_table1(
         "stretch_mean": stretch.mean_stretch,
         "memory_words": report.max_memory_words,
         "paper_bound": (f"(n^(1/2+1/k)+D)·γ / Õ(n^(1/k)) / O(k log n) / "
-                        f"{4*k-5}+o(1) / Õ(n^(1/k))"),
+                        f"{4*k-3}+o(1) / Õ(n^(1/k))"),
     })
 
     # [TZ01b] centralized.
@@ -227,7 +227,7 @@ def run_table1(
         "stretch_max": stretch_c.max_stretch,
         "stretch_mean": stretch_c.mean_stretch,
         "memory_words": "NA",
-        "paper_bound": f"NA / Õ(n^(1/k)) / O(k log n) / {4*k-5} / NA",
+        "paper_bound": f"NA / Õ(n^(1/k)) / O(k log n) / {4*k-3} / NA",
     })
 
     # Landmark baseline (non-compact: Θ(sqrt n) tables).

@@ -49,8 +49,9 @@ class TreeTable:
     ``enter``/``exit_`` delimit the vertex's DFS interval (descendant test),
     ``parent`` and ``heavy`` are neighbour ids (``None`` at the root / at
     leaves).  ``root_distance`` (optional, +1 word) is the weighted distance
-    to the tree root; the general-graph scheme stores it to pick the best
-    candidate tree at the source.
+    to the tree root.  The general-graph schemes store it and count it in
+    their table size, but no router reads it: the source commits to the
+    first label level whose tree contains it.
     """
 
     enter: int

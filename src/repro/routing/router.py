@@ -9,11 +9,9 @@ model of the paper's introduction.
 
 ``route_in_graph`` implements the Appendix B scheme: the *source* scans the
 destination label's level entries in increasing order and commits to the
-first pivot tree that contains the source itself (mode ``"first"``, the
-4k-3 analysis), or to the candidate minimizing the advertised
-source-to-root-to-destination upper bound (mode ``"best"``, the
-source-side refinement); the choice is written into the header and every
-subsequent hop is pure tree routing.
+first pivot tree that contains the source itself (the 4k-3 analysis);
+the choice is written into the header and every subsequent hop is pure
+tree routing.
 
 ``measure_stretch`` compares routed path lengths against exact Dijkstra
 distances over a pair sample -- the "Stretch" column of Table 1.
@@ -84,8 +82,6 @@ def route_in_graph(
     graph: nx.Graph,
     source: NodeId,
     target: NodeId,
-    *,
-    mode: str = "first",
 ) -> RouteResult:
     """Route ``source -> target`` with the general-graph scheme."""
     if source == target:
@@ -93,27 +89,16 @@ def route_in_graph(
     label = scheme.labels[target]
     source_table = scheme.tables[source]
 
-    candidates: List[Tuple[float, int, Header]] = []
-    for i, entry in enumerate(label.entries):
-        if entry is None:
-            continue
-        tree_id, dist_to_root, tree_label = entry
-        if not source_table.has_tree(tree_id):
-            continue
-        my_table = source_table.trees[tree_id]
-        bound = (my_table.root_distance or 0.0) + dist_to_root
-        candidates.append((bound, i, Header(tree=tree_id, tree_label=tree_label)))
-        if mode == "first":
+    header: Optional[Header] = None
+    for entry in label.entries:
+        if entry is not None and source_table.has_tree(entry[0]):
+            header = Header(tree=entry[0], tree_label=entry[2])
             break
-    if not candidates:
+    if header is None:
         raise RoutingFailure(
             f"no common cluster tree between {source!r} and {target!r} "
             "(top-level cluster should always be shared)"
         )
-    if mode == "best":
-        header = min(candidates, key=lambda c: (c[0], c[1]))[2]
-    else:
-        header = candidates[0][2]
 
     def weight_of(u: NodeId, v: NodeId) -> float:
         return float(graph[u][v].get("weight", 1.0))
@@ -188,7 +173,6 @@ def measure_stretch(
     graph: nx.Graph,
     pairs: Union[int, Sequence[Tuple[NodeId, NodeId]]],
     *,
-    mode: str = "first",
     seed: int = 0,
     rng: Optional[random.Random] = None,
 ) -> StretchReport:
@@ -212,7 +196,7 @@ def measure_stretch(
     for u, targets in by_source.items():
         dist, _ = dijkstra(adj, [u])
         for v in targets:
-            result = route_in_graph(scheme, graph, u, v, mode=mode)
+            result = route_in_graph(scheme, graph, u, v)
             exact = dist[v]
             stretch = result.length / exact if exact > 0 else 1.0
             total += stretch

@@ -78,7 +78,6 @@ class PackedTree:
     heavy: List[int] = field(default_factory=list)
     heavy_id: List[Optional[NodeId]] = field(default_factory=list)
     heavy_w: List[Optional[float]] = field(default_factory=list)
-    root_distance: List[float] = field(default_factory=list)
 
     #: One-attribute-load bundle of the hot arrays, built by ``seal()``.
     #: Short routes are common, so the per-query cost of binding ten
@@ -120,10 +119,10 @@ class PackedLabel:
 #: label)``.
 Row = Tuple[int, int, float, PackedLabel]
 
-#: One ``decisions`` candidate: ``(local, (tree, label), root_distance,
-#: level, dist_to_root)``.
+#: One ``decisions`` candidate: ``(local, (tree, label), level,
+#: dist_to_root)``.
 Candidate = Tuple[Dict[NodeId, int], Tuple[PackedTree, PackedLabel],
-                  Sequence[float], int, float]
+                  int, float]
 
 
 class CompiledTreeScheme:
@@ -192,14 +191,13 @@ class CompiledGraphScheme:
         self.trees = trees
         #: ``decisions[target]`` -- the one per-target table -- is the
         #: target's usable label entries in level order, pre-resolved
-        #: into bare tuples ``(local, (tree, label), root_distance,
-        #: level, dist_to_root)``.  The engine's source rule is then one
+        #: into bare tuples ``(local, (tree, label), level,
+        #: dist_to_root)``.  The engine's source rule is then one
         #: membership probe per candidate with zero attribute loads (the
         #: scan runs on every cache miss), and a trace reads its
         #: provenance off the committed tuple.
         self.decisions: Dict[NodeId, Tuple[Candidate, ...]] = {
-            v: tuple((trees[ti].local, (trees[ti], label),
-                      trees[ti].root_distance, level, dist)
+            v: tuple((trees[ti].local, (trees[ti], label), level, dist)
                      for level, ti, dist, label in target_rows)
             for v, target_rows in rows.items()
         }
@@ -240,7 +238,7 @@ def _compile_tree(
     adj = _adjacency(graph)
     weighted = graph is not None
     ids = list(scheme.index)
-    tree = _pack_tree(scheme.tree_id, ids, scheme.columns_of(ids), adj,
+    tree = _pack_tree(scheme.tree_id, ids, scheme.columns_of(ids)[:4], adj,
                       weighted=weighted)
     rows = {v: ((0, 0, 0.0, _pack_label(label, tree, adj, weighted=weighted)),)
             for v, label in scheme.labels.items()}
@@ -324,15 +322,15 @@ def _adjacency(
 
 
 def _member_columns(ids: List[NodeId], entries: list) -> List[list]:
-    """The five table columns of one tree's members: read off the tree
-    scheme's columns when every entry refers to the same one."""
+    """The four forwarding columns of one tree's members: read off the
+    tree scheme's columns when every entry refers to the same one."""
     first = entries[0]
     if not isinstance(first, TreeTable) and all(e is first for e in entries):
-        return first.columns_of(ids)
+        return first.columns_of(ids)[:4]
     rows = [e if isinstance(e, TreeTable) else e.table_of(v)
             for v, e in zip(ids, entries)]
     return [[getattr(row, name) for row in rows] for name in
-            ("enter", "exit_", "parent", "heavy", "root_distance")]
+            ("enter", "exit_", "parent", "heavy")]
 
 
 def _pack_tree(
@@ -344,9 +342,9 @@ def _pack_tree(
     weighted: bool,
 ) -> PackedTree:
     """One tree's rows (``ids`` and their ``enter`` / ``exit_`` / ``parent``
-    / ``heavy`` / ``root_distance`` columns, in tree-local order) plus the
-    local indices and weights of each parent and heavy pointer."""
-    enter, exit_, parent_id, heavy_id, root_distance = columns
+    / ``heavy`` columns, in tree-local order) plus the local indices and
+    weights of each parent and heavy pointer."""
+    enter, exit_, parent_id, heavy_id = columns
     local = dict(zip(ids, range(len(ids))))
 
     def pointers(targets: List[Optional[NodeId]]) -> Tuple[List[int], list]:
@@ -362,7 +360,6 @@ def _pack_tree(
         tree_id=tree_id, ids=ids, local=local, enter=enter, exit_=exit_,
         parent=parent, parent_id=parent_id, parent_w=parent_w, heavy=heavy,
         heavy_id=heavy_id, heavy_w=heavy_w,
-        root_distance=[d or 0.0 for d in root_distance],
     ).seal()
 
 

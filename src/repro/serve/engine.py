@@ -13,9 +13,9 @@ partial path) -- see ``tests/test_serve_differential.py``.
 Per-query work:
 
 1. **decision** (graph schemes): scan the destination label's packed
-   entries in level order and commit to a tree exactly like the source
-   rule in :func:`repro.routing.router.route_in_graph` (``mode="first"``
-   is the 4k-3 analysis; ``mode="best"`` the source-side refinement).
+   entries in level order and commit to the first tree that contains the
+   source, exactly like :func:`repro.routing.router.route_in_graph` (the
+   4k-3 analysis).
 2. **forwarding**: a tight loop over the packed tree's flat arrays --
    integer compares plus one dict probe for the light edge -- with the
    weight of every hop precomputed at compile time.
@@ -334,9 +334,8 @@ class DecisionCache:
         ``load`` rebuilds the identical LRU eviction order.  Hit/miss
         counters are run-scoped and deliberately not persisted.
         ``fingerprint`` names what the entries were computed on (``repro
-        serve`` passes the table image's digest and the source-rule
-        mode): a cached entry is a finished answer, so it is only true
-        of those tables.
+        serve`` passes the table image's digest): a cached entry is a
+        finished answer, so it is only true of those tables.
         """
         from ..routing.serialization import encode_id
 
@@ -428,17 +427,13 @@ class ServeEngine:
         self,
         compiled: CompiledScheme,
         *,
-        mode: str = "first",
         cache_size: int = 4096,
         cache: Optional[DecisionCache] = None,
         max_hops: Optional[int] = None,
         metrics: Optional["ServeMetrics"] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
-        if mode not in ("first", "best"):
-            raise InputError(f"unknown mode {mode!r}")
         self.compiled = compiled
-        self.mode = mode
         #: ``cache`` (e.g. a :meth:`DecisionCache.load`-ed warm cache)
         #: takes precedence over ``cache_size``.
         self.cache = cache if cache is not None else DecisionCache(cache_size)
@@ -548,7 +543,6 @@ class ServeEngine:
         decide = self._decide
         forward = _forward_graph
         decisions = compiled.decisions
-        first = self.mode == "first"
         budget = self.budget
         timed = boundaries is not None
         stamp = boundaries.append if timed else None
@@ -588,17 +582,16 @@ class ServeEngine:
                     continue
                 misses += 1
             try:
-                # Fast path for the default source rule; any miss (or
-                # "best" mode) drops to _decide, which re-runs the lookup
-                # and raises the reference's exact error.
+                # The source rule inlined; any miss drops to _decide,
+                # which re-runs the lookup and raises the reference's
+                # exact error.
                 decision = None
-                if first:
-                    cands = decisions.get(target)
-                    if cands is not None:
-                        for cand in cands:
-                            if source in cand[0]:
-                                decision = cand[1]
-                                break
+                cands = decisions.get(target)
+                if cands is not None:
+                    for cand in cands:
+                        if source in cand[0]:
+                            decision = cand[1]
+                            break
                 if decision is None:
                     decision = decide(compiled, source, target)[1]
                 path, length = forward(compiled, decision[0], decision[1],
@@ -676,9 +669,7 @@ class ServeEngine:
         """The source rule: pick the committed tree for this query.
 
         Mirrors ``route_in_graph``: scan usable label entries in level
-        order, keep those whose tree contains the source, score by the
-        advertised source-root-target upper bound; ``"first"`` commits to
-        the first candidate, ``"best"`` minimizes ``(bound, level)``.
+        order and commit to the first whose tree contains the source.
         Runs over the compiler's flat ``decisions`` table and returns the
         committed candidate's index in ``decisions[target]`` (what the
         tracer reads its provenance by: two levels may name one tree)
@@ -689,22 +680,9 @@ class ServeEngine:
             raise KeyError(target)  # parity: scheme.labels[target]
         if source not in compiled.table_ids:
             raise KeyError(source)  # parity: scheme.tables[source]
-        if self.mode == "first":
-            for i, cand in enumerate(cands):
-                if source in cand[0]:
-                    return i, cand[1]
-        else:
-            best: Optional[Tuple[float, int, int, tuple]] = None
-            for i, (local, pair, root_distance, level, dist_to_root) \
-                    in enumerate(cands):
-                li = local.get(source)
-                if li is None:
-                    continue
-                bound = root_distance[li] + dist_to_root
-                if best is None or (bound, level) < (best[0], best[1]):
-                    best = (bound, level, i, pair)
-            if best is not None:
-                return best[2], best[3]
+        for i, cand in enumerate(cands):
+            if source in cand[0]:
+                return i, cand[1]
         raise RoutingFailure(
             f"no common cluster tree between {source!r} and {target!r} "
             "(top-level cluster should always be shared)"

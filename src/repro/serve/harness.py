@@ -80,7 +80,6 @@ class ServeReport:
     workload: str
     queries: int
     seed: int
-    mode: str
     cache_size: int
     #: wall-clock columns are measurements of *this machine at this
     #: moment*, not of routing behavior — excluded from equality so two
@@ -165,7 +164,6 @@ class ServeReport:
             "workload": self.workload,
             "queries": self.queries,
             "seed": self.seed,
-            "mode": self.mode,
             "cache_size": self.cache_size,
             "compile_s": round(self.compile_s, 4),
             "serve_s": round(self.serve_s, 4),
@@ -200,7 +198,6 @@ class ServeReport:
                 "workload": self.workload,
                 "queries": self.queries,
                 "seed": self.seed,
-                "mode": self.mode,
                 "cache_size": self.cache_size,
             },
             columns=[self.to_row()],
@@ -213,7 +210,7 @@ class ServeReport:
     def render(self) -> str:
         lines = [
             f"workload={self.workload} queries={self.queries} "
-            f"seed={self.seed} mode={self.mode}",
+            f"seed={self.seed}",
             f"throughput    {self.throughput_qps:>12.0f} queries/s "
             f"(serve {self.serve_s:.3f}s, compile {self.compile_s:.3f}s)",
             f"hops          p50={self.hops_p50:.0f} p90={self.hops_p90:.0f} "
@@ -263,7 +260,7 @@ class ServeReport:
         ``serve_s``-derived and latency fields are *report-level* merges;
         they are excluded from dataclass equality already.  Raises
         :class:`~repro.errors.InputError` on an empty list or when shards
-        disagree on stream identity (workload/seed/mode/cache/SLO).
+        disagree on stream identity (workload/seed/cache/SLO).
         """
         from ..errors import InputError
 
@@ -272,7 +269,7 @@ class ServeReport:
             raise InputError("cannot merge an empty list of shard reports")
         first = reports[0]
         for r in reports[1:]:
-            for attr in ("workload", "seed", "mode", "cache_size",
+            for attr in ("workload", "seed", "cache_size",
                          "slo_bound", "slo_target"):
                 if getattr(r, attr) != getattr(first, attr):
                     raise InputError(
@@ -323,7 +320,6 @@ class ServeReport:
             workload=first.workload,
             queries=queries,
             seed=first.seed,
-            mode=first.mode,
             cache_size=first.cache_size,
             compile_s=compile_s,
             serve_s=serve_s,
@@ -387,7 +383,6 @@ def run_serving(
     workload: str = "uniform",
     queries: int = 1000,
     seed: int = 0,
-    mode: str = "first",
     cache_size: int = 4096,
     zipf_alpha: float = 1.1,
     slo_bound: Optional[float] = None,
@@ -415,18 +410,17 @@ def run_serving(
         started = time.perf_counter()
         if engine is None:
             compiled = compile_scheme(scheme, graph)
-            engine = ServeEngine(compiled, mode=mode, cache_size=cache_size,
+            engine = ServeEngine(compiled, cache_size=cache_size,
                                  metrics=metrics, tracer=tracer)
         else:
             compiled = engine.compiled
-            mode = engine.mode
         compile_s = time.perf_counter() - started
 
         with _tele.span("serve/workload", workload=workload):
             pairs = make_workload(
                 workload, graph, compiled.nodes, queries, seed,
                 zipf_alpha=zipf_alpha,
-                route_length=_route_length_probe(compiled, graph, mode),
+                route_length=_route_length_probe(compiled, graph),
             )
         return serve_pairs(
             engine, graph, pairs,
@@ -467,7 +461,6 @@ def serve_pairs(
     bundle stays cumulative.
     """
     compiled = engine.compiled
-    mode = engine.mode
     cache_size = engine.cache.maxsize
     if metrics is not None and engine.metrics is None:
         engine.metrics = metrics
@@ -552,7 +545,6 @@ def serve_pairs(
         workload=workload,
         queries=len(results),
         seed=seed,
-        mode=mode,
         cache_size=cache_size,
         compile_s=compile_s,
         serve_s=serve_s,
@@ -587,12 +579,12 @@ def serve_pairs(
 # Internals
 # ---------------------------------------------------------------------------
 
-def _route_length_probe(compiled, graph: nx.Graph, mode: str):
+def _route_length_probe(compiled, graph: nx.Graph):
     """A side engine for adversarial mining (None on routing failure).
 
     Uses its own engine so mining never warms the measured cache.
     """
-    probe = ServeEngine(compiled, mode=mode, cache_size=0)
+    probe = ServeEngine(compiled, cache_size=0)
 
     def route_length(u: NodeId, v: NodeId) -> Optional[float]:
         result = probe.route_recorded(u, v)

@@ -104,7 +104,6 @@ class ShardPool:
         *,
         workers: int,
         start: str = "fork",
-        mode: str = "first",
         cache_size: int = 4096,
         metrics: bool = True,
         seed: int = 0,
@@ -140,7 +139,6 @@ class ShardPool:
                 spec = WorkerSpec(
                     start=start,
                     manifest=self.sealed.manifest,
-                    mode=mode,
                     cache_size=cache_size,
                     metrics=metrics,
                     collect_results=collect_results,
@@ -333,7 +331,6 @@ def run_sharded(
     workload: str = "uniform",
     queries: int = 1000,
     seed: int = 0,
-    mode: str = "first",
     cache_size: int = 4096,
     zipf_alpha: float = 1.1,
     slo_bound: Optional[float] = None,
@@ -360,7 +357,7 @@ def run_sharded(
         compiled = compile_scheme(scheme, graph)
         with ShardPool(
             compiled, graph,
-            workers=workers, start=start, mode=mode,
+            workers=workers, start=start,
             cache_size=cache_size, seed=seed,
             cache_entries=cache_entries,
             collect_results=collect_results,

@@ -24,7 +24,7 @@ NodeId = Hashable
 
 #: ServeReport fields copied verbatim (JSON-able scalars).
 _SCALAR_FIELDS = (
-    "workload", "queries", "seed", "mode", "cache_size",
+    "workload", "queries", "seed", "cache_size",
     "compile_s", "serve_s", "throughput_qps",
     "hops_p50", "hops_p90", "hops_p99", "hops_max",
     "latency_us_p50", "latency_us_p90", "latency_us_p99",

@@ -56,7 +56,7 @@ from ..serve.compile import (
 NodeId = Hashable
 
 #: Manifest format version (bump on any layout change).
-TABLE_FORMAT = 1
+TABLE_FORMAT = 2
 
 #: Sentinel universe index for "no such id" (root's parent, leaf's heavy).
 NO_ID = -1
@@ -132,7 +132,7 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
         position = {tree.tree_id: ti for ti, tree in enumerate(trees)}
         per_target = [
             (v, tuple((level, position[tree.tree_id], dist, label)
-                      for _, (tree, label), _, level, dist in cands))
+                      for _, (tree, label), level, dist in cands))
             for v, cands in compiled.decisions.items()
         ]
         scalars = {
@@ -148,7 +148,7 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
         "t_ids_u", "t_enter", "t_exit", "t_parent", "t_parent_u",
         "t_heavy", "t_heavy_u")}
     t_fcols: Dict[str, List[float]] = {name: [] for name in (
-        "t_parent_w", "t_heavy_w", "t_rootdist")}
+        "t_parent_w", "t_heavy_w")}
     for tree in trees:
         t_cols["t_ids_u"].extend(index(v) for v in tree.ids)
         t_cols["t_enter"].extend(tree.enter)
@@ -163,7 +163,6 @@ def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
             _NAN if w is None else float(w) for w in tree.parent_w)
         t_fcols["t_heavy_w"].extend(
             _NAN if w is None else float(w) for w in tree.heavy_w)
-        t_fcols["t_rootdist"].extend(float(x) for x in tree.root_distance)
 
     # -- label columns (entry-offset indexed, light-offset indexed) ---------
     label_targets_u: List[int] = []
@@ -455,7 +454,6 @@ def _rebuild_trees(
         tree.exit_ = window("t_exit", start, end)
         tree.parent = window("t_parent", start, end)
         tree.heavy = window("t_heavy", start, end)
-        tree.root_distance = window("t_rootdist", start, end)
         # Optional columns rehydrate their None sentinels (-1 / NaN): the
         # engine's edge checks compare against None, not a sentinel.
         tree.parent_id = [None if u == NO_ID else universe[u]

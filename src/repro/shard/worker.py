@@ -59,7 +59,6 @@ class WorkerSpec:
 
     start: str
     manifest: Dict[str, Any]
-    mode: str = "first"
     cache_size: int = 4096
     metrics: bool = True
     collect_results: bool = False
@@ -76,7 +75,7 @@ def worker_main(conn: Any, spec: WorkerSpec, graph: Any) -> None:
         cache = DecisionCache(spec.cache_size)
         if spec.cache_entries:
             cache.preload(spec.cache_entries)
-        engine = ServeEngine(attached.compiled, mode=spec.mode, cache=cache)
+        engine = ServeEngine(attached.compiled, cache=cache)
         # One bundle for the worker's lifetime: engine counters and
         # exemplar reservoirs accumulate across serve ops exactly like a
         # pre-warmed single-process engine's do.

@@ -231,7 +231,7 @@ def _render(
 def _drilldown(trace: Dict[str, Any]) -> List[str]:
     lines = [f"-- {trace.get('trace_id')}  "
              f"{trace.get('source')} -> {trace.get('target')}  "
-             f"(via {trace.get('via')}, mode {trace.get('mode')})"]
+             f"(via {trace.get('via')})"]
     if trace.get("ok", False):
         lines.append(
             f"   committed: level {trace.get('level')} "

@@ -96,7 +96,7 @@ class QueryTrace:
     """
 
     __slots__ = (
-        "trace_id", "source", "target", "via", "mode",
+        "trace_id", "source", "target", "via",
         "ok", "error", "level", "tree_id", "root", "candidate_index",
         "dist_to_root", "bunch_levels", "hops", "length",
         "optimal", "stretch", "attribution", "phases",
@@ -109,13 +109,11 @@ class QueryTrace:
         target: NodeId,
         *,
         via: str = "head",
-        mode: str = "first",
     ) -> None:
         self.trace_id = trace_id
         self.source = source
         self.target = target
         self.via = via
-        self.mode = mode
         self.ok = False
         self.error: Optional[str] = None
         self.level: Optional[int] = None
@@ -144,7 +142,6 @@ class QueryTrace:
             "source": _json_id(self.source),
             "target": _json_id(self.target),
             "via": self.via,
-            "mode": self.mode,
             "ok": self.ok,
             "level": self.level,
             "tree_id": _json_id(self.tree_id),
@@ -170,7 +167,6 @@ class QueryTrace:
             source=d.get("source"),
             target=d.get("target"),
             via=str(d.get("via", "head")),
-            mode=str(d.get("mode", "first")),
         )
         trace.ok = bool(d.get("ok", False))
         trace.error = d.get("error")

@@ -47,7 +47,7 @@ def replay_query(
     ``ServeEngine.route``, so no trace exists of a query the engine refused.
     """
     compiled = engine.compiled
-    trace = QueryTrace(trace_id, source, target, via=via, mode=engine.mode)
+    trace = QueryTrace(trace_id, source, target, via=via)
     is_tree = isinstance(compiled, CompiledTreeScheme)
     if is_tree:
         tree = compiled.tree
@@ -59,13 +59,13 @@ def replay_query(
             trace.ok = True
             return trace
         cands = compiled.decisions.get(target, ())
-        trace.bunch_levels = tuple(cand[3] for cand in cands)
+        trace.bunch_levels = tuple(cand[2] for cand in cands)
         try:
             index, (tree, label) = engine._decide(compiled, source, target)
         except RoutingFailure as exc:
             trace.error = str(exc)
             return trace
-        _, _, _, level, dist_to_root = cands[index]
+        _, _, level, dist_to_root = cands[index]
         root = _tree_root(tree)
     trace.candidate_index, trace.level, trace.tree_id = \
         index, level, tree.tree_id

@@ -66,7 +66,8 @@ def build_distributed_tree_scheme(
     depth <= D, even when the tree T itself is much deeper).  ``q`` defaults
     to ``1/sqrt(n)``; the multi-tree runner passes ``1/sqrt(s n)``.
     ``root_distance`` optionally records weighted root distances in the
-    tables (+1 word) for the general-graph scheme's source-side selection.
+    tables (+1 word; the general-graph scheme counts it, no router reads
+    it).
     """
     require_tree_in_graph(net.graph, tree_parent)
     rounds_before = net.metrics.total_rounds

@@ -2,9 +2,9 @@
 
 The NA-rounds baseline: exact pivots, exact clusters, exact tree schemes.
 Table size Õ(n^{1/k}) words (Claim 6), label size O(k log n) words, stretch
-at most 4k-3 with the first-matching-pivot rule (and typically much better
-with ``mode="best"`` source-side selection; see
-:mod:`repro.routing.router`).
+at most 4k-3 with the first-matching-pivot rule (see
+:mod:`repro.routing.router`; the 4k-5 refinement of [TZ01b] is not
+implemented).
 
 The distributed scheme of Appendix B (:mod:`repro.core`) produces the same
 artifact types with *approximate* pivots/clusters; benchmarks print both as

@@ -31,8 +31,8 @@ def build_tree_scheme(
     """Build the exact TZ routing scheme for one tree.
 
     ``root_distance(v)`` optionally supplies the weighted distance from the
-    root (stored in the table, +1 word) -- the general-graph scheme uses it
-    for source-side candidate selection.
+    root (stored in the table, +1 word; the general-graph schemes count it
+    in their table size, no router reads it).
     """
     profile = tree_profile(parent)
     return TreeRoutingScheme.of_tree(

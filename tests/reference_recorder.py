@@ -13,7 +13,7 @@ this file.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Hashable, Tuple
 
 from repro.errors import RoutingFailure
 from repro.serve.compile import (
@@ -65,18 +65,18 @@ def _replay_graph(
     trace_id: str,
     via: str,
 ) -> QueryTrace:
-    trace = QueryTrace(trace_id, source, target, via=via, mode=engine.mode)
+    trace = QueryTrace(trace_id, source, target, via=via)
     if source == target:
         trace.ok = True
         return trace
     trace.bunch_levels = tuple(
-        cand[3] for cand in compiled.decisions.get(target, ()))
+        cand[2] for cand in compiled.decisions.get(target, ()))
     try:
         idx, tree, label = _decide_indexed(engine, compiled, source, target)
     except RoutingFailure as exc:
         trace.error = str(exc)
         return trace
-    _, _, _, level, dist_to_root = compiled.decisions[target][idx]
+    _, _, level, dist_to_root = compiled.decisions[target][idx]
     trace.candidate_index = idx
     trace.level = level
     trace.tree_id = tree.tree_id
@@ -98,22 +98,9 @@ def _decide_indexed(
         raise KeyError(target)  # parity: scheme.labels[target]
     if source not in compiled.table_ids:
         raise KeyError(source)  # parity: scheme.tables[source]
-    if engine.mode == "first":
-        for idx, cand in enumerate(cands):
-            if source in cand[0]:
-                return idx, cand[1][0], cand[1][1]
-    else:
-        best: Optional[Tuple[float, int, int, tuple]] = None
-        for idx, (local, pair, root_distance, level, dist_to_root) \
-                in enumerate(cands):
-            li = local.get(source)
-            if li is None:
-                continue
-            bound = root_distance[li] + dist_to_root
-            if best is None or (bound, level) < (best[0], best[1]):
-                best = (bound, level, idx, pair)
-        if best is not None:
-            return best[2], best[3][0], best[3][1]
+    for idx, cand in enumerate(cands):
+        if source in cand[0]:
+            return idx, cand[1][0], cand[1][1]
     raise RoutingFailure(
         f"no common cluster tree between {source!r} and {target!r} "
         "(top-level cluster should always be shared)"
@@ -200,7 +187,7 @@ def _replay_tree(
     trace_id: str,
     via: str,
 ) -> QueryTrace:
-    trace = QueryTrace(trace_id, source, target, via=via, mode=engine.mode)
+    trace = QueryTrace(trace_id, source, target, via=via)
     trace.level = 0
     trace.tree_id = compiled.tree.tree_id
     trace.root = compiled.root

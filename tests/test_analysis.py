@@ -76,6 +76,16 @@ class TestTable1Harness:
         ours = result.row("this-paper")
         assert ours["stretch_max"] <= 4 * 2 - 3 + 1e-9
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_paper_bound_prints_the_implemented_stretch(self, k):
+        """Both rows route by the first-level rule, whose bound (and the
+        stretch verdict's) is 4k-3; the 4k-5 refinement is not built."""
+        result = run_table1(40, k, seed=3, pairs=5)
+        stretch = {row["scheme"]: row["paper_bound"].split(" / ")[3]
+                   for row in result.rows}
+        assert stretch["this-paper"] == f"{4 * k - 3}+o(1)"
+        assert stretch["TZ01b-centralized"] == f"{4 * k - 3}"
+
 
 class TestFigureSweeps:
     def test_tree_rounds_sweep(self):

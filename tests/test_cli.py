@@ -196,6 +196,9 @@ class TestTelemetrySurfaces:
         (["serve", "--n", "1"], "repro serve: need n >= 2"),
         (["lint"], "argument command: invalid choice: 'lint'"),
         (["monitor"], "argument command: invalid choice: 'monitor'"),
+        # One source rule: no --mode flag and no first-vs-best ablation.
+        (["serve", "--mode", "best"], "unrecognized arguments: --mode best"),
+        (["fig", "ablation-mode"], "argument name: invalid choice: 'ablation-mode'"),
         # A count of zero would pass its verdict vacuously.
         (["table1", "--pairs", "0", "--strict"], "--pairs: must be > 0"),
         (["serve", "--queries", "0", "--strict"], "--queries: must be > 0"),
@@ -224,6 +227,7 @@ class TestTelemetrySurfaces:
         (["serve", "--n", "30", "--queries", "5", "--metrics-out", "<dir>"],
          "repro serve: <dir>: Is a directory"),
     ], ids=["stride-0", "workers-0", "n-1", "lint-is-gone", "monitor-is-gone",
+            "mode-is-gone", "ablation-mode-is-gone",
             "pairs-0", "queries-0", "queries-negative", "cache-negative",
             "worst-0", "worst-negative", "slo-target-0", "slo-target-negative",
             "slo-target-nan", "slo-target-2", "slo-target-above-1", "zipf-alpha-nan",
@@ -425,6 +429,6 @@ class TestCommandTable:
 
         source = inspect.getsource(cli)
         for flag in ("--json", "--strict", "--profile", "--workload",
-                     "--queries", "--builder", "--mode", "--cache",
+                     "--queries", "--builder", "--cache",
                      "--zipf-alpha", "--metrics-out"):
             assert source.count(f'"{flag}"') == 1, flag

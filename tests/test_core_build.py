@@ -109,10 +109,3 @@ class TestGraphFamilies:
             pairs = sample_pairs(list(graph.nodes), 80, seed=6)
             stretch = measure_stretch(rep.scheme, graph, pairs)
             assert stretch.max_stretch <= 4 * k - 3 + 1e-9
-
-    def test_best_mode_not_worse(self, report):
-        graph, rep = report
-        pairs = sample_pairs(list(graph.nodes), 100, seed=11)
-        first = measure_stretch(rep.scheme, graph, pairs)
-        best = measure_stretch(rep.scheme, graph, pairs, mode="best")
-        assert best.mean_stretch <= first.mean_stretch + 1e-9

@@ -2,7 +2,7 @@
 
 The paper's whole evaluation is Table 1 and Table 2 -- deterministic
 columns (rounds, table / label words, stretch, memory per vertex) -- and
-EXPERIMENTS.md adds the sweeps F1-F9, the ablations A1-A4 and the serving
+EXPERIMENTS.md adds the sweeps F1-F9, the ablations A1-A3 and the serving
 tier's deterministic columns.  Each case runs one experiment at the
 workload EXPERIMENTS.md documents (the defaults of the ``repro.analysis``
 functions, i.e. what ``python -m repro fig <name>`` prints), compares the
@@ -243,14 +243,6 @@ def _shape_ablation_epsilon(rows, k=3):
         assert r["stretch_max"] <= 4 * k - 3 + 1e-9
     # Tighter epsilon covers at least as much of the exact clusters.
     assert rows[0]["cluster_coverage"] >= rows[-1]["cluster_coverage"] - 1e-9
-
-
-@shape("ablation-mode")
-def _shape_ablation_mode(rows, k=3):
-    for r in rows:
-        assert r["best_mean"] <= r["first_mean"] + 1e-9
-        assert r["best_max"] <= 4 * k - 3 + 1e-9
-        assert r["first_max"] <= 4 * k - 3 + 1e-9
 
 
 @shape("serve")

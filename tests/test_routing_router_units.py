@@ -77,13 +77,6 @@ class TestRouteInGraphEdgeCases:
         result = route_in_graph(scheme, graph, u, v)
         assert result.path[0] == u and result.path[-1] == v
 
-    def test_mode_best_returns_same_destination(self, setup):
-        graph, scheme = setup
-        nodes = sorted(graph.nodes)
-        a = route_in_graph(scheme, graph, nodes[0], nodes[-1], mode="first")
-        b = route_in_graph(scheme, graph, nodes[0], nodes[-1], mode="best")
-        assert a.path[-1] == b.path[-1] == nodes[-1]
-
 
 class TestDeterministicSampling:
     """Seeded / injectable pair sampling for apples-to-apples stretch runs."""

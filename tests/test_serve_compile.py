@@ -35,7 +35,7 @@ class TestPackedStructure:
             n = tree.size
             for arr in (tree.enter, tree.exit_, tree.parent,
                         tree.parent_id, tree.parent_w, tree.heavy,
-                        tree.heavy_id, tree.heavy_w, tree.root_distance):
+                        tree.heavy_id, tree.heavy_w):
                 assert len(arr) == n
 
     def test_dfs_intervals_nest(self, built):
@@ -66,10 +66,10 @@ class TestPackedStructure:
             cands = compiled.decisions[v]
             assert len(cands) == len(usable)
             for (level, (tid, dist, tree_label)), \
-                    (local, (tree, packed), rd, got_level, got_dist) \
+                    (local, (tree, packed), got_level, got_dist) \
                     in zip(usable, cands):
                 assert tree is trees[tid]
-                assert local is tree.local and rd is tree.root_distance
+                assert local is tree.local
                 assert (got_level, got_dist) == (level, dist)
                 assert packed.enter == tree_label.enter
                 assert packed.words == tree_label.word_size()

@@ -28,10 +28,10 @@ from .differential.harness import random_tree_network
 QUERIES = 600
 
 
-def reference_outcome(scheme, graph, u, v, mode="first"):
+def reference_outcome(scheme, graph, u, v):
     """(ok, path, length, error) from the reference graph router."""
     try:
-        r = route_in_graph(scheme, graph, u, v, mode=mode)
+        r = route_in_graph(scheme, graph, u, v)
         return True, r.path, r.length, None
     except RoutingFailure as exc:
         return False, list(exc.path) if exc.path else [u], None, str(exc)
@@ -61,17 +61,15 @@ def graph_setup(request):
 
 
 class TestGraphDifferential:
-    @pytest.mark.parametrize("mode", ["first", "best"])
     @pytest.mark.parametrize("cache_size", [0, 64])
-    def test_600_queries_byte_identical(self, graph_setup, mode, cache_size):
+    def test_600_queries_byte_identical(self, graph_setup, cache_size):
         graph, scheme, compiled = graph_setup
         pairs = sample_pairs(list(graph.nodes), QUERIES, seed=17)
-        engine = ServeEngine(compiled, mode=mode, cache_size=cache_size)
+        engine = ServeEngine(compiled, cache_size=cache_size)
         results = engine.route_many(pairs)
         assert len(results) == QUERIES
         for (u, v), result in zip(pairs, results):
-            assert_parity(result,
-                          *reference_outcome(scheme, graph, u, v, mode=mode))
+            assert_parity(result, *reference_outcome(scheme, graph, u, v))
 
     def test_single_query_path_matches_batch(self, graph_setup):
         graph, scheme, compiled = graph_setup
@@ -322,16 +320,16 @@ def test_graph_engine_takes_max_hops_zero_literally(graph_setup):
     assert engine.route_many([(u, u)])[0].ok
 
 
-@pytest.mark.parametrize("mode", ["first", "best"])
-def test_trace_provenance_matches_the_source_scheme(graph_setup, mode):
+def test_trace_provenance_matches_the_source_scheme(graph_setup):
     """Every head and tail trace names the level, tree, root, distance to
     the root and bunch levels the *source scheme* gives: read off
     ``scheme.labels`` and ``scheme.tree_schemes``, never off the compiled
-    tables the replay itself reads."""
+    tables the replay itself reads.  The level is the first bunch level
+    whose tree the source holds (Appendix B's source rule)."""
     graph, scheme, compiled = graph_setup
     held = {tid for table in scheme.tables.values() for tid in table.trees}
     pairs = sample_pairs(list(graph.nodes), 300, seed=41)
-    report, _ = serve_pairs(ServeEngine(compiled, mode=mode), graph, pairs,
+    report, _ = serve_pairs(ServeEngine(compiled), graph, pairs,
                             tracer=Tracer(rate=0.1, seed=7, tail_limit=16))
     vias = {trace.via for trace in report.traces}
     assert any("head" in via for via in vias)
@@ -345,6 +343,8 @@ def test_trace_provenance_matches_the_source_scheme(graph_setup, mode):
         assert (trace.tree_id, trace.dist_to_root) == (tree_id, dist_to_root)
         assert trace.root == scheme.tree_schemes[tree_id].root
         assert scheme.tables[trace.source].has_tree(tree_id)
+        assert not any(scheme.tables[trace.source].has_tree(entries[i][0])
+                       for i in trace.bunch_levels if i < trace.level)
         # Thorup-Zwick: every vertex is in a level-0 cluster, and a
         # cluster tree is named by its landmark, its root.
         assert 0 in trace.bunch_levels and trace.root == trace.tree_id

@@ -5,8 +5,8 @@ candidate scan and hop loops.  The production replay reuses the serving
 engine's decision and walks and labels the walked path afterwards; here the
 two must give equal ``to_dict()`` output -- hops, kinds, weights, forensic
 lengths and failure text -- or both raise ``KeyError``, on every table
-family the serving suite builds, in both source-rule modes and under tight
-hop budgets, failing queries included.
+family the serving suite builds and under tight hop budgets, failing
+queries included.
 """
 
 import pytest
@@ -64,7 +64,6 @@ FAMILIES = {
     "tree-unweighted": _tree_family(weighted=False),
     "tree-deleted": _tree_family(delete=(7, 23)),
 }
-MODES = ("first", "best")
 BUDGETS = (None, 0, 1, 3)
 
 
@@ -87,10 +86,9 @@ def _assert_same(engine, pairs):
 
 
 @pytest.mark.parametrize("max_hops", BUDGETS)
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_grid_equals_the_reference_recorder(family, mode, max_hops):
-    engine = ServeEngine(FAMILIES[family], mode=mode, max_hops=max_hops)
+def test_grid_equals_the_reference_recorder(family, max_hops):
+    engine = ServeEngine(FAMILIES[family], max_hops=max_hops)
     vertices = sorted({*range(0, N, 2), 7, 23}) + [STRANGER]
     kinds = _assert_same(engine, [(u, v) for u in vertices for v in vertices])
     assert "KeyError" in kinds
@@ -100,11 +98,9 @@ def test_grid_equals_the_reference_recorder(family, mode, max_hops):
 
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)),
-       mode=st.sampled_from(MODES),
        max_hops=st.sampled_from(BUDGETS),
        pairs=st.lists(st.tuples(st.integers(0, N), st.integers(0, N)),
                       min_size=1, max_size=8))
-def test_drawn_queries_equal_the_reference_recorder(family, mode, max_hops,
-                                                    pairs):
-    engine = ServeEngine(FAMILIES[family], mode=mode, max_hops=max_hops)
+def test_drawn_queries_equal_the_reference_recorder(family, max_hops, pairs):
+    engine = ServeEngine(FAMILIES[family], max_hops=max_hops)
     _assert_same(engine, pairs)  # N itself is not a vertex

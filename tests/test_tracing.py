@@ -318,7 +318,7 @@ class TestAttribution:
             assert trace.length == r.length
             assert [h.dest for h in trace.hops] == r.path[1:]
             assert trace.level == \
-                compiled.decisions[v][trace.candidate_index][3]
+                compiled.decisions[v][trace.candidate_index][2]
 
     def test_self_query_trace(self, built, compiled):
         engine = ServeEngine(compiled)
@@ -429,6 +429,24 @@ class TestExport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"repro explain: {err.value}\n"
+
+    def test_line_with_a_source_rule_mode_still_loads(self, built, tmp_path,
+                                                      capsys):
+        """Traces used to carry ``"mode"`` (``"first"`` or ``"best"``); a
+        file written then still loads and explains, the key ignored."""
+        from repro.__main__ import main
+
+        report, _, _ = serve_traced(built, queries=300, rate=0.1)
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(
+            json.dumps({**t.to_dict(), "mode": "best"}) + "\n"
+            for t in report.traces))
+        loaded = [QueryTrace.from_dict(d) for d in read_traces_jsonl(path)]
+        assert [t.to_dict() for t in loaded] == \
+            [t.to_dict() for t in report.traces]
+        assert not any(hasattr(t, "mode") for t in loaded)
+        assert main(["explain", "--traces", str(path), "--worst", "1"]) == 0
+        assert "mode" not in capsys.readouterr().out
 
     def test_dict_round_trip_preserves_hops(self):
         trace = QueryTrace("q-000001", "a", "z", via="tail")
