@@ -203,8 +203,8 @@ def _args_serve(new, shared) -> None:
         help="LRU decision-cache entries (0 disables)")
     add("--zipf-alpha", type=float, default=1.1)
     add("--metrics-out", metavar="PATH",
-        help="write a Prometheus text-format snapshot of the live metrics registry (S18, "
-             "docs/observability.md)")
+        help="write a Prometheus text-format snapshot of the serving metrics (S18, "
+             "docs/observability.md); with --workers, of the merged report")
     add("--workers", type=_positive(int), default=1, metavar="N",
         help="shard the stream over N worker processes (S20, docs/sharding.md); per-shard "
              "reports merge exactly into one")
@@ -383,28 +383,30 @@ def _built_scheme(args):
 
 
 def _cmd_serve(args):
-    if args.workers > 1 and (args.metrics_out or args.trace_out):
-        print("serve: --workers > 1 is incompatible with "
-              "--metrics-out/--trace-out (per-worker "
-              "registries and tracers do not merge into one live "
-              "snapshot; run those single-process)", file=sys.stderr)
+    if args.workers > 1 and args.trace_out:
+        print("serve: --workers > 1 is incompatible with --trace-out "
+              "(per-worker tracers do not merge into one trace file; "
+              "run tracing single-process)", file=sys.stderr)
         return 2
+    from .metrics import ServeMetrics, write_prometheus
+
+    metrics = ServeMetrics() if args.metrics_out else None
     serve = _serve_sharded if args.workers > 1 else _serve_single
-    report, record, notes = serve(args, *_built_scheme(args))
+    report, record, notes = serve(args, metrics, *_built_scheme(args))
+    if metrics is not None:
+        write_prometheus(metrics, args.metrics_out)
+        notes.insert(0, f"metrics snapshot written to {args.metrics_out}")
     failure = "; ".join(
         f"stretch-SLO violation: {v.name} measured={v.measured} < target={v.limit}"
         for v in record.failed_verdicts())
     return "\n\n".join([report.render(), *notes]), record, failure
 
 
-def _serve_single(args, graph, scheme, stream):
-    from .metrics import ServeMetrics, write_prometheus
+def _serve_single(args, metrics, graph, scheme, stream):
     from .serve import DecisionCache, ServeEngine, compile_scheme, run_serving
     from .tracing import Tracer, write_traces_jsonl
 
-    metrics = tracer = engine = computed_on = None
-    if args.metrics_out:
-        metrics = ServeMetrics()
+    tracer = engine = computed_on = None
     if args.trace_out:
         tracer = Tracer(rate=args.trace_rate, seed=args.seed, tail_limit=args.trace_tail,
                         prefix=f"{args.workload}-{args.seed}")
@@ -424,9 +426,6 @@ def _serve_single(args, graph, scheme, stream):
         engine.cache.save(args.cache_file, fingerprint=computed_on)
 
     notes = []
-    if metrics is not None:
-        write_prometheus(metrics.registry, args.metrics_out)
-        notes.append(f"metrics snapshot written to {args.metrics_out}")
     if args.trace_out:
         write_traces_jsonl(args.trace_out, record.traces)
         notes.append(f"{len(record.traces)} traces written to {args.trace_out} "
@@ -443,8 +442,9 @@ def _cache_fingerprint(compiled) -> str:
     return lower_compiled(compiled).fingerprint()
 
 
-def _serve_sharded(args, graph, scheme, stream):
-    """The ``repro serve --workers N`` path (S20, docs/sharding.md)."""
+def _serve_sharded(args, metrics, graph, scheme, stream):
+    """The ``repro serve --workers N`` path (S20, docs/sharding.md): the
+    merged pool report is folded into ``metrics`` like a single run's."""
     from .serve import DecisionCache, compile_scheme
     from .shard import run_sharded
 
@@ -455,9 +455,17 @@ def _serve_sharded(args, graph, scheme, stream):
             cache_entries = DecisionCache.load(
                 args.cache_file, maxsize=args.cache, fingerprint=computed_on).entries()
     cache_out: Optional[list] = [] if args.cache_file else None
-    report, record = record_run(lambda: run_sharded(
-        scheme, graph, workers=args.workers, slo_target=args.slo_target,
-        cache_entries=cache_entries, cache_out=cache_out, **stream)[0])
+
+    def run():
+        report = run_sharded(
+            scheme, graph, workers=args.workers, slo_target=args.slo_target,
+            cache_entries=cache_entries, cache_out=cache_out, **stream)[0]
+        if metrics is not None:
+            metrics.add(report)
+            report.metrics = metrics.snapshot()
+        return report
+
+    report, record = record_run(run)
     if cache_out is not None:
         merged_cache = DecisionCache(args.cache)
         merged_cache.preload(cache_out)

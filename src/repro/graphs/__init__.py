@@ -12,7 +12,6 @@ from .paths import (
     Adjacency,
     bounded_bellman_ford,
     dijkstra,
-    hop_counts,
     nearest_in_set,
 )
 from .trees import (
@@ -57,7 +56,6 @@ __all__ = [
     "depths",
     "dijkstra",
     "grid_graph",
-    "hop_counts",
     "nearest_in_set",
     "random_connected_graph",
     "require_tree_in_graph",

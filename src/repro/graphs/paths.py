@@ -221,7 +221,7 @@ def bounded_bellman_ford(
     return dist, parent, iterations
 
 
-def hop_counts(graph: GraphLike, source: NodeId) -> Dict[NodeId, int]:
+def shortest_path_hops(graph: GraphLike, source: NodeId) -> Dict[NodeId, int]:
     """Minimum number of hops of a *weighted shortest* path from ``source``.
 
     Computed by Dijkstra on the lexicographic key (distance, hops), so ties

@@ -7,7 +7,7 @@ from typing import Dict, Hashable, Mapping, Optional
 import networkx as nx
 
 from ..errors import InputError, InvariantViolation
-from .paths import Adjacency, hop_counts
+from .paths import Adjacency, shortest_path_hops
 from .trees import children_map, tree_root
 
 NodeId = Hashable
@@ -64,7 +64,7 @@ def verify_claim7(
     sources = sorted(graph.nodes, key=repr)[:sample_sources]
     adj = Adjacency.of(graph)
     for s in sources:
-        hops = hop_counts(adj, s)
+        hops = shortest_path_hops(adj, s)
         import networkx as _nx
 
         paths = _nx.single_source_dijkstra_path(graph, s, weight="weight")

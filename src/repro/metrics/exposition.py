@@ -1,12 +1,12 @@
-"""Prometheus text exposition: render a registry, parse it back.
+"""Prometheus text exposition: render a metrics bundle, parse it back.
 
 ``render_prometheus`` writes the classic text format
-(https://prometheus.io/docs/instrumenting/exposition_formats/): one
-``# HELP`` / ``# TYPE`` block per family, samples as
-``name{label="value"} number``.  Histograms follow the native histogram
-text convention -- cumulative ``_bucket{le="..."}`` series over the
-sketch's log-bucket upper bounds plus ``_sum`` / ``_count`` -- so the
-snapshot is directly scrapeable/graphable.
+(https://prometheus.io/docs/instrumenting/exposition_formats/) of a
+:class:`~repro.metrics.ServeMetrics` bundle: one ``# HELP`` / ``# TYPE``
+block per family, samples as ``name number``.  Histograms follow the
+native histogram text convention -- cumulative ``_bucket{le="..."}``
+series over the sketch's log-bucket upper bounds plus ``_sum`` /
+``_count`` -- so the snapshot is directly scrapeable/graphable.
 
 ``parse_prometheus`` is the structural inverse used by the test suite
 and by anything that wants to diff two snapshots: it validates HELP/TYPE
@@ -14,7 +14,7 @@ ordering, sample syntax, bucket monotonicity, and the
 ``+Inf``-bucket-equals-``_count`` histogram invariant, returning
 families as plain dicts.
 
-Histogram exemplars (the worst-stretch reservoir) render in the
+The worst-stretch exemplars render in the
 OpenMetrics style — a `` # {label="value",...} value`` trailer on the
 bucket line the exemplar's value falls in — and parse back into the
 family's ``exemplars`` list, so exemplar payloads (source/target/hops/
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .registry import MetricsRegistry
+    from .serve import ServeMetrics
 
 __all__ = ["parse_prometheus", "render_prometheus", "write_prometheus"]
 
@@ -56,20 +56,11 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-def _labels_text(labels: Tuple[Tuple[str, str], ...],
-                 extra: Tuple[Tuple[str, str], ...] = ()) -> str:
-    items = tuple(labels) + tuple(extra)
-    if not items:
-        return ""
-    inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in items)
-    return "{" + inner + "}"
-
-
 def _exemplar_text(entry: Dict[str, Any]) -> str:
     """One exemplar as an OpenMetrics-style bucket-line trailer.
 
-    ``entry`` is an item of :meth:`Histogram.exemplars`: ``{"value": v}``
-    plus the payload keys.  Payload values are stringified (the payload
+    ``entry`` is one of the bundle's exemplars: ``{"value": v}`` plus the
+    payload keys.  Payload values are stringified (the payload
     builder already ``repr``s anything non-scalar), so the trailer always
     survives :func:`parse_prometheus`.
     """
@@ -93,57 +84,45 @@ def _pop_bucket_exemplar(
     return None
 
 
-def render_prometheus(registry: "MetricsRegistry") -> str:
-    """The whole registry in Prometheus text exposition format."""
+def render_prometheus(metrics: "ServeMetrics") -> str:
+    """The whole bundle in Prometheus text exposition format."""
     lines: List[str] = []
-    for family in registry.families():
-        name = family.name
-        if family.help:
-            lines.append(f"# HELP {name} {_escape_help(family.help)}")
-        lines.append(f"# TYPE {name} {family.type}")
-        for key, inst in family.series.items():
-            if family.type == "histogram":
-                remaining = inst.exemplars()
-                cumulative = 0
-                prev_upper: Optional[float] = None
-                for upper, count in inst.sketch.bucket_bounds():
-                    cumulative += count
-                    le = ("0" if upper == 0.0
-                          else repr(round(float(upper), 9)))
-                    line = (f"{name}_bucket"
-                            f"{_labels_text(key, (('le', le),))} "
-                            f"{cumulative}")
-                    exemplar = _pop_bucket_exemplar(
-                        remaining, prev_upper, float(upper))
-                    if exemplar is not None:
-                        line += _exemplar_text(exemplar)
-                    lines.append(line)
-                    prev_upper = float(upper)
-                line = (
-                    f"{name}_bucket{_labels_text(key, (('le', '+Inf'),))} "
-                    f"{inst.sketch.count}"
-                )
-                if remaining:
-                    # Anything left (empty sketch edge cases) rides the
-                    # +Inf line so no exemplar is silently dropped.
-                    line += _exemplar_text(remaining[0])
-                lines.append(line)
-                lines.append(f"{name}_sum{_labels_text(key)} "
-                             f"{_fmt_value(inst.sketch.total)}")
-                lines.append(f"{name}_count{_labels_text(key)} "
-                             f"{inst.sketch.count}")
-            else:
-                lines.append(f"{name}{_labels_text(key)} "
-                             f"{_fmt_value(inst.value)}")
+    for name, help_, value in metrics.counters():
+        lines += [f"# HELP {name} {_escape_help(help_)}",
+                  f"# TYPE {name} counter",
+                  f"{name} {_fmt_value(value)}"]
+    for name, help_, sketch, exemplars in metrics.histograms():
+        lines += [f"# HELP {name} {_escape_help(help_)}",
+                  f"# TYPE {name} histogram"]
+        remaining = list(exemplars)
+        cumulative = 0
+        prev_upper: Optional[float] = None
+        for upper, count in sketch.bucket_bounds():
+            cumulative += count
+            le = "0" if upper == 0.0 else repr(round(float(upper), 9))
+            line = f'{name}_bucket{{le="{le}"}} {cumulative}'
+            exemplar = _pop_bucket_exemplar(remaining, prev_upper,
+                                            float(upper))
+            if exemplar is not None:
+                line += _exemplar_text(exemplar)
+            lines.append(line)
+            prev_upper = float(upper)
+        line = f'{name}_bucket{{le="+Inf"}} {sketch.count}'
+        if remaining:
+            # Anything left (empty sketch edge cases) rides the +Inf
+            # line so no exemplar is silently dropped.
+            line += _exemplar_text(remaining[0])
+        lines += [line, f"{name}_sum {_fmt_value(sketch.total)}",
+                  f"{name}_count {sketch.count}"]
     return "\n".join(lines) + "\n"
 
 
-def write_prometheus(registry: "MetricsRegistry",
+def write_prometheus(metrics: "ServeMetrics",
                      path: Union[str, Path]) -> Path:
-    """Render the registry to ``path``; returns the path."""
+    """Render the bundle to ``path``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_prometheus(registry))
+    path.write_text(render_prometheus(metrics))
     return path
 
 
@@ -160,6 +139,8 @@ _LABEL_RE = re.compile(
     r'\s*(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:\\.|[^"\\])*)"\s*(?:,|$)'
 )
 
+_ESCAPE_RE = re.compile(r'\\(["\\n])')
+
 
 class ExpositionError(ValueError):
     """A structural violation in Prometheus exposition text."""
@@ -172,9 +153,10 @@ def _parse_labels(text: str) -> Dict[str, str]:
         match = _LABEL_RE.match(text, pos)
         if match is None:
             raise ExpositionError(f"malformed label segment: {text[pos:]!r}")
-        value = (match.group("value")
-                 .replace('\\"', '"').replace("\\n", "\n")
-                 .replace("\\\\", "\\"))
+        # One pass: ``\\`` then ``n`` is a backslash and an ``n``.
+        value = _ESCAPE_RE.sub(
+            lambda m: "\n" if m.group(1) == "n" else m.group(1),
+            match.group("value"))
         labels[match.group("key")] = value
         pos = match.end()
     return labels

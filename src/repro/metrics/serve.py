@@ -1,35 +1,65 @@
-"""The serve-path instrument bundle: registry wiring for live serving.
+"""The serve-path metrics bundle: a cumulative fold of serve reports.
 
-:class:`ServeMetrics` pre-registers every instrument the serving tier
-emits -- query/failure/cache counters and hop/latency/stretch
-histograms with worst-stretch exemplars -- and exposes the few cheap
-mutators the hot path calls.  The zero-overhead contract mirrors
-:mod:`repro.telemetry.events`: the engine holds ``metrics=None`` by
-default and pays exactly one ``is not None`` check per batch; when a
-bundle is attached, the per-batch cost is a handful of attribute adds on
-already-accumulated local counters plus one ``list.append`` deferring the
-batch for scrape-time hop counting (a C-level ``Counter`` sweep over the
-batch's offsets column, folded into the ``hop_counts`` scratch and the
-histogram sketch at ``flush()``).
+:class:`ServeMetrics` measures nothing itself.
+:func:`~repro.serve.harness.serve_pairs` measures every call once, into
+its :class:`~repro.serve.ServeReport`, and hands the report to an
+attached bundle, which adds it up: the four counters sum, the hops,
+latency and stretch sketches merge bucket-exactly, and the worst-stretch
+exemplars keep the worst :data:`EXEMPLAR_LIMIT` under one total order.
+:meth:`ServeReport.merge` (the shard merge) combines reports with the
+same two functions, :func:`merge_sketches` and :func:`worst_exemplars`,
+so a bundle fed one merged pool report equals one fed the shard reports,
+and one fed the single-process report of the same stream.
 
-Everything label-shaped is interned at construction time: no per-query
-label dicts on the hot path (the perf ledger's ``metrics.overhead_share``
-measures what is left).
+The engine has no metrics hook: attaching a bundle costs the serve loop
+nothing, and the bundle is scraped as JSON (:meth:`ServeMetrics.snapshot`)
+or Prometheus text (:meth:`ServeMetrics.expose`).
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import islice
 from operator import sub
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .registry import MetricsRegistry
+from .exposition import render_prometheus
+from .sketch import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..serve.engine import RouteBatch
+    from ..serve.harness import ServeReport
 
 __all__ = ["ServeMetrics", "exemplar_payload", "path_length_counts"]
+
+#: Relative accuracy of every serving sketch.  0.005 keeps integer hop
+#: percentiles *exact* after rounding for paths under 100 hops
+#: (``alpha * h < 0.5``), so the golden-pinned ``hops_p50``/``hops_p99``
+#: columns cannot drift.
+SKETCH_ACCURACY = 0.005
+
+#: Worst-stretch exemplars a call, a bundle and a merged pool report keep.
+EXEMPLAR_LIMIT = 8
+
+#: Prometheus family name prefix.
+NAMESPACE = "repro_serve"
+
+#: counter family -> (the ServeReport field it sums, help text).
+_COUNTERS = {
+    "queries_total": ("queries", "Queries served (count-and-continue)."),
+    "failures_total": ("failures",
+                       "Queries that ended in a recorded failure."),
+    "cache_hits_total": ("cache_hits", "Decision-cache hits."),
+    "cache_misses_total": ("cache_misses", "Decision-cache misses."),
+}
+
+#: histogram family (and report sketch name) -> help text.
+_HISTOGRAMS = {
+    "hops": "Hops per successfully served query.",
+    "latency_us": "Per-query serving latency (microseconds).",
+    "stretch": "Per-query multiplicative stretch vs exact distance.",
+}
 
 
 def path_length_counts(batch: "RouteBatch") -> "Counter[int]":
@@ -50,7 +80,7 @@ def exemplar_payload(
 ) -> Dict[str, Any]:
     """The standard worst-stretch exemplar payload for one served query.
 
-    Every exemplar the serve harness offers carries these keys;
+    Every exemplar the serve harness keeps carries these keys;
     ``trace_id`` (S19) links the exemplar to the
     sampled :class:`~repro.tracing.QueryTrace` with the same id, making
     Prometheus exemplars and ``repro explain`` reference the same query.
@@ -68,126 +98,104 @@ def exemplar_payload(
         payload["trace_id"] = trace_id
     return payload
 
-#: Hop counts at or above this fold into the last scratch slot's
-#: histogram add as exact values instead (paths this long mean a budget
-#: bug, not a fast path worth optimizing).
-_HOP_SCRATCH = 512
 
-#: Worst-stretch exemplars a bundle keeps (and a merged pool report keeps).
-EXEMPLAR_LIMIT = 8
+def exemplar_order(entry: Dict[str, Any]) -> Tuple[float, str, str, str]:
+    """The one total order on exemplars: worst value first, then
+    ``source``, then ``target``, then the rest of the payload.
 
-#: Deferred-batch cap: hop counting normally waits for the next scrape
-#: (``flush``), but after this many pending batches the backlog is
-#: drained inline so held batches cannot grow without bound.
-_MAX_PENDING_BATCHES = 64
+    A call, a bundle and a shard merge all keep the first
+    :data:`EXEMPLAR_LIMIT` under it, so the kept set never depends on
+    arrival order or on how the stream was split.
+    """
+    rest = {k: v for k, v in entry.items()
+            if k not in ("value", "source", "target")}
+    return (-float(entry["value"]), entry["source"], entry["target"],
+            json.dumps(rest, sort_keys=True, default=repr))
+
+
+def worst_exemplars(entries: Iterable[Dict[str, Any]],
+                    limit: int = EXEMPLAR_LIMIT) -> List[Dict[str, Any]]:
+    """The first ``limit`` of ``entries`` under :func:`exemplar_order`."""
+    return sorted(entries, key=exemplar_order)[:limit]
+
+
+def merge_sketches(into: Dict[str, QuantileSketch],
+                   report: "ServeReport") -> None:
+    """Merge ``report``'s sketches into ``into`` (adding missing names).
+
+    A report that delivered nothing holds a single ``0`` in its hops
+    sketch as an empty-run placeholder; it is left out here, so a merge
+    counts exactly the delivered queries.
+    """
+    for name, sketch in report.sketches.items():
+        if name == "hops" and report.queries == report.failures:
+            continue
+        if name not in into:
+            into[name] = QuantileSketch(SKETCH_ACCURACY)
+        into[name].merge(sketch)
 
 
 class ServeMetrics:
-    """All serving instruments, registered once, mutated cheaply.
+    """Cumulative serving metrics: the fold of every report it was given.
 
-    ``relative_accuracy`` bounds every histogram's quantile error; the
-    default 0.005 keeps integer hop percentiles *exact* after rounding
-    for any path shorter than 100 hops (``alpha * h < 0.5``).
+    ``serve_pairs`` calls :meth:`add` once per call on the bundle it was
+    given or found on the engine; ``repro serve --workers N`` adds the
+    merged pool report.  Counters and sketches never depend on how the
+    reports were split: two calls fold to what one call over both
+    streams reports.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        relative_accuracy: float = 0.005,
-        exemplar_limit: int = EXEMPLAR_LIMIT,
-    ) -> None:
-        reg = MetricsRegistry() if registry is None else registry
-        self.registry = reg
-        self.queries = reg.counter(
-            "queries_total", "Queries served (count-and-continue).")
-        self.failures = reg.counter(
-            "failures_total", "Queries that ended in a recorded failure.")
-        self.cache_hits = reg.counter(
-            "cache_hits_total", "Decision-cache hits.")
-        self.cache_misses = reg.counter(
-            "cache_misses_total", "Decision-cache misses.")
-        self.hops = reg.histogram(
-            "hops", "Hops per successfully served query.",
-            relative_accuracy=relative_accuracy, exemplar_limit=0)
-        self.latency_us = reg.histogram(
-            "latency_us", "Per-query serving latency (microseconds).",
-            relative_accuracy=relative_accuracy, exemplar_limit=0)
-        self.stretch = reg.histogram(
-            "stretch", "Per-query multiplicative stretch vs exact distance.",
-            relative_accuracy=relative_accuracy,
-            exemplar_limit=exemplar_limit)
-        #: engine scratch: hop_counts[h] = queries served with h hops since
-        #: the last flush().  A plain list the hot loop indexes directly.
-        self.hop_counts = [0] * _HOP_SCRATCH
-        #: batches whose hop counting is deferred until the next scrape,
-        #: drained by :meth:`flush`.
-        self._pending: List["RouteBatch"] = []
+    def __init__(self) -> None:
+        self.totals: Dict[str, int] = {
+            field: 0 for field, _ in _COUNTERS.values()}
+        self.sketches: Dict[str, QuantileSketch] = {
+            name: QuantileSketch(SKETCH_ACCURACY) for name in _HISTOGRAMS}
+        #: worst-first, at most :data:`EXEMPLAR_LIMIT`
+        self.exemplars: List[Dict[str, Any]] = []
 
-    # -- engine-side ---------------------------------------------------------
-    # ``route_many`` and ``route_recorded`` (a batch of one) both report
-    # through these mutators.
-
-    def record_batch(self, served: int, failed: int, hits: int,
-                     misses: int) -> None:
-        """Fold a batch's already-accumulated counters in (engine path)."""
-        self.queries.value += served
-        self.failures.value += failed
-        self.cache_hits.value += hits
-        self.cache_misses.value += misses
-
-    def defer_path_lengths(self, batch: "RouteBatch") -> None:
-        """Queue a finished batch for scrape-time hop counting.
-
-        The hot serve loop pays one ``list.append`` here; the C-level
-        ``Counter`` sweep over the batch's path lengths runs at the next
-        :meth:`flush` (i.e. when someone actually scrapes), the same
-        aggregate-at-collect-time trade Prometheus client libraries
-        make.  The held references are batches the caller already owns,
-        and the backlog self-drains past ``_MAX_PENDING_BATCHES``.
-        """
-        pending = self._pending
-        pending.append(batch)
-        if len(pending) >= _MAX_PENDING_BATCHES:
-            self._drain_pending()
-
-    def record_path_lengths(self, path_lengths: Dict[int, int]) -> None:
-        """Fold a Counter of delivered *path lengths* (``hops + 1``; every
-        result path includes its source) into the hop scratch."""
-        counts = self.hop_counts
-        add = self.hops.sketch.add
-        for length, c in path_lengths.items():
-            h = length - 1
-            if h < _HOP_SCRATCH:
-                counts[h] += c
-            else:
-                add(h, c)
-
-    def _drain_pending(self) -> None:
-        pending, self._pending = self._pending, []
-        for batch in pending:
-            self.record_path_lengths(path_length_counts(batch))
-
-    def flush(self) -> None:
-        """Drain deferred batches, then fold the hop scratch into the
-        hops histogram sketch."""
-        if self._pending:
-            self._drain_pending()
-        counts = self.hop_counts
-        add = self.hops.sketch.add
-        for h, c in enumerate(counts):
-            if c:
-                add(h, c)
-                counts[h] = 0
+    def add(self, report: "ServeReport") -> None:
+        """Fold one report in."""
+        for field in self.totals:
+            self.totals[field] += getattr(report, field)
+        merge_sketches(self.sketches, report)
+        self.exemplars = worst_exemplars(self.exemplars + report.exemplars)
 
     # -- scraping ------------------------------------------------------------
 
+    def counters(self) -> Iterator[Tuple[str, str, int]]:
+        """``(family, help, value)`` of each counter, in exposition order."""
+        for name, (field, help_) in _COUNTERS.items():
+            yield f"{NAMESPACE}_{name}", help_, self.totals[field]
+
+    def histograms(self) -> Iterator[
+            Tuple[str, str, QuantileSketch, List[Dict[str, Any]]]]:
+        """``(family, help, sketch, exemplars)`` of each histogram."""
+        for name, help_ in _HISTOGRAMS.items():
+            yield (f"{NAMESPACE}_{name}", help_, self.sketches[name],
+                   self.exemplars if name == "stretch" else [])
+
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready registry snapshot."""
-        self.flush()
-        return self.registry.snapshot()
+        """JSON-ready snapshot: ``{family: {type, help, series}}``."""
+        out: Dict[str, Any] = {}
+        for name, help_, value in self.counters():
+            out[name] = {"type": "counter", "help": help_,
+                         "series": [{"labels": {}, "value": float(value)}]}
+        for name, help_, sk, exemplars in self.histograms():
+            entry: Dict[str, Any] = {
+                "labels": {},
+                "count": sk.count,
+                "sum": sk.total,
+                "min": sk.min_value,
+                "max": sk.max_value,
+                "quantiles": {str(q): sk.quantile(q)
+                              for q in (0.5, 0.9, 0.99)},
+            }
+            if exemplars:
+                entry["exemplars"] = [dict(x) for x in exemplars]
+            out[name] = {"type": "histogram", "help": help_,
+                         "series": [entry]}
+        return out
 
     def expose(self) -> str:
-        """Prometheus text exposition of the registry."""
-        self.flush()
-        return self.registry.expose()
+        """Prometheus text exposition of the bundle."""
+        return render_prometheus(self)

@@ -407,11 +407,10 @@ class DecisionCache:
 class ServeEngine:
     """Serve ``route(source, target)`` queries from a compiled scheme.
 
-    ``metrics`` optionally attaches a live
-    :class:`~repro.metrics.serve.ServeMetrics` bundle; the engine then
-    feeds query/failure/cache counters and per-hop counts.  The hook is
-    zero-overhead when absent -- one ``is not None`` check per batch
-    (``route_many``) or per recorded query.
+    ``metrics`` optionally attaches a
+    :class:`~repro.metrics.serve.ServeMetrics` bundle.  The engine only
+    holds it, for :func:`~repro.serve.harness.serve_pairs` to fold each
+    call's report into; no serving loop reads it.
 
     ``tracer`` optionally attaches a :class:`~repro.tracing.Tracer`
     (S19).  The serving loops never consult it: once a call has served
@@ -461,7 +460,6 @@ class ServeEngine:
 
     def route_recorded(self, source: NodeId, target: NodeId) -> ServeResult:
         """Answer one query, converting failures into a recorded result."""
-        misses = self.cache.misses
         try:
             result = self.route(source, target)
         except RoutingFailure as exc:
@@ -471,13 +469,6 @@ class ServeEngine:
                 path=list(exc.path) if exc.path else [source],
                 length=0.0, ok=False, error=str(exc),
             )
-        m = self.metrics
-        if m is not None:
-            # A batch of one: a failure counts no cache hit and no hops.
-            m.record_batch(1, 0 if result.ok else 1, int(result.cached),
-                           self.cache.misses - misses)
-            if result.ok:
-                m.record_path_lengths({len(result.path): 1})
         if self.tracer is not None:
             self.tracer.record_picks(((source, target),))
         return result
@@ -618,21 +609,10 @@ class ServeEngine:
         # a KeyError aborted the batch, exactly like the counters below).
         if self.tracer is not None:
             self.tracer.record_picks(batch.keys)
-        failed = len(errors)
         self.queries += served
-        self.failures += failed
+        self.failures += len(errors)
         cache.hits += hits
         cache.misses += misses
-        # Live-metrics hook (zero-overhead when absent): counters fold at
-        # batch end from the already-accumulated locals, and hop counting
-        # over the finished batch is deferred to scrape time -- per-query
-        # Python ops inside the loop above, or even an inline C-level
-        # Counter sweep here, would show up in the perf ledger's
-        # metrics.overhead_share.
-        m = self.metrics
-        if m is not None:
-            m.record_batch(served, failed, hits, misses)
-            m.defer_path_lengths(batch)
 
     # -- graph scheme --------------------------------------------------------
 

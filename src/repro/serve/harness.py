@@ -16,7 +16,7 @@ like every other paper bound.
 
 from __future__ import annotations
 
-import json
+import heapq
 import math
 import time
 from array import array
@@ -36,7 +36,15 @@ from typing import (
 import networkx as nx
 
 from ..graphs.paths import Adjacency, dijkstra
-from ..metrics.serve import ServeMetrics, exemplar_payload, path_length_counts
+from ..metrics.serve import (
+    EXEMPLAR_LIMIT,
+    SKETCH_ACCURACY,
+    ServeMetrics,
+    exemplar_payload,
+    merge_sketches,
+    path_length_counts,
+    worst_exemplars,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..tracing.model import QueryTrace
@@ -50,12 +58,6 @@ from .engine import RouteBatch, ServeEngine, ServeResult
 from .workloads import make_workload
 
 NodeId = Hashable
-
-#: Relative accuracy of the harness percentile sketches.  0.005 keeps
-#: integer hop percentiles *exact* after rounding for paths under 100
-#: hops (``alpha * h < 0.5``), so the golden-pinned ``hops_p50``/``hops_p99``
-#: columns cannot drift.
-SKETCH_ACCURACY = 0.005
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -116,8 +118,8 @@ class ServeReport:
     #: percentile columns, queryable at any rank via ``quantiles()``.
     sketches: Dict[str, QuantileSketch] = field(
         default_factory=dict, repr=False, compare=False)
-    #: live-metrics snapshot (populated when ``run_serving`` is given a
-    #: :class:`~repro.metrics.ServeMetrics` bundle).
+    #: snapshot of the attached :class:`~repro.metrics.ServeMetrics`
+    #: bundle after this report was folded into it (empty without one).
     metrics: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False)
     #: sampled query traces (populated when ``run_serving`` is given a
@@ -125,11 +127,10 @@ class ServeReport:
     #: report equality so tracing cannot perturb differential checks.
     traces: List["QueryTrace"] = field(
         default_factory=list, repr=False, compare=False)
-    #: worst-stretch exemplars (``Histogram.exemplars()`` payloads,
-    #: worst-first) when a metrics bundle fed the stretch histogram;
-    #: compared through :func:`ServeReport.merge`'s deterministic
-    #: re-heapify, not dataclass equality (heap tie-order is
-    #: arrival-dependent at the reservoir boundary).
+    #: this call's worst-stretch exemplars (``{"value": stretch}`` plus
+    #: :func:`~repro.metrics.exemplar_payload`), worst-first under
+    #: :func:`~repro.metrics.serve.exemplar_order`, when a metrics
+    #: bundle is attached; left out of dataclass equality.
     exemplars: List[Dict[str, Any]] = field(
         default_factory=list, repr=False, compare=False)
     #: per-worker rows of a sharded run (the RunRecord ``shards``
@@ -250,9 +251,10 @@ class ServeReport:
           sketch re-adds only if *no* shard delivered);
         * ``cache_hit_rate`` / ``slo_fraction`` recompute from the summed
           raw counters (rounding first would not be order-insensitive);
-        * exemplar reservoirs re-heapify deterministically: worst value
-          first, payload JSON as the tie-break, truncated to
-          ``exemplar_limit`` (default: the widest shard reservoir);
+        * exemplars keep the first ``exemplar_limit`` (default: the
+          widest shard's count) under the one total order
+          (:func:`~repro.metrics.serve.worst_exemplars`, which a
+          :class:`~repro.metrics.ServeMetrics` bundle folds with too);
         * wall-clock fields take the slowest shard (``serve_s`` /
           ``compile_s`` = max) and throughput recomputes as total
           queries over that span (the slowest shard bounds the tier).
@@ -282,24 +284,13 @@ class ServeReport:
         cache_misses = sum(r.cache_misses for r in reports)
         lookups = cache_hits + cache_misses
 
-        hops = QuantileSketch(SKETCH_ACCURACY)
-        lat = QuantileSketch(SKETCH_ACCURACY)
+        sketches = {"hops": QuantileSketch(SKETCH_ACCURACY),
+                    "latency_us": QuantileSketch(SKETCH_ACCURACY)}
         for r in reports:
-            if "latency_us" in r.sketches:
-                lat.merge(r.sketches["latency_us"])
-            if "hops" in r.sketches and r.queries - r.failures > 0:
-                hops.merge(r.sketches["hops"])
+            merge_sketches(sketches, r)
+        hops, lat = sketches["hops"], sketches["latency_us"]
         if hops.count == 0:
             hops.add(0)
-        sketches = {"hops": hops, "latency_us": lat}
-
-        stretch: Optional[QuantileSketch] = None
-        if any("stretch" in r.sketches for r in reports):
-            stretch = QuantileSketch(SKETCH_ACCURACY)
-            for r in reports:
-                if "stretch" in r.sketches:
-                    stretch.merge(r.sketches["stretch"])
-            sketches["stretch"] = stretch
 
         slo_within: Optional[int] = None
         slo_fraction: Optional[float] = None
@@ -307,12 +298,11 @@ class ServeReport:
             slo_within = sum(r.slo_within or 0 for r in reports)
             slo_fraction = slo_within / queries if queries else 1.0
 
-        combined = [dict(x) for r in reports for x in r.exemplars]
-        combined.sort(key=_exemplar_order)
         if exemplar_limit is None:
             exemplar_limit = max(
                 (len(r.exemplars) for r in reports), default=0)
-        exemplars = combined[:exemplar_limit]
+        exemplars = worst_exemplars(
+            [dict(x) for r in reports for x in r.exemplars], exemplar_limit)
 
         serve_s = max(r.serve_s for r in reports)
         compile_s = max(r.compile_s for r in reports)
@@ -348,17 +338,6 @@ class ServeReport:
             traces=[t for r in reports for t in r.traces],
             exemplars=exemplars,
         )
-
-
-def _exemplar_order(x: Dict[str, Any]) -> Tuple[float, str]:
-    """Deterministic worst-first exemplar ordering (value, then payload).
-
-    The JSON tie-break makes the merged reservoir independent of shard
-    ordering even when two exemplars share a stretch value exactly.
-    """
-    value = float(x.get("value", 0.0))
-    rest = {k: v for k, v in x.items() if k != "value"}
-    return (-value, json.dumps(rest, sort_keys=True, default=repr))
 
 
 def slo_verdict(report: ServeReport) -> Optional[BoundVerdict]:
@@ -397,10 +376,10 @@ def run_serving(
     SLO is skipped for tree schemes, whose tree routing is exact).  Pass a
     prebuilt ``engine`` to serve with a warm cache; by default the run
     compiles fresh and starts cold.  Pass a
-    :class:`~repro.metrics.ServeMetrics` bundle to emit into the live
-    registry (counters, hop/latency/stretch histograms with
-    worst-stretch exemplars); the report then carries the
-    registry snapshot in its ``metrics`` section.  Pass a
+    :class:`~repro.metrics.ServeMetrics` bundle to fold the report into
+    it (counters, hop/latency/stretch sketches, worst-stretch
+    exemplars); the report then carries its exemplars and the bundle's
+    snapshot in its ``metrics`` section.  Pass a
     :class:`~repro.tracing.Tracer` to sample per-query traces (S19): the
     head tier fires during serving, the tail tier is fed post-hoc from
     the measured stretches, and the finished traces — with exact
@@ -457,8 +436,10 @@ def serve_pairs(
     engine's :class:`~repro.serve.engine.RouteBatch`; everything here
     reads its columns, and builds a result only for an exemplar.  The
     report's counters (queries, failures, cache hits and misses) count
-    this call alone, on a warm engine too; a live ``ServeMetrics``
-    bundle stays cumulative.
+    this call alone, on a warm engine too.  A ``ServeMetrics`` bundle
+    (``metrics``, or the one the engine was built with) makes the report
+    pick this call's worst-stretch exemplars, and is then given the
+    report to fold: it stays cumulative.
     """
     compiled = engine.compiled
     cache_size = engine.cache.maxsize
@@ -495,8 +476,6 @@ def serve_pairs(
         for began, done in zip(boundaries, islice(boundaries, 1, None))))
     lat_sketch = QuantileSketch(SKETCH_ACCURACY)
     lat_sketch.add_many(latencies_us)
-    if metrics is not None:
-        metrics.latency_us.sketch.add_many(latencies_us)
 
     if (slo and slo_bound is None
             and isinstance(compiled, CompiledGraphScheme)):
@@ -515,9 +494,6 @@ def serve_pairs(
         for s in stretches:
             if s is not None:
                 stretch_sketch.add(s)
-        if metrics is not None:
-            _feed_stretch_metrics(metrics, results, stretches,
-                                  tracer=tracer, base=trace_base)
 
     traces: List["QueryTrace"] = []
     if tracer is not None:
@@ -567,11 +543,14 @@ def serve_pairs(
         slo_within=slo_within,
         packed=_jsonable_summary(compiled),
         sketches=sketches,
-        metrics=metrics.snapshot() if metrics is not None else {},
         traces=traces,
-        exemplars=(metrics.stretch.exemplars()
-                   if metrics is not None else []),
+        exemplars=(_stretch_exemplars(results, stretches, tracer, trace_base)
+                   if metrics is not None and stretches is not None
+                   else []),
     )
+    if metrics is not None:
+        metrics.add(report)
+        report.metrics = metrics.snapshot()
     return report, results
 
 
@@ -616,29 +595,29 @@ def _per_query_stretch(
     return out
 
 
-def _feed_stretch_metrics(
-    metrics: ServeMetrics,
+def _stretch_exemplars(
     batch: RouteBatch,
     stretches: Sequence[Optional[float]],
-    *,
-    tracer: Optional["Tracer"] = None,
-    base: int = 0,
-) -> None:
-    """Feed per-query stretch into the live bundle after the fact.
+    tracer: Optional["Tracer"],
+    base: int,
+) -> List[Dict[str, Any]]:
+    """The call's :data:`~repro.metrics.serve.EXEMPLAR_LIMIT` worst
+    stretches as exemplars, under the one total order.
 
-    The serve loop measures latency online but stretch needs the exact
-    distances, so the stretch histogram is fed post-hoc.  With a tracer
-    active, exemplar payloads carry the query's trace id (S19), so a
-    Prometheus exemplar and ``repro explain`` point at the same query.
-    Only the handful of queries the exemplar reservoir wants are built
-    as results.
+    Stretch needs the exact distances, so exemplars are picked after the
+    run; only queries at or above the limit-th worst stretch are built
+    as results.  With a tracer active, payloads carry the query's trace
+    id (S19), so a Prometheus exemplar and ``repro explain`` point at
+    the same query.
     """
-    hist = metrics.stretch
-    for i, stretch in enumerate(stretches):
-        if stretch is not None:
-            hist.sketch.add(stretch)
-            if hist.wants_exemplar(stretch):
-                trace_id = (tracer.trace_id(base + i)
-                            if tracer is not None else None)
-                hist.offer_exemplar(
-                    stretch, exemplar_payload(batch[i], trace_id=trace_id))
+    values = [s for s in stretches if s is not None]
+    if not values:
+        return []
+    floor = heapq.nlargest(EXEMPLAR_LIMIT, values)[-1]
+    entries = []
+    for i, s in enumerate(stretches):
+        if s is not None and s >= floor:
+            trace_id = tracer.trace_id(base + i) if tracer is not None else None
+            entries.append({"value": s,
+                            **exemplar_payload(batch[i], trace_id=trace_id)})
+    return worst_exemplars(entries)

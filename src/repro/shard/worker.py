@@ -76,9 +76,9 @@ def worker_main(conn: Any, spec: WorkerSpec, graph: Any) -> None:
         if spec.cache_entries:
             cache.preload(spec.cache_entries)
         engine = ServeEngine(attached.compiled, cache=cache)
-        # One bundle for the worker's lifetime: engine counters and
-        # exemplar reservoirs accumulate across serve ops exactly like a
-        # pre-warmed single-process engine's do.
+        # One bundle for the worker's lifetime, folding each serve op's
+        # report like a pre-warmed single-process engine's; attached, it
+        # makes every shard report carry its worst-stretch exemplars.
         metrics = ServeMetrics() if spec.metrics else None
         if spec.start != "thread":
             # A process worker owns its collector, and everything alive

@@ -5,7 +5,8 @@ import pytest
 
 from repro.congest import Network
 from repro.core import build_exact_low_level_clusters, claim8_hop_limit
-from repro.graphs import hop_counts, random_connected_graph
+from repro.graphs import random_connected_graph
+from repro.graphs.paths import shortest_path_hops
 from repro.tz import all_cluster_trees, compute_pivots, sample_hierarchy, virtual_level
 
 
@@ -31,7 +32,7 @@ class TestClaim8:
         trees = all_cluster_trees(graph, hier, pivots)
         for root in sorted(trees, key=repr)[:10]:
             tree = trees[root]
-            hops = hop_counts(graph, root)
+            hops = shortest_path_hops(graph, root)
             limit = claim8_hop_limit(n, hier.k, tree.level)
             for u in tree.dist:
                 assert hops[u] <= limit

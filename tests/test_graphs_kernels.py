@@ -32,13 +32,13 @@ from repro.graphs import (
     children_map,
     depths,
     dijkstra,
-    hop_counts,
     nearest_in_set,
     random_connected_graph,
     tree_distance,
     tree_path,
     tree_profile,
 )
+from repro.graphs.paths import shortest_path_hops
 from repro.routing.serialization import graph_scheme_to_dict
 from repro.tz import build_centralized_scheme
 
@@ -193,7 +193,7 @@ class TestPathKernelsEqualReference:
         source = data.draw(st.sampled_from(list(graph.nodes)))
         want = ref.hop_counts(graph, source)
         for form in both_forms(graph):
-            assert same_dicts(hop_counts(form, source), want)
+            assert same_dicts(shortest_path_hops(form, source), want)
 
     def test_disconnected_vertices_are_absent_or_infinite(self):
         graph = nx.Graph([(0, 1), (2, 3)])
@@ -207,7 +207,7 @@ KERNEL_CALLS = {
     "dijkstra": lambda g: dijkstra(g, ["x"]),
     "nearest_in_set": lambda g: nearest_in_set(g, ["x"]),
     "bounded_bellman_ford": lambda g: bounded_bellman_ford(g, {"x": 0.0}, 2),
-    "hop_counts": lambda g: hop_counts(g, "x"),
+    "hop_counts": lambda g: shortest_path_hops(g, "x"),
 }
 
 

@@ -9,10 +9,10 @@ from repro.errors import InputError
 from repro.graphs import (
     bounded_bellman_ford,
     dijkstra,
-    hop_counts,
     nearest_in_set,
     random_connected_graph,
 )
+from repro.graphs.paths import shortest_path_hops
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +132,13 @@ class TestBoundedBellmanFord:
 class TestHopMeasures:
     def test_hop_counts_positive(self, graph):
         src = sorted(graph.nodes)[0]
-        hops = hop_counts(graph, src)
+        hops = shortest_path_hops(graph, src)
         assert hops[src] == 0
         assert all(h >= 1 for v, h in hops.items() if v != src)
 
     def test_hop_counts_consistent_with_distance(self, graph):
         src = sorted(graph.nodes)[0]
-        hops = hop_counts(graph, src)
+        hops = shortest_path_hops(graph, src)
         exact, _ = dijkstra(graph, [src])
         # A path with h hops exists of exactly the shortest length.
         for v, h in hops.items():

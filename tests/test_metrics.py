@@ -1,27 +1,28 @@
 """Tests for ``repro.metrics`` — the live serving observability layer (S18).
 
-Covers the quantile sketch's error contract, the registry/instrument
-semantics, Prometheus exposition (render *and* the strict parser), and
-the ``ServeMetrics`` bundle the engine/harness hot paths feed.
+Covers the quantile sketch's error contract, Prometheus exposition
+(render *and* the strict parser), and the ``ServeMetrics`` bundle:
+the cumulative fold of the reports ``serve_pairs`` hands it.
 """
 
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from repro.graphs import random_connected_graph
 from repro.metrics import (
     ExpositionError,
-    MetricsRegistry,
     QuantileSketch,
     ServeMetrics,
-    intern_labels,
     parse_prometheus,
     render_prometheus,
     write_prometheus,
 )
-from repro.serve import RouteBatch, ServeEngine, ServeResult, compile_scheme
+from repro.metrics.serve import EXEMPLAR_LIMIT, exemplar_order, worst_exemplars
+from repro.serve import ServeEngine, compile_scheme, run_serving, serve_pairs
+from repro.tracing import Tracer
 from repro.tz import build_centralized_scheme
 
 
@@ -111,73 +112,32 @@ class TestQuantileSketch:
 
 
 # ---------------------------------------------------------------------------
-# MetricsRegistry / instruments
+# Shared fixtures
 # ---------------------------------------------------------------------------
 
-class TestRegistry:
-    def test_counter_monotone(self):
-        reg = MetricsRegistry()
-        c = reg.counter("queries_total", "q")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5.0
-        with pytest.raises(ValueError):
-            c.inc(-1)
+@pytest.fixture(scope="module")
+def served():
+    """Graph, compiled tables and a stream with repeats (cache hits) and
+    routes longer than five hops (failures under ``max_hops=5``)."""
+    graph = random_connected_graph(80, seed=5)
+    compiled = compile_scheme(build_centralized_scheme(graph, 2, seed=5), graph)
+    rng = random.Random(5)
+    nodes = sorted(compiled.nodes)
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(150)]
+    return graph, compiled, pairs + pairs[:50]
 
-    def test_same_name_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("hits_total") is reg.counter("hits_total")
 
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total")
-        with pytest.raises(ValueError):
-            reg.histogram("x_total")
-        reg.histogram("x_us")
-        with pytest.raises(ValueError):
-            reg.counter("x_us")
+def _bundle(served, **kwargs):
+    """A bundle fed one ``serve_pairs`` call over the served stream."""
+    graph, compiled, pairs = served
+    metrics = ServeMetrics()
+    report, _ = serve_pairs(ServeEngine(compiled, max_hops=5), graph, pairs,
+                            metrics=metrics, **kwargs)
+    return metrics, report
 
-    def test_invalid_name_raises(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("bad name")
-        with pytest.raises(ValueError):
-            MetricsRegistry(namespace="0bad")
 
-    def test_intern_labels_sorted_and_stringified(self):
-        assert intern_labels({"b": 2, "a": "x"}) == (("a", "x"), ("b", "2"))
-        assert intern_labels(None) == ()
-        key = intern_labels({"workload": "zipf"})
-        assert intern_labels(key) is key or intern_labels(key) == key
-
-    def test_labelled_series_are_distinct(self):
-        reg = MetricsRegistry()
-        a = reg.counter("served_total", labels={"workload": "zipf"})
-        b = reg.counter("served_total", labels={"workload": "uniform"})
-        assert a is not b
-        a.inc(2)
-        fam = reg.get("served_total")
-        assert len(fam.series) == 2
-
-    def test_snapshot_shape(self):
-        reg = MetricsRegistry()
-        reg.counter("queries_total", "queries").inc(3)
-        reg.histogram("hops", "hop histogram").add(5.0)
-        snap = reg.snapshot()
-        assert snap["repro_serve_queries_total"]["type"] == "counter"
-        assert snap["repro_serve_queries_total"]["series"][0]["value"] == 3.0
-        hist = snap["repro_serve_hops"]["series"][0]
-        assert hist["count"] == 1 and hist["max"] == 5.0
-        assert "0.99" in hist["quantiles"]
-
-    def test_histogram_exemplar_reservoir_keeps_worst(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("stretch", exemplar_limit=2)
-        for v in (1.0, 5.0, 2.0, 9.0, 3.0):
-            h.add(v)
-            if h.wants_exemplar(v):
-                h.offer_exemplar(v, {"v": v})
-        worst = sorted(e["value"] for e in h.exemplars())
-        assert worst == [5.0, 9.0]
+def _exemplar_keys(exemplars):
+    return [(x["value"], x["source"], x["target"]) for x in exemplars]
 
 
 # ---------------------------------------------------------------------------
@@ -185,40 +145,47 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 class TestExposition:
-    def _registry(self):
-        reg = MetricsRegistry()
-        reg.counter("queries_total", "Total queries.").inc(7)
-        h = reg.histogram("latency_us", "Latency.")
-        h.add(10.0)
-        h.add(200.0)
-        return reg
-
-    def test_render_parse_roundtrip(self):
-        text = render_prometheus(self._registry())
-        families = parse_prometheus(text)
+    def test_render_parse_roundtrip(self, served):
+        metrics, report = _bundle(served)
+        families = parse_prometheus(render_prometheus(metrics))
         counter = families["repro_serve_queries_total"]
         assert counter["type"] == "counter"
-        assert counter["samples"][0][2] == 7.0
+        assert counter["samples"][0][2] == report.queries
         hist = families["repro_serve_latency_us"]
         buckets = [s for s in hist["samples"] if s[0].endswith("_bucket")]
         counts = [v for (_, _, v) in buckets]
         assert counts == sorted(counts), "buckets must be cumulative"
         assert buckets[-1][1]["le"] == "+Inf"
-        assert buckets[-1][2] == 2.0
+        assert buckets[-1][2] == report.queries
 
-    def test_write_prometheus(self, tmp_path):
+    def test_write_prometheus(self, served, tmp_path):
         out = tmp_path / "metrics.prom"
-        write_prometheus(self._registry(), out)
+        write_prometheus(_bundle(served)[0], out)
         families = parse_prometheus(out.read_text())
         assert "repro_serve_queries_total" in families
 
     def test_label_escaping(self):
-        reg = MetricsRegistry(namespace="")
-        reg.counter("c_total", labels={"path": 'a"b\\c\nd'}).inc()
-        families = parse_prometheus(render_prometheus(reg))
-        (_, labels, value) = families["c_total"]["samples"][0]
-        assert labels["path"] == 'a"b\\c\nd'
-        assert value == 1.0
+        """Exemplar payloads carry node ids and trace ids verbatim: string
+        ids holding ``"``, ``\\`` and newlines survive render -> parse."""
+        odd = 'n"{}\\\n'
+        graph = nx.relabel_nodes(random_connected_graph(30, seed=3), odd.format)
+        scheme = build_centralized_scheme(graph, 2, seed=3)
+        metrics = ServeMetrics()
+        run_serving(scheme, graph, queries=200, seed=1, metrics=metrics,
+                    tracer=Tracer(rate=0.0, seed=1, prefix='p"\\\n'))
+        assert metrics.exemplars
+        families = parse_prometheus(metrics.expose())
+        parsed = families["repro_serve_stretch"]["exemplars"]
+        assert parsed
+        for entry in parsed:
+            labels = entry["labels"]
+            assert '"' in labels["source"] and "\\" in labels["source"]
+            assert "\n" in labels["trace_id"]
+            want = next(x for x in metrics.exemplars
+                        if x["trace_id"] == labels["trace_id"])
+            assert labels == {k: str(v) for k, v in want.items()
+                              if k != "value"}
+            assert entry["value"] == want["value"]
 
     @pytest.mark.parametrize("bad", [
         "some_metric 1.0\n",                      # sample before # TYPE
@@ -236,32 +203,24 @@ class TestExposition:
         with pytest.raises(ExpositionError):
             parse_prometheus(bad)
 
-    def test_exemplars_round_trip_with_trace_id(self):
+    def test_exemplars_round_trip_with_trace_id(self, served):
         # S19: exemplar payloads (including the trace id linking to
         # `repro explain`) must survive render -> parse, OpenMetrics-style.
-        reg = MetricsRegistry()
-        h = reg.histogram("stretch", "Stretch.", exemplar_limit=4)
-        payloads = []
-        for i, v in enumerate([1.5, 9.0, 3.0]):
-            h.add(v)
-            payload = {"source": f"u{i}", "target": f"v{i}",
-                       "trace_id": f"zipf-0-{i:06d}"}
-            payloads.append((v, payload))
-            if h.wants_exemplar(v):
-                h.offer_exemplar(v, payload)
-        text = render_prometheus(reg)
+        metrics, report = _bundle(
+            served, tracer=Tracer(rate=0.0, seed=2, prefix="zipf-0"))
+        text = render_prometheus(metrics)
         assert " # {" in text
         families = parse_prometheus(text)
         exemplars = families["repro_serve_stretch"].get("exemplars")
         assert exemplars, "rendered exemplars must parse back"
-        by_value = {e["value"]: e["labels"] for e in exemplars}
-        for v, payload in payloads:
-            if v in by_value:
-                labels = by_value[v]
-                assert labels["trace_id"] == payload["trace_id"]
-                assert labels["source"] == payload["source"]
+        by_trace = {x["trace_id"]: x for x in metrics.exemplars}
+        for parsed in exemplars:  # at most one per bucket line
+            payload = by_trace[parsed["labels"]["trace_id"]]
+            assert parsed["value"] == payload["value"]
+            assert parsed["labels"]["source"] == payload["source"]
         # The worst value always lands in some rendered bucket line.
-        assert 9.0 in by_value
+        assert report.sketches["stretch"].max_value in {
+            e["value"] for e in exemplars}
 
     def test_exemplar_payload_helper_shape(self):
         from repro.metrics import exemplar_payload
@@ -276,90 +235,96 @@ class TestExposition:
 
 
 # ---------------------------------------------------------------------------
-# ServeMetrics bundle
+# ServeMetrics bundle: the fold of serve reports
 # ---------------------------------------------------------------------------
 
-def _batch(*paths, failed=()):
-    """The RouteBatch of queries with these paths (``failed``: indices)."""
-    return RouteBatch.of(
-        ServeResult(0, 0, path, 0.0, i not in failed,
-                    "failed" if i in failed else None)
-        for i, path in enumerate(paths))
-
-
-@pytest.fixture(scope="module")
-def served():
-    """Compiled tables and a stream with repeats (cache hits) and routes
-    longer than five hops (failures under ``max_hops=5``)."""
-    graph = random_connected_graph(80, seed=5)
-    compiled = compile_scheme(build_centralized_scheme(graph, 2, seed=5), graph)
-    rng = random.Random(5)
-    nodes = sorted(compiled.nodes)
-    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(150)]
-    return compiled, pairs + pairs[:50]
-
-
 class TestServeMetricsBundle:
-    def test_batch_and_deferred_hops(self):
-        m = ServeMetrics()
-        m.record_batch(3, 0, 1, 2)
-        m.defer_path_lengths(_batch([1, 2, 3], [1], [1, 2]))
-        assert m.hops.count == 0, "hop counting defers until scrape"
-        m.flush()
-        assert m.hops.count == 3
-        assert m.hops.sum == pytest.approx(2 + 0 + 1)
-        assert m.queries.value == 3 and m.cache_hits.value == 1
+    def test_snapshot_shape(self, served):
+        metrics, report = _bundle(served)
+        snap = metrics.snapshot()
+        assert list(snap) == [
+            "repro_serve_queries_total", "repro_serve_failures_total",
+            "repro_serve_cache_hits_total", "repro_serve_cache_misses_total",
+            "repro_serve_hops", "repro_serve_latency_us",
+            "repro_serve_stretch"]
+        queries = snap["repro_serve_queries_total"]
+        assert queries["type"] == "counter"
+        assert queries["series"] == [{"labels": {}, "value": 200.0}]
+        hops = snap["repro_serve_hops"]["series"][0]
+        assert hops["count"] == report.queries - report.failures
+        assert hops["max"] == report.hops_max
+        assert set(hops["quantiles"]) == {"0.5", "0.9", "0.99"}
+        assert "exemplars" not in hops
+        stretch = snap["repro_serve_stretch"]["series"][0]
+        assert stretch["exemplars"] == metrics.exemplars == report.exemplars
 
-    def test_deferred_skips_failures(self):
-        m = ServeMetrics()
-        m.defer_path_lengths(_batch([1, 2, 3], [], failed={1}))
-        m.flush()
-        assert m.hops.count == 1
+    def test_exemplars_keep_the_worst_under_one_order(self):
+        """Ties on value break on source, then target, then the rest of
+        the payload, so the kept set never depends on arrival order."""
+        entries = [{"value": v, "source": s, "target": t, "cached": c}
+                   for v, s, t, c in [(3.0, "b", "x", False),
+                                      (1.0, "a", "a", False),
+                                      (3.0, "a", "y", True),
+                                      (3.0, "a", "y", False),
+                                      (9.0, "z", "z", False)]]
+        want = [(9.0, "z", "z", False), (3.0, "a", "y", False),
+                (3.0, "a", "y", True)]
+        for shuffled in (entries, entries[::-1], entries[2:] + entries[:2]):
+            kept = worst_exemplars(shuffled, 3)
+            assert [(x["value"], x["source"], x["target"], x["cached"])
+                    for x in kept] == want
+        assert sorted(entries, key=exemplar_order)[:3] == \
+            worst_exemplars(entries, 3)
 
-    def test_route_recorded_single_path(self, served):
-        """``route_recorded`` is a batch of one: query by query, it leaves
-        the counters and hop histogram ``route_many`` leaves for the same
-        stream, and a failure counts no cache hit and no hops."""
-        compiled, pairs = served
-        one, many = ServeMetrics(), ServeMetrics()
-        engine = ServeEngine(compiled, max_hops=5, metrics=one)
-        results = [engine.route_recorded(u, v) for u, v in pairs]
-        ServeEngine(compiled, max_hops=5, metrics=many).route_many(pairs)
-        one.flush()
-        many.flush()
-        delivered = [r for r in results if r.ok]
-        assert 0 < len(delivered) < len(results), "need hits, misses, failures"
-        assert one.queries.value == len(results)
-        assert one.failures.value == len(results) - len(delivered)
-        assert one.cache_hits.value == sum(r.cached for r in delivered) > 0
-        assert one.cache_misses.value == engine.cache.misses
-        assert one.hops.count == len(delivered)
-        assert one.hops.sum == sum(len(r.path) - 1 for r in delivered)
-        for name in ("queries", "failures", "cache_hits", "cache_misses"):
-            assert getattr(one, name).value == getattr(many, name).value, name
-        assert one.hops.sketch == many.hops.sketch
+    def test_fold_is_exact_across_calls(self, served):
+        """Two calls on one warm engine, folded into one bundle, read what
+        one call over the concatenated stream reads: counters, the hops
+        and stretch sketches, and the exemplars."""
+        graph, compiled, pairs = served
+        cut = len(pairs) // 3
+        split = ServeMetrics()
+        engine = ServeEngine(compiled, max_hops=5, metrics=split)
+        first, _ = serve_pairs(engine, graph, pairs[:cut])
+        second, _ = serve_pairs(engine, graph, pairs[cut:])
+        whole = ServeMetrics()
+        report, _ = serve_pairs(ServeEngine(compiled, max_hops=5), graph,
+                                pairs, metrics=whole)
+        assert 0 < report.failures and 0 < report.cache_hits
+        assert split.totals == whole.totals == {
+            "queries": report.queries, "failures": report.failures,
+            "cache_hits": report.cache_hits,
+            "cache_misses": report.cache_misses}
+        assert split.sketches["hops"] == whole.sketches["hops"]
+        assert split.sketches["stretch"] == whole.sketches["stretch"]
+        assert split.sketches["latency_us"].count == len(pairs)
+        assert _exemplar_keys(split.exemplars) == \
+            _exemplar_keys(whole.exemplars)
+        assert len(whole.exemplars) == EXEMPLAR_LIMIT
+        # Each report is that call's alone; the snapshot is cumulative.
+        assert (first.queries, second.queries) == (cut, len(pairs) - cut)
+        assert second.metrics == split.snapshot()
 
-    def test_long_path_overflows_scratch_exactly(self):
-        m = ServeMetrics()
-        m.record_path_lengths({601: 1})
-        m.flush()
-        assert m.hops.count == 1
-        assert m.hops.sketch.max_value == 600.0
+    def test_empty_stream_first(self, served):
+        """An empty call's hops placeholder is not folded: the bundle's
+        hops count is the number of delivered queries."""
+        graph, compiled, pairs = served
+        metrics = ServeMetrics()
+        engine = ServeEngine(compiled, max_hops=5, metrics=metrics)
+        empty, _ = serve_pairs(engine, graph, [])
+        assert empty.sketches["hops"].count == 1  # the placeholder
+        report, _ = serve_pairs(engine, graph, pairs)
+        assert metrics.sketches["hops"].count == \
+            report.queries - report.failures
+        assert metrics.sketches["hops"] == report.sketches["hops"]
 
-    def test_snapshot_has_no_slo_key(self):
-        m = ServeMetrics()
-        m.record_batch(5, 0, 0, 5)
-        snap = m.snapshot()
+    def test_snapshot_has_no_slo_key(self, served):
+        snap = _bundle(served)[0].snapshot()
         assert "slo" not in snap
-        assert snap["repro_serve_queries_total"]["series"][0]["value"] == 5.0
+        assert snap["repro_serve_queries_total"]["series"][0]["value"] == 200.0
 
-    def test_expose_parses(self):
-        m = ServeMetrics()
-        m.record_batch(1, 0, 0, 1)
-        m.record_path_lengths({4: 1})
-        m.latency_us.add(12.5)
-        m.stretch.add(1.2)
-        families = parse_prometheus(m.expose())
+    def test_expose_parses(self, served):
+        families = parse_prometheus(_bundle(served)[0].expose())
         assert "repro_serve_hops" in families
         assert "repro_serve_latency_us" in families
         assert "repro_serve_stretch" in families
+        assert parse_prometheus(ServeMetrics().expose())["repro_serve_hops"]

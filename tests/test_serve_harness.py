@@ -10,6 +10,7 @@ from repro.__main__ import build_parser, main
 from repro.errors import InputError
 from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.metrics import QuantileSketch, ServeMetrics, parse_prometheus
+from repro.metrics.serve import EXEMPLAR_LIMIT
 from repro.serve import (
     SKETCH_ACCURACY,
     ServeEngine,
@@ -169,11 +170,6 @@ def _broken(scheme):
     return broken
 
 
-_COUNTERS = ("repro_serve_queries_total", "repro_serve_failures_total",
-             "repro_serve_cache_hits_total", "repro_serve_cache_misses_total",
-             "repro_serve_hops")
-
-
 class TestMeasurementLoop:
     """``serve_pairs`` drives the batched loop; the single-query
     ``route_recorded`` loop it replaced stays the reference it must
@@ -233,12 +229,15 @@ class TestMeasurementLoop:
         assert report.sketches["stretch"] == stretch
 
         if instrumented:
-            got = new.metrics.snapshot()
-            want = old.metrics.snapshot()
-            for name in _COUNTERS:
-                assert got[name]["series"] == want[name]["series"], name
-            assert new.metrics.hops.sketch == old.metrics.hops.sketch
-            assert new.metrics.latency_us.count == len(pairs)
+            # The bundle is the report folded in: the recorded loop's
+            # engine counters and the reference sketches.
+            assert new.metrics.totals == {
+                "queries": len(pairs), "failures": old.failures,
+                "cache_hits": old.cache.hits,
+                "cache_misses": old.cache.misses}
+            assert new.metrics.sketches["hops"] == hops
+            assert new.metrics.sketches["stretch"] == stretch
+            assert new.metrics.sketches["latency_us"].count == len(pairs)
             ref_traces = old.tracer.finalize(old, expected, stretches,
                                              graph=graph)
             assert ([(t.trace_id, t.via) for t in report.traces]
@@ -404,7 +403,7 @@ class TestServeMetricsOutCli:
         measured stretch, and its exemplars are the worst of them, each
         naming its query (and, under a tracer, its trace id)."""
         graph, scheme = built
-        metrics = ServeMetrics(exemplar_limit=4)
+        metrics = ServeMetrics()
         tracer = Tracer(rate=0.0, seed=6, prefix="zipf-6")
         report, results = run_serving(scheme, graph, workload="zipf",
                                       queries=400, seed=6, metrics=metrics,
@@ -412,11 +411,11 @@ class TestServeMetricsOutCli:
         stretches = [s for s in _per_query_stretch(graph, results)
                      if s is not None]
         assert len(stretches) == report.queries - report.failures
-        assert metrics.stretch.sketch == report.sketches["stretch"]
-        exemplars = metrics.stretch.exemplars()
+        assert metrics.sketches["stretch"] == report.sketches["stretch"]
+        exemplars = metrics.exemplars
         assert report.exemplars == exemplars
         values = [e["value"] for e in exemplars]
-        assert values == sorted(stretches, reverse=True)[:4]
+        assert values == sorted(stretches, reverse=True)[:EXEMPLAR_LIMIT]
         for entry in exemplars:
             result = results[int(entry["trace_id"].rsplit("-", 1)[1])]
             assert entry["trace_id"].startswith("zipf-6-")
@@ -675,9 +674,40 @@ class TestShardedCli:
         rc = main(["serve", "--n", "40", "--queries", "20", "--workers",
                    "2", "--trace-out", str(tmp_path / "t.jsonl")])
         assert rc == 2
+        assert "--trace-out" in capsys.readouterr().err
+        # --metrics-out is honoured: the merged report is folded.
+        prom = tmp_path / "m.prom"
         rc = main(["serve", "--n", "40", "--queries", "20", "--workers",
-                   "2", "--metrics-out", str(tmp_path / "m.prom")])
-        assert rc == 2
+                   "2", "--metrics-out", str(prom), "--quiet"])
+        assert rc == 0
+        families = parse_prometheus(prom.read_text())
+        assert families["repro_serve_queries_total"]["samples"][0][2] == 20
+
+    def test_workers_metrics_out_equals_single(self, capsys, tmp_path):
+        """On a stream with no cache evictions every family but latency
+        reads the same at --workers 2 as at --workers 1: counters,
+        hops and stretch buckets, and the exemplars.  The stretch
+        ``_sum`` is a float summed in another order, so it is equal up to
+        rounding."""
+        def families(*extra):
+            prom = tmp_path / f"m{len(extra)}.prom"
+            assert main(["serve", "--n", "60", "--k", "2", "--queries",
+                         "400", "--workload", "zipf", "--seed", "4",
+                         "--quiet", "--metrics-out", str(prom),
+                         *extra]) == 0
+            got = parse_prometheus(prom.read_text())
+            del got["repro_serve_latency_us"]
+            samples = got["repro_serve_stretch"]["samples"]
+            (total,) = [s for s in samples if s[0].endswith("_sum")]
+            samples.remove(total)
+            return got, total[2]
+
+        single, single_sum = families()
+        assert single["repro_serve_cache_misses_total"]["samples"][0][2] < 4096
+        pooled, pooled_sum = families("--workers", "2")
+        assert pooled == single
+        assert pooled_sum == pytest.approx(single_sum, rel=1e-12)
+        assert single["repro_serve_stretch"]["exemplars"]
 
     def test_workers_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as usage:

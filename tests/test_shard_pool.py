@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InputError, ShardError
-from repro.graphs import random_connected_graph
+from repro.graphs import grid_graph, random_connected_graph
 from repro.metrics.serve import ServeMetrics
 from repro.serve import compile_scheme, run_serving
 from repro.serve.workloads import make_workload
@@ -201,6 +201,23 @@ class TestMergedEqualsSingle:
             assert (a.source, a.target, a.path, a.length, a.ok,
                     a.error) == \
                    (b.source, b.target, b.path, b.length, b.ok, b.error)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_tied_stretches_keep_the_same_exemplars(self, workers):
+        """On an unweighted grid many queries tie on stretch: the kept
+        exemplars are the first under one total order, whatever the
+        split (they used to follow each shard's arrival order)."""
+        graph = grid_graph(8, 8, weight_range=(1.0, 1.0), seed=0)
+        scheme = build_centralized_scheme(graph, 3, seed=0)
+        single, _ = run_serving(scheme, graph, workload="uniform",
+                                queries=2000, seed=0, metrics=ServeMetrics())
+        merged, _ = run_sharded(scheme, graph, workers=workers,
+                                workload="uniform", queries=2000, seed=0,
+                                start="thread")
+        values = [x["value"] for x in single.exemplars]
+        assert len(set(values)) < len(values), "the case needs ties"
+        assert _exemplar_keys(merged) == _exemplar_keys(single)
+        assert merged.exemplars == single.exemplars
 
     def test_recorded_shards_section(self, built):
         graph, scheme, _ = built
