@@ -8,7 +8,7 @@ the largest size of ``repro fig graph-rounds``):
 
 * ``fig7_flood``    — full-neighborhood exchanges (one ``send_each`` per
   round over every vertex's ports + ``deliver_batch``): the pure engine
-  round-trip;
+  round-trip, also printed as nanoseconds per message on each engine;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
 * ``fig7_meter``    — memory metering with no traffic: per-vertex stores
   over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
@@ -153,6 +153,11 @@ def _time_engine(
     return best, net
 
 
+def _ns_per(seconds: float, messages: int) -> Any:
+    """Wall nanoseconds per message, or None for a kernel sending none."""
+    return round(seconds * 1e9 / messages, 1) if messages else None
+
+
 def run_sim_micro() -> List[Dict[str, Any]]:
     """Measure every workload on both engines; return one record each.
 
@@ -185,6 +190,8 @@ def run_sim_micro() -> List[Dict[str, Any]]:
             "ref_wall_s": round(ref_s, 4),
             "fast_wall_s": round(fast_s, 4),
             "speedup_wall": round(ref_s / fast_s, 2),
+            "ref_ns_per_msg": _ns_per(ref_s, m.messages),
+            "fast_ns_per_msg": _ns_per(fast_s, m.messages),
         })
     return records
 
@@ -202,6 +209,13 @@ def render(records: List[Dict[str, Any]]) -> str:
             f"{r['message_words']:>10}{r['ref_wall_s']:>9.3f}"
             f"{r['fast_wall_s']:>9.3f}{r['speedup_wall']:>8.2f}x"
         )
+    for r in records:
+        # Only the flood's timed region is engine work and nothing else.
+        if r["workload"] == "fig7_flood":
+            lines.append(
+                f"fig7_flood per message: reference {r['ref_ns_per_msg']:.0f} ns, "
+                f"fast path {r['fast_ns_per_msg']:.0f} ns"
+            )
     return "\n".join(lines)
 
 

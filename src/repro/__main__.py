@@ -181,7 +181,7 @@ def _args_trace(new, shared) -> None:
     add("--jsonl", action="store_true",
         help="one JSON object per line: RunRecord manifest first, then each sweep row")
     add("--flight", action="store_true",
-        help="attach a flight recorder to every network built (round-resolved "
+        help="give every network that runs a flight recorder (round-resolved "
              "memory/congestion)")
     add("--stride", type=_positive(int), default=16,
         help="flight-recorder sampling stride in rounds (with --flight; default 16)")

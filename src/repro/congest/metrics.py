@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..telemetry import events as _tele
-
 
 @dataclass
 class PhaseRecord:
@@ -77,9 +75,9 @@ class RunMetrics:
     def end_phase(self) -> None:
         self._open = None
 
-    # ``on_round`` / ``on_charge`` are the one emission site of the
-    # ``congest.*`` telemetry counters: every engine accounts through
-    # them, so collector totals equal these fields by construction.
+    # ``on_round`` / ``on_charge`` are plain accounting: the engines call
+    # them on their one round-close and one charge path, then tell the
+    # telemetry bus's listeners (``repro.telemetry.events``) the same event.
 
     def on_round(self, messages: int, words: int) -> None:
         self.rounds += 1
@@ -89,11 +87,6 @@ class RunMetrics:
             self._open.rounds += 1
             self._open.messages += messages
             self._open.message_words += words
-        if _tele._collectors:
-            _tele.emit("congest.rounds", 1)
-            if messages:
-                _tele.emit("congest.messages", messages)
-                _tele.emit("congest.message_words", words)
 
     def on_charge(self, rounds: int, messages: int = 0, words: int = 0) -> None:
         """Account for analytically charged rounds and the traffic charged
@@ -104,12 +97,6 @@ class RunMetrics:
         self.message_words += words
         if self._open is not None:
             self._open.charged_rounds += rounds
-        if _tele._collectors:
-            _tele.emit("congest.charged_rounds", rounds)
-            if messages:
-                _tele.emit("congest.messages", messages)
-            if words:
-                _tele.emit("congest.message_words", words)
 
     # -- reporting -----------------------------------------------------------
 

@@ -57,7 +57,7 @@ loops never touch :mod:`networkx` again:
   per-destination inboxes.
 
 All observable behaviour — message order, inbox ordering, metrics,
-memory accounting, round observers, and byte-for-byte ``strict``
+memory accounting, bus events, and byte-for-byte ``strict``
 :class:`~repro.errors.CongestModelViolation` messages — is identical to the
 reference engine (:class:`~repro.congest.reference.ReferenceNetwork`); the
 differential harness under ``tests/differential/`` enforces this across
@@ -68,8 +68,10 @@ Round accounting
 ``tick()`` delivers the queued messages and advances the round counter.
 ``charge_rounds(r)`` adds ``r`` analytically-derived rounds for phases that
 are cost-charged instead of literally simulated (pipelined broadcast bodies,
-hopset construction); see DESIGN.md.  Benchmarks report
-``metrics.total_rounds``.
+hopset construction); see DESIGN.md.  It is the one charge path (a wide
+message's extra slots go through it) as ``_end_round`` is the one
+round-close path: each updates ``self.metrics``, then tells the telemetry
+bus's listeners.  Benchmarks report ``metrics.total_rounds``.
 
 The simulator is deliberately *orchestrated*: algorithm code drives rounds
 procedurally (``send_each`` / ``tick`` loops) rather than via per-node
@@ -86,7 +88,7 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
-from ..telemetry import flight as _flight
+from ..telemetry.events import _collectors
 from ..wordsize import _ONE_WORD_TYPES, words_of
 from .memory import MemoryBank, MeterView
 from .metrics import RunMetrics
@@ -138,10 +140,6 @@ class Network:
         #: Words queued in ``_outbox``, accumulated at send time so closing
         #: a round never re-walks the outbox to sum message widths.
         self._outbox_words = 0
-        #: Round observers (flight recorders, test harnesses).  Empty list ==
-        #: observation disabled; ``tick``/``charge_rounds`` test truthiness
-        #: only, the same zero-overhead guard as the telemetry event bus.
-        self._round_observers: List[Any] = []
 
         # -- compile the immutable topology (see module docstring) ----------
         # One pass over the raw adjacency, which lists the vertices in
@@ -173,8 +171,6 @@ class Network:
         #: what was touched instead of clearing all 2m counters.
         self._edge_load: List[int] = [0] * lo
         self._loaded_arcs: List[int] = []
-        if _flight._SESSIONS:
-            _flight._SESSIONS[-1].attach(self)
 
     # -- topology ------------------------------------------------------------
 
@@ -263,20 +259,6 @@ class Network:
         vertices already hold ``key`` on their own."""
         self._bank.store_all(key, words)
 
-    # -- observation -----------------------------------------------------------
-
-    def add_round_observer(self, observer: Any) -> Any:
-        """Register an observer notified on every ``tick``/``charge_rounds``.
-
-        Observers implement ``on_round(net, delivered, words)`` (called
-        inside :meth:`tick` after the round counter advanced, with the
-        delivered messages still in hand) and
-        ``on_charge(net, rounds, messages, words)``.  Returns the observer
-        for chaining.
-        """
-        self._round_observers.append(observer)
-        return observer
-
     # -- messaging -------------------------------------------------------------
 
     def send_each(self, sends: Iterable[Msg]) -> None:
@@ -291,7 +273,6 @@ class Network:
         edge_load = self._edge_load
         loaded = self._loaded_arcs
         outbox = self._outbox
-        metrics = self.metrics
         limit = self.message_word_limit
         capacity = self.edge_capacity
         strict = self.strict
@@ -311,7 +292,7 @@ class Network:
                 if strict and slots == 1 and prior >= capacity:
                     raise CongestModelViolation(
                         f"edge {src!r}->{dst!r} over capacity in round "
-                        f"{metrics.rounds}: {prior + 1} > {capacity}"
+                        f"{self.metrics.rounds}: {prior + 1} > {capacity}"
                     )
                 if not prior:
                     loaded.append(arc)
@@ -319,17 +300,18 @@ class Network:
                 outbox.append(msg)
                 queued_words += words
                 if slots > 1:
-                    metrics.on_charge(slots - 1)
+                    # The extra slots of a wide payload are charged rounds.
+                    self.charge_rounds(slots - 1)
         finally:
             # A failure leaves the messages before it queued: count them.
             self._outbox_words += queued_words
 
     def _end_round(self, delivered: List[Msg], words: int) -> None:
-        """Shared round-close path of :meth:`tick` / :meth:`deliver_batch`."""
+        """The one round-close path, of :meth:`tick` / :meth:`deliver_batch`."""
         self.metrics.on_round(len(delivered), words)
-        if self._round_observers:
-            for obs in self._round_observers:
-                obs.on_round(self, delivered, words)
+        if _collectors:
+            for listener in _collectors:
+                listener.on_round(self, delivered, words)
         self._outbox = []
         self._outbox_words = 0
         edge_load = self._edge_load
@@ -350,8 +332,8 @@ class Network:
     def deliver_batch(self) -> List[Msg]:
         """Deliver queued messages as one flat list (no per-dst inboxes).
 
-        Same round/metrics/observer semantics as :meth:`tick`, minus the
-        cost of grouping by destination — for counting floods, observers-
+        Same round/metrics/listener semantics as :meth:`tick`, minus the
+        cost of grouping by destination — for counting floods, listener-
         only runs, and callers that unpack ``(src, dst, payload)``
         themselves.
         The word total was accumulated at send time, so closing the round
@@ -373,9 +355,9 @@ class Network:
             raise InputError("cannot charge a negative number of rounds")
         charged = int(math.ceil(rounds))
         self.metrics.on_charge(charged, messages, words)
-        if self._round_observers:
-            for obs in self._round_observers:
-                obs.on_charge(self, charged, messages, words)
+        if _collectors:
+            for listener in _collectors:
+                listener.on_charge(self, charged, messages, words)
 
     # -- phases ------------------------------------------------------------------
 

@@ -36,7 +36,7 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 import networkx as nx
 
 from ..errors import CongestModelViolation, InputError
-from ..telemetry import flight as _flight
+from ..telemetry.events import _collectors
 from ..wordsize import words_of
 from .memory import MemoryMeter
 
@@ -84,9 +84,6 @@ class ReferenceNetwork:
         self._meters: Dict[NodeId, MemoryMeter] = {v: MemoryMeter() for v in graph}
         self._outbox: List[Msg] = []
         self._edge_load: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
-        self._round_observers: List[Any] = []
-        if _flight._SESSIONS:
-            _flight._SESSIONS[-1].attach(self)
 
     # -- topology ------------------------------------------------------------
 
@@ -163,13 +160,6 @@ class ReferenceNetwork:
         for v, words in words_by_vertex.items():
             self.mem(v).store(key, words)
 
-    # -- observation -----------------------------------------------------------
-
-    def add_round_observer(self, observer: Any) -> Any:
-        """Register an observer notified on every ``tick``/``charge_rounds``."""
-        self._round_observers.append(observer)
-        return observer
-
     # -- messaging -------------------------------------------------------------
 
     def send_each(self, sends: Iterable[Msg]) -> None:
@@ -190,7 +180,7 @@ class ReferenceNetwork:
             self._outbox.append((src, dst, payload))
             # Wide payloads occupy several rounds of the edge; charge the extra.
             if slots > 1:
-                self.metrics.on_charge(slots - 1)
+                self.charge_rounds(slots - 1)
 
     def tick(self) -> Dict[NodeId, List[Msg]]:
         """Deliver queued messages, advance one round, return inboxes."""
@@ -200,41 +190,41 @@ class ReferenceNetwork:
             src, dst, payload = msg
             inboxes[dst].append(msg)
             words += words_of(payload)
-        self.metrics.on_round(len(self._outbox), words)
-        if self._round_observers:
-            for obs in self._round_observers:
-                obs.on_round(self, self._outbox, words)
-        self._outbox = []
-        self._edge_load.clear()
+        self._end_round(self._outbox, words)
         return inboxes
 
     def deliver_batch(self) -> List[Msg]:
         """Deliver queued messages as one flat list (no per-dst inboxes).
 
-        Same round/metrics/observer semantics as :meth:`tick`; only the
+        Same round/metrics/listener semantics as :meth:`tick`; only the
         return shape differs.
         """
         delivered = self._outbox
         words = 0
         for src, dst, payload in delivered:
             words += words_of(payload)
-        self.metrics.on_round(len(delivered), words)
-        if self._round_observers:
-            for obs in self._round_observers:
-                obs.on_round(self, delivered, words)
-        self._outbox = []
-        self._edge_load.clear()
+        self._end_round(delivered, words)
         return delivered
 
+    def _end_round(self, delivered: List[Msg], words: int) -> None:
+        """The one round-close path: count the round, tell the listeners."""
+        self.metrics.on_round(len(delivered), words)
+        if _collectors:
+            for listener in _collectors:
+                listener.on_round(self, delivered, words)
+        self._outbox = []
+        self._edge_load.clear()
+
     def charge_rounds(self, rounds: int, messages: int = 0, words: int = 0) -> None:
-        """Account for ``rounds`` rounds computed analytically."""
+        """Account for ``rounds`` rounds computed analytically (the one
+        charge path: a wide message's extra slots come here too)."""
         if rounds < 0:
             raise InputError("cannot charge a negative number of rounds")
         charged = int(math.ceil(rounds))
         self.metrics.on_charge(charged, messages, words)
-        if self._round_observers:
-            for obs in self._round_observers:
-                obs.on_charge(self, charged, messages, words)
+        if _collectors:
+            for listener in _collectors:
+                listener.on_charge(self, charged, messages, words)
 
     # -- phases ------------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 The observability layer every execution funnels through:
 
 * :mod:`~repro.telemetry.events` -- the zero-cost-when-disabled event bus
-  (:func:`span`, :func:`emit`, :func:`gauge`, :func:`collect`);
+  (:func:`span`, :func:`emit`, :func:`gauge`, :func:`collect`), the only
+  way to listen to a network: a :class:`Listener` also hears every round
+  the engines close and every round they charge;
 * :mod:`~repro.telemetry.collector` -- the default
   :class:`TelemetryCollector` building a span tree with per-span round
   attribution and a ``profile()`` renderer;
@@ -13,7 +15,8 @@ The observability layer every execution funnels through:
 * :mod:`~repro.telemetry.bounds` -- the paper-bound checker evaluating
   Theorems 2/3 closed forms against measured columns;
 * :mod:`~repro.telemetry.flight` -- the opt-in flight recorder sampling
-  per-vertex memory and per-edge congestion round by round.
+  per-vertex memory and per-edge congestion round by round, one recorder
+  per network that runs inside a ``flight.auto()`` block.
 
 Host time across commits is not this package's job: the perf ledger
 (``benchmarks/perf``) measures it and its ``compare.py`` diffs two run
@@ -33,18 +36,18 @@ from .bounds import (
     verdict_from_dict,
 )
 from .collector import SpanNode, TelemetryCollector, render_profile
-from .events import attach, collect, detach, emit, enabled, gauge, span
-from .flight import FlightConfig, FlightRecorder, attach_flight_recorder
+from .events import Listener, attach, collect, detach, emit, enabled, gauge, span
+from .flight import FlightConfig, FlightRecorder
 from .runrecord import RunRecord, make_run_record, peak_rss_kb, record_run
 
 __all__ = [
     "BoundVerdict",
     "FlightConfig",
     "FlightRecorder",
+    "Listener",
     "RunRecord",
     "SpanNode",
     "TelemetryCollector",
-    "attach_flight_recorder",
     "attach",
     "check_claim8_hop_depth",
     "check_graph_columns",

@@ -6,7 +6,8 @@ A :class:`TelemetryCollector` attached via
 * a tree of :class:`SpanNode`s (one per ``span(...)`` block, nested by
   runtime containment) with wall-clock per span;
 * counters (``congest.rounds``, ``congest.messages``, ...) attributed to
-  the innermost open span and summed globally;
+  the innermost open span and summed globally; the ``congest.*`` four
+  are counted from the engines' ``on_round`` / ``on_charge`` events;
 * gauges (``memory.high_water_words``) keeping the maximum seen.
 
 ``profile()`` renders the span tree as an ASCII table with wall-clock and
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from .events import Listener
 
 #: Counter columns shown by :meth:`TelemetryCollector.profile`.
 _PROFILE_COUNTERS = ("congest.rounds", "congest.charged_rounds", "congest.messages")
@@ -53,7 +56,7 @@ class SpanNode:
         return out
 
 
-class TelemetryCollector:
+class TelemetryCollector(Listener):
     """Accumulates spans, counters, and gauges from the event bus."""
 
     def __init__(self) -> None:
@@ -87,6 +90,22 @@ class TelemetryCollector:
     def on_gauge(self, name: str, value: float, attrs: Dict[str, Any]) -> None:
         if value > self.gauges.get(name, float("-inf")):
             self.gauges[name] = value
+
+    # A round's traffic, and a charge's when it carries any, are counted
+    # only when non-zero: a key absent from ``counters`` reads zero.
+
+    def on_round(self, net: Any, delivered: List[Any], words: int) -> None:
+        self.on_counter("congest.rounds", 1, {})
+        if delivered:
+            self.on_counter("congest.messages", len(delivered), {})
+            self.on_counter("congest.message_words", words, {})
+
+    def on_charge(self, net: Any, rounds: int, messages: int, words: int) -> None:
+        self.on_counter("congest.charged_rounds", rounds, {})
+        if messages:
+            self.on_counter("congest.messages", messages, {})
+        if words:
+            self.on_counter("congest.message_words", words, {})
 
     # -- reporting -----------------------------------------------------------
 

@@ -1,12 +1,14 @@
-"""The telemetry event bus: spans, counters, and gauges.
+"""The telemetry event bus: spans, counters, gauges, rounds and charges.
 
 Every execution path in the repo funnels its observability through this
-module.  Instrumented sites (``repro.congest.network``, the tree-routing
-stages, ``repro.core.build``) call :func:`span` / :func:`emit` /
-:func:`gauge` unconditionally; when no collector is attached the calls
-reduce to one truthiness check on the module-level ``_collectors`` list
-(spans additionally return a shared no-op context manager), so round
-counts, memory accounting, and wall-clock are unchanged for untraced runs.
+module; it is the only way to listen to a network.  Instrumented sites
+(the tree-routing stages, ``repro.core.build``) call :func:`span` /
+:func:`emit` / :func:`gauge`, and the round engines call each
+:class:`Listener`'s ``on_round`` / ``on_charge``, unconditionally; when
+no listener is attached the calls reduce to one truthiness check on the
+module-level ``_collectors`` list (spans additionally return a shared
+no-op context manager), so round counts, memory accounting, and
+wall-clock are unchanged for untraced runs.
 
 Attach a collector with :func:`collect`::
 
@@ -27,25 +29,52 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List
 
-#: Attached collectors.  Empty list == telemetry disabled; hot paths test
+#: Attached listeners.  Empty list == telemetry disabled; hot paths test
 #: this directly (``if _collectors:``) to keep the disabled cost at one
-#: attribute load + truthiness check.
+#: load + truthiness check.  Mutated in place only: the engines import it.
 _collectors: List[Any] = []
 
 
+class Listener:
+    """No-op base of a bus listener: a subclass overrides what it reads.
+    ``on_round`` follows every round an engine closes (the delivered
+    messages in hand), ``on_charge`` every charge, a wide message's extra
+    slots included; both after ``net.metrics`` counted the event."""
+
+    __slots__ = ()
+
+    def on_span_start(self, name: str, attrs: Dict[str, Any], now: float) -> None:
+        pass
+
+    def on_span_end(self, name: str, now: float) -> None:
+        pass
+
+    def on_counter(self, name: str, value: float, attrs: Dict[str, Any]) -> None:
+        pass
+
+    def on_gauge(self, name: str, value: float, attrs: Dict[str, Any]) -> None:
+        pass
+
+    def on_round(self, net: Any, delivered: List[Any], words: int) -> None:
+        pass
+
+    def on_charge(self, net: Any, rounds: int, messages: int, words: int) -> None:
+        pass
+
+
 def enabled() -> bool:
-    """True when at least one collector is attached."""
+    """True when at least one listener is attached."""
     return bool(_collectors)
 
 
 def attach(collector: Any) -> Any:
-    """Attach ``collector`` to the bus; returns it for chaining."""
+    """Attach a :class:`Listener` to the bus; returns it for chaining."""
     _collectors.append(collector)
     return collector
 
 
 def detach(collector: Any) -> None:
-    """Detach a previously attached collector (no error if absent)."""
+    """Detach a previously attached listener (no error if absent)."""
     try:
         _collectors.remove(collector)
     except ValueError:
@@ -118,7 +147,7 @@ def gauge(name: str, value: float, **attrs: Any) -> None:
 class collect:
     """``with collect() as tele:`` — attach a collector for the block.
 
-    A specific collector may be passed in; by default a fresh
+    A specific listener may be passed in; by default a fresh
     :class:`~repro.telemetry.collector.TelemetryCollector` is created.
     """
 

@@ -7,11 +7,18 @@ the flight recorder answers the finer questions those hide: *when* does a
 vertex's footprint peak, *which* protocol stage congests *which* edges,
 how do messages/words evolve round by round.
 
-A :class:`FlightRecorder` registers as a round observer on a
-:class:`~repro.congest.network.Network`
-(:func:`attach_flight_recorder`), so networks without one attached pay the
-same one-truthiness-check guard as the telemetry event bus — nothing else.
-When attached it samples, every ``stride``-th simulated round:
+:class:`auto` is the one entry point: a listener on the telemetry bus that,
+while its block is open, gives each network a :class:`FlightRecorder` at
+its first round or charge.  So a network built before the block is
+recorded for the rounds it runs inside it, nested sessions each record,
+and a network with no round or charge inside gets no recorder::
+
+    with flight.auto(stride=4) as session:
+        fig_tree_rounds()
+    for rec in session.recorders:
+        print(rec.summary())
+
+Every ``stride``-th simulated round a recorder samples:
 
 * per-vertex memory meter (``net.mem(v)``) current / high-water words,
   **delta-encoded** (only vertices whose values changed since the previous
@@ -21,39 +28,24 @@ When attached it samples, every ``stride``-th simulated round:
   per-vertex :meth:`~repro.congest.memory.MemoryMeter.snapshot`);
 * that round's traffic and its ``top_edges`` busiest edges.
 
-Samples live in a **ring buffer** of ``ring`` entries: when full, the
-oldest sample is folded into a base snapshot so newer deltas stay
-decodable (:meth:`FlightRecorder.vertex_timeline`) while memory stays
-bounded on arbitrarily long runs.  Cumulative per-edge and per-phase
-congestion totals are kept exactly (bounded by the edge count).
-
-Code that builds its own networks deep inside a sweep cannot call
-``attach_flight_recorder`` directly; wrap the call in :class:`auto`::
-
-    from repro.telemetry import flight
-
-    with flight.auto(stride=4) as session:
-        fig_tree_rounds()          # every Network built inside is recorded
-    for rec in session.recorders:
-        print(rec.summary())
-
-``auto`` pushes a session onto a module-level stack that
-``Network.__init__`` tests for truthiness — the recorder is **off by
-default** and adds zero overhead when no session is active.
+It logs every charge, a wide message's extra slots included, as a
+:class:`ChargeEvent`.  Samples live in a **ring buffer** of ``ring``
+entries: when full, the oldest sample is folded into a base snapshot so
+newer deltas stay decodable (:meth:`FlightRecorder.vertex_timeline`)
+while memory stays bounded on arbitrarily long runs.  Cumulative
+per-edge traffic totals are kept exactly (bounded by the edge count).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..errors import InputError
 from ..wordsize import words_of
-
-#: Active ``auto`` sessions.  Empty list == flight recording disabled;
-#: ``Network.__init__`` tests truthiness only (the event-bus guard).
-_SESSIONS: List["auto"] = []
+from .events import Listener, attach, detach
 
 
 @dataclass
@@ -109,7 +101,7 @@ class FlightSample:
 
 @dataclass
 class ChargeEvent:
-    """One analytic ``charge_rounds`` event."""
+    """One charge: a ``charge_rounds`` call or a wide message's extra slots."""
 
     at_round: int
     rounds: int
@@ -128,7 +120,8 @@ class ChargeEvent:
 
 
 class FlightRecorder:
-    """Round observer recording the flight data of one network run."""
+    """The flight data of one network's run, fed by an :class:`auto`
+    session with that network's rounds and charges."""
 
     def __init__(self, config: Optional[FlightConfig] = None, **knobs: Any):
         if config is None:
@@ -149,15 +142,7 @@ class FlightRecorder:
         self._last: Dict[Hashable, Tuple[int, int]] = {}
         self._evicted = 0
 
-    # -- attachment ----------------------------------------------------------
-
-    def attach(self, net: Any) -> "FlightRecorder":
-        """Register on ``net``'s observer hook; returns self for chaining."""
-        self.n = net.n
-        net.add_round_observer(self)
-        return self
-
-    # -- observer callbacks --------------------------------------------------
+    # -- event callbacks -----------------------------------------------------
 
     def on_round(self, net: Any, delivered: Iterable[Tuple[Any, Any, Any]],
                  words: int) -> None:
@@ -314,42 +299,38 @@ class FlightRecorder:
         }
 
 
-def attach_flight_recorder(net: Any, **knobs: Any) -> FlightRecorder:
-    """Attach a fresh :class:`FlightRecorder` to ``net`` and return it."""
-    return FlightRecorder(**knobs).attach(net)
-
-
-class auto:
-    """``with flight.auto(stride=4) as session:`` — record every network.
-
-    While the block is open, each :class:`~repro.congest.network.Network`
-    constructed attaches its own fresh :class:`FlightRecorder` (configured
-    from the session's knobs) and registers it on ``session.recorders`` in
-    construction order.  Sessions nest; the innermost wins.
-    """
+class auto(Listener):
+    """``with flight.auto(stride=4) as session:`` — record every network
+    that runs inside the block, one :class:`FlightRecorder` each on
+    ``session.recorders`` in order of first round or charge."""
 
     def __init__(self, **knobs: Any):
         self.config = FlightConfig(**knobs)
         self.recorders: List[FlightRecorder] = []
+        #: Weak, so a session over a whole sweep keeps no network alive.
+        self._by_net: "weakref.WeakKeyDictionary[Any, FlightRecorder]" = (
+            weakref.WeakKeyDictionary())
 
-    def attach(self, net: Any) -> FlightRecorder:
-        recorder = FlightRecorder(FlightConfig(
-            stride=self.config.stride,
-            ring=self.config.ring,
-            top_edges=self.config.top_edges,
-        )).attach(net)
-        self.recorders.append(recorder)
+    def _recorder(self, net: Any) -> FlightRecorder:
+        recorder = self._by_net.get(net)
+        if recorder is None:
+            recorder = self._by_net[net] = FlightRecorder(self.config)
+            recorder.n = net.n
+            self.recorders.append(recorder)
         return recorder
 
+    def on_round(self, net: Any, delivered: List[Any], words: int) -> None:
+        self._recorder(net).on_round(net, delivered, words)
+
+    def on_charge(self, net: Any, rounds: int, messages: int, words: int) -> None:
+        self._recorder(net).on_charge(net, rounds, messages, words)
+
     def __enter__(self) -> "auto":
-        _SESSIONS.append(self)
+        attach(self)
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        try:
-            _SESSIONS.remove(self)
-        except ValueError:
-            pass
+        detach(self)
         return False
 
     def to_dicts(self) -> List[Dict[str, Any]]:

@@ -27,6 +27,7 @@ from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_all, convergecast_aggregate
 from repro.graphs import grid_graph, random_connected_graph, ring_of_cliques
+from repro.telemetry import Listener, collect
 
 NodeId = Hashable
 
@@ -203,10 +204,11 @@ PROTOCOLS: Dict[str, Callable[[Any, int], None]] = {
 # Fingerprinting
 # ---------------------------------------------------------------------------
 
-class EdgeCountObserver:
-    """Round observer accumulating per-directed-edge message totals, the
+class EdgeCountObserver(Listener):
+    """Bus listener accumulating per-directed-edge message totals, the
     per-round ``(round, messages, words, phase)`` samples and the charge
-    events ``(at_round, rounds, messages, words, phase)``."""
+    events ``(at_round, rounds, messages, words, phase)`` (a wide
+    message's extra slots included)."""
 
     __slots__ = ("edges", "rounds", "charges")
 
@@ -260,8 +262,9 @@ def run_fingerprint(
     phase of every simulated round.
     """
     net = engine_cls(graph, **net_kwargs)
-    edge_obs = net.add_round_observer(EdgeCountObserver())
-    workload(net, workload_seed)
+    edge_obs = EdgeCountObserver()
+    with collect(edge_obs):
+        workload(net, workload_seed)
     return {
         "metrics": net.metrics.to_dict(),
         "fingerprint": net.metrics.fingerprint(),

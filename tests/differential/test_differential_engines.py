@@ -51,6 +51,9 @@ def test_engines_agree(topo, proto, seed):
         assert candidate[key] == ref[key], (
             f"fastpath disagrees with reference on {key!r}"
         )
+    # Every charged round reaches the listener, a wide message's slots too.
+    for fp in (ref, candidate):
+        assert sum(c[1] for c in fp["charges"]) == fp["metrics"]["charged_rounds"]
 
 
 def test_case_matrix_is_large_enough():

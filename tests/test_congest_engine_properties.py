@@ -393,44 +393,54 @@ def test_fast_engine_delivers_the_senders_tuples():
 
 
 def _flight_run(engine):
-    """One small non-strict run with a recorder attached: scalar, string,
+    """One small non-strict run inside a flight session: scalar, string,
     container, dict and wide payloads, both ways of closing a round, a
-    charge.  Returns the recorder and the messages sent."""
+    charge.  Returns the network's recorder and each round's batch."""
     from repro.graphs import random_connected_graph
-    from repro.telemetry.flight import attach_flight_recorder
+    from repro.telemetry import flight
 
     net = engine(random_connected_graph(12, seed=3), strict=False)
-    rec = attach_flight_recorder(net, stride=2, top_edges=3)
     nodes = sorted(net.nodes())
     payloads = [None, 7, 2.5, True, "v12", "x" * 17, (1, 2),
                 [1, 2, 3, 4, 5, 6], {1: (2, 3)}]
-    sent = []
-    for r in range(7):
-        net.mem(nodes[r]).store(f"tree/r{r}", r + 1)
-        batch = [(v, w, payloads[(r + i) % len(payloads)])
-                 for i, v in enumerate(nodes[r:r + 5]) for w in net.ports(v)]
-        net.send_each(batch)
-        sent += batch
-        net.tick() if r % 2 else net.deliver_batch()
-    net.charge_rounds(3, messages=4, words=5)
-    return rec, sent
+    batches = []
+    with flight.auto(stride=2, top_edges=3) as session:
+        for r in range(7):
+            net.mem(nodes[r]).store(f"tree/r{r}", r + 1)
+            batch = [(v, w, payloads[(r + i) % len(payloads)])
+                     for i, v in enumerate(nodes[r:r + 5]) for w in net.ports(v)]
+            net.send_each(batch)
+            batches.append(batch)
+            net.tick() if r % 2 else net.deliver_batch()
+        net.charge_rounds(3, messages=4, words=5)
+    (recorder,) = session.recorders
+    return recorder, batches
 
 
 def test_flight_recorder_document_is_pinned():
     """The recorder sizes what it is handed itself: its document for one
-    small run is byte-for-byte the one the per-message-object engines
-    wrote (sha256 pin), on both engines, and every per-edge total is the
+    small run, less the charge events of wide messages' extra slots, is
+    byte-for-byte the one the per-message-object engines wrote (sha256
+    pin), on both engines.  Those events are exactly one per wide message,
+    at the round it was sent in, and every per-edge total is the
     ``words_of`` sum of the payloads that crossed the edge."""
     import hashlib
     import json
 
     for engine in ENGINES.values():
-        rec, sent = _flight_run(engine)
-        doc = json.dumps(rec.to_dict(), sort_keys=True).encode()
-        assert hashlib.sha256(doc).hexdigest() == (
+        rec, batches = _flight_run(engine)
+        doc = rec.to_dict()
+        wide = [{"at_round": r, "rounds": -(-words_of(p) // 4) - 1,
+                 "messages": 0, "words": 0, "phase": None}
+                for r, batch in enumerate(batches) for _, _, p in batch
+                if words_of(p) > 4]
+        assert wide and doc["charges"][:-1] == wide
+        doc["charges"] = doc["charges"][-1:]
+        pinned = json.dumps(doc, sort_keys=True).encode()
+        assert hashlib.sha256(pinned).hexdigest() == (
             "262b1c16146a513089453521d75b1e9281388f36fd42b6737c66af061f0ca21f")
         expected = {}
-        for src, dst, payload in sent:
+        for src, dst, payload in (m for batch in batches for m in batch):
             got = expected.setdefault((src, dst), [0, 0])
             got[0] += 1
             got[1] += words_of(payload)

@@ -54,8 +54,9 @@ class TestRunMetrics:
 
 
 class TestTelemetryEmission:
-    """``on_round`` / ``on_charge`` are the one emission site of the
-    ``congest.*`` counters, so a collector's totals are the run's."""
+    """The collector counts the ``congest.*`` counters from the engines'
+    ``on_round`` / ``on_charge`` bus events, sent on the same two paths
+    that update ``net.metrics``, so its totals are the run's."""
 
     def test_collector_totals_equal_run_metrics(self, engine):
         graph = random_connected_graph(90, seed=17)

@@ -155,8 +155,8 @@ class TestAdversarialTopologies:
         assert result.length == pytest.approx(2.0 * 49)
 
     def test_self_loop_fails_before_any_round(self):
-        # A session attaches a flight recorder to every Network built: none
-        # is, so not one round was simulated.
+        # A session opens a flight recorder for every network that runs a
+        # round or is charged: none does, so not one round was simulated.
         graph = random_connected_graph(60, seed=3)
         tree = spanning_tree_of(graph, style="bfs", seed=3)
         graph.add_edge(5, 5, weight=1.0)

@@ -1,16 +1,14 @@
 """Tests for the flight recorder (repro.telemetry.flight)."""
 
+import networkx as nx
 import pytest
 
 from repro.congest import Network
 from repro.errors import InputError
-from repro.graphs import random_connected_graph
-from repro.telemetry import flight
-from repro.telemetry.flight import (
-    FlightConfig,
-    FlightRecorder,
-    attach_flight_recorder,
-)
+from repro.graphs import random_connected_graph, spanning_tree_of
+from repro.telemetry import collect, events, flight
+from repro.telemetry.flight import FlightConfig, FlightRecorder
+from repro.treerouting import build_distributed_tree_scheme
 
 
 @pytest.fixture()
@@ -30,37 +28,73 @@ def _chat(net, rounds=6):
         net.tick()
 
 
+def _recorded(net, rounds=6, **knobs):
+    """``_chat`` on ``net`` inside a ``flight.auto(**knobs)`` block; the
+    one recorder the session opened for it."""
+    with flight.auto(**knobs) as session:
+        _chat(net, rounds)
+    (recorder,) = session.recorders
+    return recorder
+
+
 class TestGuard:
     def test_off_by_default(self, net):
-        assert not flight._SESSIONS
-        assert net._round_observers == []
+        assert not events._collectors
         _chat(net)
+        assert net.metrics.rounds == 6
 
-    def test_no_observer_work_when_disabled(self, net):
-        """Zero-overhead claim: no recorder attaches without a session."""
+    def test_no_observer_work_when_disabled(self, net, monkeypatch):
+        """Zero-overhead claim: a closed session listens to nothing, and no
+        recorder is fed outside a session."""
+        monkeypatch.setattr(FlightRecorder, "on_round",
+                            lambda *a: pytest.fail("recorder fed"))
+        with flight.auto() as session:
+            pass
+        assert not events._collectors
         _chat(net)
-        assert net._round_observers == []
+        assert session.recorders == []
 
     def test_auto_session_attaches_to_new_networks(self):
         with flight.auto(stride=1) as session:
-            assert flight._SESSIONS
+            assert events._collectors == [session]
             net = Network(random_connected_graph(10, seed=4))
             _chat(net)
-        assert not flight._SESSIONS
+        assert not events._collectors
         assert len(session.recorders) == 1
         assert session.recorders[0].rounds_seen == 6
+        assert session.recorders[0].n == 10
 
-    def test_auto_does_not_touch_preexisting_networks(self, net):
-        with flight.auto():
-            _chat(net)
-        assert net._round_observers == []
+    def test_auto_records_preexisting_networks_inside_the_block(self, net):
+        """A network built before the block is recorded for the rounds it
+        runs inside it, and for those only."""
+        _chat(net, rounds=2)
+        with flight.auto() as session:
+            _chat(net, rounds=3)
+        _chat(net, rounds=4)
+        (rec,) = session.recorders
+        assert rec.rounds_seen == 3
+        assert net.metrics.rounds == 9
 
-    def test_sessions_nest_innermost_wins(self):
+    def test_nested_sessions_each_record(self):
         with flight.auto(stride=1) as outer:
+            net = Network(random_connected_graph(8, seed=5))
             with flight.auto(stride=2) as inner:
-                Network(random_connected_graph(8, seed=5))
-            assert len(inner.recorders) == 1
-            assert not outer.recorders
+                _chat(net, rounds=4)
+            _chat(net, rounds=2)
+        assert [r.rounds_seen for r in inner.recorders] == [4]
+        assert [r.rounds_seen for r in outer.recorders] == [6]
+        assert len(inner.recorders[0].samples) == 2
+        assert len(outer.recorders[0].samples) == 6
+
+    def test_network_without_rounds_gets_no_recorder(self):
+        with flight.auto() as session:
+            idle = Network(random_connected_graph(8, seed=5))
+            charged = Network(random_connected_graph(8, seed=6))
+            charged.charge_rounds(2)
+        assert idle.metrics.total_rounds == 0
+        (rec,) = session.recorders
+        assert rec.rounds_seen == 0
+        assert [c.rounds for c in rec.charges] == [2]
 
 
 class TestConfig:
@@ -83,9 +117,7 @@ class TestConfig:
         assert FlightConfig(top_edges=0).top_edges == 0
 
     def test_bad_knobs_rejected_through_every_entry(self):
-        for make in (FlightRecorder, flight.auto,
-                     lambda **kw: attach_flight_recorder(
-                         Network(random_connected_graph(6, seed=1)), **kw)):
+        for make in (FlightRecorder, flight.auto):
             with pytest.raises(InputError, match="top_edges"):
                 make(top_edges=-2)
 
@@ -96,125 +128,158 @@ class TestConfig:
 
 class TestSampling:
     def test_stride_thins_samples(self, net):
-        rec = attach_flight_recorder(net, stride=3)
-        _chat(net, rounds=9)
+        rec = _recorded(net, rounds=9, stride=3)
         assert rec.rounds_seen == 9
         assert len(rec.samples) == 3
         assert [s.round_index for s in rec.samples] == [3, 6, 9]
 
     def test_traffic_totals_count_every_round(self, net):
-        rec = attach_flight_recorder(net, stride=4)
-        _chat(net, rounds=6)
+        rec = _recorded(net, rounds=6, stride=4)
         assert rec.total_messages == 6
         assert rec.total_words > 0
 
     def test_memory_aggregates(self, net):
-        rec = attach_flight_recorder(net, stride=1)
-        _chat(net, rounds=3)
-        last = rec.samples[-1]
+        last = _recorded(net, rounds=3).samples[-1]
         # every vertex stored 1+2+3 = 6 words under tree/
         assert last.mem_current_max == 6
         assert last.mem_current_mean == pytest.approx(6.0)
         assert last.prefixes == {"tree/": 6 * net.n}
 
     def test_vertex_delta_only_records_changes(self, net):
-        rec = attach_flight_recorder(net, stride=1)
         nodes = sorted(net.nodes())
-        net.mem(nodes[0]).store("a", 7)
-        net.tick()
-        net.tick()  # nothing changed between these samples
+        with flight.auto() as session:
+            net.mem(nodes[0]).store("a", 7)
+            net.tick()
+            net.tick()  # nothing changed between these samples
+        (rec,) = session.recorders
         assert rec.samples[0].vertex_delta == {nodes[0]: (7, 7)}
         assert rec.samples[1].vertex_delta == {}
 
     def test_charge_events_recorded(self, net):
-        rec = attach_flight_recorder(net)
-        net.begin_phase("analytic")
-        net.charge_rounds(5, messages=10, words=20)
-        net.end_phase()
+        with flight.auto() as session:
+            net.begin_phase("analytic")
+            net.charge_rounds(5, messages=10, words=20)
+            net.end_phase()
+        (rec,) = session.recorders
         assert len(rec.charges) == 1
         ev = rec.charges[0]
         assert (ev.rounds, ev.messages, ev.words) == (5, 10, 20)
         assert ev.phase == "analytic"
 
     def test_phase_attribution(self, net):
-        rec = attach_flight_recorder(net, stride=1)
-        net.begin_phase("build")
-        _chat(net, rounds=2)
-        net.end_phase()
-        assert {s.phase for s in rec.samples} == {"build"}
+        with flight.auto() as session:
+            net.begin_phase("build")
+            _chat(net, rounds=2)
+            net.end_phase()
+        assert {s.phase for s in session.recorders[0].samples} == {"build"}
 
 
 class TestRing:
     def test_eviction_folds_into_base(self, net):
-        rec = attach_flight_recorder(net, stride=1, ring=4)
-        _chat(net, rounds=10)
+        rec = _recorded(net, rounds=10, ring=4)
         assert len(rec.samples) == 4
         assert rec._evicted == 6
         # evicted deltas live on in the base snapshot
         assert rec._base
 
     def test_vertex_timeline_survives_eviction(self, net):
-        rec = attach_flight_recorder(net, stride=1, ring=3)
         v = sorted(net.nodes())[0]
-        for r in range(8):
-            net.mem(v).store("x", r + 1)
-            net.tick()
-        timeline = rec.vertex_timeline(v)
+        with flight.auto(ring=3) as session:
+            for r in range(8):
+                net.mem(v).store("x", r + 1)
+                net.tick()
+        timeline = session.recorders[0].vertex_timeline(v)
         assert [cur for _, cur, _ in timeline] == [6, 7, 8]
         assert [hw for _, _, hw in timeline] == [6, 7, 8]
 
     def test_timeline_carries_state_forward(self, net):
-        rec = attach_flight_recorder(net, stride=1)
         v = sorted(net.nodes())[0]
-        net.mem(v).store("x", 9)
-        net.tick()
-        net.tick()
-        net.tick()
-        assert [cur for _, cur, _ in rec.vertex_timeline(v)] == [9, 9, 9]
+        with flight.auto() as session:
+            net.mem(v).store("x", 9)
+            net.tick()
+            net.tick()
+            net.tick()
+        timeline = session.recorders[0].vertex_timeline(v)
+        assert [cur for _, cur, _ in timeline] == [9, 9, 9]
 
 
 class TestReporting:
     def test_busiest_edges_ranked_by_words(self, net):
-        rec = attach_flight_recorder(net)
-        _chat(net, rounds=4)
-        edges = rec.busiest_edges(2)
+        edges = _recorded(net, rounds=4).busiest_edges(2)
         assert edges
         words = [w for _, _, _, w in edges]
         assert words == sorted(words, reverse=True)
 
     def test_peak_memory_sample(self, net):
-        rec = attach_flight_recorder(net, stride=1)
-        _chat(net, rounds=5)
+        rec = _recorded(net, rounds=5)
         peak = rec.peak_memory_sample()
         assert peak is rec.samples[-1]  # memory grows monotonically here
 
     def test_summary_renders(self, net):
-        rec = attach_flight_recorder(net, stride=2)
-        _chat(net, rounds=4)
-        text = rec.summary()
+        text = _recorded(net, rounds=4, stride=2).summary()
         assert "rounds observed" in text
         assert "memory peak" in text
 
     def test_to_dict_json_ready(self, net):
         import json
 
-        rec = attach_flight_recorder(net, stride=2)
-        _chat(net, rounds=4)
-        doc = rec.to_dict()
+        doc = _recorded(net, rounds=4, stride=2).to_dict()
         json.dumps(doc)  # must not raise
         assert doc["rounds_seen"] == 4
         assert len(doc["samples"]) == 2
         assert doc["config"]["stride"] == 2
 
     def test_trace_observer_still_works_alongside(self, net):
-        """A second observer and the FlightRecorder share the observer hook."""
+        """A second listener and the flight session share the bus."""
         from .differential.harness import EdgeCountObserver
 
-        other = net.add_round_observer(EdgeCountObserver())
-        rec = attach_flight_recorder(net)
-        _chat(net, rounds=3)
+        other = EdgeCountObserver()
+        with collect(other), flight.auto() as session:
+            _chat(net, rounds=3)
         assert len(other.rounds) == 3
-        assert rec.rounds_seen == 3
+        assert session.recorders[0].rounds_seen == 3
+
+
+def _nine_word_message(engine):
+    """One 9-word payload on a 3-path: ⌈9 / 4⌉ = 3 slots, 2 charged."""
+    net = engine(nx.path_graph(3))
+    net.send_each([(0, 1, tuple(range(9)))])
+    net.tick()
+    return net
+
+
+def _tree_build(engine):
+    """A seed-7 tree build at n = 90 over a BFS tree: 509 charged rounds,
+    3 of them the extra slots of wide messages."""
+    graph = random_connected_graph(90, seed=7)
+    net = engine(graph)
+    build_distributed_tree_scheme(
+        net, spanning_tree_of(graph, style="bfs", seed=7), seed=7)
+    return net
+
+
+class TestEveryChargedRoundReachesEveryListener:
+    """The recorder, the network's own metrics and the collector count the
+    same rounds: a wide message's extra slots are charges like any other."""
+
+    @pytest.mark.parametrize("run", [_nine_word_message, _tree_build])
+    def test_recorder_metrics_and_collector_agree(self, engine, run):
+        with collect() as tele, flight.auto() as session:
+            net = run(engine)
+        (rec,) = session.recorders
+        metrics = net.metrics
+        assert metrics.charged_rounds > 0
+        assert sum(c.rounds for c in rec.charges) == metrics.charged_rounds
+        assert tele.counter("congest.charged_rounds") == metrics.charged_rounds
+        assert rec.rounds_seen == metrics.rounds == tele.counter("congest.rounds")
+
+    def test_wide_slots_are_unphased_charge_events(self, engine):
+        with flight.auto() as session:
+            net = _nine_word_message(engine)
+        assert [c.to_dict() for c in session.recorders[0].charges] == [
+            {"at_round": 0, "rounds": 2, "messages": 0, "words": 0,
+             "phase": None}]
+        assert net.metrics.fingerprint() == (1, 2, 1, 9, ())
 
 
 class TestEngineParity:
@@ -258,14 +323,14 @@ class TestEngineParity:
         runs = {}
         for name, engine in ENGINES.items():
             net = engine(random_connected_graph(6, seed=2))
-            rec = attach_flight_recorder(net, stride=1)
             first = sorted(net.nodes())[0]
-            net.mem(first).store("tree/a", 2)
-            net.store_all("relay/buf", 3)
-            net.tick()
-            net.free_key("relay/buf")
-            net.tick()
-            runs[name] = list(rec.samples)
+            with flight.auto() as session:
+                net.mem(first).store("tree/a", 2)
+                net.store_all("relay/buf", 3)
+                net.tick()
+                net.free_key("relay/buf")
+                net.tick()
+            runs[name] = list(session.recorders[0].samples)
         live, freed = runs["reference"]
         assert (live.mem_current_max, live.mem_high_water_max) == (5, 5)
         assert live.prefixes == {"tree/": 2, "relay/": 18}
