@@ -31,6 +31,7 @@ from ..congest.broadcast import broadcast_all
 from ..congest.network import Network
 from ..congest.primitives import convergecast_up
 from ..routing.artifacts import TreeLabel, TreeTable
+from ..telemetry.events import phase
 from ..treerouting.sampling import TreePartition, partition_tree
 from ..treerouting.stage0_partition import run_stage0
 from ..tz.tree_scheme import build_tree_scheme
@@ -125,13 +126,9 @@ def build_en16_tree_scheme(
     info = run_stage0(net, part, mem_prefix="en16")
 
     # Local subtree sizes, as in Section 3.1 (the local schemes need them).
-    convergecast_up(
-        net,
-        part.local_forest,
-        leaf_value=lambda v: 1,
-        combine=lambda v, sizes: 1 + sum(sizes),
-        phase="en16/local-sizes",
-    )
+    with phase(net, "en16/local-sizes"):
+        convergecast_up(net, part.local_forest, leaf_value=lambda v: 1,
+                        combine=lambda v, sizes: 1 + sum(sizes))
 
     # THE BASELINE'S SIN: broadcast the whole virtual tree and store it at
     # every virtual vertex.  Θ(|U(T)|) = Θ(sqrt n) words each.
@@ -139,7 +136,8 @@ def build_en16_tree_scheme(
         (x, (x, p)) for x, p in sorted(info.virtual_parent.items(), key=repr)
         if p is not None
     ]
-    broadcast_all(net, bfs, virtual_edges, phase="en16/broadcast-T'")
+    with phase(net, "en16/broadcast-T'"):
+        broadcast_all(net, bfs, virtual_edges)
     for x in part.ut:
         net.mem(x).store("en16/virtual-tree", 2 * max(1, len(virtual_edges)))
 
@@ -153,7 +151,8 @@ def build_en16_tree_scheme(
     virtual_scheme = build_tree_scheme(
         dict(info.virtual_parent), tree_id=("virtual", part.root)
     )
-    net.charge_rounds(3 * (part.max_local_depth + 1))
+    with phase(net, "en16/local-schemes"):
+        net.charge_rounds(3 * (part.max_local_depth + 1))
 
     # Heavy virtual children and their crossing labels, per local tree.
     local_root = info.local_root

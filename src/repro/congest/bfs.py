@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..errors import InvariantViolation
-from ..telemetry import events as _tele
+from ..telemetry.events import phase
 from .network import Network
 
 NodeId = Hashable
@@ -56,8 +56,7 @@ def build_bfs_tree(net: Network, root: Optional[NodeId] = None) -> BfsTree:
     """
     if root is None:
         root = min(net.nodes(), key=repr)
-    with _tele.span("congest/bfs", n=net.n):
-        net.begin_phase("bfs-tree")
+    with phase(net, "congest/bfs"):
         parent: Dict[NodeId, Optional[NodeId]] = {root: None}
         depth: Dict[NodeId, int] = {root: 0}
         net.mem(root).store("bfs/parent", 2)
@@ -94,5 +93,4 @@ def build_bfs_tree(net: Network, root: Optional[NodeId] = None) -> BfsTree:
                 children[p].append(v)
         for v in children:
             children[v].sort(key=repr)
-        net.end_phase()
     return BfsTree(root=root, parent=parent, depth=depth, children=children)

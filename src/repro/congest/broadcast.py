@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Hashable, List, Sequence, Tuple
 
-from ..telemetry import events as _tele
 from ..wordsize import words_of
 from .bfs import BfsTree
 from .network import Network
@@ -43,8 +42,6 @@ def broadcast_all(
     net: Network,
     bfs: BfsTree,
     items: Sequence[Tuple[NodeId, Any]],
-    *,
-    phase: str = "broadcast",
 ) -> List[Any]:
     """Deliver every payload in ``items`` to every vertex (Lemma 1).
 
@@ -66,19 +63,16 @@ def broadcast_all(
         total_words += words
         slots += max(1, math.ceil(words / net.message_word_limit))
     rounds = 2 * (slots + height)
-    with _tele.span("congest/broadcast", phase=phase, items=len(items)):
-        net.begin_phase(phase)
-        # Transit buffers on the pipeline: O(log n) words per relay vertex,
-        # whp (random start times, cf. the proof of Lemma 2).
-        buffer_words = max(1, int(math.log2(max(2, net.n))))
-        net.store_all("relay/broadcast", buffer_words)
-        net.charge_rounds(
-            rounds,
-            messages=slots * (net.n - 1 + height),
-            words=total_words * (net.n - 1 + height),
-        )
-        net.free_key("relay/broadcast")
-        net.end_phase()
+    # Transit buffers on the pipeline: O(log n) words per relay vertex,
+    # whp (random start times, cf. the proof of Lemma 2).
+    buffer_words = max(1, int(math.log2(max(2, net.n))))
+    net.store_all("relay/broadcast", buffer_words)
+    net.charge_rounds(
+        rounds,
+        messages=slots * (net.n - 1 + height),
+        words=total_words * (net.n - 1 + height),
+    )
+    net.free_key("relay/broadcast")
     indexed = sorted(enumerate(items), key=lambda pair: (repr(pair[1][0]), pair[0]))
     return [payload for _, (_, payload) in indexed]
 
@@ -88,8 +82,6 @@ def convergecast_aggregate(
     bfs: BfsTree,
     value_of: Callable[[NodeId], Any],
     combine: Callable[[Any, Any], Any],
-    *,
-    phase: str = "convergecast",
 ) -> Any:
     """Aggregate ``value_of(v)`` over all vertices to the BFS root.
 
@@ -99,11 +91,9 @@ def convergecast_aggregate(
     simulated rounds (charged; per-edge traffic is one O(1)-word message).
     """
     height = bfs.height
-    net.begin_phase(phase)
     net.store_all("relay/convergecast", 1)
     net.charge_rounds(height, messages=net.n - 1, words=net.n - 1)
     net.free_key("relay/convergecast")
-    net.end_phase()
     result = None
     for v in net.nodes():
         val = value_of(v)

@@ -9,10 +9,13 @@ The simulator aggregates, per run:
 * ``messages`` / ``message_words`` -- traffic totals;
 * per-vertex memory high-water marks (via the vertices' meters).
 
-:class:`PhaseLog` lets orchestrators attribute rounds/messages to named
-protocol phases so benchmarks can print per-stage breakdowns matching the
-paper's narrative (Stage 1/2/3 of the tree routing, and the pivot/cluster
-phases of Appendix B).
+``phases`` attributes rounds/messages to named protocol phases so reports
+can print per-stage breakdowns matching the paper's narrative (Stage 1/2/3
+of the tree routing, and the pivot/cluster/hopset phases of Appendix B).
+A phase is opened by :class:`repro.telemetry.phase`, the one stage marker,
+which also opens the span of the same name; this module stays plain
+accounting and imports no telemetry.  Every round a build runs or charges
+falls inside one phase, so ``by_phase()`` sums to ``total_rounds``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class RunMetrics:
         """Name of the currently open phase (None outside any phase)."""
         return self._open.name if self._open is not None else None
 
-    # -- phase attribution ---------------------------------------------------
+    # -- phase attribution (opened and closed by ``repro.telemetry.phase``) --
 
     def begin_phase(self, name: str) -> None:
         self._open = PhaseRecord(name=name)

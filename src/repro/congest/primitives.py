@@ -97,8 +97,6 @@ def convergecast_up(
     forest: Forest,
     leaf_value: Callable[[NodeId], Any],
     combine: Callable[[NodeId, List[Any]], Any],
-    *,
-    phase: Optional[str] = None,
 ) -> Dict[NodeId, Any]:
     """Aggregate values from the leaves to the roots of every tree.
 
@@ -113,8 +111,6 @@ def convergecast_up(
     Returns every vertex's aggregated value.  Rounds simulated: the forest
     height (vertices at height ``h`` fire in round ``h``).
     """
-    if phase:
-        net.begin_phase(phase)
     value: Dict[NodeId, Any] = {}
     children = forest.children
     arrived: Dict[NodeId, List[Any]] = defaultdict(list)
@@ -140,6 +136,4 @@ def convergecast_up(
         ready = next_ready
     if len(value) != len(forest.parent):
         raise InvariantViolation("convergecast did not cover the forest")
-    if phase:
-        net.end_phase()
     return value

@@ -226,14 +226,6 @@ class ReferenceNetwork:
             for listener in _collectors:
                 listener.on_charge(self, charged, messages, words)
 
-    # -- phases ------------------------------------------------------------------
-
-    def begin_phase(self, name: str) -> None:
-        self.metrics.begin_phase(name)
-
-    def end_phase(self) -> None:
-        self.metrics.end_phase()
-
     # -- convenience ---------------------------------------------------------------
 
     def hop_diameter_upper_bound(self) -> int:

@@ -32,6 +32,7 @@ from ..graphs.virtual import VirtualGraphOracle
 from ..hopsets.bounded_bf import ExplorationState, hopset_bellman_ford
 from ..hopsets.hopset import Hopset
 from ..hopsets.path_recovery import recover_paths
+from ..telemetry.events import phase
 from ..tz.clusters import ClusterTree
 from ..tz.hierarchy import Hierarchy
 
@@ -68,15 +69,15 @@ def approximate_pivot_distances(
     members = sorted(level_set, key=repr)
     if not members:
         return {v: INF for v in net.nodes()}
-    state = hopset_bellman_ford(
-        net,
-        oracle,
-        hopset,
-        {a: 0.0 for a in members},
-        config.beta,
-        phase=f"pivots/approx-{level_index}",
-        mem_prefix=f"pivots/{level_index}",
-    )
+    with phase(net, f"pivots/approx-{level_index}"):
+        state = hopset_bellman_ford(
+            net,
+            oracle,
+            hopset,
+            {a: 0.0 for a in members},
+            config.beta,
+            mem_prefix=f"pivots/{level_index}",
+        )
     out = {v: state.value(v) for v in net.nodes()}
     for v, d in out.items():
         if d == INF:
@@ -108,30 +109,30 @@ def build_approximate_cluster(
         limit = next_pivot_est.get(u, INF)
         return limit == INF or est < limit / config.graph_limit_factor
 
-    state = hopset_bellman_ford(
-        net,
-        oracle,
-        hopset,
-        {root: 0.0},
-        config.beta,
-        forward_if_virtual=forward_virtual,
-        forward_if_graph=forward_graph,
-        final_graph_sweep=True,
-        phase=f"clusters/approx-{level}",
-        mem_prefix=f"cl/{level}",
-        charge=False,  # all roots of one level run in parallel; the level
-        # schedule is charged once by build_high_level_clusters.
-    )
-    state = recover_paths(
-        net,
-        hopset,
-        state,
-        roots_per_vertex=roots_per_vertex,
-        beta=config.beta,
-        phase=f"clusters/recovery-{level}",
-        mem_prefix=f"cl/{level}",
-        charge=False,
-    )
+    with phase(net, f"clusters/approx-{level}"):
+        state = hopset_bellman_ford(
+            net,
+            oracle,
+            hopset,
+            {root: 0.0},
+            config.beta,
+            forward_if_virtual=forward_virtual,
+            forward_if_graph=forward_graph,
+            final_graph_sweep=True,
+            mem_prefix=f"cl/{level}",
+            charge=False,  # all roots of one level run in parallel; the level
+            # schedule is charged once by build_high_level_clusters.
+        )
+    with phase(net, f"clusters/recovery-{level}"):
+        state = recover_paths(
+            net,
+            hopset,
+            state,
+            roots_per_vertex=roots_per_vertex,
+            beta=config.beta,
+            mem_prefix=f"cl/{level}",
+            charge=False,
+        )
     return _assemble_tree(net, root, level, state, forward_graph, forward_virtual, oracle)
 
 
@@ -231,7 +232,6 @@ def build_high_level_clusters(
         # cluster explorations traverse one vertex -- and the H step costs
         # Õ(m·α + D) because the hopset edges broadcast once serve every
         # cluster.  Path recovery adds Õ((|H|·C + D)·β).
-        net.begin_phase(f"clusters/level-{i}-schedule")
         alpha = hopset.max_out_degree()
         d_bound = net.hop_diameter_upper_bound()
         log_n = max(1, math.ceil(math.log2(max(2, n))))
@@ -240,6 +240,6 @@ def build_high_level_clusters(
             + (oracle.m * max(1, alpha) + d_bound) * log_n
         )
         recovery = (hopset.size * roots_per_vertex + d_bound) * config.beta
-        net.charge_rounds(per_iteration * config.beta + recovery)
-        net.end_phase()
+        with phase(net, f"clusters/level-{i}-schedule"):
+            net.charge_rounds(per_iteration * config.beta + recovery)
     return trees, pivot_estimates

@@ -21,6 +21,7 @@ from typing import Dict, Hashable, List
 
 from ..congest.network import Network
 from ..graphs.paths import Adjacency
+from ..telemetry.events import phase
 from ..tz.clusters import ClusterTree, PivotInfo, exact_cluster_tree
 from ..tz.hierarchy import Hierarchy
 
@@ -51,20 +52,20 @@ def build_exact_low_level_clusters(
     trees: Dict[NodeId, ClusterTree] = {}
     adj = Adjacency.of(net.graph)
     for i in range(top_exclusive):
-        net.begin_phase(f"low-levels/{i}")
-        roots: List[NodeId] = hierarchy.vertices_at_level(i)
-        for root in roots:
-            tree = exact_cluster_tree(adj, root, i, pivots)
-            trees[root] = tree
-            for v in tree.dist:
-                net.mem(v).add("clusters/membership", 2)
-        net.charge_rounds(claim8_hop_limit(n, k, i) + congestion)
-        net.end_phase()
+        with phase(net, f"low-levels/{i}"):
+            roots: List[NodeId] = hierarchy.vertices_at_level(i)
+            for root in roots:
+                tree = exact_cluster_tree(adj, root, i, pivots)
+                trees[root] = tree
+                for v in tree.dist:
+                    net.mem(v).add("clusters/membership", 2)
+            net.charge_rounds(claim8_hop_limit(n, k, i) + congestion)
     # Exact pivot distances for the low levels: one hop-limited multi-source
     # exploration per level (already reflected in `pivots`); charge it.
     for i in range(1, top_exclusive + 1):
         if i < k:
-            net.charge_rounds(claim8_hop_limit(n, k, i - 1))
+            with phase(net, f"low-levels/pivots-{i}"):
+                net.charge_rounds(claim8_hop_limit(n, k, i - 1))
     for v in net.nodes():
         net.mem(v).store("pivots/exact", 2 * min(top_exclusive + 1, k))
     return trees

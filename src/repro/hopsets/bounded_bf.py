@@ -63,7 +63,6 @@ def hopset_bellman_ford(
     forward_if_virtual: Gate = None,
     forward_if_graph: Gate = None,
     final_graph_sweep: bool = True,
-    phase: str = "hopset-bf",
     mem_prefix: str = "bf",
     charge: bool = True,
 ) -> ExplorationState:
@@ -81,7 +80,6 @@ def hopset_bellman_ford(
     """
     if beta < 1:
         raise InputError("beta must be >= 1")
-    net.begin_phase(phase)
     state = ExplorationState()
     for s, d0 in sources.items():
         state.est[s] = float(d0)
@@ -147,5 +145,4 @@ def hopset_bellman_ford(
     # Memory: estimate + parent + hopset adjacency already charged at build.
     for v in state.est:
         net.mem(v).add(f"{mem_prefix}/estimates", 2)
-    net.end_phase()
     return state

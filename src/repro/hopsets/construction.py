@@ -42,6 +42,7 @@ from ..congest.network import Network
 from ..errors import InputError, InvariantViolation
 from ..graphs.paths import Adjacency, dijkstra
 from ..graphs.virtual import VirtualGraphOracle
+from ..telemetry.events import phase
 from ..tz.hierarchy import Hierarchy, sample_hierarchy
 from .hopset import Hopset
 
@@ -107,7 +108,8 @@ def build_hopset(
                     path = _chain(parent, u)  # u -> ... -> pivot
                     hopset.add_edge(u, path[-1], dist[u], path)
         rounds = oracle.hop_bound + m + net.hop_diameter_upper_bound()
-        net.charge_rounds(rounds, messages=m)
+        with phase(net, f"hopset/pivots-{i}"):
+            net.charge_rounds(rounds, messages=m)
         charged += rounds
 
     def next_level_dist(i: int, v: NodeId) -> float:
@@ -142,12 +144,14 @@ def build_hopset(
             # Path-recovery bookkeeping: vertices on stored paths keep one
             # parent pointer per exploration that reached them.
         rounds = oracle.hop_bound * (1 + membership_this_level)
-        net.charge_rounds(rounds)
+        with phase(net, f"hopset/bunches-{i}"):
+            net.charge_rounds(rounds)
         charged += rounds
 
     # Broadcast the hopset edges (owners announce them): Lemma 1.
     rounds = 2 * (hopset.size + net.hop_diameter_upper_bound())
-    net.charge_rounds(rounds, messages=hopset.size)
+    with phase(net, "hopset/broadcast"):
+        net.charge_rounds(rounds, messages=hopset.size)
     charged += rounds
 
     # -- memory accounting ---------------------------------------------------------

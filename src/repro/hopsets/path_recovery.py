@@ -39,7 +39,6 @@ def recover_paths(
     *,
     roots_per_vertex: int = 1,
     beta: int = 1,
-    phase: str = "path-recovery",
     mem_prefix: str = "bf",
     charge: bool = True,
 ) -> ExplorationState:
@@ -50,7 +49,6 @@ def recover_paths(
     intermediate path vertices have received estimates when the path gave
     them a better one.
     """
-    net.begin_phase(phase)
     # Each expansion only reads the *final* estimate of the near endpoint,
     # so the edges can be processed independently (matching the protocol,
     # which pipelines all paths at once).
@@ -83,5 +81,4 @@ def recover_paths(
         d_bound = net.hop_diameter_upper_bound()
         rounds = (hopset.size * max(1, roots_per_vertex) + d_bound) * max(1, beta)
         net.charge_rounds(rounds)
-    net.end_phase()
     return state

@@ -3,7 +3,8 @@
 The observability layer every execution funnels through:
 
 * :mod:`~repro.telemetry.events` -- the zero-cost-when-disabled event bus
-  (:func:`span`, :func:`emit`, :func:`gauge`, :func:`collect`), the only
+  (:func:`span`, :class:`phase`, :func:`emit`, :func:`gauge`,
+  :func:`collect`), the only
   way to listen to a network: a :class:`Listener` also hears every round
   the engines close and every round they charge;
 * :mod:`~repro.telemetry.collector` -- the default
@@ -36,7 +37,7 @@ from .bounds import (
     verdict_from_dict,
 )
 from .collector import SpanNode, TelemetryCollector, render_profile
-from .events import Listener, attach, collect, detach, emit, enabled, gauge, span
+from .events import Listener, attach, collect, detach, emit, enabled, gauge, phase, span
 from .flight import FlightConfig, FlightRecorder
 from .runrecord import RunRecord, make_run_record, peak_rss_kb, record_run
 
@@ -62,6 +63,7 @@ __all__ = [
     "gauge",
     "make_run_record",
     "peak_rss_kb",
+    "phase",
     "record_run",
     "render_profile",
     "span",

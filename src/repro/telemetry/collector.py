@@ -3,8 +3,9 @@
 A :class:`TelemetryCollector` attached via
 :func:`repro.telemetry.events.collect` records:
 
-* a tree of :class:`SpanNode`s (one per ``span(...)`` block, nested by
-  runtime containment) with wall-clock per span;
+* a tree of :class:`SpanNode`s (one per ``span(...)`` or ``phase(...)``
+  block, nested by runtime containment; a phase is a leaf) with
+  wall-clock per span;
 * counters (``congest.rounds``, ``congest.messages``, ...) attributed to
   the innermost open span and summed globally; the ``congest.*`` four
   are counted from the engines' ``on_round`` / ``on_charge`` events;
@@ -151,7 +152,8 @@ def _dict_total(node: Dict[str, Any], counter: str) -> float:
 def _merge_siblings(nodes: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Aggregate same-name sibling spans (wall-clock and counters summed),
     keeping first-appearance order; repeated-call noise (e.g. one
-    ``congest/broadcast`` per pointer-jumping step) collapses to one row."""
+    ``tree/build`` per cluster tree, or a phase such as
+    ``low-levels/0`` opened once per tree) collapses to one row."""
     order: List[str] = []
     merged: Dict[str, Dict[str, Any]] = {}
     for node in nodes:

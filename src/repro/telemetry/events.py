@@ -1,9 +1,11 @@
-"""The telemetry event bus: spans, counters, gauges, rounds and charges.
+"""The telemetry event bus: spans, phases, counters, gauges, rounds and
+charges.
 
 Every execution path in the repo funnels its observability through this
 module; it is the only way to listen to a network.  Instrumented sites
 (the tree-routing stages, ``repro.core.build``) call :func:`span` /
-:func:`emit` / :func:`gauge`, and the round engines call each
+:func:`emit` / :func:`gauge`, every protocol stage that runs rounds is a
+:class:`phase`, and the round engines call each
 :class:`Listener`'s ``on_round`` / ``on_charge``, unconditionally; when
 no listener is attached the calls reduce to one truthiness check on the
 module-level ``_collectors`` list (spans additionally return a shared
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import time
 from typing import Any, Dict, List
+
+from ..errors import InvariantViolation
 
 #: Attached listeners.  Empty list == telemetry disabled; hot paths test
 #: this directly (``if _collectors:``) to keep the disabled cost at one
@@ -126,6 +130,43 @@ def span(name: str, **attrs: Any):
     if not _collectors:
         return _NULL_SPAN
     return _Span(name, attrs)
+
+
+class phase:
+    """``with phase(net, name):`` -- the one stage marker.
+
+    Opens a :class:`~repro.congest.metrics.PhaseRecord` called ``name`` on
+    ``net.metrics`` for the block, and with a listener attached a span of
+    the same name, closed only if this block opened it.  Nothing inside a
+    phase opens a span, so a phase span is a leaf and the span tree counts
+    the rounds ``by_phase()`` counts.  Phases do not nest (an
+    :class:`~repro.errors.InvariantViolation`); the record closes when
+    the block raises.
+    """
+
+    __slots__ = ("_metrics", "_name", "_span")
+
+    def __init__(self, net: Any, name: str):
+        self._metrics = net.metrics
+        self._name = name
+        self._span = None
+
+    def __enter__(self) -> None:
+        metrics = self._metrics
+        if metrics.phase_name is not None:
+            raise InvariantViolation(
+                f"phase {self._name!r} opened inside phase {metrics.phase_name!r}"
+            )
+        metrics.begin_phase(self._name)
+        if _collectors:
+            self._span = _Span(self._name, {})
+            self._span.__enter__()
+
+    def __exit__(self, *exc) -> bool:
+        self._metrics.end_phase()
+        if self._span is not None:
+            self._span.__exit__()
+        return False
 
 
 def emit(name: str, value: float = 1, **attrs: Any) -> None:

@@ -39,7 +39,6 @@ def local_flood(
     emit: Callable[[NodeId, Any], Any],
     *,
     derive: Optional[Callable[[NodeId, Any], Any]] = None,
-    phase: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Any], Dict[NodeId, Any]]:
     """Flood all local trees in parallel, delivering across boundaries.
 
@@ -53,8 +52,6 @@ def local_flood(
     parent's DFS start into its own range using its locally-known prefix
     sum).  Boundary payloads are returned raw.
     """
-    if phase:
-        net.begin_phase(phase)
     ut = part.ut
     tree_children = part.tree_forest.children
     value: Dict[NodeId, Any] = {x: root_value(x) for x in ut}
@@ -92,8 +89,6 @@ def local_flood(
         raise InvariantViolation(
             f"expected {expected_boundary} boundary deliveries, got {len(boundary)}"
         )
-    if phase:
-        net.end_phase()
     return value, boundary
 
 
@@ -103,7 +98,6 @@ def report_to_parents(
     payload_of: Callable[[NodeId], Any],
     *,
     senders=None,
-    phase: Optional[str] = None,
 ) -> Dict[NodeId, Dict[NodeId, Any]]:
     """One round in which ``senders`` (default: all non-root vertices) send
     ``payload_of(v)`` to their T-parent, in the partition's repr order.
@@ -113,8 +107,6 @@ def report_to_parents(
     incoming values without retaining them (their meters are charged by the
     calling stage for whatever they actually keep).
     """
-    if phase:
-        net.begin_phase(phase)
     tree_parent = part.tree_parent
     if senders is None:
         senders = [v for v, p in tree_parent.items() if p is not None]
@@ -124,6 +116,4 @@ def report_to_parents(
     received: Dict[NodeId, Dict[NodeId, Any]] = {}
     for src, dst, payload in net.deliver_batch():
         received.setdefault(dst, {})[src] = payload
-    if phase:
-        net.end_phase()
     return received

@@ -37,6 +37,7 @@ from ..congest.bfs import BfsTree
 from ..congest.broadcast import broadcast_all
 from ..congest.network import Network
 from ..errors import InvariantViolation
+from ..telemetry.events import phase as open_phase
 from ..wordsize import words_of
 
 NodeId = Hashable
@@ -77,7 +78,8 @@ def pointer_jump(
     ``init`` supplies ``val_0``.  When ``trail`` (a previous run's ancestor
     trail) is given, the ancestors are *not* recomputed -- iteration ``i``
     reads ``trail[x][i]`` exactly as Algorithms 3 and 6 reuse the pointers
-    Algorithm 1 stored.
+    Algorithm 1 stored.  Iteration ``i``'s broadcast is the phase
+    ``{phase}/broadcast-{i}``.
     """
     members = sorted(virtual_parent, key=repr)
     member_set = set(members)
@@ -106,7 +108,8 @@ def pointer_jump(
                 anc_trail[x].append(current_anc[x])
                 net.mem(x).add(f"{mem_key}/trail", 1)
         items = [(x, (x, current_anc[x], value[x])) for x in members]
-        stream = broadcast_all(net, bfs, items, phase=f"{phase}/broadcast-{i}")
+        with open_phase(net, f"{phase}/broadcast-{i}"):
+            stream = broadcast_all(net, bfs, items)
 
         # Index the stream the way a vertex would read it: each x keeps only
         # its ancestor's entry and folds its contributors on the fly.

@@ -18,6 +18,7 @@ from typing import Dict, Hashable, Optional
 
 from ..congest.network import Network
 from ..errors import InvariantViolation
+from ..telemetry.events import phase
 from .localcomm import local_flood
 from .sampling import TreePartition
 
@@ -34,13 +35,9 @@ class PartitionInfo:
 
 def run_stage0(net: Network, part: TreePartition, *, mem_prefix: str = "tree") -> PartitionInfo:
     """Run the membership flood and return the learned partition."""
-    value, boundary = local_flood(
-        net,
-        part,
-        root_value=lambda x: x,
-        emit=lambda v, root_id: root_id,
-        phase="stage0/membership",
-    )
+    with phase(net, "stage0/membership"):
+        value, boundary = local_flood(net, part, root_value=lambda x: x,
+                                      emit=lambda v, root_id: root_id)
     local_root: Dict[NodeId, NodeId] = dict(value)
     virtual_parent: Dict[NodeId, Optional[NodeId]] = {part.root: None}
     for x, announced_root in boundary.items():

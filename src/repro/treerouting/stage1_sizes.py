@@ -27,6 +27,7 @@ from ..congest.bfs import BfsTree
 from ..congest.network import Network
 from ..congest.primitives import convergecast_up
 from ..errors import InvariantViolation
+from ..telemetry.events import phase
 from .localcomm import report_to_parents
 from .pointer_jumping import pointer_jump
 from .sampling import TreePartition
@@ -53,13 +54,9 @@ def run_stage1(
     mem_prefix: str = "tree",
 ) -> SizeInfo:
     # -- step 1: local subtree sizes ------------------------------------------
-    local_size = convergecast_up(
-        net,
-        part.local_forest,
-        leaf_value=lambda v: 1,
-        combine=lambda v, child_sizes: 1 + sum(child_sizes),
-        phase="stage1/local-sizes",
-    )
+    with phase(net, "stage1/local-sizes"):
+        local_size = convergecast_up(net, part.local_forest, leaf_value=lambda v: 1,
+                                     combine=lambda v, child_sizes: 1 + sum(child_sizes))
     net.store_each(f"{mem_prefix}/s", dict.fromkeys(part.tree_parent, 1))
 
     # -- step 2: Algorithm 1 (global sizes on U(T)) ----------------------------
@@ -79,23 +76,19 @@ def run_stage1(
         )
 
     # -- step 3: push the corrected sizes into the local trees ------------------
-    reported = report_to_parents(
-        net,
-        part,
-        payload_of=lambda x: s_virtual[x],
-        senders=[x for x in part.ut if x != part.root],
-        phase="stage1/push",
-    )
+    with phase(net, "stage1/push"):
+        reported = report_to_parents(net, part, payload_of=lambda x: s_virtual[x],
+                                     senders=[x for x in part.ut if x != part.root])
     extra: Dict[NodeId, int] = {p: sum(payloads.values()) for p, payloads in reported.items()}
     net.store_each(f"{mem_prefix}/s-extra", dict.fromkeys(extra, 1))
 
-    sizes = convergecast_up(
-        net,
-        part.local_forest,
-        leaf_value=lambda v: 1 + extra.get(v, 0),
-        combine=lambda v, child_sizes: 1 + extra.get(v, 0) + sum(child_sizes),
-        phase="stage1/global-sizes",
-    )
+    with phase(net, "stage1/global-sizes"):
+        sizes = convergecast_up(
+            net,
+            part.local_forest,
+            leaf_value=lambda v: 1 + extra.get(v, 0),
+            combine=lambda v, child_sizes: 1 + extra.get(v, 0) + sum(child_sizes),
+        )
     for x in part.ut:
         if sizes[x] != s_virtual[x]:
             raise InvariantViolation(
@@ -104,12 +97,8 @@ def run_stage1(
     net.free_key(f"{mem_prefix}/s-extra")
 
     # -- step 4: heavy children --------------------------------------------------
-    reported = report_to_parents(
-        net,
-        part,
-        payload_of=lambda v: sizes[v],
-        phase="stage1/heavy",
-    )
+    with phase(net, "stage1/heavy"):
+        reported = report_to_parents(net, part, payload_of=lambda v: sizes[v])
     heavy: Dict[NodeId, Optional[NodeId]] = {v: None for v in part.tree_parent}
     for p, payloads in reported.items():
         # Running (size, repr) maximum: the parent folds its children's

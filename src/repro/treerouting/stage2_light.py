@@ -26,6 +26,7 @@ from typing import Dict, Hashable, Tuple
 from ..congest.bfs import BfsTree
 from ..congest.network import Network
 from ..errors import InvariantViolation
+from ..telemetry.events import phase
 from .localcomm import local_flood
 from .pointer_jumping import pointer_jump
 from .sampling import TreePartition
@@ -62,13 +63,8 @@ def run_stage2(
             for c in part.tree_forest.children[u]
         }
 
-    local_lists, boundary = local_flood(
-        net,
-        part,
-        root_value=lambda x: (),
-        emit=emit_lists,
-        phase="stage2/local",
-    )
+    with phase(net, "stage2/local"):
+        local_lists, boundary = local_flood(net, part, root_value=lambda x: (), emit=emit_lists)
     net.store_each(f"{mem_prefix}/light-local",
                    {v: 2 * len(edges) for v, edges in local_lists.items()})
 
@@ -91,13 +87,9 @@ def run_stage2(
         raise InvariantViolation("root must have no light edges above it")
 
     # -- step 3: push the global lists into the local trees ----------------------
-    pushed, _ = local_flood(
-        net,
-        part,
-        root_value=lambda x: global_lists[x],
-        emit=lambda v, edges: edges,
-        phase="stage2/push",
-    )
+    with phase(net, "stage2/push"):
+        pushed, _ = local_flood(net, part, root_value=lambda x: global_lists[x],
+                                emit=lambda v, edges: edges)
     # pushed[v] is the global list of v's local root; appending the local
     # list yields the light edges of the full z-to-v path.
     light_edges: Dict[NodeId, EdgeList] = {

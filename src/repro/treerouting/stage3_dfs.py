@@ -38,6 +38,7 @@ from typing import Dict, Hashable, List, Tuple
 from ..congest.bfs import BfsTree
 from ..congest.network import Network
 from ..errors import InvariantViolation
+from ..telemetry.events import phase
 from .localcomm import local_flood
 from .pointer_jumping import pointer_jump
 from .sampling import TreePartition
@@ -61,7 +62,6 @@ def _range_partition(
     mem_prefix: str = "tree",
 ) -> Dict[NodeId, int]:
     """Algorithm 5: per-child inclusive prefix sums of subtree sizes."""
-    net.begin_phase("stage3/alg5")
     children = part.tree_forest.children
     index_of: Dict[NodeId, int] = {}
     parent_of: Dict[NodeId, NodeId] = {}
@@ -118,7 +118,6 @@ def _range_partition(
                     f"child {c!r} received {len(msgs)} Algorithm-5 messages"
                 )
             prefix[c] += msgs[0][2]
-    net.end_phase()
     return prefix
 
 
@@ -132,7 +131,8 @@ def run_stage3(
     mem_prefix: str = "tree",
 ) -> DfsInfo:
     sizes = size_info.sizes
-    prefix = _range_partition(net, part, sizes, mem_prefix)
+    with phase(net, "stage3/alg5"):
+        prefix = _range_partition(net, part, sizes, mem_prefix)
 
     # Sanity: prefix sums match direct computation (simulator-side check).
     for y, kids in part.tree_forest.children.items():
@@ -143,14 +143,14 @@ def run_stage3(
                 raise InvariantViolation(f"Algorithm 5 wrong at child {c!r}")
 
     # -- Algorithm 4: local DFS, O(1)-word messages ------------------------------
-    local_enter, boundary = local_flood(
-        net,
-        part,
-        root_value=lambda x: 1,
-        emit=lambda u, enter: enter,
-        derive=lambda c, parent_enter: parent_enter + prefix[c] - sizes[c] + 1,
-        phase="stage3/local-dfs",
-    )
+    with phase(net, "stage3/local-dfs"):
+        local_enter, boundary = local_flood(
+            net,
+            part,
+            root_value=lambda x: 1,
+            emit=lambda u, enter: enter,
+            derive=lambda c, parent_enter: parent_enter + prefix[c] - sizes[c] + 1,
+        )
     net.store_each(f"{mem_prefix}/enter-local", dict.fromkeys(part.tree_parent, 1))
 
     # -- shifts q_x -----------------------------------------------------------------
@@ -172,13 +172,9 @@ def run_stage3(
     sigma: Dict[NodeId, int] = result.values
 
     # -- push the shifts down -----------------------------------------------------------
-    pushed, _ = local_flood(
-        net,
-        part,
-        root_value=lambda x: sigma[x],
-        emit=lambda v, shift: shift,
-        phase="stage3/push",
-    )
+    with phase(net, "stage3/push"):
+        pushed, _ = local_flood(net, part, root_value=lambda x: sigma[x],
+                                emit=lambda v, shift: shift)
     intervals: Dict[NodeId, Tuple[int, int]] = {}
     for v in part.tree_parent:
         enter = local_enter[v] + pushed[v]

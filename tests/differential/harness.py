@@ -27,7 +27,7 @@ from repro.congest import Network, ReferenceNetwork
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_all, convergecast_aggregate
 from repro.graphs import grid_graph, random_connected_graph, ring_of_cliques
-from repro.telemetry import Listener, collect
+from repro.telemetry import Listener, collect, phase
 
 NodeId = Hashable
 
@@ -126,8 +126,10 @@ def _proto_broadcast(net: Any, seed: int) -> None:
     bfs = build_bfs_tree(net)
     origins = sorted(net.nodes(), key=repr)[: 3 + seed % 3]
     items = [(v, (repr(v), i)) for i, v in enumerate(origins)]
-    broadcast_all(net, bfs, items)
-    convergecast_aggregate(net, bfs, lambda v: 1, lambda a, b: a + b)
+    with phase(net, "broadcast"):
+        broadcast_all(net, bfs, items)
+    with phase(net, "convergecast"):
+        convergecast_aggregate(net, bfs, lambda v: 1, lambda a, b: a + b)
 
 
 def floodmax(net: Any) -> Dict[Any, Any]:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import CongestModelViolation, InputError
 from repro.graphs import random_connected_graph
+from repro.telemetry import phase
 from repro.wordsize import words_of
 
 
@@ -254,10 +255,9 @@ class TestChargingAndPhases:
 
     def test_phase_attribution(self, engine):
         net = engine(tiny_graph())
-        net.begin_phase("setup")
-        net.send_each([("a", "b", None)])
-        net.tick()
-        net.end_phase()
+        with phase(net, "setup"):
+            net.send_each([("a", "b", None)])
+            net.tick()
         assert net.metrics.by_phase() == {"setup": 1}
 
     def test_idle_rounds(self, engine):

@@ -6,7 +6,7 @@ import pytest
 from repro.congest import Network
 from repro.errors import InputError
 from repro.graphs import random_connected_graph, spanning_tree_of
-from repro.telemetry import collect, events, flight
+from repro.telemetry import collect, events, flight, phase
 from repro.telemetry.flight import FlightConfig, FlightRecorder
 from repro.treerouting import build_distributed_tree_scheme
 
@@ -156,10 +156,8 @@ class TestSampling:
         assert rec.samples[1].vertex_delta == {}
 
     def test_charge_events_recorded(self, net):
-        with flight.auto() as session:
-            net.begin_phase("analytic")
+        with flight.auto() as session, phase(net, "analytic"):
             net.charge_rounds(5, messages=10, words=20)
-            net.end_phase()
         (rec,) = session.recorders
         assert len(rec.charges) == 1
         ev = rec.charges[0]
@@ -167,10 +165,8 @@ class TestSampling:
         assert ev.phase == "analytic"
 
     def test_phase_attribution(self, net):
-        with flight.auto() as session:
-            net.begin_phase("build")
+        with flight.auto() as session, phase(net, "build"):
             _chat(net, rounds=2)
-            net.end_phase()
         assert {s.phase for s in session.recorders[0].samples} == {"build"}
 
 
