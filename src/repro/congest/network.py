@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple, cast
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple, cast
 
 import networkx as nx
 
@@ -171,6 +171,8 @@ class Network:
         #: what was touched instead of clearing all 2m counters.
         self._edge_load: List[int] = [0] * lo
         self._loaded_arcs: List[int] = []
+        #: :meth:`hop_diameter_upper_bound`, computed on its first call.
+        self._hop_diameter_bound: Optional[int] = None
 
     # -- topology ------------------------------------------------------------
 
@@ -362,7 +364,13 @@ class Network:
     # -- convenience ---------------------------------------------------------------
 
     def hop_diameter_upper_bound(self) -> int:
-        """2 * BFS-depth from an arbitrary vertex: a cheap upper bound on D."""
-        root = next(iter(self.graph.nodes))
-        depths = nx.single_source_shortest_path_length(self.graph, root)
-        return 2 * max(depths.values()) if len(depths) > 1 else 0
+        """2 * BFS-depth from an arbitrary vertex: a cheap upper bound on D.
+
+        The topology is immutable, so the BFS runs once per network, on the
+        first call; a build asks for the bound from several phases."""
+        if self._hop_diameter_bound is None:
+            root = next(iter(self.graph.nodes))
+            depths = nx.single_source_shortest_path_length(self.graph, root)
+            self._hop_diameter_bound = (
+                2 * max(depths.values()) if len(depths) > 1 else 0)
+        return self._hop_diameter_bound

@@ -166,6 +166,7 @@ def bounded_bellman_ford(
     hops: int,
     *,
     forward_if: Optional[Callable[[NodeId, float], bool]] = None,
+    frontier: Optional[Iterable[NodeId]] = None,
 ) -> Tuple[Dict[NodeId, float], Dict[NodeId, Optional[NodeId]], int]:
     """Hop-bounded multi-source Bellman-Ford: ``d^{(hops)}`` from ``sources``.
 
@@ -180,20 +181,36 @@ def bounded_bellman_ford(
     sources, in ``sources`` order), and on equal candidates the first one
     scanned wins, so ``parent`` does not depend on ``PYTHONHASHSEED``.
 
+    ``frontier`` (default: every source) lists the sources the first pass
+    scans, in ``sources`` order; the others only hold their estimates.  A
+    source that can offer no strict improvement proposes nothing in a full
+    scan either, so leaving such sources out changes neither the passes nor
+    ``dist`` and ``parent`` -- the rule a caller resuming from a fixpoint
+    relies on.  Each frontier vertex must be a source (:class:`InputError`
+    otherwise).
+
     Returns ``(dist, parent, iterations_used)``; iterations stop early once a
     full pass changes nothing (then ``d^{(t)} = d^{(hops)}`` for all larger
     ``t``), which the caller may *not* use to reduce charged rounds -- the
-    exploration still occupies ``hops`` rounds in the distributed execution.
+    exploration still occupies ``hops`` rounds in the distributed execution,
+    whatever its frontier: a smaller frontier is host work saved, never a
+    round.
     """
     if hops < 0:
         raise InputError("hops must be non-negative")
     rows = Adjacency.of(graph).rows
     dist: Dict[NodeId, float] = dict(sources)
-    parent: Dict[NodeId, Optional[NodeId]] = {}
-    for s in dist:
-        _require_vertex(rows, s)
-        parent[s] = None
-    frontier = list(dist)
+    if not dist.keys() <= rows.keys():
+        for s in dist:
+            _require_vertex(rows, s)
+    parent: Dict[NodeId, Optional[NodeId]] = dict.fromkeys(dist)
+    if frontier is None:
+        frontier = list(dist)
+    else:
+        frontier = list(frontier)
+        for u in frontier:
+            if u not in dist:
+                raise InputError(f"frontier vertex {u!r} is not a source")
     known = dist.get
     iterations = 0
     for _ in range(hops):

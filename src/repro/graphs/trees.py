@@ -125,12 +125,23 @@ def tree_profile(parent: ParentMap) -> TreeProfile:
 
 
 def depths(parent: ParentMap) -> Dict[NodeId, int]:
-    profile = tree_profile(parent)
-    out = {profile.root: 0}
-    for u in profile.preorder:
-        below = out[u] + 1
-        for c in profile.children[u]:
-            out[c] = below
+    """Hop depth of every vertex, from one children pass and one walk down
+    (no :func:`tree_profile`).  Raises what :func:`tree_profile` raises on a
+    malformed map: two roots, a dangling parent, a cycle."""
+    root = tree_root(parent)
+    children = children_map(parent)
+    out = {root: 0}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        kids = children[v]
+        if kids:
+            below = out[v] + 1
+            for c in kids:
+                out[c] = below
+            stack.extend(kids)
+    if len(out) != len(parent):
+        raise InputError("parent map contains a cycle")
     return out
 
 

@@ -82,20 +82,24 @@ class VirtualGraphOracle:
         estimates: Mapping[NodeId, float],
         *,
         forward_if: Optional[Callable[[NodeId, float], bool]] = None,
-    ) -> Tuple[Dict[NodeId, float], Dict[NodeId, Optional[NodeId]]]:
+        frontier: Optional[Iterable[NodeId]] = None,
+    ) -> Tuple[Dict[NodeId, float], Dict[NodeId, Optional[NodeId]], int]:
         """One E'-relaxation: B-bounded exploration in G seeded by
         ``estimates`` (virtual vertices' current Bellman-Ford values).
 
         Returns the improved estimates *for all of V* (the distributed
         exploration reaches ordinary vertices too -- the approximate-cluster
-        stage needs them) and the Bellman-Ford parents in G.  This is the
-        "first it will initiate an exploration in G for B rounds" step in the
-        proof of Lemma 2.
+        stage needs them), the Bellman-Ford parents in G and the number of
+        passes the kernel ran (below ``hop_bound`` only when it reached a
+        fixpoint).  ``frontier`` is :func:`bounded_bellman_ford`'s: the
+        estimates the first pass scans (default: all).  This is the "first it
+        will initiate an exploration in G for B rounds" step in the proof of
+        Lemma 2.
         """
-        dist, parent, _ = bounded_bellman_ford(
-            self.adjacency, estimates, self.hop_bound, forward_if=forward_if
+        return bounded_bellman_ford(
+            self.adjacency, estimates, self.hop_bound,
+            forward_if=forward_if, frontier=frontier,
         )
-        return dist, parent
 
     # -- explicit edge rows (for hopset construction) ------------------------
 

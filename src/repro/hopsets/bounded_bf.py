@@ -17,6 +17,23 @@ as the paper's proof of Lemma 2 does:
 Limited explorations (Appendix B) are expressed by two gates:
 ``forward_if_virtual(v, est)`` (the ``(1+ε)^2`` rule for virtual vertices)
 and ``forward_if_graph(v, est)`` (the ``(1+ε)`` rule for ordinary ones).
+Both are monotone in the estimate: a vertex that forwards at some value
+forwards at every lower one.
+
+Explorations resume from their fixpoint.  Only a vertex whose estimate
+changed can offer a neighbour something new, so an E' sweep scans only the
+estimates that can still relax a neighbour -- the improvement-only rule of
+a distributed Bellman-Ford, where a vertex speaks only when its value
+dropped.  After a sweep that reached its fixpoint before ``B`` hops, the
+next sweep's frontier is, in ``est`` order, every vertex whose estimate the
+H step lowered plus every neighbour of a vertex whose sweep improvement the
+``1e-15`` rule held back (its estimate stayed above what its neighbours
+were relaxed against).  The first sweep, and any sweep after one that used
+all ``B`` hops, scan every estimate.  Every other estimate is unchanged at
+a fixpoint and, the gates being monotone, offers no strict improvement, so
+the result is the full rescan's, dict order included.  This is host work
+only: each sweep is still charged ``B`` rounds, so no simulated count,
+phase or memory figure depends on the frontier.
 
 The result tracks, for every vertex, the current estimate, the G-parent
 implementing it (when it arrived via an exploration in G), and -- for
@@ -28,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ..congest.network import Network
 from ..errors import InputError
@@ -94,17 +111,38 @@ def hopset_bellman_ford(
     m = oracle.m
     d_bound = net.hop_diameter_upper_bound()
     log_n = max(1, int(math.log2(max(2, net.n))))
+    rows = oracle.adjacency.rows
 
-    for _ in range(beta):
-        # -- E' step: B-bounded exploration in G --------------------------------
-        dist, parent = oracle.relax_virtual_edges(state.est, forward_if=gate)
+    def graph_sweep(resume: Optional[Set[NodeId]]) -> Optional[Set[NodeId]]:
+        """E' step: B-bounded exploration in G from the estimates in
+        ``resume`` (all of them when None).  Returns the vertices the next
+        sweep must rescan, or None when this one used all B hops."""
+        frontier: Optional[List[NodeId]] = None
+        if resume is not None:
+            frontier = [v for v in state.est if v in resume]
+        dist, parent, used = oracle.relax_virtual_edges(
+            state.est, forward_if=gate, frontier=frontier
+        )
+        stale: Set[NodeId] = set()
+        known = state.est.get
         for v, d in dist.items():
-            if d < state.value(v) - 1e-15:
+            old = known(v, INF)
+            if d >= old:
+                continue
+            if d < old - 1e-15:
                 state.est[v] = d
                 state.gparent[v] = parent[v]
                 state.hvia.pop(v, None)
+            else:
+                # Held back: v's neighbours were relaxed against d, not est.
+                stale.update(u for u, _w, _tie in rows[v])
         if charge:
             net.charge_rounds(oracle.hop_bound)
+        return None if used == oracle.hop_bound else stale
+
+    resume: Optional[Set[NodeId]] = None
+    for _ in range(beta):
+        resume = graph_sweep(resume)
 
         # -- H step: owners broadcast estimates + owned edges --------------------
         improved: Dict[NodeId, Tuple[float, Tuple[NodeId, NodeId, bool]]] = {}
@@ -129,18 +167,13 @@ def hopset_bellman_ford(
                 state.est[v] = cand
                 state.gparent[v] = None
                 state.hvia[v] = via
+                if resume is not None:
+                    resume.add(v)
         if charge:
             net.charge_rounds((m * max(1, alpha) + d_bound) * log_n)
 
     if final_graph_sweep:
-        dist, parent = oracle.relax_virtual_edges(state.est, forward_if=gate)
-        for v, d in dist.items():
-            if d < state.value(v) - 1e-15:
-                state.est[v] = d
-                state.gparent[v] = parent[v]
-                state.hvia.pop(v, None)
-        if charge:
-            net.charge_rounds(oracle.hop_bound)
+        graph_sweep(resume)
 
     # Memory: estimate + parent + hopset adjacency already charged at build.
     for v in state.est:

@@ -8,6 +8,8 @@ contract detail.
 import networkx as nx
 import pytest
 
+from repro.congest import Network, ReferenceNetwork
+from repro.core.build import build_distributed_scheme
 from repro.errors import CongestModelViolation, InputError
 from repro.graphs import random_connected_graph
 from repro.telemetry import phase
@@ -134,6 +136,37 @@ class TestTopology:
     def test_hop_diameter_upper_bound(self, engine):
         net = engine(tiny_graph())
         assert net.hop_diameter_upper_bound() >= 2
+
+
+class TestHopDiameterBoundOnce:
+    """The topology is immutable, so the fast path runs the BFS behind
+    ``hop_diameter_upper_bound`` once per network; a build asks for the
+    bound from five sites (14 calls at n = 600, k = 3)."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_bfs_per_network_per_build(self, monkeypatch, k):
+        calls = []
+        real = nx.single_source_shortest_path_length
+
+        def counting(graph, source, *args, **kwargs):
+            calls.append(source)
+            return real(graph, source, *args, **kwargs)
+
+        monkeypatch.setattr(nx, "single_source_shortest_path_length", counting)
+        graph = random_connected_graph(150, seed=7)
+        net = Network(graph)
+        build_distributed_scheme(graph, k, seed=7, net=net)
+        assert len(calls) == 1
+        assert net.hop_diameter_upper_bound() == net.hop_diameter_upper_bound()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("graph", [
+        nx.path_graph(1), nx.path_graph(7), nx.star_graph(5),
+        random_connected_graph(120, seed=3),
+    ], ids=["single-vertex", "path", "star", "gnp"])
+    def test_bound_equals_the_reference_engines(self, graph):
+        assert (Network(graph).hop_diameter_upper_bound()
+                == ReferenceNetwork(graph).hop_diameter_upper_bound())
 
 
 class TestMessaging:

@@ -61,16 +61,16 @@ class TestVirtualOracleGated:
 
     def test_gate_false_blocks_everything_but_sources(self, setup):
         _, virtual, oracle = setup
-        dist, _ = oracle.relax_virtual_edges(
+        dist, _, _ = oracle.relax_virtual_edges(
             {virtual[0]: 0.0}, forward_if=lambda v, d: False
         )
         assert dist == {virtual[0]: 0.0}
 
     def test_gate_radius_limits_reach(self, setup):
         graph, virtual, oracle = setup
-        free, _ = oracle.relax_virtual_edges({virtual[0]: 0.0})
+        free, _, _ = oracle.relax_virtual_edges({virtual[0]: 0.0})
         radius = sorted(free.values())[len(free) // 2]
-        gated, _ = oracle.relax_virtual_edges(
+        gated, _, _ = oracle.relax_virtual_edges(
             {virtual[0]: 0.0}, forward_if=lambda v, d: d < radius
         )
         assert len(gated) <= len(free)

@@ -306,9 +306,9 @@ class TestTreeProfileEqualsReference:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_malformed_maps_raise_the_reference_error(self, data):
-        """Two roots, a dangling parent, a cycle: ``tree_profile`` (and so
-        every view over it) raises what the reference ``depths`` -- the one
-        reference function that checks all three -- raises."""
+        """Two roots, a dangling parent, a cycle: ``tree_profile`` and
+        ``depths`` raise what the reference ``depths`` -- the one reference
+        function that checks all three -- raises."""
         parent = dict(data.draw(parent_maps(max_size=12)))
         defect = data.draw(st.sampled_from(["two-roots", "dangling", "cycle"]))
         if defect == "two-roots":
@@ -330,6 +330,34 @@ class TestTreeProfileEqualsReference:
         assert children_map({0: None, 1: None, 2: 1}) == {0: [], 1: [2], 2: []}
         with pytest.raises(InputError):
             children_map({0: None, 1: 7})
+
+
+def profile_depths(parent):
+    """``depths`` as it was: read off a full :func:`tree_profile`."""
+    profile = tree_profile(parent)
+    out = {profile.root: 0}
+    for u in profile.preorder:
+        below = out[u] + 1
+        for c in profile.children[u]:
+            out[c] = below
+    return out
+
+
+class TestDepthsWithoutAProfile:
+    """``depths`` is one children pass and a walk down; it builds no
+    sizes, heavy children, intervals or light-edge tuples.  On malformed
+    maps it raises what ``tree_profile`` raises:
+    ``test_malformed_maps_raise_the_reference_error`` holds both to the
+    reference's message for each defect."""
+
+    @given(parent_maps())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_profile_depths(self, parent):
+        assert same_dicts(depths(parent), profile_depths(parent))
+
+    def test_builds_no_profile(self, monkeypatch):
+        monkeypatch.setattr(trees_module, "tree_profile", None)
+        assert depths({0: None, 1: 0, 2: 1, 3: 0}) == {0: 0, 1: 1, 3: 1, 2: 2}
 
 
 class TestTreePaths:
@@ -417,6 +445,27 @@ def test_distributed_build_report_is_byte_identical_to_the_parent():
     graph = random_connected_graph(150, seed=7)
     report = build_distributed_scheme(graph, 3, seed=7, net=Network(graph))
     assert sha256_of(report.to_dict()) == DISTRIBUTED_GOLDEN
+
+
+#: sha256 of json.dumps({"report": BuildReport.to_dict(), "scheme":
+#: graph_scheme_to_dict(scheme)}) for random_connected_graph(300, seed=7),
+#: seed 7, on Network, at the k the golden above does not reach (it pins
+#: k = 3 only).  Taken before Lemma 2's E' sweeps resumed from their
+#: fixpoint, and unchanged by it.
+DISTRIBUTED_K_GRID = {
+    2: "90a6647a3b7f178df296b06dd0aadfbb1dde39ba43607525f6ab0621fea61c54",
+    4: "0553098417ec79a59761cc90d6f55b95b607b97f23b361ea73c1f35bc25c8ba1",
+    6: "a5dcb314067a16772948aad30fa8dcc8392714dc01b265c363e33c7cf316a6fb",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DISTRIBUTED_K_GRID))
+def test_distributed_build_is_byte_identical_across_k(k):
+    graph = random_connected_graph(300, seed=7)
+    report = build_distributed_scheme(graph, k, seed=7, net=Network(graph))
+    document = {"report": report.to_dict(),
+                "scheme": graph_scheme_to_dict(report.scheme)}
+    assert sha256_of(document) == DISTRIBUTED_K_GRID[k]
 
 
 def test_centralized_build_snapshots_once_and_profiles_each_tree_once(monkeypatch):

@@ -84,7 +84,7 @@ class TestOracle:
 
     def test_relax_reaches_graph_vertices(self, setup):
         graph, virtual, oracle = setup
-        dist, parent = oracle.relax_virtual_edges({virtual[0]: 0.0})
+        dist, parent, _ = oracle.relax_virtual_edges({virtual[0]: 0.0})
         assert len(dist) > len(virtual)
         for v, p in parent.items():
             if p is not None:
