@@ -32,7 +32,6 @@ import networkx as nx
 from ..congest.bfs import build_bfs_tree
 from ..congest.network import Network
 from ..errors import InputError
-from ..graphs.trees import depths
 from ..graphs.validation import require_weighted_connected
 from ..graphs.virtual import VirtualGraphOracle
 from ..hopsets.construction import build_hopset
@@ -71,9 +70,9 @@ class BuildReport:
     max_trees_per_vertex: int
     stretch_bound: float = 0.0
     phase_rounds: Dict[str, int] = field(default_factory=dict)
-    #: Low level ``i`` -> the largest hop depth of a level-``i`` cluster
-    #: tree this build made (Claim 8 bounds it).
-    low_level_hop_depth: Dict[int, int] = field(default_factory=dict)
+    #: Low level ``i`` -> the last pass that lowered an estimate in this
+    #: build's longest level-``i`` cluster exploration (Claim 8 bounds it).
+    low_level_passes: Dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready cost summary (telemetry RunRecords, bench twins)."""
@@ -153,11 +152,7 @@ def build_distributed_scheme(
 
     # -- low levels ----------------------------------------------------------
     with _tele.span("build/low-levels", boundary=boundary):
-        low_trees = build_exact_low_level_clusters(net, hierarchy, pivots, boundary)
-    low_level_hop_depth: Dict[int, int] = {}
-    for tree in low_trees.values():
-        low_level_hop_depth[tree.level] = max(
-            low_level_hop_depth.get(tree.level, 0), max(depths(tree.parent).values()))
+        low_trees, low_passes = build_exact_low_level_clusters(net, hierarchy, pivots, boundary)
 
     # -- virtual graph + hopset ------------------------------------------------
     virtual_vertices = sorted(hierarchy.set_at(boundary), key=repr)
@@ -231,5 +226,5 @@ def build_distributed_scheme(
         max_trees_per_vertex=trees.s,
         stretch_bound=(4 * k - 3) * (1 + 6 * epsilon) ** 2,
         phase_rounds=net.metrics.by_phase(),
-        low_level_hop_depth=low_level_hop_depth,
+        low_level_passes=low_passes,
     )

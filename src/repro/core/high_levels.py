@@ -47,14 +47,6 @@ class HighLevelConfig:
     epsilon: float
     beta: int
 
-    @property
-    def virtual_limit_factor(self) -> float:
-        return (1.0 + self.epsilon) ** 2
-
-    @property
-    def graph_limit_factor(self) -> float:
-        return 1.0 + self.epsilon
-
 
 def approximate_pivot_distances(
     net: Network,
@@ -100,14 +92,16 @@ def build_approximate_cluster(
     roots_per_vertex: int = 1,
 ) -> ClusterTree:
     """One limited exploration rooted at ``root``: the tree ``C̃(root)``."""
+    virtual_factor = (1.0 + config.epsilon) ** 2
+    graph_factor = 1.0 + config.epsilon
 
     def forward_virtual(u: NodeId, est: float) -> bool:
         limit = next_pivot_est.get(u, INF)
-        return limit == INF or est < limit / config.virtual_limit_factor
+        return limit == INF or est < limit / virtual_factor
 
     def forward_graph(u: NodeId, est: float) -> bool:
         limit = next_pivot_est.get(u, INF)
-        return limit == INF or est < limit / config.graph_limit_factor
+        return limit == INF or est < limit / graph_factor
 
     with phase(net, f"clusters/approx-{level}"):
         state = hopset_bellman_ford(
@@ -118,7 +112,6 @@ def build_approximate_cluster(
             config.beta,
             forward_if_virtual=forward_virtual,
             forward_if_graph=forward_graph,
-            final_graph_sweep=True,
             mem_prefix=f"cl/{level}",
             charge=False,  # all roots of one level run in parallel; the level
             # schedule is charged once by build_high_level_clusters.

@@ -79,17 +79,16 @@ def hopset_bellman_ford(
     *,
     forward_if_virtual: Gate = None,
     forward_if_graph: Gate = None,
-    final_graph_sweep: bool = True,
     mem_prefix: str = "bf",
     charge: bool = True,
 ) -> ExplorationState:
     """Run ``beta`` iterations of Bellman-Ford over ``G' ∪ H``.
 
     ``sources`` seeds initial estimates (typically ``{root: 0}`` or zeros on
-    a whole level set ``A_{i+1}``).  When ``final_graph_sweep`` is set, one
-    last B-bounded exploration in G runs after the virtual iterations so
-    every *ordinary* vertex holds its estimate too (the paper's "we perform
-    another B-bounded exploration in G" steps).
+    a whole level set ``A_{i+1}``).  One last B-bounded exploration in G
+    always follows the virtual iterations, so every *ordinary* vertex holds
+    its estimate too (the paper's "we perform another B-bounded exploration
+    in G" steps).
 
     ``charge=False`` suppresses per-call round charging: the caller runs
     many explorations *in parallel* (all cluster roots of one level, with
@@ -172,8 +171,7 @@ def hopset_bellman_ford(
         if charge:
             net.charge_rounds((m * max(1, alpha) + d_bound) * log_n)
 
-    if final_graph_sweep:
-        graph_sweep(resume)
+    graph_sweep(resume)
 
     # Memory: estimate + parent + hopset adjacency already charged at build.
     for v in state.est:

@@ -203,21 +203,21 @@ def check_graph_columns(
 
 
 def check_claim8_hop_depth(
-    depths: Dict[int, int],
+    passes: Dict[int, int],
     limits: Dict[int, int],
 ) -> List[BoundVerdict]:
-    """Claim 8: a level-``i`` cluster tree of a low level is at most
-    ``limits[i]`` hops deep.  ``depths[i]`` is the deepest level-``i`` tree
-    of the build; the one verdict reports the level nearest its limit, so
-    it passes exactly when every level does."""
-    if not depths:
+    """Claim 8: no level-``i`` cluster exploration of a low level lowers an
+    estimate after pass ``limits[i]``.  ``passes[i]`` is the build's latest
+    such pass; the one verdict reports the level nearest its limit, so it
+    passes exactly when every level does."""
+    if not passes:
         return []
-    level = max(sorted(depths), key=lambda i: depths[i] / limits[i])
+    level = max(sorted(passes), key=lambda i: passes[i] / limits[i])
     return [_check(
-        "table1/this-paper/claim8_hop_depth", "hop_depth",
-        f"Claim 8: level-{level} cluster-tree hop depth <= "
+        "table1/this-paper/claim8_hop_depth", "passes",
+        f"Claim 8: level-{level} cluster exploration passes <= "
         f"min(n, ⌈4·n^({level + 1}/k)·ln n⌉)",
-        float(depths[level]), float(limits[level]),
+        float(passes[level]), float(limits[level]),
     )]
 
 

@@ -72,10 +72,6 @@ class ClusterTree:
     dist: Dict[NodeId, float]
     parent: Dict[NodeId, Optional[NodeId]]
 
-    @property
-    def members(self) -> List[NodeId]:
-        return sorted(self.dist, key=repr)
-
     def __contains__(self, v: NodeId) -> bool:
         return v in self.dist
 

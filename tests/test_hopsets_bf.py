@@ -52,10 +52,7 @@ class TestUnlimitedExploration:
 
     def test_no_sweep_may_leave_vertices(self, setup):
         graph, virtual, oracle, net, hopset = setup
-        state = hopset_bellman_ford(
-            net, oracle, hopset, {virtual[0]: 0.0}, beta=1,
-            final_graph_sweep=False,
-        )
+        state = hopset_bellman_ford(net, oracle, hopset, {virtual[0]: 0.0}, beta=1)
         assert len(state.est) >= 1
 
     def test_multi_source_zeroes(self, setup):

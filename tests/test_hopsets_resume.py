@@ -237,7 +237,7 @@ def test_resumed_sweeps_equal_a_full_rescan(topo, weights, bound, monkeypatch):
             ({root: 0.0}, 4, {}),                        # one root, unlimited
             (level_set, 3, {}),                          # pivots: a level set
             ({root: 0.0}, 4, dict(gates, charge=False)),  # an approximate cluster
-            ({root: 0.0}, 2, {"final_graph_sweep": False}),
+            ({root: 0.0}, 2, {}),                        # two iterations
         ):
             assert_same(*both(instance, sources, beta, **kwargs))
         monkeypatch.undo()
