@@ -16,6 +16,12 @@ This is the hopset-driven half of Appendix B:
   ``C̃(v)`` in G with ``C_{6ε}(v) ⊆ C̃(v) ⊆ C(v)`` (Claims 9-10, asserted
   in tests against the centralized reference).
 
+The exploration kernels (:func:`repro.hopsets.bounded_bf.hopset_bellman_ford`,
+:func:`repro.hopsets.path_recovery.recover_paths`) are host computation;
+this module alone charges their rounds and meters their memory.  The pivot
+exploration is charged once in its phase; all cluster explorations of one
+level, path recovery included, are charged once by the level schedule.
+
 Memory per vertex: 2 words per cluster containing it plus the hopset
 adjacency charged at construction -- Õ(n^{1/k}) in total by Claim 6.
 """
@@ -33,7 +39,7 @@ from ..hopsets.bounded_bf import ExplorationState, hopset_bellman_ford
 from ..hopsets.hopset import Hopset
 from ..hopsets.path_recovery import recover_paths
 from ..telemetry.events import phase
-from ..tz.clusters import ClusterTree
+from ..tz.clusters import ClusterTree, claim6_bound
 from ..tz.hierarchy import Hierarchy
 
 NodeId = Hashable
@@ -63,13 +69,20 @@ def approximate_pivot_distances(
         return {v: INF for v in net.nodes()}
     with phase(net, f"pivots/approx-{level_index}"):
         state = hopset_bellman_ford(
-            net,
-            oracle,
-            hopset,
-            {a: 0.0 for a in members},
-            config.beta,
-            mem_prefix=f"pivots/{level_index}",
+            oracle, hopset, {a: 0.0 for a in members}, config.beta
         )
+        # β iterations of one B-round sweep and one H step, then the final
+        # sweep (Lemma 2).
+        log_n = max(1, int(math.log2(max(2, net.n))))
+        h_step = (
+            oracle.m * max(1, hopset.max_out_degree())
+            + net.hop_diameter_upper_bound()
+        ) * log_n
+        net.charge_rounds(
+            config.beta * (oracle.hop_bound + h_step) + oracle.hop_bound
+        )
+        for v in state.est:
+            net.mem(v).add(f"pivots/{level_index}/estimates", 2)
     out = {v: state.value(v) for v in net.nodes()}
     for v, d in out.items():
         if d == INF:
@@ -88,10 +101,12 @@ def build_approximate_cluster(
     level: int,
     next_pivot_est: Mapping[NodeId, float],
     config: HighLevelConfig,
-    *,
-    roots_per_vertex: int = 1,
 ) -> ClusterTree:
-    """One limited exploration rooted at ``root``: the tree ``C̃(root)``."""
+    """One limited exploration rooted at ``root``: the tree ``C̃(root)``.
+
+    Meters its words; its rounds are charged by the level schedule of
+    :func:`build_high_level_clusters`.
+    """
     virtual_factor = (1.0 + config.epsilon) ** 2
     graph_factor = 1.0 + config.epsilon
 
@@ -105,27 +120,18 @@ def build_approximate_cluster(
 
     with phase(net, f"clusters/approx-{level}"):
         state = hopset_bellman_ford(
-            net,
             oracle,
             hopset,
             {root: 0.0},
             config.beta,
             forward_if_virtual=forward_virtual,
             forward_if_graph=forward_graph,
-            mem_prefix=f"cl/{level}",
-            charge=False,  # all roots of one level run in parallel; the level
-            # schedule is charged once by build_high_level_clusters.
         )
+        for v in state.est:
+            net.mem(v).add(f"cl/{level}/estimates", 2)
     with phase(net, f"clusters/recovery-{level}"):
-        state = recover_paths(
-            net,
-            hopset,
-            state,
-            roots_per_vertex=roots_per_vertex,
-            beta=config.beta,
-            mem_prefix=f"cl/{level}",
-            charge=False,
-        )
+        for v in recover_paths(net.graph, hopset, state):
+            net.mem(v).add(f"cl/{level}/recovered", 2)
     return _assemble_tree(net, root, level, state, forward_graph, forward_virtual, oracle)
 
 
@@ -194,7 +200,7 @@ def build_high_level_clusters(
     """
     k = hierarchy.k
     n = net.n
-    roots_per_vertex = math.ceil(4.0 * n ** (1.0 / k) * max(1.0, math.log(n)))
+    roots_per_vertex = math.ceil(claim6_bound(n, k))
     trees: Dict[NodeId, ClusterTree] = {}
     pivot_estimates: Dict[int, Dict[NodeId, float]] = {}
     for i in range(start_level, k):
@@ -217,7 +223,6 @@ def build_high_level_clusters(
                 i,
                 next_est,
                 config,
-                roots_per_vertex=roots_per_vertex,
             )
         # One parallel schedule for all of this level's explorations
         # (Appendix B): per Bellman-Ford iteration, the E' step costs

@@ -22,7 +22,7 @@ from typing import Dict, Hashable, Optional, Tuple
 from ..congest.network import Network
 from ..graphs.paths import Adjacency, bounded_bellman_ford
 from ..telemetry.events import phase
-from ..tz.clusters import ClusterTree, PivotInfo
+from ..tz.clusters import ClusterTree, PivotInfo, claim6_bound
 from ..tz.hierarchy import Hierarchy
 
 NodeId = Hashable
@@ -50,7 +50,7 @@ def build_exact_low_level_clusters(
     """
     n = net.n
     k = hierarchy.k
-    congestion = math.ceil(4.0 * n ** (1.0 / k) * max(1.0, math.log(n)))
+    congestion = math.ceil(claim6_bound(n, k))
     trees: Dict[NodeId, ClusterTree] = {}
     passes: Dict[int, int] = {}
     adj = Adjacency.of(net.graph)

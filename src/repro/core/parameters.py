@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import InputError
+from .build import default_beta
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class SchemePreset:
 def _epsilon_for(k: int) -> float:
     """ε ≤ 1/5 always; shrink with k but keep it numerically meaningful."""
     return max(0.01, min(0.1, 1.0 / (k * k)))
-
-
-def _beta_hint(m: int, kappa: int) -> int:
-    return 2 * max(1, math.ceil(math.log2(m + 2))) + kappa
 
 
 def expected_virtual_size(n: int, k: int) -> int:
@@ -76,5 +73,5 @@ def preset(n: int, k: int, regime: str = "balanced") -> SchemePreset:
         name=regime,
         kappa=kappa,
         epsilon=_epsilon_for(k),
-        beta_hint=_beta_hint(m, kappa),
+        beta_hint=default_beta(m, kappa),
     )

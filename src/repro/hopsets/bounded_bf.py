@@ -31,9 +31,13 @@ H step lowered plus every neighbour of a vertex whose sweep improvement the
 were relaxed against).  The first sweep, and any sweep after one that used
 all ``B`` hops, scan every estimate.  Every other estimate is unchanged at
 a fixpoint and, the gates being monotone, offers no strict improvement, so
-the result is the full rescan's, dict order included.  This is host work
-only: each sweep is still charged ``B`` rounds, so no simulated count,
-phase or memory figure depends on the frontier.
+the result is the full rescan's, dict order included.
+
+This module is host computation only: it charges no round and meters no
+memory.  :mod:`repro.core.high_levels` charges every sweep as ``B`` rounds
+and every H step as ``O((m·α + D) log n)``, and meters the words each
+vertex stores, so no simulated count, phase or memory figure depends on
+the frontier.
 
 The result tracks, for every vertex, the current estimate, the G-parent
 implementing it (when it arrived via an exploration in G), and -- for
@@ -47,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-from ..congest.network import Network
 from ..errors import InputError
 from ..graphs.virtual import VirtualGraphOracle
 from .hopset import Hopset
@@ -71,7 +74,6 @@ class ExplorationState:
 
 
 def hopset_bellman_ford(
-    net: Network,
     oracle: VirtualGraphOracle,
     hopset: Hopset,
     sources: Mapping[NodeId, float],
@@ -79,8 +81,6 @@ def hopset_bellman_ford(
     *,
     forward_if_virtual: Gate = None,
     forward_if_graph: Gate = None,
-    mem_prefix: str = "bf",
-    charge: bool = True,
 ) -> ExplorationState:
     """Run ``beta`` iterations of Bellman-Ford over ``G' ∪ H``.
 
@@ -88,11 +88,7 @@ def hopset_bellman_ford(
     a whole level set ``A_{i+1}``).  One last B-bounded exploration in G
     always follows the virtual iterations, so every *ordinary* vertex holds
     its estimate too (the paper's "we perform another B-bounded exploration
-    in G" steps).
-
-    ``charge=False`` suppresses per-call round charging: the caller runs
-    many explorations *in parallel* (all cluster roots of one level, with
-    Claim-6 congestion) and charges the level's schedule once itself.
+    in G" steps).  The caller charges the rounds and meters the memory.
     """
     if beta < 1:
         raise InputError("beta must be >= 1")
@@ -106,10 +102,6 @@ def hopset_bellman_ford(
             return forward_if_virtual(v, value) if forward_if_virtual else True
         return forward_if_graph(v, value) if forward_if_graph else True
 
-    alpha = hopset.max_out_degree()
-    m = oracle.m
-    d_bound = net.hop_diameter_upper_bound()
-    log_n = max(1, int(math.log2(max(2, net.n))))
     rows = oracle.adjacency.rows
 
     def graph_sweep(resume: Optional[Set[NodeId]]) -> Optional[Set[NodeId]]:
@@ -135,8 +127,6 @@ def hopset_bellman_ford(
             else:
                 # Held back: v's neighbours were relaxed against d, not est.
                 stale.update(u for u, _w, _tie in rows[v])
-        if charge:
-            net.charge_rounds(oracle.hop_bound)
         return None if used == oracle.hop_bound else stale
 
     resume: Optional[Set[NodeId]] = None
@@ -168,12 +158,6 @@ def hopset_bellman_ford(
                 state.hvia[v] = via
                 if resume is not None:
                     resume.add(v)
-        if charge:
-            net.charge_rounds((m * max(1, alpha) + d_bound) * log_n)
 
     graph_sweep(resume)
-
-    # Memory: estimate + parent + hopset adjacency already charged at build.
-    for v in state.est:
-        net.mem(v).add(f"{mem_prefix}/estimates", 2)
     return state

@@ -13,18 +13,20 @@ protocol walks these paths so that
   a parent forest made of *graph edges only* -- the tree the routing scheme
   will route in.
 
-Rounds: ``Õ((|H| · C + D) · β)`` where C is the maximum number of roots any
-vertex serves (the paper's path-recovery statement); the caller supplies C
-since it knows the surrounding computation (for cluster trees it is the
-Claim-6 bound Õ(n^{1/k})).
+The walk is host computation only.  The protocol takes
+``Õ((|H| · C + D) · β)`` rounds, where C is the maximum number of roots any
+vertex serves (the paper's path-recovery statement); the cluster levels of
+:mod:`repro.core.high_levels` charge it in their level schedule, with C the
+Claim-6 bound Õ(n^{1/k}), and meter the words of the vertices it returns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable
+from typing import Hashable, List
 
-from ..congest.network import Network
+import networkx as nx
+
 from .bounded_bf import ExplorationState
 from .hopset import Hopset
 
@@ -33,25 +35,20 @@ INF = math.inf
 
 
 def recover_paths(
-    net: Network,
-    hopset: Hopset,
-    state: ExplorationState,
-    *,
-    roots_per_vertex: int = 1,
-    beta: int = 1,
-    mem_prefix: str = "bf",
-    charge: bool = True,
-) -> ExplorationState:
+    graph: nx.Graph, hopset: Hopset, state: ExplorationState
+) -> List[NodeId]:
     """Expand every winning hopset edge into its implementing G-path.
 
-    Mutates (and returns) ``state``: after this call no vertex's provenance
-    rests on a hopset edge -- ``gparent`` is a pure graph-edge forest, and
-    intermediate path vertices have received estimates when the path gave
-    them a better one.
+    Mutates ``state``: after this call no vertex's provenance rests on a
+    hopset edge -- ``gparent`` is a pure graph-edge forest, and intermediate
+    path vertices have received estimates when the path gave them a better
+    one.  Returns the vertices whose estimate a walk lowered, one entry per
+    lowering, in walk order.
     """
     # Each expansion only reads the *final* estimate of the near endpoint,
     # so the edges can be processed independently (matching the protocol,
     # which pipelines all paths at once).
+    lowered: List[NodeId] = []
     for v, (owner, other, reversed_) in sorted(
         state.hvia.items(), key=lambda item: repr(item[0])
     ):
@@ -64,11 +61,11 @@ def recover_paths(
             continue
         total = base
         for prev, z in zip(walk, walk[1:]):
-            total += net.weight(prev, z)
+            total += float(graph[prev][z].get("weight", 1.0))
             if total < state.value(z) - 1e-15:
                 state.est[z] = total
                 state.gparent[z] = prev
-                net.mem(z).add(f"{mem_prefix}/recovered", 2)
+                lowered.append(z)
         # The winner's estimate came from this very edge, so the walk total
         # is never worse than it; pin the graph parent even on exact ties
         # (the near endpoint may have improved since the H-step relaxation).
@@ -76,9 +73,4 @@ def recover_paths(
             state.est[v] = min(state.value(v), total)
             state.gparent[v] = walk[-2]
     state.hvia.clear()
-
-    if charge:
-        d_bound = net.hop_diameter_upper_bound()
-        rounds = (hopset.size * max(1, roots_per_vertex) + d_bound) * max(1, beta)
-        net.charge_rounds(rounds)
-    return state
+    return lowered

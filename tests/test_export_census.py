@@ -27,7 +27,6 @@ KERNEL = "kernel of the engine differential matrix"
 #: three reasons above ("a test imports it" is not one).
 ALLOWED = {
     "verify_claim7": CLAIM,
-    "claim6_bound": CLAIM,
     "max_cluster_membership": CLAIM,  # the measuring half of claim6_bound
     "quantization_stretch_bound": CLAIM,
     "degeneracy_orientation": CLAIM,  # footnote 5: arboricity of the hopset

@@ -8,8 +8,11 @@ reference: every sweep scans every estimate.  Both run over the seven
 differential topology families, with and without the approximate-cluster
 gates, on the families' own weights, on unit weights and on tie-prone
 weights whose sums land within ``1e-15`` of each other; ``est``,
-``gparent`` and ``hvia`` must be equal, insertion order included, and so
-must the charged rounds and the memory figures.
+``gparent`` and ``hvia`` must be equal, insertion order included.  The
+kernel charges nothing; the pivot exploration of ``core/high_levels.py``
+charges and meters it, and must leave the network exactly as the reference
+with its own charges and memory did: the same phase log, memory groups and
+high-water.
 
 This file also runs under ``PYTHONHASHSEED=random`` in CI: the frontier is
 built in ``est`` order, never in ``set`` order.
@@ -25,10 +28,12 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
+from repro.core.high_levels import HighLevelConfig, approximate_pivot_distances
 from repro.errors import InputError
 from repro.graphs import VirtualGraphOracle, bounded_bellman_ford, default_hop_bound
 from repro.hopsets import build_hopset, hopset_bellman_ford
 from repro.hopsets.bounded_bf import ExplorationState, NodeId
+from repro.telemetry import phase
 
 from .differential.harness import TOPOLOGIES
 
@@ -175,25 +180,20 @@ class Instance:
                 "forward_if_graph": forward_graph}
 
 
-def both(instance: Instance, sources, beta: int, **kwargs):
-    """Run the production loop and the reference on fresh networks; return
-    ``(production state, reference state, production net, reference net)``."""
-    nets = Network(instance.graph), Network(instance.graph)
-    got = hopset_bellman_ford(nets[0], instance.oracle, instance.hopset,
-                              sources, beta, **kwargs)
-    want = full_rescan_bellman_ford(nets[1], instance.oracle, instance.hopset,
-                                    sources, beta, **kwargs)
-    return got, want, nets[0], nets[1]
+def both(instance: Instance, sources, beta: int, **gates):
+    """Run the production loop and the reference (on a fresh network);
+    return ``(production state, reference state)``."""
+    got = hopset_bellman_ford(instance.oracle, instance.hopset, sources, beta,
+                              **gates)
+    want = full_rescan_bellman_ford(Network(instance.graph), instance.oracle,
+                                    instance.hopset, sources, beta, **gates)
+    return got, want
 
 
-def assert_same(got: ExplorationState, want: ExplorationState,
-                got_net: Network, want_net: Network) -> None:
+def assert_same(got: ExplorationState, want: ExplorationState) -> None:
     for name in ("est", "gparent", "hvia"):
         mine, theirs = getattr(got, name), getattr(want, name)
         assert list(mine.items()) == list(theirs.items()), name
-    assert got_net.metrics.fingerprint() == want_net.metrics.fingerprint()
-    assert got_net.memory_by_group() == want_net.memory_by_group()
-    assert got_net.max_memory() == want_net.max_memory()
 
 
 class SweepSpy:
@@ -234,10 +234,10 @@ def test_resumed_sweeps_equal_a_full_rescan(topo, weights, bound, monkeypatch):
         gates = instance.gates(level_set)
         spy = SweepSpy(instance.oracle, monkeypatch)
         for sources, beta, kwargs in (
-            ({root: 0.0}, 4, {}),                        # one root, unlimited
-            (level_set, 3, {}),                          # pivots: a level set
-            ({root: 0.0}, 4, dict(gates, charge=False)),  # an approximate cluster
-            ({root: 0.0}, 2, {}),                        # two iterations
+            ({root: 0.0}, 4, {}),         # one root, unlimited
+            (level_set, 3, {}),           # pivots: a level set
+            ({root: 0.0}, 4, gates),      # an approximate cluster
+            ({root: 0.0}, 2, {}),         # two iterations
         ):
             assert_same(*both(instance, sources, beta, **kwargs))
         monkeypatch.undo()
@@ -261,6 +261,35 @@ def test_a_sweep_that_used_every_hop_is_followed_by_a_full_one(monkeypatch):
     assert any(stopped)
     for full, (frontier, _, _, _) in zip(stopped, sweeps[1:]):
         assert (frontier is None) == full
+
+
+@pytest.mark.parametrize("weights", ["own", "unit", "tie-prone"])
+@pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
+def test_pivot_exploration_charges_as_the_kernel_did(topo, weights):
+    """``approximate_pivot_distances`` charges and meters the exploration
+    the way the reference charged and metered itself, in the same phase,
+    followed by the same ``pivots/approx-{i}`` store."""
+    level, beta = 2, 3
+    for seed in SEEDS:
+        graph = reweighted(TOPOLOGIES[topo](seed), weights, seed)
+        instance = Instance(graph, seed,
+                            default_hop_bound(graph.number_of_nodes()))
+        level_set = instance.virtual[::2]
+        got_net, want_net = Network(graph), Network(graph)
+        got = approximate_pivot_distances(
+            got_net, instance.oracle, instance.hopset, level_set,
+            HighLevelConfig(epsilon=EPSILON, beta=beta), level_index=level)
+        with phase(want_net, f"pivots/approx-{level}"):
+            want = full_rescan_bellman_ford(
+                want_net, instance.oracle, instance.hopset,
+                {a: 0.0 for a in sorted(level_set, key=repr)}, beta,
+                charge=True, mem_prefix=f"pivots/{level}")
+        for v in want_net.nodes():
+            want_net.mem(v).store(f"pivots/approx-{level}", 2)
+        assert got == {v: want.value(v) for v in want_net.nodes()}
+        assert got_net.metrics.fingerprint() == want_net.metrics.fingerprint()
+        assert got_net.memory_by_group() == want_net.memory_by_group()
+        assert got_net.max_memory() == want_net.max_memory()
 
 
 def expected_frontier(sweep, after_h_step, oracle):
@@ -298,8 +327,8 @@ def test_each_frontier_follows_the_rule(monkeypatch):
             instance = Instance(graph, seed,
                                 HOP_BOUNDS["sqrt"](graph.number_of_nodes()))
             spy = SweepSpy(instance.oracle, monkeypatch)
-            hopset_bellman_ford(Network(graph), instance.oracle,
-                                instance.hopset, {instance.virtual[-1]: 0.0}, 4)
+            hopset_bellman_ford(instance.oracle, instance.hopset,
+                                {instance.virtual[-1]: 0.0}, 4)
             monkeypatch.undo()
             for sweep, following in zip(spy.sweeps, spy.sweeps[1:]):
                 want, held_here = expected_frontier(sweep, following[1],
