@@ -166,15 +166,15 @@ def fig_hopset(
     for kappa in kappas:
         net = Network(graph)
         oracle = VirtualGraphOracle(graph, virtual, default_hop_bound(n))
-        build = build_hopset(net, oracle, kappa=kappa, seed=seed)
+        hopset = build_hopset(net, oracle, kappa=kappa, seed=seed)
         beta = measure_hopbound(
-            oracle.materialize(), build.hopset, epsilon, sample_sources=8
+            oracle.materialize(), hopset, epsilon, sample_sources=8
         )
         records.append({
             "kappa": kappa,
             "virtual_m": oracle.m,
-            "hopset_size": build.hopset.size,
-            "max_out_degree": build.hopset.max_out_degree(),
+            "hopset_size": hopset.size,
+            "max_out_degree": hopset.max_out_degree(),
             "measured_beta": beta,
             "m^(1/kappa)": round(oracle.m ** (1 / kappa), 1),
         })

@@ -4,7 +4,6 @@
 from .assembly import assemble_labels, assemble_tables
 from .build import BuildReport, build_distributed_scheme, default_beta
 from .high_levels import (
-    HighLevelConfig,
     approximate_pivot_distances,
     build_approximate_cluster,
     build_high_level_clusters,
@@ -14,7 +13,6 @@ from .parameters import SchemePreset, expected_virtual_size, preset
 
 __all__ = [
     "BuildReport",
-    "HighLevelConfig",
     "approximate_pivot_distances",
     "assemble_labels",
     "assemble_tables",

@@ -41,7 +41,7 @@ from ..tz.clusters import compute_pivots
 from ..tz.hierarchy import Hierarchy, sample_hierarchy, virtual_level
 from ..treerouting.multi import build_tree_schemes
 from .assembly import assemble_labels, assemble_tables
-from .high_levels import HighLevelConfig, build_high_level_clusters
+from .high_levels import build_high_level_clusters
 from .low_levels import build_exact_low_level_clusters
 
 NodeId = Hashable
@@ -163,15 +163,14 @@ def build_distributed_scheme(
     )
     with _tele.span("build/hopset", kappa=kappa):
         oracle = VirtualGraphOracle(graph, virtual_vertices, hop_bound)
-        hopset_build = build_hopset(net, oracle, kappa=kappa, seed=seed)
+        hopset = build_hopset(net, oracle, kappa=kappa, seed=seed)
     if beta is None:
         beta = default_beta(oracle.m, kappa)
-    config = HighLevelConfig(epsilon=epsilon, beta=beta)
 
     # -- high levels --------------------------------------------------------------
     with _tele.span("build/high-levels", beta=beta):
         high_trees, approx_pivots = build_high_level_clusters(
-            net, oracle, hopset_build.hopset, hierarchy, config, boundary
+            net, oracle, hopset, hierarchy, boundary, epsilon=epsilon, beta=beta
         )
 
     cluster_trees = dict(low_trees)
@@ -212,8 +211,8 @@ def build_distributed_scheme(
         n=n,
         hop_diameter_bound=net.hop_diameter_upper_bound(),
         virtual_size=oracle.m,
-        hopset_size=hopset_build.size,
-        hopset_max_out_degree=hopset_build.hopset.max_out_degree(),
+        hopset_size=hopset.size,
+        hopset_max_out_degree=hopset.max_out_degree(),
         rounds_sequential=rounds_sequential,
         rounds_parallel_estimate=(
             rounds_sequential - trees.rounds_sequential + trees.rounds_parallel

@@ -8,13 +8,14 @@ This is the hopset-driven half of Appendix B:
   ``d(u, A_{i+1}) <= d̂(u, A_{i+1}) <= (1+ε) d(u, A_{i+1})`` (Eq. 5, whp).
 
 * **Approximate clusters** -- for each root ``v ∈ A_i \\ A_{i+1}``, a
-  *limited* exploration in ``G' ∪ H``: a virtual vertex forwards only while
-  its estimate is strictly below ``d̂(u, A_{i+1})/(1+ε)^2``; ordinary
-  vertices use the ``(1+ε)`` rule.  Hopset edges on the winning forest are
-  expanded by the path-recovery mechanism, and a final limited B-bounded
-  sweep in G grows the tree to the remaining members.  The result is a tree
-  ``C̃(v)`` in G with ``C_{6ε}(v) ⊆ C̃(v) ⊆ C(v)`` (Claims 9-10, asserted
-  in tests against the centralized reference).
+  *limited* exploration in ``G' ∪ H`` under one monotone gate,
+  ``est < bound[u]``: :func:`cluster_bound` computes the bound once per
+  level, ``d̂(u, A_{i+1})/(1+ε)^2`` at a virtual vertex and
+  ``d̂(u, A_{i+1})/(1+ε)`` at an ordinary one.  Hopset edges on the
+  winning forest are expanded by the path-recovery mechanism, and a final
+  limited B-bounded sweep in G grows the tree to the remaining members.
+  The result is a tree ``C̃(v)`` in G with ``C_{6ε}(v) ⊆ C̃(v) ⊆ C(v)``
+  (Claims 9-10, asserted in tests against the centralized reference).
 
 The exploration kernels (:func:`repro.hopsets.bounded_bf.hopset_bellman_ford`,
 :func:`repro.hopsets.path_recovery.recover_paths`) are host computation;
@@ -29,7 +30,6 @@ adjacency charged at construction -- Õ(n^{1/k}) in total by Claim 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional
 
 from ..congest.network import Network
@@ -46,20 +46,12 @@ NodeId = Hashable
 INF = math.inf
 
 
-@dataclass
-class HighLevelConfig:
-    """Parameters of the high-level phase."""
-
-    epsilon: float
-    beta: int
-
-
 def approximate_pivot_distances(
     net: Network,
     oracle: VirtualGraphOracle,
     hopset: Hopset,
     level_set,
-    config: HighLevelConfig,
+    beta: int,
     *,
     level_index: int,
 ) -> Dict[NodeId, float]:
@@ -69,17 +61,18 @@ def approximate_pivot_distances(
         return {v: INF for v in net.nodes()}
     with phase(net, f"pivots/approx-{level_index}"):
         state = hopset_bellman_ford(
-            oracle, hopset, {a: 0.0 for a in members}, config.beta
+            oracle, hopset, {a: 0.0 for a in members}, beta
         )
         # β iterations of one B-round sweep and one H step, then the final
-        # sweep (Lemma 2).
+        # sweep (Lemma 2).  This H step reads ⌊log₂ n⌋; the level schedule
+        # of build_high_level_clusters charges ⌈log₂ n⌉ (ROADMAP 18(b)).
         log_n = max(1, int(math.log2(max(2, net.n))))
         h_step = (
             oracle.m * max(1, hopset.max_out_degree())
             + net.hop_diameter_upper_bound()
         ) * log_n
         net.charge_rounds(
-            config.beta * (oracle.hop_bound + h_step) + oracle.hop_bound
+            beta * (oracle.hop_bound + h_step) + oracle.hop_bound
         )
         for v in state.est:
             net.mem(v).add(f"pivots/{level_index}/estimates", 2)
@@ -93,46 +86,49 @@ def approximate_pivot_distances(
     return out
 
 
+def cluster_bound(
+    oracle: VirtualGraphOracle,
+    next_est: Mapping[NodeId, float],
+    epsilon: float,
+) -> Dict[NodeId, float]:
+    """The Appendix B cluster rule's bound per vertex: a vertex forwards
+    while its estimate is below ``d̂(v, A_{i+1})/(1+ε)^2`` if virtual and
+    ``d̂(v, A_{i+1})/(1+ε)`` if ordinary (∞ stays ∞)."""
+    virtual_factor = (1.0 + epsilon) ** 2
+    graph_factor = 1.0 + epsilon
+    is_virtual = oracle.is_virtual
+    return {
+        v: limit / (virtual_factor if is_virtual(v) else graph_factor)
+        for v, limit in next_est.items()
+    }
+
+
 def build_approximate_cluster(
     net: Network,
     oracle: VirtualGraphOracle,
     hopset: Hopset,
     root: NodeId,
     level: int,
-    next_pivot_est: Mapping[NodeId, float],
-    config: HighLevelConfig,
+    bound: Mapping[NodeId, float],
+    beta: int,
 ) -> ClusterTree:
-    """One limited exploration rooted at ``root``: the tree ``C̃(root)``.
+    """One limited exploration rooted at ``root``, gated by
+    ``est < bound[v]`` (:func:`cluster_bound`): the tree ``C̃(root)``.
 
     Meters its words; its rounds are charged by the level schedule of
     :func:`build_high_level_clusters`.
     """
-    virtual_factor = (1.0 + config.epsilon) ** 2
-    graph_factor = 1.0 + config.epsilon
-
-    def forward_virtual(u: NodeId, est: float) -> bool:
-        limit = next_pivot_est.get(u, INF)
-        return limit == INF or est < limit / virtual_factor
-
-    def forward_graph(u: NodeId, est: float) -> bool:
-        limit = next_pivot_est.get(u, INF)
-        return limit == INF or est < limit / graph_factor
-
     with phase(net, f"clusters/approx-{level}"):
         state = hopset_bellman_ford(
-            oracle,
-            hopset,
-            {root: 0.0},
-            config.beta,
-            forward_if_virtual=forward_virtual,
-            forward_if_graph=forward_graph,
+            oracle, hopset, {root: 0.0}, beta,
+            forward_if=lambda v, d: d < bound[v],
         )
         for v in state.est:
             net.mem(v).add(f"cl/{level}/estimates", 2)
     with phase(net, f"clusters/recovery-{level}"):
         for v in recover_paths(net.graph, hopset, state):
             net.mem(v).add(f"cl/{level}/recovered", 2)
-    return _assemble_tree(net, root, level, state, forward_graph, forward_virtual, oracle)
+    return _assemble_tree(net, root, level, state, bound)
 
 
 def _assemble_tree(
@@ -140,9 +136,7 @@ def _assemble_tree(
     root: NodeId,
     level: int,
     state: ExplorationState,
-    forward_graph,
-    forward_virtual,
-    oracle: VirtualGraphOracle,
+    bound: Mapping[NodeId, float],
 ) -> ClusterTree:
     """Membership = gate-passing vertices, closed under parent chains.
 
@@ -150,13 +144,7 @@ def _assemble_tree(
     unconditionally ("we add all the vertices in G on the B-bounded path
     from x to y"); closing each member's parent chain realizes exactly that.
     """
-    passing: List[NodeId] = []
-    for v, est in state.est.items():
-        if est == INF:
-            continue
-        gate = forward_virtual if oracle.is_virtual(v) else forward_graph
-        if v == root or gate(v, est):
-            passing.append(v)
+    passing = [v for v, est in state.est.items() if v == root or est < bound[v]]
     members: Dict[NodeId, float] = {}
     parent: Dict[NodeId, Optional[NodeId]] = {}
     for v in passing:
@@ -189,8 +177,10 @@ def build_high_level_clusters(
     oracle: VirtualGraphOracle,
     hopset: Hopset,
     hierarchy: Hierarchy,
-    config: HighLevelConfig,
     start_level: int,
+    *,
+    epsilon: float,
+    beta: int,
 ):
     """All approximate cluster trees for levels ``start_level .. k-1``.
 
@@ -209,27 +199,23 @@ def build_high_level_clusters(
             oracle,
             hopset,
             hierarchy.set_at(i + 1),
-            config,
+            beta,
             level_index=i + 1,
         )
         if i + 1 < k:
             pivot_estimates[i + 1] = next_est
+        bound = cluster_bound(oracle, next_est, epsilon)
         for root in hierarchy.vertices_at_level(i):
             trees[root] = build_approximate_cluster(
-                net,
-                oracle,
-                hopset,
-                root,
-                i,
-                next_est,
-                config,
+                net, oracle, hopset, root, i, bound, beta
             )
         # One parallel schedule for all of this level's explorations
         # (Appendix B): per Bellman-Ford iteration, the E' step costs
         # B * (congestion allowance) rounds -- Claim 6 bounds how many
         # cluster explorations traverse one vertex -- and the H step costs
         # Õ(m·α + D) because the hopset edges broadcast once serve every
-        # cluster.  Path recovery adds Õ((|H|·C + D)·β).
+        # cluster.  Path recovery adds Õ((|H|·C + D)·β).  This H step reads
+        # ⌈log₂ n⌉; approximate_pivot_distances charges ⌊log₂ n⌋ (ROADMAP 18(b)).
         alpha = hopset.max_out_degree()
         d_bound = net.hop_diameter_upper_bound()
         log_n = max(1, math.ceil(math.log2(max(2, n))))
@@ -237,7 +223,7 @@ def build_high_level_clusters(
             oracle.hop_bound * min(roots_per_vertex, max(1, len(hierarchy.vertices_at_level(i))))
             + (oracle.m * max(1, alpha) + d_bound) * log_n
         )
-        recovery = (hopset.size * roots_per_vertex + d_bound) * config.beta
+        recovery = (hopset.size * roots_per_vertex + d_bound) * beta
         with phase(net, f"clusters/level-{i}-schedule"):
-            net.charge_rounds(per_iteration * config.beta + recovery)
+            net.charge_rounds(per_iteration * beta + recovery)
     return trees, pivot_estimates

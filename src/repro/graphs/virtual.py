@@ -9,8 +9,8 @@ The paper's central memory trick is that G' is **never materialized**: edges
 are discovered on the fly by B-bounded explorations in G.  This module is
 that oracle.  :class:`VirtualGraphOracle` answers
 
-* ``explore(source, initial) -> B-bounded distances`` (one Bellman-Ford
-  iteration of Lemma 2 restricted to E'-edges), and
+* ``relax_virtual_edges(estimates) -> B-bounded distances`` (one
+  Bellman-Ford iteration of Lemma 2 restricted to E'-edges), and
 * ``edge_row(v) -> {u: weight}`` for construction steps that need the
   incident E'-edges of one virtual vertex at a time (hopset construction),
 

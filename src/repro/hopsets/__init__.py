@@ -7,14 +7,13 @@ from .arboricity import (
     verify_forest,
 )
 from .bounded_bf import ExplorationState, hopset_bellman_ford
-from .construction import HopsetBuildResult, build_hopset
+from .construction import build_hopset
 from .hopset import Hopset, measure_hopbound, union_graph
 from .path_recovery import recover_paths
 
 __all__ = [
     "ExplorationState",
     "Hopset",
-    "HopsetBuildResult",
     "build_hopset",
     "degeneracy_orientation",
     "forest_decomposition",

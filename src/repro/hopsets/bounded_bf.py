@@ -14,11 +14,12 @@ as the paper's proof of Lemma 2 does:
   randomized start times of the Lemma 2 proof; memory per vertex
   ``O(α + log n)``.
 
-Limited explorations (Appendix B) are expressed by two gates:
-``forward_if_virtual(v, est)`` (the ``(1+ε)^2`` rule for virtual vertices)
-and ``forward_if_graph(v, est)`` (the ``(1+ε)`` rule for ordinary ones).
-Both are monotone in the estimate: a vertex that forwards at some value
-forwards at every lower one.
+Limited explorations (Appendix B) are expressed by one gate,
+``forward_if(v, est)``, which every caller builds as ``est < bound[v]``
+(:func:`repro.core.high_levels.cluster_bound` holds the ``(1+ε)^2`` rule for
+virtual vertices and the ``(1+ε)`` rule for ordinary ones).  It is monotone
+in the estimate: a vertex that forwards at some value forwards at every
+lower one.
 
 Explorations resume from their fixpoint.  Only a vertex whose estimate
 changed can offer a neighbour something new, so an E' sweep scans only the
@@ -30,7 +31,7 @@ H step lowered plus every neighbour of a vertex whose sweep improvement the
 ``1e-15`` rule held back (its estimate stayed above what its neighbours
 were relaxed against).  The first sweep, and any sweep after one that used
 all ``B`` hops, scan every estimate.  Every other estimate is unchanged at
-a fixpoint and, the gates being monotone, offers no strict improvement, so
+a fixpoint and, the gate being monotone, offers no strict improvement, so
 the result is the full rescan's, dict order included.
 
 This module is host computation only: it charges no round and meters no
@@ -79,8 +80,7 @@ def hopset_bellman_ford(
     sources: Mapping[NodeId, float],
     beta: int,
     *,
-    forward_if_virtual: Gate = None,
-    forward_if_graph: Gate = None,
+    forward_if: Gate = None,
 ) -> ExplorationState:
     """Run ``beta`` iterations of Bellman-Ford over ``G' ∪ H``.
 
@@ -88,7 +88,9 @@ def hopset_bellman_ford(
     a whole level set ``A_{i+1}``).  One last B-bounded exploration in G
     always follows the virtual iterations, so every *ordinary* vertex holds
     its estimate too (the paper's "we perform another B-bounded exploration
-    in G" steps).  The caller charges the rounds and meters the memory.
+    in G" steps).  ``forward_if`` (default: every vertex forwards) gates
+    the E' sweeps and the H step alike.  The caller charges the rounds and
+    meters the memory.
     """
     if beta < 1:
         raise InputError("beta must be >= 1")
@@ -97,11 +99,7 @@ def hopset_bellman_ford(
         state.est[s] = float(d0)
         state.gparent[s] = None
 
-    def gate(v: NodeId, value: float) -> bool:
-        if oracle.is_virtual(v):
-            return forward_if_virtual(v, value) if forward_if_virtual else True
-        return forward_if_graph(v, value) if forward_if_graph else True
-
+    gate = forward_if or (lambda _v, _value: True)
     rows = oracle.adjacency.rows
 
     def graph_sweep(resume: Optional[Set[NodeId]]) -> Optional[Set[NodeId]]:
@@ -112,7 +110,7 @@ def hopset_bellman_ford(
         if resume is not None:
             frontier = [v for v in state.est if v in resume]
         dist, parent, used = oracle.relax_virtual_edges(
-            state.est, forward_if=gate, frontier=frontier
+            state.est, forward_if=forward_if, frontier=frontier
         )
         stale: Set[NodeId] = set()
         known = state.est.get

@@ -27,15 +27,16 @@ by the bunch-side endpoint, so the out-degree -- and hence the hopset memory
 per virtual vertex -- is ``κ - 1 + |B'(u)| = Õ(κ m^{1/κ})``, matching the
 paper's Õ(n^{ρ/2}) with ``ρ = 1/κ``.
 
-Distributed cost: every exploration here is a B-bounded multi-source
-Bellman-Ford in G plus a Lemma-1 broadcast of the discovered edges; the
-constructor charges those round counts explicitly (see ``_charge``).
+Distributed cost: the host runs each exploration as a (limited) Dijkstra
+in G, charged as the B-bounded multi-source exploration it stands for, plus
+a Lemma-1 broadcast of the discovered edges; :func:`build_hopset` charges
+those round counts explicitly, one phase per step (``hopset/pivots-{i}``,
+``hopset/bunches-{i}``, ``hopset/broadcast``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
 from ..congest.network import Network
@@ -43,26 +44,11 @@ from ..errors import InputError, InvariantViolation
 from ..graphs.paths import Adjacency, dijkstra
 from ..graphs.virtual import VirtualGraphOracle
 from ..telemetry.events import phase
-from ..tz.hierarchy import Hierarchy, sample_hierarchy
+from ..tz.hierarchy import sample_hierarchy
 from .hopset import Hopset
 
 NodeId = Hashable
 INF = math.inf
-
-
-@dataclass
-class HopsetBuildResult:
-    """The hopset plus construction-cost observability."""
-
-    hopset: Hopset
-    hierarchy: Hierarchy
-    kappa: int
-    charged_rounds: int
-    max_bunch_size: int
-
-    @property
-    def size(self) -> int:
-        return self.hopset.size
 
 
 def _chain(parent: Dict[NodeId, Optional[NodeId]], v: NodeId) -> List[NodeId]:
@@ -79,7 +65,7 @@ def build_hopset(
     *,
     kappa: int = 3,
     seed: int = 0,
-) -> HopsetBuildResult:
+) -> Hopset:
     """Build the hopset for the oracle's implicit virtual graph.
 
     ``kappa`` trades hopset memory (Õ(κ m^{1/κ}) per virtual vertex)
@@ -92,7 +78,6 @@ def build_hopset(
     adj = Adjacency.of(net.graph)
     hopset = Hopset(virtual_vertices=list(oracle.virtual_vertices))
     hierarchy = sample_hierarchy(oracle.virtual_vertices, kappa, seed=seed)
-    charged = 0
 
     # -- pivot distances per level, with G-paths --------------------------------
     # One B-bounded multi-source exploration per level: B rounds plus a
@@ -110,54 +95,44 @@ def build_hopset(
         rounds = oracle.hop_bound + m + net.hop_diameter_upper_bound()
         with phase(net, f"hopset/pivots-{i}"):
             net.charge_rounds(rounds, messages=m)
-        charged += rounds
-
-    def next_level_dist(i: int, v: NodeId) -> float:
-        return level_dist[i + 1][v] if i + 1 < kappa else INF
 
     # -- bunch edges: one limited exploration per virtual cluster root -----------
     # All roots of one level explore in parallel; congestion is bounded by
     # the max bunch size (the virtual analogue of Claim 6), so we charge
     # B * (1 + max_membership) rounds per level plus the edge broadcast.
+    # Ordinary G-vertices relay freely (bound ∞); virtual vertices apply the
+    # TZ cluster rule w.r.t. the *virtual* hierarchy, d < d(v, A'_{i+1}).
     bunch_count: Dict[NodeId, int] = {v: 0 for v in oracle.virtual_vertices}
     for i in range(kappa):
+        bound = dict.fromkeys(adj.rows, INF)
+        if i + 1 < kappa:
+            bound.update(level_dist[i + 1])
         membership_this_level = 0
         for w in sorted(hierarchy.vertices_at_level(i), key=repr):
-
-            def in_cluster(v: NodeId, d: float) -> bool:
-                # Ordinary G-vertices relay freely; virtual vertices apply
-                # the TZ cluster rule w.r.t. the *virtual* hierarchy.
-                if not oracle.is_virtual(v):
-                    return True
-                return d < next_level_dist(i, v)
-
-            dist, parent = dijkstra(adj, [w], predicate=in_cluster)
+            dist, parent = dijkstra(adj, [w], predicate=lambda v, d: d < bound[v])
             for u in oracle.virtual_vertices:
                 if u == w:
                     continue
                 d = dist.get(u, INF)
-                if d < next_level_dist(i, u):
+                if d < bound[u]:
                     path = _chain(parent, u)  # u -> ... -> w
                     hopset.add_edge(u, w, d, path)
                     bunch_count[u] += 1
                     membership_this_level = max(membership_this_level, bunch_count[u])
-            # Path-recovery bookkeeping: vertices on stored paths keep one
-            # parent pointer per exploration that reached them.
-        rounds = oracle.hop_bound * (1 + membership_this_level)
         with phase(net, f"hopset/bunches-{i}"):
-            net.charge_rounds(rounds)
-        charged += rounds
+            net.charge_rounds(oracle.hop_bound * (1 + membership_this_level))
 
     # Broadcast the hopset edges (owners announce them): Lemma 1.
-    rounds = 2 * (hopset.size + net.hop_diameter_upper_bound())
     with phase(net, "hopset/broadcast"):
-        net.charge_rounds(rounds, messages=hopset.size)
-    charged += rounds
+        net.charge_rounds(2 * (hopset.size + net.hop_diameter_upper_bound()),
+                          messages=hopset.size)
 
     # -- memory accounting ---------------------------------------------------------
     for u in oracle.virtual_vertices:
         words = 3 * hopset.out_degree(u) + 2 * kappa
         net.mem(u).store("hopset/edges", words)
+    # Path-recovery bookkeeping: vertices on stored paths keep one parent
+    # pointer per exploration that reached them.
     touched: Dict[NodeId, int] = {}
     for path in hopset.paths.values():
         for z in path[1:-1]:
@@ -165,13 +140,6 @@ def build_hopset(
     for z, count in touched.items():
         net.mem(z).store("hopset/path-pointers", count)
 
-    max_bunch = max(bunch_count.values()) if bunch_count else 0
     if hopset.size == 0 and m > 1:
         raise InvariantViolation("non-trivial virtual graph produced an empty hopset")
-    return HopsetBuildResult(
-        hopset=hopset,
-        hierarchy=hierarchy,
-        kappa=kappa,
-        charged_rounds=charged,
-        max_bunch_size=max_bunch,
-    )
+    return hopset

@@ -6,9 +6,9 @@ import pytest
 
 from repro.congest import Network
 from repro.core.high_levels import (
-    HighLevelConfig,
     approximate_pivot_distances,
     build_high_level_clusters,
+    cluster_bound,
 )
 from repro.graphs import (
     VirtualGraphOracle,
@@ -20,6 +20,7 @@ from repro.hopsets import build_hopset
 from repro.tz import compute_pivots, sample_hierarchy, virtual_level
 
 EPS = 0.05
+BETA = 10
 
 
 @pytest.fixture(scope="module")
@@ -31,18 +32,17 @@ def setup():
     virtual = sorted(hier.set_at(boundary), key=repr)
     net = Network(graph)
     oracle = VirtualGraphOracle(graph, virtual, graph.number_of_nodes())
-    hopset = build_hopset(net, oracle, kappa=2, seed=131).hopset
-    config = HighLevelConfig(epsilon=EPS, beta=10)
-    return graph, k, hier, boundary, net, oracle, hopset, config
+    hopset = build_hopset(net, oracle, kappa=2, seed=131)
+    return graph, k, hier, boundary, net, oracle, hopset, BETA
 
 
 class TestApproximatePivots:
     def test_sandwich_inequality(self, setup):
-        graph, k, hier, boundary, net, oracle, hopset, config = setup
+        graph, k, hier, boundary, net, oracle, hopset, beta = setup
         level = boundary + 1 if boundary + 1 < k else boundary
         level_set = hier.set_at(level)
         est = approximate_pivot_distances(
-            net, oracle, hopset, level_set, config, level_index=level
+            net, oracle, hopset, level_set, beta, level_index=level
         )
         exact, _ = nearest_in_set(graph, level_set)
         for v in graph.nodes:
@@ -51,27 +51,45 @@ class TestApproximatePivots:
             assert est[v] <= (1 + 5 * EPS) * exact[v] + 1e-9
 
     def test_empty_set_is_infinite(self, setup):
-        graph, _, _, _, net, oracle, hopset, config = setup
+        graph, _, _, _, net, oracle, hopset, beta = setup
         est = approximate_pivot_distances(
-            net, oracle, hopset, set(), config, level_index=99
+            net, oracle, hopset, set(), beta, level_index=99
         )
         assert all(math.isinf(d) for d in est.values())
 
     def test_set_members_have_zero(self, setup):
-        graph, k, hier, boundary, net, oracle, hopset, config = setup
+        graph, k, hier, boundary, net, oracle, hopset, beta = setup
         level_set = hier.set_at(boundary)
         est = approximate_pivot_distances(
-            net, oracle, hopset, level_set, config, level_index=boundary
+            net, oracle, hopset, level_set, beta, level_index=boundary
         )
         for v in level_set:
             assert est[v] == 0.0
 
 
+class TestClusterBound:
+    def test_virtual_and_ordinary_rules(self, setup):
+        # The one place the (1+ε)² / (1+ε) rule lives: a virtual vertex
+        # forwards below d̂/(1+ε)², an ordinary one below d̂/(1+ε), ∞ stays ∞.
+        graph, _, _, _, _, oracle, _, _ = setup
+        nodes = sorted(graph.nodes, key=repr)
+        next_est = {v: 1.0 + 0.37 * i for i, v in enumerate(nodes)}
+        next_est[nodes[0]] = next_est[oracle.virtual_vertices[0]] = math.inf
+        bound = cluster_bound(oracle, next_est, EPS)
+        assert list(bound) == list(next_est)
+        for v, limit in next_est.items():
+            factor = (1.0 + EPS) ** 2 if oracle.is_virtual(v) else 1.0 + EPS
+            assert bound[v] == limit / factor
+        assert bound[nodes[0]] == bound[oracle.virtual_vertices[0]] == math.inf
+        assert any(oracle.is_virtual(v) for v in nodes[1:])
+        assert not all(oracle.is_virtual(v) for v in nodes[1:])
+
+
 class TestApproximateClusters:
     def _clusters(self, setup):
-        graph, k, hier, boundary, net, oracle, hopset, config = setup
+        graph, k, hier, boundary, net, oracle, hopset, beta = setup
         trees, pivot_est = build_high_level_clusters(
-            net, oracle, hopset, hier, config, boundary
+            net, oracle, hopset, hier, boundary, epsilon=EPS, beta=beta
         )
         return graph, k, hier, boundary, trees, pivot_est
 

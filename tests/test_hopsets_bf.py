@@ -23,8 +23,8 @@ def setup():
     hier = sample_hierarchy(list(graph.nodes), 2, seed=55)
     virtual = sorted(hier.set_at(1), key=repr)
     oracle = VirtualGraphOracle(graph, virtual, default_hop_bound(140))
-    build = build_hopset(Network(graph), oracle, kappa=2, seed=55)
-    return graph, virtual, oracle, build.hopset
+    hopset = build_hopset(Network(graph), oracle, kappa=2, seed=55)
+    return graph, virtual, oracle, hopset
 
 
 class TestUnlimitedExploration:
@@ -70,8 +70,7 @@ class TestLimitedExploration:
         root = virtual[0]
         blocked = hopset_bellman_ford(
             oracle, hopset, {root: 0.0}, beta=2,
-            forward_if_virtual=lambda v, e: v == root,
-            forward_if_graph=lambda v, e: False,
+            forward_if=lambda v, e: v == root,
         )
         free = hopset_bellman_ford(oracle, hopset, {root: 0.0}, beta=2)
         assert len(blocked.est) <= len(free.est)
@@ -83,8 +82,7 @@ class TestLimitedExploration:
         radius = sorted(exact.values())[len(exact) // 4]
         state = hopset_bellman_ford(
             oracle, hopset, {root: 0.0}, beta=4,
-            forward_if_virtual=lambda v, e: e < radius,
-            forward_if_graph=lambda v, e: e < radius,
+            forward_if=lambda v, e: e < radius,
         )
         # Everything that passed the gate is within one edge of the ball.
         max_w = max(d["weight"] for _, _, d in graph.edges(data=True))
@@ -112,7 +110,7 @@ class TestProvenance:
         # interiors of the winning hopset paths to the recovery walk.
         graph, virtual, oracle, hopset = setup
         state = hopset_bellman_ford(oracle, hopset, {virtual[0]: 0.0}, beta=4,
-                                    forward_if_graph=lambda v, e: False)
+                                    forward_if=lambda v, e: oracle.is_virtual(v))
         before = dict(state.est)
         lowered = recover_paths(graph, hopset, state)
         assert lowered

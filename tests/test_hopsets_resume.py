@@ -9,6 +9,10 @@ differential topology families, with and without the approximate-cluster
 gates, on the families' own weights, on unit weights and on tie-prone
 weights whose sums land within ``1e-15`` of each other; ``est``,
 ``gparent`` and ``hvia`` must be equal, insertion order included.  The
+reference gets the cluster rule as the two per-call closures it was
+written for, the kernel as production's one gate, ``est < bound[v]`` over
+:func:`repro.core.high_levels.cluster_bound`, so the matrix also holds the
+precomputed bound to the rule it replaced.  The
 kernel charges nothing; the pivot exploration of ``core/high_levels.py``
 charges and meters it, and must leave the network exactly as the reference
 with its own charges and memory did: the same phase log, memory groups and
@@ -28,7 +32,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core.high_levels import HighLevelConfig, approximate_pivot_distances
+from repro.core.high_levels import approximate_pivot_distances, cluster_bound
 from repro.errors import InputError
 from repro.graphs import VirtualGraphOracle, bounded_bellman_ford, default_hop_bound
 from repro.hopsets import build_hopset, hopset_bellman_ford
@@ -160,13 +164,17 @@ class Instance:
         self.virtual = sorted(graph.nodes, key=repr)[::3]
         self.oracle = VirtualGraphOracle(graph, self.virtual, hop_bound)
         self.hopset = build_hopset(Network(graph), self.oracle, kappa=2,
-                                   seed=seed).hopset
+                                   seed=seed)
 
     def gates(self, sources):
-        """The approximate-cluster gates of ``core/high_levels.py`` against
-        the (reference) approximate distances to ``sources``."""
+        """The approximate-cluster gates against the (reference) approximate
+        distances to ``sources``: ``(kernel's, reference's)``.  The kernel
+        gets production's one gate over :func:`cluster_bound`; the reference
+        the two closures ``core/high_levels.py`` passed before the fold."""
         limit = full_rescan_bellman_ford(
             Network(self.graph), self.oracle, self.hopset, sources, 3).est
+        bound = cluster_bound(
+            self.oracle, {v: limit.get(v, INF) for v in self.graph}, EPSILON)
 
         def forward_virtual(u, est):
             bound = limit.get(u, INF)
@@ -176,17 +184,23 @@ class Instance:
             bound = limit.get(u, INF)
             return bound == INF or est < bound / (1.0 + EPSILON)
 
-        return {"forward_if_virtual": forward_virtual,
-                "forward_if_graph": forward_graph}
+        return ({"forward_if": lambda v, d: d < bound[v]},
+                {"forward_if_virtual": forward_virtual,
+                 "forward_if_graph": forward_graph})
 
 
-def both(instance: Instance, sources, beta: int, **gates):
-    """Run the production loop and the reference (on a fresh network);
-    return ``(production state, reference state)``."""
+NO_GATES = ({}, {})
+
+
+def both(instance: Instance, sources, beta: int, gates=NO_GATES):
+    """Run the production loop and the reference (on a fresh network), each
+    with its half of ``gates``; return ``(production state, reference
+    state)``."""
+    mine, theirs = gates
     got = hopset_bellman_ford(instance.oracle, instance.hopset, sources, beta,
-                              **gates)
+                              **mine)
     want = full_rescan_bellman_ford(Network(instance.graph), instance.oracle,
-                                    instance.hopset, sources, beta, **gates)
+                                    instance.hopset, sources, beta, **theirs)
     return got, want
 
 
@@ -233,13 +247,13 @@ def test_resumed_sweeps_equal_a_full_rescan(topo, weights, bound, monkeypatch):
         level_set = {v: 0.0 for v in instance.virtual[::2]}
         gates = instance.gates(level_set)
         spy = SweepSpy(instance.oracle, monkeypatch)
-        for sources, beta, kwargs in (
-            ({root: 0.0}, 4, {}),         # one root, unlimited
-            (level_set, 3, {}),           # pivots: a level set
+        for sources, beta, pair in (
+            ({root: 0.0}, 4, NO_GATES),   # one root, unlimited
+            (level_set, 3, NO_GATES),     # pivots: a level set
             ({root: 0.0}, 4, gates),      # an approximate cluster
-            ({root: 0.0}, 2, {}),         # two iterations
+            ({root: 0.0}, 2, NO_GATES),   # two iterations
         ):
-            assert_same(*both(instance, sources, beta, **kwargs))
+            assert_same(*both(instance, sources, beta, pair))
         monkeypatch.undo()
         resumed += sum(frontier is not None and len(frontier) < len(before)
                        for frontier, before, _, _ in spy.sweeps)
@@ -278,7 +292,7 @@ def test_pivot_exploration_charges_as_the_kernel_did(topo, weights):
         got_net, want_net = Network(graph), Network(graph)
         got = approximate_pivot_distances(
             got_net, instance.oracle, instance.hopset, level_set,
-            HighLevelConfig(epsilon=EPSILON, beta=beta), level_index=level)
+            beta, level_index=level)
         with phase(want_net, f"pivots/approx-{level}"):
             want = full_rescan_bellman_ford(
                 want_net, instance.oracle, instance.hopset,

@@ -71,12 +71,12 @@ def test_hopset_inequality_property(case):
         return
     oracle = VirtualGraphOracle(graph, virtual, n)
     net = Network(graph)
-    build = build_hopset(net, oracle, kappa=kappa, seed=seed)
-    build.hopset.verify_paths(graph)
+    hopset = build_hopset(net, oracle, kappa=kappa, seed=seed)
+    hopset.verify_paths(graph)
     # measure_hopbound raises if no beta <= 512 satisfies the inequality;
     # passing means the hopset property holds for eps = 0.2.
     beta = measure_hopbound(
-        oracle.materialize(), build.hopset, epsilon=0.2, sample_sources=4
+        oracle.materialize(), hopset, epsilon=0.2, sample_sources=4
     )
     assert beta >= 1
 
