@@ -10,10 +10,11 @@ the largest size of ``repro fig graph-rounds``):
   round over every vertex's ports + ``deliver_batch``): the pure engine
   round-trip, also printed as nanoseconds per message on each engine;
 * ``fig7_bfs``      — repeated BFS-tree floods (mixed algorithm/engine);
-* ``fig7_meter``    — memory metering with no traffic: per-vertex stores
-  over ``METER_KEYS`` keys, one ``store_each`` over every vertex, then a
-  ``free_key`` per key (the network's column bank against one
-  ``MemoryMeter`` per vertex);
+* ``fig7_meter``    — memory metering with no traffic, through the bulk
+  calls alone: a ``store_each`` over every vertex per key of
+  ``METER_KEYS``, a ``store_all`` that an ``add_each`` then demotes, a
+  ``free_key`` for every other key and a ``free_all`` of the rest (the
+  network's column bank against one ``MemoryMeter`` per vertex);
 * ``fig7_wave``     — the tree-routing stages' round shape over a BFS tree:
   a down-wave, one ``send_each`` per level delivered by the dict-shaped
   ``tick``, then a ``convergecast_up`` (each round one ``send_each``
@@ -26,7 +27,7 @@ This is the measurement that justifies keeping a fast path beside the
 oracle, and the one thing the perf ledger (``benchmarks/perf``) does not
 time.  Every workload first replays on both engines and asserts the
 deterministic outputs are identical (``RunMetrics.fingerprint()``, every
-vertex's memory high-water, and the topology the engines answer: ``ports``,
+vertex's memory high-water, the words held per key group, and the topology the engines answer: ``ports``,
 ``neighbors``, ``degree``, ``has_edge`` and ``weight`` at every vertex and
 edge) — a benchmark that compared engines computing different things would
 be meaningless.  ``speedup_wall`` is *reported*, not gated: the
@@ -57,7 +58,7 @@ FIG7_SEED = 3
 #: Timing repetitions per engine (best-of, to shed scheduler noise).
 BEST_OF = 3
 
-#: Keys ``fig7_meter`` stores at every vertex one by one.
+#: Keys ``fig7_meter`` stores at every vertex, one ``store_each`` each.
 METER_KEYS = 8
 
 #: Down-waves plus convergecasts ``fig7_wave`` runs over one BFS tree.
@@ -86,13 +87,15 @@ def _bfs(net: Any) -> None:
 def _meter(net: Any) -> None:
     nodes = list(net.nodes())
     for r in range(4):
+        net.free_all("meter/")  # the keys the previous round left
         for k in range(METER_KEYS):
-            for v in nodes:
-                net.mem(v).store(f"meter/k{k}", 1 + (k + r) % 3)
-        net.store_each("meter/batch", {v: 1 + (i + r) % 5 for i, v in enumerate(nodes)})
-        for k in range(METER_KEYS):
+            net.store_each(f"meter/k{k}",
+                           {v: 1 + (i + k + r) % 3 for i, v in enumerate(nodes)})
+        net.store_all("meter/uniform", 1 + r % 2)
+        # Demotes the uniform key; every other vertex is listed twice.
+        net.add_each("meter/uniform", nodes + nodes[::2], 1)
+        for k in range(0, METER_KEYS, 2):
             net.free_key(f"meter/k{k}")
-        net.free_key("meter/batch")
 
 
 def _wave(net: Any) -> None:
@@ -175,6 +178,9 @@ def run_sim_micro() -> List[Dict[str, Any]]:
         )
         assert fast_net.memory_high_water() == ref_net.memory_high_water(), (
             f"{name}: fast engine memory accounting diverged"
+        )
+        assert fast_net.memory_by_group() == ref_net.memory_by_group(), (
+            f"{name}: fast engine memory groups diverged"
         )
         assert _topology(fast_net) == _topology(ref_net), (
             f"{name}: fast engine topology diverged"

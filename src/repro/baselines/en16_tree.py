@@ -138,8 +138,8 @@ def build_en16_tree_scheme(
     ]
     with phase(net, "en16/broadcast-T'"):
         broadcast_all(net, bfs, virtual_edges)
-    for x in part.ut:
-        net.mem(x).store("en16/virtual-tree", 2 * max(1, len(virtual_edges)))
+    net.store_each("en16/virtual-tree",
+                   dict.fromkeys(part.ut, 2 * max(1, len(virtual_edges))))
 
     # Per-local-tree schemes (parallel, depth Õ(1/q) rounds) and the virtual
     # scheme, computed locally at every virtual vertex from the broadcast.
@@ -190,8 +190,9 @@ def build_en16_tree_scheme(
             crossing_labels=tuple(crossings),
             local_label=lscheme.labels[v],
         )
-        net.mem(v).store("en16/table", tables[v].word_size())
-        net.mem(v).store("en16/label", labels[v].word_size())
+
+    net.store_each("en16/table", {v: table.word_size() for v, table in tables.items()})
+    net.store_each("en16/label", {v: label.word_size() for v, label in labels.items()})
 
     scheme = En16TreeScheme(
         tree_id=tree_id if tree_id is not None else part.root,

@@ -59,7 +59,7 @@ def build_bfs_tree(net: Network, root: Optional[NodeId] = None) -> BfsTree:
     with phase(net, "congest/bfs"):
         parent: Dict[NodeId, Optional[NodeId]] = {root: None}
         depth: Dict[NodeId, int] = {root: 0}
-        net.mem(root).store("bfs/parent", 2)
+        net.store_each("bfs/parent", {root: 2})
         frontier = [root]
         while frontier:
             # The whole frontier is one round: every frontier vertex sends

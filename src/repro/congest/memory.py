@@ -18,15 +18,6 @@ Conventions used across the library:
   persist across rounds (pipelined broadcast buffers) ARE charged, under the
   ``"relay/"`` prefix, and can be reported separately.
 
-Groups and the prefix probe
----------------------------
-:meth:`MemoryMeter.snapshot` groups keys by their first slash segment
-(``"tree/ancestors"`` counts under ``"tree/"``).  ``free_prefix`` with a
-slash-qualified prefix (``"tree/"``, ``"hopset/scratch-"``) examines only
-the vertex's live keys of that group, a slash-free one all of them;
-``last_prefix_scan`` reports how many (0 after an exact-key free, a
-network-wide ``free_key`` included).
-
 Network-level accounting: the column bank
 -----------------------------------------
 A :class:`MemoryBank` is the one memory record of a whole network, stored
@@ -39,34 +30,36 @@ by key rather than by vertex:
 * int lists indexed by vertex hold its column sum (``current``), its
   high-water mark (``high``) and the epoch that mark is settled at.
 
-``Network.mem(v)`` is a :class:`MeterView`, two slots (bank, index) made
-once per vertex; ``Network.store_each`` meters one key at many vertices in
-one call, and ``Network.free_key`` drops one column or uniform entry.
-Every reading is derived exactly:
+The bank is written only through the network's bulk calls:
+``Network.store_each`` stores one key at many vertices, ``add_each`` grows
+it at a list of them (a vertex listed twice grows twice), ``store_all``
+stores it at every vertex, ``free_key`` drops one column or uniform entry
+and ``free_all`` drops every key under a prefix, key by key.
+``Network.mem(v)`` is a read-only :class:`MeterView`, two slots (bank,
+index) made once per vertex.  Every reading is derived exactly:
 
 * ``current`` is the vertex's column sum plus the uniform total;
 * the high-water mark is *settled lazily*.  Between two touches of a vertex
   its column sum is constant, so the peak it reached in between is that sum
   plus the largest uniform total since it last settled, which the bank
   answers from a monotone stack of ``(epoch, total)`` peaks;
-* a vertex that deviates from a uniform key (per-vertex ``store`` / ``add``
-  / ``free`` / ``free_prefix`` on it) first *demotes* the key into a full
-  column, so a key is never uniform and per-vertex at once;
+* a ``store_each`` or ``add_each`` on a uniform key first *demotes* it into
+  a full column, so a key is never uniform and per-vertex at once;
 * the network-wide peak (``Network.max_memory()``) is kept eagerly, so
-  reading it settles nothing: a per-vertex store raises it to what the
-  vertex now holds, ``store_each`` to the most any vertex of its batch
-  holds, and a growing ``store_all`` to the largest column sum plus the new
-  uniform total.  Frees and demotion never raise what any vertex holds.
-  That largest column sum is O(n) to find, so the bank keeps an upper
-  bound on it (``ceiling``, raised wherever a column sum grows) and a
-  ``store_all`` whose bound cannot beat the peak skips the search.
+  reading it settles nothing: ``store_each`` raises it to the most any
+  vertex of its batch holds, and a growing ``store_all`` to the largest
+  column sum plus the new uniform total.  Frees and demotion never raise
+  what any vertex holds.  That largest column sum is O(n) to find, so the
+  bank keeps an upper bound on it (``ceiling``, raised wherever a column
+  sum grows) and a ``store_all`` whose bound cannot beat the peak skips
+  the search.
 
-What needs one vertex's key set (``items()``, ``snapshot()``,
-``free_prefix``) scans the live keys for the columns holding it; the
-flight recorder reads ``Network.memory_by_group`` (column sums) instead.
-A standalone :class:`MemoryMeter` keeps one vertex's entries eagerly in a
-dict: ``ReferenceNetwork`` owns one per vertex, the executable
-specification the bank is certified against.
+What needs one vertex's key set (``items()``, ``snapshot()``) scans the
+live keys for the columns holding it; the flight recorder reads
+``Network.memory_by_group`` (column sums) instead.  A standalone
+:class:`MemoryMeter` keeps one vertex's entries eagerly in a dict:
+``ReferenceNetwork`` owns one per vertex and loops over them in each bulk
+call, the executable specification the bank is certified against.
 """
 
 from __future__ import annotations
@@ -82,12 +75,6 @@ def _group_of(key: str) -> str:
     slash), or the whole key when it has none."""
     head, sep, _ = key.partition("/")
     return head + "/" if sep else head
-
-
-def _scope_of(prefix: str) -> str:
-    """The keys :meth:`MemoryMeter.free_prefix` examines are those starting
-    with this: the prefix's group when it has a slash, else ``""`` (all)."""
-    return prefix[: prefix.find("/") + 1]
 
 
 def _check_words(key: str, words: int) -> None:
@@ -114,15 +101,12 @@ class MemoryMeter:
     (:class:`MeterView`) is certified against.
     """
 
-    __slots__ = ("_items", "_current", "_high_water", "last_prefix_scan")
+    __slots__ = ("_items", "_current", "_high_water")
 
     def __init__(self) -> None:
         self._items: Dict[str, int] = {}
         self._current = 0
         self._high_water = 0
-        #: Keys examined by the most recent :meth:`free_prefix` call; 0
-        #: after an exact-key free (the teardown-cost test probe).
-        self.last_prefix_scan = 0
 
     # -- mutation -----------------------------------------------------------
 
@@ -138,33 +122,23 @@ class MemoryMeter:
             self._high_water = self._current
 
     def add(self, key: str, words: int) -> None:
-        """Grow the footprint under ``key`` by ``words`` (list-append pattern)."""
+        """Grow the footprint under ``key`` by ``words`` (list-append
+        pattern); a negative growth raises, as a negative store does."""
+        _check_words(key, words)
         self.store(key, self._items.get(key, 0) + words)
 
     def free(self, key: str) -> None:
         """Release everything stored under ``key``.
 
         Freeing an absent key is a no-op: stages free their scratch space
-        unconditionally on exit.  An exact-key free examines no other key,
-        so it resets ``last_prefix_scan`` to 0: the probe always describes
-        the *most recent* teardown operation.
+        unconditionally on exit.
         """
-        self.last_prefix_scan = 0
         self._current -= self._items.pop(key, 0)
 
     def free_prefix(self, prefix: str) -> None:
-        """Release every key starting with ``prefix`` (stage teardown).
-
-        A prefix containing a slash (``"tree/"``, ``"hopset/scratch-"``)
-        examines the live keys of its first-segment group only; a
-        slash-free prefix may span groups and examines every live key.
-        """
-        scope = _scope_of(prefix)
-        examined = [key for key in self._items if key.startswith(scope)]
-        self.last_prefix_scan = len(examined)
-        for key in examined:
-            if key.startswith(prefix):
-                self._current -= self._items.pop(key)
+        """Release every key starting with ``prefix`` (stage teardown)."""
+        for key in [key for key in self._items if key.startswith(prefix)]:
+            self._current -= self._items.pop(key)
 
     # -- inspection ----------------------------------------------------------
 
@@ -206,77 +180,15 @@ class MemoryMeter:
 
 
 class MeterView:
-    """``Network.mem(v)``: the :class:`MemoryMeter` surface of one vertex,
-    read from and written to its network's :class:`MemoryBank`."""
+    """``Network.mem(v)``: the read surface of :class:`MemoryMeter` for
+    one vertex, read from its network's :class:`MemoryBank` (which only the
+    network's bulk calls write)."""
 
     __slots__ = ("_bank", "_i")
 
     def __init__(self, bank: "MemoryBank", index: int) -> None:
         self._bank = bank
         self._i = index
-
-    @property
-    def last_prefix_scan(self) -> int:
-        """See :attr:`MemoryMeter.last_prefix_scan`."""
-        return self._bank.scans.get(self._i, 0)
-
-    # -- mutation -----------------------------------------------------------
-
-    def store(self, key: str, words: int) -> None:
-        """See :meth:`MemoryMeter.store`."""
-        if words < 0:
-            _check_words(key, words)
-        bank = self._bank
-        if key in bank.uniform:
-            bank.demote(key)
-        i = self._i
-        if bank.settled[i] != bank.epoch:
-            bank.settle(i)
-        try:
-            column = bank.columns[key]
-        except KeyError:
-            column = bank.columns[key] = {}
-        current = bank.current
-        held = current[i] + words - column.get(i, 0)
-        column[i] = words
-        current[i] = held
-        if held > bank.ceiling:
-            bank.ceiling = held
-        held += bank.total
-        if held > bank.high[i]:
-            bank.high[i] = held
-            if held > bank.peak:
-                bank.peak = held
-
-    def add(self, key: str, words: int) -> None:
-        """See :meth:`MemoryMeter.add`."""
-        bank = self._bank
-        if key in bank.uniform:
-            bank.demote(key)
-        column = bank.columns.get(key)
-        self.store(key, (0 if column is None else column.get(self._i, 0)) + words)
-
-    def free(self, key: str) -> None:
-        """See :meth:`MemoryMeter.free`."""
-        bank = self._bank
-        bank.scans.pop(self._i, None)
-        if key in bank.uniform:
-            bank.demote(key)
-        bank.release(self._i, key)
-
-    def free_prefix(self, prefix: str) -> None:
-        """See :meth:`MemoryMeter.free_prefix`."""
-        bank, i = self._bank, self._i
-        for key in [k for k in bank.uniform if k.startswith(prefix)]:
-            bank.demote(key)
-        scope = _scope_of(prefix)
-        examined = [key for key, column in bank.columns.items()
-                    if i in column and key.startswith(scope)]
-        # The uniform keys of the scope are examined too; none matches.
-        bank.scans[i] = len(examined) + sum(1 for k in bank.uniform if k.startswith(scope))
-        for key in examined:
-            if key.startswith(prefix):
-                bank.release(i, key)
 
     # -- inspection ----------------------------------------------------------
 
@@ -314,7 +226,7 @@ class MemoryBank:
     module docstring); vertices are the indices of ``index_of``."""
 
     __slots__ = ("index_of", "n", "columns", "uniform", "total", "current",
-                 "high", "settled", "scans", "epoch", "peak", "ceiling",
+                 "high", "settled", "epoch", "peak", "ceiling",
                  "_peak_epochs", "_peak_totals")
 
     def __init__(self, index_of: Mapping[Hashable, int]) -> None:
@@ -330,9 +242,6 @@ class MemoryBank:
         self.current = [0] * n
         self.high = [0] * n
         self.settled = [0] * n
-        #: Vertex index -> keys its latest ``free_prefix`` examined; an
-        #: exact-key free since (its own ``free``, any ``free_key``) drops it.
-        self.scans: Dict[int, int] = {}
         #: Counts changes of ``total``.
         self.epoch = 0
         #: The largest high-water mark of any vertex, exact at every store
@@ -396,7 +305,7 @@ class MemoryBank:
     # -- network-wide updates --------------------------------------------------
 
     def store_each(self, key: str, words_by_vertex: Mapping[Hashable, int]) -> None:
-        """``mem(v).store(key, words)`` for every ``v: words`` of the
+        """``MemoryMeter.store(key, words)`` at every ``v: words`` of the
         mapping, in its order: a negative size raises with the entries
         before it stored, as the per-vertex loop would leave them."""
         if key in self.uniform:
@@ -456,17 +365,44 @@ class MemoryBank:
             if self.ceiling + self.total > self.peak:
                 self.peak = self.ceiling + self.total
 
+    def add_each(self, key: str, vertices: Iterable[Hashable], words: int) -> None:
+        """``MemoryMeter.add(key, words)`` at every listed vertex, once per
+        listing: a vertex listed twice grows twice.  A negative ``words``
+        raises before any vertex grows; a vertex not in the network raises
+        with the listings before it added, as the per-vertex loop would
+        leave them."""
+        _check_words(key, words)
+        if key in self.uniform:
+            self.demote(key)
+        column = self.columns.get(key, {})
+        index_of = self.index_of
+        grown: Dict[Hashable, int] = {}
+        try:
+            for v in vertices:
+                held = grown.get(v)
+                grown[v] = (column.get(index_of[v], 0) if held is None else held) + words
+        finally:
+            # Growth is monotone, so storing each vertex's final size leaves
+            # the high-water marks the one-at-a-time adds leave.
+            self.store_each(key, grown)
+
     def free_key(self, key: str) -> None:
         """No vertex retains anything under ``key`` any more."""
-        self.scans.clear()
         words = self.uniform.pop(key, None)
         if words is not None:
             self._set_total(self.total - words)
         self._drop_column(key)
 
+    def free_all(self, prefix: str) -> None:
+        """:meth:`free_key` for every live key starting with ``prefix``:
+        O(live keys), no vertex is visited for a key it does not hold."""
+        for key in [key for key in (*self.uniform, *self.columns)
+                    if key.startswith(prefix)]:
+            self.free_key(key)
+
     def demote(self, key: str) -> None:
         """Turn the uniform ``key`` into a column holding every vertex
-        (O(n)): what a vertex about to deviate from it calls first.  No
+        (O(n)): what a bulk call that sizes it per vertex calls first.  No
         vertex's ``current`` or high-water changes."""
         words = self.uniform.pop(key)
         # The total shrinks before the column sums grow, so no vertex ever
@@ -485,16 +421,7 @@ class MemoryBank:
             for i, words in column.items():
                 current[i] -= words
 
-    # -- per-vertex updates and network-wide reads ---------------------------------
-
-    def release(self, i: int, key: str) -> None:
-        """Drop vertex ``i``'s entry under the per-vertex ``key``, if any."""
-        column = self.columns.get(key)
-        if column is not None and i in column:
-            self.settle(i)
-            self.current[i] -= column.pop(i)
-            if not column:
-                del self.columns[key]
+    # -- network-wide reads ----------------------------------------------------------
 
     def by_group(self) -> Dict[str, int]:
         """Current words per snapshot group, summed over every vertex."""

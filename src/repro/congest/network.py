@@ -211,8 +211,9 @@ class Network:
     # -- memory ----------------------------------------------------------------
 
     def mem(self, v: NodeId) -> MeterView:
-        """The memory meter of vertex ``v`` (a view of the network's bank,
-        made on the first call and then cached)."""
+        """The memory meter of vertex ``v``: a read-only view of the
+        network's bank, made on the first call and then cached (the bulk
+        calls below are the one way to write it)."""
         try:
             return self._meters[v]
         except KeyError:
@@ -235,13 +236,10 @@ class Network:
         return self._bank.by_group()
 
     def free_all(self, prefix: str) -> None:
-        """Free the given key prefix at every vertex (stage teardown).
-
-        Per vertex this looks through the live keys of the network; when
-        the key is exact, use :meth:`free_key`.
-        """
-        for v in self._node_of:
-            self.mem(v).free_prefix(prefix)
+        """Free the given key prefix at every vertex (stage teardown): each
+        live key under it is dropped as :meth:`free_key` drops it, O(live
+        keys) with no per-vertex scan."""
+        self._bank.free_all(prefix)
 
     def free_key(self, key: str) -> None:
         """Free one exact key at every vertex: O(1) for a key stored by
@@ -249,10 +247,15 @@ class Network:
         self._bank.free_key(key)
 
     def store_each(self, key: str, words_by_vertex: Mapping[NodeId, int]) -> None:
-        """``mem(v).store(key, words)`` for every ``v: words`` of the
+        """``MemoryMeter.store(key, words)`` at every ``v: words`` of the
         mapping, in one call: the key's column is looked up once and the
         high-water marks settled with one lookup per stale epoch."""
         self._bank.store_each(key, words_by_vertex)
+
+    def add_each(self, key: str, vertices: Iterable[NodeId], words: int) -> None:
+        """``MemoryMeter.add(key, words)`` at every listed vertex, in one
+        call; a vertex listed twice grows twice."""
+        self._bank.add_each(key, vertices, words)
 
     def store_all(self, key: str, words: int) -> None:
         """Store ``words`` under ``key`` at every vertex (stage setup; the

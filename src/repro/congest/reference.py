@@ -160,6 +160,11 @@ class ReferenceNetwork:
         for v, words in words_by_vertex.items():
             self.mem(v).store(key, words)
 
+    def add_each(self, key: str, vertices: Iterable[NodeId], words: int) -> None:
+        """Grow ``key`` by ``words`` at every listed vertex, once per listing."""
+        for v in vertices:
+            self.mem(v).add(key, words)
+
     # -- messaging -------------------------------------------------------------
 
     def send_each(self, sends: Iterable[Msg]) -> None:

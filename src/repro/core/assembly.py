@@ -44,8 +44,8 @@ def assemble_tables(
 ) -> Dict[NodeId, GraphTable]:
     """Every vertex's table: its tree tables, keyed by cluster root."""
     tables = graph_tables(net.nodes(), schemes)
-    for v, table in tables.items():
-        net.mem(v).store("scheme/table", table.word_size())
+    net.store_each("scheme/table",
+                   {v: table.word_size() for v, table in tables.items()})
     return tables
 
 
@@ -99,5 +99,6 @@ def assemble_labels(
                 continue
             entries.append((root, est, schemes[root].labels[v]))
         labels[v] = GraphLabel(vertex=v, entries=tuple(entries))
-        net.mem(v).store("scheme/label", labels[v].word_size())
+    net.store_each("scheme/label",
+                   {v: label.word_size() for v, label in labels.items()})
     return labels

@@ -74,15 +74,14 @@ def approximate_pivot_distances(
         net.charge_rounds(
             beta * (oracle.hop_bound + h_step) + oracle.hop_bound
         )
-        for v in state.est:
-            net.mem(v).add(f"pivots/{level_index}/estimates", 2)
+        net.add_each(f"pivots/{level_index}/estimates", state.est, 2)
     out = {v: state.value(v) for v in net.nodes()}
     for v, d in out.items():
         if d == INF:
             raise InvariantViolation(
                 f"approximate pivot exploration missed vertex {v!r}"
             )
-        net.mem(v).store(f"pivots/approx-{level_index}", 2)
+    net.store_each(f"pivots/approx-{level_index}", dict.fromkeys(out, 2))
     return out
 
 
@@ -123,11 +122,10 @@ def build_approximate_cluster(
             oracle, hopset, {root: 0.0}, beta,
             forward_if=lambda v, d: d < bound[v],
         )
-        for v in state.est:
-            net.mem(v).add(f"cl/{level}/estimates", 2)
+        net.add_each(f"cl/{level}/estimates", state.est, 2)
     with phase(net, f"clusters/recovery-{level}"):
-        for v in recover_paths(net.graph, hopset, state):
-            net.mem(v).add(f"cl/{level}/recovered", 2)
+        net.add_each(f"cl/{level}/recovered",
+                     recover_paths(net.graph, hopset, state), 2)
     return _assemble_tree(net, root, level, state, bound)
 
 
@@ -161,7 +159,7 @@ def _assemble_tree(
         for node in chain:
             members[node] = state.value(node)
             parent[node] = state.gparent.get(node)
-            net.mem(node).add("clusters/membership", 2)
+    net.add_each("clusters/membership", members, 2)
     parent[root] = None
     members[root] = 0.0
     for v, p in parent.items():

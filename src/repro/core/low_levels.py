@@ -76,14 +76,13 @@ def build_exact_low_level_clusters(
                                 parent[v] = u
                 trees[root] = ClusterTree(root=root, level=i, dist=members,
                                           parent={v: parent[v] for v in members})
-                for v in members:
-                    net.mem(v).add("clusters/membership", 2)
+                net.add_each("clusters/membership", members, 2)
             net.charge_rounds(claim8_hop_limit(n, k, i) + congestion)
     # Exact pivot distances for the low levels: one hop-limited multi-source
     # exploration per level (already reflected in `pivots`); charge it.
     for i in range(1, min(top_exclusive + 1, k)):
         with phase(net, f"low-levels/pivots-{i}"):
             net.charge_rounds(claim8_hop_limit(n, k, i - 1))
-    for v in net.nodes():
-        net.mem(v).store("pivots/exact", 2 * min(top_exclusive + 1, k))
+    net.store_each("pivots/exact",
+                   dict.fromkeys(net.nodes(), 2 * min(top_exclusive + 1, k)))
     return trees, passes

@@ -128,17 +128,15 @@ def build_hopset(
                           messages=hopset.size)
 
     # -- memory accounting ---------------------------------------------------------
-    for u in oracle.virtual_vertices:
-        words = 3 * hopset.out_degree(u) + 2 * kappa
-        net.mem(u).store("hopset/edges", words)
+    net.store_each("hopset/edges", {
+        u: 3 * hopset.out_degree(u) + 2 * kappa for u in oracle.virtual_vertices})
     # Path-recovery bookkeeping: vertices on stored paths keep one parent
     # pointer per exploration that reached them.
     touched: Dict[NodeId, int] = {}
     for path in hopset.paths.values():
         for z in path[1:-1]:
             touched[z] = touched.get(z, 0) + 1
-    for z, count in touched.items():
-        net.mem(z).store("hopset/path-pointers", count)
+    net.store_each("hopset/path-pointers", touched)
 
     if hopset.size == 0 and m > 1:
         raise InvariantViolation("non-trivial virtual graph produced an empty hopset")

@@ -68,7 +68,6 @@ def pointer_jump(
     pull: PullRule,
     *,
     trail: Optional[Dict[NodeId, List[Optional[NodeId]]]] = None,
-    iterations: Optional[int] = None,
     phase: str = "pointer-jump",
     mem_key: str = "pj",
 ) -> PointerJumpResult:
@@ -86,10 +85,9 @@ def pointer_jump(
     for x, p in virtual_parent.items():
         if p is not None and p not in member_set:
             raise InvariantViolation(f"T'-parent {p!r} of {x!r} is not a member")
-    if iterations is None:
-        iterations = (
-            len(next(iter(trail.values()))) if trail else required_iterations(len(members))
-        )
+    iterations = (
+        len(next(iter(trail.values()))) if trail else required_iterations(len(members))
+    )
 
     value: Dict[NodeId, Any] = {x: init[x] for x in members}
     reuse = trail is not None
@@ -106,7 +104,7 @@ def pointer_jump(
             current_anc = dict(anc)
             for x in members:
                 anc_trail[x].append(current_anc[x])
-                net.mem(x).add(f"{mem_key}/trail", 1)
+            net.add_each(f"{mem_key}/trail", members, 1)
         items = [(x, (x, current_anc[x], value[x])) for x in members]
         with open_phase(net, f"{phase}/broadcast-{i}"):
             stream = broadcast_all(net, bfs, items)
@@ -134,6 +132,5 @@ def pointer_jump(
                 a_x = current_anc[x]
                 anc[x] = by_id[a_x][0] if a_x is not None else None
 
-    for x in members:
-        net.mem(x).free(f"{mem_key}/value")
+    net.free_key(f"{mem_key}/value")
     return PointerJumpResult(values=value, trail=anc_trail, iterations=iterations)

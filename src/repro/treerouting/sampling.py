@@ -110,14 +110,11 @@ def partition_tree(
     q: Optional[float] = None,
     seed: int = 0,
     salt: str = "",
-    rng: Optional[random.Random] = None,
 ) -> TreePartition:
     """Sample U and build the local-tree partition of ``tree_parent``.
 
     ``salt`` lets the multi-tree runner give each tree an independent coin
-    sequence from one seed.  The root is always in U(T).  Pass ``rng`` to
-    flip the per-vertex coins from a caller-owned :class:`random.Random`
-    stream (``seed`` and ``salt`` are then ignored).
+    sequence from one seed.  The root is always in U(T).
     """
     root = tree_root(tree_parent)
     n = len(tree_parent)
@@ -125,8 +122,7 @@ def partition_tree(
         q = default_sampling_probability(n)
     if not (0.0 < q <= 1.0):
         raise InputError(f"sampling probability q={q} out of range")
-    if rng is None:
-        rng = random.Random(f"tree-sample/{seed}/{salt}")
+    rng = random.Random(f"tree-sample/{seed}/{salt}")
     ut: Set[NodeId] = {root}
     for v in sorted(tree_parent, key=repr):
         if rng.random() < q:

@@ -64,7 +64,6 @@ def _range_partition(
     """Algorithm 5: per-child inclusive prefix sums of subtree sizes."""
     children = part.tree_forest.children
     index_of: Dict[NodeId, int] = {}
-    parent_of: Dict[NodeId, NodeId] = {}
     kids_of: Dict[NodeId, List[NodeId]] = {}
     max_r = 0
     for y, kids in children.items():
@@ -74,7 +73,6 @@ def _range_partition(
         max_r = max(max_r, len(kids))
         for j, c in enumerate(kids, start=1):
             index_of[c] = j
-            parent_of[c] = y
     prefix: Dict[NodeId, int] = {c: sizes[c] for c in index_of}
     net.store_each(f"{mem_prefix}/prefix", dict.fromkeys(index_of, 1))
 

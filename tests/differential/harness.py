@@ -232,8 +232,7 @@ class EdgeCountObserver(Listener):
 
 def meter_state(net: Any) -> Dict[str, Tuple[Any, ...]]:
     """Everything a vertex's meter exposes, per vertex: current, high-water,
-    the grouped and the exact breakdown, and the ``last_prefix_scan`` pin.
-    Compares with ``==``; engines must agree on it after any schedule."""
+    the grouped and the exact breakdown.  Compares with ``==``; engines must agree on it after any schedule."""
     state = {}
     for v in net.nodes():
         meter = net.mem(v)
@@ -243,7 +242,6 @@ def meter_state(net: Any) -> Dict[str, Tuple[Any, ...]]:
             meter.snapshot(),
             dict(meter.items()),
             meter.high_water_excluding("relay/"),
-            meter.last_prefix_scan,
         )
     return state
 

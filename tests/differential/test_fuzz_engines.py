@@ -8,7 +8,7 @@ the same round, with the byte-identical message.  After a violation each
 engine must also be left in the same state (the schedule keeps going), so
 post-exception divergence cannot hide.  Besides outcomes and metrics, the
 post-run check covers the whole per-vertex meter state (current,
-high-water, both breakdowns, the ``last_prefix_scan`` pin), so neither the
+high-water, both breakdowns), so neither the
 bulk bookkeeping nor a lazily settled high-water can drift.  The meters
 are read once, after the schedule: reading a high-water settles it, so a
 mid-run read would hide exactly the laziness under test.  The network-wide
@@ -66,10 +66,13 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
       ("close", "tick" | "deliver")            -- end the round either way
       ("idle", k)                              -- ``k`` empty ``tick`` rounds
       ("charge", r, m, w)                      -- charged rounds
-      ("mem", v, key, words) / ("free", prefix) / ("free_key", key)
+      ("mem", v, key, words)                   -- ``store_each(key, {v: words})``:
+                                                  one vertex deviates
+      ("free", prefix) / ("free_key", key)
       ("store_all", key, words)                -- uniform network-wide store
-      ("mem_add", v, key, words) / ("mem_free", v, key)
-      ("mem_free_prefix", v, prefix)           -- one vertex deviates
+      ("add_each", key, [v, ...], words)       -- a few vertices grow, some
+                                                  listed twice; ~1 in 8
+                                                  carries a negative size
       ("store_each", key, {v: words})          -- one key at many vertices;
                                                   half carry a negative size
                                                   mid-batch
@@ -132,16 +135,11 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
                 schedule.append(
                     ("store_all", rng.choice(_KEYS), rng.randrange(0, 5))
                 )
-            elif roll < 0.925:
-                schedule.append(
-                    ("mem_add", src, rng.choice(_KEYS), rng.randrange(1, 4))
-                )
-            elif roll < 0.94:
-                schedule.append(("mem_free", src, rng.choice(_KEYS + ["ghost"])))
             elif roll < 0.95:
+                grown = [src] + rng.choices(nodes, k=rng.randrange(0, 4))
                 schedule.append(
-                    ("mem_free_prefix", src,
-                     rng.choice(["fz/", "fz/a", "relay/", "plain"]))
+                    ("add_each", rng.choice(_KEYS), grown + grown[:rng.randrange(0, 3)],
+                     -1 if rng.random() < 0.125 else rng.randrange(0, 4))
                 )
             elif roll < 0.965:
                 batch = {v: rng.randrange(0, 5)
@@ -263,19 +261,13 @@ def apply_schedule(net: Any, schedule: List[Tuple]) -> List[Tuple]:
                 net.charge_rounds(op[1], messages=op[2], words=op[3])
                 outcomes.append(("ok",))
             elif tag == "mem":
-                net.mem(op[1]).store(op[2], op[3])
+                net.store_each(op[2], {op[1]: op[3]})
                 outcomes.append(("ok",))
             elif tag == "store_all":
                 net.store_all(op[1], op[2])
                 outcomes.append(("ok",))
-            elif tag == "mem_add":
-                net.mem(op[1]).add(op[2], op[3])
-                outcomes.append(("ok",))
-            elif tag == "mem_free":
-                net.mem(op[1]).free(op[2])
-                outcomes.append(("ok",))
-            elif tag == "mem_free_prefix":
-                net.mem(op[1]).free_prefix(op[2])
+            elif tag == "add_each":
+                net.add_each(op[1], op[2], op[3])
                 outcomes.append(("ok",))
             elif tag == "free":
                 net.free_all(op[1])
@@ -346,9 +338,10 @@ def test_fuzz_schedules_do_violate():
     """Meta-check: the strict matrix actually exercises both violation
     kinds (capacity overload and non-edge send), an unsizable payload, a
     ``store_each`` that fails mid-batch, a ``send_each`` that fails with
-    messages of its batch already queued, and a ghost source and a ghost
-    destination — guards against a fuzzer regression that silently stops
-    generating adversarial ops."""
+    messages of its batch already queued, a ghost source and a ghost
+    destination, and ``add_each`` calls that grow a vertex listed twice
+    and that carry a negative size — guards against a fuzzer regression
+    that silently stops generating adversarial ops."""
     kinds = set()
     for s in FUZZ_SEEDS:
         graph = build_topology(TOPO_NAMES[s % len(TOPO_NAMES)], s)
@@ -365,13 +358,19 @@ def test_fuzz_schedules_do_violate():
             if op[0] == "send_each" and outcome[0] != "ok" \
                     and len(net._outbox) > queued:
                 kinds.add("mid-batch")
+            if op[0] == "add_each":
+                if outcome[0] != "ok":
+                    kinds.add("negative add")
+                elif len(set(op[2])) < len(op[2]):
+                    kinds.add("repeated add")
             if op[1] == GHOST_LABEL and outcome[0] == "violation":
                 if outcome[1].startswith(f"{GHOST!r} ->"):
                     kinds.add("ghost source")
                 if outcome[1].endswith(f"-> {GHOST!r} is not an edge"):
                     kinds.add("ghost destination")
     assert kinds == {"capacity", "non-edge", "unsizable", "negative-store",
-                     "mid-batch", "ghost source", "ghost destination"}
+                     "mid-batch", "ghost source", "ghost destination",
+                     "negative add", "repeated add"}
 
 
 def test_fingerprint_helper_covers_timeline():

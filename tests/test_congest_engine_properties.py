@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis): ``Network`` vs ``ReferenceNetwork``.
 
-Seven invariants that must hold for *any* schedule, not just the replays
+Eight invariants that must hold for *any* schedule, not just the replays
 pinned by the differential matrix:
 
 * **Permutation invariance** — the per-destination inbox contents of a
@@ -10,14 +10,16 @@ pinned by the differential matrix:
 * **Word-accounting conservation** — after delivery the word meters equal
   the total width of everything queued (floods, partial fanouts, wide
   multi-slot payloads) on both engines.
-* **Meter-snapshot parity** — any interleaving of network-level bulk
-  memory ops (``store_all`` / ``free_key`` / ``free_all``) and per-vertex
-  meter ops (``store`` / ``add`` / ``free`` / ``free_prefix``) leaves
-  identical meter state (current, high-water, both breakdowns,
-  prefix-scan pin) on both engines.
+* **Meter-snapshot parity** — any interleaving of the bulk memory ops
+  (``store_all`` / ``free_key`` / ``free_all`` / ``store_each`` /
+  ``add_each``) leaves identical meter state (current, high-water, both
+  breakdowns) on both engines.
 * **Batched store parity** — ``store_each(key, m)`` leaves the state of
-  the per-vertex loop over ``m``, whatever ``store_all`` / demotion /
-  ``free_key`` did to the key before.
+  the loop of one-vertex ``store_each`` calls over ``m``, whatever
+  ``store_all`` / demotion / ``free_key`` did to the key before.
+* **Batched add parity** — ``add_each(key, vertices, w)`` leaves the
+  state of the per-vertex ``MemoryMeter.add`` loop over ``vertices``,
+  repeats included, whatever the key was before.
 * **Network peak parity** — after every memory op, ``max_memory()`` (kept
   eagerly by the bank) equals the reference's eager maximum, and at the
   end the largest per-vertex high-water.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.congest import Network, ReferenceNetwork
+from repro.congest import MemoryMeter, Network, ReferenceNetwork
 from repro.errors import CongestModelViolation, InputError
 from repro.wordsize import words_of
 
@@ -157,42 +159,51 @@ _MEM_WORDS = st.integers(min_value=0, max_value=9)
 #: Per-vertex ops name their vertex by an index taken modulo ``n``.
 _MEM_VERTEX = st.integers(min_value=0, max_value=15)
 
+#: Vertex lists for ``add_each``: repeats are common once taken modulo n.
+_MEM_VERTICES = st.lists(_MEM_VERTEX, max_size=8)
+
 _MEM_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("store_all"), _MEM_KEYS, _MEM_WORDS),
         st.tuples(st.just("free_key"), _MEM_KEYS),
         st.tuples(st.just("free_all"), _MEM_PREFIXES),
-        st.tuples(st.just("store"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
-        st.tuples(st.just("add"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
-        st.tuples(st.just("free"), _MEM_VERTEX, _MEM_KEYS),
-        st.tuples(st.just("free_prefix"), _MEM_VERTEX, _MEM_PREFIXES),
+        # On a uniform key each of these demotes it first.
+        st.tuples(st.just("store_each"), _MEM_KEYS,
+                  st.dictionaries(_MEM_VERTEX, _MEM_WORDS, max_size=8)),
+        st.tuples(st.just("add_each"), _MEM_KEYS, _MEM_VERTICES, _MEM_WORDS),
     ),
     min_size=1,
     max_size=24,
 )
 
 
+def _batch(nodes, op):
+    """A ``store_each`` op's mapping; vertices are indices mod n."""
+    return {nodes[i % len(nodes)]: w for i, w in op[2].items()}
+
+
+def _apply_mem_op(net, nodes, op):
+    """One op of ``_MEM_OPS`` on ``net``; vertices are indices mod n."""
+    if op[0] == "store_each":
+        net.store_each(op[1], _batch(nodes, op))
+    elif op[0] == "add_each":
+        net.add_each(op[1], [nodes[i % len(nodes)] for i in op[2]], op[3])
+    else:
+        getattr(net, op[0])(*op[1:])
+
+
 @given(small_graphs(max_size=8), _MEM_OPS)
 @settings(max_examples=200, deadline=None)
 def test_meter_snapshots_agree_across_engines(graph, ops):
-    """Bulk and per-vertex memory ops, interleaved, leave byte-identical
-    meter state on both engines.  The meters are read once, at the end:
-    reading a high-water settles it, and the lazily settled path (a peak
-    reached and released between two touches of a vertex) is the one
-    under test."""
+    """The bulk memory ops, interleaved, leave byte-identical meter state
+    on both engines.  The meters are read once, at the end: reading a
+    high-water settles it, and the lazily settled path (a peak reached and
+    released between two touches of a vertex) is the one under test."""
     nets = {name: cls(graph) for name, cls in ENGINES.items()}
     for net in nets.values():
         nodes = list(net.nodes())
         for op in ops:
-            if op[0] == "store_all":
-                net.store_all(op[1], op[2])
-            elif op[0] == "free_key":
-                net.free_key(op[1])
-            elif op[0] == "free_all":
-                net.free_all(op[1])
-            else:
-                meter = net.mem(nodes[op[1] % len(nodes)])
-                getattr(meter, op[0])(*op[2:])
+            _apply_mem_op(net, nodes, op)
     assert meter_state(nets["fastpath"]) == meter_state(nets["reference"])
     assert nets["fastpath"].max_memory() == nets["reference"].max_memory()
 
@@ -201,8 +212,6 @@ _EACH_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("store_all"), _MEM_KEYS, _MEM_WORDS),
         st.tuples(st.just("free_key"), _MEM_KEYS),
-        # A per-vertex store on a uniform key demotes it first.
-        st.tuples(st.just("store"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
         st.tuples(st.just("store_each"), _MEM_KEYS,
                   st.dictionaries(_MEM_VERTEX, _MEM_WORDS, max_size=8)),
     ),
@@ -215,50 +224,74 @@ _EACH_OPS = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_store_each_equals_the_per_vertex_loop(graph, ops):
     """``store_each(key, m)`` leaves the meter state the loop ``for v, w in
-    m.items(): mem(v).store(key, w)`` leaves, on a key that is uniform,
+    m.items(): store_each(key, {v: w})`` leaves, on a key that is uniform,
     demoted, per-vertex or freed; on ``Network`` and on the reference."""
     nets = {"batched": Network(graph), "looped": Network(graph),
             "reference": ReferenceNetwork(graph)}
     for name, net in nets.items():
         nodes = list(net.nodes())
         for op in ops:
-            if op[0] == "store_all":
-                net.store_all(op[1], op[2])
-            elif op[0] == "free_key":
-                net.free_key(op[1])
-            elif op[0] == "store":
-                net.mem(nodes[op[1] % len(nodes)]).store(op[2], op[3])
+            if op[0] == "store_each" and name == "looped":
+                for v, words in _batch(nodes, op).items():
+                    net.store_each(op[1], {v: words})
             else:
-                batch = {nodes[i % len(nodes)]: w for i, w in op[2].items()}
-                if name == "looped":
-                    for v, words in batch.items():
-                        net.mem(v).store(op[1], words)
-                else:
-                    net.store_each(op[1], batch)
+                _apply_mem_op(net, nodes, op)
     states = {name: meter_state(net) for name, net in nets.items()}
     assert states["batched"] == states["looped"] == states["reference"]
     assert nets["batched"].memory_by_group() == nets["reference"].memory_by_group()
 
 
-_PEAK_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("store_all"), _MEM_KEYS, _MEM_WORDS),
-        st.tuples(st.just("free_key"), _MEM_KEYS),
-        st.tuples(st.just("free_all"), _MEM_PREFIXES),
-        st.tuples(st.just("store_each"), _MEM_KEYS,
-                  st.dictionaries(_MEM_VERTEX, _MEM_WORDS, max_size=8)),
-        # On a uniform key each of these demotes it first.
-        st.tuples(st.just("store"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
-        st.tuples(st.just("add"), _MEM_VERTEX, _MEM_KEYS, _MEM_WORDS),
-        st.tuples(st.just("free"), _MEM_VERTEX, _MEM_KEYS),
-        st.tuples(st.just("free_prefix"), _MEM_VERTEX, _MEM_PREFIXES),
-    ),
-    min_size=1,
-    max_size=24,
-)
+class _MeterLoop:
+    """One standalone :class:`MemoryMeter` per vertex, driven one meter
+    call at a time: the per-vertex loop ``add_each`` must equal."""
+
+    def __init__(self, graph) -> None:
+        self.meters = {v: MemoryMeter() for v in graph}
+
+    def nodes(self):
+        return iter(self.meters)
+
+    def mem(self, v):
+        return self.meters[v]
+
+    def apply(self, nodes, op) -> None:
+        if op[0] == "add_each":
+            for i in op[2]:
+                self.meters[nodes[i % len(nodes)]].add(op[1], op[3])
+        elif op[0] == "store_each":
+            for v, words in _batch(nodes, op).items():
+                self.meters[v].store(op[1], words)
+        else:
+            for meter in self.meters.values():
+                if op[0] == "store_all":
+                    meter.store(op[1], op[2])
+                elif op[0] == "free_key":
+                    meter.free(op[1])
+                else:
+                    meter.free_prefix(op[1])
 
 
-@given(small_graphs(max_size=8), _PEAK_OPS)
+@given(small_graphs(max_size=8), _MEM_OPS)
+@settings(max_examples=150, deadline=None)
+def test_add_each_equals_the_per_vertex_loop(graph, ops):
+    """``add_each(key, vertices, w)`` leaves the meter state of the loop
+    ``for v in vertices: MemoryMeter.add(key, w)`` (a vertex listed twice
+    grows twice), on a key that is uniform (so demoted first), per-vertex
+    or freed, between ``store_all`` / ``free_key`` / ``free_all`` calls;
+    on ``Network`` and on the reference."""
+    loop = _MeterLoop(graph)
+    nets = {name: cls(graph) for name, cls in ENGINES.items()}
+    nodes = list(graph.nodes)
+    for op in ops:
+        loop.apply(nodes, op)
+        for net in nets.values():
+            _apply_mem_op(net, nodes, op)
+    state = meter_state(loop)
+    assert meter_state(nets["fastpath"]) == meter_state(nets["reference"]) == state
+    assert nets["fastpath"].memory_by_group() == nets["reference"].memory_by_group()
+
+
+@given(small_graphs(max_size=8), _MEM_OPS)
 @settings(max_examples=150, deadline=None)
 def test_max_memory_is_the_largest_high_water(graph, ops):
     """``Network.max_memory()`` is kept eagerly by the bank: after every op
@@ -270,13 +303,7 @@ def test_max_memory_is_the_largest_high_water(graph, ops):
     for name, net in nets.items():
         nodes = list(net.nodes())
         for op in ops:
-            if op[0] in ("store_all", "free_key", "free_all"):
-                getattr(net, op[0])(*op[1:])
-            elif op[0] == "store_each":
-                net.store_each(op[1], {nodes[i % len(nodes)]: w
-                                       for i, w in op[2].items()})
-            else:
-                getattr(net.mem(nodes[op[1] % len(nodes)]), op[0])(*op[2:])
+            _apply_mem_op(net, nodes, op)
             peaks[name].append(net.max_memory())
     assert peaks["fastpath"] == peaks["reference"]
     fast = nets["fastpath"]
@@ -406,7 +433,7 @@ def _flight_run(engine):
     batches = []
     with flight.auto(stride=2, top_edges=3) as session:
         for r in range(7):
-            net.mem(nodes[r]).store(f"tree/r{r}", r + 1)
+            net.store_each(f"tree/r{r}", {nodes[r]: r + 1})
             batch = [(v, w, payloads[(r + i) % len(payloads)])
                      for i, v in enumerate(nodes[r:r + 5]) for w in net.ports(v)]
             net.send_each(batch)

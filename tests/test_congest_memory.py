@@ -55,6 +55,13 @@ class TestAdd:
         meter.add("x", 4)
         assert meter.current == 4
 
+    def test_negative_add_raises(self):
+        meter = MemoryMeter()
+        meter.add("x", 4)
+        with pytest.raises(MemoryAccountingError):
+            meter.add("x", -1)
+        assert meter.current == 4
+
 
 class TestFree:
     def test_free_releases(self):
@@ -147,9 +154,9 @@ class TestSnapshot:
 
 
 class TestPrefixIndexTeardownCost:
-    """The prefix probe (docstring of :mod:`repro.congest.memory`): freeing
-    a slash-qualified prefix examines only that group's live keys,
-    regardless of how much else is stored."""
+    """What a prefix teardown frees on the specification meter: exactly
+    the keys starting with the prefix, inside one group or across groups,
+    however much else is stored."""
 
     def test_free_prefix_scans_only_its_group(self):
         meter = MemoryMeter()
@@ -158,7 +165,6 @@ class TestPrefixIndexTeardownCost:
         for i in range(3):
             meter.store(f"t/key-{i}", 1)
         meter.free_prefix("t/")
-        assert meter.last_prefix_scan == 3
         assert meter.current == 500
 
     def test_free_prefix_absent_group_scans_nothing(self):
@@ -166,7 +172,6 @@ class TestPrefixIndexTeardownCost:
         for i in range(100):
             meter.store(f"big/key-{i}", 1)
         meter.free_prefix("gone/")
-        assert meter.last_prefix_scan == 0
         assert meter.current == 100
 
     def test_partial_prefix_within_group(self):
@@ -175,7 +180,6 @@ class TestPrefixIndexTeardownCost:
         meter.store("hopset/scratch-2", 2)
         meter.store("hopset/keep", 5)
         meter.free_prefix("hopset/scratch-")
-        assert meter.last_prefix_scan == 3  # the group, not all live keys
         assert meter.current == 5
         assert meter.snapshot("hopset/") == {"hopset/keep": 5}
 
@@ -185,7 +189,6 @@ class TestPrefixIndexTeardownCost:
         meter.store("beta", 1)
         meter.store("tree/a", 1)
         meter.free_prefix("al")
-        assert meter.last_prefix_scan == 3
         assert meter.current == 2
 
     def test_scan_cost_does_not_scale_with_other_groups(self):
@@ -195,7 +198,6 @@ class TestPrefixIndexTeardownCost:
                 meter.store(f"group{g}/k{i}", 1)
         meter.store("tiny/only", 1)
         meter.free_prefix("tiny/")
-        assert meter.last_prefix_scan == 1
         assert meter.current == 500
 
     def test_group_index_survives_free_and_restore(self):
@@ -204,60 +206,23 @@ class TestPrefixIndexTeardownCost:
         meter.free("t/a")
         meter.store("t/b", 2)
         meter.free_prefix("t/")
-        assert meter.last_prefix_scan == 1
         assert meter.current == 0
-
-
-class TestExactFreeResetsPin:
-    """Regression: an exact-key :meth:`MemoryMeter.free` resolves through
-    the item index without scanning any keys, so it resets
-    ``last_prefix_scan`` to 0.  Bulk exact-key teardowns (``free_key``)
-    used to leave the pin stale at whatever an *earlier* ``free_prefix``
-    had scanned."""
-
-    def test_free_resets_stale_pin(self):
-        meter = MemoryMeter()
-        for i in range(7):
-            meter.store(f"t/key-{i}", 1)
-        meter.free_prefix("t/")
-        assert meter.last_prefix_scan == 7  # the stale value to clear
-        meter.store("relay/broadcast", 3)
-        meter.free("relay/broadcast")
-        assert meter.last_prefix_scan == 0
-        assert meter.current == 0
-
-    def test_free_of_absent_key_also_resets(self):
-        meter = MemoryMeter()
-        meter.store("t/a", 1)
-        meter.free_prefix("t/")
-        assert meter.last_prefix_scan == 1
-        meter.free("ghost")
-        assert meter.last_prefix_scan == 0
-
-    def test_free_prefix_pin_not_clobbered_by_its_own_frees(self):
-        meter = MemoryMeter()
-        meter.store("t/a", 1)
-        meter.store("t/b", 1)
-        meter.free_prefix("t/")
-        # The internal per-key frees must not reset the count the call
-        # just recorded.
-        assert meter.last_prefix_scan == 2
 
 
 class TestNetworkBulkFrees:
     """Engine-parametrized: meter state after network-level bulk frees is
     identical across reference and fastpath."""
 
-    def test_free_key_resets_prefix_pin_at_every_vertex(self, engine):
+    def test_free_all_and_free_key_empty_every_vertex(self, engine):
         net = engine(nx.path_graph(4))
-        for v in net.nodes():
-            net.mem(v).store("tree/a", 2)
-        net.free_all("tree/")  # prefix teardown pins a scan count of 1
-        assert all(net.mem(v).last_prefix_scan == 1 for v in net.nodes())
+        net.store_each("tree/a", dict.fromkeys(net.nodes(), 2))
+        net.store_all("tree/b", 1)
         net.store_all("relay/broadcast", 3)
-        net.free_key("relay/broadcast")  # bulk exact-key teardown
-        assert all(net.mem(v).last_prefix_scan == 0 for v in net.nodes())
+        net.free_all("tree/")  # a column and a uniform key, by key
+        assert all(net.mem(v).current == 3 for v in net.nodes())
+        net.free_key("relay/broadcast")
         assert all(net.mem(v).current == 0 for v in net.nodes())
+        assert net.max_memory() == 6
 
     def test_high_water_after_round_teardown(self, engine):
         net = engine(nx.path_graph(3))
@@ -276,11 +241,11 @@ class TestNetworkLevelAccounting:
 
     def test_peak_between_two_touches_of_a_vertex(self, engine):
         net = engine(nx.path_graph(3))
-        net.mem(0).store("tree/a", 5)
+        net.store_each("tree/a", {0: 5})
         for words in (3, 9, 2):  # three peaks come and go; 0 is not touched
             net.store_all("relay/broadcast", words)
             net.free_key("relay/broadcast")
-        net.mem(0).store("tree/b", 1)
+        net.store_each("tree/b", {0: 1})
         assert [net.mem(v).current for v in net.nodes()] == [6, 0, 0]
         assert net.memory_high_water() == {0: 14, 1: 9, 2: 9}
         assert net.max_memory() == 14
@@ -289,15 +254,14 @@ class TestNetworkLevelAccounting:
         net = engine(nx.path_graph(2))
         net.store_all("relay/broadcast", 9)
         net.free_key("relay/broadcast")
-        net.mem(0).store("tree/a", 5)  # after the peak: never 5 + 9
+        net.store_each("tree/a", {0: 5})  # after the peak: never 5 + 9
         net.store_all("relay/broadcast", 2)
         assert net.memory_high_water() == {0: 9, 1: 9}
         assert [net.mem(v).current for v in net.nodes()] == [7, 2]
 
     def test_store_all_over_per_vertex_sizes(self, engine):
         net = engine(nx.path_graph(4))
-        net.mem(0).store("t/k", 10)
-        net.mem(1).store("t/k", 2)
+        net.store_each("t/k", {0: 10, 1: 2})
         net.store_all("t/k", 4)
         for v in net.nodes():
             assert net.mem(v).current == 4
@@ -312,23 +276,33 @@ class TestNetworkLevelAccounting:
         net = engine(nx.path_graph(5))
         net.store_all("t/k", 4)
         net.store_all("t/other", 1)
-        net.mem(0).store("t/k", 9)
-        net.mem(1).add("t/k", 2)
-        net.mem(2).free("t/k")
-        net.mem(3).free_prefix("t/k")
-        assert net.mem(3).last_prefix_scan == 2  # t/k and t/other
-        assert [net.mem(v).current for v in net.nodes()] == [10, 7, 1, 1, 5]
-        assert net.memory_high_water() == {0: 10, 1: 7, 2: 5, 3: 5, 4: 5}
+        net.store_each("t/k", {0: 9, 2: 0})  # demotes t/k
+        net.add_each("t/k", [1, 3, 1], 2)  # 1 is listed twice: grows twice
+        assert [net.mem(v).current for v in net.nodes()] == [10, 9, 1, 7, 5]
+        assert net.memory_high_water() == {0: 10, 1: 9, 2: 5, 3: 7, 4: 5}
+        assert net.mem(2).snapshot("t/") == {"t/k": 0, "t/other": 1}
         assert net.mem(4).snapshot() == {"t/": 5}
         assert net.mem(4).snapshot("t/") == {"t/k": 4, "t/other": 1}
         net.free_key("t/k")
         assert [net.mem(v).current for v in net.nodes()] == [1] * 5
+        net.free_all("t/")
+        assert [net.mem(v).current for v in net.nodes()] == [0] * 5
+
+    def test_add_each_stops_at_an_unknown_vertex(self, engine):
+        net = engine(nx.path_graph(3))
+        net.store_all("t/k", 1)
+        with pytest.raises(KeyError):
+            net.add_each("t/k", [0, 2, 0, "ghost", 1], 3)
+        assert [net.mem(v).current for v in net.nodes()] == [7, 1, 4]
+        with pytest.raises(MemoryAccountingError):
+            net.add_each("t/k", [1], -1)
+        assert net.memory_high_water() == {0: 7, 1: 1, 2: 4}
 
     def test_restore_all_of_a_live_key_with_a_smaller_size(self, engine):
         net = engine(nx.path_graph(2))
         net.store_all("relay/buf", 8)
         net.store_all("relay/buf", 3)
-        net.mem(0).store("tree/a", 2)
+        net.store_each("tree/a", {0: 2})
         assert [net.mem(v).current for v in net.nodes()] == [5, 3]
         assert net.memory_high_water() == {0: 8, 1: 8}
         assert net.mem(0).high_water_excluding("relay/") == 2
@@ -336,7 +310,7 @@ class TestNetworkLevelAccounting:
     def test_negative_store_all_changes_nothing(self, engine):
         net = engine(nx.path_graph(3))
         net.store_all("relay/buf", 2)
-        net.mem(0).store("t/k", 1)
+        net.store_each("t/k", {0: 1})
         before = meter_state(net)
         with pytest.raises(MemoryAccountingError) as failure:
             net.store_all("t/k", -1)
@@ -351,11 +325,11 @@ class TestNetworkLevelAccounting:
         net = engine(nx.path_graph(2))
         net.store_all("relay/buf", 2)
         meter = net.mem(0)
-        meter.store("tree/a", 1)
+        net.store_each("tree/a", {0: 1})
         assert dict(meter.items()) == {"relay/buf": 2, "tree/a": 1}
         net.free_key("relay/buf")
-        meter.store("tree/b", 2)
-        net.mem(1).store("tree/c", 3)  # another vertex's entry
+        net.store_each("tree/b", {0: 2})
+        net.store_each("tree/c", {1: 3})  # another vertex's entry
         assert dict(meter.items()) == {"tree/a": 1, "tree/b": 2}
 
 
@@ -376,7 +350,7 @@ class TestBulkHighWaterRead:
             lambda self, epoch: lookups.append(epoch) or real(self, epoch))
         net = Network(nx.path_graph(50))
         net.store_all("relay/a", 4)
-        net.mem(7).store("tree/x", 3)  # settles 7 at the current epoch
+        net.store_each("tree/x", {7: 3})  # settles 7 at the current epoch
         net.store_all("relay/b", 2)
         net.free_key("relay/a")
         del lookups[:]
@@ -420,3 +394,18 @@ class TestColumnBank:
         assert all(bank.columns.values())  # an emptied column is dropped
         assert 0 < len(bank.columns) <= 16  # the tree's retained keys, n=2000
         assert sum(map(len, bank.columns.values())) >= 2000 * 4
+
+    def test_free_all_drops_keys_without_demoting(self, monkeypatch):
+        from repro.congest import Network
+        from repro.congest.memory import MemoryBank
+
+        net = Network(nx.path_graph(50))
+        net.store_all("t/uniform", 3)
+        net.store_each("t/column", {7: 2})
+        net.store_all("keep", 1)
+        monkeypatch.setattr(MemoryBank, "demote", None)  # any call fails
+        net.free_all("t/")
+        bank = net._bank
+        assert (set(bank.columns), set(bank.uniform)) == (set(), {"keep"})
+        assert all(net.mem(v).current == 1 for v in net.nodes())
+        assert net.memory_high_water() == {v: 6 if v == 7 else 4 for v in range(50)}

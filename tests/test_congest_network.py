@@ -314,14 +314,13 @@ class TestMemoryIntegration:
 
     def test_max_memory_over_nodes(self, engine):
         net = engine(tiny_graph())
-        net.mem("a").store("x", 9)
-        net.mem("b").store("x", 4)
+        net.store_each("x", {"a": 9, "b": 4})
         assert net.max_memory() == 9
 
     def test_free_all_prefix(self, engine):
         net = engine(tiny_graph())
-        net.mem("a").store("tmp/x", 5)
-        net.mem("b").store("tmp/y", 5)
+        net.store_each("tmp/x", {"a": 5})
+        net.store_each("tmp/y", {"b": 5})
         net.free_all("tmp/")
         assert net.max_memory() == 5  # high-water survives
         assert all(net.mem(v).current == 0 for v in net.nodes())

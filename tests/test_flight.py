@@ -20,8 +20,7 @@ def _chat(net, rounds=6):
     """Drive a few rounds of neighbor chatter with growing memory."""
     nodes = sorted(net.nodes())
     for r in range(rounds):
-        for v in nodes:
-            net.mem(v).store(f"tree/round{r}", r + 1)
+        net.store_each(f"tree/round{r}", dict.fromkeys(nodes, r + 1))
         u = nodes[0]
         w = next(net.neighbors(u))
         net.send_each([(u, w, r)])
@@ -148,7 +147,7 @@ class TestSampling:
     def test_vertex_delta_only_records_changes(self, net):
         nodes = sorted(net.nodes())
         with flight.auto() as session:
-            net.mem(nodes[0]).store("a", 7)
+            net.store_each("a", {nodes[0]: 7})
             net.tick()
             net.tick()  # nothing changed between these samples
         (rec,) = session.recorders
@@ -182,7 +181,7 @@ class TestRing:
         v = sorted(net.nodes())[0]
         with flight.auto(ring=3) as session:
             for r in range(8):
-                net.mem(v).store("x", r + 1)
+                net.store_each("x", {v: r + 1})
                 net.tick()
         timeline = session.recorders[0].vertex_timeline(v)
         assert [cur for _, cur, _ in timeline] == [6, 7, 8]
@@ -191,7 +190,7 @@ class TestRing:
     def test_timeline_carries_state_forward(self, net):
         v = sorted(net.nodes())[0]
         with flight.auto() as session:
-            net.mem(v).store("x", 9)
+            net.store_each("x", {v: 9})
             net.tick()
             net.tick()
             net.tick()
@@ -321,7 +320,7 @@ class TestEngineParity:
             net = engine(random_connected_graph(6, seed=2))
             first = sorted(net.nodes())[0]
             with flight.auto() as session:
-                net.mem(first).store("tree/a", 2)
+                net.store_each("tree/a", {first: 2})
                 net.store_all("relay/buf", 3)
                 net.tick()
                 net.free_key("relay/buf")

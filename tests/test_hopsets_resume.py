@@ -3,8 +3,8 @@
 ``hopset_bellman_ford`` seeds each E' sweep with only the estimates that
 can still relax a neighbour.  :func:`full_rescan_bellman_ford` below is the
 loop it replaced, kept verbatim (only the unpacking of
-``relax_virtual_edges``' result gained the iteration count), as the
-reference: every sweep scans every estimate.  Both run over the seven
+``relax_virtual_edges``' result gained the iteration count, and its
+per-estimate meter adds became one ``add_each``), as the reference: every sweep scans every estimate.  Both run over the seven
 differential topology families, with and without the approximate-cluster
 gates, on the families' own weights, on unit weights and on tie-prone
 weights whose sums land within ``1e-15`` of each other; ``est``,
@@ -126,8 +126,7 @@ def full_rescan_bellman_ford(
             net.charge_rounds(oracle.hop_bound)
 
     # Memory: estimate + parent + hopset adjacency already charged at build.
-    for v in state.est:
-        net.mem(v).add(f"{mem_prefix}/estimates", 2)
+    net.add_each(f"{mem_prefix}/estimates", state.est, 2)
     return state
 
 
@@ -243,8 +242,10 @@ def test_resumed_sweeps_equal_a_full_rescan(topo, weights, bound, monkeypatch):
         n = graph.number_of_nodes()
         assert n <= 200
         instance = Instance(graph, seed, HOP_BOUNDS[bound](n))
-        root = instance.virtual[-1]
         level_set = {v: 0.0 for v in instance.virtual[::2]}
+        # A cluster root outside the level set: inside it, its bound is 0
+        # and the gated cluster is the root alone.
+        root = [v for v in instance.virtual if v not in level_set][-1]
         gates = instance.gates(level_set)
         spy = SweepSpy(instance.oracle, monkeypatch)
         for sources, beta, pair in (
@@ -259,6 +260,28 @@ def test_resumed_sweeps_equal_a_full_rescan(topo, weights, bound, monkeypatch):
                        for frontier, before, _, _ in spy.sweeps)
     # The rule is exercised: some sweep scanned fewer estimates than it held.
     assert resumed > 0
+
+
+def test_gated_cluster_splits_the_ordinary_and_the_virtual_bound():
+    """On a weighted 7-path with virtual vertices 0, 3, 6 and level set
+    {0, 6}, the cluster of 3 reaches ordinary vertex 4 at 0.93, inside
+    [d̂/(1+ε)², d̂/(1+ε)) for its d̂ = 1.0: 4 forwards under the ordinary
+    bound (and so reaches 5), and would not under the virtual one.  The
+    kernel's gate must resolve it as the reference's closures do."""
+    graph = nx.path_graph(7)
+    for (u, v), weight in zip(graph.edges, (1.0, 1.0, 1.0, 0.93, 0.5, 0.5)):
+        graph[u][v]["weight"] = weight
+    instance = Instance(graph, 0, default_hop_bound(7))
+    assert instance.virtual == [0, 3, 6]
+    level_set = {0: 0.0, 6: 0.0}
+    got, want = both(instance, {3: 0.0}, 4, instance.gates(level_set))
+    assert_same(got, want)
+    limit = full_rescan_bellman_ford(Network(graph), instance.oracle,
+                                     instance.hopset, level_set, 3).est
+    banded = [v for v, est in got.est.items() if not instance.oracle.is_virtual(v)
+              and limit[v] / (1.0 + EPSILON) ** 2 <= est < limit[v] / (1.0 + EPSILON)]
+    assert banded == [4]
+    assert 5 in got.est  # reached through 4 alone
 
 
 def test_a_sweep_that_used_every_hop_is_followed_by_a_full_one(monkeypatch):
@@ -298,8 +321,8 @@ def test_pivot_exploration_charges_as_the_kernel_did(topo, weights):
                 want_net, instance.oracle, instance.hopset,
                 {a: 0.0 for a in sorted(level_set, key=repr)}, beta,
                 charge=True, mem_prefix=f"pivots/{level}")
-        for v in want_net.nodes():
-            want_net.mem(v).store(f"pivots/approx-{level}", 2)
+        want_net.store_each(f"pivots/approx-{level}",
+                            dict.fromkeys(want_net.nodes(), 2))
         assert got == {v: want.value(v) for v in want_net.nodes()}
         assert got_net.metrics.fingerprint() == want_net.metrics.fingerprint()
         assert got_net.memory_by_group() == want_net.memory_by_group()

@@ -1,7 +1,6 @@
 """Unit tests for U-sampling and the local-tree partition (Section 3)."""
 
 import math
-import random
 
 import pytest
 
@@ -38,13 +37,6 @@ class TestPartition:
     def test_root_always_in_ut(self, tree):
         part = partition_tree(tree, seed=3)
         assert tree_root(tree) in part.ut
-
-    def test_injected_rng_overrides_seed_and_salt(self, tree):
-        a = partition_tree(tree, seed=1, salt="a", rng=random.Random(5))
-        b = partition_tree(tree, seed=2, salt="b", rng=random.Random(5))
-        assert a.ut == b.ut
-        c = partition_tree(tree, rng=random.Random(6))
-        assert a.ut != c.ut
 
     def test_local_forest_roots_are_ut(self, tree):
         part = partition_tree(tree, seed=3)
