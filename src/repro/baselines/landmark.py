@@ -37,31 +37,26 @@ def choose_landmarks(
     graph: nx.Graph,
     count: Optional[int],
     seed: int,
-    *,
-    rng: Optional[random.Random] = None,
 ) -> List[NodeId]:
-    """Pick the landmark set; ``rng`` injects a caller-owned sampling
-    stream (``seed`` is then ignored), matching ``sample_pairs``."""
+    """Pick the landmark set: ``count`` vertices (default ``ceil(sqrt n)``)
+    drawn under ``seed``."""
     n = graph.number_of_nodes()
     if count is None:
         count = max(1, math.ceil(math.sqrt(n)))
     if not (1 <= count <= n):
         raise InputError(f"landmark count {count} out of range")
-    if rng is None:
-        rng = random.Random(f"landmarks/{seed}")
+    rng = random.Random(f"landmarks/{seed}")
     return sorted(rng.sample(sorted(graph.nodes, key=repr), count), key=repr)
 
 
 def build_landmark_scheme(
     graph: nx.Graph,
     *,
-    landmarks: Optional[int] = None,
     seed: int = 0,
-    rng: Optional[random.Random] = None,
 ) -> GraphRoutingScheme:
     """Build the landmark scheme (centralized preprocessing)."""
     require_weighted_connected(graph)
-    chosen = choose_landmarks(graph, landmarks, seed, rng=rng)
+    chosen = choose_landmarks(graph, None, seed)
 
     tree_schemes: Dict[Hashable, TreeRoutingScheme] = {}
     dist_by_landmark: Dict[NodeId, Dict[NodeId, float]] = {}
@@ -69,9 +64,7 @@ def build_landmark_scheme(
     for ell in chosen:
         dist, parent = dijkstra(adj, [ell])
         dist_by_landmark[ell] = dist
-        tree_schemes[ell] = build_tree_scheme(
-            parent, tree_id=ell, root_distance=lambda v, d=dist: d[v]
-        )
+        tree_schemes[ell] = build_tree_scheme(parent, tree_id=ell)
 
     tables = graph_tables(graph.nodes, tree_schemes)
     _, owner = nearest_in_set(adj, chosen)

@@ -131,10 +131,7 @@ def build_tree_cover_scheme(
                 if p is not None and p not in members:
                     tree_parent[v] = None  # cannot happen on SPTs; guard
             trees[c] = build_tree_scheme(
-                tree_parent,
-                tree_id=("cover", radius, c),
-                root_distance=lambda v, d=dist: d[v],
-            )
+                tree_parent, tree_id=("cover", radius, c))
         scales.append(
             CoverScale(radius=radius, centers=centers, home_center=home, trees=trees)
         )

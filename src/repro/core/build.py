@@ -180,9 +180,7 @@ def build_distributed_scheme(
     with _tele.span("build/tree-routing", trees=len(cluster_trees)):
         trees = build_tree_schemes(
             net, {root: tree.parent for root, tree in cluster_trees.items()},
-            seed=seed, bfs=bfs,
-            root_distances={root: tree.dist for root, tree in cluster_trees.items()},
-        )
+            seed=seed, bfs=bfs)
         schemes = trees.schemes
     with _tele.span("build/assembly"):
         tables = assemble_tables(net, schemes)

@@ -48,23 +48,16 @@ class TreeTable:
 
     ``enter``/``exit_`` delimit the vertex's DFS interval (descendant test),
     ``parent`` and ``heavy`` are neighbour ids (``None`` at the root / at
-    leaves).  ``root_distance`` (optional, +1 word) is the weighted distance
-    to the tree root.  The general-graph schemes store it and count it in
-    their table size, but no router reads it: the source commits to the
-    first label level whose tree contains it.
+    leaves): the four words tree routing reads.
     """
 
     enter: int
     exit_: int
     parent: Optional[NodeId]
     heavy: Optional[NodeId]
-    root_distance: Optional[float] = None
 
     def word_size(self) -> int:
-        words = 4  # enter, exit, parent, heavy
-        if self.root_distance is not None:
-            words += 1
-        return words
+        return 4  # enter, exit, parent, heavy
 
     def contains(self, enter_time: int) -> bool:
         """Is the vertex with DFS entry ``enter_time`` in my subtree?"""
@@ -218,8 +211,7 @@ class Header:
 
 
 def _table_at(s: "TreeRoutingScheme", p: int) -> TreeTable:
-    return TreeTable(s.enter[p], s.exit_[p], s.parent[p], s.heavy[p],
-                     s.root_distance[p])
+    return TreeTable(s.enter[p], s.exit_[p], s.parent[p], s.heavy[p])
 
 
 def _label_at(s: "TreeRoutingScheme", p: int) -> TreeLabel:
@@ -275,8 +267,8 @@ def _light_columns(
 class TreeRoutingScheme:
     """A complete exact routing scheme for one tree, stored as columns.
 
-    Row ``p`` of ``enter`` / ``exit_`` / ``parent`` / ``heavy`` /
-    ``root_distance`` is one vertex's :class:`TreeTable`; row ``p`` of the
+    Row ``p`` of ``enter`` / ``exit_`` / ``parent`` / ``heavy`` is one
+    vertex's :class:`TreeTable`; row ``p`` of the
     label columns is one vertex's :class:`TreeLabel`: ``label_enter[p]`` and
     light edges ``light_offsets[p]`` to ``light_offsets[p + 1]``, whose
     endpoints ``u0, v0, u1, v1, ...`` lie back to back in ``light``.
@@ -293,19 +285,18 @@ class TreeRoutingScheme:
     """
 
     __slots__ = ("tree_id", "root", "index", "enter", "exit_", "parent",
-                 "heavy", "root_distance", "label_index", "label_enter",
+                 "heavy", "label_index", "label_enter",
                  "light_offsets", "light", "_rows")
 
     def __init__(self, tree_id: TreeId, root: NodeId, *,
                  index: Dict[NodeId, int], enter: List[int],
                  exit_: List[int], parent: List[Optional[NodeId]],
                  heavy: List[Optional[NodeId]],
-                 root_distance: List[Optional[float]],
                  label_index: Dict[NodeId, int], label_enter: List[int],
                  light_offsets: List[int], light: List[NodeId]) -> None:
         self.tree_id, self.root = tree_id, root
         self.index, self.enter, self.exit_ = index, enter, exit_
-        self.parent, self.heavy, self.root_distance = parent, heavy, root_distance
+        self.parent, self.heavy = parent, heavy
         self.label_index, self.label_enter = label_index, label_enter
         self.light_offsets, self.light = light_offsets, light
         #: every table row, dropped ones included (what references read)
@@ -320,7 +311,6 @@ class TreeRoutingScheme:
         heavy: Mapping[NodeId, Optional[NodeId]],
         intervals: Mapping[NodeId, Tuple[int, int]],
         light_edges: Mapping[NodeId, Iterable[Tuple[NodeId, NodeId]]],
-        root_distance: Optional[Callable[[NodeId], float]] = None,
     ) -> "TreeRoutingScheme":
         """The scheme of one rooted tree from what both builders compute
         per vertex, one row per vertex in ``parent`` order."""
@@ -334,8 +324,6 @@ class TreeRoutingScheme:
             exit_=[span[1] for span in spans],
             parent=[parent[v] for v in vertices],
             heavy=[heavy[v] for v in vertices],
-            root_distance=([None] * len(vertices) if root_distance is None
-                           else list(map(root_distance, vertices))),
             label_index=index, label_enter=enter, light_offsets=offsets,
             light=light)
 
@@ -355,7 +343,6 @@ class TreeRoutingScheme:
             tree_id, root, index=index, enter=[t.enter for t in rows],
             exit_=[t.exit_ for t in rows], parent=[t.parent for t in rows],
             heavy=[t.heavy for t in rows],
-            root_distance=[t.root_distance for t in rows],
             label_index=(index if list(labels) == list(tables)
                          else dict(zip(labels, range(len(marks))))),
             label_enter=[l.enter for l in marks], light_offsets=offsets,
@@ -381,15 +368,14 @@ class TreeRoutingScheme:
         return _table_at(self, self._rows[v])
 
     def columns_of(self, vertices: Iterable[NodeId]) -> List[list]:
-        """The ``enter``, ``exit_``, ``parent``, ``heavy`` and
-        ``root_distance`` of ``vertices``' rows, as five columns."""
+        """The ``enter``, ``exit_``, ``parent`` and ``heavy`` of
+        ``vertices``' rows, as four columns."""
         rows = list(map(self._rows.__getitem__, vertices))
         return [list(map(column.__getitem__, rows)) for column in
-                (self.enter, self.exit_, self.parent, self.heavy,
-                 self.root_distance)]
+                (self.enter, self.exit_, self.parent, self.heavy)]
 
     def table_words(self, v: NodeId) -> int:
-        return 4 if self.root_distance[self._rows[v]] is None else 5
+        return 4
 
     def label_words(self, v: NodeId) -> int:
         p = self.label_index[v]

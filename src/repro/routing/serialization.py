@@ -13,7 +13,7 @@ as a one-element tag object (``{"i": 5}``, ``{"s": "v"}``, ``{"t": [...]}``;
 id of a scheme into the top-level ``"ids"`` list and everything else
 refers to it by position.
 
-Format 3 (``FORMAT_VERSION``).  ``v`` / ``tree`` / ``parent`` / ``heavy`` /
+Format 4 (``FORMAT_VERSION``).  ``v`` / ``tree`` / ``parent`` / ``heavy`` /
 light-edge endpoints are indices into ``"ids"`` (``null`` for "no parent" /
 "no heavy child").  A tree scheme's maps are parallel **columns**, one
 position per vertex -- the columns a
@@ -28,17 +28,17 @@ lack) is written in full, and told apart by shape.  Indices, ``enter`` /
 ``exit`` and light-edge counts are JSON integers, distances numbers::
 
     tree tables       [[v, ...], [enter, ...], [exit, ...], [parent, ...],
-                       [heavy, ...], [root_distance, ...]]
+                       [heavy, ...]]
     tree labels       [[v, ...], [enter, ...], [light-edge count, ...],
                        [u0, v0, u1, v1, ...]]   # all light edges, back to back
-    tree scheme       {"format": 3, "kind": "tree", "ids": [...],
+    tree scheme       {"format": 4, "kind": "tree", "ids": [...],
                        "tree_id": i, "root": i,
                        "tables": tree tables, "labels": tree labels}
     table entry       tree
-                      | [tree, enter, exit, parent, heavy, root_distance]
+                      | [tree, enter, exit, parent, heavy]
     label entry       null | [tree, dist]
                       | [tree, dist, enter, [u0, v0, ...]]
-    graph scheme      {"format": 3, "kind": "graph", "k": k, "ids": [...],
+    graph scheme      {"format": 4, "kind": "graph", "k": k, "ids": [...],
                        "tree_schemes": [[tree, {"tree_id", "root",
                                                 "tables", "labels"}], ...],
                        "tables": [[v, [table entry, ...]], ...],
@@ -84,7 +84,7 @@ from .artifacts import (
 NodeId = Hashable
 TreeId = Hashable
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +174,13 @@ def _tree_table_row(ids: IdTable, key: NodeId, table: TreeTable) -> List[Any]:
         ids.index(key), table.enter, table.exit_,
         None if parent is None else ids.index(parent),
         None if heavy is None else ids.index(heavy),
-        table.root_distance,
     ]
 
 
 def _tree_body(ids: IdTable, scheme: TreeRoutingScheme) -> Dict[str, Any]:
     index = ids.index
     vertices = list(scheme.index)
-    enter, exit_, parent, heavy, root_distance = scheme.columns_of(vertices)
+    enter, exit_, parent, heavy = scheme.columns_of(vertices)
     rows = list(scheme.label_index.values())
     offsets, light = scheme.light_offsets, scheme.light
     return {
@@ -191,7 +190,6 @@ def _tree_body(ids: IdTable, scheme: TreeRoutingScheme) -> Dict[str, Any]:
             list(map(index, vertices)), enter, exit_,
             [None if v is None else index(v) for v in parent],
             [None if v is None else index(v) for v in heavy],
-            root_distance,
         ],
         "labels": [
             list(map(index, scheme.label_index)),
@@ -311,10 +309,8 @@ def _aligned(*columns: Any) -> None:
 _INT = frozenset({int})
 _OPT_INT = _INT | {type(None)}
 _NUMBER = frozenset({int, float})
-_OPT_NUMBER = _NUMBER | {type(None)}
-#: a table entry written in full: tree, enter, exit, parent, heavy,
-#: root distance
-_TABLE_ROW = (_INT, _INT, _INT, _OPT_INT, _OPT_INT, _OPT_NUMBER)
+#: a table entry written in full: tree, enter, exit, parent, heavy
+_TABLE_ROW = (_INT, _INT, _INT, _OPT_INT, _OPT_INT)
 
 
 def _typed(values: Iterable[Any], *allowed: frozenset) -> None:
@@ -339,11 +335,10 @@ def _tree_scheme(ids: _Ids, body: Dict[str, Any], where: str = "") -> TreeRoutin
     with _section(where + "root"):
         root = ids.id(body["root"])
     with _section(where + "tables"):
-        vs, enters, exits, parents, heavies, dists = columns = body["tables"]
+        vs, enters, exits, parents, heavies = columns = body["tables"]
         _aligned(*columns)
         _typed(chain(vs, enters, exits), _INT)
         _typed(chain(parents, heavies), _OPT_INT)
-        _typed(dists, _OPT_NUMBER)
         index = dict(zip(map(at, vs), range(len(vs))))
         parents, heavies = list(map(opt, parents)), list(map(opt, heavies))
     with _section(where + "labels"):
@@ -362,8 +357,7 @@ def _tree_scheme(ids: _Ids, body: Dict[str, Any], where: str = "") -> TreeRoutin
         light = list(map(at, light))
     return TreeRoutingScheme(
         tree_id, root, index=index, enter=list(enters), exit_=list(exits),
-        parent=parents, heavy=heavies,
-        root_distance=list(dists), label_index=label_index,
+        parent=parents, heavy=heavies, label_index=label_index,
         label_enter=list(label_enters), light_offsets=offsets, light=light)
 
 
@@ -419,9 +413,9 @@ def graph_scheme_from_dict(blob: Dict[str, Any]) -> GraphRoutingScheme:
                         raise KeyError(f"{v!r} has no row in tree {tree!r}")
                 else:
                     _typed(entry, *_TABLE_ROW)
-                    tree, enter, exit_, parent, heavy, dist = entry
+                    tree, enter, exit_, parent, heavy = entry
                     held[at[tree]] = TreeTable(enter, exit_, opt[parent],
-                                               opt[heavy], dist)
+                                               opt[heavy])
     labels: Dict[NodeId, GraphLabel] = {}
     with _section("labels"):
         for v_index, entries in blob["labels"]:

@@ -238,7 +238,7 @@ def _compile_tree(
     adj = _adjacency(graph)
     weighted = graph is not None
     ids = list(scheme.index)
-    tree = _pack_tree(scheme.tree_id, ids, scheme.columns_of(ids)[:4], adj,
+    tree = _pack_tree(scheme.tree_id, ids, scheme.columns_of(ids), adj,
                       weighted=weighted)
     rows = {v: ((0, 0, 0.0, _pack_label(label, tree, adj, weighted=weighted)),)
             for v, label in scheme.labels.items()}
@@ -326,7 +326,7 @@ def _member_columns(ids: List[NodeId], entries: list) -> List[list]:
     tree scheme's columns when every entry refers to the same one."""
     first = entries[0]
     if not isinstance(first, TreeTable) and all(e is first for e in entries):
-        return first.columns_of(ids)[:4]
+        return first.columns_of(ids)
     rows = [e if isinstance(e, TreeTable) else e.table_of(v)
             for v, e in zip(ids, entries)]
     return [[getattr(row, name) for row in rows] for name in

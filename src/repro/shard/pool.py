@@ -39,7 +39,7 @@ from ..errors import InputError, ShardError
 from ..metrics.serve import EXEMPLAR_LIMIT
 from ..serve.compile import CompiledGraphScheme, CompiledScheme, Scheme, compile_scheme
 from ..serve.engine import RouteBatch
-from ..serve.harness import ServeReport
+from ..serve.harness import ServeReport, _route_length_probe
 from ..serve.workloads import make_workload
 from ..telemetry import events as _tele
 from .plan import partition_pairs, shard_of
@@ -367,6 +367,7 @@ def run_sharded(
                 pairs = make_workload(
                     workload, graph, compiled.nodes, queries, seed,
                     zipf_alpha=zipf_alpha,
+                    route_length=_route_length_probe(compiled, graph),
                 )
             merged, results = pool.serve(
                 pairs, workload=workload, seed=seed,

@@ -69,14 +69,12 @@ def build_tree_schemes(
     *,
     seed: int = 0,
     bfs: Optional[BfsTree] = None,
-    root_distances: Optional[Mapping[Hashable, Mapping[NodeId, float]]] = None,
 ) -> MultiTreeBuild:
     """Build routing schemes for all ``trees`` with shared sampling rate.
 
     ``trees`` maps a tree id to its parent map.  Every tree's vertices must
     live in ``net``; a vertex may appear in many trees (s is measured, not
-    assumed).  ``root_distances[tree_id]``, when given, records each
-    member's weighted root distance in that tree's tables.
+    assumed).
     """
     if not trees:
         raise InputError("no trees given")
@@ -90,9 +88,6 @@ def build_tree_schemes(
     per_tree_rounds: Dict[Hashable, int] = {}
     rounds_before = net.metrics.total_rounds
     for tree_id in sorted(trees, key=repr):
-        root_distance = (
-            None if root_distances is None else root_distances[tree_id].__getitem__
-        )
         with _tele.span("tree/build", tree=tree_id):
             build = build_distributed_tree_scheme(
                 net,
@@ -102,7 +97,6 @@ def build_tree_schemes(
                 salt=f"ct/{tree_id!r}",
                 bfs=bfs,
                 tree_id=tree_id,
-                root_distance=root_distance,
                 mem_prefix=f"ct/{tree_id!r}",
             )
         schemes[tree_id] = build.scheme

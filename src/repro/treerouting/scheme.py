@@ -17,7 +17,7 @@ deterministic port order -- tests compare them field by field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 from ..congest.bfs import BfsTree, build_bfs_tree
 from ..congest.network import Network
@@ -57,7 +57,6 @@ def build_distributed_tree_scheme(
     salt: str = "",
     bfs: Optional[BfsTree] = None,
     tree_id: Optional[Hashable] = None,
-    root_distance: Optional[Callable[[NodeId], float]] = None,
     mem_prefix: str = "tree",
 ) -> DistributedTreeBuild:
     """Run the full distributed construction for one tree.
@@ -65,9 +64,6 @@ def build_distributed_tree_scheme(
     ``net`` is the surrounding network G (broadcasts use its BFS tree of
     depth <= D, even when the tree T itself is much deeper).  ``q`` defaults
     to ``1/sqrt(n)``; the multi-tree runner passes ``1/sqrt(s n)``.
-    ``root_distance`` optionally records weighted root distances in the
-    tables (+1 word; the general-graph scheme counts it, no router reads
-    it).
     """
     require_tree_in_graph(net.graph, tree_parent)
     rounds_before = net.metrics.total_rounds
@@ -92,7 +88,7 @@ def build_distributed_tree_scheme(
         scheme = TreeRoutingScheme.of_tree(
             tree_id if tree_id is not None else part.root, part.root,
             tree_parent, size_info.heavy, dfs_info.intervals,
-            light_info.light_edges, root_distance)
+            light_info.light_edges)
         net.store_each(f"{mem_prefix}/table",
                        {v: scheme.table_words(v) for v in tree_parent})
         net.store_each(f"{mem_prefix}/label",

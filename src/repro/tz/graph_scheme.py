@@ -57,11 +57,7 @@ def build_centralized_scheme(
 
     tree_schemes: Dict[Hashable, TreeRoutingScheme] = {}
     for root, ctree in cluster_trees.items():
-        tree_schemes[root] = build_tree_scheme(
-            ctree.parent,
-            tree_id=root,
-            root_distance=lambda v, d=ctree.dist: d[v],
-        )
+        tree_schemes[root] = build_tree_scheme(ctree.parent, tree_id=root)
 
     tables = graph_tables(graph.nodes, tree_schemes)
     labels: Dict[NodeId, GraphLabel] = {}

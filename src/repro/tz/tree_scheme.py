@@ -14,7 +14,7 @@ deterministic child order), which tests assert field by field.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 from ..graphs.trees import tree_profile
 from ..routing.artifacts import TreeRoutingScheme
@@ -26,16 +26,9 @@ def build_tree_scheme(
     parent: Mapping[NodeId, Optional[NodeId]],
     *,
     tree_id: Optional[Hashable] = None,
-    root_distance: Optional[Callable[[NodeId], float]] = None,
 ) -> TreeRoutingScheme:
-    """Build the exact TZ routing scheme for one tree.
-
-    ``root_distance(v)`` optionally supplies the weighted distance from the
-    root (stored in the table, +1 word; the general-graph schemes count it
-    in their table size, no router reads it).
-    """
+    """Build the exact TZ routing scheme for one tree."""
     profile = tree_profile(parent)
     return TreeRoutingScheme.of_tree(
         tree_id if tree_id is not None else profile.root, profile.root,
-        parent, profile.heavy, profile.intervals, profile.light_edges,
-        root_distance)
+        parent, profile.heavy, profile.intervals, profile.light_edges)

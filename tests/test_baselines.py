@@ -1,7 +1,6 @@
 """Tests for the EN16b-style tree-routing baseline and landmark routing."""
 
 import math
-import random
 
 import pytest
 
@@ -63,12 +62,6 @@ class TestLandmark:
         graph = random_connected_graph(20, seed=152)
         with pytest.raises(InputError):
             choose_landmarks(graph, 0, seed=1)
-
-    def test_injected_rng_overrides_seed(self):
-        graph = random_connected_graph(100, seed=152)
-        a = choose_landmarks(graph, 8, seed=0, rng=random.Random(4))
-        b = choose_landmarks(graph, 8, seed=99, rng=random.Random(4))
-        assert a == b and len(a) == 8
 
     def test_routing_delivers(self):
         graph = random_connected_graph(90, seed=153)

@@ -22,7 +22,6 @@ def setup():
     schemes = build_tree_schemes(
         net, {root: tree.parent for root, tree in trees.items()},
         seed=28, bfs=bfs,
-        root_distances={root: tree.dist for root, tree in trees.items()},
     ).schemes
     return graph, hierarchy, pivots, trees, net, schemes
 

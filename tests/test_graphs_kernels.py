@@ -417,10 +417,13 @@ def sha256_of(document) -> str:
 #: Re-taken for scheme format 3 (PR 24) from scheme objects that the
 #: format-2 encoder still hashed to the values pinned until then
 #: (7622523..., fe642c7..., ca814ea...; CHANGES.md has the procedure).
+#: Re-taken for scheme format 4, which drops the root-distance column: the
+#: format-3 dicts with that column deleted and ``"format": 4`` are these
+#: dicts exactly (846a4c2..., ef97912..., b0a2f48... until then).
 CENTRALIZED_GOLDENS = {
-    1: "846a4c25d96401135972add8292cb8e5d3d5400cd96234fdbda6888a25018a4b",
-    2: "ef979129aedea57ab5789715618fac4ddcf94dc51a9e546af5746cd7a6ffd465",
-    3: "b0a2f4860f81605f7c58246c4f34b0fbdef5e4b2861b309a22b4abe9e5920cf4",
+    1: "6c938577e3e53fd8ffe216c53d0d80be427a2c5cf1755805428c0e82fddb031e",
+    2: "666ed86403a58805da0d44faa5ee5c78ff244460754b76e44c84e50726a4416f",
+    3: "c4f4a6b3b04c7ba3fcc28f79dba1a267e896fdca1efe069a32ac39417cbde80e",
 }
 #: sha256 of json.dumps(BuildReport.to_dict()) for random_connected_graph(
 #: 150, seed=7), k=3, seed=7 on Network, from PR 18's kernels.
@@ -431,7 +434,10 @@ CENTRALIZED_GOLDENS = {
 #: renamed back to ``bfs-tree`` and the nine new ``hopset/*`` and
 #: ``low-levels/pivots-*`` keys dropped from ``phase_rounds``, the dict
 #: still hashes to the value pinned until then (83b87cc...).
-DISTRIBUTED_GOLDEN = "41cddcff9d86a3c1fa2ae279caeedc6ae8a76ba6a86d8b11b0beff42a2016963"
+#: Re-taken when the tables lost the root-distance word: the dict differs
+#: from the one pinned until then (41cddcf...) only in ``table_words``,
+#: ``max_memory_words`` and ``mean_memory_words``.
+DISTRIBUTED_GOLDEN = "7e76c0154a11fe1972f38be522c17f46fb5a2ce946453e4901875e57f20c8bde"
 
 
 @pytest.mark.parametrize("seed", sorted(CENTRALIZED_GOLDENS))
@@ -451,11 +457,13 @@ def test_distributed_build_report_is_byte_identical_to_the_parent():
 #: graph_scheme_to_dict(scheme)}) for random_connected_graph(300, seed=7),
 #: seed 7, on Network, at the k the golden above does not reach (it pins
 #: k = 3 only).  Taken before Lemma 2's E' sweeps resumed from their
-#: fixpoint, and unchanged by it.
+#: fixpoint, and unchanged by it.  Re-taken when the tables lost the
+#: root-distance word, under the same two checks as the goldens above
+#: (90a6647..., 0553098..., a5dcb31... until then).
 DISTRIBUTED_K_GRID = {
-    2: "90a6647a3b7f178df296b06dd0aadfbb1dde39ba43607525f6ab0621fea61c54",
-    4: "0553098417ec79a59761cc90d6f55b95b607b97f23b361ea73c1f35bc25c8ba1",
-    6: "a5dcb314067a16772948aad30fa8dcc8392714dc01b265c363e33c7cf316a6fb",
+    2: "52a04d98a6ef084037febdadc136b06ea66b32be0cb8742605351708990a285d",
+    4: "d458cf5c5a40c5e602df22a5ec394d085da13863f3b9830575fad6e888456835",
+    6: "57c886a848ea26390d917b76d85063264cb205392afab14786b25f36bbec6855",
 }
 
 

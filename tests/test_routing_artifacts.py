@@ -1,9 +1,14 @@
 """Unit tests for routing artifacts and the pure forwarding rule."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.congest import Network
+from repro.core.build import build_distributed_scheme
 from repro.errors import RoutingFailure
+from repro.graphs import random_connected_graph
 from repro.routing import (
     GraphLabel,
     GraphTable,
@@ -16,17 +21,25 @@ from repro.routing import (
 from repro.routing.artifacts import graph_tables
 
 
-def table(enter, exit_, parent=None, heavy=None, rd=None):
-    return TreeTable(enter=enter, exit_=exit_, parent=parent, heavy=heavy,
-                     root_distance=rd)
+def table(enter, exit_, parent=None, heavy=None):
+    return TreeTable(enter=enter, exit_=exit_, parent=parent, heavy=heavy)
 
 
 class TestWordSizes:
     def test_tree_table_is_four_words(self):
         assert table(1, 10).word_size() == 4
 
-    def test_root_distance_adds_one_word(self):
-        assert table(1, 10, rd=2.5).word_size() == 5
+    def test_tables_hold_only_what_tree_routing_reads(self):
+        """A tree table is the four fields ``tree_forward`` reads, so a
+        vertex's table is its id plus a tree id and four words per
+        cluster tree that holds it."""
+        assert [f.name for f in fields(TreeTable)] == [
+            "enter", "exit_", "parent", "heavy"]
+        graph = random_connected_graph(150, seed=7)
+        scheme = build_distributed_scheme(
+            graph, 3, seed=7, net=Network(graph)).scheme
+        for table_ in scheme.tables.values():
+            assert table_.word_size() == 1 + 5 * len(table_.trees)
 
     def test_tree_label_scales_with_light_edges(self):
         assert TreeLabel(enter=3).word_size() == 1
@@ -124,8 +137,7 @@ def tree_maps(draw):
     neighbour = st.none() | st.sampled_from(vertices)
     tables = {
         v: TreeTable(draw(small_ints), draw(small_ints), draw(neighbour),
-                     draw(neighbour),
-                     draw(st.none() | st.floats(allow_nan=False, width=32)))
+                     draw(neighbour))
         for v in vertices
     }
     labelled = draw(st.permutations(vertices))[:draw(
@@ -164,12 +176,10 @@ class TestColumnarTreeScheme:
         assert permuted == scheme
         v = data.draw(st.sampled_from(list(tables)))
         field = data.draw(st.sampled_from(
-            ["enter", "exit_", "parent", "heavy", "root_distance"]))
+            ["enter", "exit_", "parent", "heavy"]))
         old = getattr(tables[v], field)
         if field in ("enter", "exit_"):
             new = old + 1
-        elif field == "root_distance":
-            new = None if old is not None else 0.5
         else:
             new = "elsewhere"
         changed = {**tables, v: TreeTable(**{
@@ -229,7 +239,7 @@ class TestGraphTableTrees:
         what is set is stored as is; missing keys fail as in a dict."""
         schemes = {
             t: TreeRoutingScheme.from_maps(
-                t, "v", {"v": TreeTable(i, i, None, None, float(i))},
+                t, "v", {"v": TreeTable(i, i, None, None)},
                 {"v": TreeLabel(i)})
             for i, t in enumerate("abc")
         }

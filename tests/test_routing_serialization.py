@@ -1,5 +1,5 @@
 """Round-trip tests for scheme serialization, the id interner and the
-format-3 layout."""
+format-4 layout."""
 
 import copy
 import dataclasses
@@ -121,7 +121,7 @@ class TestIdTable:
 def tree_scheme():
     graph = random_connected_graph(80, seed=211)
     tree = spanning_tree_of(graph, style="dfs", seed=211)
-    return graph, tree, build_tree_scheme(tree, root_distance=lambda v: 1.0)
+    return graph, tree, build_tree_scheme(tree)
 
 
 class TestTreeSchemeRoundTrip:
@@ -220,19 +220,19 @@ class TestGraphSchemeRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Format 3: a literal golden blob, its size budget, and corrupt files
+# Format 4: a literal golden blob, its size budget, and corrupt files
 # ---------------------------------------------------------------------------
 
 def _hand_built_scheme():
     """Four vertices of three id types under two trees: one rooted at 7
     spanning everything (``"c"`` hangs off a light edge), one rooted at
-    ``"c"`` over ``{"c", 5}`` without root distances."""
+    ``"c"`` over ``{"c", 5}``."""
     d = (2, "d")
     big_tables = {
-        7: TreeTable(0, 3, None, 5, 0.0),
-        5: TreeTable(1, 2, 7, d, 1.0),
-        d: TreeTable(2, 2, 5, None, 2.5),
-        "c": TreeTable(3, 3, 7, None, 4.0),
+        7: TreeTable(0, 3, None, 5),
+        5: TreeTable(1, 2, 7, d),
+        d: TreeTable(2, 2, 5, None),
+        "c": TreeTable(3, 3, 7, None),
     }
     big_labels = {
         7: TreeLabel(0), 5: TreeLabel(1), d: TreeLabel(2),
@@ -263,7 +263,7 @@ def _hand_built_scheme():
 #: interned in first-seen order (7, 5, (2, "d"), "c" -> 0..3) and every
 #: other id-valued field is an index into ``"ids"``.
 GOLDEN_BLOB = {
-    "format": 3,
+    "format": 4,
     "kind": "graph",
     "k": 2,
     "ids": [{"i": 7}, {"i": 5}, {"t": [{"i": 2}, {"s": "d"}]}, {"s": "c"}],
@@ -277,7 +277,6 @@ GOLDEN_BLOB = {
                 [3, 2, 2, 3],            # exit
                 [None, 0, 1, 0],         # parent
                 [1, 2, None, None],      # heavy
-                [0.0, 1.0, 2.5, 4.0],    # root_distance
             ],
             "labels": [
                 [0, 1, 2, 3],            # v
@@ -289,8 +288,7 @@ GOLDEN_BLOB = {
         [3, {
             "tree_id": 3,
             "root": 3,
-            "tables": [[3, 1], [0, 1], [1, 1], [None, 3], [1, None],
-                       [None, None]],
+            "tables": [[3, 1], [0, 1], [1, 1], [None, 3], [1, None]],
             "labels": [[3, 1], [0, 1], [0, 0], []],
         }],
     ],
@@ -314,7 +312,7 @@ def _out_of_sync_scheme():
     scheme = _hand_built_scheme()
     big = scheme.tree_schemes[7]
     scheme.tables[5].trees[7] = dataclasses.replace(
-        big.tables[5], root_distance=9.0)
+        big.tables[5], heavy=None)
     scheme.labels["c"] = GraphLabel("c", (
         ("c", 0.0, scheme.tree_schemes["c"].labels["c"]),
         (7, 4.0, TreeLabel(3, ((7, "c"), (5, 7)))),
@@ -330,10 +328,10 @@ def _out_of_sync_scheme():
 #: The graph-level sections of ``graph_scheme_to_dict(_out_of_sync_scheme())``
 #: (``"x"`` is id 4): what is not the tree scheme's is written in full.
 OUT_OF_SYNC_SECTIONS = {
-    # [v, [tree | [tree, enter, exit, parent, heavy, root_distance], ...]]
+    # [v, [tree | [tree, enter, exit, parent, heavy], ...]]
     "tables": [
-        [0, [0, [4, 0, 0, None, None, None]]],
-        [1, [[0, 1, 2, 0, 2, 9.0], [3, 1, 1, 3, None, None]]],
+        [0, [0, [4, 0, 0, None, None]]],
+        [1, [[0, 1, 2, 0, None], [3, 1, 1, 3, None]]],
         [2, [0]],
         [3, [0, 3]],
     ],
@@ -387,10 +385,9 @@ class TestFormat:
         tree = _hand_built_scheme().tree_schemes["c"]
         blob = tree_scheme_to_dict(tree)
         assert blob == {
-            "format": 3, "kind": "tree", "ids": [{"s": "c"}, {"i": 5}],
+            "format": 4, "kind": "tree", "ids": [{"s": "c"}, {"i": 5}],
             "tree_id": 0, "root": 0,
-            "tables": [[0, 1], [0, 1], [1, 1], [None, 0], [1, None],
-                       [None, None]],
+            "tables": [[0, 1], [0, 1], [1, 1], [None, 0], [1, None]],
             "labels": [[0, 1], [0, 1], [0, 0], []],
         }
         assert tree_scheme_from_dict(json.loads(json.dumps(blob))) == tree
@@ -400,7 +397,7 @@ class TestFormat:
         objects are the id blobs, one body per tree scheme and the top
         level; the text stays under 20 bytes per packed table word
         (format 2: 26, format 1: 69); and no container is per membership:
-        14 per tree (its pair, body and columns), ``5 + k`` per vertex (id
+        13 per tree (its pair, body and columns), ``5 + k`` per vertex (id
         blob, table and label pair with their entry lists, ``k`` label
         entries) and the five top-level ones -- format 2's count grew with
         the memberships, and that is what the cyclic collector walked."""
@@ -412,7 +409,7 @@ class TestFormat:
         words = compile_scheme(scheme, graph).table_words()
         assert len(json.dumps(blob)) <= 20 * words
         assert _count_containers(blob) <= (
-            14 * len(scheme.tree_schemes)
+            13 * len(scheme.tree_schemes)
             + (5 + scheme.k) * len(scheme.tables) + 5)
 
     @pytest.mark.parametrize("kind", ["graph", "tree"])
@@ -474,6 +471,7 @@ CORRUPTIONS = {
     "short-row": ("table", _drop_field, "tables"),
     "format-1": ("blob", lambda blob: blob.update(format=1), "re-save"),
     "format-2": ("blob", lambda blob: blob.update(format=2), "re-save"),
+    "format-3": ("blob", lambda blob: blob.update(format=3), "re-save"),
     "odd-light-list": ("label", lambda columns: columns[3].append(0), "labels"),
     "index-out-of-range": ("table", _set(3, 4), "tables"),
     "index-negative": ("table", _set(4, -1), "tables"),
@@ -481,7 +479,10 @@ CORRUPTIONS = {
     "null-vertex": ("table", _set(0, None), "tables"),
     "bad-id-blob": ("blob", lambda blob: blob["ids"].append({"z": 1}), "id tag"),
     "bad-id-value": ("blob", lambda blob: blob["ids"].append({"i": "7"}), "'ids'"),
-    "long-column": ("table", lambda columns: columns[5].append(1.0), "tables"),
+    "long-column": ("table", lambda columns: columns[4].append(None), "tables"),
+    # a format-3 body relabelled as format 4
+    "stray-root-distance-column": (
+        "table", lambda columns: columns.append([0.0, 1.0, 2.5, 4.0]), "tables"),
     "missing-column": ("table", lambda columns: columns.pop(), "tables"),
     "column-not-a-list": (
         "table", _set_column(1, {"0": 0, "1": 1, "2": 2, "3": 3}), "tables"),
@@ -495,7 +496,6 @@ CORRUPTIONS = {
     "bool-id-index": ("table", _set(0, False), "tables"),  # aliased id 0
     "str-enter": ("table", _set(1, "x"), "tables"),
     "bool-exit": ("table", _set(2, True), "tables"),
-    "str-root-distance": ("table", _set(5, "far"), "tables"),
     "float-label-enter": ("label", _set(1, 0.5), "labels"),
 }
 
@@ -507,7 +507,7 @@ GRAPH_CORRUPTIONS = {
     "table-of-vertex-not-in-tree": (_set_entry("tables", 3), "'tables'"),
     "table-tree-index-negative": (_set_entry("tables", -1), "'tables'"),
     "table-tree-index-out-of-range": (_set_entry("tables", 4), "'tables'"),
-    "table-short-full-row": (_set_entry("tables", [0, 0, 3, None, 1]), "'tables'"),
+    "table-short-full-row": (_set_entry("tables", [0, 0, 3, None]), "'tables'"),
     "label-of-unknown-tree": (_set_entry("labels", [1, 0.0]), "'labels'"),
     "label-of-vertex-not-in-tree": (_set_entry("labels", [3, 0.0]), "'labels'"),
     "label-tree-index-negative": (_set_entry("labels", [-1, 0.0]), "'labels'"),
@@ -531,7 +531,7 @@ class TestCorruptFiles:
         if kind == "graph":
             body, from_dict = blob["tree_schemes"][0][1], graph_scheme_from_dict
         else:
-            blob = body = {**blob["tree_schemes"][0][1], "format": 3,
+            blob = body = {**blob["tree_schemes"][0][1], "format": 4,
                            "kind": "tree", "ids": blob["ids"]}
             from_dict = tree_scheme_from_dict
         load_scheme(io.StringIO(json.dumps(blob)))  # sound before the damage
@@ -648,7 +648,7 @@ class TestSchemeRoundTripProperties:
     @given(parent_maps())
     @settings(max_examples=40, deadline=None)
     def test_tree_scheme_round_trip(self, parent):
-        scheme = build_tree_scheme(parent, root_distance=lambda v: 1.0)
+        scheme = build_tree_scheme(parent)
         back = tree_scheme_from_dict(
             json.loads(json.dumps(tree_scheme_to_dict(scheme)))
         )
@@ -691,7 +691,7 @@ def _replace_table_field(scheme, data):
     t = data.draw(st.sampled_from(list(scheme.tables[v].trees)))
     change = data.draw(st.sampled_from([
         {"enter": 10 ** 6}, {"exit_": -1}, {"parent": v}, {"heavy": None},
-        {"root_distance": 0.125}, {"root_distance": None}]))
+        {"heavy": v}]))
     scheme.tables[v].trees[t] = dataclasses.replace(
         scheme.tables[v].trees[t], **change)
 
@@ -720,7 +720,7 @@ def _drop_tree_scheme(scheme, data):
 def _add_private_tree(scheme, data):
     v = data.draw(st.sampled_from(list(scheme.tables)))
     private = ("private", v)
-    scheme.tables[v].trees[private] = TreeTable(0, 0, None, None, 0.0)
+    scheme.tables[v].trees[private] = TreeTable(0, 0, None, None)
     scheme.labels[v] = GraphLabel(
         v, scheme.labels[v].entries[:-1] + ((private, 0.0, TreeLabel(0)),))
 

@@ -144,7 +144,7 @@ class TestVerifyGraphScheme:
         victim = sorted(ts.tables, key=repr)[0]
         original = scheme.tables[victim].trees[tree_id]
         scheme.tables[victim].trees[tree_id] = dataclasses.replace(
-            original, root_distance=(original.root_distance or 0) + 99
+            original, exit_=original.exit_ + 99
         )
         try:
             with pytest.raises(InvariantViolation, match="out of sync"):

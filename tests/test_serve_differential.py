@@ -196,7 +196,7 @@ def tree_setup(request):
     # Function-scoped: the corruption tests mutate the scheme in place.
     graph = TREE_FAMILIES[request.param]()
     parent = spanning_tree_of(graph, style="dfs", seed=7)
-    scheme = build_tree_scheme(parent, root_distance=lambda v: 1.0)
+    scheme = build_tree_scheme(parent)
     return graph, scheme
 
 

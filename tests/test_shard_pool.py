@@ -179,7 +179,7 @@ class TestPlan:
 
 
 class TestMergedEqualsSingle:
-    @pytest.mark.parametrize("workload", ["zipf", "gravity"])
+    @pytest.mark.parametrize("workload", ["zipf", "gravity", "adversarial"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_thread_pool_matches_single_process(self, built, workload,
                                                 workers):

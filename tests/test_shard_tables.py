@@ -33,7 +33,7 @@ def built():
 def built_tree():
     graph = random_connected_graph(40, seed=5)
     tree = spanning_tree_of(graph, style="dfs", seed=7)
-    scheme = build_tree_scheme(tree, root_distance=lambda v: 1.0)
+    scheme = build_tree_scheme(tree)
     return graph, compile_scheme(scheme, graph)
 
 

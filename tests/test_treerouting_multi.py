@@ -100,13 +100,12 @@ def clusters():
     build = build_tree_schemes(
         net, {root: tree.parent for root, tree in trees.items()},
         seed=28, bfs=build_bfs_tree(net),
-        root_distances={root: tree.dist for root, tree in trees.items()},
     )
     return trees, build
 
 
 class TestClusterTrees:
-    """The general scheme's use: cluster trees with their root distances."""
+    """The general scheme's use: one scheme per cluster tree."""
 
     def test_one_scheme_per_cluster(self, clusters):
         trees, build = clusters
@@ -124,12 +123,6 @@ class TestClusterTrees:
             for v in tree.dist:
                 counts[v] = counts.get(v, 0) + 1
         assert build.s == max(counts.values())
-
-    def test_root_distances_recorded(self, clusters):
-        trees, build = clusters
-        for root, scheme in build.schemes.items():
-            for v, table in scheme.tables.items():
-                assert table.root_distance == pytest.approx(trees[root].dist[v])
 
 
 class TestGeneralScheme:

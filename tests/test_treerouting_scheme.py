@@ -60,14 +60,6 @@ class TestTheorem2Claims:
                 tree_distance(tree, weight, u, v)
             )
 
-    def test_root_distance_passthrough(self, built):
-        graph, tree, _, _ = built
-        net = Network(graph)
-        build = build_distributed_tree_scheme(
-            net, tree, seed=11, root_distance=lambda v: 7.0
-        )
-        assert all(t.root_distance == 7.0 for t in build.scheme.tables.values())
-
 
 class TestRobustness:
     def test_non_spanning_subtree(self):

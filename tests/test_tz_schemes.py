@@ -58,11 +58,6 @@ class TestTreeScheme:
         result = route_in_tree(tree_scheme, v, v)
         assert result.path == [v]
 
-    def test_root_distance_recorded_when_requested(self, tree):
-        scheme = build_tree_scheme(tree, root_distance=lambda v: 1.5)
-        assert all(t.root_distance == 1.5 for t in scheme.tables.values())
-        assert scheme.max_table_words() == 5
-
     def test_single_vertex_tree(self):
         scheme = build_tree_scheme({"only": None})
         result = route_in_tree(scheme, "only", "only")
